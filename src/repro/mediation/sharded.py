@@ -1,21 +1,25 @@
-"""Mediation on the sharded transport: GridVine queries at scale.
+"""Mediation through the engine surface: GridVine queries at scale.
 
-:class:`ShardedGridVine` is the scale-out twin of
+:class:`ShardedGridVine` is the submit-based twin of
 :class:`~repro.mediation.network.GridVineNetwork`: it exposes the same
 query surface (``search_for``, the :meth:`run_batch` seam a
-:class:`~repro.engine.core.QueryEngine` executes through) over a
-:class:`~repro.simnet.shard.ShardedTransport` instead of the
-single-loop :class:`~repro.simnet.network.SimNetwork`.
+:class:`~repro.engine.core.QueryEngine` executes through) but needs
+nothing of the deployment except the engine surface (``submit /
+run_until_quiescent / completed / metrics_snapshot``, see
+:class:`repro.simnet.shard._Engine`).  So it runs unchanged over a
+:class:`~repro.simnet.shard.ShardedTransport` or a
+:class:`~repro.simnet.shard.SingleLoopEngine` — which is how the
+scale-out driver gets equal outcomes, message counts and traces on
+both.
 
-The division of labour mirrors the in-process harness exactly:
+The division of labour:
 
 * the peer-side entry points (``GridVinePeer.search_for``,
-  ``GridVinePeer.execute_planned_batch``) run *on the owning shard* —
-  the controller reaches them through
-  :meth:`~repro.simnet.shard.ShardedTransport.submit`, never through a
+  ``GridVinePeer.execute_planned_batch``) run *where the peer lives* —
+  the controller reaches them through ``submit``, never through a
   direct method call, so inline and forked workers behave identically;
-* per-query message attribution uses the transport's ``op:<ref>``
-  scopes (``attribute=True``), the sharded equivalent of the
+* per-query message attribution uses the engine's ``op:<ref>`` scopes
+  (``attribute=True``), the equivalent of ``GridVineNetwork``'s
   ``searchfor:<n>`` / ``batch:<n>`` operation tags — counts are summed
   across every shard the query's causal chain touched;
 * engine planning stays controller-side: the engine's mapping-graph
@@ -34,16 +38,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.simnet.events import SimulationError
-from repro.simnet.shard import ShardedTransport
 
 
-def outcome_passthrough(outcome: Any) -> Any:
-    """Ship the full :class:`QueryOutcome` back to the controller."""
-    return outcome
-
-
-def batch_passthrough(result: Any) -> Any:
-    """Ship an ``(outcomes, fetch_stats)`` batch result unchanged."""
+def passthrough(result: Any) -> Any:
+    """Ship a :class:`QueryOutcome` or an ``(outcomes, fetch_stats)``
+    batch result back to the controller unchanged (module-level:
+    process workers pickle it by reference)."""
     return result
 
 
@@ -66,13 +66,14 @@ class _PeerHandle:
 
 
 class ShardedGridVine:
-    """Query facade over a mediation deployment on shards.
+    """Query facade over a mediation deployment on either engine.
 
     Parameters
     ----------
     transport:
-        The :class:`ShardedTransport` holding the deployment's
-        :class:`~repro.mediation.peer.GridVinePeer` s.
+        The engine (:class:`~repro.simnet.shard.ShardedTransport` or
+        :class:`~repro.simnet.shard.SingleLoopEngine`) holding the
+        deployment's :class:`~repro.mediation.peer.GridVinePeer` s.
     mappings:
         The deployment's known schema mappings (both directions of
         every bidirectional insert).  Replayed as ``"insert"`` events
@@ -80,7 +81,7 @@ class ShardedGridVine:
         against this facade start with a complete mirror.
     """
 
-    def __init__(self, transport: ShardedTransport,
+    def __init__(self, transport: Any,
                  mappings: tuple | list = ()) -> None:
         self.transport = transport
         self._mappings = list(mappings)
@@ -99,15 +100,13 @@ class ShardedGridVine:
     def _origin(self, origin: str | None) -> _PeerHandle:
         if origin is None:
             raise SimulationError(
-                "sharded deployments need an explicit origin peer")
-        if origin not in self.transport._owner_of:
-            raise SimulationError(f"unknown origin peer {origin!r}")
-        return _PeerHandle(origin)
+                "submitted operations need an explicit origin peer")
+        return _PeerHandle(origin)  # ``submit`` rejects unknown ids
 
     def create_engine(self, max_hops: int = 5,
                       cache_capacity: int = 256):
         """A :class:`~repro.engine.core.QueryEngine` bound to this
-        sharded deployment (mirror backfilled from the deployment's
+        deployment (mirror backfilled from the deployment's
         mappings; batches execute through :meth:`run_batch`)."""
         from repro.engine.core import QueryEngine
 
@@ -119,13 +118,13 @@ class ShardedGridVine:
     def search_for(self, query, strategy: str = "iterative",
                    max_hops: int = 5, origin: str | None = None,
                    limit: int | None = None):
-        """Issue one ``SearchFor`` from ``origin`` and run the shards
+        """Issue one ``SearchFor`` from ``origin`` and run the engine
         to quiescence; returns the :class:`QueryOutcome` with
         ``messages`` filled from the merged per-shard attribution."""
         peer = self._origin(origin)
         ref = self.transport.submit(
             peer.node_id, "search_for", query, strategy, max_hops, limit,
-            summarize=outcome_passthrough, attribute=True)
+            summarize=passthrough, attribute=True)
         self.transport.run_until_quiescent()
         outcome = self.transport.completed[ref]
         outcome.messages = self._operation_messages(ref)
@@ -133,9 +132,9 @@ class ShardedGridVine:
 
     def run_batch(self, peer, queries, plans, limit: int | None = None,
                   optimizer: Any = None):
-        """Execute a pre-planned engine batch at ``peer``'s shard.
+        """Execute a pre-planned engine batch where ``peer`` lives.
 
-        The sharded implementation of the ``run_batch`` seam under
+        The submit-based implementation of the ``run_batch`` seam under
         :meth:`repro.engine.core.QueryEngine.execute_batch`: the
         planned batch crosses the transport boundary as one submitted
         ``execute_planned_batch`` operation, runs concurrently with
@@ -146,11 +145,11 @@ class ShardedGridVine:
         if optimizer is not None:
             raise SimulationError(
                 "cost-based optimization needs peer-side state and is "
-                "not available through the sharded boundary")
+                "not available through the submit boundary")
         ref = self.transport.submit(
             peer.node_id, "execute_planned_batch", list(queries),
             [list(plan) for plan in plans], limit,
-            summarize=batch_passthrough, attribute=True)
+            summarize=passthrough, attribute=True)
         self.transport.run_until_quiescent()
         outcomes, fetch_stats = self.transport.completed[ref]
         return outcomes, fetch_stats, self._operation_messages(ref)
@@ -158,10 +157,3 @@ class ShardedGridVine:
     def _operation_messages(self, ref: int) -> int:
         merged = self.transport.metrics_snapshot()
         return merged["operations"].get(f"op:{ref}", 0)
-
-    # -- reporting ------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        """Merged per-shard metrics (see
-        :meth:`ShardedTransport.metrics_snapshot`)."""
-        return self.transport.metrics_snapshot()

@@ -1,45 +1,50 @@
-"""Scale-out harness: the same P-Grid deployment on either transport.
+"""Scale-out harness: one P-Grid deployment, one driver, two clocks.
 
 The paper's deployment argument (§2.3) is about *scale*: GridVine's
 overlay work is logarithmic in network size, so the interesting regime
 starts where a single-loop simulation stops being practical.  This
 module builds one deterministic deployment — trie assignment, sampled
 routing tables, preloaded replica groups, query waves, churn trace —
-and runs it unchanged on either engine:
+and one wave driver (:func:`_drive`) runs it on the engine it is given:
 
-- :func:`run_inprocess` — the classic single-event-loop
-  :class:`~repro.simnet.network.InProcessTransport` (the ``shards=1``
+- :func:`run_inprocess` picks the single event loop
+  (:class:`~repro.simnet.shard.SingleLoopEngine`, the ``shards=1``
   baseline in bench E18);
-- :func:`run_sharded` — the windowed
+- :func:`run_sharded` picks the windowed
   :class:`~repro.simnet.shard.ShardedTransport`, with the trie key
   space partitioned into contiguous leaf runs so replica groups and
   prefix-local traffic stay intra-shard.
 
-Everything the workload consumes is derived from the spec seed and
-node ids only (per-peer rng streams, per-wave query draws, per-node
-churn schedules), never from engine interleaving — so engines are
-comparable run-to-run and shard counts are comparable to each other.
+Neither has wave, tracer, fault-plan or report code of its own, and
+every message on either passes the one send/deliver gate
+(``simnet/network.py``): the two runs differ by the window barrier and
+nothing else.  Everything the workload consumes is derived from the
+spec seed and node ids only (per-peer rng streams, per-wave query
+draws, per-node churn schedules), never from engine interleaving.
 
-Engine equivalence has two tiers.  Within the sharded engine, results
-are *bit-identical* across worker modes (inline vs process) and across
-repeated runs — the conservative window protocol fixes the event
-order.  Between engines, results are *statistically equivalent*, not
-bit-identical: a peer consumes its private rng in the order messages
-reach it, and the two engines interleave same-window deliveries
-differently.  The tests pin the first tier exactly and bound the
-second (identical success outcomes all-online; close hop/recall
-distributions under churn).
+Equal across engines *by construction*: the submissions (same refs,
+``op:<ref>`` attribution scopes and trace roots — one ``Shard._issue``),
+the gate's accounting, and the report.  Equal only where the workload
+allows: the event order.  Within the sharded engine results are
+bit-identical across worker modes and repeated runs (the window
+protocol fixes the order).  Between engines a peer consumes its private
+rng in message-arrival order, which the two clocks interleave
+differently — so retrieve workloads are statistically equivalent
+(identical successes all-online, close recall under churn), and
+mediation workloads are bit-identical in the rng-free regime
+(``refs_per_level=1, replication=1``).
 """
 
 from __future__ import annotations
 
 import random
-import resource
 import time
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro.exec.plans import STRATEGIES
+from repro.faultlab.injector import install_plan
 from repro.mediation.keys import schema_key, triple_keys
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import (
@@ -49,6 +54,8 @@ from repro.mediation.records import (
     SchemaRecord,
     TripleRecord,
 )
+from repro.mediation.sharded import ShardedGridVine
+from repro.obs.tracer import export_records_jsonl
 from repro.pgrid.construction import (
     assign_paths,
     replica_groups,
@@ -57,11 +64,10 @@ from repro.pgrid.construction import (
 from repro.pgrid.peer import PGridPeer
 from repro.simnet.churn import exponential_schedule
 from repro.simnet.latency import ConstantLatency
-from repro.simnet.network import InProcessTransport
 from repro.simnet.shard import (
     ShardedTransport,
+    SingleLoopEngine,
     partition_paths,
-    summarize_op_result,
 )
 from repro.util.keys import Key
 
@@ -132,6 +138,21 @@ class ScaleoutSpec:
     #: are comparable across engines, shard counts and worker modes.
     trace_path: str | None = None
 
+    def __post_init__(self) -> None:
+        for name, accepted in (("mode", ("inline", "process")),
+                               ("workload", ("retrieve", "mediation")),
+                               ("strategy", STRATEGIES)):
+            if getattr(self, name) not in accepted:
+                raise ValueError(
+                    f"ScaleoutSpec.{name} must be one of {accepted}, "
+                    f"got {getattr(self, name)!r}")
+        for name, least in (("num_shards", 1), ("num_waves", 0),
+                            ("ops_per_wave", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"ScaleoutSpec.{name} must be >= {least}, "
+                    f"got {getattr(self, name)!r}")
+
 
 @dataclass
 class ScaleoutReport:
@@ -153,6 +174,8 @@ class ScaleoutReport:
     faults_by_kind: dict[str, int] = field(default_factory=dict)
     messages_sent: int = 0
     messages_dropped: int = 0
+    values_shipped: int = 0
+    messages_by_kind: dict[str, int] = field(default_factory=dict)
     drops_by_reason: dict[str, int] = field(default_factory=dict)
     events_processed: int = 0
     virtual_time: float = 0.0
@@ -280,8 +303,7 @@ def build_deployment(spec: ScaleoutSpec) -> Deployment:
     waves: list[list[tuple[str, object]]] = []
     if spec.workload == "mediation":
         mediation = _build_mediation(spec, node_ids)
-        waves = []
-    elif spec.workload == "retrieve":
+    else:
         needle_keys = list(needles)
         for wave in range(spec.num_waves):
             rng = random.Random(f"{spec.seed}/wave/{wave}")
@@ -290,8 +312,6 @@ def build_deployment(spec: ScaleoutSpec) -> Deployment:
                  needle_keys[rng.randrange(len(needle_keys))])
                 for _ in range(spec.ops_per_wave)
             ])
-    else:
-        raise ValueError(f"unknown workload {spec.workload!r}")
     toggles = (
         exponential_schedule(node_ids, spec.mean_uptime,
                              spec.mean_downtime, spec.duration,
@@ -360,18 +380,12 @@ def _stream(*parts: object) -> random.Random:
 def _make_peer(spec: ScaleoutSpec, deployment: Deployment,
                node_id: str) -> PGridPeer:
     """One peer with its private rng stream and prebuilt tables."""
-    if spec.workload == "mediation":
-        peer: PGridPeer = GridVinePeer(
-            node_id, deployment.assignment[node_id],
-            rng=_stream(spec.seed, "peer", node_id),
-            timeout=spec.timeout, max_retries=spec.max_retries,
-            failover=spec.failover)
-    else:
-        peer = PGridPeer(
-            node_id, deployment.assignment[node_id],
-            rng=_stream(spec.seed, "peer", node_id),
-            timeout=spec.timeout, max_retries=spec.max_retries,
-            failover=spec.failover)
+    peer_class = GridVinePeer if spec.workload == "mediation" else PGridPeer
+    peer = peer_class(
+        node_id, deployment.assignment[node_id],
+        rng=_stream(spec.seed, "peer", node_id),
+        timeout=spec.timeout, max_retries=spec.max_retries,
+        failover=spec.failover)
     peer.replicas, peer.routing_table = deployment.tables[node_id]
     return peer
 
@@ -453,381 +467,115 @@ def summarize_query_outcome(outcome) -> tuple:
 
 def summarize_batch_result(result) -> tuple:
     """Engine-comparable digest of one engine-batch execution."""
-    per_query = tuple(
-        ("q", o.complete, _result_rows(o), o.reformulations_explored)
-        for o in result.outcomes)
+    per_query = tuple(summarize_query_outcome(o) for o in result.outcomes)
     return ("b", per_query, result.messages, result.patterns_fetched,
             result.patterns_total, result.scans_issued,
             result.scans_skipped)
 
 
 # ----------------------------------------------------------------------
-# Engines
+# The one wave driver, and the two engines it runs on
 # ----------------------------------------------------------------------
 
-def _install_inprocess_tracer(net, spec: ScaleoutSpec):
-    """A span recorder on the single loop (``trace_path`` only)."""
-    if spec.trace_path is None:
-        return None
-    from repro.obs.tracer import Tracer
-    return net.install_tracer(Tracer(seed=spec.seed))
-
-
-def _export_inprocess_trace(tracer, spec: ScaleoutSpec) -> None:
-    if tracer is None:
-        return
-    from repro.obs.tracer import export_records_jsonl, merge_records
-    export_records_jsonl(merge_records([tracer.records]), spec.trace_path)
-
-
-def _export_sharded_trace(transport, spec: ScaleoutSpec) -> None:
-    """Export the merged per-shard trace (call after ``stop()``)."""
-    if spec.trace_path is None:
-        return
-    from repro.obs.tracer import export_records_jsonl
-    export_records_jsonl(transport.trace_records(), spec.trace_path)
-
-
-def _traced_kickoff(tracer, loop, ref: int, method: str, origin: str,
-                    kickoff):
-    """Run ``kickoff`` inside a fresh ``op:<ref>`` trace root.
-
-    The single-loop mirror of ``Shard._issue``'s traced submission:
-    same trace id, same root name, same status discipline — so the two
-    engines export comparable traces for the same deployment.
-    """
-    root = tracer.start_trace(f"op:{ref}", f"op:{method}", peer=origin,
-                              start=loop.now)
-    tracer._stack.append(tracer.context_of(root))
-    try:
-        future = kickoff()
-    finally:
-        tracer._stack.pop()
-
-    def _done(f):
-        result = f.result()
-        status = "ok" if getattr(result, "success", True) else "failed"
-        tracer.finish(root, loop.now, status)
-
-    future.add_done_callback(_done)
-    return future
+def run_inprocess(spec: ScaleoutSpec,
+                  deployment: Deployment | None = None) -> ScaleoutReport:
+    """Run the deployment on the single event loop."""
+    engine = SingleLoopEngine(latency=ConstantLatency(spec.latency_delay),
+                              seed=spec.seed)
+    return _drive(spec, deployment, engine, "inprocess")
 
 
 def run_sharded(spec: ScaleoutSpec,
                 deployment: Deployment | None = None) -> ScaleoutReport:
-    """Run the deployment on the windowed sharded transport."""
-    deployment = deployment or build_deployment(spec)
-    if spec.workload == "mediation":
-        return _run_sharded_mediation(spec, deployment)
-    started = time.perf_counter()
-    transport = ShardedTransport(
+    """Run the identical deployment on the windowed sharded transport."""
+    engine = ShardedTransport(
         spec.num_shards, latency=ConstantLatency(spec.latency_delay),
         seed=spec.seed, mode=spec.mode)
-    owner = partition_paths(deployment.assignment, spec.num_shards)
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload(deployment, peers)
-    for node_id, peer in peers.items():
-        transport.add_peer(peer, owner[node_id])
-    for at, node_id, online in deployment.toggles:
-        transport.set_online_at(at, node_id, online)
-    if spec.trace_path is not None:
-        transport.install_tracer()
-    if spec.faults is not None:
-        transport.install_fault_plan(spec.faults)
-    transport.start()
-
-    report = ScaleoutReport(engine=f"sharded/{spec.mode}",
-                            num_peers=spec.num_peers,
-                            num_shards=spec.num_shards)
-    for wave_index, wave in enumerate(deployment.waves):
-        if spec.churn:
-            transport.run_until(wave_index * spec.wave_interval)
-        for origin, key in wave:
-            transport.submit(origin, "retrieve", key)
-            report.ops_issued += 1
-        if not spec.churn:
-            transport.run_until_quiescent()
-    if spec.churn:
-        transport.run_until(spec.duration)
-    transport.run_until_quiescent()
-
-    stats = transport.stop()
-    _export_sharded_trace(transport, spec)
-    merged = transport.metrics_snapshot()
-    report.outcomes = dict(transport.completed)
-    _fill_outcome_counts(report)
-    report.messages_sent = merged["messages_sent"]
-    report.messages_dropped = merged["messages_dropped"]
-    report.drops_by_reason = merged["drops_by_reason"]
-    report.faults_by_kind = dict(merged.get("faults_by_kind", {}))
-    report.events_processed = merged["events_processed"]
-    report.per_shard_peak_rss_kb = [s["peak_rss_kb"] for s in stats]
-    report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
-    report.virtual_time = transport.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _drive(spec, deployment, engine, f"sharded/{spec.mode}")
 
 
-def _run_sharded_mediation(spec: ScaleoutSpec,
-                           deployment: Deployment) -> ScaleoutReport:
-    """Mediation workload on the sharded transport.
+def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
+           engine: SingleLoopEngine | ShardedTransport,
+           label: str) -> ScaleoutReport:
+    """Build, attach, run the waves, collect — on whichever ``engine``.
 
-    Every query crosses the transport boundary as one attributed
-    ``search_for`` submission; engine batches go through
-    :meth:`ShardedGridVine.run_batch` (one attributed
-    ``execute_planned_batch`` submission).  All of a wave's operations
-    issue at the same window boundary, so they execute concurrently —
-    exactly like the in-process wave's synchronous kickoffs.
+    Written against the engine surface only (see
+    :class:`repro.simnet.shard._Engine`).  The two workloads differ in
+    three things: how peers are preloaded, which peer method a wave
+    entry submits, and how its result is summarised.  Mediation queries
+    are attributed submissions, and each wave's engine batch goes
+    through the submit-based :class:`~repro.mediation.sharded.
+    ShardedGridVine` facade — one attributed ``execute_planned_batch``
+    submission, run to quiescence together with the wave's queries.
     """
-    from repro.mediation.sharded import ShardedGridVine
-
-    med = deployment.mediation
-    assert med is not None
-    started = time.perf_counter()
-    transport = ShardedTransport(
-        spec.num_shards, latency=ConstantLatency(spec.latency_delay),
-        seed=spec.seed, mode=spec.mode)
-    owner = partition_paths(deployment.assignment, spec.num_shards)
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload_mediation(deployment, peers)
-    for node_id, peer in peers.items():
-        transport.add_peer(peer, owner[node_id])
-    for at, node_id, online in deployment.toggles:
-        transport.set_online_at(at, node_id, online)
-    if spec.trace_path is not None:
-        transport.install_tracer()
-    if spec.faults is not None:
-        transport.install_fault_plan(spec.faults)
-    transport.start()
-    facade = ShardedGridVine(transport, mappings=med.mappings)
-    engine = (facade.create_engine(max_hops=spec.query_max_hops)
-              if spec.batch_queries > 0 else None)
-
-    report = ScaleoutReport(engine=f"sharded/{spec.mode}",
-                            num_peers=spec.num_peers,
-                            num_shards=spec.num_shards)
-    query_refs: list[int] = []
-    next_ref = 0
-    for wave_index, wave in enumerate(med.query_waves):
-        if spec.churn:
-            transport.run_until(wave_index * spec.wave_interval)
-        for origin, query in wave:
-            ref = transport.submit(
-                origin, "search_for", query, spec.strategy,
-                spec.query_max_hops, spec.query_limit,
-                summarize=summarize_query_outcome, attribute=True)
-            query_refs.append(ref)
-            next_ref = ref + 1
-            report.ops_issued += 1
-        batch = med.batch_waves[wave_index]
-        if batch is not None:
-            # The engine submits through the facade's run_batch seam
-            # and drives the shards to quiescence, so the wave's
-            # individual queries run concurrently with the batch.
-            # Its submission consumes the next controller ref — the
-            # key the in-process leg stores the same batch under.
-            origin, queries = batch
-            result = engine.execute_batch(list(queries), origin=origin)
-            report.outcomes[next_ref] = summarize_batch_result(result)
-            next_ref += 1
-            report.ops_issued += 1
-        elif not spec.churn:
-            transport.run_until_quiescent()
-    if spec.churn:
-        transport.run_until(spec.duration)
-    transport.run_until_quiescent()
-
-    stats = transport.stop()
-    _export_sharded_trace(transport, spec)
-    merged = transport.metrics_snapshot()
-    operations = merged["operations"]
-    for ref in query_refs:
-        report.outcomes[ref] = (transport.completed[ref]
-                                + (operations.get(f"op:{ref}", 0),))
-    _fill_outcome_counts(report)
-    report.messages_sent = merged["messages_sent"]
-    report.messages_dropped = merged["messages_dropped"]
-    report.drops_by_reason = merged["drops_by_reason"]
-    report.faults_by_kind = dict(merged.get("faults_by_kind", {}))
-    report.events_processed = merged["events_processed"]
-    report.per_shard_peak_rss_kb = [s["peak_rss_kb"] for s in stats]
-    report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
-    report.virtual_time = transport.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
-
-
-def run_inprocess(spec: ScaleoutSpec,
-                  deployment: Deployment | None = None) -> ScaleoutReport:
-    """Run the identical deployment on the single-loop transport."""
     deployment = deployment or build_deployment(spec)
-    if spec.workload == "mediation":
-        return _run_inprocess_mediation(spec, deployment)
-    started = time.perf_counter()
-    net = InProcessTransport(latency=ConstantLatency(spec.latency_delay),
-                             rng=random.Random(f"{spec.seed}/latency"))
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload(deployment, peers)
-    for peer in peers.values():
-        net.attach(peer)
-    if spec.faults is not None:
-        from repro.faultlab.injector import install_plan
-        install_plan(net, spec.faults)
-    tracer = _install_inprocess_tracer(net, spec)
-    loop = net.loop
-    for at, node_id, online in deployment.toggles:
-        loop.schedule_at(at, net.set_online, node_id, online)
-
-    report = ScaleoutReport(engine="inprocess", num_peers=spec.num_peers,
-                            num_shards=1)
-    outcomes: dict[int, tuple] = {}
-    ref = 0
-    for wave_index, wave in enumerate(deployment.waves):
-        if spec.churn:
-            loop.run_until(wave_index * spec.wave_interval)
-        pending = []
-        for origin, key in wave:
-            if tracer is None:
-                future = peers[origin].retrieve(key)
-            else:
-                future = _traced_kickoff(
-                    tracer, loop, ref, "retrieve", origin,
-                    lambda o=origin, k=key: peers[o].retrieve(k))
-            future.add_done_callback(
-                lambda f, r=ref: outcomes.__setitem__(
-                    r, summarize_op_result(f.result())))
-            pending.append(future)
-            ref += 1
-            report.ops_issued += 1
-        if not spec.churn:
-            loop.run_until_idle()
-    if spec.churn:
-        loop.run_until(spec.duration)
-    loop.run_until_idle()
-
-    _export_inprocess_trace(tracer, spec)
-    report.outcomes = outcomes
-    _fill_outcome_counts(report)
-    snap = net.metrics.snapshot()
-    report.messages_sent = snap["messages_sent"]
-    report.messages_dropped = snap["messages_dropped"]
-    report.drops_by_reason = snap["drops_by_reason"]
-    report.faults_by_kind = dict(snap.get("faults_by_kind", {}))
-    report.events_processed = loop.events_processed
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    report.per_shard_peak_rss_kb = [rss]
-    report.peak_rss_kb = rss
-    report.virtual_time = loop.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
-
-
-def _run_inprocess_mediation(spec: ScaleoutSpec,
-                             deployment: Deployment) -> ScaleoutReport:
-    """Mediation workload on the single-loop transport.
-
-    Mirrors the sharded leg submission for submission: queries are
-    kicked off inside ``op:<ref>`` attribution scopes (the same tags
-    the sharded controller assigns, in the same global order), engine
-    batches run through ``GridVineNetwork.run_batch``, and summaries
-    land under the same refs — so ``report.outcomes`` compares equal
-    across engines, message counts included.
-    """
-    from repro.engine.core import QueryEngine
-    from repro.mediation.network import GridVineNetwork
-
     med = deployment.mediation
-    assert med is not None
     started = time.perf_counter()
-    net = InProcessTransport(latency=ConstantLatency(spec.latency_delay),
-                             rng=random.Random(f"{spec.seed}/latency"))
     peers = {node_id: _make_peer(spec, deployment, node_id)
              for node_id in sorted(deployment.assignment)}
-    _preload_mediation(deployment, peers)
-    for peer in peers.values():
-        net.attach(peer)
-    gridvine = GridVineNetwork(net, peers,
-                               rng=random.Random(f"{spec.seed}/harness"),
-                               failover=spec.failover,
-                               refs_per_level=spec.refs_per_level)
-    engine = None
-    if spec.batch_queries > 0:
-        # Mirror backfill by replay, exactly like the sharded facade —
-        # no overlay crawl, so the engines plan from identical graphs
-        # and preload generates zero traffic on either engine.
-        engine = QueryEngine(gridvine, max_hops=spec.query_max_hops)
-        for mapping in med.mappings:
-            engine._on_mapping_event("insert", mapping)
-    if spec.faults is not None:
-        from repro.faultlab.injector import install_plan
-        install_plan(net, spec.faults)
-    tracer = _install_inprocess_tracer(net, spec)
-    loop = net.loop
+    if med is None:
+        _preload(deployment, peers)
+        waves, method, extra = deployment.waves, "retrieve", ()
+        summarize = None
+    else:
+        _preload_mediation(deployment, peers)
+        waves, method = med.query_waves, "search_for"
+        extra = (spec.strategy, spec.query_max_hops, spec.query_limit)
+        summarize = summarize_query_outcome
+    owner = partition_paths(deployment.assignment, engine.num_shards)
+    for node_id, peer in peers.items():
+        engine.add_peer(peer, owner[node_id])
     for at, node_id, online in deployment.toggles:
-        loop.schedule_at(at, net.set_online, node_id, online)
+        engine.set_online_at(at, node_id, online)
+    if spec.trace_path is not None:
+        engine.install_tracer()
+    if spec.faults is not None:
+        install_plan(engine, spec.faults)
+    batch_engine = None
+    if med is not None and spec.batch_queries > 0:
+        batch_engine = ShardedGridVine(engine, mappings=med.mappings) \
+            .create_engine(max_hops=spec.query_max_hops)
 
-    report = ScaleoutReport(engine="inprocess", num_peers=spec.num_peers,
-                            num_shards=1)
-    metrics = net.metrics
-    pending: dict[int, tuple] = {}
-    next_ref = 0
-    for wave_index, wave in enumerate(med.query_waves):
+    report = ScaleoutReport(engine=label, num_peers=spec.num_peers,
+                            num_shards=engine.num_shards)
+    with engine:  # forked workers are joined however the waves end
+        for wave_index, wave in enumerate(waves):
+            if spec.churn:
+                engine.run_until(wave_index * spec.wave_interval)
+            for origin, target in wave:
+                engine.submit(origin, method, target, *extra,
+                              summarize=summarize, attribute=med is not None)
+                report.ops_issued += 1
+            if batch_engine is not None:
+                # The facade's one submission takes the next ref — every
+                # issued op takes exactly one — and drives the engine to
+                # quiescence, so the wave's queries run alongside it.
+                origin, queries = med.batch_waves[wave_index]
+                result = batch_engine.execute_batch(list(queries),
+                                                    origin=origin)
+                report.outcomes[report.ops_issued] = \
+                    summarize_batch_result(result)
+                report.ops_issued += 1
+            elif not spec.churn:
+                engine.run_until_quiescent()
         if spec.churn:
-            loop.run_until(wave_index * spec.wave_interval)
-        for origin, query in wave:
-            ref = next_ref
-            next_ref += 1
-            tag = f"op:{ref}"
-            metrics.begin_operation(tag)
-            with net.operation(tag):
-                if tracer is None:
-                    future = peers[origin].search_for(
-                        query, strategy=spec.strategy,
-                        max_hops=spec.query_max_hops,
-                        limit=spec.query_limit)
-                else:
-                    future = _traced_kickoff(
-                        tracer, loop, ref, "search_for", origin,
-                        lambda o=origin, q=query: peers[o].search_for(
-                            q, strategy=spec.strategy,
-                            max_hops=spec.query_max_hops,
-                            limit=spec.query_limit))
-            future.add_done_callback(
-                lambda f, r=ref: pending.__setitem__(
-                    r, summarize_query_outcome(f.result())))
-            report.ops_issued += 1
-        batch = med.batch_waves[wave_index]
-        if batch is not None:
-            origin, queries = batch
-            result = engine.execute_batch(list(queries), origin=origin)
-            report.outcomes[next_ref] = summarize_batch_result(result)
-            next_ref += 1
-            report.ops_issued += 1
-        if not spec.churn:
-            loop.run_until_idle()
-    if spec.churn:
-        loop.run_until(spec.duration)
-    loop.run_until_idle()
+            engine.run_until(spec.duration)
+        engine.run_until_quiescent()
 
-    for ref, summary in pending.items():
-        tag = f"op:{ref}"
-        report.outcomes[ref] = summary + (metrics.operation_messages(tag),)
-        metrics.end_operation(tag)
-    _export_inprocess_trace(tracer, spec)
+    if spec.trace_path is not None:
+        export_records_jsonl(engine.trace_records(), spec.trace_path)
+    merged = engine.metrics_snapshot()
+    for ref, summary in engine.completed.items():
+        if ref not in report.outcomes:  # batches are already summarised
+            report.outcomes[ref] = summary if med is None else \
+                summary + (merged["operations"].get(f"op:{ref}", 0),)
     _fill_outcome_counts(report)
-    snap = metrics.snapshot()
-    report.messages_sent = snap["messages_sent"]
-    report.messages_dropped = snap["messages_dropped"]
-    report.drops_by_reason = snap["drops_by_reason"]
-    report.faults_by_kind = dict(snap.get("faults_by_kind", {}))
-    report.events_processed = loop.events_processed
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    report.per_shard_peak_rss_kb = [rss]
-    report.peak_rss_kb = rss
-    report.virtual_time = loop.now
+    for name in ("messages_sent", "messages_dropped", "values_shipped",
+                 "messages_by_kind", "drops_by_reason", "faults_by_kind",
+                 "events_processed", "per_shard_peak_rss_kb"):
+        setattr(report, name, merged[name])
+    report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
+    report.virtual_time = engine.now
     report.wall_clock_s = time.perf_counter() - started
     return report
 

@@ -6,13 +6,15 @@ model and schedules delivery on the event loop.  Offline destinations
 silently drop messages (senders are expected to use timeouts or replica
 retries, exactly as over a real WAN).
 
-:class:`SimNetwork` is the in-process implementation of the
-:class:`~repro.simnet.transport.Transport` boundary — the name
-:data:`InProcessTransport` is the canonical alias in transport-facing
-code.  Peers receive deliveries through the handler registry on
-:class:`Node`: each message kind maps to one registered handler, which
-is what makes peers addressable actors rather than objects calling into
-each other.
+:class:`SimNetwork` is the single-event-loop implementation of the
+:class:`~repro.simnet.transport.Transport` boundary, and its
+:meth:`~SimNetwork.send` / ``_deliver`` pair is *the* send/deliver gate
+of the whole system: a shard's transport
+(:class:`~repro.simnet.shard.ShardTransport`) subclasses it and runs
+every local send and every delivery through this code.  Peers receive
+deliveries through the handler registry on :class:`Node`: each message
+kind maps to one registered handler, which is what makes peers
+addressable actors rather than objects calling into each other.
 """
 
 from __future__ import annotations
@@ -161,9 +163,7 @@ class SimNetwork(Transport):
         rng: random.Random | None = None,
     ) -> None:
         super().__init__()
-        # ``loop`` doubles as the public accessor (see Transport.loop);
-        # ``_loop`` is kept as an alias for existing internal callers.
-        self.loop = self._loop = loop if loop is not None else EventLoop()
+        self.loop = loop if loop is not None else EventLoop()
         self.latency = latency if latency is not None else ConstantLatency()
         self.rng = rng if rng is not None else random.Random(0)
 
@@ -176,7 +176,7 @@ class SimNetwork(Transport):
         drop is recorded so protocols under test can be audited for
         relying on silent success.
         """
-        loop = self._loop
+        loop = self.loop
         message.sent_at = loop._now
         if message.op_tag is None:
             op_stack = self._op_stack
@@ -257,7 +257,7 @@ class SimNetwork(Transport):
             self.metrics.record_drop(message.kind, reason="in_flight")
             tracer = self.tracer
             if tracer is not None and message.trace is not None:
-                tracer.message_dropped(message, self._loop._now,
+                tracer.message_dropped(message, self.loop._now,
                                        "in_flight")
             return
         if node._fast_dispatch:
@@ -316,9 +316,3 @@ class SimNetwork(Transport):
         finally:
             if trace_stack is not None:
                 trace_stack.pop()
-
-
-#: The canonical transport-facing name for :class:`SimNetwork`: the
-#: single-event-loop transport, bit-identical to the pre-refactor
-#: simulator (see ``tests/test_transport_golden.py``).
-InProcessTransport = SimNetwork

@@ -1,11 +1,17 @@
-"""Sharded transport: conservative parallel simulation of the overlay.
+"""The two engines: one event loop, or N shards stepping in windows.
 
-The in-process transport drives every peer from one event loop, which
-caps experiments at a few hundred peers.  This module partitions the
-P-Grid trie key space across N *shards*, each owning a contiguous run
-of trie leaves and simulating its peers on a private event loop (its
-logical clock), and synchronizes the shards with a classic conservative
-lookahead scheme:
+One gate, one driver, two clocks.  Every message on either engine
+passes the single send/deliver gate in ``simnet/network.py``
+(:class:`ShardTransport` *is* a :class:`SimNetwork`; its only code of
+its own is the branch for a destination another shard owns), and both
+engines expose one driver surface (:class:`_Engine`) whose kickoff,
+attribution, trace roots and reports come from the same :class:`Shard`
+code.  What differs is the clock: :class:`SingleLoopEngine` runs one
+:class:`~repro.simnet.events.EventLoop`; :class:`ShardedTransport`
+partitions the P-Grid trie key space across N *shards*, each owning a
+contiguous run of trie leaves and simulating its peers on a private
+event loop (its logical clock), and synchronizes the shards with a
+classic conservative lookahead scheme:
 
 Window rule
     Let ``W`` be the minimum cross-shard latency (the *lookahead*,
@@ -29,8 +35,8 @@ Deterministic cross-shard ordering
 Liveness under churn
     The *owning* shard applies churn toggles as exact-time local
     events, so the authoritative delivery-time online check (drops with
-    reason ``"in_flight"``) behaves exactly like the in-process
-    transport.  Remote shards learn toggles from a liveness map
+    reason ``"in_flight"``) is the single loop's — the same inherited
+    ``_deliver``.  Remote shards learn toggles from a liveness map
     refreshed at the start of the window containing the toggle —
     send-time online checks against remote peers may be stale by up to
     one window, mirroring how a real WAN's failure detectors lag the
@@ -42,23 +48,23 @@ Worker modes
     ``mode="process"`` forks one worker per shard and drives them over
     pipes; the per-window algorithm is byte-for-byte the same, so both
     modes produce identical observables, but windows execute
-    concurrently on multi-core hosts.
+    concurrently on multi-core hosts.  A handler exception inside a
+    worker comes back over the pipe and re-raises in the controller as
+    a :class:`SimulationError` naming the shard and the window.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import resource
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.simnet.events import EventLoop, SimulationError
+from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency, LatencyModel
-from repro.simnet.network import Message, Node
-from repro.simnet.transport import Transport
-
-#: message kinds whose payload "values" list is counted as shipped
-_VALUES = "values"
+from repro.simnet.network import Message, Node, SimNetwork
 
 
 def partition_paths(assignment: dict[str, Any], num_shards: int
@@ -93,26 +99,37 @@ def partition_paths(assignment: dict[str, Any], num_shards: int
     return owner
 
 
-class ShardTransport(Transport):
+class _EveryTag(dict):
+    """A shard's ``metrics.operations``: every stamped tag is tracked.
+
+    The single loop counts a tag only between ``begin_operation`` and
+    ``end_operation``.  A causal chain can land on a shard that never
+    saw the submission, so here the gate's ``op_tag in operations``
+    test always passes and a tag's count starts from zero wherever it
+    first shows up; the controller sums the per-shard counts.
+    """
+
+    def __contains__(self, op_tag: object) -> bool:
+        return True
+
+    def __missing__(self, op_tag: str) -> int:
+        return 0
+
+
+class ShardTransport(SimNetwork):
     """The transport one shard's peers are attached to.
 
-    Local deliveries replicate :class:`SimNetwork` semantics (send-time
-    offline drop, latency sample, delivery-time ``in_flight`` drop).
-    Remote destinations are looked up in the shared ownership map; the
-    envelope is sampled for latency at the *sender* and parked in the
-    outbox for the next barrier exchange.
-
-    The send path is deliberately leaner than the in-process
-    transport's: per-shard metrics keep plain counters (merged at
-    collection time) and constant-latency models skip sampling
-    entirely.  Per-operation attribution follows the same causal
-    discipline as :class:`SimNetwork` — an open ``operation()`` scope
-    stamps outgoing envelopes and a delivered tagged envelope re-opens
-    its scope around the handler — but counting is unconditional per
-    stamped tag (no ``begin_operation`` registry), because the tag must
-    keep counting on whichever shard the causal chain lands on.  Bulk
-    workloads that never open a scope pay only a ``None`` check per
-    message.
+    A :class:`SimNetwork` with an outbox.  A send to a peer this shard
+    owns, and every delivery (local or arriving from another shard at a
+    barrier), runs the inherited gate unchanged.  The only code of its
+    own is the branch of :meth:`send` for a peer *another* shard owns:
+    the liveness it checks is the barrier-refreshed map, the delay is
+    raised to the lookahead floor, and the envelope is parked in the
+    outbox for the next barrier exchange instead of the local loop.
+    It asks the same questions in the same order as the gate (offline
+    drop, then injector veto) and accounts through the same
+    :class:`~repro.simnet.metrics.NetworkMetrics` calls, so merged
+    per-shard counters equal the single loop's.
     """
 
     def __init__(
@@ -123,20 +140,14 @@ class ShardTransport(Transport):
         rng: random.Random,
         clamp_delay: float = 0.0,
     ) -> None:
-        super().__init__()
+        super().__init__(latency=latency, rng=rng)
         self.shard_id = shard_id
-        # ``loop`` doubles as the public accessor (see Transport.loop);
-        # ``_loop`` is kept as an alias for existing internal callers.
-        self.loop = self._loop = EventLoop()
+        self.metrics.operations = _EveryTag()
         self._owner_of = owner_of
-        self.latency = latency
-        self.rng = rng
         #: cross-shard delays are raised to at least this (the WAN
         #: propagation floor backing the lookahead window) when the
         #: latency model has no positive lower bound of its own
         self._clamp_delay = clamp_delay
-        self._const_delay = (
-            latency.delay if isinstance(latency, ConstantLatency) else None)
         #: barrier-refreshed knowledge of remote peers' liveness
         self._liveness: dict[str, bool] = {}
         self._outbox: list[tuple[float, int, Message]] = []
@@ -150,143 +161,45 @@ class ShardTransport(Transport):
             return self._liveness.get(node_id, True)  # window-stale
         return False
 
-    def set_online(self, node_id: str, online: bool) -> None:
-        # Only the owning shard may toggle a peer; the controller
-        # routes toggles accordingly.
-        self.node(node_id).online = online
-
     def send(self, message: Message) -> None:
-        loop = self._loop
-        message.sent_at = loop.now
-        op_tag = message.op_tag
-        if op_tag is None:
-            # Same stamping rule as SimNetwork.send: the innermost
-            # active attribution scope rides the envelope, so causal
-            # chains keep their tag across shard boundaries.
-            op_stack = self._op_stack
-            if op_stack:
-                message.op_tag = op_tag = op_stack[-1]
+        dst = message.dst
+        if self._owner_of.get(dst, self.shard_id) == self.shard_id:
+            # Ours — or nobody's, which the gate drops as offline.
+            SimNetwork.send(self, message)
+            return
+        now = self.loop._now
+        message.sent_at = now
+        if message.op_tag is None and self._op_stack:
+            message.op_tag = self._op_stack[-1]
         tracer = self.tracer
-        if tracer is not None and message.trace is None:
-            trace_stack = tracer._stack
-            if trace_stack:
-                message.trace = trace_stack[-1]
-        injector = self.fault_injector
-        if injector is not None:
-            drop_reason = injector.on_send(message)
-            if drop_reason is not None:
-                self.metrics.record_drop(message.kind, reason=drop_reason)
-                if tracer is not None and message.trace is not None:
-                    tracer.message_dropped(message, loop.now, drop_reason)
-                return
-        dst_node = self._nodes.get(message.dst)
-        metrics = self.metrics
-        if dst_node is not None:
-            # -- local delivery (same semantics as SimNetwork.send) ----
-            if not dst_node.online:
-                metrics.record_drop(message.kind, reason="offline")
-                if tracer is not None and message.trace is not None:
-                    tracer.message_dropped(message, loop.now, "offline")
-                return
-            delay = (self._const_delay if self._const_delay is not None
-                     else self.latency.sample(message.src, message.dst,
-                                              self.rng))
-            metrics.messages_sent += 1
-            metrics.total_latency += delay
-            if op_tag is not None:
-                operations = metrics.operations
-                operations[op_tag] = operations.get(op_tag, 0) + 1
-            if tracer is not None and message.trace is not None:
-                tracer.message_sent(message, loop.now, delay)
-            if injector is not None:
-                injector.dispatch(message, delay, self._deliver)
-            else:
-                loop.schedule(delay, self._deliver, message)
-            return
-        # -- cross-shard envelope --------------------------------------
-        if message.dst not in self._owner_of:
-            metrics.record_drop(message.kind, reason="offline")
-            if tracer is not None and message.trace is not None:
-                tracer.message_dropped(message, loop.now, "offline")
-            return
-        if not self._liveness.get(message.dst, True):
-            metrics.record_drop(message.kind, reason="offline")
-            if tracer is not None and message.trace is not None:
-                tracer.message_dropped(message, loop.now, "offline")
-            return
-        delay = (self._const_delay if self._const_delay is not None
-                 else self.latency.sample(message.src, message.dst, self.rng))
-        if delay < self._clamp_delay:
-            delay = self._clamp_delay
-        metrics.messages_sent += 1
-        metrics.total_latency += delay
-        if op_tag is not None:
-            # Counted once, at the sender — the receiving shard only
-            # schedules the delivery, exactly like the local branch.
-            operations = metrics.operations
-            operations[op_tag] = operations.get(op_tag, 0) + 1
-        if tracer is not None and message.trace is not None:
-            # Recorded at the sender with the sampled (clamped) delay,
-            # so the hop span is complete before the envelope crosses
-            # the shard boundary — the receiving shard never amends it.
-            tracer.message_sent(message, loop.now, delay)
-        self._outbox.append((loop.now + delay, next(self._out_seq), message))
-
-    def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.dst)
-        if node is None or not node.online:
-            self.metrics.record_drop(message.kind, reason="in_flight")
-            tracer = self.tracer
-            if tracer is not None and message.trace is not None:
-                tracer.message_dropped(message, self._loop.now,
-                                       "in_flight")
-            return
-        op_tag = message.op_tag
-        if message.trace is not None:
-            tracer = self.tracer
+        if tracer is not None:
+            if message.trace is None and tracer._stack:
+                message.trace = tracer._stack[-1]
+            if message.trace is None:
+                tracer = None  # untraced envelope: no hop span, no event
+        if not self._liveness.get(dst, True):
+            reason = "offline"  # as of the last barrier
+        elif self.fault_injector is not None:
+            reason = self.fault_injector.on_send(message)
+        else:
+            reason = None
+        if reason is not None:
+            self.metrics.record_drop(message.kind, reason=reason)
             if tracer is not None:
-                # Cross-shard stitching: the context tuple rode the
-                # envelope, so re-activating it here parents the
-                # handler's sends under the sender-recorded hop span
-                # even when that span lives in another shard's buffer.
-                trace_stack = tracer._stack
-                trace_stack.append(message.trace)
-                if op_tag is not None:
-                    op_stack = self._op_stack
-                    op_stack.append(op_tag)
-                    try:
-                        node.on_message(message)
-                    finally:
-                        op_stack.pop()
-                        trace_stack.pop()
-                    return
-                try:
-                    node.on_message(message)
-                finally:
-                    trace_stack.pop()
-                return
-        if op_tag is not None:
-            # Re-open the attribution scope around the handler, so
-            # forwards, replies and replica pushes inherit the tag —
-            # the same causal rule as SimNetwork._deliver.
-            op_stack = self._op_stack
-            op_stack.append(op_tag)
-            try:
-                node.on_message(message)
-            finally:
-                op_stack.pop()
+                tracer.message_dropped(message, now, reason)
             return
-        node.on_message(message)
-
-    # Exact-time churn callbacks (pre-scheduled by the controller).
-
-    def _toggle_local(self, node_id: str, online: bool) -> None:
-        node = self._nodes.get(node_id)
-        if node is not None:
-            node.online = online
-
-    def _toggle_liveness(self, node_id: str, online: bool) -> None:
-        self._liveness[node_id] = online
+        delay = max(self.latency.sample(message.src, dst, self.rng),
+                    self._clamp_delay)
+        values = message.payload.get("values")
+        # Counted and traced once, at the sender, with the final delay:
+        # the receiving shard only schedules the delivery.
+        self.metrics.record_send(
+            message.kind, delay,
+            len(values) if isinstance(values, (list, set)) else 0,
+            message.op_tag)
+        if tracer is not None:
+            tracer.message_sent(message, now, delay)
+        self._outbox.append((now + delay, next(self._out_seq), message))
 
 
 def summarize_op_result(result: Any) -> tuple:
@@ -302,153 +215,153 @@ def summarize_op_result(result: Any) -> tuple:
 
 
 class Shard:
-    """One shard: a :class:`ShardTransport`, its peers, and window state."""
+    """One transport, its peers, and the submissions issued on it.
 
-    def __init__(self, shard_id: int, transport: ShardTransport) -> None:
+    The sharded controller steps N of these (over
+    :class:`ShardTransport`) through windows; the single-loop engine
+    holds one over a plain :class:`SimNetwork` and uses only
+    :meth:`_issue` and :meth:`stats` — which is what makes a submitted
+    operation's attribution tag, trace root and report identical on
+    both.
+    """
+
+    def __init__(self, shard_id: int, transport: SimNetwork) -> None:
         self.shard_id = shard_id
         self.transport = transport
-        self._completions: list[tuple[int, Any]] = []
+        #: op ref -> completion summary, handed over at each barrier
+        self._completions: dict[int, Any] = {}
 
-    # Every window executes these steps in this exact order (the
-    # process worker mirrors it verbatim — determinism depends on it).
-
-    def begin_window(
+    def window(
         self,
+        horizon: float,
         liveness: dict[str, bool],
         toggles: list[tuple[float, str, bool]],
         ops: list[tuple[int, str, str, tuple, Callable | None, bool]],
         arrivals: list[tuple[float, int, int, Message]],
-    ) -> None:
+    ) -> tuple[list, dict, int, float | None]:
+        """One window, barrier to barrier: apply the controller's
+        inputs in this exact order, run to ``horizon``, and report
+        (outbox, completions, live count, next live event time).
+
+        Inline shards and forked workers both run this one method, so
+        the step order determinism depends on is theirs by
+        construction.  The trailing pair is the logical-clock status
+        the controller needs for quiescence detection and window jumps.
+        """
         transport = self.transport
         loop = transport.loop
         if liveness:
             transport._liveness.update(liveness)
         for at, node_id, online in toggles:
-            loop.schedule_at(at, self._apply_toggle, node_id, online)
+            loop.schedule_at(at, transport.set_online, node_id, online)
         for ref, node_id, method, args, summarize, attribute in ops:
-            self._issue(ref, node_id, method, args,
-                        summarize or summarize_op_result, attribute)
+            self._issue(ref, node_id, method, args, summarize, attribute)
         for deliver_time, _src_shard, _src_seq, message in arrivals:
             loop.schedule_at(deliver_time, transport._deliver, message)
+        self.run_window(horizon)
+        outbox, transport._outbox = transport._outbox, []
+        completions, self._completions = self._completions, {}
+        return outbox, completions, loop.live_events, \
+            loop.next_live_event_time()
 
     def run_window(self, horizon: float) -> None:
         self.transport.loop.run_until(horizon)
 
-    def collect(self) -> tuple[list, list, int, float | None]:
-        """(outbox, completions, live count, next live event time).
-
-        The trailing pair is the shard's logical-clock status the
-        controller needs for quiescence detection and window jumps —
-        reported at every barrier so worker processes and inline
-        shards feed the jump logic identically.
-        """
-        transport = self.transport
-        outbox, transport._outbox = transport._outbox, []
-        completions, self._completions = self._completions, []
-        loop = transport.loop
-        return outbox, completions, loop.live_events, \
-            loop.next_live_event_time()
-
     # -- helpers -------------------------------------------------------
 
-    def _apply_toggle(self, node_id: str, online: bool) -> None:
-        node = self.transport._nodes.get(node_id)
-        if node is not None:
-            node.online = online
-
     def _issue(self, ref: int, node_id: str, method: str, args: tuple,
-               summarize: Callable, attribute: bool = False) -> None:
-        peer = self.transport.node(node_id)
+               summarize: Callable | None, attribute: bool) -> None:
+        """Call ``peer.<method>(*args)`` now; summarize on completion
+        (by default with :func:`summarize_op_result`).
+
+        ``attribute`` runs the synchronous kickoff inside an
+        ``op:<ref>`` scope; every asynchronous continuation inherits
+        the tag through the messages themselves (across shard
+        boundaries too), so the ``operations`` counters give an exact
+        per-op message count.  With a tracer installed the kickoff is
+        also the root span of trace ``op:<ref>``: refs come from the
+        engine's global submit order, so the trace id — and the root
+        span's per-peer sequence — do not depend on how peers are
+        sharded.
+        """
+        summarize = summarize or summarize_op_result
         transport = self.transport
+        peer = transport.node(node_id)
         tracer = transport.tracer
+        loop = transport.loop
+        root = None if tracer is None else tracer.start_trace(
+            f"op:{ref}", f"op:{method}", peer=node_id, start=loop.now)
         if attribute:
-            # Attributed submission: the synchronous kickoff runs
-            # inside an ``op:<ref>`` scope; every asynchronous
-            # continuation inherits the tag through the messages
-            # themselves (including across shard boundaries), so the
-            # merged per-shard ``operations`` counters give an exact
-            # per-op message count — the sharded twin of
-            # ``GridVineNetwork.search_for``'s attribution.  The tag
-            # matches the traced submission's trace id below.
             transport._op_stack.append(f"op:{ref}")
+        if root is not None:
+            tracer._stack.append(tracer.context_of(root))
         try:
-            if tracer is None:
-                future = getattr(peer, method)(*args)
-                future.add_done_callback(
-                    lambda f: self._completions.append(
-                        (ref, summarize(f.result()))))
-                return
-            # Traced submission: the op ref comes from the controller's
-            # global submit order, so the trace id — and the root
-            # span's per-peer sequence — is invariant to how peers are
-            # sharded.
-            loop = transport.loop
-            root = tracer.start_trace(f"op:{ref}", f"op:{method}",
-                                      peer=node_id, start=loop.now)
-            context = tracer.context_of(root)
-            tracer._stack.append(context)
-            try:
-                future = getattr(peer, method)(*args)
-            finally:
-                tracer._stack.pop()
-
-            def _done(f: Any) -> None:
-                result = f.result()
-                status = "ok" if getattr(result, "success", True) \
-                    else "failed"
-                tracer.finish(root, loop.now, status)
-                self._completions.append((ref, summarize(result)))
-
-            future.add_done_callback(_done)
+            future = getattr(peer, method)(*args)
         finally:
+            if root is not None:
+                tracer._stack.pop()
             if attribute:
                 transport._op_stack.pop()
 
-    def stats(self) -> dict:
-        """Final per-shard report (metrics + footprint + spans)."""
-        import resource
+        def _done(f: Any) -> None:
+            result = f.result()
+            if root is not None:
+                tracer.finish(root, loop.now,
+                              "ok" if getattr(result, "success", True)
+                              else "failed")
+            self._completions[ref] = summarize(result)
 
+        future.add_done_callback(_done)
+
+    def stats(self) -> dict:
+        """Per-shard report (metrics + footprint + spans)."""
+        transport = self.transport
         report = {
             "shard": self.shard_id,
-            "peers": len(self.transport._nodes),
-            "metrics": self.transport.metrics.snapshot(),
+            "peers": len(transport._nodes),
+            "metrics": transport.metrics.snapshot(),
             # Per-op attribution counters (not part of the generic
             # metrics snapshot): every tag this shard's traffic carried.
-            "operations": dict(self.transport.metrics.operations),
-            "events_processed": self.transport.loop.events_processed,
+            "operations": dict(transport.metrics.operations),
+            "events_processed": transport.loop.events_processed,
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
-        injector = self.transport.fault_injector
-        if injector is not None:
-            report["faults_injected"] = dict(injector.injected)
-        tracer = self.transport.tracer
-        if tracer is not None:
+        if transport.tracer is not None:
             # Span records are plain dicts, so process-mode workers
             # ship them over the stats pipe unchanged; the controller
             # merges per-shard buffers deterministically.
-            report["spans"] = tracer.records
-            report["spans_dropped"] = tracer.dropped
+            report["spans"] = transport.tracer.records
+            report["spans_dropped"] = transport.tracer.dropped
         return report
 
 
 def _shard_worker(shard: Shard, conn: Any) -> None:
-    """Process-mode worker loop: mirror of the inline window steps."""
+    """Process-mode worker loop: :meth:`Shard.window` on demand.
+
+    A handler exception ends the worker, but not silently: the
+    formatted traceback goes back over the pipe as a
+    :class:`SimulationError` naming the shard and the window, which the
+    controller re-raises from the barrier.
+    """
     try:
         while True:
             command = conn.recv()
             op = command[0]
             if op == "window":
-                _, horizon, liveness, toggles, ops, arrivals = command
-                shard.begin_window(liveness, toggles, ops, arrivals)
-                shard.run_window(horizon)
-                conn.send(shard.collect())
-            elif op == "stats":
+                try:
+                    reply = shard.window(*command[1:])
+                except Exception:
+                    conn.send(SimulationError(
+                        f"shard {shard.shard_id} failed in the window "
+                        f"ending at {command[1]}:\n{traceback.format_exc()}"))
+                    return
+                conn.send(reply)
+            else:  # "stats", or the final ones with "stop"
                 conn.send(shard.stats())
-            elif op == "stop":
-                conn.send(shard.stats())
-                return
-    except (EOFError, KeyboardInterrupt):  # parent went away
-        return
+                if op == "stop":
+                    return
+    except (EOFError, ConnectionError, KeyboardInterrupt):
+        return  # parent went away
 
 
 @dataclass
@@ -473,15 +386,189 @@ class _WindowInput:
                     or self.arrivals)
 
 
-class ShardedTransport:
+#: :meth:`NetworkMetrics.snapshot` fields an engine sums over shards
+_SUMMED = ("messages_sent", "messages_dropped", "values_shipped")
+_SUMMED_BY_KEY = ("messages_by_kind", "drops_by_reason", "faults_by_kind")
+
+
+def _add_counts(into: dict[str, int], counts: dict[str, int]) -> None:
+    for key, count in counts.items():
+        into[key] = into.get(key, 0) + count
+
+
+class _Engine:
+    """What the two engines share: installs, reporting and lifetime.
+
+    An engine is what a workload driver or query facade runs a
+    deployment on: ``add_peer / set_online_at / install_tracer /
+    install_fault_plan / submit / run_until / run_until_quiescent /
+    stop / metrics_snapshot / completed / trace_records / now``.
+    Subclasses supply the clock (one loop, or N windowed ones) and say
+    where their transports are (``_transports()``, what tracers and
+    injectors install on) and their per-shard :meth:`Shard.stats`
+    reports (``shard_stats()`` mid-run, ``stop()`` for the final ones).
+    """
+
+    seed: int
+
+    def install_tracer(self, seed: int | None = None,
+                       capacity: int = 200_000) -> None:
+        """Install one :class:`~repro.obs.tracer.Tracer` per transport.
+
+        All tracers share one trace seed, so span ids depend only on
+        ``(seed, peer, per-peer sequence)`` — identical across engines,
+        shard counts and worker modes.
+        """
+        from repro.obs.tracer import Tracer
+
+        trace_seed = self.seed if seed is None else seed
+        for transport in self._transports():
+            transport.install_tracer(
+                Tracer(seed=trace_seed, capacity=capacity))
+
+    def install_fault_plan(self, plan: Any) -> Any:
+        """Install one :class:`~repro.faultlab.injector.FaultInjector`
+        per transport, all driven by the same :class:`FaultPlan` (what
+        :func:`repro.faultlab.injector.install_plan` calls).
+
+        Per-clause RNG streams are seeded by ``(plan.seed, clause,
+        ordinal)`` on every shard, and each shard consumes its streams
+        in its own deterministic event order — so a faulted sharded run
+        replays bit-identically from its seed, inline or forked.
+
+        Semantics across the shard boundary: partitions and drop
+        clauses are send-side and apply to *all* traffic (including
+        cross-shard envelopes); delay/duplicate/reorder clauses own
+        delivery scheduling and therefore apply to intra-shard
+        deliveries only (cross-shard envelopes are latency-stamped at
+        the sender and exchanged at the barrier).  Crash/restart
+        clauses fire on the owning shard exactly; remote shards keep
+        sending until the owner drops the deliveries as ``in_flight``
+        — the same one-window staleness as barrier-start liveness.
+
+        Returns an :class:`~repro.faultlab.injector.InstalledPlan`
+        aggregating the injectors.
+        """
+        from repro.faultlab.injector import FaultInjector, InstalledPlan
+
+        return InstalledPlan([FaultInjector(transport, plan).install()
+                              for transport in self._transports()])
+
+    def trace_records(self) -> list[dict]:
+        """Merged, deterministically ordered span/event records.
+
+        The merge order is a pure function of the records, so every
+        engine configuration exports byte-identical JSONL for the same
+        spans.
+        """
+        from repro.obs.tracer import merge_records
+
+        return merge_records([entry.get("spans", [])
+                              for entry in self.shard_stats()])
+
+    def metrics_snapshot(self) -> dict:
+        """Metrics summed over shards (live mid-run, final after stop)."""
+        merged: dict[str, Any] = {name: 0 for name in _SUMMED}
+        merged.update({name: {} for name in _SUMMED_BY_KEY})
+        merged.update(events_processed=0, operations={},
+                      per_shard_peak_rss_kb=[])
+        for entry in self.shard_stats():
+            snap = entry["metrics"]
+            for name in _SUMMED:
+                merged[name] += snap[name]
+            for name in _SUMMED_BY_KEY:
+                _add_counts(merged[name], snap[name])
+            # A cross-shard operation's tag appears on every shard its
+            # causal chain touched; the per-op total is the sum.
+            _add_counts(merged["operations"], entry["operations"])
+            merged["events_processed"] += entry["events_processed"]
+            merged["per_shard_peak_rss_kb"].append(entry["peak_rss_kb"])
+        return merged
+
+    def __enter__(self) -> "_Engine":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.stop()
+
+
+class SingleLoopEngine(_Engine):
+    """The engine surface over one plain :class:`SimNetwork`.
+
+    One event loop, no windows, no outbox: submissions issue
+    immediately, toggles are ordinary loop events, and running to
+    quiescence is ``run_until_idle``.  Kickoff, attribution, trace
+    roots and the report come from the same :class:`Shard` code the
+    sharded engine runs, so the two differ by the window barrier and
+    nothing else.
+    """
+
+    num_shards = 1
+
+    def __init__(self, latency: LatencyModel | None = None,
+                 seed: int = 0) -> None:
+        self.seed = seed
+        self.net = SimNetwork(latency=latency,
+                              rng=random.Random(f"{seed}/latency"))
+        self._shard = Shard(0, self.net)
+        self._refs = itertools.count()
+
+    @property
+    def now(self) -> float:
+        return self.net.loop.now
+
+    @property
+    def completed(self) -> dict[int, Any]:
+        return self._shard._completions  # no barrier ever takes them
+
+    def _transports(self) -> list[SimNetwork]:
+        return [self.net]
+
+    def add_peer(self, peer: Node, shard_id: int = 0) -> None:
+        self.net.attach(peer)
+
+    def set_online_at(self, time: float, node_id: str, online: bool) -> None:
+        """Schedule a churn toggle at virtual ``time``."""
+        self.net.node(node_id)  # unknown nodes fail here, not at ``time``
+        self.net.loop.schedule_at(time, self.net.set_online, node_id, online)
+
+    def submit(self, node_id: str, method: str, *args: Any,
+               summarize: Callable | None = None,
+               attribute: bool = False) -> int:
+        """Call ``peer.<method>(*args)`` now; see
+        :meth:`ShardedTransport.submit` for the contract."""
+        ref = next(self._refs)
+        if attribute:
+            self.net.metrics.begin_operation(f"op:{ref}")
+        self._shard._issue(ref, node_id, method, args, summarize, attribute)
+        return ref
+
+    def run_until(self, t_end: float) -> None:
+        self.net.loop.run_until(t_end)
+
+    def run_until_quiescent(self) -> None:
+        self.net.loop.run_until_idle()
+
+    def shard_stats(self) -> list[dict]:
+        return [self._shard.stats()]
+
+    def stop(self) -> list[dict]:
+        return self.shard_stats()  # nothing to join
+
+
+class ShardedTransport(_Engine):
     """Controller of N shards stepping the conservative window protocol.
 
     Build the deployment (attach peers with :meth:`add_peer`), then
     drive virtual time with :meth:`run_until` /
     :meth:`run_until_quiescent`; submit operations against peers with
     :meth:`submit` and read their summaries from :attr:`completed`.
-    For ``mode="process"``, call :meth:`start` after building and
-    :meth:`stop` when done (inline mode needs neither).
+    ``mode="process"`` forks its workers on the first run (or an
+    explicit :meth:`start`); use the transport as a context manager —
+    ``with transport: ...`` — so they are stopped and joined however
+    the block ends.  A handler exception inside a worker surfaces from
+    the barrier as a :class:`SimulationError` naming the shard and the
+    window, carrying the worker's traceback.
     """
 
     def __init__(
@@ -560,98 +647,35 @@ class ShardedTransport:
         self._owner_of[peer.node_id] = shard_id
         self.shards[shard_id].transport.attach(peer)
 
-    def owner_of(self, node_id: str) -> int:
-        return self._owner_of[node_id]
+    def _forked(self) -> bool:
+        return self.mode == "process" and self._started
 
-    def install_tracer(self, seed: int | None = None,
-                       capacity: int = 200_000) -> None:
-        """Install one :class:`~repro.obs.tracer.Tracer` per shard.
-
-        Every shard's tracer shares the same trace seed, so span ids
-        depend only on ``(seed, peer, per-peer sequence)`` — identical
-        across shard counts and worker modes.  Must run before
-        :meth:`start` in process mode (tracers fork with the shards).
-        """
-        from repro.obs.tracer import Tracer
-
-        if self._started and self.mode == "process":
+    def _transports(self) -> list[SimNetwork]:
+        if self._forked():
+            # Tracers and injectors fork with the shards (and a plan's
+            # epoch is the common barrier time 0).
             raise SimulationError(
-                "install_tracer must run before start() in process mode")
-        trace_seed = self.seed if seed is None else seed
-        for shard in self.shards:
-            shard.transport.install_tracer(
-                Tracer(seed=trace_seed, capacity=capacity))
-
-    def trace_records(self) -> list[dict]:
-        """Merged, deterministically ordered span/event records.
-
-        Inline mode reads the live per-shard tracers; process mode
-        reads the buffers shipped back by :meth:`stop` (call it
-        first).  The merge order is a pure function of the records, so
-        inline and forked runs export byte-identical JSONL.
-        """
-        from repro.obs.tracer import merge_records
-
-        if self._final_stats is not None:
-            buffers = [entry.get("spans", [])
-                       for entry in self._final_stats]
-        elif self.mode == "process" and self._conns:
-            raise SimulationError(
-                "process-mode trace records are collected by stop()")
-        else:
-            buffers = [shard.transport.tracer.records
-                       for shard in self.shards
-                       if shard.transport.tracer is not None]
-        return merge_records(buffers)
-
-    def install_fault_plan(self, plan: Any) -> Any:
-        """Install one :class:`~repro.faultlab.injector.FaultInjector`
-        per shard, all driven by the same :class:`FaultPlan`.
-
-        Per-clause RNG streams are seeded by ``(plan.seed, clause,
-        ordinal)`` on every shard, and each shard consumes its streams
-        in its own deterministic event order — so a faulted sharded run
-        replays bit-identically from its seed, inline or forked.  Must
-        run before :meth:`start` in process mode (injectors fork with
-        the shards, and their epoch is the common barrier time 0).
-
-        Semantics across the shard boundary: partitions and drop
-        clauses are send-side and apply to *all* traffic (including
-        cross-shard envelopes); delay/duplicate/reorder clauses own
-        delivery scheduling and therefore apply to intra-shard
-        deliveries only (cross-shard envelopes are latency-stamped at
-        the sender and exchanged at the barrier).  Crash/restart
-        clauses fire on the owning shard exactly; remote shards keep
-        sending until the owner drops the deliveries as ``in_flight``
-        — the same one-window staleness as barrier-start liveness.
-
-        Returns an :class:`~repro.faultlab.injector.InstalledPlan`
-        aggregating the per-shard injectors.
-        """
-        from repro.faultlab.injector import FaultInjector, InstalledPlan
-
-        if self._started and self.mode == "process":
-            raise SimulationError(
-                "install_fault_plan must run before start() in "
-                "process mode")
-        return InstalledPlan([
-            FaultInjector(shard.transport, plan).install()
-            for shard in self.shards
-        ])
+                "tracers and fault plans must be installed before "
+                "start() in process mode")
+        return [shard.transport for shard in self.shards]
 
     # -- process workers -----------------------------------------------
 
     def start(self) -> None:
-        """Fork one worker per shard (``mode="process"`` only)."""
-        if self.mode != "process" or self._started:
-            self._started = True
+        """Read the shards' clocks; fork one worker per shard, once
+        (``mode="process"`` only)."""
+        if self._forked():
             return
-        # Snapshot each shard's clock status at the fork point; every
-        # later barrier refreshes it from the workers' reports.
+        # Every barrier refreshes the clock status from the shards'
+        # reports.  Until the fork the shard objects are still ours to
+        # touch between runs, so each run starts by re-reading them.
         for shard in self.shards:
             loop = shard.transport.loop
             self._live[shard.shard_id] = loop.live_events
             self._next_live[shard.shard_id] = loop.next_live_event_time()
+        self._started = True
+        if self.mode != "process":
+            return
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -663,24 +687,65 @@ class ShardedTransport:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-        self._started = True
+
+    def _request(self, commands: list[tuple]) -> list:
+        """Send each worker its command and gather the replies; a
+        failure a worker shipped back re-raises here."""
+        if not self._conns:
+            raise SimulationError(
+                "process workers are gone without final stats (call "
+                "stop() while they run to collect them)")
+        for conn, command in zip(self._conns, commands):
+            conn.send(command)
+        replies = []
+        for shard_id, conn in enumerate(self._conns):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                reply = SimulationError(
+                    f"shard {shard_id} worker exited without replying "
+                    f"to {commands[shard_id][0]!r}")
+            if isinstance(reply, SimulationError):
+                self._reap()  # the run is over: no worker outlives it
+                raise reply
+            replies.append(reply)
+        return replies
+
+    def _reap(self) -> None:
+        """Tell every worker still listening to stop, close the pipes
+        and join (at worst kill) the processes."""
+        conns, procs = self._conns, self._procs
+        self._conns, self._procs = [], []
+        for conn in conns:
+            try:
+                conn.send(("stop",))
+            except OSError:
+                pass  # that worker is already gone
+            conn.close()
+        for proc in procs:
+            proc.join(timeout=30)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
     def stop(self) -> list[dict]:
         """Collect final per-shard stats; join process workers."""
-        if self._final_stats is not None:
-            return self._final_stats
-        if self.mode == "process" and self._conns:
-            for conn in self._conns:
-                conn.send(("stop",))
-            self._final_stats = [conn.recv() for conn in self._conns]
-            for conn in self._conns:
-                conn.close()
-            for proc in self._procs:
-                proc.join(timeout=30)
-            self._conns, self._procs = [], []
-        else:
-            self._final_stats = [shard.stats() for shard in self.shards]
+        if self._final_stats is None:
+            if self._forked():
+                try:
+                    self._final_stats = self._request(
+                        [("stop",)] * len(self._conns))
+                finally:
+                    self._reap()
+            else:
+                self._final_stats = [shard.stats() for shard in self.shards]
         return self._final_stats
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if exc_type is None:
+            self.stop()
+        else:
+            self._reap()  # the block failed: do not wait on reports
 
     # -- external inputs -----------------------------------------------
 
@@ -702,9 +767,10 @@ class ShardedTransport:
         :meth:`metrics_snapshot` ``operations`` dict.  Bulk workloads
         leave it off and pay nothing.
         """
+        if node_id not in self._owner_of:
+            raise SimulationError(f"unknown node {node_id!r}")
         ref = next(self._refs)
-        shard_id = self._owner_of[node_id]
-        self._inputs[shard_id].ops.append(
+        self._inputs[self._owner_of[node_id]].ops.append(
             (ref, node_id, method, args, summarize, attribute))
         return ref
 
@@ -765,28 +831,19 @@ class ShardedTransport:
 
     def _step(self, horizon: float) -> None:
         self._dispatch_toggles(horizon)
-        if self.mode == "process" and self._started and self._conns:
-            for shard_id, conn in enumerate(self._conns):
-                liveness, toggles, ops, arrivals = self._inputs[shard_id].take()
-                conn.send(("window", horizon, liveness, toggles, ops,
-                           arrivals))
-            results = [conn.recv() for conn in self._conns]
+        if self._forked():
+            results = self._request([("window", horizon, *inp.take())
+                                     for inp in self._inputs])
         else:
-            results = []
-            for shard in self.shards:
-                liveness, toggles, ops, arrivals = \
-                    self._inputs[shard.shard_id].take()
-                shard.begin_window(liveness, toggles, ops, arrivals)
-                shard.run_window(horizon)
-                results.append(shard.collect())
+            results = [shard.window(horizon, *inp.take())
+                       for shard, inp in zip(self.shards, self._inputs)]
         self._now = horizon
         owner_of = self._owner_of
         for src_shard, (outbox, completions, live, next_live) in \
                 enumerate(results):
             self._live[src_shard] = live
             self._next_live[src_shard] = next_live
-            for ref, summary in completions:
-                self.completed[ref] = summary
+            self.completed.update(completions)
             for deliver_time, src_seq, message in outbox:
                 self._inputs[owner_of[message.dst]].arrivals.append(
                     (deliver_time, src_shard, src_seq, message))
@@ -818,16 +875,7 @@ class ShardedTransport:
         base = self._now + self.window
         earliest = float("inf")
         quiet = True
-        if self._started and self.mode == "process":
-            # Use the workers' barrier reports — byte-identical inputs
-            # to what the inline path reads from its local loops.
-            status = zip(self._live, self._next_live)
-        else:
-            status = (
-                (loop.live_events, loop.next_live_event_time())
-                for loop in
-                (shard.transport.loop for shard in self.shards))
-        for live, next_time in status:
+        for live, next_time in zip(self._live, self._next_live):
             if live:
                 quiet = False
                 if next_time is not None and next_time < earliest:
@@ -864,8 +912,7 @@ class ShardedTransport:
                 or any(not inp.empty() for inp in self._inputs)
                 or self._toggle_event_cursor < len(self._toggles))
 
-    def run_until_quiescent(self, max_time: float = float("inf"),
-                            max_windows: int = 10_000_000) -> None:
+    def run_until_quiescent(self, max_windows: int = 10_000_000) -> None:
         """Step windows until no shard holds live work.
 
         Pending ops drain fully — worst case their timeout/retry chains
@@ -873,18 +920,12 @@ class ShardedTransport:
         protocol that cannot schedule unboundedly far ahead.
         """
         self.start()
-        if self.mode != "process":
-            # live counters are only refreshed by a step; seed them
-            self._live = [shard.transport.loop.live_events
-                          for shard in self.shards]
         windows = 0
         while self.busy():
-            if self._now >= max_time:
-                return
             if windows >= max_windows:
                 raise SimulationError(
                     f"run_until_quiescent exceeded {max_windows} windows")
-            horizon = min(max_time, self._next_horizon())
+            horizon = self._next_horizon()
             if horizon == float("inf"):
                 # Quiet jump with no external bound: only toggles are
                 # left, so one window covering them all drains the run.
@@ -911,39 +952,6 @@ class ShardedTransport:
         """
         if self._final_stats is not None:
             return self._final_stats
-        if self.mode == "process" and self._started:
-            if not self._conns:
-                raise SimulationError(
-                    "process workers are gone without final stats; "
-                    "call stop() to collect them")
-            for conn in self._conns:
-                conn.send(("stats",))
-            return [conn.recv() for conn in self._conns]
+        if self._forked():
+            return self._request([("stats",)] * len(self._conns))
         return [shard.stats() for shard in self.shards]
-
-    def metrics_snapshot(self) -> dict:
-        """Merged per-shard metrics (live mid-run, final after stop())."""
-        merged: dict[str, Any] = {
-            "messages_sent": 0, "messages_dropped": 0,
-            "events_processed": 0, "drops_by_reason": {},
-            "faults_by_kind": {}, "operations": {},
-            "per_shard_peak_rss_kb": [],
-        }
-        for entry in self.shard_stats():
-            snap = entry["metrics"]
-            merged["messages_sent"] += snap["messages_sent"]
-            merged["messages_dropped"] += snap["messages_dropped"]
-            merged["events_processed"] += entry["events_processed"]
-            for reason, count in snap["drops_by_reason"].items():
-                merged["drops_by_reason"][reason] = (
-                    merged["drops_by_reason"].get(reason, 0) + count)
-            for kind, count in snap["faults_by_kind"].items():
-                merged["faults_by_kind"][kind] = (
-                    merged["faults_by_kind"].get(kind, 0) + count)
-            for op_tag, count in entry.get("operations", {}).items():
-                # A cross-shard operation's tag appears on every shard
-                # its causal chain touched; the per-op total is the sum.
-                merged["operations"][op_tag] = (
-                    merged["operations"].get(op_tag, 0) + count)
-            merged["per_shard_peak_rss_kb"].append(entry["peak_rss_kb"])
-        return merged

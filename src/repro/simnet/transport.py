@@ -4,36 +4,40 @@ Peers are addressable actors: they send ``(dst, kind, payload)``
 envelopes through a :class:`Transport` and receive deliveries via the
 handler registry on :class:`~repro.simnet.network.Node` — they never
 touch other peer objects or the event loop of another peer directly.
-This boundary is what lets the same peer code run over two transports
-with identical protocol semantics:
 
-:class:`~repro.simnet.network.SimNetwork` (alias ``InProcessTransport``)
-    The single event-loop transport — today's behavior, bit-identical
-    to the pre-refactor simulator (pinned by
-    ``tests/test_transport_golden.py``).
+One gate, one driver, two clocks
+    There is exactly one send/deliver gate — ``SimNetwork.send`` /
+    ``SimNetwork._deliver`` in ``simnet/network.py`` (stamping,
+    send-time offline drop, injector veto, latency, metrics, tracer
+    hop, handler dispatch).  What varies is the clock it schedules on:
 
-:class:`~repro.simnet.shard.ShardedTransport`
-    Partitions the P-Grid trie key space across N shards, each with
-    its own logical clock, synchronized through a conservative
-    lookahead window (see ``simnet/shard.py``).
+    :class:`~repro.simnet.network.SimNetwork`
+        One event loop carries every delivery — bit-identical to the
+        pre-transport simulator (``tests/test_transport_golden.py``).
 
-Fault injection is a transport-layer concern: the two hook points that
+    :class:`~repro.simnet.shard.ShardTransport`
+        A ``SimNetwork`` with an outbox, one per shard of the P-Grid
+        key space, each with a private loop.  Only the branch for a
+        destination another shard owns is its own code.
+
+    Above the gate, :class:`~repro.simnet.shard.SingleLoopEngine` and
+    :class:`~repro.simnet.shard.ShardedTransport` expose one driver
+    surface (``submit / run_until / run_until_quiescent / ...``), all a
+    workload driver or query facade needs.
+
+Fault injection is a transport-layer concern: the two hook points
 :class:`~repro.faultlab.injector.FaultInjector` uses — a send-time drop
-verdict (``on_send``) and ownership of delivery scheduling
-(``dispatch``) — are defined here, so the same fault plans apply to any
-transport.  One :class:`~repro.faultlab.plan.FaultPlan` installs as a
-single injector on the single-loop transport or as per-shard injectors
-on the sharded one (:meth:`ShardedTransport.install_fault_plan`), and
-rng-free clauses (partitions) account identically on both.
+verdict (``on_send``, asked *after* the offline check on every path)
+and ownership of delivery scheduling (``dispatch``) — are defined here.
+One :class:`~repro.faultlab.plan.FaultPlan` installs as a single
+injector on the single loop or as per-shard injectors on the sharded
+engine, and rng-free clauses (partitions) account identically on both.
 
-The mediation layer rides the same boundary: per-operation attribution
-scopes (``operation`` / ``op:<ref>`` tags) stick to messages and follow
-causal chains across shards, so a GridVine ``SearchFor`` or an engine
-batch submitted through either transport reports the *exact* same
-per-query message count — the invariant the sharded-mediation tests pin
-bit-for-bit (``tests/test_sharded_mediation.py``).  Tracing uses the
-same discipline: span recorders install per transport (per shard on the
-sharded engine) and export merged, deterministically ordered records.
+Per-operation attribution scopes (``operation`` / ``op:<ref>`` tags)
+stick to messages and follow causal chains across shards, and span
+recorders install per transport and export merged, deterministically
+ordered records — so an operation submitted through either engine
+reports the same attributed message count and the same trace.
 """
 
 from __future__ import annotations
@@ -217,11 +221,3 @@ class Transport:
         """Sample a latency and schedule delivery of ``message``."""
         raise NotImplementedError
 
-
-def __getattr__(name: str) -> Any:
-    # ``InProcessTransport`` is defined in network.py (it *is*
-    # SimNetwork); re-export it here lazily to avoid a circular import.
-    if name == "InProcessTransport":
-        from repro.simnet.network import InProcessTransport
-        return InProcessTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

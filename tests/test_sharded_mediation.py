@@ -71,6 +71,26 @@ class TestCrossEngineEquality:
             assert sharded.query_messages == baseline.query_messages
             assert sharded.successes == baseline.successes
 
+    @pytest.mark.parametrize("cut", [False, True],
+                             ids=["fault-free", "partitioned"])
+    def test_gate_counters_identical_across_engines(self, cut):
+        # One gate: per-kind message counts, shipped values and drop
+        # causes merge to the single loop's numbers (the shard gate
+        # used to leave the first two empty).
+        deployment = build_deployment(med_spec())
+        plan = halves_partition(deployment) if cut else None
+        baseline = run_inprocess(med_spec(faults=plan), deployment)
+        assert baseline.messages_by_kind["route"] > 0
+        assert cut or baseline.values_shipped > 0
+        assert bool(baseline.drops_by_reason) == cut
+        for shards in (1, 2, 4):
+            sharded = run_sharded(med_spec(num_shards=shards, faults=plan),
+                                  deployment)
+            assert sharded.messages_by_kind == baseline.messages_by_kind
+            assert sharded.values_shipped == baseline.values_shipped
+            assert sharded.drops_by_reason == baseline.drops_by_reason
+            assert sharded.messages_sent == baseline.messages_sent
+
     def test_forked_workers_match_inline_bit_for_bit(self):
         spec = med_spec()
         deployment = build_deployment(spec)
@@ -207,6 +227,27 @@ class TestLiveProcessStats:
         finally:
             transport._conns = conns
             transport.stop()
+
+
+# ----------------------------------------------------------------------
+# Satellite: malformed specs fail at construction, naming the field
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value, accepted", [
+    ("mode", "threads", "'inline', 'process'"),
+    ("workload", "raw", "'retrieve', 'mediation'"),
+    ("strategy", "psychic", "'local', 'iterative', 'recursive', 'auto'"),
+    ("num_shards", 0, ">= 1"),
+    ("num_waves", -1, ">= 0"),
+    ("ops_per_wave", -1, ">= 0"),
+])
+def test_spec_validation_names_field_and_accepted_values(field, value,
+                                                         accepted):
+    with pytest.raises(ValueError) as error:
+        ScaleoutSpec(**{field: value})
+    assert f"ScaleoutSpec.{field}" in str(error.value)
+    assert accepted in str(error.value)
+    assert repr(value) in str(error.value)
 
 
 # ----------------------------------------------------------------------
