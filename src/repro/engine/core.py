@@ -278,9 +278,8 @@ class QueryEngine:
                 pruned_counts[index] = pruned
             plans = executable
         # The transport-coupled half (operation tagging, tracing,
-        # driving the loop) lives behind the network's ``run_batch``
-        # seam, so the same engine works against the in-process
-        # GridVineNetwork and the sharded facade.
+        # driving the loop) is the network's ``run_batch``: one
+        # attributed submission on whichever engine it runs on.
         outcomes, fetch_stats, messages = self.network.run_batch(
             peer, parsed, plans, limit=limit, optimizer=optimizer,
         )

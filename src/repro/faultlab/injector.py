@@ -66,8 +66,6 @@ class FaultInjector:
 
     def __init__(self, transport: Transport, plan: FaultPlan) -> None:
         self.transport = transport
-        #: historical alias for :attr:`transport`
-        self.network = transport
         self.plan = plan
         #: action -> times it fired (drop, partition, duplicate,
         #: delay, reorder, crash, restart)

@@ -39,6 +39,15 @@ from repro.simnet.network import Message
 FOREVER = math.inf
 
 
+def _require(ok: bool, clause: object, field: str, accepted: str) -> None:
+    """Reject a clause up front: a bad one would otherwise be accepted
+    and silently never fire (or fire forever) mid-run."""
+    if not ok:
+        raise ValueError(
+            f"{type(clause).__name__}.{field} must be {accepted}, "
+            f"got {getattr(clause, field)!r}")
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """Base matcher for per-message faults.
@@ -58,6 +67,12 @@ class LinkFault:
     start: float = 0.0
     until: float = FOREVER
     probability: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require(0.0 <= self.probability <= 1.0, self, "probability",
+                 "in [0, 1]")
+        _require(self.start <= self.until, self, "start",
+                 f"<= until ({self.until!r})")
 
     def matches(self, message: Message, now: float) -> bool:
         """Whether ``message`` sent at ``now`` falls under this clause."""
@@ -110,6 +125,10 @@ class MessageDuplicate(LinkFault):
 
     action = "duplicate"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require(self.copies >= 1, self, "copies", ">= 1")
+
     def describe(self) -> str:
         return (f"duplicate x{self.copies} p={self.probability:g} "
                 f"{self._scope()} {self._window()}")
@@ -123,6 +142,11 @@ class MessageDelay(LinkFault):
     jitter_max: float = 10.0
 
     action = "delay"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require(self.jitter_min <= self.jitter_max, self, "jitter_min",
+                 f"<= jitter_max ({self.jitter_max!r})")
 
     def describe(self) -> str:
         return (f"delay +[{self.jitter_min:g}s..{self.jitter_max:g}s) "
@@ -167,6 +191,14 @@ class Partition:
 
     action = "partition"
 
+    def __post_init__(self) -> None:
+        _require(self.start <= self.heal_at, self, "start",
+                 f"<= heal_at ({self.heal_at!r})")
+        for side in ("side_a", "side_b"):
+            _require(len(getattr(self, side)) > 0, self, side, "non-empty")
+        _require(not set(self.side_a) & set(self.side_b), self, "side_b",
+                 "disjoint from side_a")
+
     def blocks(self, message: Message, now: float) -> bool:
         """Whether this cut kills ``message`` at time ``now``."""
         if not (self.start <= now < self.heal_at):
@@ -199,6 +231,10 @@ class CrashRestart:
     restart_at: float = FOREVER
 
     action = "crash"
+
+    def __post_init__(self) -> None:
+        _require(self.restart_at >= self.at, self, "restart_at",
+                 f">= at ({self.at!r})")
 
     def describe(self) -> str:
         back = "for good" if self.restart_at == FOREVER \

@@ -1,11 +1,16 @@
 """The whole-system harness: build and drive a GridVine deployment.
 
-:class:`GridVineNetwork` wires the three layers together (event loop,
-latency model, P-Grid trie of :class:`GridVinePeer`s) and exposes a
-*synchronous* façade over the asynchronous protocol: every call issues
-the underlying operation(s) from some origin peer and runs the event
-loop until the resulting future resolves.  Examples, tests and
-benchmarks all talk to this class.
+:class:`GridVineNetwork` is the one mediation facade.  It sits on an
+*engine* (the :class:`repro.simnet.shard._Engine` surface) and exposes
+a *synchronous* façade over the asynchronous protocol.  Queries — the
+paper's ``SearchFor`` and the engine batches of
+:class:`~repro.engine.core.QueryEngine` — are *submitted* to the
+engine and waited for (``submit`` then ``result``), so their
+attribution scope (``op:<ref>``), trace root and loop driving are the
+engine's, identical on one event loop and on N shards.  Everything
+else (inserts, membership, diagnostics) calls the local peers directly
+and runs the loop until the resulting future resolves.  Examples,
+tests and benchmarks all talk to this class.
 
 The harness view is deliberately omniscient (it can read any peer's
 state directly) — that power is only used for ground-truth checks and
@@ -14,9 +19,9 @@ reporting, never inside protocol logic.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 from repro.connectivity.indicator import indicator_from_degrees
 from repro.mapping.graph import MappingGraph
@@ -36,27 +41,63 @@ from repro.schema.model import Schema
 from repro.simnet.events import EventLoop, Future, SimulationError
 from repro.simnet.latency import LatencyModel
 from repro.simnet.network import SimNetwork
+from repro.simnet.shard import SingleLoopEngine
 from repro.util.keys import Key
 
 
-class GridVineNetwork:
-    """A simulated GridVine deployment of N peers."""
+def passthrough(result: Any) -> Any:
+    """Ship a :class:`QueryOutcome` or an ``(outcomes, fetch_stats)``
+    batch result back from ``submit`` unchanged (module-level: process
+    workers pickle it by reference)."""
+    return result
 
-    def __init__(self, network: SimNetwork,
+
+class GridVineNetwork:
+    """A simulated GridVine deployment of N peers, on either engine.
+
+    Parameters
+    ----------
+    engine:
+        What the deployment runs on: :meth:`build` wraps its network in
+        a :class:`~repro.simnet.shard.SingleLoopEngine`; the scale-out
+        driver hands in whichever engine it was given.
+    peers:
+        The deployment's peers, already attached to ``engine``.
+    rng:
+        Harness randomness (random origins, joins).  Without one every
+        operation needs an explicit ``origin``.
+    mappings:
+        Schema mappings the overlay already holds (both directions of
+        every bidirectional insert).  Replayed as ``"insert"`` events
+        to each newly registered mapping listener, so an engine created
+        over a preloaded deployment starts with a complete mirror
+        without crawling the overlay.
+
+    The query surface (:meth:`search_for`, :meth:`run_batch`, tracing,
+    :meth:`settle`) needs nothing but the engine surface and works on
+    every engine.  The methods that read peer state directly (inserts,
+    membership, :meth:`random_peer`, diagnostics, :attr:`network`,
+    ``optimize=True`` engines) work on *local* peers: on an engine with
+    forked workers the controller's peers are pre-fork copies, and only
+    the query surface is meaningful there.
+    """
+
+    def __init__(self, engine: Any,
                  peers: dict[str, GridVinePeer],
-                 rng: random.Random,
+                 rng: random.Random | None = None,
                  failover: bool = True,
-                 refs_per_level: int = 2) -> None:
-        self.network = network
+                 refs_per_level: int = 2,
+                 mappings: Sequence[SchemaMapping] = ()) -> None:
+        self.engine = engine
         self.peers = peers
         self.rng = rng
+        #: mappings already in the overlay, replayed to new listeners
+        self._mappings = list(mappings)
         #: whether peers created later (joins) use replica failover
         self.failover = failover
         #: the deployment's routing-table redundancy target (what
         #: maintenance repairs thin levels back up to)
         self.refs_per_level = refs_per_level
-        #: monotonically increasing suffix for attribution tags
-        self._op_tags = itertools.count()
         #: lazily-built unified metrics registry (see :attr:`registry`)
         self._registry = None
         #: deployment-wide mapping-event listeners ``fn(action,
@@ -119,12 +160,18 @@ class GridVineNetwork:
             peers, refs_per_level=refs_per_level,
             rng=random.Random(rng.random()),
         )
-        return cls(network, peers, rng, failover=failover,
-                   refs_per_level=refs_per_level)
+        return cls(SingleLoopEngine(seed=seed, net=network), peers, rng,
+                   failover=failover, refs_per_level=refs_per_level)
 
     # ------------------------------------------------------------------
     # Peer access
     # ------------------------------------------------------------------
+
+    @property
+    def network(self) -> SimNetwork:
+        """The single loop's transport (a sharded engine has one per
+        shard, and no such attribute)."""
+        return self.engine.net
 
     @property
     def loop(self) -> EventLoop:
@@ -147,8 +194,12 @@ class GridVineNetwork:
         under churn the draw skips them.  With every peer online the
         draw is identical to the historical uniform choice.
         """
+        if self.rng is None:
+            raise SimulationError(
+                "no harness rng to draw an origin from; pass an "
+                "explicit origin peer")
         online = [node_id for node_id in self.peer_ids()
-                  if self.network.is_online(node_id)]
+                  if self.peers[node_id].online]
         if not online:
             raise SimulationError("no online peer available as origin")
         return self.peers[self.rng.choice(online)]
@@ -157,7 +208,7 @@ class GridVineNetwork:
         if origin is None:
             return self.random_peer()
         peer = self.peers[origin]
-        if not self.network.is_online(origin):
+        if not peer.online:
             raise SimulationError(
                 f"origin peer {origin!r} is offline; pick an online "
                 "peer or protect the origin from churn"
@@ -187,10 +238,10 @@ class GridVineNetwork:
         from repro.pgrid.membership import graceful_leave
         graceful_leave(self.network, self.peers, node_id)
 
-    def settle(self, max_events: int = 10_000_000) -> None:
-        """Run the loop until quiescence (replication, republication
+    def settle(self) -> None:
+        """Run the engine until quiescence (replication, republication
         and other background traffic finishes)."""
-        self.loop.run_until_idle(max_events=max_events)
+        self.engine.run_until_quiescent()
 
     # ------------------------------------------------------------------
     # Mapping events and the query engine
@@ -203,8 +254,11 @@ class GridVineNetwork:
     def add_mapping_listener(self, listener) -> None:
         """Subscribe ``fn(action, mapping)`` to every mapping mutation
         issued anywhere in the deployment (``action`` is one of
-        ``"insert"``, ``"remove"``, ``"deprecate"``)."""
+        ``"insert"``, ``"remove"``, ``"deprecate"``); the mappings the
+        deployment was constructed with are replayed first."""
         self._mapping_listeners.append(listener)
+        for mapping in self._mappings:
+            listener("insert", mapping)
 
     def create_engine(self, domain: str | None = None,
                       max_hops: int = 5,
@@ -363,105 +417,34 @@ class GridVineNetwork:
         """
         if isinstance(query, str):
             query = parse_search_for(query)
-        origin_peer = self._origin(origin)
-        op_tag = f"searchfor:{next(self._op_tags)}"
-        metrics = self.network.metrics
-        metrics.begin_operation(op_tag)
-        tracer = self.network.tracer
-        root = None
-        if tracer is not None:
-            # One trace per query, trace_id == op_tag: the trace's
-            # message spans cover exactly the messages the metrics
-            # attribute to the same tag.  The root wraps only the
-            # synchronous kickoff, the same discipline as the
-            # attribution scope below.
-            root = tracer.start_trace(op_tag, op_tag,
-                                      peer=origin_peer.node_id,
-                                      start=self.network.loop.now,
-                                      strategy=strategy)
-        try:
-            # The synchronous kickoff runs inside the attribution
-            # scope; every asynchronous continuation inherits the tag
-            # through the messages themselves, so concurrent
-            # maintenance / churn / replication traffic is never
-            # billed to this query.
-            with self.network.operation(op_tag):
-                if root is not None:
-                    with tracer.activate(tracer.context_of(root)):
-                        future = origin_peer.search_for(
-                            query, strategy=strategy, max_hops=max_hops,
-                            limit=limit,
-                        )
-                else:
-                    future = origin_peer.search_for(
-                        query, strategy=strategy, max_hops=max_hops,
-                        limit=limit,
-                    )
-            outcome = self._run(future)
-            outcome.messages = metrics.operation_messages(op_tag)
-            if root is not None:
-                tracer.finish(root, self.network.loop.now,
-                              messages=outcome.messages)
-            return outcome
-        finally:
-            metrics.end_operation(op_tag)
+        ref = self.engine.submit(
+            self._origin(origin).node_id, "search_for", query, strategy,
+            max_hops, limit, summarize=passthrough, attribute=True)
+        outcome, messages = self.engine.result(ref)
+        outcome.messages = messages
+        return outcome
 
     def run_batch(self, peer, queries, plans, limit: int | None = None,
                   optimizer=None):
-        """Run a pre-planned engine batch at *peer*, with attribution.
+        """Run a pre-planned engine batch where ``peer`` lives.
 
         The transport seam under
         :meth:`repro.engine.core.QueryEngine.execute_batch`: the
         engine owns planning (its mapping-graph mirror, plan cache and
-        pruning), while this method owns everything transport-coupled
-        — the ``batch:<n>`` operation tag, the trace root, and driving
-        the loop to completion.  A sharded deployment swaps in
-        :class:`repro.mediation.sharded.ShardedGridVine`'s
-        ``run_batch``, which routes the same call through
-        ``ShardedTransport.submit`` instead; the engine never notices.
+        pruning); the planned batch crosses into the deployment as one
+        attributed ``execute_planned_batch`` submission, concurrent
+        with whatever else is already submitted.
 
         Returns ``(outcomes, fetch_stats, messages)``.
         """
-        metrics = self.network.metrics
-        # Per-operation attribution: the batch's pattern fetches (and
-        # everything they cause downstream) carry this tag, so the
-        # count stays exact even with maintenance or churn traffic
-        # running in the background.
-        op_tag = f"batch:{next(self._op_tags)}"
-        metrics.begin_operation(op_tag)
-        transport = self.network
-        tracer = transport.tracer
-        root = None
-        if tracer is not None:
-            # Root span of the batch's trace.  trace_id == op_tag, so
-            # the trace's message spans correspond 1:1 with the
-            # messages the metrics attribute to the same tag (the
-            # exact-coverage invariant the obs tests pin).  The root
-            # wraps only the synchronous kickoff below — exactly the
-            # op_tag scope — so concurrent background traffic stays
-            # outside the trace.
-            root = tracer.start_trace(op_tag, op_tag, peer=peer.node_id,
-                                      start=transport.loop.now,
-                                      queries=len(queries))
-        try:
-            with transport.operation(op_tag):
-                if root is not None:
-                    with tracer.activate(tracer.context_of(root)):
-                        batch_future = peer.execute_planned_batch(
-                            queries, plans, limit=limit,
-                            optimizer=optimizer)
-                else:
-                    batch_future = peer.execute_planned_batch(
-                        queries, plans, limit=limit, optimizer=optimizer)
-            outcomes, fetch_stats = self.loop.run_until_complete(
-                batch_future
-            )
-            messages = metrics.operation_messages(op_tag)
-            if root is not None:
-                tracer.finish(root, transport.loop.now,
-                              messages=messages)
-        finally:
-            metrics.end_operation(op_tag)
+        if optimizer is not None and self.engine.mode == "process":
+            raise SimulationError(
+                "cost-based optimization needs peer-side state and is "
+                "not available across a process boundary")
+        ref = self.engine.submit(
+            peer.node_id, "execute_planned_batch", queries, plans, limit,
+            optimizer, summarize=passthrough, attribute=True)
+        (outcomes, fetch_stats), messages = self.engine.result(ref)
         return outcomes, fetch_stats, messages
 
     # ------------------------------------------------------------------
@@ -538,30 +521,25 @@ class GridVineNetwork:
         if registry is None:
             from repro.obs.registry import MetricsRegistry
             registry = self._registry = MetricsRegistry()
-            self.network.metrics.register_into(registry)
+            registry.register_view("network", self.metrics_snapshot)
         return registry
 
     def install_tracer(self, seed: int = 0, capacity: int = 200_000):
-        """Install a span recorder on the transport and return it.
+        """Install a span recorder on the engine and return it.
 
-        Every query issued afterwards produces one causal trace (root
-        span per ``search_for`` / engine batch, hop span per attributed
-        message).  The tracer also appears as the ``tracer`` registry
-        view so snapshots report buffer occupancy.
+        Every query issued afterwards produces one causal trace
+        ``op:<ref>`` (root span per ``search_for`` / engine batch, hop
+        span per attributed message).  The tracer also appears as the
+        ``tracer`` registry view so snapshots report buffer occupancy.
         """
-        from repro.obs.tracer import Tracer
-        tracer = Tracer(seed=seed, capacity=capacity)
-        self.network.install_tracer(tracer)
+        self.engine.install_tracer(seed=seed, capacity=capacity)
+        tracer = self.network.tracer
         self.registry.register_view("tracer", tracer.snapshot)
         return tracer
 
     def trace_records(self) -> list[dict]:
         """All recorded span/event dicts in deterministic order."""
-        tracer = self.network.tracer
-        if tracer is None:
-            return []
-        from repro.obs.tracer import merge_records
-        return merge_records([tracer.records])
+        return self.engine.trace_records()
 
     def export_trace(self, path: str) -> int:
         """Write recorded spans/events as sorted JSONL; returns count."""

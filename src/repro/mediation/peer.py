@@ -362,9 +362,9 @@ class GridVinePeer(PGridPeer):
         wherever the mapping-graph mirror lives (a
         :class:`~repro.engine.core.QueryEngine`, or a scale-out
         controller), and execution happens *here*, against whatever
-        transport this peer is attached to — so the same engine batch
-        runs on the in-process loop or as a sharded submission
-        (``transport.submit(origin, "execute_planned_batch", ...)``).
+        transport this peer is attached to — the engine batch is one
+        ``engine.submit(origin, "execute_planned_batch", ...)`` on the
+        single loop and on shards alike.
         Resolves to ``(outcomes, fetch_stats)``; both are plain data,
         so the result crosses process-mode worker pipes unchanged.
         """

@@ -169,8 +169,8 @@ def attribution_stats(records: list[dict]) -> list[dict]:
 
     Root traces use the operation's attribution tag as their trace id,
     so this table is the trace-plane mirror of
-    :meth:`~repro.simnet.metrics.NetworkMetrics.operation_messages` —
-    with per-kind splits and drop causes the counter never had.
+    :attr:`~repro.simnet.metrics.NetworkMetrics.operations` — with
+    per-kind splits and drop causes the counter never had.
     """
     table: list[dict] = []
     for summary in trace_summaries(records):

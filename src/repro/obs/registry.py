@@ -11,7 +11,7 @@ touching their hot paths:
 * native **counters / gauges / histograms** with optional label
   tuples, for new instrumentation;
 * **views** — lazily evaluated snapshot callables the existing bags
-  register (``metrics.register_into(registry)``).  The bags keep their
+  register (``stats.register_into(registry)``).  The bags keep their
   plain-attribute increments (the inlined hot paths in
   ``simnet/network.py`` depend on them); the registry evaluates the
   view only when a snapshot is taken;
@@ -19,24 +19,21 @@ touching their hot paths:
   and the CLI.
 
 :class:`CounterGroup` is the typed replacement for stringly-keyed
-counter dicts: fields are declared once, increments are attribute
-writes (faster than dict item writes on slot classes), and the full
-mapping interface is preserved so existing ``stats["key"]`` readers
-keep working unchanged.
+counter dicts: fields are declared once, and reads and increments are
+attribute accesses (faster than dict item access on slot classes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 class CounterGroup:
-    """A fixed set of named integer counters with dict-style access.
+    """A fixed set of named integer counters.
 
     Subclasses declare ``_fields`` (and normally mirror it in
-    ``__slots__``).  Attribute access is the hot path
-    (``group.retries += 1``); the mapping interface exists for the
-    callers that historically read a plain dict.
+    ``__slots__``); counters are read and incremented as attributes
+    (``group.retries += 1``).
     """
 
     _fields: tuple[str, ...] = ()
@@ -46,44 +43,12 @@ class CounterGroup:
         for name in self._fields:
             setattr(self, name, 0)
 
-    # -- mapping compatibility -----------------------------------------
-
-    def __getitem__(self, key: str) -> int:
-        if key not in self._fields:
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def __setitem__(self, key: str, value: int) -> None:
-        if key not in self._fields:
-            raise KeyError(key)
-        setattr(self, key, value)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._fields
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._fields)
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    def keys(self) -> tuple[str, ...]:
-        return self._fields
-
-    def values(self) -> list[int]:
-        return [getattr(self, name) for name in self._fields]
-
     def items(self) -> list[tuple[str, int]]:
         return [(name, getattr(self, name)) for name in self._fields]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key) if key in self._fields else default
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CounterGroup):
             return self.items() == other.items()
-        if isinstance(other, dict):
-            return dict(self.items()) == other
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -100,13 +65,8 @@ class CounterGroup:
 
 
 class FailoverCounters(CounterGroup):
-    """Typed counters of replica-failover activity on one peer.
-
-    The former ``PGridPeer.failover_stats`` bare dict; the old
-    attribute survives as a property view returning this group, so
-    every historical ``peer.failover_stats["retries"]`` read still
-    works.
-    """
+    """Typed counters of replica-failover activity on one peer
+    (``PGridPeer.failover_stats``)."""
 
     _fields = ("failovers", "retries", "gave_up", "cancelled")
     __slots__ = _fields

@@ -161,9 +161,7 @@ class PGridPeer(Node):
         #: timeout-driven re-attempts, ``gave_up`` the operations that
         #: exhausted every attempt, ``cancelled`` the ones torn down by
         #: cooperative cancellation (limit pushdown) before completing.
-        #: A typed counter group; the historical ``failover_stats``
-        #: attribute is a view onto it with the full dict read/write
-        #: vocabulary (see :class:`repro.obs.registry.CounterGroup`).
+        #: Read through :attr:`failover_stats`.
         self._failover = FailoverCounters()
         #: level -> list of node ids covering the complementary subtree
         self.routing_table: list[list[str]] = [[] for _ in range(len(path))]
@@ -217,14 +215,8 @@ class PGridPeer(Node):
 
     @property
     def failover_stats(self) -> FailoverCounters:
-        """Failover counters, dict-compatible for historical readers.
-
-        The counters live as plain attributes on a
-        :class:`~repro.obs.registry.FailoverCounters` group (attribute
-        increments on the hot path); this view keeps every existing
-        ``peer.failover_stats["retries"]``-style read *and* write
-        working unchanged.
-        """
+        """This peer's failover counters (read as attributes:
+        ``peer.failover_stats.retries``)."""
         return self._failover
 
     # ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from repro.exec.plans import STRATEGIES
 from repro.faultlab.injector import install_plan
 from repro.mediation.keys import schema_key, triple_keys
+from repro.mediation.network import GridVineNetwork
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import (
     ConnectivityRecord,
@@ -54,7 +55,6 @@ from repro.mediation.records import (
     SchemaRecord,
     TripleRecord,
 )
-from repro.mediation.sharded import ShardedGridVine
 from repro.obs.tracer import export_records_jsonl
 from repro.pgrid.construction import (
     assign_paths,
@@ -121,7 +121,7 @@ class ScaleoutSpec:
     query_max_hops: int = 4
     query_limit: int | None = None
     #: per wave, how many extra queries run as ONE engine batch
-    #: through the ``run_batch`` transport seam (0 = no batches)
+    #: through ``GridVineNetwork.run_batch`` (0 = no batches)
     batch_queries: int = 0
     #: optional :class:`~repro.faultlab.plan.FaultPlan` installed on the
     #: transport before traffic starts — one injector on the single-loop
@@ -504,9 +504,9 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
     three things: how peers are preloaded, which peer method a wave
     entry submits, and how its result is summarised.  Mediation queries
     are attributed submissions, and each wave's engine batch goes
-    through the submit-based :class:`~repro.mediation.sharded.
-    ShardedGridVine` facade — one attributed ``execute_planned_batch``
-    submission, run to quiescence together with the wave's queries.
+    through :class:`~repro.mediation.network.GridVineNetwork` — one
+    attributed ``execute_planned_batch`` submission, run to quiescence
+    together with the wave's queries.
     """
     deployment = deployment or build_deployment(spec)
     med = deployment.mediation
@@ -533,8 +533,9 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
         install_plan(engine, spec.faults)
     batch_engine = None
     if med is not None and spec.batch_queries > 0:
-        batch_engine = ShardedGridVine(engine, mappings=med.mappings) \
-            .create_engine(max_hops=spec.query_max_hops)
+        batch_engine = GridVineNetwork(
+            engine, peers, mappings=med.mappings,
+        ).create_engine(max_hops=spec.query_max_hops)
 
     report = ScaleoutReport(engine=label, num_peers=spec.num_peers,
                             num_shards=engine.num_shards)
@@ -548,15 +549,15 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
                 report.ops_issued += 1
             if batch_engine is not None:
                 # The facade's one submission takes the next ref — every
-                # issued op takes exactly one — and drives the engine to
-                # quiescence, so the wave's queries run alongside it.
+                # issued op takes exactly one — and waits for it; the
+                # wave's queries run alongside it.
                 origin, queries = med.batch_waves[wave_index]
                 result = batch_engine.execute_batch(list(queries),
                                                     origin=origin)
                 report.outcomes[report.ops_issued] = \
                     summarize_batch_result(result)
                 report.ops_issued += 1
-            elif not spec.churn:
+            if batch_engine is not None or not spec.churn:
                 engine.run_until_quiescent()
         if spec.churn:
             engine.run_until(spec.duration)
@@ -565,10 +566,10 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
     if spec.trace_path is not None:
         export_records_jsonl(engine.trace_records(), spec.trace_path)
     merged = engine.metrics_snapshot()
+    # (``result`` already took the batches out of ``completed``)
     for ref, summary in engine.completed.items():
-        if ref not in report.outcomes:  # batches are already summarised
-            report.outcomes[ref] = summary if med is None else \
-                summary + (merged["operations"].get(f"op:{ref}", 0),)
+        report.outcomes[ref] = summary if med is None else \
+            summary + (merged["operations"].get(f"op:{ref}", 0),)
     _fill_outcome_counts(report)
     for name in ("messages_sent", "messages_dropped", "values_shipped",
                  "messages_by_kind", "drops_by_reason", "faults_by_kind",

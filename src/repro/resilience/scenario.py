@@ -365,11 +365,11 @@ class ScenarioRunner:
         messages_before = metrics.messages_sent
         dropped_before = metrics.messages_dropped
         drops_by_reason_before = dict(metrics.drops_by_reason)
-        failover_before = sum(p.failover_stats["failovers"]
+        failover_before = sum(p.failover_stats.failovers
                               for p in net.peers.values())
-        gave_up_before = sum(p.failover_stats["gave_up"]
+        gave_up_before = sum(p.failover_stats.gave_up
                              for p in net.peers.values())
-        cancelled_before = sum(p.failover_stats["cancelled"]
+        cancelled_before = sum(p.failover_stats.cancelled
                                for p in net.peers.values())
         if spec.selforg_rounds > 0:
             from repro.selforg import (
@@ -518,12 +518,12 @@ class ScenarioRunner:
             report.failures = churn.failures
             report.recoveries = churn.recoveries
             churn.assert_consistent()
-        report.failovers = sum(p.failover_stats["failovers"]
+        report.failovers = sum(p.failover_stats.failovers
                                for p in net.peers.values()) - failover_before
-        report.ops_gave_up = sum(p.failover_stats["gave_up"]
+        report.ops_gave_up = sum(p.failover_stats.gave_up
                                  for p in net.peers.values()) - gave_up_before
         report.ops_cancelled = sum(
-            p.failover_stats["cancelled"] for p in net.peers.values()
+            p.failover_stats.cancelled for p in net.peers.values()
         ) - cancelled_before
         if engine is not None:
             report.engine_stats = engine.stats.snapshot()

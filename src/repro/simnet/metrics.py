@@ -49,10 +49,6 @@ class NetworkMetrics:
         """Stop tracking ``op_tag`` and return its message count."""
         return self.operations.pop(op_tag, 0)
 
-    def operation_messages(self, op_tag: str) -> int:
-        """Current message count of a tracked operation (0 if unknown)."""
-        return self.operations.get(op_tag, 0)
-
     def record_send(self, kind: str, latency: float,
                     values_count: int = 0,
                     op_tag: str | None = None) -> None:
@@ -94,16 +90,6 @@ class NetworkMetrics:
         if self.messages_sent == 0:
             return 0.0
         return self.total_latency / self.messages_sent
-
-    def register_into(self, registry, name: str = "network") -> None:
-        """Expose these counters as a lazily-evaluated view in a
-        :class:`~repro.obs.registry.MetricsRegistry`.
-
-        The counters themselves stay plain dataclass fields (the send
-        path increments them inline); the registry snapshots them on
-        demand, so registration costs nothing per message.
-        """
-        registry.register_view(name, self.snapshot)
 
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for bench reporting."""

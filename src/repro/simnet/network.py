@@ -231,7 +231,7 @@ class SimNetwork(Transport):
             # Same gate as the op_tag counter above: a hop span exists
             # exactly for the messages the metrics layer counts, which
             # is what makes per-trace message coverage an exact match
-            # against ``operation_messages``.
+            # against the ``operations`` counter.
             tracer.message_sent(message, loop._now, delay)
         if injector is not None:
             # The injector owns scheduling for faulted links: it may

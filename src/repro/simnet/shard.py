@@ -270,9 +270,10 @@ class Shard:
     # -- helpers -------------------------------------------------------
 
     def _issue(self, ref: int, node_id: str, method: str, args: tuple,
-               summarize: Callable | None, attribute: bool) -> None:
+               summarize: Callable | None, attribute: bool) -> Any:
         """Call ``peer.<method>(*args)`` now; summarize on completion
-        (by default with :func:`summarize_op_result`).
+        (by default with :func:`summarize_op_result`).  Returns the
+        operation's future.
 
         ``attribute`` runs the synchronous kickoff inside an
         ``op:<ref>`` scope; every asynchronous continuation inherits
@@ -312,6 +313,7 @@ class Shard:
             self._completions[ref] = summarize(result)
 
         future.add_done_callback(_done)
+        return future
 
     def stats(self) -> dict:
         """Per-shard report (metrics + footprint + spans)."""
@@ -401,8 +403,9 @@ class _Engine:
 
     An engine is what a workload driver or query facade runs a
     deployment on: ``add_peer / set_online_at / install_tracer /
-    install_fault_plan / submit / run_until / run_until_quiescent /
-    stop / metrics_snapshot / completed / trace_records / now``.
+    install_fault_plan / submit / result / run_until /
+    run_until_quiescent / stop / metrics_snapshot / completed /
+    trace_records / now``.
     Subclasses supply the clock (one loop, or N windowed ones) and say
     where their transports are (``_transports()``, what tracers and
     injectors install on) and their per-shard :meth:`Shard.stats`
@@ -500,18 +503,27 @@ class SingleLoopEngine(_Engine):
     quiescence is ``run_until_idle``.  Kickoff, attribution, trace
     roots and the report come from the same :class:`Shard` code the
     sharded engine runs, so the two differ by the window barrier and
-    nothing else.
+    nothing else.  The network is built here, or handed in
+    (:meth:`GridVineNetwork.build
+    <repro.mediation.network.GridVineNetwork.build>` wraps the one it
+    constructs, seed streams and all).
     """
 
     num_shards = 1
+    mode = "inline"
 
     def __init__(self, latency: LatencyModel | None = None,
-                 seed: int = 0) -> None:
+                 seed: int = 0, net: SimNetwork | None = None) -> None:
         self.seed = seed
-        self.net = SimNetwork(latency=latency,
-                              rng=random.Random(f"{seed}/latency"))
+        #: the network this engine drives (``latency`` applies only to
+        #: the one built here when none is handed in)
+        self.net = net if net is not None else SimNetwork(
+            latency=latency, rng=random.Random(f"{seed}/latency"))
         self._shard = Shard(0, self.net)
         self._refs = itertools.count()
+        #: op ref -> the operation's future, until :meth:`result`
+        #: waits on it
+        self._futures: dict[int, Any] = {}
 
     @property
     def now(self) -> float:
@@ -540,14 +552,40 @@ class SingleLoopEngine(_Engine):
         ref = next(self._refs)
         if attribute:
             self.net.metrics.begin_operation(f"op:{ref}")
-        self._shard._issue(ref, node_id, method, args, summarize, attribute)
+        try:
+            self._futures[ref] = self._shard._issue(
+                ref, node_id, method, args, summarize, attribute)
+        except BaseException:
+            self.net.metrics.end_operation(f"op:{ref}")
+            raise
         return ref
+
+    def result(self, ref: int) -> tuple[Any, int]:
+        """Drive the loop until op ``ref`` completes; return its
+        summary and attributed message count, and forget the op.
+
+        Waits on the op's own future, not for quiescence: a deployment
+        with maintenance or churn timers never goes idle.  A handler
+        exception propagates unchanged, with the op forgotten all the
+        same.
+        """
+        future = self._futures.pop(ref)
+        try:
+            self.net.loop.run_until_complete(future)
+        except BaseException:
+            # The op may still complete later (its retry timers are
+            # queued); nobody will collect that summary.
+            future.add_done_callback(lambda _f: self.completed.pop(ref, None))
+            raise
+        finally:
+            messages = self.net.metrics.end_operation(f"op:{ref}")
+        return self.completed.pop(ref), messages
 
     def run_until(self, t_end: float) -> None:
         self.net.loop.run_until(t_end)
 
-    def run_until_quiescent(self) -> None:
-        self.net.loop.run_until_idle()
+    def run_until_quiescent(self, max_events: int = 10_000_000) -> None:
+        self.net.loop.run_until_idle(max_events=max_events)
 
     def shard_stats(self) -> list[dict]:
         return [self._shard.stats()]
@@ -773,6 +811,16 @@ class ShardedTransport(_Engine):
         self._inputs[self._owner_of[node_id]].ops.append(
             (ref, node_id, method, args, summarize, attribute))
         return ref
+
+    def result(self, ref: int) -> tuple[Any, int]:
+        """Run to quiescence; return op ``ref``'s summary and its
+        attributed message count — the sum of the ``op:<ref>`` counter
+        over every shard its causal chain touched — and drop the
+        summary from :attr:`completed`."""
+        self.run_until_quiescent()
+        tag = f"op:{ref}"
+        return self.completed.pop(ref), sum(
+            entry["operations"].get(tag, 0) for entry in self.shard_stats())
 
     def set_online_at(self, time: float, node_id: str, online: bool) -> None:
         """Schedule a churn toggle at virtual ``time`` (exact at the

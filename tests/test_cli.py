@@ -199,20 +199,20 @@ class TestTraceCommand:
         assert f"-> {path}" in out
         from repro.obs.analysis import load_jsonl, trace_ids
         records = load_jsonl(str(path))
-        assert trace_ids(records) == ["searchfor:0"]
+        assert trace_ids(records) == ["op:0"]
 
     def test_trace_summary_waterfall_and_stats(self, tmp_path, capsys):
         path = self.run_traced_query(tmp_path)
         capsys.readouterr()
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "1 trace(s)" in out and "searchfor:0" in out
+        assert "1 trace(s)" in out and "op:0" in out
         assert main(["trace", str(path), "--waterfall",
-                     "searchfor:0"]) == 0
+                     "op:0"]) == 0
         out = capsys.readouterr().out
         assert "msg:route" in out and "|" in out
         assert main(["trace", str(path), "--critical-path",
-                     "searchfor:0"]) == 0
+                     "op:0"]) == 0
         assert "critical path" in capsys.readouterr().out
         assert main(["trace", str(path), "--stats"]) == 0
         assert "message attribution" in capsys.readouterr().out

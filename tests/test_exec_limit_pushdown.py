@@ -222,7 +222,7 @@ class TestCancellationStopsInFlightRetries:
         sent_before = net.network.metrics.messages_sent
         net.settle()
         # Control: the timeout retries really were in flight.
-        assert origin.failover_stats["retries"] > 0
+        assert origin.failover_stats.retries > 0
         assert net.network.metrics.messages_sent > sent_before
         assert future.done  # resolved (empty) after retries exhausted
 
@@ -236,8 +236,8 @@ class TestCancellationStopsInFlightRetries:
         net.settle()
         # Not a single new message after the cancel: no retries fired.
         assert net.network.metrics.messages_sent == sent_at_cancel
-        assert origin.failover_stats["retries"] == 0
-        assert origin.failover_stats["cancelled"] == 1
+        assert origin.failover_stats.retries == 0
+        assert origin.failover_stats.cancelled == 1
         assert not origin._pending
 
 

@@ -369,3 +369,37 @@ class TestPlanDescribe:
         assert isinstance(smaller.faults[0], MessageDrop)
         assert isinstance(smaller.faults[1], MessageReorder)
         assert smaller.seed == plan.seed
+
+
+class TestClauseValidation:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: MessageDrop(probability=1.5), "MessageDrop.probability"),
+        (lambda: MessageReorder(probability=-0.1),
+         "MessageReorder.probability"),
+        (lambda: MessageDrop(start=30.0, until=10.0), "MessageDrop.start"),
+        (lambda: MessageDelay(jitter_min=5.0, jitter_max=1.0),
+         "MessageDelay.jitter_min"),
+        (lambda: MessageDuplicate(copies=0), "MessageDuplicate.copies"),
+        (lambda: MessageDuplicate(probability=2.0),
+         "MessageDuplicate.probability"),
+        (lambda: Partition(side_a=(), side_b=("n1",)), "Partition.side_a"),
+        (lambda: Partition(side_a=("n0",), side_b=()), "Partition.side_b"),
+        (lambda: Partition(side_a=("n0", "n1"), side_b=("n1", "n2")),
+         "Partition.side_b"),
+        (lambda: Partition(side_a=("n0",), side_b=("n1",), start=9.0,
+                           heal_at=3.0), "Partition.start"),
+        (lambda: CrashRestart(node="n0", at=10.0, restart_at=5.0),
+         "CrashRestart.restart_at"),
+    ])
+    def test_bad_clause_is_rejected_naming_the_field(self, build, field):
+        """A clause that could never fire (or never stop) is refused
+        at construction, not discovered mid-run."""
+        with pytest.raises(ValueError, match=field.replace(".", r"\.")
+                           + " must be "):
+            build()
+
+    def test_boundary_values_are_accepted(self):
+        MessageDrop(probability=0.0, start=5.0, until=5.0)
+        MessageDelay(jitter_min=2.0, jitter_max=2.0)
+        Partition(side_a=("n0",), side_b=("n1",), start=4.0, heal_at=4.0)
+        CrashRestart(node="n0", at=3.0, restart_at=3.0)

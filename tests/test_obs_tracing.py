@@ -70,7 +70,7 @@ class TestQueryTraces:
         traces = trace_ids(records)
         assert len(traces) == 1
         trace = traces[0]
-        assert trace.startswith("searchfor:")
+        assert trace.startswith("op:")
         assert_trace_well_formed(records, trace)
         message_spans = [s for s in spans_of(records, trace)
                          if s["kind"] == "message"]
@@ -80,7 +80,7 @@ class TestQueryTraces:
         assert len(message_spans) == out.messages
         root = next(s for s in spans_of(records, trace)
                     if s["parent"] is None)
-        assert root["attrs"]["messages"] == out.messages
+        assert root["status"] == "ok"
         assert tracer.dropped == 0
 
     def test_batch_trace_covers_attributed_messages_exactly(self):
@@ -93,7 +93,7 @@ class TestQueryTraces:
         traces = trace_ids(records)
         assert len(traces) == 1
         trace = traces[0]
-        assert trace.startswith("batch:")
+        assert trace.startswith("op:")
         assert_trace_well_formed(records, trace)
         message_spans = [s for s in spans_of(records, trace)
                          if s["kind"] == "message"]
