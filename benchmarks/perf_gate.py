@@ -8,11 +8,14 @@ fresh ``benchmarks/out/BENCH_<exp>.json`` written by a plain
   invocations, cache hits, recall, ...) must match **exactly** — the
   whole simulation is deterministic, so any drift is a real behaviour
   change and fails the gate;
-* **wall-clock fields** (``wall_clock_s``) must land inside a
-  tolerance band around the committed value, default ±40% with a
+* **wall-clock fields** (``wall_clock_s``) must not exceed the
+  committed value by more than a tolerance band, default 40% with a
   0.02 s absolute floor — wide enough for machine noise (shared CI
   runners drift ±20% on this workload), tight enough that a real
-  regression (the kind worth a perf PR) trips it;
+  regression (the kind worth a perf PR) trips it.  The check is
+  one-sided: a run *faster* than the band is reported as
+  ``IMPROVED`` and passes — a speed-up must never fail the gate
+  (re-record the baseline so the band tightens around the new wall);
 * **environment fields** (``peak_rss_kb``, ``python``,
   ``wall_clock_runs_s``, ``per_shard_peak_rss_kb``) are ignored.
 
@@ -67,12 +70,13 @@ def wall_floor() -> float:
 
 
 def diff_payload(baseline, fresh, *, tol: float, floor: float,
-                 path: str = "") -> list[str]:
+                 improved: list[str], path: str = "") -> list[str]:
     """All mismatches between two recorded payloads, as readable lines.
 
     Dicts are compared by key (ignored fields dropped), lists
-    positionally; ``wall_clock_s`` leaves get the tolerance band,
-    every other leaf must be equal.
+    positionally; ``wall_clock_s`` leaves may be slower by at most the
+    tolerance band (one faster than the band is no mismatch and is
+    appended to ``improved`` instead), every other leaf must be equal.
     """
     problems: list[str] = []
     if isinstance(baseline, dict) and isinstance(fresh, dict):
@@ -85,6 +89,7 @@ def diff_payload(baseline, fresh, *, tol: float, floor: float,
         for key in sorted(base_keys & fresh_keys):
             problems += diff_payload(baseline[key], fresh[key],
                                      tol=tol, floor=floor,
+                                     improved=improved,
                                      path=f"{path}.{key}")
         return problems
     if isinstance(baseline, list) and isinstance(fresh, list):
@@ -93,16 +98,19 @@ def diff_payload(baseline, fresh, *, tol: float, floor: float,
                     f"{len(fresh)} fresh"]
         for index, (b, f) in enumerate(zip(baseline, fresh)):
             problems += diff_payload(b, f, tol=tol, floor=floor,
+                                     improved=improved,
                                      path=f"{path}[{index}]")
         return problems
     leaf = path.rsplit(".", 1)[-1].split("[", 1)[0]
     if leaf in WALL_FIELDS:
         band = max(floor, tol * float(baseline))
         drift = float(fresh) - float(baseline)
-        if abs(drift) > band:
-            problems.append(
-                f"{path}: wall {fresh}s vs committed {baseline}s "
-                f"({drift:+.3f}s, band ±{band:.3f}s)")
+        line = (f"{path}: wall {fresh}s vs committed {baseline}s "
+                f"({drift:+.3f}s, band {band:.3f}s)")
+        if drift > band:
+            problems.append(line)
+        elif drift < -band:
+            improved.append(line)
     elif baseline != fresh:
         problems.append(f"{path}: {fresh!r} != committed {baseline!r}")
     return problems
@@ -138,15 +146,22 @@ def gate(baseline_dir: str = BENCH_DIR, fresh_dir: str = OUT_DIR,
                          f"{baseline.get('scale')!r}, fresh run is "
                          f"{fresh.get('scale')!r}")
             continue
+        improved: list[str] = []
         problems = diff_payload(baseline, fresh, tol=tol, floor=floor,
+                                improved=improved,
                                 path=name.removesuffix(".json"))
         if problems:
             failed = True
             lines.append(f"FAIL {name}: {len(problems)} mismatch(es)")
             lines += [f"  {p}" for p in problems]
+        elif improved:
+            lines.append(f"IMPROVED {name}: counts exact, "
+                         f"{len(improved)} wall(s) faster than the "
+                         f"band — re-record the baseline")
         else:
             lines.append(f"PASS {name}: counts exact, wall within "
-                         f"±{tol:.0%}")
+                         f"+{tol:.0%}")
+        lines += [f"  {p}" for p in improved]
     return (1 if failed else 0), lines
 
 

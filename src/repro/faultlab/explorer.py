@@ -358,13 +358,8 @@ class ScenarioExplorer:
             peer = net.peers[node_id]
             if not peer.online:
                 continue
-            items = [
-                (bits, value)
-                for bits, values in sorted(peer.store.items())
-                for value in values
-            ]
             for replica in sorted(peer.replicas):
-                peer.send(replica, "sync_push", {"items": items})
+                peer.send(replica, "sync_push", peer.sync_payload())
         net.settle()
         sweep = StatsAntiEntropy(net.peers, runner.origin)
         sweep.sweep()

@@ -579,6 +579,7 @@ class GridVinePeer(PGridPeer):
             # the full record-type chain.  Subclassed records still
             # take the generic path below.
             self.store.setdefault(key._bits, []).append(value)
+            self._sync_snapshot = None
             self.db.add(value.triple)
             return
         if isinstance(value, ConnectivityRecord):
@@ -591,6 +592,7 @@ class GridVinePeer(PGridPeer):
                         and r.schema_name == value.schema_name)
             ]
             bucket.append(value)
+            self._sync_snapshot = None
             return
         super().local_insert(key, value)
         if isinstance(value, TripleRecord):

@@ -33,6 +33,8 @@ class TripleRecord:
         return (TripleRecord, (self.triple,))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TripleRecord):
             return NotImplemented
         return self.triple == other.triple

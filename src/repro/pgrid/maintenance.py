@@ -14,7 +14,20 @@ the guarantees from eroding under sustained churn:
 * **Replica anti-entropy** — each peer periodically pushes its store
   snapshot to a random replica; the replica merges values it missed
   while offline (``local_merge`` dedupes, so repeated pushes are
-  idempotent).
+  idempotent).  The push is *digest-gated*: it carries an
+  order-independent digest of the snapshot
+  (:meth:`~repro.pgrid.peer.PGridPeer.sync_snapshot`, cached until the
+  next store write), and a replica whose own digest is equal skips the
+  merge, so a sync with nothing to repair costs O(1) on both sides.
+  It is one ``sync_push`` message either way — message counts are
+  those of the ungated protocol, and payload bytes are not modelled by
+  any counter (``values_shipped`` counts ``"values"`` payload lists
+  only; a push carries ``"items"``).  A real network would send the
+  digest first and pull on mismatch, which *adds* messages per repair;
+  that is why it is not simulated here.
+  The same digest lets two replicas tell in O(1) whether they would
+  answer alike — what "consensus answers over divergent replicas"
+  needs.
 
 :class:`MaintenanceProcess` schedules both activities for every peer
 of an overlay with per-peer jitter (synchronized maintenance storms
@@ -301,13 +314,8 @@ class MaintenanceProcess:
         if not peer.replicas:
             return
         replica = self.rng.choice(peer.replicas)
-        items = [
-            (bits, value)
-            for bits, values in peer.store.items()
-            for value in values
-        ]
         peer.maintenance_stats["sync_pushes"] += 1
-        payload: dict = {"items": items}
+        payload = peer.sync_payload()
         if peer.stats_gossip:
             payload["synopses"] = peer.gossip_synopses()
         peer.send(replica, "sync_push", payload)

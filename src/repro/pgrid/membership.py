@@ -110,13 +110,8 @@ def graceful_leave(
             f"{node_id} is the sole owner of path {peer.path}; "
             "join a replacement before leaving"
         )
-    items = [
-        (bits, value)
-        for bits, values in peer.store.items()
-        for value in values
-    ]
     for replica in survivors:
-        peer.send(replica, "sync_push", {"items": items})
+        peer.send(replica, "sync_push", peer.sync_payload())
     for replica in survivors:
         member = peers[replica]
         member.replicas = sorted(r for r in member.replicas

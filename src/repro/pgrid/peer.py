@@ -43,6 +43,9 @@ from repro.util.keys import Key, common_prefix_length
 #: one set allocation per forwarding hop on the hottest handler
 _NO_AVOID: frozenset = frozenset()
 
+#: store digests are sums of item hashes modulo 2**64
+_DIGEST_MASK = (1 << 64) - 1
+
 
 @dataclass
 class OpResult:
@@ -169,6 +172,10 @@ class PGridPeer(Node):
         self.replicas: list[str] = []
         #: local store: key bits -> list of values
         self.store: dict[str, list[Any]] = {}
+        #: cached ``(digest, items)`` of :attr:`store` for replica sync
+        #: (see :meth:`sync_snapshot`); every store writer resets it to
+        #: ``None`` and the next sync rebuilds it
+        self._sync_snapshot: tuple | None = None
         self._op_ids = itertools.count()
         self._pending: dict[str, _Pending] = {}
         #: origin-side state of multi-peer range queries
@@ -240,13 +247,21 @@ class PGridPeer(Node):
         own = self.synopsis_digest()
         if own is not None:
             batch.append(own)
-        known = [d for d in self.synopses.digests()
-                 if d.peer_id != self.node_id]
+        registry = self.synopses
+        order = registry.peer_order()
+        if self.node_id in registry:
+            # Only a digest registered by hand puts this peer in its
+            # own registry (``receive_synopses`` filters it out).
+            order = [p for p in order if p != self.node_id]
+        known = len(order)
         if known and len(batch) < budget:
-            take = min(budget - len(batch), len(known))
-            start = self._gossip_cursor % len(known)
+            take = min(budget - len(batch), known)
+            start = self._gossip_cursor % known
             self._gossip_cursor += take
-            batch.extend((known + known)[start:start + take])
+            # ``take`` entries by index, wrapping around: O(budget) per
+            # message however many peers the registry knows.
+            batch.extend(registry.get(order[(start + i) % known])
+                         for i in range(take))
         return batch
 
     def receive_synopses(self, digests) -> int:
@@ -268,12 +283,14 @@ class PGridPeer(Node):
     def local_insert(self, key: Key, value: Any) -> None:
         """Append a value under ``key`` in the local store."""
         self.store.setdefault(key._bits, []).append(value)
+        self._sync_snapshot = None
 
     def local_remove(self, key: Key, value: Any) -> int:
         """Remove all copies of ``value`` under ``key``; return count."""
         bucket = self.store.get(key.bits)
         if not bucket:
             return 0
+        self._sync_snapshot = None
         before = len(bucket)
         bucket[:] = [v for v in bucket if v != value]
         if not bucket:
@@ -314,6 +331,43 @@ class PGridPeer(Node):
     def storage_load(self) -> int:
         """Number of values stored locally (load-balancing metric)."""
         return sum(len(v) for v in self.store.values())
+
+    def sync_snapshot(self) -> tuple[tuple[int, int] | None, tuple]:
+        """``(digest, items)`` of the local store, for replica sync.
+
+        ``items`` is the store flattened to ``(key bits, value)`` pairs
+        and ``digest`` an order-independent summary of that multiset:
+        ``(sum of item hashes mod 2**64, item count)``.  Two stores
+        holding equal items have equal digests, whatever the order, so
+        a replica whose digest matches a pushed one has nothing to
+        merge; the converse fails only on a 64-bit collision.  The
+        digest is ``None`` when a stored value is unhashable, which
+        every comparison treats as a mismatch.
+
+        Built on demand and cached until the next store write — every
+        writer of :attr:`store` resets ``_sync_snapshot`` — so pushes
+        between writes reuse one tuple and inserts pay one attribute
+        store.
+        """
+        snapshot = self._sync_snapshot
+        if snapshot is None:
+            items = tuple(
+                (bits, value)
+                for bits, values in self.store.items()
+                for value in values
+            )
+            try:
+                digest = (sum(map(hash, items)) & _DIGEST_MASK, len(items))
+            except TypeError:
+                digest = None
+            snapshot = self._sync_snapshot = (digest, items)
+        return snapshot
+
+    def sync_payload(self) -> dict[str, Any]:
+        """A fresh ``sync_push`` payload: the store snapshot and its
+        digest (callers may add their own keys)."""
+        digest, items = self.sync_snapshot()
+        return {"items": items, "digest": digest}
 
     # ------------------------------------------------------------------
     # Public operations (origin side)
@@ -891,9 +945,19 @@ class PGridPeer(Node):
             self.maintenance_stats["refs_added"] += 1
 
     def _handle_sync_push(self, message: Message) -> None:
-        """Anti-entropy: merge a replica's store snapshot."""
-        self.receive_synopses(message.payload.get("synopses") or ())
-        for bits, value in message.payload["items"]:
+        """Anti-entropy: merge a replica's store snapshot.
+
+        A push whose digest equals this store's (see
+        :meth:`sync_snapshot`) holds nothing new, so the merge loop is
+        skipped; a mismatch, or a push without a digest, merges item by
+        item.
+        """
+        payload = message.payload
+        self.receive_synopses(payload.get("synopses") or ())
+        digest = payload.get("digest")
+        if digest is not None and digest == self.sync_snapshot()[0]:
+            return
+        for bits, value in payload["items"]:
             if self.local_merge(Key(bits), value):
                 self.maintenance_stats["values_repaired"] += 1
 

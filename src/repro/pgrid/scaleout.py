@@ -399,7 +399,7 @@ def _preload(deployment: Deployment, peers: dict[str, PGridPeer]) -> None:
     for key, value in deployment.needles.items():
         leaf = _responsible_leaf(deployment.leaf_bits, key)
         for node_id in deployment.groups[leaf]:
-            peers[node_id].store.setdefault(key.bits, []).append(value)
+            peers[node_id].local_insert(key, value)
 
 
 def _preload_mediation(deployment: Deployment,

@@ -80,9 +80,22 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Triple):
             return NotImplemented
-        return self.as_tuple() == other.as_tuple()
+        # Slot by slot, identical terms first — what the tuple
+        # comparison did, minus the two ``as_tuple()`` allocations:
+        # replica merge and ``local_remove`` compare stored triples in
+        # linear scans.
+        a, b = self.subject, other.subject
+        if a is not b and not a == b:
+            return False
+        a, b = self.predicate, other.predicate
+        if a is not b and not a == b:
+            return False
+        a, b = self.object, other.object
+        return a is b or a == b
 
     def __lt__(self, other: "Triple") -> bool:
         return self.as_tuple() < other.as_tuple()

@@ -241,6 +241,8 @@ class SynopsisRegistry:
 
     def __init__(self) -> None:
         self._by_peer: dict[str, PeerSynopsis] = {}
+        #: sorted peer ids, cached until a new peer id registers
+        self._order: list[str] | None = None
         #: bumped whenever a digest is accepted (estimator cache key)
         self.updates = 0
 
@@ -254,13 +256,26 @@ class SynopsisRegistry:
         """The newest known digest of ``peer_id``, if any."""
         return self._by_peer.get(peer_id)
 
+    def peer_order(self) -> list[str]:
+        """Known peers, sorted — the registry's own cached list, which
+        callers must not mutate (:meth:`peer_ids` returns a copy).
+
+        Replacing a known peer's digest keeps the order, so gossip
+        (one call per maintenance message) sorts only when the
+        registry learns of a new peer.
+        """
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._by_peer)
+        return order
+
     def peer_ids(self) -> list[str]:
         """Known peers, sorted."""
-        return sorted(self._by_peer)
+        return list(self.peer_order())
 
     def digests(self) -> list[PeerSynopsis]:
         """All known digests in sorted peer order."""
-        return [self._by_peer[p] for p in sorted(self._by_peer)]
+        return [self._by_peer[p] for p in self.peer_order()]
 
     def register(self, digest: PeerSynopsis) -> bool:
         """Merge one digest; returns True if it replaced older state.
@@ -283,6 +298,8 @@ class SynopsisRegistry:
             if current.version == digest.version and (
                     current is digest or current >= digest):
                 return False
+        else:
+            self._order = None
         self._by_peer[digest.peer_id] = digest
         self.updates += 1
         return True

@@ -26,7 +26,7 @@ def two_peer_engine(engine, remote_shard=0):
     b = PGridPeer("peer-b", Key("1"))
     a.routing_table[0] = ["peer-b"]
     b.routing_table[0] = ["peer-a"]
-    b.store.setdefault("1", []).append("needle")
+    b.local_insert(Key("1"), "needle")
     engine.add_peer(a, 0)
     engine.add_peer(b, remote_shard)
     return a, b

@@ -21,6 +21,7 @@ from repro.rdf.triples import Triple
 from repro.resilience.scenario import ScenarioReport, ScenarioSpec
 from repro.schema.model import Schema
 from repro.stats.gossip import StatsAntiEntropy
+from repro.util.keys import Key
 
 
 def small_net(num_peers=12, seed=5, replication=2):
@@ -91,9 +92,9 @@ class TestReplicaAgreement:
             peer = net.peers[node_id]
             if peer.replicas and peer.store:
                 bits = next(iter(peer.store))
-                peer.store[bits] = peer.store[bits][1:]
-                if not peer.store[bits]:
-                    del peer.store[bits]
+                # through the peer API (not ``peer.store`` directly) so
+                # the cached sync snapshot is dropped with the value
+                peer.local_remove(Key(bits), peer.store[bits][0])
                 break
         violations = check_replica_agreement(LabContext(net=net))
         assert violations

@@ -151,7 +151,7 @@ def run_fault_retry(num_shards, mode):
     b = PGridPeer("peer-b", Key("1"))
     a.routing_table[0] = ["peer-b"]
     b.routing_table[0] = ["peer-a"]
-    b.store.setdefault("1", []).append("needle")
+    b.local_insert(Key("1"), "needle")
     transport.add_peer(a, 0)
     transport.add_peer(b, num_shards - 1)
     transport.set_online_at(0.2, "peer-b", False)

@@ -1,14 +1,33 @@
 """Tests for overlay range queries and the maintenance process."""
 
+import builtins
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import SLOW_SETTINGS
+
+from repro.mapping.model import PredicateCorrespondence, SchemaMapping
+from repro.mediation.peer import GridVinePeer
+from repro.mediation.records import (
+    ConnectivityRecord,
+    MappingRecord,
+    TripleRecord,
+)
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.pgrid.overlay import PGridOverlay
-from repro.util.hashing import order_preserving_hash, prefix_interval
+from repro.pgrid.peer import PGridPeer
+from repro.rdf.terms import URI, Literal
+from repro.rdf.triples import Triple
+from repro.simnet.network import Message, SimNetwork
+from repro.stats.synopsis import PeerSynopsis
+from repro.util.hashing import (
+    order_preserving_hash,
+    prefix_interval,
+    uniform_hash,
+)
 from repro.util.keys import Key, covering_prefixes
 
 
@@ -229,6 +248,214 @@ class TestMaintenance:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             MaintenanceProcess({}, interval=0.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` (or shadow the builtin of that name in a
+    module) by a counting pass-through; returns the one-element call
+    counter."""
+    original = getattr(owner, name, None) or getattr(builtins, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting, raising=False)
+    return calls
+
+
+class TestBackgroundWorkIsConstant:
+    """Count-based guards (no wall clock): maintenance that has
+    nothing to repair does no per-item and no per-registry-entry
+    work."""
+
+    def test_converged_group_ticks_merge_nothing(self, monkeypatch):
+        overlay = PGridOverlay.build(6, replication=3, seed=21)
+        origin = overlay.peer_ids()[0]
+        for i in range(20):
+            overlay.update_sync(origin, uniform_hash(f"k{i}"), f"v{i}")
+        overlay.loop.run_until_idle()
+        group = [p for p in overlay.peers.values() if p.store]
+        assert group and all(len(p.replicas) == 2 for p in group)
+        maintenance = MaintenanceProcess(overlay.peers, interval=10.0,
+                                         rng=random.Random(21))
+        maintenance._running = True
+        merges = count_calls(monkeypatch, PGridPeer, "local_merge")
+        pushed = []
+        deliver = overlay.network.send
+
+        def recording_send(message):
+            if message.kind == "sync_push":
+                pushed.append(message)
+            deliver(message)
+
+        monkeypatch.setattr(overlay.network, "send", recording_send)
+        for _tick in range(2):
+            for peer in group:
+                maintenance._push_to_replica(peer)
+            overlay.loop.run_until_idle()
+        assert len(pushed) == 2 * len(group)
+        assert merges[0] == 0
+        for peer in group:
+            first, second = (m.payload["items"] for m in pushed
+                             if m.src == peer.node_id)
+            assert first is second
+            assert len(first) == peer.storage_load() > 0
+        assert all(p.maintenance_stats["values_repaired"] == 0
+                   for p in group)
+
+    def test_gossip_sorts_only_when_registry_grows(self, monkeypatch):
+        import repro.pgrid.peer as peer_module
+        import repro.stats.synopsis as synopsis_module
+
+        peer = PGridPeer("me", Key("0"))
+        for i in range(9):
+            peer.synopses.register(PeerSynopsis(f"n{i}", 1, i))
+        peer.gossip_synopses()
+        sorts = count_calls(monkeypatch, synopsis_module, "sorted")
+        peer_sorts = count_calls(monkeypatch, peer_module, "sorted")
+        seen = []
+        for round_ in range(6):
+            # a newer digest of a known peer keeps the order
+            peer.synopses.register(PeerSynopsis("n3", 2 + round_, 99))
+            seen += [d.peer_id for d in peer.gossip_synopses(budget=4)]
+        assert sorts[0] == 0 and peer_sorts[0] == 0
+        # round-robin over the sorted registry, wrapping around
+        order = [f"n{i}" for i in range(9)]
+        start = order.index(seen[0])
+        assert seen == [order[(start + i) % 9] for i in range(24)]
+        peer.synopses.register(PeerSynopsis("n9", 1, 0))
+        assert "n9" in {d.peer_id for _ in range(3)
+                        for d in peer.gossip_synopses(budget=4)}
+        assert sorts[0] == 1 and peer_sorts[0] == 0
+
+
+# -- digest-gated sync == the ungated merge loop ------------------------
+
+SYNC_KEYS = [Key(bits) for bits in ("00", "01", "10", "11")]
+
+
+def _mapping(i: int) -> SchemaMapping:
+    return SchemaMapping(
+        f"m{i}", f"S{i}", f"S{i + 1}",
+        [PredicateCorrespondence(URI(f"S{i}#p"), URI(f"S{i + 1}#p"))])
+
+
+SYNC_VALUES = (
+    [TripleRecord(Triple(URI(f"S:e{i}"), URI("S#p"), Literal(f"v{i}")))
+     for i in range(5)]
+    + [MappingRecord(_mapping(i)) for i in range(2)]
+    # one schema, different degrees: last-writer-wins replace path
+    + [ConnectivityRecord("S0", in_degree, 1) for in_degree in range(3)]
+    + [ConnectivityRecord("S1", 0, 0)]
+)
+
+sync_items = st.lists(
+    st.tuples(st.sampled_from(SYNC_KEYS), st.sampled_from(SYNC_VALUES)),
+    max_size=12)
+
+
+def sync_pair(shared, sender_only, receiver_only):
+    """Two replicas on one network holding ``shared`` plus their own
+    items (repeats make duplicate values in a bucket)."""
+    network = SimNetwork()
+    sender = GridVinePeer("sender", Key(""))
+    receiver = GridVinePeer("receiver", Key(""))
+    network.attach(sender)
+    network.attach(receiver)
+    for peer, own in ((sender, sender_only), (receiver, receiver_only)):
+        for key, value in shared + own:
+            peer.local_insert(key, value)
+    return sender, receiver
+
+
+def ungated_sync_push(peer, items):
+    """The merge loop as it ran before pushes carried a digest."""
+    for bits, value in items:
+        if peer.local_merge(Key(bits), value):
+            peer.maintenance_stats["values_repaired"] += 1
+
+
+def flattened(peer):
+    return [(bits, value) for bits, values in peer.store.items()
+            for value in values]
+
+
+def replica_state(peer):
+    return (peer.store, peer.db.all_triples(), peer.local_mappings,
+            peer.maintenance_stats["values_repaired"])
+
+
+def push(sender, receiver):
+    receiver._handle_sync_push(Message(
+        "sync_push", sender.node_id, receiver.node_id,
+        sender.sync_payload()))
+
+
+class TestDigestGatedSync:
+    @SLOW_SETTINGS
+    @given(shared=sync_items, sender_only=sync_items,
+           receiver_only=sync_items, removal=st.integers(0, 40),
+           late=sync_items)
+    def test_gated_handler_equals_ungated_loop(
+            self, shared, sender_only, receiver_only, removal, late):
+        sender, gated = sync_pair(shared, sender_only, receiver_only)
+        _twin, ungated = sync_pair(shared, sender_only, receiver_only)
+
+        def push_both():
+            push(sender, gated)
+            ungated_sync_push(ungated, flattened(sender))
+            assert replica_state(gated) == replica_state(ungated)
+            assert sender.sync_snapshot()[1] == tuple(flattened(sender))
+
+        push_both()
+        # every kind of write at the sender after a push built its
+        # snapshot must reach the digest and the items of the next one
+        for key, value in late:
+            sender.local_insert(key, value)
+        push_both()
+        held = flattened(sender)
+        if held:
+            bits, value = held[removal % len(held)]
+            sender.local_remove(Key(bits), value)
+        push_both()
+
+    def test_equal_stores_skip_the_merge_loop(self, monkeypatch):
+        items = [(SYNC_KEYS[0], SYNC_VALUES[0]), (SYNC_KEYS[0], SYNC_VALUES[0]),
+                 (SYNC_KEYS[1], SYNC_VALUES[1]), (SYNC_KEYS[2], SYNC_VALUES[7])]
+        sender, receiver = sync_pair(items[:2], items[2:], items[:1:-1])
+        merges = count_calls(monkeypatch, PGridPeer, "local_merge")
+        push(sender, receiver)
+        assert merges[0] == 0  # same multiset, different insert order
+        receiver._handle_sync_push(Message(
+            "sync_push", "sender", "receiver", {"items": flattened(sender)}))
+        assert merges[0] == len(items)  # no digest: the plain loop
+
+    def test_removal_after_a_skipped_push_is_repaired_again(self):
+        items = [(SYNC_KEYS[0], SYNC_VALUES[0]), (SYNC_KEYS[1], SYNC_VALUES[1])]
+        sender, receiver = sync_pair(items, [], [])
+        push(sender, receiver)  # equal digests: skipped
+        assert receiver.maintenance_stats["values_repaired"] == 0
+        receiver.local_remove(*items[0])
+        assert receiver.db.all_triples() == [SYNC_VALUES[1].triple]
+        push(sender, receiver)
+        assert receiver.maintenance_stats["values_repaired"] == 1
+        assert receiver.local_retrieve(SYNC_KEYS[0]) == [SYNC_VALUES[0]]
+        assert len(receiver.db.all_triples()) == 2
+
+    def test_unhashable_values_fall_back_to_the_merge_loop(self):
+        network = SimNetwork()
+        sender = PGridPeer("sender", Key(""))
+        receiver = PGridPeer("receiver", Key(""))
+        network.attach(sender)
+        network.attach(receiver)
+        sender.local_insert(Key("0"), ["a", "list"])
+        assert sender.sync_snapshot()[0] is None
+        push(sender, receiver)
+        push(sender, receiver)
+        assert receiver.store == {"0": [["a", "list"]]}
+        assert receiver.maintenance_stats["values_repaired"] == 1
 
 
 class TestPrefixPatternQueries:

@@ -233,6 +233,28 @@ class TestDropAccounting:
         assert report.drops_by_reason == {}
 
 
+class TestPinnedChurnReport:
+    def test_smoke_churn_scenario_matches_recorded_report(self):
+        """perfbench's pinned ``churn`` scenario at smoke size: the
+        counts recorded before replica sync became digest-gated.  The
+        gate may only skip merge work — one ``sync_push`` per tick,
+        the same repairs, the same report."""
+        runner = ScenarioRunner.from_spec(ScenarioSpec(
+            seed=11, strategy="iterative", num_peers=32, replication=3,
+            refs_per_level=3, num_schemas=4, num_entities=40,
+            num_queries=5))
+        report = runner.run()
+        assert report.recall == 1.0
+        assert report.queries_complete == 5
+        assert report.query_messages == 136
+        assert report.total_messages == 1724
+        assert report.drops_by_reason == {"offline": 368}
+        assert report.failovers == 63
+        stats = [p.maintenance_stats for p in runner.network.peers.values()]
+        assert sum(s["sync_pushes"] for s in stats) == 312
+        assert sum(s["values_repaired"] for s in stats) == 2
+
+
 class TestEngineExposure:
     def test_engine_strategy_exposes_engine(self):
         runner = ScenarioRunner.from_spec(
