@@ -3,11 +3,11 @@
 Paper claim: P-Grid is "a self-organizing and distributed access
 structure" that "associates logical peers ... with data keys from a
 binary key space".  The reproduction offers two construction modes
-(DESIGN.md §3): the top-down sample-driven builder used by default,
-and the decentralized pairwise-exchange protocol of the original
-P-Grid work.  This ablation shows the decentralized process converges
-to a structure with the same routing properties the top-down builder
-produces directly:
+(docs/ARCHITECTURE.md, ``repro.pgrid``): the top-down sample-driven
+builder used by default, and the decentralized pairwise-exchange
+protocol of the original P-Grid work.  This ablation shows the
+decentralized process converges to a structure with the same routing
+properties the top-down builder produces directly:
 
 * paths become (nearly) prefix-free and cover the key space;
 * mean path depth lands near ``log2(n)``;
@@ -18,6 +18,7 @@ produces directly:
 import random
 
 from conftest import report, run_once
+from record import record
 
 from repro.pgrid.construction import (
     assign_paths,
@@ -88,6 +89,13 @@ def test_e10_exchange_vs_topdown(benchmark, scale):
     for n, ed, td, eh, th, ef, tf, distinct in rows:
         report("E10", f"{n:>6} {ed:>11.2f} {td:>12.2f} {eh:>10.2f} "
                       f"{th:>11.2f} {ef:>10} {tf:>11} {distinct:>6}")
+    record("E10", scale=scale, totals={"probes": probes}, runs=[
+        {"peers": n,
+         "exchange_depth": round(ed, 4), "topdown_depth": round(td, 4),
+         "exchange_hops": round(eh, 4), "topdown_hops": round(th, 4),
+         "exchange_failures": ef, "topdown_failures": tf,
+         "distinct_paths": distinct}
+        for n, ed, td, eh, th, ef, tf, distinct in rows])
 
     import math
     for n, ex_depth, td_depth, ex_hops, td_hops, ex_f, td_f, distinct in rows:

@@ -14,6 +14,7 @@ theoretical best: one message per peer).
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
@@ -61,6 +62,11 @@ def test_e11_prefix_search_vs_broadcast(benchmark, scale):
     for entries, expected, found, messages, floor, latency in rows:
         report("E11", f"{entries:>8} {expected:>9} {found:>6} "
                       f"{messages:>11} {floor:>12} {latency:>7.2f}s")
+    record("E11", scale=scale, runs=[
+        {"entries": entries, "expected": expected, "found": found,
+         "range_messages": messages, "broadcast_floor": floor,
+         "latency_s": round(latency, 4)}
+        for entries, expected, found, messages, floor, latency in rows])
 
     for _entries, expected, found, messages, floor, _latency in rows:
         assert found == expected          # complete answers

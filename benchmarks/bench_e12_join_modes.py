@@ -15,6 +15,7 @@ volume as the unbound extent grows relative to the selective subset.
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 
@@ -73,6 +74,10 @@ def test_e12_parallel_vs_bound_join(benchmark, scale):
         b = m["bound"]
         report("E12", f"{num_selected:>9} | {p[0]:>8} {p[1]:>9} "
                       f"{p[2]:>12} | {b[0]:>8} {b[1]:>9} {b[2]:>12}")
+    record("E12", scale=scale, totals={"entries": num_entries}, runs=[
+        {"selected": num_selected, "mode": mode, "rows": m[mode][0],
+         "messages": m[mode][1], "values_shipped": m[mode][2]}
+        for num_selected, m in rows for mode in ("parallel", "bound")])
 
     for num_selected, m in rows:
         assert m["parallel"][0] == m["bound"][0] == num_selected

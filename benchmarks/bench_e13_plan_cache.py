@@ -12,12 +12,18 @@ workload over a mapping chain S0 -> S1 -> S2 -> S3:
 * **batched vs sequential messages** — the same workload executed
   query-by-query vs as one batch with pattern lookups deduplicated
   across the whole batch.
+
+A second test runs the distinct query shapes with tracing on and pins
+the trace shapes (spans, message spans, peers touched per query): the
+tracer hooks sit at the same code gates as the metrics attribution
+counters, so a drift means attribution or execution changed.
 """
 
 from conftest import report, run_once
-from record import measure, record
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
+from repro.obs.analysis import connected_components, spans_of, trace_ids
 
 
 def build_corpus(num_schemas=4, entries_per_schema=12, seed=29):
@@ -62,44 +68,31 @@ def test_e13_plan_cache_and_batching(benchmark, scale):
     queries = workload(repeats)
 
     def run():
-        walls = {}
-
         # -- cold: plan cache disabled, every query re-plans ----------
-        def run_cold():
-            net = build_corpus()
-            cold = net.create_engine(domain="e13", cache_capacity=0)
-            for query in queries:
-                cold.search_for(query)
-            return cold
+        cold = build_corpus().create_engine(domain="e13",
+                                            cache_capacity=0)
+        for query in queries:
+            cold.search_for(query)
 
         # -- warm: plan cache on, same sequential workload ------------
-        def run_warm():
-            net = build_corpus()
-            warm = net.create_engine(domain="e13")
-            sequential_messages = 0
-            for query in queries:
-                sequential_messages += warm.search_for(query).messages
-            return warm, sequential_messages
+        warm = build_corpus().create_engine(domain="e13")
+        sequential_messages = 0
+        for query in queries:
+            sequential_messages += warm.search_for(query).messages
 
         # -- batched: same workload, one batch, shared lookups --------
-        def run_batched():
-            net = build_corpus()
-            batched = net.create_engine(domain="e13")
-            return net, batched, batched.execute_batch(queries)
-
-        cold, walls["cold"] = measure(run_cold)
-        (warm, sequential_messages), walls["warm"] = measure(run_warm)
-        (net, batched, result), walls["batched"] = measure(run_batched)
+        net = build_corpus()
+        batched = net.create_engine(domain="e13")
+        result = batched.execute_batch(queries)
         # Unified-registry snapshot of the batched deployment: network
-        # counters + engine view, all deterministic simulation counts
-        # (the perf gate compares them exactly).
+        # counters + engine view, all deterministic simulation counts.
         metrics = net.registry.snapshot()
         return (cold.stats.snapshot(), warm.stats.snapshot(),
                 batched.stats.snapshot(), sequential_messages, result,
-                metrics, walls)
+                metrics)
 
-    (cold, warm, batched, sequential_messages, result, metrics,
-     walls) = run_once(benchmark, run)
+    (cold, warm, batched, sequential_messages, result,
+     metrics) = run_once(benchmark, run)
     report("E13", f"workload: {len(queries)} queries "
                   f"({len(workload(1))} distinct shapes x {repeats})")
     report("E13", f"{'engine':>8} | {'planner runs':>12} "
@@ -113,16 +106,15 @@ def test_e13_plan_cache_and_batching(benchmark, scale):
                   f"{result.patterns_total} -> {result.patterns_fetched} "
                   f"({result.lookups_saved} saved by dedup)")
     record("E13", scale=scale, metrics=metrics, runs=[
-        {"mode": "cold", "wall_clock_s": round(walls["cold"], 3),
-         "rows": len(queries),
+        {"mode": "cold", "rows": len(queries),
          "planner_invocations": cold["planner_invocations"],
          "cache_hits": cold["cache"]["hits"]},
-        {"mode": "warm", "wall_clock_s": round(walls["warm"], 3),
-         "rows": len(queries), "messages": sequential_messages,
+        {"mode": "warm", "rows": len(queries),
+         "messages": sequential_messages,
          "planner_invocations": warm["planner_invocations"],
          "cache_hits": warm["cache"]["hits"]},
-        {"mode": "batched", "wall_clock_s": round(walls["batched"], 3),
-         "rows": len(queries), "messages": batched["messages"],
+        {"mode": "batched", "rows": len(queries),
+         "messages": batched["messages"],
          "patterns_total": result.patterns_total,
          "patterns_fetched": result.patterns_fetched},
     ], totals={"queries": len(queries), "seed": 29})
@@ -136,3 +128,33 @@ def test_e13_plan_cache_and_batching(benchmark, scale):
     # Batching dedupes pattern lookups and saves network messages.
     assert result.patterns_fetched < result.patterns_total
     assert batched["messages"] < sequential_messages
+
+
+def test_e13_trace_shapes(benchmark, scale):
+    """Tracing on: one connected trace per query whose message spans
+    number exactly the messages attributed to that query."""
+    def run():
+        net = build_corpus()
+        tracer = net.install_tracer()
+        engine = net.create_engine(domain="e13")
+        outcomes = [engine.search_for(query) for query in workload(1)]
+        return tracer, net.trace_records(), outcomes
+
+    tracer, records, outcomes = run_once(benchmark, run)
+    traces = trace_ids(records)
+    assert not tracer.dropped
+    assert len(traces) == len(outcomes)
+    shapes = []
+    for trace, outcome in zip(traces, outcomes):
+        spans = spans_of(records, trace)
+        message_spans = [s for s in spans if s["kind"] == "message"]
+        assert connected_components(spans) == 1, trace
+        assert len(message_spans) == outcome.messages, trace
+        shapes.append({"trace": trace, "spans": len(spans),
+                       "messages": len(message_spans),
+                       "peers": len({s["peer"] for s in spans})})
+        report("E13", f"{trace}: {len(spans)} spans, "
+                      f"{len(message_spans)} message spans, "
+                      f"{shapes[-1]['peers']} peers")
+    record("E13-obs", scale=scale, runs=shapes,
+           totals={"queries": len(outcomes), "records": len(records)})

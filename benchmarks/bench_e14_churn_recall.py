@@ -17,7 +17,7 @@ billed all of it to the queries.
 """
 
 from conftest import report, run_once
-from record import measure, record
+from record import record
 
 from repro.resilience import ScenarioRunner, ScenarioSpec
 
@@ -43,12 +43,11 @@ def test_e14_churn_recall(benchmark, scale):
     def run():
         series = []
         for seed in seeds:
-            runs, walls = {}, {}
-            for failover in (True, False):
-                spec = scenario_spec(seed, failover, scale)
-                runs[failover], walls[failover] = measure(
-                    ScenarioRunner.from_spec(spec).run)
-            series.append((seed, runs[True], runs[False], walls))
+            on, off = (
+                ScenarioRunner.from_spec(
+                    scenario_spec(seed, failover, scale)).run()
+                for failover in (True, False))
+            series.append((seed, on, off))
         return series
 
     series = run_once(benchmark, run)
@@ -57,33 +56,31 @@ def test_e14_churn_recall(benchmark, scale):
                   f"each, churn up/down 90s/45s (1/3 offline at a time)")
     report("E14", f"{'seed':>4} | {'mode':>8} {'recall':>7} "
                   f"{'p50 lat':>8} {'failovers':>9} {'gave up':>7}")
-    for seed, on, off, _walls in series:
+    for seed, on, off in series:
         for label, r in (("failover", on), ("baseline", off)):
             report("E14", f"{seed:>4} | {label:>8} {r.recall:>7.3f} "
                           f"{r.latency_p50:>7.1f}s {r.failovers:>9} "
                           f"{r.ops_gave_up:>7}")
     record("E14", scale=scale, runs=[
         {"seed": seed, "mode": label,
-         "wall_clock_s": round(walls[flag], 3),
          "recall": round(r.recall, 4),
          "rows": r.queries_complete,
          "query_messages": r.query_messages,
          "total_messages": r.total_messages,
          "failovers": r.failovers, "ops_gave_up": r.ops_gave_up}
-        for seed, on, off, walls in series
-        for label, flag, r in (("failover", True, on),
-                               ("baseline", False, off))
+        for seed, on, off in series
+        for label, r in (("failover", on), ("baseline", off))
     ])
 
     # The headline claim: under the same churn timeline, failover-
     # enabled queries achieve strictly higher recall on every seed.
-    for seed, on, off, _walls in series:
+    for seed, on, off in series:
         assert on.recall > off.recall, (
             f"failover did not improve recall on seed {seed}: "
             f"{on.recall:.3f} vs {off.recall:.3f}"
         )
     # Failover actually engaged, and it converts timeout storms into
     # sub-timeout routing detours (lower median latency).
-    assert all(on.failovers > 0 for _s, on, _off, _w in series)
-    assert sum(on.latency_p50 for _s, on, _off, _w in series) < \
-        sum(off.latency_p50 for _s, _on, off, _w in series)
+    assert all(on.failovers > 0 for _s, on, _off in series)
+    assert sum(on.latency_p50 for _s, on, _off in series) < \
+        sum(off.latency_p50 for _s, _on, off in series)

@@ -18,7 +18,7 @@ returning 10 correct rows.
 """
 
 from conftest import report, run_once
-from record import measure, record
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 
@@ -92,9 +92,9 @@ def test_e15_limit_pushdown(benchmark, scale):
                 metrics = net.registry.snapshot()
         return series, metrics
 
-    (series, metrics), wall = measure(lambda: run_once(benchmark, run))
-    record("E15", scale=scale, totals={"wall_clock_s": round(wall, 3)},
-           metrics=metrics, runs=[
+    series, metrics = run_once(benchmark, run)
+    record("E15", scale=scale, metrics=metrics,
+           runs=[
                {
                    "seed": seed,
                    "mode": mode,

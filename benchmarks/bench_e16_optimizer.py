@@ -28,7 +28,7 @@ same message count, verified via the metrics' per-kind attribution).
 import random
 
 from conftest import report, run_once
-from record import measure, record
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.pgrid.maintenance import MaintenanceProcess
@@ -152,7 +152,7 @@ def test_e16_optimizer(benchmark, scale):
     def run():
         return [(seed, run_seed(seed)) for seed in seeds]
 
-    series, wall = measure(lambda: run_once(benchmark, run))
+    series = run_once(benchmark, run)
     baseline_runs = []
     for seed, data in series:
         totals = {
@@ -171,8 +171,7 @@ def test_e16_optimizer(benchmark, scale):
             "reformulations_pruned": pruned,
             "synopsis_coverage": data["coverage"],
         })
-    record("E16", scale=scale, totals={"wall_clock_s": round(wall, 3)},
-           runs=baseline_runs)
+    record("E16", scale=scale, runs=baseline_runs)
     report("E16", f"{len(seeds)} seeds, workload: 3x chain + 2x hub "
                   f"({GHOSTS} dead mapping targets) + 2x lone")
     report("E16", f"{'seed':>4} | {'iterative':>9} {'recursive':>9} "

@@ -35,7 +35,7 @@ digest (the fault lab's synopsis-convergence invariant).
 import random
 
 from conftest import report, run_once
-from record import measure, record
+from record import record
 
 from repro.datagen.generator import BioDatasetGenerator
 from repro.faultlab import FaultInjector, FaultPlan, LabContext, Partition
@@ -187,8 +187,8 @@ def test_e17_partition_recall(benchmark, scale):
             series.append((seed, runs[True], runs[False]))
         return series
 
-    series, wall = measure(lambda: run_once(benchmark, run))
-    record("E17", scale=scale, totals={"wall_clock_s": round(wall, 3)},
+    series = run_once(benchmark, run)
+    record("E17", scale=scale,
            runs=[
                {
                    "seed": seed,

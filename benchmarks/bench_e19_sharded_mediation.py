@@ -15,15 +15,11 @@ outcomes** — success flags, result rows, reformulation counts and the
 causal chains across shard boundaries).  The assertions compare the
 full outcome dicts, not just aggregates.
 
-Wall-clock is best-of-N with the cyclic GC paused during timed runs
-(same harness as E18).  ``REPRO_BENCH_E19_PEERS`` overrides the peer
-count (CI's scale-smoke job runs a bounded configuration).
+``REPRO_BENCH_E19_PEERS`` overrides the peer count (CI's scale-smoke
+job runs 1 000).  Host time is perfbench's, not this bench's.
 """
 
-import gc
-import os
-
-from conftest import report, run_once
+from conftest import peers_and_scale, report, run_once
 from record import record
 
 from repro.pgrid.scaleout import (
@@ -33,11 +29,10 @@ from repro.pgrid.scaleout import (
     run_sharded,
 )
 
+SHARD_COUNTS = (1, 2, 4)
 
-def _spec(scale, num_shards=4, mode="inline"):
-    peers = int(os.environ.get("REPRO_BENCH_E19_PEERS", "0"))
-    if not peers:
-        peers = 2_000 if scale == "full" else 300
+
+def _spec(peers, num_shards=4, mode="inline"):
     quick = peers < 1_000
     return ScaleoutSpec(
         num_peers=peers,
@@ -56,72 +51,47 @@ def _spec(scale, num_shards=4, mode="inline"):
     )
 
 
-def _timed(run, repeats):
-    """Best-of-``repeats`` with the cyclic GC paused during each run."""
-    best, walls = None, []
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            result = run()
-        finally:
-            gc.enable()
-        walls.append(result.wall_clock_s)
-        if best is None or result.wall_clock_s < best.wall_clock_s:
-            best = result
-    return best, walls
-
-
 def test_e19_sharded_mediation(benchmark, scale):
-    repeats = 3 if scale == "full" else 2
-    shard_counts = (1, 2, 4)
+    peers, scale = peers_and_scale("REPRO_BENCH_E19_PEERS", scale,
+                                   quick=300, full=2_000)
 
     def run():
-        deployment = build_deployment(_spec(scale))
-        rows = {}
-        rows["inprocess"] = _timed(
-            lambda: run_inprocess(_spec(scale), deployment), repeats)
-        for shards in shard_counts:
-            spec = _spec(scale, num_shards=shards)
-            rows[f"sharded{shards}"] = _timed(
-                lambda: run_sharded(spec, deployment), repeats)
+        deployment = build_deployment(_spec(peers))
+        rows = {"inprocess": run_inprocess(_spec(peers), deployment)}
+        for shards in SHARD_COUNTS:
+            rows[f"sharded{shards}"] = run_sharded(
+                _spec(peers, num_shards=shards), deployment)
         # One forked-workers run: pipes, pickling and per-shard stats
-        # merging on the full mediation stack (timed once — fork cost
-        # is startup, not steady-state).
-        forked_spec = _spec(scale, num_shards=2, mode="process")
-        rows["forked2"] = _timed(
-            lambda: run_sharded(forked_spec, deployment), 1)
+        # merging on the full mediation stack.
+        rows["forked2"] = run_sharded(
+            _spec(peers, num_shards=2, mode="process"), deployment)
         return rows
 
     rows = run_once(benchmark, run)
 
-    spec = _spec(scale)
+    spec = _spec(peers)
     report("E19", f"{spec.num_peers} peers, {spec.num_waves} waves x "
                   f"{spec.ops_per_wave} SearchFor + {spec.batch_queries}"
-                  f"-query engine batch, best of {repeats}")
-    report("E19", f"{'engine':>10} {'wall s':>8} {'success':>8} "
-                  f"{'rows':>6} {'refos':>6} {'q msgs':>8} {'rss MB':>7}")
-    recorded = []
-    for label, (best, walls) in rows.items():
+                  f"-query engine batch")
+    report("E19", f"{'engine':>10} {'success':>8} {'rows':>6} "
+                  f"{'refos':>6} {'q msgs':>8}")
+    for label, result in rows.items():
         report("E19",
-               f"{label:>10} {best.wall_clock_s:>8.3f} "
-               f"{best.successes:>8} {best.rows_returned:>6} "
-               f"{best.reformulations:>6} {best.query_messages:>8} "
-               f"{best.peak_rss_kb / 1024:>7.0f}")
-        summary = best.summary()
-        summary.update(label=label,
-                       wall_clock_runs_s=[round(w, 3) for w in walls])
-        recorded.append(summary)
-    record("E19", scale=scale, runs=recorded,
-           totals={"num_peers": spec.num_peers, "repeats": repeats,
-                   "shard_counts": list(shard_counts)})
+               f"{label:>10} {result.successes:>8} "
+               f"{result.rows_returned:>6} {result.reformulations:>6} "
+               f"{result.query_messages:>8}")
+    record("E19", scale=scale,
+           runs=[{**result.summary(), "label": label}
+                 for label, result in rows.items()],
+           totals={"num_peers": spec.num_peers,
+                   "shard_counts": list(SHARD_COUNTS)})
 
     # The acceptance bar: identical per-query outcomes — success flags,
     # result rows, reformulations and exact per-query message counts —
     # on every engine configuration, forked workers included.
-    baseline = rows["inprocess"][0]
+    baseline = rows["inprocess"]
     assert baseline.ops_completed == baseline.ops_issued > 0
     assert baseline.successes > 0 and baseline.rows_returned > 0
-    for label, (best, _walls) in rows.items():
-        assert best.outcomes == baseline.outcomes, label
-        assert best.query_messages == baseline.query_messages, label
+    for label, result in rows.items():
+        assert result.outcomes == baseline.outcomes, label
+        assert result.query_messages == baseline.query_messages, label

@@ -12,6 +12,7 @@ measures the cost of the reformulated query under both strategies.
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.rdf.parser import parse_search_for
@@ -38,7 +39,7 @@ def build_figure2_network():
     return net
 
 
-def test_e1_figure2_reformulation(benchmark):
+def test_e1_figure2_reformulation(benchmark, scale):
     net = build_figure2_network()
 
     def run():
@@ -62,6 +63,13 @@ def test_e1_figure2_reformulation(benchmark):
     report("E1", f"union size {len(got)} (paper: 3), "
                  f"reformulations {outcome.reformulations_explored} "
                  f"(paper: 1)")
+    record("E1", scale=scale, runs=[{
+        "query": QUERY, "x1": sorted(x1), "x2": sorted(x2),
+        "union": len(got),
+        "reformulations": outcome.reformulations_explored,
+        "messages": outcome.messages,
+        "latency_s": round(outcome.latency, 4),
+    }])
     assert got == expected_x1 | expected_x2
     assert x1 == expected_x1
     assert x2 == expected_x2

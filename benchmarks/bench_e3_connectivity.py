@@ -15,6 +15,7 @@ crossing zero right where the giant component takes off.
 import random
 
 from conftest import report, run_once
+from record import record
 
 from repro.connectivity.analysis import giant_scc_fraction
 from repro.connectivity.indicator import indicator_from_degrees
@@ -65,6 +66,11 @@ def test_e3_indicator_tracks_giant_component(benchmark, scale):
         verdict = "connected" if ci >= 0 else "needs mappings"
         report("E3", f"{density:>12.1f} {ci:>8.3f} {giant:>9.1%} "
                      f"{verdict:>22}")
+    record("E3", scale=scale,
+           totals={"schemas": num_schemas, "trials": trials},
+           runs=[{"edges_per_schema": density, "ci": round(ci, 6),
+                  "giant_scc": round(giant, 6)}
+                 for density, ci, giant in rows])
 
     # Shape: ci < 0 with vanishing giant at low density; ci > 0 with a
     # large giant at high density; crossover near 1 edge/schema.

@@ -12,10 +12,11 @@ generator).  The series is (round, ci, #mappings, recall).
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork
-from repro.datagen import BioDatasetGenerator, QueryWorkloadGenerator
-from repro.resilience.scenario import recall_hits
+from repro.datagen import BioDatasetGenerator
+from repro.resilience.scenario import ground_truth_panel, recall_hits
 from repro.selforg import CreationPolicy, SelfOrganizationController
 
 
@@ -43,22 +44,7 @@ def build(scale):
     return net, dataset
 
 
-def query_panel(dataset):
-    """Semantic queries posed in the first schema's vocabulary, with
-    full-corpus ground truth per query."""
-    workload = QueryWorkloadGenerator(dataset, seed=7)
-    panel = []
-    for needle in ("Aspergillus", "Saccharomyces", "Escherichia"):
-        query = workload.concept_query(dataset.schemas[0].name,
-                                       "organism", needle)
-        truth = {
-            f"{schema.name}:{entity.accession}"
-            for schema in dataset.schemas
-            for entity in dataset.coverage[schema.name]
-            if needle in entity.value("organism")
-        }
-        panel.append((query, truth))
-    return panel
+NEEDLES = ("Aspergillus", "Saccharomyces", "Escherichia")
 
 
 def measure_recall(net, panel):
@@ -73,7 +59,7 @@ def measure_recall(net, panel):
 
 def test_e4_recall_growth(benchmark, scale):
     net, dataset = build(scale)
-    panel = query_panel(dataset)
+    panel = ground_truth_panel(dataset, NEEDLES)
     controller = SelfOrganizationController(
         net, domain=dataset.domain,
         # directed creation: the graph densifies gradually, so the
@@ -100,11 +86,17 @@ def test_e4_recall_growth(benchmark, scale):
     series = run_once(benchmark, run)
     report("E4", f"{len(dataset.schemas)} schemas, "
                  f"{len(dataset.triples)} triples, "
-                 f"panel of {len(query_panel(dataset))} semantic queries")
+                 f"panel of {len(panel)} semantic queries")
     report("E4", f"{'round':>6} {'ci':>8} {'mappings':>9} {'recall':>8}")
     for round_index, ci, mappings, recall in series:
         label = "seed" if round_index < 0 else str(round_index)
         report("E4", f"{label:>6} {ci:>+8.3f} {mappings:>9} {recall:>7.1%}")
+    record("E4", scale=scale,
+           totals={"schemas": len(dataset.schemas),
+                   "triples": len(dataset.triples)},
+           runs=[{"round": round_index, "ci": round(ci, 6),
+                  "mappings": mappings, "recall": round(recall, 4)}
+                 for round_index, ci, mappings, recall in series])
 
     initial_recall = series[0][3]
     final_recall = series[-1][3]

@@ -11,7 +11,7 @@ Reproduction, two parts:
 1. *Detection quality*: inject a controlled mix of correct and
    corrupted automatic mappings into a user-mapping backbone; run the
    Bayesian cycle analysis; report precision/recall of deprecation
-   across thresholds (the DESIGN.md ablation).
+   across thresholds (the threshold ablation).
 2. *Replacement dynamics*: deprecate mappings in a live network and
    count controller rounds until connectivity recovers through other
    paths.
@@ -20,6 +20,7 @@ Reproduction, two parts:
 import random
 
 from conftest import report, run_once
+from record import record
 
 from repro.mapping.graph import MappingGraph
 from repro.selforg.deprecation import (
@@ -109,6 +110,13 @@ def test_e5_deprecation_precision_recall(benchmark, scale):
     mean_bad = sum(beliefs[mid] for mid, ok in truth.items() if not ok) / 5
     report("E5", f"mean posterior: correct autos {mean_good:.2f}, "
                  f"corrupted autos {mean_bad:.2f}")
+    record("E5", scale=scale,
+           totals={"mean_posterior_correct": round(mean_good, 4),
+                   "mean_posterior_corrupted": round(mean_bad, 4)},
+           runs=[{"threshold": threshold,
+                  "precision": round(precision, 4),
+                  "recall": round(recall, 4), "flagged": flagged}
+                 for threshold, precision, recall, flagged in rows])
 
     # Shape: at the default threshold, deprecation is near-perfect.
     _t, precision, recall, _f = rows[1]

@@ -14,6 +14,7 @@ import math
 import random
 
 from conftest import report, run_once
+from record import record
 
 from repro.pgrid.overlay import PGridOverlay
 from repro.util.hashing import order_preserving_hash, uniform_hash
@@ -81,6 +82,14 @@ def test_e6_hops_scale_logarithmically(benchmark, scale):
     for n, bm, bp, um, up, depth in rows:
         report("E6", f"{n:>6} {math.log2(n):>8.1f} {bm:>9.2f} {bp:>8.1f} "
                      f"{um:>11.2f} {up:>10.1f} {depth:>10}")
+    record("E6", scale=scale, totals={"probes": probes}, runs=[
+        {"peers": n,
+         "balanced_mean_hops": round(bm, 4),
+         "balanced_p95_hops": round(bp, 4),
+         "unbalanced_mean_hops": round(um, 4),
+         "unbalanced_p95_hops": round(up, 4),
+         "max_depth": depth}
+        for n, bm, bp, um, up, depth in rows])
 
     # Shape: mean hops bounded by log2(n) and growing with n.
     for n, bal_mean, bal_p95, unbal_mean, unbal_p95, _depth in rows:

@@ -13,6 +13,7 @@ every answer, which is why the rule exists.
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.mediation.keys import term_key
@@ -59,7 +60,7 @@ def test_e7_insertion_fanout_is_three(benchmark):
     assert copies == 3
 
 
-def test_e7_every_position_is_searchable(benchmark):
+def test_e7_every_position_is_searchable(benchmark, scale):
     net, triples = build()
     target = triples[7]
     x = Variable("x")
@@ -80,10 +81,15 @@ def test_e7_every_position_is_searchable(benchmark):
 
     results = run_once(benchmark, run)
     report("E7", "constraint search per position:")
+    runs = []
     for position, outcome in results.items():
         routed_by = by_position[position].routing_position().value
         report("E7", f"  constrained on {position:<9} -> routed by "
                      f"{routed_by:<9} results={outcome.result_count}")
+        runs.append({"constrained_on": position, "routed_by": routed_by,
+                     "results": outcome.result_count,
+                     "messages": outcome.messages})
+    record("E7", scale=scale, runs=runs)
     assert all(outcome.result_count >= 1
                for outcome in results.values())
 

@@ -14,6 +14,7 @@ recursive chain pipelines reformulation with execution.
 """
 
 from conftest import report, run_once
+from record import record
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.simnet import LogNormalWANLatency
@@ -71,6 +72,12 @@ def test_e8_strategy_cost_profile(benchmark, scale):
         report("E8", f"{row['length']:>6} | {it[0]:>12} {it[1]:>8.2f}s "
                      f"{it[2]:>9} | {rec[0]:>11} {rec[1]:>7.2f}s "
                      f"{rec[2]:>9}")
+    record("E8", scale=scale, runs=[
+        {"chain": row["length"], "strategy": strategy,
+         "results": row[strategy][0],
+         "latency_s": round(row[strategy][1], 4),
+         "messages": row[strategy][2]}
+        for row in rows for strategy in ("iterative", "recursive")])
 
     for row in rows:
         # identical answers: every schema on the chain contributes one

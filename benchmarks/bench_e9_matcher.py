@@ -16,6 +16,7 @@ ground truth.
 import random
 
 from conftest import report, run_once
+from record import record
 
 from repro.datagen import BioDatasetGenerator
 from repro.selforg.matcher import MatcherConfig, match_attributes
@@ -82,6 +83,10 @@ def test_e9_matcher_ablation(benchmark, scale):
         scores[label] = f1
         report("E9", f"{label:>18} {precision:>10.1%} {recall:>8.1%} "
                      f"{f1:>6.2f}")
+    record("E9", scale=scale, totals={"schema_pairs": num_pairs}, runs=[
+        {"matcher": label, "precision": round(precision, 4),
+         "recall": round(recall, 4), "f1": round(f1, 4)}
+        for label, precision, recall, f1 in rows])
 
     assert scores["combined"] >= scores["lexical-only"]
     assert scores["combined"] >= scores["set-distance-only"]

@@ -1,10 +1,11 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Every benchmark regenerates one table/figure/claim of the paper's
-evaluation (see DESIGN.md §4 for the experiment index and
-EXPERIMENTS.md for recorded paper-vs-measured results).  Benchmarks
-print their series with the ``[Ex]`` experiment tag so the harness
-output is self-describing.
+evaluation (``python -m repro experiments`` lists them; the recorded
+results are the committed ``benchmarks/BENCH_E<n>.json`` baselines,
+see docs/TESTING.md).  Benchmarks print their series with the ``[Ex]``
+experiment tag so the harness output is self-describing, and pin the
+same series through :func:`record.record`.
 
 Scale control
 -------------
@@ -29,6 +30,20 @@ def scale() -> str:
     return bench_scale()
 
 
+def peers_and_scale(env_var: str, scale: str, *, quick: int,
+                    full: int) -> tuple[int, str]:
+    """E18/E19 peer count, plus the scale label to record it under.
+
+    A ``REPRO_BENCH_E<n>_PEERS`` override (CI's scale-smoke job) gets
+    its own label, so its counts are never compared with the
+    committed ``quick`` baseline.
+    """
+    override = int(os.environ.get(env_var, "0"))
+    if override:
+        return override, f"{override}-peers"
+    return (full if scale == "full" else quick), scale
+
+
 def report(tag: str, line: str) -> None:
     """Print one experiment-output line (shown with pytest -s or on
     the captured-output section of the benchmark run)."""
@@ -40,7 +55,7 @@ def run_once(benchmark, fn, *args, **kwargs):
 
     The simulations are deterministic and expensive; statistical
     repetition would only re-measure the same virtual outcome, so each
-    benchmark runs a single round and reports wall-clock for that run.
+    benchmark runs a single round.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)

@@ -4,7 +4,8 @@
 Recreates the VLDB'07 demo script:
 
 1. generate a corpus of bioinformatic schemas and protein records
-   (substituting the EBI/SRS export — see DESIGN.md);
+   (substituting the EBI/SRS export — see ``repro.datagen`` in
+   docs/ARCHITECTURE.md);
 2. insert data, schemas and a few manually created mappings into a
    network of a few hundred peers;
 3. monitor the connectivity indicator at the mediation layer while the

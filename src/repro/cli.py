@@ -486,6 +486,8 @@ def cmd_scaleout(args) -> int:
     report = engine(spec)
     for key, value in report.summary().items():
         print(f"  {key:<22} {value}")
+    print(f"  {'wall_clock_s':<22} {report.wall_clock_s:.3f}")
+    print(f"  {'peak_rss_kb':<22} {report.peak_rss_kb}")
     if spec.trace_path:
         print(f"trace: written to {spec.trace_path} "
               f"(inspect with: python -m repro trace {spec.trace_path})")
@@ -542,13 +544,16 @@ def cmd_trace(args) -> int:
 
 
 def cmd_experiments(_args) -> int:
-    print("experiment benchmarks (see EXPERIMENTS.md for recorded "
-          "paper-vs-measured results):\n")
+    print("experiment benchmarks (each run is compared exactly with "
+          "its recorded baseline, see docs/TESTING.md):\n")
     for exp_id, title, module in _EXPERIMENTS:
-        print(f"  {exp_id:<4} {title:<46} benchmarks/{module}")
+        print(f"  {exp_id:<4} {title:<46} benchmarks/{module:<31} "
+              f"benchmarks/BENCH_{exp_id}.json")
     print("\nrun all:   pytest benchmarks/ --benchmark-only -s")
     print("full scale: REPRO_BENCH_SCALE=full pytest benchmarks/ "
-          "--benchmark-only -s")
+          "--benchmark-only -s  (not compared)")
+    print("re-record: REPRO_BENCH_WRITE_BASELINE=1 pytest benchmarks/ "
+          "--benchmark-only -q")
     return 0
 
 
@@ -564,8 +569,9 @@ def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and "
                              "print the top-20 functions by "
-                             "cumulative time (the same harness as "
-                             "benchmarks/profile.py)")
+                             "cumulative time (repro.util.profiling; "
+                             "for measured host time per layer use "
+                             "perfbench/run.py --trace 1)")
 
 
 def _add_deploy_args(parser: argparse.ArgumentParser) -> None:

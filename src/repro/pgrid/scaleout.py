@@ -199,7 +199,9 @@ class ScaleoutReport:
         return (sum(o[1] for o in wins) / len(wins)) if wins else 0.0
 
     def summary(self) -> dict:
-        """Plain-dict digest for benchmark recording."""
+        """Plain-dict digest for benchmark recording: simulation counts
+        only, so equal runs give equal digests on any host (wall time
+        and RSS stay attributes)."""
         return {
             "engine": self.engine,
             "num_peers": self.num_peers,
@@ -218,9 +220,6 @@ class ScaleoutReport:
             "drops_by_reason": dict(self.drops_by_reason),
             "events_processed": self.events_processed,
             "virtual_time": round(self.virtual_time, 6),
-            "wall_clock_s": round(self.wall_clock_s, 3),
-            "peak_rss_kb": self.peak_rss_kb,
-            "per_shard_peak_rss_kb": list(self.per_shard_peak_rss_kb),
         }
 
 

@@ -1,15 +1,11 @@
-"""Shared cProfile harness for the CLI and the benchmark suite.
+"""cProfile harness behind the CLI's ``--profile`` flag.
 
-One entry point, :func:`profile_call`, used by both consumers:
-
-* ``python -m repro query/batch/scenario --profile`` wraps the whole
-  command and prints the hot functions afterwards;
-* ``benchmarks/profile.py`` runs one E-experiment's workload under
-  the profiler instead of the pytest-benchmark timer.
-
-Both therefore produce the *same* report shape — top-N functions by
-cumulative (or internal) time — so a CLI profile and a bench profile
-of the same workload are directly comparable.
+One entry point, :func:`profile_call`: ``python -m repro
+query/batch/scenario --profile`` wraps the whole command in it and
+prints the top-N functions by cumulative (or internal) time
+afterwards.  cProfile shifts proportions (it taxes every Python call);
+measured host time per layer comes from ``python3 perfbench/run.py
+--workload W --trace 1``.
 """
 
 from __future__ import annotations

@@ -48,9 +48,10 @@ class TestExperimentsCommand:
     def test_lists_all_experiments(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for exp_id in ("E1", "E2", "E5", "E12"):
-            assert exp_id in out
+        for exp_id in ("E1", "E2", "E5", "E12", "E19"):
+            assert f"benchmarks/BENCH_{exp_id}.json" in out
         assert "REPRO_BENCH_SCALE" in out
+        assert "REPRO_BENCH_WRITE_BASELINE=1" in out
 
 
 class TestDemoCommand:
@@ -240,6 +241,10 @@ class TestScaleoutCommand:
         out = capsys.readouterr().out
         assert "sharded/inline" in out
         assert "success_rate" in out
+        # host quantities come from the report attributes, not from
+        # the (deterministic) summary digest
+        assert "wall_clock_s" in out
+        assert "peak_rss_kb" in out
 
     def test_mediation_workload_flag(self, capsys):
         code = main(["scaleout", "--peers", "60", "--shards", "2",

@@ -1,7 +1,9 @@
 """Determinism guarantees: identical seeds yield identical simulations.
 
-Reproducibility is a design requirement (DESIGN.md §6): every
-experiment must be re-runnable bit-for-bit.  These tests rebuild whole
+Reproducibility is a design requirement (docs/TESTING.md, "Seeds and
+determinism"): every experiment must be re-runnable bit-for-bit — the
+committed ``benchmarks/BENCH_E<n>.json`` baselines are compared
+exactly.  These tests rebuild whole
 deployments twice from the same seed and compare observable state and
 measurements exactly.
 """

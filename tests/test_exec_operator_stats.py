@@ -5,7 +5,7 @@ wave-staged shared scans) exercises every operator of the columnar
 runtime.  This test pins the *exact* per-operator counter snapshots —
 rows in/out, batches, fetches issued/skipped, rows dropped — for the
 unlimited query and the ``limit=6`` variant.  The counters are the
-raw material of the fetches-saved accounting (E15) and the perf-gate
+raw material of the fetches-saved accounting (E15) and the count
 baselines; any change to operator wiring, batch granularity or
 cancellation timing shows up here as a readable diff instead of a
 mysterious benchmark drift.
