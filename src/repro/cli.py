@@ -145,9 +145,9 @@ def _warm_statistics(net, seconds: float, interval: float = 20.0) -> None:
     maintenance = MaintenanceProcess(net.peers, interval=interval,
                                      rng=_random.Random(9))
     maintenance.start()
-    net.loop.run_until(net.loop.now + seconds)
+    net.engine.run_until(net.engine.now + seconds)
     maintenance.stop()
-    net.loop.run_until(net.loop.now + 2 * interval)
+    net.engine.run_until(net.engine.now + 2 * interval)
 
 
 def _maybe_install_tracer(net, args):

@@ -36,10 +36,6 @@ class ProteinEntity:
                 return v
         raise KeyError(concept)
 
-    def as_dict(self) -> dict[str, str]:
-        """Concept -> value mapping."""
-        return dict(self.values)
-
 
 def _weighted_organism(rng: random.Random) -> str:
     roll = rng.random() * sum(w for _o, w in ORGANISM_POOL)

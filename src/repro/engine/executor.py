@@ -248,7 +248,7 @@ def execute_batch(
             scans[scan_index].connect(
                 join,
                 transform=(None if not inverse else (
-                    # One schema remap per batch; the columns are
+                    # One schema remap per batch; the rows are
                     # shared, not copied.
                     lambda batch, inverse=inverse: batch.renamed(inverse)
                 )),

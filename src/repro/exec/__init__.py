@@ -1,7 +1,7 @@
 """The streaming operator runtime of the query layer.
 
 Distributed query execution is expressed as a DAG of small operators
-through which binding batches *stream* as soon as they exist, instead
+through which row batches *stream* as soon as they exist, instead
 of the historical collect-everything-then-return callback chains:
 
 :mod:`repro.exec.stream`
@@ -22,8 +22,8 @@ of the historical collect-everything-then-return callback chains:
     execute received reformulations.
 
 :mod:`repro.exec.bindings`
-    Shared binding-set helpers (identity/dedup, vocabulary remapping,
-    the hash-based natural join).
+    ``pattern_schema`` (the schema a pattern scan produces) and
+    ``join_batches`` (the one natural join).
 
 The headline capability is **limit pushdown with cooperative
 cancellation**: a satisfied ``Limit`` fires the pipeline's
@@ -34,15 +34,7 @@ spending messages the moment it has enough answers, and the outcome
 reports exactly how much work the early stop skipped.
 """
 
-from repro.exec.bindings import (
-    binding_key,
-    dedup_bindings,
-    hash_join_bindings,
-    join_batches,
-    pattern_schema,
-    remap_bindings,
-    restore_variables,
-)
+from repro.exec.bindings import join_batches, pattern_schema
 from repro.exec.operators import (
     BoundJoin,
     Collect,
@@ -79,14 +71,9 @@ __all__ = [
     "Reformulate",
     "Union",
     "attach_execution_subplan",
-    "binding_key",
-    "dedup_bindings",
     "execute_query_rows",
-    "hash_join_bindings",
     "join_batches",
     "pattern_schema",
-    "remap_bindings",
-    "restore_variables",
     "run_query_plan",
     "selectivity_rank",
 ]

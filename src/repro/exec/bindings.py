@@ -1,158 +1,21 @@
-"""Shared binding-set helpers used across the execution layer.
+"""The two schema-aware helpers of the operator plane.
 
-Binding dicts (``Variable -> GroundTerm``) are the currency of query
-execution: pattern scans produce them, joins combine them, projections
-turn them into result rows.  Three recurring manipulations used to be
-reimplemented ad hoc by the bound-join closure in
-``mediation/peer.py`` and the batch executor in ``engine/executor.py``;
-they live here once:
-
-* **identity** — :func:`binding_key` / :func:`dedup_bindings` give a
-  binding dict a hashable identity so duplicate bindings (the same
-  row fetched through two substituted pattern variants, or through
-  two replicas) collapse;
-* **vocabulary changes** — :func:`remap_bindings` re-expresses
-  bindings produced under canonical (alpha-renamed) variables in a
-  consumer pattern's own variables, and :func:`restore_variables`
-  re-attaches the variables a bound-join substitution erased;
-* **joins** — :func:`hash_join_bindings`, a hash-based natural join
-  that replaces the nested-loop :func:`~repro.rdf.patterns.
-  join_bindings` on the hot path (same join semantics, O(n + m)
-  instead of O(n * m) for equi-joins on shared variables).
-
-Since the columnar batch rewrite the operator runtime moves data as
-:class:`~repro.exec.stream.Batch` objects; :func:`pattern_schema` and
-:func:`join_batches` are the columnar counterparts of the dict-row
-helpers.  The dict-row functions stay as the *reference
-implementation*: the Hypothesis property suite in
-``tests/strategies/`` checks the columnar operators against them, and
-:func:`hash_join_bindings` still serves heterogeneous inputs.
+Rows move through the operator runtime as
+:class:`~repro.exec.stream.Batch` objects (a variable schema plus row
+tuples).  :func:`pattern_schema` says which schema a scan of a triple
+pattern produces, and :func:`join_batches` is the one natural join —
+``HashJoin`` folds its inputs with it and ``BoundJoin`` joins each
+fetched step with it.  The Hypothesis property suite in
+``tests/strategies/`` checks it against a naive nested-loop join over
+:meth:`Batch.to_bindings`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.exec.stream import Batch
-from repro.rdf.patterns import TriplePattern, join_bindings
-from repro.rdf.terms import GroundTerm, Variable
+from repro.rdf.patterns import TriplePattern
+from repro.rdf.terms import Variable
 from repro.rdf.triples import ALL_POSITIONS
-
-#: variable -> variable substitution (as produced by
-#: :func:`repro.engine.signature.canonicalize_pattern`)
-Renaming = dict[Variable, Variable]
-
-
-def binding_key(bindings: dict[Variable, GroundTerm]) -> tuple:
-    """A hashable, order-insensitive identity for one binding dict.
-
-    Two binding dicts with the same variable-to-value assignment get
-    the same key regardless of insertion order.
-    """
-    return tuple(sorted(
-        (variable.value, repr(term))
-        for variable, term in bindings.items()
-    ))
-
-
-def dedup_bindings(
-    rows: Iterable[dict[Variable, GroundTerm]],
-    seen: set[tuple] | None = None,
-) -> list[dict[Variable, GroundTerm]]:
-    """Order-preserving dedup of binding dicts by :func:`binding_key`.
-
-    ``seen`` (when given) carries keys across calls, so a streaming
-    consumer can dedup against everything it has already accepted.
-    """
-    if seen is None:
-        seen = set()
-    out: list[dict[Variable, GroundTerm]] = []
-    for bindings in rows:
-        key = binding_key(bindings)
-        if key not in seen:
-            seen.add(key)
-            out.append(bindings)
-    return out
-
-
-def remap_bindings(
-    bindings: list[dict[Variable, GroundTerm]],
-    renaming: Renaming,
-) -> list[dict[Variable, GroundTerm]]:
-    """Re-express bindings through a variable renaming.
-
-    Used when a shared (canonicalized) pattern scan feeds a consumer
-    that phrased the pattern in its own variables; bindings of fully
-    ground patterns pass through unchanged.
-    """
-    if not renaming:
-        return bindings
-    return [
-        {renaming.get(var, var): term for var, term in b.items()}
-        for b in bindings
-    ]
-
-
-def restore_variables(
-    pattern: TriplePattern,
-    variant: TriplePattern,
-    bindings: dict[Variable, GroundTerm],
-) -> dict[Variable, GroundTerm]:
-    """Re-attach the variables a substitution erased.
-
-    A bound join fetches ``variant`` (= ``pattern`` with earlier
-    bindings substituted in); the bindings that come back only cover
-    ``variant``'s remaining variables.  This re-adds ``pattern``'s
-    substituted variables with their ground values so the join sees
-    them again.
-    """
-    restored = dict(bindings)
-    for pos in ALL_POSITIONS:
-        term = pattern.at(pos)
-        variant_term = variant.at(pos)
-        if isinstance(term, Variable) and not isinstance(variant_term,
-                                                        Variable):
-            restored[term] = variant_term
-    return restored
-
-
-def hash_join_bindings(
-    left: Iterable[dict[Variable, GroundTerm]],
-    right: Iterable[dict[Variable, GroundTerm]],
-) -> list[dict[Variable, GroundTerm]]:
-    """Natural join of two binding sets, hash-based on the hot path.
-
-    Semantically identical to :func:`repro.rdf.patterns.join_bindings`
-    (per-pair agreement on shared variables, cross product when none
-    are shared) but builds a hash table over the right side keyed by
-    the shared variables, so the common homogeneous case — every row
-    of a side binds the same variable set, which is what pattern scans
-    produce — runs in O(n + m).  Heterogeneous or variable-free inputs
-    fall back to the nested-loop join.
-    """
-    left = list(left)
-    right = list(right)
-    if not left or not right:
-        return []
-    left_vars = set(left[0])
-    right_vars = set(right[0])
-    if (any(set(b) != left_vars for b in left)
-            or any(set(b) != right_vars for b in right)):
-        return join_bindings(left, right)
-    shared = tuple(sorted(left_vars & right_vars,
-                          key=lambda v: v.value))
-    if not shared:
-        return join_bindings(left, right)  # cross product
-    buckets: dict[tuple, list[dict[Variable, GroundTerm]]] = {}
-    for rb in right:
-        buckets.setdefault(tuple(rb[v] for v in shared), []).append(rb)
-    joined: list[dict[Variable, GroundTerm]] = []
-    for lb in left:
-        for rb in buckets.get(tuple(lb[v] for v in shared), ()):
-            merged = dict(lb)
-            merged.update(rb)
-            joined.append(merged)
-    return joined
 
 
 def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
@@ -160,8 +23,9 @@ def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
 
     Unique variables in subject, predicate, object order — exactly the
     insertion order of the binding dicts
-    :meth:`~repro.rdf.patterns.TriplePattern.matches` builds, so
-    columnar and dict-row scans agree on column order.
+    :meth:`~repro.rdf.patterns.TriplePattern.matches` builds, so the
+    wire format's dict rows and the batch's tuple rows agree on
+    position order.
     """
     out: list[Variable] = []
     for pos in ALL_POSITIONS:
@@ -172,18 +36,17 @@ def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
 
 
 def join_batches(left: Batch, right: Batch) -> Batch:
-    """Natural join of two columnar batches.
+    """Natural join of two batches.
 
-    The columnar counterpart of :func:`hash_join_bindings`, and
-    row-for-row order-identical to it: shared variables are compared
-    in sorted-by-name order, the hash table is built over the right
-    side in arrival order, and output rows stream left-outer (each
-    left row against its bucket in bucket order).  The output schema
-    is the left schema followed by the right-only variables — the
-    merge order of ``dict(lb); merged.update(rb)``.
+    Shared variables are compared in sorted-by-name order, the hash
+    table is built over the right side in arrival order, and output
+    rows stream left-outer (each left row against its bucket in bucket
+    order); with no shared variable the result is the cross product in
+    the same order.  The output schema is the left schema followed by
+    the right-only variables.
 
     The unit relation (``schema == ()``, one row) is the join
-    identity, so executors seed folds with ``Batch((), count=1)``.
+    identity, so executors seed folds with ``Batch((), tuples=[()])``.
     """
     lschema, rschema = left.schema, right.schema
     lset = set(lschema)
@@ -194,7 +57,7 @@ def join_batches(left: Batch, right: Batch) -> Batch:
     ltuples, rtuples = left.tuples(), right.tuples()
     out: list[tuple]
     if not shared:
-        # Cross product, left-outer order (matches ``join_bindings``).
+        # Cross product, left-outer order.
         out = [lt + rt for lt in ltuples for rt in rtuples]
         return Batch(out_schema, tuples=out)
     l_idx = [lschema.index(v) for v in shared]

@@ -21,6 +21,7 @@ Each class is one node type of the execution DAG (see
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.exec.bindings import join_batches, pattern_schema
@@ -71,7 +72,7 @@ class PatternScan(Operator):
 
     def _on_rows(self, future: Future) -> None:
         # The overlay's wire format stays binding dicts; the scan is
-        # the columnar boundary — one conversion per fetched batch.
+        # the row-tuple boundary — one conversion per fetched batch.
         self.emit(Batch.from_bindings(future.result(),
                                       schema=pattern_schema(self.pattern)))
         self.close()
@@ -110,7 +111,7 @@ class HashJoin(Operator):
     closed, folds them left to right with
     :func:`~repro.exec.bindings.join_batches` — slot order is connect
     order, i.e. the query's pattern order.  The fold seeds with the
-    unit relation, keying each step on precomputed column indices of
+    unit relation, keying each step on precomputed row positions of
     the shared variables.
     """
 
@@ -134,7 +135,7 @@ class HashJoin(Operator):
             span = tracer.begin(f"join:{self.name}",
                                 peer=ctx.peer.node_id, kind="join",
                                 start=ctx.now)
-        joined = Batch((), count=1)  # the join identity
+        joined = Batch((), tuples=[()])  # the join identity
         for slot in range(self._input_slots):
             joined = join_batches(
                 joined, _concat_batches(self._batches_by_slot.get(slot, [])))
@@ -172,7 +173,7 @@ class BoundJoin(Operator):
 
     def start(self, ctx: PipelineContext) -> None:
         self._ctx = ctx
-        self._step(0, Batch((), count=1))
+        self._step(0, Batch((), tuples=[()]))
 
     def _step(self, index: int, joined: Batch) -> None:
         ctx = self._ctx
@@ -195,7 +196,7 @@ class BoundJoin(Operator):
             self.close()
             return
         pattern = self.ordered[index]
-        # Distinct substituted variants, keyed on the columns the
+        # Distinct substituted variants, keyed on the positions the
         # pattern actually reads (first-occurrence order — the same
         # variant set and order the per-row substitution produced).
         pvars = pattern.variables()
@@ -221,7 +222,7 @@ class BoundJoin(Operator):
             # Restore the variables each substitution erased (their
             # ground values are read off the variant once per variant,
             # not once per row), dedup across variants by value tuple,
-            # and join columnar.
+            # and join.
             fetched: list[tuple] = []
             seen_keys: set[tuple] = set()
             for bindings_list, variant in zip(future.result(), variants):
@@ -253,14 +254,15 @@ class Union(Operator):
 
 
 class Project(Operator):
-    """Slice out the columns of the query's distinguished variables.
+    """Select the query's distinguished variables out of each row.
 
-    Column selection, not per-row dict rebuilds: the batch's schema is
-    checked once, and the distinguished columns are re-bundled in
-    projection order (rows of a batch missing a distinguished variable
-    all miss it — schemas are batch-level).  Emitted batches are
-    tagged with the producing query — the provenance :class:`Collect`
-    uses for per-reformulation result attribution.
+    Position selection, not per-row dict rebuilds: the batch's schema
+    is checked once, the distinguished variables' positions are looked
+    up once, and every row is re-bundled in projection order (rows of
+    a batch missing a distinguished variable all miss it — schemas are
+    batch-level).  Emitted batches are tagged with the producing query
+    — the provenance :class:`Collect` uses for per-reformulation
+    result attribution.
     """
 
     def __init__(self, query: ConjunctiveQuery) -> None:
@@ -271,15 +273,16 @@ class Project(Operator):
         query = self.query
         distinguished = query.distinguished
         schema = batch.schema
+        rows: list = []
         if batch.count and all(v in schema for v in distinguished):
-            columns = batch.columns()
-            out = Batch(distinguished,
-                        columns=tuple(columns[schema.index(v)]
-                                      for v in distinguished),
-                        count=batch.count, source=query)
-        else:
-            out = Batch(distinguished, tuples=[], source=query)
-        self.emit(out)
+            positions = [schema.index(v) for v in distinguished]
+            if len(positions) == 1:
+                # ``itemgetter(i)`` yields the bare value, not a row.
+                only = positions[0]
+                rows = [(row[only],) for row in batch.tuples()]
+            else:
+                rows = list(map(itemgetter(*positions), batch.tuples()))
+        self.emit(Batch(distinguished, tuples=rows, source=query))
 
 
 class Dedup(Operator):

@@ -15,8 +15,8 @@ Mechanics
 
 * An operator *emits* batches to its downstream edges; an edge may
   carry a ``transform`` (e.g. re-expressing a shared scan's canonical
-  bindings in the consumer's variables — with columnar batches that is
-  one :meth:`Batch.renamed` schema remap, not a per-row rewrite).
+  bindings in the consumer's variables — one :meth:`Batch.renamed`
+  schema remap over the shared rows, not a per-row rewrite).
 * Each edge occupies a distinct input *slot* on the downstream
   operator, so the same upstream may legally feed one consumer twice
   (a reformulation using the same canonical pattern in two positions).
@@ -80,56 +80,33 @@ class OperatorStats:
             "rows_dropped": self.rows_dropped,
         }
 
-    def register_into(self, registry, name: str | None = None) -> None:
-        """Expose these counters as a lazily-evaluated registry view.
-
-        The counters stay plain attributes (the hot path never goes
-        through the registry); the view snapshots them on demand (see
-        :meth:`repro.obs.registry.MetricsRegistry.register_view`).
-        """
-        registry.register_view(name if name is not None
-                               else f"operator:{self.name}", self.snapshot)
-
 
 class Batch:
-    """One columnar unit of streamed data: a schema plus value columns.
+    """One unit of streamed data: a schema plus a list of row tuples.
 
     A batch carries its variable schema *once* — ``schema`` is a tuple
-    of :class:`~repro.rdf.terms.Variable` — and the values either as
-    parallel columns (one list per schema variable) or as row tuples
-    (one value per schema position).  Both representations are
-    materialized lazily and cached, so a ``Project`` is column slicing,
-    a ``Dedup`` is tuple-set membership, and renaming an edge's
-    variables (:meth:`renamed`) is one schema remap per batch instead
-    of a dict copy per row.
+    of :class:`~repro.rdf.terms.Variable` — and each row as one value
+    tuple in schema position order.  Rows are hashable, so a ``Dedup``
+    is tuple-set membership, a ``Project`` is position selection, and
+    renaming an edge's variables (:meth:`renamed`) is one schema remap
+    per batch instead of a dict copy per row.
 
-    ``count`` is the number of rows; it is explicit because the
-    zero-variable relation (``schema == ()``) still distinguishes the
-    empty result from the unit row ``()``.  ``source`` is the
-    (original or reformulated) query that produced the rows — the
-    attribution key for :attr:`~repro.mediation.query.QueryOutcome.
-    results_by_query`.
+    ``count`` is the number of rows.  The zero-variable relation
+    (``schema == ()``) still distinguishes the empty result
+    (``tuples=[]``) from the unit row (``tuples=[()]``, the join
+    identity).  ``source`` is the (original or reformulated) query
+    that produced the rows — the attribution key for
+    :attr:`~repro.mediation.query.QueryOutcome.results_by_query`.
     """
 
-    __slots__ = ("schema", "source", "count", "_columns", "_tuples")
+    __slots__ = ("schema", "source", "count", "_tuples")
 
-    def __init__(self, schema: tuple = (), *,
-                 columns: tuple | None = None,
-                 tuples: list | None = None,
-                 count: int | None = None,
+    def __init__(self, schema: tuple, *, tuples: list,
                  source: "ConjunctiveQuery | None" = None) -> None:
         self.schema = schema
         self.source = source
-        self._columns = columns
         self._tuples = tuples
-        if count is not None:
-            self.count = count
-        elif tuples is not None:
-            self.count = len(tuples)
-        elif columns is not None and columns:
-            self.count = len(columns[0])
-        else:
-            self.count = 0
+        self.count = len(tuples)
 
     @classmethod
     def from_bindings(cls, rows: list, schema: tuple | None = None,
@@ -141,8 +118,6 @@ class Batch:
         """
         if schema is None:
             schema = tuple(rows[0]) if rows else ()
-        if not schema:
-            return cls((), tuples=[() for _ in rows], source=source)
         tuples = [tuple(row[v] for v in schema) for row in rows]
         return cls(schema, tuples=tuples, source=source)
 
@@ -153,48 +128,24 @@ class Batch:
         return cls(schema, tuples=tuples, source=source)
 
     def tuples(self) -> list:
-        """Row-major view (cached): one value tuple per row."""
-        tuples = self._tuples
-        if tuples is None:
-            if self._columns:
-                tuples = list(zip(*self._columns))
-            else:
-                tuples = [()] * self.count
-            self._tuples = tuples
-        return tuples
-
-    def columns(self) -> tuple:
-        """Column-major view (cached): one value list per variable."""
-        columns = self._columns
-        if columns is None:
-            if self._tuples and self.schema:
-                columns = tuple(map(list, zip(*self._tuples)))
-            else:
-                columns = tuple([] for _ in self.schema)
-            self._columns = columns
-        return columns
-
-    def column(self, variable) -> list:
-        """The value column of one schema variable."""
-        return self.columns()[self.schema.index(variable)]
+        """The rows: one value tuple per row, in arrival order."""
+        return self._tuples
 
     def to_bindings(self) -> list:
-        """Per-row binding dicts (compatibility / reference view)."""
+        """Per-row binding dicts (the oracle view the tests read)."""
         schema = self.schema
-        return [dict(zip(schema, row)) for row in self.tuples()]
+        return [dict(zip(schema, row)) for row in self._tuples]
 
     def renamed(self, renaming: dict) -> "Batch":
         """A view of this batch with schema variables renamed.
 
-        Shares the underlying columns/tuples — the whole point: an
-        edge transform costs one tuple rebuild of the schema, not a
-        dict copy per row.
+        Shares the row list — the whole point: an edge transform costs
+        one tuple rebuild of the schema, not a dict copy per row.
         """
         if not renaming:
             return self
         schema = tuple(renaming.get(v, v) for v in self.schema)
-        return Batch(schema, columns=self._columns, tuples=self._tuples,
-                     count=self.count, source=self.source)
+        return Batch(schema, tuples=self._tuples, source=self.source)
 
 
 class Operator:

@@ -341,8 +341,8 @@ class ScenarioExplorer:
         # Blacklist entries quarantine refs for 2x the maintenance
         # interval past the drop; advance past the last possible
         # expiry so repair may re-adopt recovered peers.
-        net.loop.run_until(net.loop.now
-                           + 2 * spec.maintenance_interval + 1.0)
+        net.engine.run_until(net.engine.now
+                             + 2 * spec.maintenance_interval + 1.0)
         repair = MaintenanceProcess(
             net.peers,
             interval=spec.maintenance_interval,

@@ -157,7 +157,7 @@ def check_trie_coverage(ctx: LabContext) -> list[str]:
     violations = []
     for bits in sorted(by_path):
         holders = by_path[bits]
-        if not any(ctx.net.network.is_online(n) for n in holders):
+        if not any(ctx.net.peers[n].online for n in holders):
             violations.append(
                 f"leaf {bits or '(root)'} has no online holder "
                 f"(replica group {sorted(holders)} all down)"

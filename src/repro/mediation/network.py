@@ -298,12 +298,6 @@ class GridVineNetwork:
         """Insert a schema definition from ``origin`` (random default)."""
         self._run(self._origin(origin).insert_schema(schema))
 
-    def insert_schemas(self, schemas: Iterable[Schema],
-                       origin: str | None = None) -> None:
-        """Insert several schemas."""
-        for schema in schemas:
-            self.insert_schema(schema, origin)
-
     def insert_triples(self, triples: Sequence[Triple],
                        origin: str | None = None) -> None:
         """Insert data triples (each indexed under its three keys)."""
@@ -355,29 +349,6 @@ class GridVineNetwork:
         )
         self._run(creator.insert_mapping(mapping))
         return mapping
-
-    # ------------------------------------------------------------------
-    # Scenarios (resilience experiments)
-    # ------------------------------------------------------------------
-
-    def run_scenario(self, panel, spec=None, origin: str | None = None,
-                     domain: str = "default"):
-        """Run a scripted churn scenario against *this* deployment.
-
-        ``panel`` is a list of ``(query, ground_truth_subjects)`` pairs
-        (see :func:`repro.resilience.scenario.ground_truth_panel`);
-        ``spec`` a :class:`~repro.resilience.scenario.ScenarioSpec`
-        whose runtime knobs (churn, maintenance, workload pacing)
-        apply — its deployment fields are ignored since the network
-        already exists.  Returns the
-        :class:`~repro.resilience.scenario.ScenarioReport`.
-
-        To build deployment *and* corpus from the spec in one go, use
-        :meth:`repro.resilience.scenario.ScenarioRunner.from_spec`.
-        """
-        from repro.resilience.scenario import ScenarioRunner
-        return ScenarioRunner(self, panel, spec, origin=origin,
-                              domain=domain).run()
 
     # ------------------------------------------------------------------
     # Queries

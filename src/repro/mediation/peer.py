@@ -251,18 +251,6 @@ class GridVinePeer(PGridPeer):
         self._fire_mapping_event("remove", mapping)
         return self._remove_mapping_records(mapping)
 
-    def replace_mapping(self, old: SchemaMapping,
-                        new: SchemaMapping) -> Future:
-        """Atomically-ish swap a mapping record (e.g. to deprecate it).
-
-        Issues the removal and the insertion together; both key spaces
-        are updated so degree accounting stays consistent.
-        """
-        return gather([
-            self.remove_mapping(old),
-            self.insert_mapping(new),
-        ])
-
     def deprecate_mapping(self, mapping: SchemaMapping) -> Future:
         """Mark a mapping deprecated (§3.2): it keeps existing but is
         ignored for reformulation and connectivity accounting."""

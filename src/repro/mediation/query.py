@@ -59,13 +59,6 @@ class QueryOutcome:
     #: ``result_count`` / ``messages`` (``None`` on static paths)
     decision: object | None = None
 
-    @property
-    def executed_strategy(self) -> str:
-        """The strategy that actually ran (``auto`` resolves here)."""
-        if self.decision is not None:
-            return self.decision.strategy  # type: ignore[attr-defined]
-        return self.strategy
-
     def record(self, produced_by: ConjunctiveQuery,
                rows: set[tuple[GroundTerm, ...]]) -> None:
         """Merge one reformulation's result set into the outcome."""

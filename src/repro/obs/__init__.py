@@ -18,7 +18,7 @@ Two independent facilities, both strictly pay-for-what-you-use:
     Offline trace analysis behind the ``repro trace`` subcommand.
 """
 
-from repro.obs.context import TraceContext, derive_span_id
+from repro.obs.context import derive_span_id
 from repro.obs.registry import (
     CounterGroup,
     FailoverCounters,
@@ -27,7 +27,6 @@ from repro.obs.registry import (
 from repro.obs.tracer import Tracer, export_records_jsonl, merge_records
 
 __all__ = [
-    "TraceContext",
     "derive_span_id",
     "CounterGroup",
     "FailoverCounters",

@@ -19,20 +19,6 @@ themselves.
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple
-
-
-class TraceContext(NamedTuple):
-    """One causal position inside a trace.
-
-    ``parent_id`` is ``None`` for a trace's root span.  The tuple
-    degrades to plain data everywhere it travels — message envelopes
-    carry ``(trace_id, span_id)`` pairs and re-derive the rest.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
 
 
 def derive_span_id(seed: int, peer: str, seq: int) -> str:

@@ -121,16 +121,6 @@ def replica_groups(assignment: dict[str, Key]) -> dict[Key, list[str]]:
     return groups
 
 
-def _covers(path: Key, prefix: Key) -> bool:
-    """Whether a peer at ``path`` can serve keys under ``prefix``.
-
-    True when the two are prefix-comparable: the peer's subtree either
-    contains ``prefix`` or is contained in it (unbalanced tries make
-    both directions possible).
-    """
-    return path.is_prefix_of(prefix) or prefix.is_prefix_of(path)
-
-
 def build_routing_tables(
     assignment: dict[str, Key],
     refs_per_level: int = 2,

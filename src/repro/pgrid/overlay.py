@@ -104,10 +104,6 @@ class PGridOverlay:
         """All node ids, sorted for determinism."""
         return sorted(self.peers)
 
-    def random_peer_id(self, rng: random.Random) -> str:
-        """A uniformly random node id."""
-        return rng.choice(self.peer_ids())
-
     def responsible_peers(self, key: Key) -> list[str]:
         """Ground truth: ids of peers whose path prefixes ``key``.
 

@@ -333,14 +333,6 @@ class ConjunctiveQuery:
             result |= pattern.variables()
         return result
 
-    def is_single_pattern(self) -> bool:
-        """True for plain triple-pattern queries."""
-        return len(self.patterns) == 1
-
-    def project(self, bindings: Bindings) -> tuple[GroundTerm, ...]:
-        """Project a full bindings dict onto the distinguished variables."""
-        return tuple(bindings[v] for v in self.distinguished)
-
     def _key(self) -> tuple:
         return (self.patterns, self.distinguished)
 
@@ -365,23 +357,3 @@ class ConjunctiveQuery:
         heads = ", ".join(str(v) for v in self.distinguished)
         body = " AND ".join(str(p) for p in self.patterns)
         return f"SearchFor({heads} : {body})"
-
-
-def join_bindings(
-    left: Iterable[dict[Variable, GroundTerm]],
-    right: Iterable[dict[Variable, GroundTerm]],
-) -> list[dict[Variable, GroundTerm]]:
-    """Natural join of two binding sets on their shared variables.
-
-    The building block of iterative conjunctive-query resolution: the
-    bindings retrieved for each pattern are joined pairwise.
-    """
-    right_list = list(right)
-    joined: list[dict[Variable, GroundTerm]] = []
-    for lb in left:
-        for rb in right_list:
-            if all(lb[v] == rb[v] for v in lb.keys() & rb.keys()):
-                merged = dict(lb)
-                merged.update(rb)
-                joined.append(merged)
-    return joined

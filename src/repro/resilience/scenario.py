@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.datagen.generator import BioDataset, BioDatasetGenerator
 from repro.datagen.workload import QueryWorkloadGenerator
+from repro.obs.registry import MetricsRegistry
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.simnet.churn import ChurnProcess
@@ -262,6 +263,14 @@ def ground_truth_panel(dataset: BioDataset,
     return panel
 
 
+def _failover_totals(peers: dict) -> tuple[int, int, int]:
+    """``(failovers, gave_up, cancelled)`` summed over every peer."""
+    stats = [peer.failover_stats for peer in peers.values()]
+    return (sum(s.failovers for s in stats),
+            sum(s.gave_up for s in stats),
+            sum(s.cancelled for s in stats))
+
+
 class ScenarioRunner:
     """Executes one :class:`ScenarioSpec` against a deployment.
 
@@ -355,22 +364,23 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
 
     def run(self) -> ScenarioReport:
-        """Run the scripted scenario; returns its report."""
+        """Run the scripted scenario; returns its report.
+
+        Time, the fault plan and the network counters go through the
+        deployment's engine surface (``run_until``,
+        ``install_fault_plan``, ``metrics_snapshot``).  The three
+        background processes stay bound to the single loop: churn,
+        maintenance and anti-entropy each draw from one shared
+        ``random.Random`` in event order, so replaying them per shard
+        would change every pinned count.
+        """
         spec = self.spec
         net = self.network
-        loop = net.loop
+        sim = net.engine
         # Baselines, so repeated runs on the same deployment report
         # per-run deltas instead of lifetime cumulative counters.
-        metrics = net.network.metrics
-        messages_before = metrics.messages_sent
-        dropped_before = metrics.messages_dropped
-        drops_by_reason_before = dict(metrics.drops_by_reason)
-        failover_before = sum(p.failover_stats.failovers
-                              for p in net.peers.values())
-        gave_up_before = sum(p.failover_stats.gave_up
-                             for p in net.peers.values())
-        cancelled_before = sum(p.failover_stats.cancelled
-                               for p in net.peers.values())
+        metrics_before = sim.metrics_snapshot()
+        failover_before = _failover_totals(net.peers)
         if spec.selforg_rounds > 0:
             from repro.selforg import (
                 CreationPolicy,
@@ -430,14 +440,10 @@ class ScenarioRunner:
             anti_entropy.start()
         injector = None
         if has_faults:
-            from repro.faultlab.injector import install_plan
-            # The injector hooks into the transport layer (on_send
-            # veto + dispatch), so the scenario is engine-agnostic:
-            # the network's transport is whatever the runner attached
-            # the peers to — a sharded transport gets one injector per
-            # shard from the same plan (install_plan dispatches).
-            injector = install_plan(net.network, spec.faults)
-        loop.run_until(loop.now + spec.warmup)
+            # One injector per transport of the engine (on_send veto +
+            # dispatch), all driven by the same plan.
+            injector = sim.install_fault_plan(spec.faults)
+        sim.run_until(sim.now + spec.warmup)
 
         report = ScenarioReport(spec=spec)
         latencies: list[float] = []
@@ -481,7 +487,7 @@ class ScenarioRunner:
                     report.auto_strategies.get(executed, 0) + 1)
                 report.reformulations_pruned += (
                     outcome.decision.reformulations_pruned)
-            loop.run_until(loop.now + spec.query_interval)
+            sim.run_until(sim.now + spec.query_interval)
         if injector is not None:
             # Uninstalling heals everything the plan still holds
             # broken (releases reordered messages, restarts
@@ -506,25 +512,18 @@ class ScenarioRunner:
         report.latency_p99 = percentile_or_none(latencies, 99)
         report.first_result_p50 = percentile_or_none(
             first_result_latencies, 50)
-        report.total_messages = metrics.messages_sent - messages_before
-        report.messages_dropped = (metrics.messages_dropped
-                                   - dropped_before)
-        report.drops_by_reason = {
-            reason: count - drops_by_reason_before.get(reason, 0)
-            for reason, count in sorted(metrics.drops_by_reason.items())
-            if count - drops_by_reason_before.get(reason, 0) > 0
-        }
+        delta = MetricsRegistry.diff(metrics_before, sim.metrics_snapshot())
+        report.total_messages = delta.get("messages_sent", 0)
+        report.messages_dropped = delta.get("messages_dropped", 0)
+        report.drops_by_reason = dict(
+            sorted(delta.get("drops_by_reason", {}).items()))
         if churn is not None:
             report.failures = churn.failures
             report.recoveries = churn.recoveries
             churn.assert_consistent()
-        report.failovers = sum(p.failover_stats.failovers
-                               for p in net.peers.values()) - failover_before
-        report.ops_gave_up = sum(p.failover_stats.gave_up
-                                 for p in net.peers.values()) - gave_up_before
-        report.ops_cancelled = sum(
-            p.failover_stats.cancelled for p in net.peers.values()
-        ) - cancelled_before
+        report.failovers, report.ops_gave_up, report.ops_cancelled = (
+            after - before for after, before
+            in zip(_failover_totals(net.peers), failover_before))
         if engine is not None:
             report.engine_stats = engine.stats.snapshot()
         return report

@@ -236,14 +236,6 @@ class EventLoop:
         """Queued events that are not cancelled (pending real work)."""
         return self._live
 
-    def next_event_time(self) -> float | None:
-        """Virtual time of the earliest queued entry (``None`` if empty).
-
-        May point at a cancelled tombstone; use :attr:`live_events` to
-        decide whether stepping further can do real work at all.
-        """
-        return self._queue[0][0] if self._queue else None
-
     def next_live_event_time(self) -> float | None:
         """Virtual time of the earliest *non-cancelled* queued event.
 
@@ -303,16 +295,6 @@ class EventLoop:
             heapq.heapify(queue)
         self._live += len(entries)
         return handles
-
-    def _pop_and_fire(self) -> None:
-        time, _seq, handle = heapq.heappop(self._queue)
-        if handle.cancelled:
-            return
-        handle._fired = True
-        self._live -= 1
-        self._now = time
-        self._events_processed += 1
-        handle._callback(*handle._args)
 
     def run_until_idle(self, max_events: int | None = None) -> None:
         """Fire events until the queue drains (or ``max_events`` fire)."""

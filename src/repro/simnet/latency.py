@@ -40,9 +40,8 @@ class LatencyModel(Protocol):
         A conservative parallel simulation may run shards independently
         for a window of this length: no message sent inside the window
         can arrive at another shard before the window closes.  Models
-        with no positive lower bound return ``0.0``, in which case the
-        sharded transport needs an explicit window (and clamps
-        cross-shard delays up to it — a WAN propagation floor).
+        with no positive lower bound return ``0.0`` and cannot be
+        sharded: the sharded transport refuses them.
         """
         ...
 

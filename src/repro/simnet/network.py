@@ -124,10 +124,6 @@ class Node:
         """Route deliveries of ``kind`` to ``handler`` (last wins)."""
         self._handlers[kind] = handler
 
-    def handled_kinds(self) -> frozenset[str]:
-        """The message kinds this node has handlers for."""
-        return frozenset(self._handlers)
-
     def on_message(self, message: Message) -> None:
         """Dispatch a delivered message to its registered handler."""
         handler = self._handlers.get(message.kind)

@@ -123,9 +123,9 @@ class ShardTransport(SimNetwork):
     owns, and every delivery (local or arriving from another shard at a
     barrier), runs the inherited gate unchanged.  The only code of its
     own is the branch of :meth:`send` for a peer *another* shard owns:
-    the liveness it checks is the barrier-refreshed map, the delay is
-    raised to the lookahead floor, and the envelope is parked in the
-    outbox for the next barrier exchange instead of the local loop.
+    the liveness it checks is the barrier-refreshed map, and the
+    envelope is parked in the outbox for the next barrier exchange
+    instead of the local loop.
     It asks the same questions in the same order as the gate (offline
     drop, then injector veto) and accounts through the same
     :class:`~repro.simnet.metrics.NetworkMetrics` calls, so merged
@@ -138,16 +138,11 @@ class ShardTransport(SimNetwork):
         owner_of: dict[str, int],
         latency: LatencyModel,
         rng: random.Random,
-        clamp_delay: float = 0.0,
     ) -> None:
         super().__init__(latency=latency, rng=rng)
         self.shard_id = shard_id
         self.metrics.operations = _EveryTag()
         self._owner_of = owner_of
-        #: cross-shard delays are raised to at least this (the WAN
-        #: propagation floor backing the lookahead window) when the
-        #: latency model has no positive lower bound of its own
-        self._clamp_delay = clamp_delay
         #: barrier-refreshed knowledge of remote peers' liveness
         self._liveness: dict[str, bool] = {}
         self._outbox: list[tuple[float, int, Message]] = []
@@ -188,8 +183,7 @@ class ShardTransport(SimNetwork):
             if tracer is not None:
                 tracer.message_dropped(message, now, reason)
             return
-        delay = max(self.latency.sample(message.src, dst, self.rng),
-                    self._clamp_delay)
+        delay = self.latency.sample(message.src, dst, self.rng)
         values = message.payload.get("values")
         # Counted and traced once, at the sender, with the final delay:
         # the receiving shard only schedules the delivery.
@@ -614,7 +608,6 @@ class ShardedTransport(_Engine):
         num_shards: int,
         latency: LatencyModel | None = None,
         seed: int = 0,
-        window: float | None = None,
         mode: str = "inline",
     ) -> None:
         if num_shards <= 0:
@@ -622,22 +615,20 @@ class ShardedTransport(_Engine):
         if mode not in ("inline", "process"):
             raise SimulationError(f"unknown worker mode {mode!r}")
         self.latency = latency if latency is not None else ConstantLatency()
-        lookahead = getattr(self.latency, "min_delay", lambda: 0.0)()
-        if window is None:
-            if lookahead <= 0.0:
-                raise SimulationError(
-                    "latency model has no positive min_delay(); pass an "
-                    "explicit window (cross-shard delays are clamped to it)")
-            window = lookahead
-        clamp = window if window > lookahead else 0.0
-        self.window = window
+        #: the lookahead: no cross-shard message arrives sooner
+        self.window = getattr(self.latency, "min_delay", lambda: 0.0)()
+        if self.window <= 0.0:
+            raise SimulationError(
+                "latency model has no positive min_delay(): without a "
+                "lower bound on cross-shard delay there is no "
+                "conservative window to shard it by")
         self.mode = mode
         self.seed = seed
         self._owner_of: dict[str, int] = {}
         self.shards = [
             Shard(i, ShardTransport(
                 i, self._owner_of, self.latency,
-                random.Random(f"{seed}/shard-{i}"), clamp_delay=clamp))
+                random.Random(f"{seed}/shard-{i}")))
             for i in range(num_shards)
         ]
         self._inputs = [_WindowInput() for _ in range(num_shards)]

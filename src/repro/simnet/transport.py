@@ -210,11 +210,6 @@ class Transport:
         self.tracer = tracer
         return tracer
 
-    def uninstall_tracer(self, tracer: Any) -> None:
-        """Detach ``tracer`` (idempotent; unknown tracers ignored)."""
-        if self.tracer is tracer:
-            self.tracer = None
-
     # -- sending -------------------------------------------------------
 
     def send(self, message: "Message") -> None:

@@ -181,11 +181,6 @@ class CardinalityEstimator:
             if src == source
         )
 
-    def has_mapping_knowledge(self) -> bool:
-        """Whether any mapping edge is known anywhere."""
-        self._refresh()
-        return bool(self._edges)
-
     def known_edge_count(self) -> int:
         """Distinct active mapping edges known across all digests."""
         self._refresh()

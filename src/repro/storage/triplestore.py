@@ -19,7 +19,6 @@ from repro.rdf.patterns import TriplePattern
 from repro.rdf.terms import GroundTerm, Literal, Variable, is_ground
 from repro.rdf.triples import ALL_POSITIONS, Position, Triple
 from repro.stats.synopsis import StoreSynopsis
-from repro.storage.relation import Relation
 
 
 class TripleStore:
@@ -210,19 +209,4 @@ class TripleStore:
         return sorted(
             t for t in self._candidates(pattern)
             if pattern.matches(t) is not None
-        )
-
-    # -- relational view ------------------------------------------------------
-
-    def as_relation(self) -> Relation:
-        """The triple table as a ``(subject, predicate, object)`` relation.
-
-        Materializes the paper's physical schema
-        ``S_DB = (subject, predicate, object)`` so the generic algebra
-        (π/σ/⋈) applies directly — conjunctive queries on one peer can
-        be answered as self joins of this relation.
-        """
-        return Relation(
-            ("subject", "predicate", "object"),
-            (t.as_tuple() for t in sorted(self._triples)),
         )

@@ -63,16 +63,6 @@ def clear_hash_caches() -> None:
     PREFIX_INTERVAL_CACHE.clear()
 
 
-def _char_fraction(ch: str) -> float:
-    """Map a character to ``[0, 1)`` monotonically in its code point."""
-    code = ord(ch)
-    if code < _ALPHABET_LO:
-        code = _ALPHABET_LO
-    elif code > _ALPHABET_HI:
-        code = _ALPHABET_HI
-    return (code - _ALPHABET_LO) / _ALPHABET_SIZE
-
-
 def order_preserving_hash(value: str, bits: int = DEFAULT_KEY_BITS) -> Key:
     """Hash a string to a ``bits``-wide key, preserving string order.
 

@@ -1,23 +1,10 @@
 """Unit tests for the streaming operator runtime (repro.exec)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exec.bindings import (
-    binding_key,
-    dedup_bindings,
-    hash_join_bindings,
-    remap_bindings,
-    restore_variables,
-)
 from repro.exec.operators import Dedup, Limit, Project, Union
 from repro.exec.stream import Batch, Operator
-from repro.rdf.patterns import (
-    ConjunctiveQuery,
-    TriplePattern,
-    join_bindings,
-)
+from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
 from repro.reformulation.planner import (
     Reformulation,
@@ -26,79 +13,6 @@ from repro.reformulation.planner import (
 from repro.simnet.events import CancelToken, EventLoop
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
-
-
-class TestBindingHelpers:
-    def test_binding_key_order_insensitive(self):
-        a = {X: URI("u1"), Y: Literal("v")}
-        b = {Y: Literal("v"), X: URI("u1")}
-        assert binding_key(a) == binding_key(b)
-
-    def test_binding_key_distinguishes_values(self):
-        assert binding_key({X: URI("u1")}) != binding_key({X: URI("u2")})
-
-    def test_dedup_bindings_preserves_order(self):
-        rows = [{X: URI("a")}, {X: URI("b")}, {X: URI("a")}]
-        assert dedup_bindings(rows) == [{X: URI("a")}, {X: URI("b")}]
-
-    def test_dedup_bindings_shared_seen_set(self):
-        seen: set = set()
-        first = dedup_bindings([{X: URI("a")}], seen)
-        second = dedup_bindings([{X: URI("a")}, {X: URI("b")}], seen)
-        assert first == [{X: URI("a")}]
-        assert second == [{X: URI("b")}]
-
-    def test_remap_bindings(self):
-        canonical = Variable("_c0")
-        rows = [{canonical: URI("a")}]
-        assert remap_bindings(rows, {canonical: X}) == [{X: URI("a")}]
-        assert remap_bindings(rows, {}) is rows
-
-    def test_restore_variables(self):
-        pattern = TriplePattern(X, URI("S#len"), Y)
-        variant = pattern.substitute({X: URI("S:e1")})
-        restored = restore_variables(pattern, variant,
-                                     {Y: Literal("120")})
-        assert restored == {X: URI("S:e1"), Y: Literal("120")}
-
-
-class TestHashJoin:
-    def test_matches_nested_loop_join(self):
-        left = [{X: URI(f"e{i}"), Y: Literal(str(i))} for i in range(6)]
-        right = [{X: URI(f"e{i}"), Z: Literal(f"g{i % 2}")}
-                 for i in range(0, 12, 2)]
-        expected = join_bindings(left, right)
-        got = hash_join_bindings(left, right)
-        assert sorted(map(binding_key, got)) == \
-            sorted(map(binding_key, expected))
-
-    def test_cross_product_when_no_shared_vars(self):
-        left = [{X: URI("a")}, {X: URI("b")}]
-        right = [{Y: URI("c")}]
-        assert len(hash_join_bindings(left, right)) == 2
-
-    def test_empty_left_binding_joins_all(self):
-        right = [{X: URI("a")}, {X: URI("b")}]
-        assert hash_join_bindings([{}], right) == right
-
-    def test_empty_sides(self):
-        assert hash_join_bindings([], [{X: URI("a")}]) == []
-        assert hash_join_bindings([{X: URI("a")}], []) == []
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    max_size=12),
-           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    max_size=12))
-    def test_equivalence_property(self, left_ints, right_ints):
-        left = [{X: URI(f"u{a}"), Y: URI(f"v{b}")}
-                for a, b in left_ints]
-        right = [{Y: URI(f"v{a}"), Z: URI(f"w{b}")}
-                 for a, b in right_ints]
-        expected = join_bindings(left, right)
-        got = hash_join_bindings(left, right)
-        assert sorted(map(binding_key, got)) == \
-            sorted(map(binding_key, expected))
 
 
 def chain(*ops):
@@ -136,15 +50,16 @@ class TestBatch:
         assert batch.count == 2
         assert batch.tuples() == [(URI("a"), Literal("v")),
                                   (URI("b"), Literal("w"))]
-        assert batch.columns() == ([URI("a"), URI("b")],
-                                   [Literal("v"), Literal("w")])
+        # Rows are the only layout: there is no column view.
+        assert not hasattr(batch, "columns")
+        assert not hasattr(batch, "column")
 
     def test_to_bindings_round_trip(self):
         rows = [{X: URI("a"), Y: Literal("v")}]
         assert Batch.from_bindings(rows).to_bindings() == rows
 
     def test_unit_relation_vs_empty(self):
-        unit = Batch((), count=1)
+        unit = Batch((), tuples=[()])
         empty = Batch((), tuples=[])
         assert unit.count == 1 and unit.tuples() == [()]
         assert empty.count == 0 and empty.tuples() == []

@@ -37,14 +37,6 @@ class TestFacadeBasics:
                 "SearchFor(x? : (x?, EMBL#Organism, %A%))",
                 strategy="telepathic")
 
-    def test_insert_schemas_plural(self, small_network):
-        schemas = [Schema(f"S{i}", ["a"], domain="plural")
-                   for i in range(3)]
-        small_network.insert_schemas(schemas)
-        small_network.settle()
-        records = small_network.connectivity_records("plural")
-        assert [r.schema_name for r in records] == ["S0", "S1", "S2"]
-
     def test_metrics_snapshot_shape(self, small_network):
         snapshot = small_network.metrics_snapshot()
         assert set(snapshot) >= {"messages_sent", "messages_dropped",

@@ -1,12 +1,8 @@
-"""Tests for triple patterns, conjunctive queries and binding joins."""
+"""Tests for triple patterns and conjunctive queries."""
 
 import pytest
 
-from repro.rdf.patterns import (
-    ConjunctiveQuery,
-    TriplePattern,
-    join_bindings,
-)
+from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
 from repro.rdf.triples import Position, Triple
 
@@ -116,11 +112,6 @@ class TestConjunctiveQuery:
         )
         assert q.variables() == {X, Y, Z}
 
-    def test_project(self):
-        q = ConjunctiveQuery([TriplePattern(X, URI("p"), Y)], [Y, X])
-        row = q.project({X: URI("s"), Y: Literal("v")})
-        assert row == (Literal("v"), URI("s"))
-
     def test_str_matches_paper_syntax(self):
         q = ConjunctiveQuery(
             [TriplePattern(X, URI("EMBL#Organism"),
@@ -132,25 +123,3 @@ class TestConjunctiveQuery:
         q1 = ConjunctiveQuery([TriplePattern(X, URI("p"), Y)], [X])
         q2 = ConjunctiveQuery([TriplePattern(X, URI("p"), Y)], [X])
         assert len({q1, q2}) == 1
-
-
-class TestJoinBindings:
-    def test_join_on_shared_variable(self):
-        left = [{X: URI("a"), Y: URI("b")}]
-        right = [{Y: URI("b"), Z: URI("c")}, {Y: URI("zz"), Z: URI("d")}]
-        joined = join_bindings(left, right)
-        assert joined == [{X: URI("a"), Y: URI("b"), Z: URI("c")}]
-
-    def test_disjoint_variables_cross_product(self):
-        left = [{X: URI("a")}, {X: URI("b")}]
-        right = [{Y: URI("c")}]
-        assert len(join_bindings(left, right)) == 2
-
-    def test_empty_side_annihilates(self):
-        assert join_bindings([], [{X: URI("a")}]) == []
-        assert join_bindings([{X: URI("a")}], []) == []
-
-    def test_seed_with_empty_binding(self):
-        # [{}] is the join identity (used to fold over patterns).
-        right = [{X: URI("a")}]
-        assert join_bindings([{}], right) == right

@@ -64,12 +64,13 @@ class TestScenarioRunner:
     def test_run_scenario_facade_on_existing_network(self):
         runner = ScenarioRunner.from_spec(small_spec())
         panel = ground_truth_panel(runner.dataset, ("Aspergillus",))
-        report = runner.network.run_scenario(
-            panel, small_spec(num_queries=3), domain=runner.dataset.domain)
+        report = ScenarioRunner(
+            runner.network, panel, small_spec(num_queries=3),
+            domain=runner.dataset.domain).run()
         assert report.queries_issued == 3
 
     def test_repeated_runs_report_per_run_deltas(self):
-        """A second run_scenario on the same deployment must not fold
+        """A second runner on the same deployment must not fold
         the first run's traffic into its report (the counters are
         per-run deltas, not lifetime totals)."""
         quiet = small_spec(churn=False, maintenance=False, warmup=0.0,

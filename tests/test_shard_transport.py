@@ -126,7 +126,6 @@ class TestTransportGuards:
         # lookahead; the transport must refuse rather than deadlock.
         with pytest.raises(SimulationError):
             ShardedTransport(2, latency=LogNormalWANLatency())
-        ShardedTransport(2, latency=LogNormalWANLatency(), window=0.5)
 
     def test_rejects_duplicate_and_post_start_peers(self):
         transport = self._transport()

@@ -123,26 +123,6 @@ class TestMatch:
         assert s.match(pattern) == [{Variable("z"): Literal("o")}]
 
 
-class TestRelationalView:
-    def test_as_relation_shape(self):
-        s = make_store(t("s", "p", "o"))
-        rel = s.as_relation()
-        assert rel.columns == ("subject", "predicate", "object")
-        assert rel.rows == ((URI("s"), URI("p"), Literal("o")),)
-
-    def test_paper_local_plan(self):
-        # Results = pi_pos(x) sigma_pos(const)=const (DB)
-        s = make_store(t("e1", "EMBL#Organism", "Aspergillus niger"),
-                       t("e2", "EMBL#Organism", "Yeast"),
-                       t("e1", "EMBL#SeqLength", "120"))
-        rel = s.as_relation()
-        out = rel.select(
-            lambda row: (row["predicate"] == URI("EMBL#Organism")
-                         and "Aspergillus" in row["object"].value)
-        ).project(["subject"])
-        assert out.rows == ((URI("e1"),),)
-
-
 names = st.text(alphabet="abcdef", min_size=1, max_size=4)
 
 
@@ -171,4 +151,5 @@ class TestStoreProperties:
         for triple in set(triples):
             store.remove(triple)
         assert store.count() == 0
-        assert store.as_relation().rows == ()
+        assert store.match(TriplePattern(
+            Variable("s"), Variable("p"), Variable("o"))) == []
