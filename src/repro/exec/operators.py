@@ -124,11 +124,9 @@ class HashJoin(Operator):
 
     def on_finish(self) -> None:
         ctx = self.ctx
-        tracer = None
-        if ctx is not None and ctx.peer.network is not None:
-            tracer = ctx.peer.network.tracer
+        tracer = ctx.peer.network.tracer if ctx is not None else None
         span = None
-        if tracer is not None and tracer._stack:
+        if tracer is not None and tracer.current() is not None:
             # Zero-duration in virtual time (the fold is synchronous);
             # the span exists for its position in the waterfall and its
             # row accounting.
@@ -448,21 +446,18 @@ class Reformulate(Operator):
 
     def start(self, ctx: PipelineContext) -> None:
         self._ctx = ctx
-        tracer = (ctx.peer.network.tracer
-                  if ctx.peer.network is not None else None)
-        if tracer is not None and tracer._stack:
+        network = ctx.peer.network
+        tracer = network.tracer
+        scope = network.scope()
+        if tracer is not None and tracer.current() is not None:
             # The reformulation span covers the whole BFS: schema-space
             # fetches issued from here carry its context, so translated
             # subplans hang under it in the waterfall.
             self._span = tracer.begin("reformulate",
                                       peer=ctx.peer.node_id,
                                       kind="reformulate", start=ctx.now)
-            with tracer.activate(tracer.context_of(self._span)):
-                self._starting = True
-                self._spawn_subplan(ctx, self.query)
-                self._register(self.query, 0)
-                self._starting = False
-        else:
+            scope = (scope[0], tracer.context_of(self._span))
+        with network.resume(scope):
             self._starting = True
             self._spawn_subplan(ctx, self.query)
             self._register(self.query, 0)
@@ -472,13 +467,9 @@ class Reformulate(Operator):
     def on_finish(self) -> None:
         if self._span is not None:
             ctx = self._ctx
-            tracer = (ctx.peer.network.tracer
-                      if ctx is not None and ctx.peer.network is not None
-                      else None)
-            if tracer is not None:
-                tracer.finish(self._span, ctx.now,
-                              translations=len(self.seen) - 1,
-                              pruned=self.pruned)
+            ctx.peer.network.tracer.finish(
+                self._span, ctx.now, translations=len(self.seen) - 1,
+                pruned=self.pruned)
 
     def _register(self, query: ConjunctiveQuery, hops: int) -> None:
         if hops >= self.max_hops:
@@ -566,8 +557,9 @@ class RecursiveFanout(Operator):
         self.complete = True
         self.timeout_handle = None
         self.task_id: str | None = None
-        self.op_tag: str | None = None
-        self.trace = None
+        #: causal scope captured at issue time (a timeout-driven
+        #: finish runs outside any delivery scope)
+        self.scope: tuple | None = None
         self._ctx: PipelineContext | None = None
 
     def start(self, ctx: PipelineContext) -> None:
@@ -575,16 +567,7 @@ class RecursiveFanout(Operator):
 
         self._ctx = ctx
         peer = ctx.peer
-        #: attribution tag captured at issue time (a timeout-driven
-        #: finish runs outside any delivery scope)
-        self.op_tag = (peer.network.current_operation()
-                       if peer.network is not None else None)
-        tracer = (peer.network.tracer if peer.network is not None
-                  else None)
-        #: trace context captured at issue time, re-activated around
-        #: the close cascade (mirrors ``op_tag`` above)
-        self.trace = (tracer._stack[-1]
-                      if tracer is not None and tracer._stack else None)
+        self.scope = peer.network.scope()
         self.task_id = f"{peer.node_id}:{next(peer._op_ids)}"
         peer._refo_tasks[self.task_id] = self
         self.timeout_handle = peer.loop.schedule(
@@ -645,19 +628,8 @@ class RecursiveFanout(Operator):
         assert ctx is not None
         peer = ctx.peer
         peer._refo_tasks.pop(self.task_id, None)
-        tracer = (peer.network.tracer if peer.network is not None
-                  else None)
-        if tracer is not None and self.trace is not None:
-            tracer._stack.append(self.trace)
-        try:
-            if self.op_tag is not None and peer.network is not None:
-                # Close inside the operation's attribution scope: the
-                # close cascade resolves the query future, whose
-                # callbacks may still send attributable traffic.
-                with peer.network.operation(self.op_tag):
-                    self.close()
-            else:
-                self.close()
-        finally:
-            if tracer is not None and self.trace is not None:
-                tracer._stack.pop()
+        # Close inside the operation's scope: the close cascade
+        # resolves the query future, whose callbacks may still send
+        # attributable traffic.
+        with peer.network.resume(self.scope):
+            self.close()

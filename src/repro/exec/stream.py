@@ -321,8 +321,8 @@ class PipelineContext:
             return future
         op.stats.fetches_issued += 1
         network = self.peer.network
-        tracer = network.tracer if network is not None else None
-        if tracer is None or not tracer._stack:
+        tracer = network.tracer
+        if tracer is None or tracer.current() is None:
             return self.peer._search_pattern(pattern, cancel=self.cancel)
         # Traced fetch: a shared-scan span covers the whole overlay
         # search this operator kicked off; the span's context is active

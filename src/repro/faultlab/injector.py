@@ -314,12 +314,12 @@ class FaultInjector:
             payload=dict(message.payload),
             hops=message.hops,
             sent_at=message.sent_at,
-            op_tag=message.op_tag,
         )
         # The clone stays on the original's causal chain: its delivery
-        # re-activates the same hop span, so duplicated replies still
-        # attribute their downstream sends to the right trace.
-        copy.trace = message.trace
+        # re-opens the same scope (tag and hop span), so duplicated
+        # replies still attribute their downstream sends to the right
+        # operation and trace.
+        copy.scope = message.scope
         return copy
 
 

@@ -33,7 +33,7 @@ from repro.mapping.model import (
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import ConnectivityRecord
 from repro.mediation.query import QueryOutcome
-from repro.pgrid.construction import assign_paths, populate_routing_tables
+from repro.pgrid.overlay import build_overlay
 from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.rdf.triples import Triple
@@ -131,34 +131,15 @@ class GridVineNetwork:
         :meth:`repro.pgrid.overlay.PGridOverlay.build` plus
         ``failover`` (replica-aware retry steering, see
         :class:`~repro.pgrid.peer.PGridPeer`)."""
-        rng = random.Random(seed)
-        network = SimNetwork(
-            loop=EventLoop(),
-            latency=latency,
-            rng=random.Random(rng.random()),
-        )
-        assignment = assign_paths(
+        network, peers, rng = build_overlay(
             num_peers,
-            key_sample=key_sample,
-            replication=replication,
-            key_bits=key_bits,
-            rng=random.Random(rng.random()),
-        )
-        peers: dict[str, GridVinePeer] = {}
-        for node_id, path in sorted(assignment.items()):
-            peer = GridVinePeer(
-                node_id, path,
-                rng=random.Random(rng.random()),
-                timeout=timeout,
-                max_retries=max_retries,
-                query_timeout=query_timeout,
-                failover=failover,
-            )
-            network.attach(peer)
-            peers[node_id] = peer
-        populate_routing_tables(
-            peers, refs_per_level=refs_per_level,
-            rng=random.Random(rng.random()),
+            lambda node_id, path, peer_rng: GridVinePeer(
+                node_id, path, rng=peer_rng, timeout=timeout,
+                max_retries=max_retries, query_timeout=query_timeout,
+                failover=failover),
+            key_sample=key_sample, replication=replication,
+            refs_per_level=refs_per_level, key_bits=key_bits,
+            latency=latency, seed=seed,
         )
         return cls(SingleLoopEngine(seed=seed, net=network), peers, rng,
                    failover=failover, refs_per_level=refs_per_level)

@@ -532,6 +532,14 @@ class GridVinePeer(PGridPeer):
         task.on_report(op_id, payload.get("values") or
                        {"spawned": [], "executes": False})
 
+    def abandon_pending(self) -> None:
+        """Leaving: recursive fan-outs this peer originated close as
+        incomplete along with its pending overlay operations."""
+        while self._refo_tasks or self._pending or self._range_tasks:
+            super().abandon_pending()
+            for task in list(self._refo_tasks.values()):
+                task._finish(False)
+
     # ------------------------------------------------------------------
     # Protocol extensions
     # ------------------------------------------------------------------

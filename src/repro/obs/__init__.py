@@ -3,11 +3,13 @@
 Two independent facilities, both strictly pay-for-what-you-use:
 
 :mod:`repro.obs.tracer` / :mod:`repro.obs.context`
-    Sim-time span recording with deterministic ids and causal context
-    propagation over :class:`~repro.simnet.network.Message` envelopes.
-    With no tracer installed every transport hot path reduces to one
-    attribute load and a ``None`` check — the transport golden tests
-    stay bit-identical.
+    Sim-time span recording with deterministic ids.  The trace context
+    is one half of the transport's causal scope (``Message.scope``,
+    ``simnet/transport.py``), so it propagates with the attribution
+    tag, by the one mechanism.  With no tracer installed no scope holds
+    a context and every transport hot path reduces to one attribute
+    load and a ``None`` check — the transport golden tests stay
+    bit-identical.
 
 :mod:`repro.obs.registry`
     :class:`~repro.obs.registry.MetricsRegistry` unifying the existing

@@ -1,10 +1,12 @@
 """Trace identity: deterministic span ids and the context tuple.
 
 A *trace context* is the pair ``(trace_id, span_id)`` — the trace a
-piece of work belongs to and the span that caused it.  Contexts ride
-on :class:`~repro.simnet.network.Message` envelopes as plain tuples
-(picklable, so sharded transports ship them across process boundaries
-unchanged) and on the tracer's activation stack for synchronous work.
+piece of work belongs to and the span that caused it.  A context is
+the trace half of the transport's causal scope: it rides with the
+attribution tag in the ``scope`` slot of
+:class:`~repro.simnet.network.Message` envelopes (plain tuples,
+picklable, so sharded transports ship them across process boundaries
+unchanged) and on the transport's scope stack for synchronous work.
 
 Span ids are **derived, never drawn**: :func:`derive_span_id` is a
 pure function of ``(trace seed, peer, per-peer sequence number)``.

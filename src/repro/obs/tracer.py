@@ -1,18 +1,19 @@
 """Sim-time span recorder with causal context propagation.
 
 One :class:`Tracer` serves one transport (per-shard in sharded runs —
-records merge at collection, see ``simnet/shard.py``).  It keeps two
-pieces of state:
+records merge at collection, see ``simnet/shard.py``).  Its state is a
+**bounded record buffer** of span and event dicts; records past
+``capacity`` are counted in :attr:`dropped`, never silently lost.
 
-* an **activation stack** of ``(trace_id, span_id)`` contexts — the
-  synchronous analogue of the transport's per-operation attribution
-  stack.  Pushing a context makes it the parent of every span and
-  every message sent until the matching pop.  The transport re-opens
-  a delivered message's context around its handler, exactly as it
-  re-opens the ``op_tag`` scope, so causal chains thread through
-  asynchronous hops without any per-call bookkeeping;
-* a **bounded record buffer** of span and event dicts.  Records past
-  ``capacity`` are counted in :attr:`dropped`, never silently lost.
+The *active* ``(trace_id, span_id)`` context — the parent of every span
+begun and every message sent until it is left — is the trace half of
+the transport's causal scope (see ``simnet/transport.py``): an
+installed tracer reads and pushes the transport's one scope stack, so
+:meth:`Tracer.activate` keeps the attribution tag in force,
+``Transport.operation`` keeps the trace context, and the gate's re-open
+of a delivered envelope's scope threads both through asynchronous hops
+without any per-call bookkeeping.  A tracer that was never installed
+activates on a private list of the same shape.
 
 Record shapes (plain dicts, picklable, one JSON object per line on
 export):
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Tracer:
     """Bounded sim-time span recorder for one transport."""
 
-    __slots__ = ("seed", "capacity", "records", "dropped", "_stack",
+    __slots__ = ("seed", "capacity", "records", "dropped", "_scopes",
                  "_seq")
 
     def __init__(self, seed: int = 0, capacity: int = 200_000) -> None:
@@ -60,8 +61,9 @@ class Tracer:
         self.records: list[dict] = []
         #: records discarded because the buffer was full
         self.dropped = 0
-        #: activation stack of ``(trace_id, span_id)`` contexts
-        self._stack: list[tuple[str, str]] = []
+        #: causal scope stack ``(op_tag, trace_ctx)`` — the transport's
+        #: own list once installed (``Transport.install_tracer``)
+        self._scopes: list[tuple] = []
         #: per-peer span sequence counters (see ``derive_span_id``)
         self._seq: dict[str, int] = {}
 
@@ -74,7 +76,8 @@ class Tracer:
 
     def current(self) -> tuple[str, str] | None:
         """The innermost active ``(trace_id, span_id)`` context."""
-        return self._stack[-1] if self._stack else None
+        scopes = self._scopes
+        return scopes[-1][1] if scopes else None
 
     # -- span lifecycle ------------------------------------------------
 
@@ -88,27 +91,19 @@ class Tracer:
                     start: float, kind: str = "op",
                     **attrs: Any) -> dict:
         """Open a trace's root span (no parent)."""
-        record: dict = {
-            "type": "span", "trace": trace_id,
-            "span": self.next_span_id(peer), "parent": None,
-            "name": name, "kind": kind, "peer": peer,
-            "start": start, "end": None, "status": "open",
-        }
-        if attrs:
-            record["attrs"] = attrs
-        self._record(record)
-        return record
+        return self.begin(name, peer=peer, kind=kind, start=start,
+                          context=(trace_id, None), **attrs)
 
     def begin(self, name: str, *, peer: str, kind: str, start: float,
               context: tuple[str, str] | None = None,
               **attrs: Any) -> dict:
-        """Open a span under ``context`` (default: the active stack top).
+        """Open a span under ``context`` (default: the active one).
 
         Callers must ensure a parent context exists — spans are never
         orphaned silently.
         """
         trace_id, parent_id = (context if context is not None
-                               else self._stack[-1])
+                               else self._scopes[-1][1])
         record: dict = {
             "type": "span", "trace": trace_id,
             "span": self.next_span_id(peer), "parent": parent_id,
@@ -135,22 +130,24 @@ class Tracer:
 
     @contextmanager
     def activate(self, context: tuple[str, str]) -> Iterator[None]:
-        """Make ``context`` the parent of spans/messages inside."""
-        self._stack.append(context)
+        """Make ``context`` the parent of spans/messages inside (the
+        active attribution tag stays in force)."""
+        scopes = self._scopes
+        scopes.append((scopes[-1][0] if scopes else None, context))
         try:
             yield
         finally:
-            self._stack.pop()
+            scopes.pop()
 
     def event(self, name: str, *, peer: str, time: float,
               context: tuple[str, str] | None = None,
               **attrs: Any) -> None:
         """Record an instantaneous annotation under ``context`` (or the
-        active stack top); dropped when no context is active."""
+        active one); dropped when no context is active."""
         if context is None:
-            if not self._stack:
+            context = self.current()
+            if context is None:
                 return
-            context = self._stack[-1]
         record: dict = {
             "type": "event", "trace": context[0], "parent": context[1],
             "name": name, "peer": peer, "time": time,
@@ -166,10 +163,10 @@ class Tracer:
         """Record the hop span of a message that passed the send checks.
 
         The span ends at delivery time (sender-known latency).  The
-        envelope's context is re-pointed at this span so the delivery
+        envelope's scope is re-pointed at this span so the delivery
         handler's work parents under the hop.
         """
-        trace_id, parent_id = message.trace
+        op_tag, (trace_id, parent_id) = message.scope
         span_id = self.next_span_id(message.src)
         self._record({
             "type": "span", "trace": trace_id, "span": span_id,
@@ -178,7 +175,7 @@ class Tracer:
             "start": now, "end": now + delay, "status": "sent",
             "attrs": {"src": message.src, "dst": message.dst},
         })
-        message.trace = (trace_id, span_id)
+        message.scope = (op_tag, (trace_id, span_id))
 
     def message_dropped(self, message: "Message", now: float,
                         reason: str) -> None:
@@ -188,13 +185,9 @@ class Tracer:
         under the sender's span; in-flight drops parent under the
         message's own hop span (recorded when it was sent).
         """
-        trace_id, parent_id = message.trace
-        self._record({
-            "type": "event", "trace": trace_id, "parent": parent_id,
-            "name": f"drop:{reason}", "peer": message.src, "time": now,
-            "attrs": {"dst": message.dst, "kind": message.kind,
-                      "reason": reason},
-        })
+        self.event(f"drop:{reason}", peer=message.src, time=now,
+                   context=message.trace, dst=message.dst,
+                   kind=message.kind, reason=reason)
 
     # -- export --------------------------------------------------------
 
@@ -208,21 +201,6 @@ class Tracer:
             "dropped": self.dropped,
             "traces": len({r["trace"] for r in self.records}),
         }
-
-    def export_jsonl(self, path: str,
-                     extra_records: list[dict] | None = None) -> int:
-        """Write records (plus ``extra_records``) as JSONL; returns the
-        record count.  Sorted by ``(time, peer, span id)`` so exports
-        are identical regardless of shard count or worker mode."""
-        records = list(self.records)
-        if extra_records:
-            records.extend(extra_records)
-        records.sort(key=record_sort_key)
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-        return len(records)
 
 
 def record_sort_key(record: dict) -> tuple:

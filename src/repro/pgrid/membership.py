@@ -17,7 +17,12 @@ membership transitions the demonstration network needs:
     detaches.  Stale references to it elsewhere are evicted by
     probing.  Leaving is refused when the peer is its leaf's sole
     owner — its key-space partition would become unowned; callers must
-    arrange a replacement (join first, then leave).
+    arrange a replacement (join first, then leave).  Operations the
+    leaver itself still has in flight are failed *before* the detach
+    (:meth:`~repro.pgrid.peer.PGridPeer.abandon_pending`): their
+    futures resolve ``success=False`` inside their scopes and their
+    timers are cancelled, so no retry, resolution or fan-out completion
+    ever runs on a peer without a transport.
 """
 
 from __future__ import annotations
@@ -116,5 +121,6 @@ def graceful_leave(
         member = peers[replica]
         member.replicas = sorted(r for r in member.replicas
                                  if r != node_id)
+    peer.abandon_pending()
     del peers[node_id]
     network.detach(node_id)

@@ -8,7 +8,7 @@ the paper both asynchronously and synchronously.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.simnet.events import EventLoop, Future
@@ -20,6 +20,41 @@ from repro.pgrid.construction import (
 )
 from repro.pgrid.peer import OpResult, PGridPeer
 from repro.util.keys import Key
+
+
+def build_overlay(
+    num_peers: int,
+    make_peer: Callable[[str, Key, random.Random], PGridPeer],
+    key_sample: Sequence[Key] | None = None,
+    replication: int = 1,
+    refs_per_level: int = 2,
+    key_bits: int = 128,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    loop: EventLoop | None = None,
+) -> tuple[SimNetwork, dict[str, Any], random.Random]:
+    """A network of ``num_peers`` attached peers with routing tables.
+
+    ``make_peer(node_id, path, rng)`` builds each peer.  All randomness
+    derives from ``seed`` in one fixed draw order — network stream,
+    path assignment, one stream per peer in sorted id order, routing
+    tables — which the transport goldens pin; the master generator is
+    returned, positioned after those draws, for harness randomness.
+    """
+    rng = random.Random(seed)
+    network = SimNetwork(loop=loop, latency=latency,
+                         rng=random.Random(rng.random()))
+    assignment = assign_paths(
+        num_peers, key_sample=key_sample, replication=replication,
+        key_bits=key_bits, rng=random.Random(rng.random()))
+    peers: dict[str, Any] = {}
+    for node_id, path in sorted(assignment.items()):
+        peer = make_peer(node_id, path, random.Random(rng.random()))
+        network.attach(peer)
+        peers[node_id] = peer
+    populate_routing_tables(peers, refs_per_level=refs_per_level,
+                            rng=random.Random(rng.random()))
+    return network, peers, rng
 
 
 class PGridOverlay:
@@ -57,33 +92,14 @@ class PGridOverlay:
         meaning of ``key_sample`` (load-balancing) and ``replication``
         (replica-group size).  All randomness derives from ``seed``.
         """
-        rng = random.Random(seed)
-        network = SimNetwork(
-            loop=loop,
-            latency=latency,
-            rng=random.Random(rng.random()),
-        )
-        assignment = assign_paths(
+        network, peers, _rng = build_overlay(
             num_peers,
-            key_sample=key_sample,
-            replication=replication,
-            key_bits=key_bits,
-            rng=random.Random(rng.random()),
-        )
-        peers: dict[str, PGridPeer] = {}
-        for node_id, path in sorted(assignment.items()):
-            peer = PGridPeer(
-                node_id,
-                path,
-                rng=random.Random(rng.random()),
-                timeout=timeout,
-                max_retries=max_retries,
-            )
-            network.attach(peer)
-            peers[node_id] = peer
-        populate_routing_tables(
-            peers, refs_per_level=refs_per_level,
-            rng=random.Random(rng.random()),
+            lambda node_id, path, rng: PGridPeer(
+                node_id, path, rng=rng, timeout=timeout,
+                max_retries=max_retries),
+            key_sample=key_sample, replication=replication,
+            refs_per_level=refs_per_level, key_bits=key_bits,
+            latency=latency, seed=seed, loop=loop,
         )
         return cls(network, peers)
 

@@ -74,11 +74,11 @@ class _Pending:
     """
 
     __slots__ = ("future", "key", "op", "value", "issued_at", "attempts",
-                 "timeout_handle", "extra", "op_tag", "tried_hops",
-                 "cancel", "trace", "span", "attempt_span")
+                 "timeout_handle", "scope", "tried_hops",
+                 "cancel", "span", "attempt_span")
 
     def __init__(self, future: Future, key: Key, op: str, value: Any,
-                 issued_at: float, op_tag: str | None = None,
+                 issued_at: float, scope: tuple | None = None,
                  cancel: Any = None) -> None:
         self.future = future
         self.key = key
@@ -87,11 +87,11 @@ class _Pending:
         self.issued_at = issued_at
         self.attempts = 1
         self.timeout_handle: Any = None
-        self.extra: dict = {}
-        #: attribution tag captured at issue time, so timeout-driven
-        #: retries (which run outside any delivery scope) keep billing
-        #: their messages to the originating operation
-        self.op_tag = op_tag
+        #: causal scope captured at issue time (under the op span when
+        #: traced), so timeout-driven retries and resolution callbacks,
+        #: which run outside any delivery scope, keep billing and
+        #: parenting their messages to the originating operation
+        self.scope = scope
         #: first-hop references already tried; replica-aware failover
         #: steers retries away from these toward alternate replicas
         self.tried_hops: set[str] = set()
@@ -100,12 +100,9 @@ class _Pending:
         #: token stops timeout retries and resolves the operation
         #: immediately
         self.cancel = cancel
-        #: trace context of the pending-op span (``None`` when the op
-        #: was issued with no trace active); timeout-driven retries and
-        #: resolution callbacks re-activate it, mirroring ``op_tag``
-        self.trace: Any = None
-        #: open span records (see :class:`repro.obs.tracer.Tracer`):
-        #: the op umbrella and the current routing attempt under it
+        #: open span records (see :class:`repro.obs.tracer.Tracer`),
+        #: ``None`` when the op was issued with no trace active: the op
+        #: umbrella and the current routing attempt under it
         self.span: Any = None
         self.attempt_span: Any = None
 
@@ -404,32 +401,31 @@ class PGridPeer(Node):
             future.set_result(OpResult(key=key, success=False, attempts=0))
             return future
         op_id = f"{self.node_id}:{next(self._op_ids)}"
-        # Direct transport access (vs the ``loop``/``current_operation``
-        # properties): ops are issued in bulk during deployment builds,
-        # where the extra frames are measurable.
+        # Direct transport access (vs the ``loop`` property): ops are
+        # issued in bulk during deployment builds, where the extra
+        # frames are measurable.
         network = self.network
         if network is None:
             raise SimulationError(f"node {self.node_id} is not attached")
-        op_stack = network._op_stack
         pending = _Pending(
             future=future,
             key=key,
             op=op,
             value=value,
             issued_at=network.loop._now,
-            op_tag=op_stack[-1] if op_stack else None,
+            scope=network.scope(),
             cancel=cancel,
         )
         tracer = network.tracer
-        if tracer is not None and tracer._stack:
+        if tracer is not None and tracer.current() is not None:
             # Pending-op span: the origin-side umbrella every routing
             # attempt parents under.  Opened only when a trace is
-            # already active (same rule as op_tag inheritance), so
-            # untraced issues pay one attribute load and a check.
+            # already active, so untraced issues pay one attribute load
+            # and a check.
             span = tracer.begin(f"op:{op}", peer=self.node_id, kind="op",
                                 start=network.loop._now)
             pending.span = span
-            pending.trace = tracer.context_of(span)
+            pending.scope = (pending.scope[0], tracer.context_of(span))
         self._pending[op_id] = pending
         if cancel is not None:
             cancel.on_cancel(lambda: self._cancel_op(op_id))
@@ -445,62 +441,61 @@ class PGridPeer(Node):
         so callers stop waiting (and stop spending messages)
         immediately.
         """
-        pending = self._pending.pop(op_id, None)
-        if pending is None:
-            return  # already completed (or timed out) normally
-        if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
-        self._failover.cancelled += 1
-        self._finish_op_spans(pending, "cancelled")
-        result = OpResult(
-            key=pending.key,
-            success=False,
-            hops=0,
-            latency=self.loop.now - pending.issued_at,
-            attempts=pending.attempts,
-        )
-        self._resolve_pending(pending, result)
+        if op_id in self._pending:  # else completed (or timed out) normally
+            self._failover.cancelled += 1
+            self._fail_op(op_id, "cancelled")
+
+    def abandon_pending(self) -> None:
+        """Fail everything this peer still has in flight, now (it is
+        leaving: every retry, resolution or fan-out completion needs
+        the transport, so none may outlive the detach).  Follow-up
+        operations the failure callbacks issue are failed in turn."""
+        while self._pending or self._range_tasks:
+            if self._pending:
+                self._failover.gave_up += 1
+                self._fail_op(next(iter(self._pending)), "gave_up")
+            else:
+                next(iter(self._range_tasks.values())).finish(False)
 
     def _finish_op_spans(self, pending: _Pending, status: str) -> None:
         """Close the op span (and any open attempt span) of ``pending``.
 
-        The attempt inherits the op's terminal status except on
-        success, where :meth:`_complete` already closed it as ``ok``
-        (``Tracer.finish`` is idempotent either way).
+        The attempt inherits the op's terminal status; one the timeout
+        handler already closed keeps its ``timeout``
+        (``Tracer.finish`` is idempotent).
         """
-        network = self.network
-        tracer = network.tracer if network is not None else None
-        if tracer is None or pending.span is None:
+        if pending.span is None:
             return
+        network = self.network
+        tracer = network.tracer
         now = network.loop._now
         if pending.attempt_span is not None:
             tracer.finish(pending.attempt_span, now, status=status)
         tracer.finish(pending.span, now, status=status,
                       attempts=pending.attempts)
 
-    def _resolve_pending(self, pending: _Pending, result: OpResult) -> None:
-        """Resolve a pending future inside the op's attribution scope.
+    def _fail_op(self, op_id: str, status: str) -> None:
+        """Resolve pending op ``op_id`` as failed, inside its scope.
 
-        Timeout/cancel resolution fires outside any delivery scope, but
-        the future's callbacks may still send attributable traffic
-        (e.g. the next pattern of a bound join) — re-open the op_tag
-        scope and, when traced, the op-span context so that traffic is
-        billed and parented to the operation.
+        Giving up and cancellation happen outside any delivery scope,
+        but the future's callbacks may still send attributable traffic
+        (e.g. the next pattern of a bound join) — re-enter the op's
+        scope so that traffic is billed and parented to the operation.
         """
+        pending = self._pending.pop(op_id)
+        if pending.timeout_handle is not None:
+            pending.timeout_handle.cancel()
+        self._finish_op_spans(pending, status)
         network = self.network
-        tracer = network.tracer if network is not None else None
-        trace = pending.trace
-        if tracer is not None and trace is not None:
-            tracer._stack.append(trace)
-        try:
-            if pending.op_tag is not None and network is not None:
-                with network.operation(pending.op_tag):
-                    pending.future.set_result(result)
-            else:
-                pending.future.set_result(result)
-        finally:
-            if tracer is not None and trace is not None:
-                tracer._stack.pop()
+        result = OpResult(
+            key=pending.key,
+            success=False,
+            hops=0,
+            latency=network.loop._now - pending.issued_at,
+            attempts=pending.attempts,
+        )
+        with network.resume(pending.scope):
+            pending.future.set_result(result)
 
     def _attempt(self, op_id: str) -> None:
         """(Re)issue the routing step for a pending operation."""
@@ -509,7 +504,8 @@ class PGridPeer(Node):
             return
         # Direct loop access (one ``loop``-property frame per issued
         # op adds up at deployment-build volume).
-        pending.timeout_handle = self.network.loop.schedule(
+        network = self.network
+        pending.timeout_handle = network.loop.schedule(
             self.timeout, self._on_timeout, op_id
         )
         payload = {
@@ -528,33 +524,23 @@ class PGridPeer(Node):
             payload=payload,
             hops=0,
         )
-        tracer = self.network.tracer
-        attempt_ctx = None
-        if tracer is not None and pending.trace is not None:
+        scope = pending.scope
+        if pending.span is not None:
             # One span per routing attempt: a retry shows up as a
             # sibling of the failed attempt under the same op span, the
             # failed one keeping its ``timeout`` status next to the
             # retry that superseded it.
+            tracer = network.tracer
             attempt = tracer.begin(
                 f"attempt:{pending.attempts}", peer=self.node_id,
-                kind="attempt", start=self.network.loop._now,
-                context=pending.trace)
+                kind="attempt", start=network.loop._now,
+                context=scope[1])
             pending.attempt_span = attempt
-            attempt_ctx = tracer.context_of(attempt)
-        if pending.op_tag is not None and self.network is not None:
-            # Timeout-driven retries fire outside any delivery scope;
-            # re-open the operation's scope (and the attempt's trace
-            # context) so the retry's messages are attributed to it.
-            with self.network.operation(pending.op_tag):
-                if attempt_ctx is not None:
-                    with tracer.activate(attempt_ctx):
-                        self._handle_route(message)
-                else:
-                    self._handle_route(message)
-        elif attempt_ctx is not None:
-            with tracer.activate(attempt_ctx):
-                self._handle_route(message)
-        else:
+            scope = (scope[0], tracer.context_of(attempt))
+        # Timeout-driven retries fire outside any delivery scope;
+        # re-enter the operation's scope (under the attempt span when
+        # traced) so the retry's messages are attributed to it.
+        with network.resume(scope):
             self._handle_route(message)
 
     def _untried_alternates(self, pending: _Pending) -> bool:
@@ -573,14 +559,13 @@ class PGridPeer(Node):
         pending = self._pending.get(op_id)
         if pending is None:
             return
-        tracer = (self.network.tracer if self.network is not None
-                  else None)
-        if tracer is not None and pending.attempt_span is not None:
+        if pending.attempt_span is not None:
             # The attempt that just expired: closed here so a dropped-
             # then-retried route reads as ``attempt:1 timeout`` next to
             # its sibling ``attempt:2``.
-            tracer.finish(pending.attempt_span, self.network.loop._now,
-                          status="timeout")
+            self.network.tracer.finish(
+                pending.attempt_span, self.network.loop._now,
+                status="timeout")
         budget = self.max_retries + 1
         if self.failover and self._untried_alternates(pending):
             budget += self.failover_retries
@@ -589,20 +574,8 @@ class PGridPeer(Node):
             self._failover.retries += 1
             self._attempt(op_id)
             return
-        del self._pending[op_id]
         self._failover.gave_up += 1
-        self._finish_op_spans(pending, "gave_up")
-        result = OpResult(
-            key=pending.key,
-            success=False,
-            hops=0,
-            latency=self.loop.now - pending.issued_at,
-            attempts=pending.attempts,
-        )
-        # Resolve inside the operation's attribution scope: the
-        # failure callback may issue follow-up traffic (e.g. the next
-        # pattern of a bound join) that still belongs to the op.
-        self._resolve_pending(pending, result)
+        self._fail_op(op_id, "gave_up")
 
     # ------------------------------------------------------------------
     # Message handling
@@ -704,8 +677,7 @@ class PGridPeer(Node):
         next_hop = self._pick_reference(level, avoid=avoid)
         if next_hop is None:
             return None
-        if (not self.failover or self.network is None
-                or self.network.is_online(next_hop)
+        if (not self.failover or self.network.is_online(next_hop)
                 or next_hop in avoid):
             # Live hop, failover disabled, or no alternative left
             # (the avoid fallback re-offered a known-dead ref).
@@ -884,23 +856,24 @@ class PGridPeer(Node):
             level = int(op_id.split("!", 2)[1])
         except (IndexError, ValueError):
             return
-        if level >= len(self.routing_table):
-            return
-        refs = self.routing_table[level]
-        complement = self.path.sibling_prefix(level)
-        answered_by = payload.get("answered_by")
-        now = self.loop.now
-        for candidate in payload.get("values") or ():
-            if candidate == self.node_id or candidate in refs:
-                continue
-            if self.ref_blacklist.get(candidate, 0.0) > now:
-                continue
+        if level < len(self.routing_table):
             # The answering peer vouches for itself and its replicas;
             # we additionally know the answer came through a route
             # that terminated inside the complement's subtree.
+            self._adopt_references(level, payload.get("values") or ())
+
+    def _adopt_references(self, level: int, candidates) -> None:
+        """Add the candidates this peer does not know yet to its
+        references for ``level``."""
+        refs = self.routing_table[level]
+        now = self.loop.now
+        for candidate in candidates:
+            if candidate == self.node_id or candidate in refs:
+                continue
+            if self.ref_blacklist.get(candidate, 0.0) > now:
+                continue  # observed dead recently; quarantine
             refs.append(candidate)
             self.maintenance_stats["refs_added"] += 1
-        del answered_by, complement  # (kept for symmetry/debugging)
 
     # ------------------------------------------------------------------
     # Maintenance handlers (driven by pgrid.maintenance)
@@ -934,15 +907,7 @@ class PGridPeer(Node):
         expected = self.path.sibling_prefix(level)
         if Key(message.payload["prefix"]) != expected:
             return  # stale reply for a different complement
-        refs = self.routing_table[level]
-        now = self.loop.now
-        for candidate in message.payload["candidates"]:
-            if candidate == self.node_id or candidate in refs:
-                continue
-            if self.ref_blacklist.get(candidate, 0.0) > now:
-                continue  # observed dead recently; quarantine
-            refs.append(candidate)
-            self.maintenance_stats["refs_added"] += 1
+        self._adopt_references(level, message.payload["candidates"])
 
     def _handle_sync_push(self, message: Message) -> None:
         """Anti-entropy: merge a replica's store snapshot.
@@ -1015,15 +980,7 @@ class PGridPeer(Node):
             return  # late duplicate after a retry already answered
         if pending.timeout_handle is not None:
             pending.timeout_handle.cancel()
-        if pending.span is not None:
-            tracer = (self.network.tracer if self.network is not None
-                      else None)
-            if tracer is not None:
-                now = self.network.loop._now
-                if pending.attempt_span is not None:
-                    tracer.finish(pending.attempt_span, now, status="ok")
-                tracer.finish(pending.span, now, status="ok",
-                              attempts=pending.attempts)
+        self._finish_op_spans(pending, "ok")
         pending.future.set_result(OpResult(
             key=pending.key,
             success=True,
@@ -1055,16 +1012,10 @@ class _RangeTask:
         self.values: list[Any] = []
         self.finished = False
         self.timeout_handle: Any = None
-        #: attribution tag captured at issue time; a timeout-driven
+        #: causal scope captured at issue time; a timeout-driven
         #: finish resolves the future outside any delivery scope, and
         #: its callbacks may still send attributable traffic
-        self.op_tag = (peer.network.current_operation()
-                       if peer.network is not None else None)
-        #: trace context captured at issue time, re-activated around
-        #: resolution for the same reason (mirrors ``op_tag`` above)
-        tracer = peer.network.tracer if peer.network is not None else None
-        self.trace = (tracer._stack[-1]
-                      if tracer is not None and tracer._stack else None)
+        self.scope = peer.network.scope()
 
     def on_report(self, request_id: str, report: dict) -> None:
         if self.finished:
@@ -1090,16 +1041,5 @@ class _RangeTask:
             hops=len(self.reported),
             latency=self.peer.loop.now - self.issued_at,
         )
-        network = self.peer.network
-        tracer = network.tracer if network is not None else None
-        if tracer is not None and self.trace is not None:
-            tracer._stack.append(self.trace)
-        try:
-            if self.op_tag is not None and network is not None:
-                with network.operation(self.op_tag):
-                    self.future.set_result(result)
-            else:
-                self.future.set_result(result)
-        finally:
-            if tracer is not None and self.trace is not None:
-                tracer._stack.pop()
+        with self.peer.network.resume(self.scope):
+            self.future.set_result(result)

@@ -43,29 +43,38 @@ class Message:
     """
 
     __slots__ = ("kind", "src", "dst", "payload", "hops", "sent_at",
-                 "op_tag", "trace")
+                 "scope")
 
     def __init__(self, kind: str, src: str, dst: str,
                  payload: dict[str, Any] | None = None, hops: int = 0,
-                 sent_at: float = 0.0, op_tag: str | None = None) -> None:
+                 sent_at: float = 0.0) -> None:
         self.kind = kind
         self.src = src
         self.dst = dst
         self.payload = {} if payload is None else payload
         self.hops = hops
         self.sent_at = sent_at
-        #: attribution tag of the logical operation this message
-        #: belongs to; filled from the network's active operation scope
-        #: when left ``None`` and inherited by every message sent while
-        #: handling the delivery (forwards, replies, replica fan-out)
-        self.op_tag = op_tag
-        #: trace context ``(trace_id, span_id)`` of the causal chain
-        #: this message belongs to — a plain picklable tuple so sharded
+        #: causal scope ``(op_tag | None, trace_ctx | None)`` of the
+        #: logical operation this message belongs to (see
+        #: ``simnet/transport.py``) — a plain picklable pair so sharded
         #: transports ship it across process boundaries unchanged.
-        #: ``None`` whenever no tracer is installed or no trace is
-        #: active; the transport stamps it at send time and restores it
-        #: around the delivery handler (see ``repro.obs``).
-        self.trace: Any = None
+        #: The gate stamps the sender's active scope at send time and
+        #: re-opens it around the delivery handler, so every message
+        #: sent while handling the delivery (forwards, replies, replica
+        #: fan-out) inherits it.  ``None`` outside any scope.
+        self.scope: tuple | None = None
+
+    @property
+    def op_tag(self) -> str | None:
+        """Attribution tag this message is counted under, if any."""
+        scope = self.scope
+        return None if scope is None else scope[0]
+
+    @property
+    def trace(self) -> tuple[str, str] | None:
+        """Trace context ``(trace_id, span_id)`` this message carries."""
+        scope = self.scope
+        return None if scope is None else scope[1]
 
     def __repr__(self) -> str:
         return (f"Message(kind={self.kind!r}, src={self.src!r}, "
@@ -174,23 +183,23 @@ class SimNetwork(Transport):
         """
         loop = self.loop
         message.sent_at = loop._now
-        if message.op_tag is None:
-            op_stack = self._op_stack
-            if op_stack:
-                message.op_tag = op_stack[-1]
+        scope = message.scope
+        if scope is None:
+            scopes = self._scopes
+            if scopes:
+                # Stamped by reference: a hop allocates nothing here.
+                scope = message.scope = scopes[-1]
         tracer = self.tracer
-        if tracer is not None and message.trace is None:
-            # Stamp the active trace context, mirroring the op_tag
-            # inheritance above.  With no tracer installed this whole
-            # block is one attribute load and a None check — the
-            # pay-for-what-you-use contract the golden tests pin.
-            trace_stack = tracer._stack
-            if trace_stack:
-                message.trace = trace_stack[-1]
+        if tracer is not None and (scope is None or scope[1] is None):
+            # Untraced envelope: no hop span, no drop event.  With no
+            # tracer installed this is one attribute load and a None
+            # check — the pay-for-what-you-use contract the golden
+            # tests pin.
+            tracer = None
         dst_node = self._nodes.get(message.dst)
         if dst_node is None or not dst_node.online:
             self.metrics.record_drop(message.kind, reason="offline")
-            if tracer is not None and message.trace is not None:
+            if tracer is not None:
                 tracer.message_dropped(message, loop._now, "offline")
             return
         injector = self.fault_injector
@@ -198,7 +207,7 @@ class SimNetwork(Transport):
             drop_reason = injector.on_send(message)
             if drop_reason is not None:
                 self.metrics.record_drop(message.kind, reason=drop_reason)
-                if tracer is not None and message.trace is not None:
+                if tracer is not None:
                     tracer.message_dropped(message, loop._now,
                                            drop_reason)
                 return
@@ -220,15 +229,16 @@ class SimNetwork(Transport):
             metrics.values_shipped += len(values)
         by_kind = metrics.messages_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        op_tag = message.op_tag
-        if op_tag is not None and op_tag in metrics.operations:
-            metrics.operations[op_tag] += 1
-        if tracer is not None and message.trace is not None:
-            # Same gate as the op_tag counter above: a hop span exists
-            # exactly for the messages the metrics layer counts, which
-            # is what makes per-trace message coverage an exact match
-            # against the ``operations`` counter.
-            tracer.message_sent(message, loop._now, delay)
+        if scope is not None:
+            op_tag = scope[0]
+            if op_tag is not None and op_tag in metrics.operations:
+                metrics.operations[op_tag] += 1
+            if tracer is not None:
+                # Same gate, same scope as the counter above: a hop
+                # span exists exactly for the messages the metrics
+                # layer counts, so per-trace message coverage matches
+                # the ``operations`` counter by construction.
+                tracer.message_sent(message, loop._now, delay)
         if injector is not None:
             # The injector owns scheduling for faulted links: it may
             # add jitter, clone duplicates or hold the message back to
@@ -265,50 +275,18 @@ class SimNetwork(Transport):
                 handler = node.unhandled_message
         else:
             handler = node.on_message
-        if message.trace is not None:
-            # Traced delivery: re-open the trace context (and the
-            # op_tag scope) around the handler.  Untraced messages —
-            # the only kind that exists with tracing off — skip to the
-            # exact historical dispatch below.
-            self._deliver_traced(message, handler)
-            return
-        op_tag = message.op_tag
-        if op_tag is not None:
+        scope = message.scope
+        if scope is not None:
             # Re-open the scope so messages sent by the handler inherit
-            # the delivered message's attribution (inlined
-            # ``self.operation(...)``: one scope open/close per
-            # delivery makes the contextmanager generator measurable).
-            op_stack = self._op_stack
-            op_stack.append(op_tag)
+            # the delivered message's attribution and parent under its
+            # hop span (inlined ``self.resume(...)``: one scope
+            # open/close per delivery makes the contextmanager
+            # generator measurable).
+            scopes = self._scopes
+            scopes.append(scope)
             try:
                 handler(message)
             finally:
-                op_stack.pop()
+                scopes.pop()
         else:
             handler(message)
-
-    def _deliver_traced(self, message: Message, handler) -> None:
-        """Deliver with the envelope's trace context re-activated.
-
-        Messages the handler sends parent under this message's hop
-        span — the asynchronous leg of causal propagation (the
-        synchronous leg is the tracer's activation stack).
-        """
-        tracer = self.tracer
-        trace_stack = tracer._stack if tracer is not None else None
-        if trace_stack is not None:
-            trace_stack.append(message.trace)
-        op_tag = message.op_tag
-        try:
-            if op_tag is not None:
-                op_stack = self._op_stack
-                op_stack.append(op_tag)
-                try:
-                    handler(message)
-                finally:
-                    op_stack.pop()
-            else:
-                handler(message)
-        finally:
-            if trace_stack is not None:
-                trace_stack.pop()

@@ -164,14 +164,12 @@ class ShardTransport(SimNetwork):
             return
         now = self.loop._now
         message.sent_at = now
-        if message.op_tag is None and self._op_stack:
-            message.op_tag = self._op_stack[-1]
+        scope = message.scope
+        if scope is None and self._scopes:
+            scope = message.scope = self._scopes[-1]
         tracer = self.tracer
-        if tracer is not None:
-            if message.trace is None and tracer._stack:
-                message.trace = tracer._stack[-1]
-            if message.trace is None:
-                tracer = None  # untraced envelope: no hop span, no event
+        if tracer is not None and (scope is None or scope[1] is None):
+            tracer = None  # untraced envelope: no hop span, no event
         if not self._liveness.get(dst, True):
             reason = "offline"  # as of the last barrier
         elif self.fault_injector is not None:
@@ -286,17 +284,12 @@ class Shard:
         loop = transport.loop
         root = None if tracer is None else tracer.start_trace(
             f"op:{ref}", f"op:{method}", peer=node_id, start=loop.now)
-        if attribute:
-            transport._op_stack.append(f"op:{ref}")
-        if root is not None:
-            tracer._stack.append(tracer.context_of(root))
-        try:
+        scope = None
+        if attribute or root is not None:
+            scope = (f"op:{ref}" if attribute else None,
+                     None if root is None else tracer.context_of(root))
+        with transport.resume(scope):
             future = getattr(peer, method)(*args)
-        finally:
-            if root is not None:
-                tracer._stack.pop()
-            if attribute:
-                transport._op_stack.pop()
 
         def _done(f: Any) -> None:
             result = f.result()

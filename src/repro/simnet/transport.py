@@ -33,17 +33,27 @@ One :class:`~repro.faultlab.plan.FaultPlan` installs as a single
 injector on the single loop or as per-shard injectors on the sharded
 engine, and rng-free clauses (partitions) account identically on both.
 
-Per-operation attribution scopes (``operation`` / ``op:<ref>`` tags)
-stick to messages and follow causal chains across shards, and span
-recorders install per transport and export merged, deterministically
-ordered records — so an operation submitted through either engine
-reports the same attributed message count and the same trace.
+One causal scope
+    How an operation's identity follows its causal chain is decided
+    here and at the gate, nowhere else.  A *scope* is a plain picklable
+    pair ``(op_tag | None, trace_ctx | None)``: the tag the metrics
+    count messages under (``op:<ref>``) and the ``(trace_id, span_id)``
+    an installed tracer parents spans under.  The transport keeps one
+    stack of them; the gate stamps the innermost one on every envelope
+    (``Message.scope``) and re-opens it around the delivery handler, so
+    both halves follow forwards, replies and replica pushes, across
+    shards too.  Code that continues an operation *outside* a delivery
+    (timeout retries, give-up/cancel resolution, fan-out completion)
+    captures :meth:`Transport.scope` at issue time and re-enters it
+    with :meth:`Transport.resume`.  Either engine therefore reports the
+    same attributed count and the same trace for an operation, with
+    exactly one ``msg:`` span per attributed message.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from repro.simnet.events import SimulationError
 from repro.simnet.metrics import NetworkMetrics
@@ -51,6 +61,26 @@ from repro.simnet.metrics import NetworkMetrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.events import EventLoop
     from repro.simnet.network import Message, Node
+
+#: what :meth:`Transport.resume` hands back for "no scope" (reusable)
+_NO_SCOPE = nullcontext()
+
+
+class _Entered:
+    """``with`` block holding one scope on a transport's stack (a
+    class, not a generator: one is entered per issued operation)."""
+
+    __slots__ = ("_scopes", "_scope")
+
+    def __init__(self, scopes: list, scope: tuple) -> None:
+        self._scopes = scopes
+        self._scope = scope
+
+    def __enter__(self) -> None:
+        self._scopes.append(self._scope)
+
+    def __exit__(self, *exc: Any) -> None:
+        self._scopes.pop()
 
 
 class Transport:
@@ -62,8 +92,9 @@ class Transport:
 
     - the node registry (:meth:`attach` / :meth:`detach` / :meth:`node`
       / :meth:`is_online` / :meth:`set_online`),
-    - per-operation attribution scopes (:meth:`operation`), which ride
-      on the messages themselves so attribution follows causal chains,
+    - the causal scope stack (:meth:`operation` / :meth:`scope` /
+      :meth:`resume`), whose entries ride on the messages themselves so
+      attribution and trace parentage follow causal chains,
     - :attr:`metrics` accounting,
     - the fault-injection hook points
       (:meth:`install_fault_injector` / :meth:`uninstall_fault_injector`).
@@ -76,17 +107,19 @@ class Transport:
     fault_injector: Any | None
 
     #: active span recorder, if any (see :class:`repro.obs.tracer.
-    #: Tracer`).  Same contract as the fault injector: ``None`` keeps
-    #: every send/deliver on the exact historical code path, so a
-    #: tracing-disabled run is bit-identical to the pre-tracing
-    #: simulator.
+    #: Tracer`).  Same contract as the fault injector: with ``None``
+    #: no scope ever carries a trace context and no send or delivery
+    #: calls into the tracer, so a tracing-disabled run is
+    #: bit-identical to the pre-tracing simulator.
     tracer: Any | None
 
     def __init__(self) -> None:
         self.metrics = NetworkMetrics()
         self._nodes: dict[str, "Node"] = {}
-        #: stack of active attribution scopes (see :meth:`operation`)
-        self._op_stack: list[str] = []
+        #: stack of active causal scopes ``(op_tag, trace_ctx)``, either
+        #: half possibly ``None`` (see :meth:`operation`); an installed
+        #: tracer pushes its activations on this same list
+        self._scopes: list[tuple] = []
         self.fault_injector = None
         self.tracer = None
 
@@ -103,11 +136,14 @@ class Transport:
         """Current virtual time of this transport's clock."""
         return self.loop.now
 
-    # -- per-operation attribution -------------------------------------
+    # -- the causal scope ----------------------------------------------
 
-    def current_operation(self) -> str | None:
-        """The attribution tag of the innermost active scope, if any."""
-        return self._op_stack[-1] if self._op_stack else None
+    def scope(self) -> tuple | None:
+        """The innermost active scope — what a message sent now would
+        be stamped with — or ``None`` outside any.  Keep it to
+        :meth:`resume` an operation from a timer or a callback."""
+        scopes = self._scopes
+        return scopes[-1] if scopes else None
 
     @contextmanager
     def operation(self, op_tag: str) -> Iterator[None]:
@@ -121,12 +157,19 @@ class Transport:
         stays unattributed — this is what makes per-query message
         counts exact under churn (see
         :meth:`~repro.simnet.metrics.NetworkMetrics.begin_operation`).
+        An active trace context carries over into the new scope.
         """
-        self._op_stack.append(op_tag)
-        try:
+        scopes = self._scopes
+        with self.resume((op_tag, scopes[-1][1] if scopes else None)):
             yield
-        finally:
-            self._op_stack.pop()
+
+    def resume(self, scope: tuple | None) -> ContextManager[None]:
+        """Re-enter a scope captured with :meth:`scope`: messages sent
+        inside bill and parent exactly as at the capture.  ``None``
+        (nothing was active then) enters nothing."""
+        if scope is None:
+            return _NO_SCOPE
+        return _Entered(self._scopes, scope)
 
     # -- membership ----------------------------------------------------
 
@@ -197,17 +240,18 @@ class Transport:
     def install_tracer(self, tracer: Any) -> Any:
         """Route subsequent sends/deliveries through ``tracer``.
 
-        The tracer contract mirrors the injector's: the transport
-        stamps outgoing envelopes with the active trace context,
-        records a hop span per message that passes the drop checks
-        (``message_sent``), records drop events (``message_dropped``)
-        and re-activates a delivered envelope's context around its
-        handler — exactly the causal discipline of ``op_tag`` scopes.
+        The tracer keeps no stack of its own from here on: its
+        activations push on this transport's scope stack, which is how
+        a trace context reaches the envelopes the gate stamps.  For
+        every stamped envelope whose scope carries a context the gate
+        records a hop span once it passes the drop checks
+        (``message_sent``) or a drop event (``message_dropped``).
         Returns ``tracer`` for chaining.
         """
         if self.tracer is not None and self.tracer is not tracer:
             raise SimulationError("a tracer is already installed")
         self.tracer = tracer
+        tracer._scopes = self._scopes
         return tracer
 
     # -- sending -------------------------------------------------------

@@ -88,20 +88,8 @@ class StatsAntiEntropy:
         peer = self.peers.get(self.origin)
         if peer is None or peer.network is None or not peer.online:
             return 0
-        sent = 0
-        root = self._begin_round(peer, "antientropy:sweep")
-        try:
-            for target in sorted(self.peers):
-                if target == self.origin:
-                    continue
-                if not peer.network.is_online(target):
-                    continue
-                self.pulls_sent += 1
-                sent += 1
-                peer.send(target, "stats_pull", {"budget": PULL_BUDGET})
-        finally:
-            self._end_round(peer, root, sent)
-        return sent
+        return self._pull_round(peer, "antientropy:sweep",
+                                self._online_targets(peer))
 
     def _tick(self) -> None:
         if not self._running:
@@ -110,47 +98,39 @@ class StatsAntiEntropy:
         if peer is None or peer.network is None:
             return
         if peer.online:
-            candidates = [
-                node_id for node_id in sorted(self.peers)
-                if node_id != self.origin
-                and peer.network.is_online(node_id)
-            ]
+            candidates = self._online_targets(peer)
             self.rng.shuffle(candidates)
-            root = self._begin_round(peer, "antientropy:pull")
-            sent = 0
-            try:
-                for target in candidates[:self.fanout]:
-                    self.pulls_sent += 1
-                    sent += 1
-                    peer.send(target, "stats_pull",
-                              {"budget": PULL_BUDGET})
-            finally:
-                self._end_round(peer, root, sent)
+            self._pull_round(peer, "antientropy:pull",
+                             candidates[:self.fanout])
         peer.loop.schedule(self.rng.uniform(0.5, 1.5) * self.interval,
                            self._tick)
 
-    # -- tracing (no-ops with no tracer installed) ---------------------
+    def _online_targets(self, peer) -> list[str]:
+        return [node_id for node_id in sorted(self.peers)
+                if node_id != self.origin
+                and peer.network.is_online(node_id)]
 
-    def _begin_round(self, peer, name: str):
-        """Open a per-round root trace when the transport is traced.
+    def _pull_round(self, peer, name: str, targets: list[str]) -> int:
+        """Send one ``stats_pull`` to each target; returns the count.
 
-        Anti-entropy runs outside any query, so each round gets its
-        own trace — the pull messages (and the pushes they trigger)
-        parent under it instead of polluting query traces.
+        Anti-entropy runs outside any query, so on a traced transport
+        each round is the root of its own trace — the pull messages
+        (and the pushes they trigger) parent under it instead of
+        polluting query traces.
         """
-        tracer = peer.network.tracer
-        if tracer is None:
-            return None
-        self._rounds += 1
-        root = tracer.start_trace(
-            f"{name}:{self.origin}:{self._rounds}", name,
-            peer=self.origin, start=peer.loop.now, kind="antientropy")
-        tracer._stack.append(tracer.context_of(root))
-        return root
-
-    def _end_round(self, peer, root, sent: int) -> None:
-        if root is None:
-            return
-        tracer = peer.network.tracer
-        tracer._stack.pop()
-        tracer.finish(root, peer.loop.now, pulls=sent)
+        network = peer.network
+        tracer = network.tracer
+        root = scope = None
+        if tracer is not None:
+            self._rounds += 1
+            root = tracer.start_trace(
+                f"{name}:{self.origin}:{self._rounds}", name,
+                peer=self.origin, start=peer.loop.now, kind="antientropy")
+            scope = (None, tracer.context_of(root))
+        with network.resume(scope):
+            for target in targets:
+                peer.send(target, "stats_pull", {"budget": PULL_BUDGET})
+        self.pulls_sent += len(targets)
+        if root is not None:
+            tracer.finish(root, peer.loop.now, pulls=len(targets))
+        return len(targets)

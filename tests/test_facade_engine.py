@@ -95,7 +95,8 @@ class TestHandlerExceptionOnTheSingleLoop:
     """The failure policy: the exception propagates unchanged, the op
     is released, and the deployment stays usable."""
 
-    def test_propagates_releases_and_leaves_deployment_usable(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_propagates_releases_and_leaves_deployment_usable(self, traced):
         # Pools of size one: routing draws no rng, so the second query
         # takes the same path whatever happened before it.
         clean = deploy(refs_per_level=1, replication=1)
@@ -103,6 +104,8 @@ class TestHandlerExceptionOnTheSingleLoop:
         expected = clean.search_for(QUERY, origin=second).messages
 
         net = deploy(refs_per_level=1, replication=1)
+        if traced:  # the raising delivery then carries a trace context
+            tracer = net.install_tracer(seed=5)
         boom = RuntimeError("route handler failed")
 
         def raise_once(message):
@@ -119,11 +122,16 @@ class TestHandlerExceptionOnTheSingleLoop:
             net.search_for(QUERY, origin=first)
         assert caught.value is boom
         assert_nothing_retained(net)
-        assert net.network._op_stack == []
+        assert net.network.scope() is None
 
         outcome = net.search_for(QUERY, origin=second)
         assert outcome.complete and outcome.results
         assert outcome.messages == expected
+        if traced:
+            assert tracer.current() is None
+            hops = [r for r in net.trace_records()
+                    if r["trace"] == "op:1" and r.get("kind") == "message"]
+            assert len(hops) == expected
         # The abandoned query's retries still run their course; its
         # late completion is not kept either.
         net.settle()

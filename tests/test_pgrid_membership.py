@@ -5,10 +5,12 @@ import pytest
 from repro.mediation.network import GridVineNetwork
 from repro.pgrid.membership import MembershipError
 from repro.pgrid.overlay import PGridOverlay
+from repro.rdf.parser import parse_search_for
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
 from repro.util.hashing import uniform_hash
+from repro.util.keys import Key
 
 
 class TestJoin:
@@ -126,6 +128,38 @@ class TestLeave:
         result = overlay.retrieve_sync(origin, key)
         assert result.success
         assert result.values == ["v"]
+
+    @pytest.mark.parametrize("issue", ["retrieve", "range_query",
+                                       "recursive_query"])
+    def test_leaver_fails_its_own_operations_in_flight(self, issue):
+        """Whatever the leaver still has pending resolves as failed at
+        the leave; no retry or timeout of it fires after the detach
+        (that used to crash the event loop)."""
+        net = GridVineNetwork.build(num_peers=16, replication=2, seed=3)
+        peer = next(p for p in net.peers.values() if p.replicas)
+        for refs in peer.routing_table:  # nothing it routes arrives
+            for ref in refs:
+                net.network.set_online(ref, False)
+        if issue == "retrieve":
+            future = peer.retrieve(next(
+                key for key in map(uniform_hash, "abcdefgh")
+                if not peer.is_responsible_for(key)))
+        elif issue == "range_query":
+            future = peer.range_query(Key(""))
+        else:
+            future = peer.search_for(
+                parse_search_for("SearchFor(x? : (x?, S#org, %Asp%))"),
+                strategy="recursive")
+        assert not future.done
+        net.leave(peer.node_id)
+        assert future.done
+        if issue == "recursive_query":
+            assert not future.result().complete
+        else:
+            assert not future.result().success
+            assert peer.failover_stats.gave_up == (issue == "retrieve")
+        assert not (peer._pending or peer._range_tasks or peer._refo_tasks)
+        net.loop.run_until(net.loop.now + 200.0)  # past every timeout
 
 
 class TestMediationMembership:

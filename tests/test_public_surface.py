@@ -1,6 +1,6 @@
-"""Every name defined under ``src/repro`` is referenced somewhere.
+"""Structural rules over ``src/repro``, checked on the source text.
 
-A function, method or class whose name occurs exactly once across the
+Every name defined is referenced somewhere.  A function, method or class whose name occurs exactly once across the
 code base — its own definition — has no caller in the package, a
 benchmark, perfbench, an example or even a test: it is dead surface
 that still has to be read, kept importable and documented.  The rule
@@ -8,6 +8,12 @@ is a word count, so it cannot tell two same-named definitions apart
 (one live ``register_into`` hides a dead one); it is a floor, not a
 proof.  Package ``__init__.py`` files are left out of the count: a
 re-export is not a use.
+
+One module pair knows how causal scope propagates.  The scope stack
+(``Transport._scopes``) is touched by the transport, its gate, the
+cross-shard branch of the gate and the tracer that pushes on it;
+everything else goes through ``Transport.operation`` / ``scope`` /
+``resume`` and ``Tracer.activate`` / ``current``.
 """
 
 import ast
@@ -43,3 +49,24 @@ def test_no_definition_without_a_reference():
     assert not unreferenced, (
         "defined under src/repro but never referenced:\n  "
         + "\n  ".join(unreferenced))
+
+
+#: the only modules that may touch the causal scope stack
+SCOPE_STACK_OWNERS = {"simnet/transport.py", "simnet/network.py",
+                      "simnet/shard.py", "obs/tracer.py"}
+#: the two stacks and the second delivery path it replaced
+RETIRED = ("_op_stack", "_deliver_traced", "tracer._stack", "trace_stack")
+
+
+def test_scope_stack_has_four_owners_and_no_twin():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        offenders += [f"{module}: {name}" for name in RETIRED
+                      if name in text]
+        if "_scopes" in text and module not in SCOPE_STACK_OWNERS:
+            offenders.append(f"{module}: _scopes")
+    assert not offenders, (
+        "causal scope handled outside the transport:\n  "
+        + "\n  ".join(offenders))

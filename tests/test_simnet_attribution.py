@@ -13,7 +13,9 @@ import random
 
 import pytest
 
+from repro.faultlab import FaultInjector, FaultPlan, MessageDuplicate
 from repro.mediation.network import GridVineNetwork
+from repro.obs.tracer import Tracer
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
@@ -82,6 +84,77 @@ class TestOperationScopes:
         net.loop.run_until_idle()
         assert net.metrics.end_operation("one") == 2
         assert net.metrics.end_operation("two") == 4
+
+    # -- one stack carries the tag and the trace context ---------------
+
+    def _traced_net(self):
+        net = self._net()
+        tracer = net.install_tracer(Tracer(seed=0))
+        root = tracer.start_trace("t", "op", peer="a", start=0.0)
+        net.metrics.begin_operation("op")
+        return net, tracer, tracer.context_of(root)
+
+    def _assert_ping_pong_billed_and_parented(self, net, tracer, ctx,
+                                              pongs=1):
+        net.loop.run_until_idle()
+        assert net.scope() is None and tracer.current() is None
+        assert net.metrics.end_operation("op") == 1 + pongs
+        ping, *replies = [r for r in tracer.records
+                          if r.get("kind") == "message"]
+        assert (ping["name"], ping["trace"], ping["parent"]) == \
+            ("msg:ping", *ctx)
+        assert [(r["name"], r["parent"]) for r in replies] == \
+            [("msg:pong", ping["span"])] * pongs
+
+    @pytest.mark.parametrize("trace_outside", [True, False])
+    def test_each_half_inherits_the_other(self, trace_outside):
+        """``operation()`` inside a trace keeps the context;
+        ``activate()`` inside an operation keeps the tag."""
+        net, tracer, ctx = self._traced_net()
+        outer, inner = tracer.activate(ctx), net.operation("op")
+        if not trace_outside:
+            outer, inner = net.operation("op"), tracer.activate(ctx)
+        with outer:
+            with inner:
+                assert net.scope() == ("op", ctx)
+                assert tracer.current() == ctx
+                net.node("a").send("b", "ping")
+        self._assert_ping_pong_billed_and_parented(net, tracer, ctx)
+
+    def test_resume_none_pushes_nothing(self):
+        net = self._net()
+        net.metrics.begin_operation("op")
+        with net.resume(None):
+            assert net.scope() is None
+            net.node("a").send("b", "ping")
+        net.loop.run_until_idle()
+        assert net.metrics.end_operation("op") == 0
+
+    def test_captured_scope_resumes_from_a_bare_timer(self):
+        """A continuation outside any delivery (a retry timer) bills
+        and parents exactly like the scope it was captured in."""
+        net, tracer, ctx = self._traced_net()
+        with tracer.activate(ctx), net.operation("op"):
+            captured = net.scope()
+
+        def retry():
+            assert net.scope() is None
+            with net.resume(captured):
+                net.node("a").send("b", "ping")
+
+        net.loop.schedule(1.0, retry)
+        self._assert_ping_pong_billed_and_parented(net, tracer, ctx)
+
+    def test_duplicate_clone_carries_the_scope(self):
+        net, tracer, ctx = self._traced_net()
+        plan = FaultPlan(seed=0, faults=(
+            MessageDuplicate(kinds=("ping",), probability=1.0),))
+        with FaultInjector(net, plan):
+            with net.resume(("op", ctx)):
+                net.node("a").send("b", "ping")
+            # the clone is a fault, not a send; both deliveries answer
+            self._assert_ping_pong_billed_and_parented(net, tracer, ctx,
+                                                       pongs=2)
 
 
 def deploy(seed=5):
