@@ -9,8 +9,8 @@ Each class is one node type of the execution DAG (see
   its own fetches step by step), :class:`Reformulate` (the iterative
   strategy's overlay-driven BFS over mapping paths, spawning one
   subplan per reformulation) and :class:`RecursiveFanout` (the
-  origin-side accounting of the recursive strategy's delegated
-  reformulation protocol);
+  algebra's adapter over the peer's recursive-strategy protocol, which
+  keeps its own termination ledger);
 * relational operators — :class:`HashJoin`, :class:`Project`,
   :class:`Dedup`, :class:`Union`;
 * control — :class:`Limit` (limit pushdown: fires the pipeline's
@@ -530,106 +530,34 @@ class Reformulate(Operator):
 class RecursiveFanout(Operator):
     """Origin side of the recursive strategy, as a source operator.
 
-    The query travels to the peer holding the source schema's
-    mappings; schema peers reformulate, forward, execute and stream
-    results straight back (the protocol handlers live on
-    :class:`~repro.mediation.peer.GridVinePeer`).  This operator keeps
-    the exact spawn-count termination accounting: each request
-    eventually yields one report listing the ids of the sub-requests
-    it spawned and, if it executed, one results message; the fan-out
-    completes when every expected request has settled.  A
-    virtual-time timeout guards against message loss under churn
-    (closing with ``complete=False``); cooperative cancellation (limit
-    satisfied) closes early with ``complete`` still true.
+    Who is asked, who has answered and when the fan-out is over is
+    the peer's business (``GridVinePeer.recursive_query``); this
+    operator adapts it to the algebra: it counts the one fetch, emits
+    one batch per results message and closes when the peer says so,
+    recording whether every delegate answered (``complete`` is false
+    after a timeout under message loss, still true when a satisfied
+    limit cancelled the rest).
     """
 
     def __init__(self, query: ConjunctiveQuery, max_hops: int) -> None:
         super().__init__("recursive-fanout")
         self.query = query
         self.max_hops = max_hops
-        #: request ids known to be part of this task
-        self.expected: set[str] = set()
-        #: request id -> its report, once received
-        self.reports: dict[str, dict] = {}
-        #: request ids whose results have arrived
-        self.results_received: set[str] = set()
-        self.finished = False
         self.complete = True
-        self.timeout_handle = None
-        self.task_id: str | None = None
-        #: causal scope captured at issue time (a timeout-driven
-        #: finish runs outside any delivery scope)
-        self.scope: tuple | None = None
-        self._ctx: PipelineContext | None = None
 
     def start(self, ctx: PipelineContext) -> None:
-        from repro.mediation.keys import schema_key
-
-        self._ctx = ctx
-        peer = ctx.peer
-        self.scope = peer.network.scope()
-        self.task_id = f"{peer.node_id}:{next(peer._op_ids)}"
-        peer._refo_tasks[self.task_id] = self
-        self.timeout_handle = peer.loop.schedule(
-            peer.query_timeout, self._finish, False)
-        ctx.cancel.on_cancel(lambda: self._finish(True))
-        primary_schema = min(query_schemas(self.query))
         self.stats.fetches_issued += 1
-        root_id = peer._send_refo(schema_key(primary_schema), {
-            "task_id": self.task_id,
-            "task_origin": peer.node_id,
-            "query": self.query,
-            "visited": [primary_schema],
-            "ttl": self.max_hops,
-        })
-        self.expected.add(root_id)
+        ctx.peer.recursive_query(self.query, self.max_hops, ctx.cancel,
+                                 self._on_rows, self._on_finish)
 
-    # -- protocol callbacks (dispatched via peer._refo_tasks) ----------
-
-    def on_report(self, request_id: str, report: dict) -> None:
-        """A schema peer reported which sub-requests it spawned."""
-        if self.finished:
-            return
-        self.reports[request_id] = report
-        self.expected.add(request_id)
-        self.expected.update(report.get("spawned", ()))
-        self._check_done()
-
-    def on_results(self, request_id: str, query: ConjunctiveQuery,
-                   rows: set) -> None:
-        """A schema peer streamed back one reformulation's results."""
-        if self.finished:
-            return
-        self.results_received.add(request_id)
+    def _on_rows(self, query: ConjunctiveQuery, rows: set) -> None:
         # Sorted for determinism: set iteration order is not stable
         # across processes, and a downstream Limit truncates batches.
         self.emit(Batch.from_tuples(query.distinguished, sorted(rows),
                                     source=query))
-        self._check_done()
 
-    def _check_done(self) -> None:
-        for request_id in self.expected:
-            report = self.reports.get(request_id)
-            if report is None:
-                return
-            if (report.get("executes")
-                    and request_id not in self.results_received):
-                return
-        self._finish(True)
-
-    def _finish(self, complete: bool) -> None:
-        if self.finished:
-            return
-        self.finished = True
+    def _on_finish(self, complete: bool) -> None:
+        # The close cascade resolves the query future; the peer calls
+        # this inside the operation's causal scope.
         self.complete = complete
-        if self.timeout_handle is not None:
-            self.timeout_handle.cancel()
-        ctx = self._ctx
-        assert ctx is not None
-        peer = ctx.peer
-        peer._refo_tasks.pop(self.task_id, None)
-        # Close inside the operation's scope: the close cascade
-        # resolves the query future, whose callbacks may still send
-        # attributable traffic.
-        with peer.network.resume(self.scope):
-            self.close()
+        self.close()

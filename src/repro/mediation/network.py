@@ -151,8 +151,13 @@ class GridVineNetwork:
     @property
     def network(self) -> SimNetwork:
         """The single loop's transport (a sharded engine has one per
-        shard, and no such attribute)."""
-        return self.engine.net
+        shard: there this is a :class:`SimulationError`)."""
+        net = getattr(self.engine, "net", None)
+        if net is None:
+            raise SimulationError(
+                "a sharded engine has one transport per shard and no "
+                "`network`; its counters are engine.metrics_snapshot()")
+        return net
 
     @property
     def loop(self) -> EventLoop:
@@ -452,8 +457,13 @@ class GridVineNetwork:
         return sum(peer.db.count() for peer in self.peers.values())
 
     def metrics_snapshot(self) -> dict:
-        """Network counters, for bench reporting."""
-        return self.network.metrics.snapshot()
+        """Network counters, for bench reporting: the transport's own
+        snapshot on the single loop, the engine's shard-summed one on
+        a sharded engine."""
+        net = getattr(self.engine, "net", None)
+        if net is None:
+            return self.engine.metrics_snapshot()
+        return net.metrics.snapshot()
 
     # ------------------------------------------------------------------
     # Observability (see repro.obs)
@@ -477,17 +487,26 @@ class GridVineNetwork:
         return registry
 
     def install_tracer(self, seed: int = 0, capacity: int = 200_000):
-        """Install a span recorder on the engine and return it.
+        """Install span recording on the engine, on any engine.
 
         Every query issued afterwards produces one causal trace
         ``op:<ref>`` (root span per ``search_for`` / engine batch, hop
-        span per attributed message).  The tracer also appears as the
-        ``tracer`` registry view so snapshots report buffer occupancy.
+        span per attributed message).  The ``tracer`` registry view
+        summarises what the engine's transports recorded.  Returns the
+        single loop's recorder; a sharded engine has one per shard
+        (read them through :meth:`trace_records`) and returns ``None``.
         """
         self.engine.install_tracer(seed=seed, capacity=capacity)
-        tracer = self.network.tracer
-        self.registry.register_view("tracer", tracer.snapshot)
-        return tracer
+        self.registry.register_view("tracer", self._tracer_view)
+        net = getattr(self.engine, "net", None)
+        return None if net is None else net.tracer
+
+    def _tracer_view(self) -> dict:
+        from repro.obs.tracer import summarize_records
+        stats = self.engine.shard_stats()
+        return summarize_records(
+            [r for entry in stats for r in entry.get("spans", ())],
+            sum(entry.get("spans_dropped", 0) for entry in stats))
 
     def trace_records(self) -> list[dict]:
         """All recorded span/event dicts in deterministic order."""

@@ -26,16 +26,19 @@ with the paper's mediation operations:
       schema's mappings; that peer reformulates with its local
       mappings, forwards to the next schema peers, executes the query
       it received, and streams results straight back to the origin.
-      Termination uses spawn-count accounting (each request reports
-      how many sub-requests it forwarded), with a virtual-time timeout
-      as a safety net against message loss under churn.
+      The origin knows it has heard from every delegate through the
+      overlay's :class:`~repro.pgrid.peer.FanoutTask` ledger (each
+      request reports the ids of the sub-requests it forwarded), with
+      a virtual-time timeout as a safety net against message loss
+      under churn.
 
 All three strategies execute through the streaming operator runtime of
 :mod:`repro.exec`: this module builds the operator DAG (via
 :mod:`repro.exec.plans`) and contributes the overlay primitives the
 operators drive — pattern fetches (:meth:`GridVinePeer.
-_search_pattern`), schema-space reads and the recursive strategy's
-wire protocol.  ``SearchFor`` therefore supports **limit pushdown**: a
+_search_pattern`), schema-space reads and the recursive strategy
+(:meth:`GridVinePeer.recursive_query` beside the handlers it talks
+to).  ``SearchFor`` therefore supports **limit pushdown**: a
 ``limit`` makes the pipeline cancel its remaining fan-out the moment
 enough distinct answers arrived, and the outcome reports what the
 early stop saved.
@@ -66,7 +69,7 @@ from repro.mediation.records import (
     SchemaRecord,
     TripleRecord,
 )
-from repro.pgrid.peer import PGridPeer
+from repro.pgrid.peer import FanoutTask, PGridPeer, task_origin
 from repro.optimizer.core import QueryOptimizer
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.triples import Triple
@@ -120,10 +123,6 @@ class GridVinePeer(PGridPeer):
         #: last connectivity record published per schema (suppresses
         #: redundant republication)
         self._published_connectivity: dict[str, ConnectivityRecord] = {}
-        #: recursive-strategy origin-side fan-out operators by task id
-        #: (:class:`repro.exec.operators.RecursiveFanout`), the
-        #: dispatch table for report / results messages
-        self._refo_tasks: dict[str, Any] = {}
         #: recursive-strategy handler-side dedup sets, per task
         self._refo_seen: dict[str, set[ConjunctiveQuery]] = {}
         #: mapping-event hooks ``fn(action, mapping)`` fired on the
@@ -434,34 +433,29 @@ class GridVinePeer(PGridPeer):
         """
         return execute_query_rows(self, query, cancel=cancel)
 
-    # -- recursive strategy (wire protocol; the origin-side fan-out
-    # -- accounting lives in repro.exec.operators.RecursiveFanout) ------
+    # -- recursive strategy ---------------------------------------------
 
-    def _send_refo(self, key: Key, value: dict) -> str:
-        """Route a reformulation request toward a schema key space.
+    def recursive_query(self, query: ConjunctiveQuery, max_hops: int,
+                        cancel: CancelToken, on_rows: Any,
+                        on_finish: Any) -> None:
+        """Origin side of the recursive strategy.
 
-        Returns the request id, which doubles as the route op id; the
-        handler's report and results messages carry it back so the
-        origin can do exact termination accounting (a child's report
-        may overtake its parent's, so simple counters are not enough).
+        Sends ``query`` to the peer holding its source schema's
+        mappings (:meth:`_handle_reformulate` takes it from there).
+        ``on_rows(query, rows)`` receives each reformulation's results
+        as they stream back; ``on_finish(complete)`` runs once: when
+        every delegate has settled or ``cancel`` fires (a satisfied
+        ``Limit`` — still complete), or incomplete when
+        :attr:`query_timeout` expires first.
         """
-        op_id = f"refo!{value['task_id']}!{self.node_id}:{next(self._op_ids)}"
-        value = dict(value)
-        value["request_id"] = op_id
-        self._handle_route(Message(
-            kind="route",
-            src=self.node_id,
-            dst=self.node_id,
-            payload={
-                "op": "reformulate",
-                "op_id": op_id,
-                "key": key.bits,
-                "origin": value["task_origin"],
-                "value": value,
-            },
-            hops=0,
-        ))
-        return op_id
+        task = FanoutTask(self, on_finish, on_results=on_rows)
+        primary_schema = min(query_schemas(query))
+        task.start("reformulate", schema_key(primary_schema), {
+            "query": query,
+            "visited": [primary_schema],
+            "ttl": max_hops,
+        }, self.query_timeout)
+        cancel.on_cancel(lambda: task.finish(True))
 
     def _handle_reformulate(self, value: dict) -> dict:
         """Schema-peer side of the recursive strategy.
@@ -477,7 +471,6 @@ class GridVinePeer(PGridPeer):
         query: ConjunctiveQuery = value["query"]
         visited = set(value["visited"])
         ttl = int(value["ttl"])
-        task_origin = value["task_origin"]
         seen = self._refo_seen.get(task_id)
         if seen is None:
             seen = set()
@@ -501,10 +494,9 @@ class GridVinePeer(PGridPeer):
                 translated = translate_query(query, mapping)
                 if translated is None:
                     continue
-                spawned.append(self._send_refo(
+                spawned.append(self._send_subrequest(
+                    "reformulate", task_id,
                     schema_key(mapping.target_schema), {
-                        "task_id": task_id,
-                        "task_origin": task_origin,
                         "query": translated,
                         "visited": sorted(visited | {mapping.target_schema}),
                         "ttl": ttl - 1,
@@ -512,7 +504,7 @@ class GridVinePeer(PGridPeer):
                 ))
 
         def _on_rows(f: Future) -> None:
-            self.send(task_origin, "refo_results", {
+            self.send(task_origin(task_id), "refo_results", {
                 "task_id": task_id,
                 "request_id": request_id,
                 "query": query,
@@ -522,34 +514,16 @@ class GridVinePeer(PGridPeer):
         self._execute_query(query).add_done_callback(_on_rows)
         return {"spawned": spawned, "executes": True}
 
-    def _on_refo_report(self, payload: dict) -> None:
-        """Origin side: a schema peer reported its fan-out."""
-        op_id = payload["op_id"]
-        task_id = op_id.split("!", 2)[1]
-        task = self._refo_tasks.get(task_id)
-        if task is None:
-            return
-        task.on_report(op_id, payload.get("values") or
-                       {"spawned": [], "executes": False})
-
-    def abandon_pending(self) -> None:
-        """Leaving: recursive fan-outs this peer originated close as
-        incomplete along with its pending overlay operations."""
-        while self._refo_tasks or self._pending or self._range_tasks:
-            super().abandon_pending()
-            for task in list(self._refo_tasks.values()):
-                task._finish(False)
-
     # ------------------------------------------------------------------
     # Protocol extensions
     # ------------------------------------------------------------------
 
     def _handle_refo_results(self, message: Message) -> None:
-        task = self._refo_tasks.get(message.payload["task_id"])
+        task = self._tasks.get(message.payload["task_id"])
         if task is not None:
-            task.on_results(message.payload["request_id"],
-                            message.payload["query"],
-                            message.payload["rows"])
+            task.on_result(message.payload["request_id"],
+                           message.payload["query"],
+                           message.payload["rows"])
 
     def _execute_op(self, op: str, key: Key, value: Any) -> tuple[list[Any] | None, bool]:
         if op == "search":
@@ -557,12 +531,6 @@ class GridVinePeer(PGridPeer):
         if op == "reformulate":
             return self._handle_reformulate(value), False  # type: ignore[return-value]
         return super()._execute_op(op, key, value)
-
-    def _complete(self, payload: dict, hops_override: int | None = None) -> None:
-        if payload["op_id"].startswith("refo!"):
-            self._on_refo_report(payload)
-            return
-        super()._complete(payload, hops_override)
 
     # ------------------------------------------------------------------
     # Record dispatch (storage side)

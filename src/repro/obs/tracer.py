@@ -193,14 +193,21 @@ class Tracer:
 
     def snapshot(self) -> dict:
         """Buffer occupancy summary (for registry views / CLI)."""
-        spans = sum(1 for r in self.records if r["type"] == "span")
-        return {
-            "records": len(self.records),
-            "spans": spans,
-            "events": len(self.records) - spans,
-            "dropped": self.dropped,
-            "traces": len({r["trace"] for r in self.records}),
-        }
+        return summarize_records(self.records, self.dropped)
+
+
+def summarize_records(records: list[dict], dropped: int) -> dict:
+    """Occupancy summary of one recorder's buffer — or of several
+    shards' buffers taken together (a trace spans shards, so distinct
+    traces are counted over the union, not summed)."""
+    spans = sum(1 for r in records if r["type"] == "span")
+    return {
+        "records": len(records),
+        "spans": spans,
+        "events": len(records) - spans,
+        "dropped": dropped,
+        "traces": len({r["trace"] for r in records}),
+    }
 
 
 def record_sort_key(record: dict) -> tuple:

@@ -31,7 +31,10 @@ the guarantees from eroding under sustained churn:
 
 :class:`MaintenanceProcess` schedules both activities for every peer
 of an overlay with per-peer jitter (synchronized maintenance storms
-would be unrealistic and would hide contention effects).
+would be unrealistic and would hide contention effects).  A routed
+reference discovery is a ``refs_lookup`` route under the op id
+``refslkp!<level>!<n>``; ``PGridPeer._complete`` reads the level to
+repair off the reply's id.
 
 Both message types additionally **piggyback synopsis digests**
 (:mod:`repro.stats`): probes, probe acks and sync pushes carry a
@@ -111,30 +114,11 @@ class MaintenanceProcess:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule the first tick for every peer (with jitter).
-
-        The first ticks are bulk-inserted per event loop
-        (:meth:`~repro.simnet.events.EventLoop.schedule_batch`): at
-        deployment scale this start-up storm is thousands of timers,
-        and heapifying once beats pushing them one by one.  Jitter is
-        still drawn per peer in sorted order, so the schedule is
-        bit-identical to the sequential form.
-        """
+        """Schedule the first tick for every peer (with jitter): the
+        first roster scan, over an empty roster."""
         self._running = True
         self._tracked: set[str] = set()
-        by_loop: dict[int, tuple] = {}
-        for node_id in sorted(self.peers):
-            self._tracked.add(node_id)
-            delay = self.rng.uniform(0, self.interval)
-            peer = self.peers.get(node_id)
-            if peer is None or peer.network is None:
-                continue
-            loop = peer.loop
-            _loop, items = by_loop.setdefault(id(loop), (loop, []))
-            items.append((delay, self._tick, (node_id,)))
-        for loop, items in by_loop.values():
-            loop.schedule_batch(items)
-        self._schedule_roster_scan()
+        self._roster_scan()
 
     def stop(self) -> None:
         """Stop scheduling new ticks (in-flight ones still fire)."""
@@ -142,14 +126,10 @@ class MaintenanceProcess:
 
     def _schedule_roster_scan(self) -> None:
         """Periodically pick up peers that joined after start()."""
-        loop = None
         for peer in self.peers.values():
             if peer.network is not None:
-                loop = peer.loop
-                break
-        if loop is None:
-            return
-        loop.schedule(self.interval, self._roster_scan)
+                peer.loop.schedule(self.interval, self._roster_scan)
+                return
 
     def _roster_scan(self) -> None:
         if not self._running:

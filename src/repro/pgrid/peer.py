@@ -23,6 +23,12 @@ not arrive in time (offline peer on the path, message drop), the
 operation is retried with a fresh id up to ``max_retries`` times before
 the future resolves as failed.  This mirrors P-Grid's "probabilistic
 guarantees ... even in highly unreliable, dynamic environments".
+
+Operations answered by *many* peers from one request — the range
+shower here, recursive reformulation in :mod:`repro.mediation.peer` —
+terminate through one origin-side ledger, :class:`FanoutTask`: each
+sub-request is a route under the id ``<op>!<task>!<n>``, and its reply
+is the delegate's report to the task that id names.
 """
 
 from __future__ import annotations
@@ -175,8 +181,8 @@ class PGridPeer(Node):
         self._sync_snapshot: tuple | None = None
         self._op_ids = itertools.count()
         self._pending: dict[str, _Pending] = {}
-        #: origin-side state of multi-peer range queries
-        self._range_tasks: dict[str, _RangeTask] = {}
+        #: origin-side ledgers of multi-peer operations, by task id
+        self._tasks: dict[str, FanoutTask] = {}
         #: outstanding liveness probes (token -> (level, ref node id))
         self._probe_pending: dict[str, tuple[int, str]] = {}
         #: failure-detector quarantine: refs recently observed dead are
@@ -379,10 +385,6 @@ class PGridPeer(Node):
         """
         return self._start_op("retrieve", key, None, cancel=cancel)
 
-    def retrieve_prefix(self, prefix: Key) -> Future:
-        """Prefix variant of retrieve (requires prefix >= leaf depth)."""
-        return self._start_op("retrieve_prefix", prefix, None)
-
     def update(self, key: Key, value: Any, action: str = "insert") -> Future:
         """Start an ``Update(key, value)``.
 
@@ -450,12 +452,12 @@ class PGridPeer(Node):
         leaving: every retry, resolution or fan-out completion needs
         the transport, so none may outlive the detach).  Follow-up
         operations the failure callbacks issue are failed in turn."""
-        while self._pending or self._range_tasks:
+        while self._pending or self._tasks:
             if self._pending:
                 self._failover.gave_up += 1
                 self._fail_op(next(iter(self._pending)), "gave_up")
             else:
-                next(iter(self._range_tasks.values())).finish(False)
+                next(iter(self._tasks.values())).finish(False)
 
     def _finish_op_spans(self, pending: _Pending, status: str) -> None:
         """Close the op span (and any open attempt span) of ``pending``.
@@ -744,8 +746,6 @@ class PGridPeer(Node):
         """
         if op == "retrieve":
             return self.local_retrieve(key), False
-        if op == "retrieve_prefix":
-            return self.local_retrieve_prefix(key), False
         if op == "range":
             return self._handle_range(key, value), False  # type: ignore[return-value]
         if op == "refs_lookup":
@@ -774,51 +774,60 @@ class PGridPeer(Node):
         subtree, which answers for its own leaf and delegates each
         remaining sibling subtree under ``prefix`` to a level
         reference (the classic P-Grid shower — each subtree handled
-        exactly once, no duplicate work).  Termination uses the same
-        spawn-accounting as recursive reformulation; a timeout guards
-        against losses under churn.  Resolves to an :class:`OpResult`
-        whose ``values`` is the aggregated list.
+        exactly once, no duplicate work).  A :class:`FanoutTask` whose
+        reports carry the leaves' values decides when every subtree
+        has answered; its timeout guards against losses under churn.
+        Resolves to an :class:`OpResult` whose ``values`` is the
+        aggregated list.
         """
-        task_id = f"{self.node_id}:{next(self._op_ids)}"
         future: Future = Future()
-        task = _RangeTask(self, task_id, prefix, future)
         if cancel is not None and cancel.cancelled:
-            task.finish(False)
-            return task.future
-        self._range_tasks[task_id] = task
-        task.timeout_handle = self.loop.schedule(
-            timeout if timeout is not None else self.timeout * 3,
-            task.finish, False,
-        )
+            # Cancelled before issue: spend zero messages.
+            future.set_result(OpResult(key=prefix, success=False, values=[]))
+            return future
+        issued_at = self.loop.now
+
+        def _resolve(complete: bool) -> None:
+            future.set_result(OpResult(
+                key=prefix,
+                success=complete,
+                values=[value for report in task.reports.values()
+                        for value in report.get("range_values", ())],
+                hops=len(task.reports),
+                latency=self.loop.now - issued_at,
+            ))
+
+        task = FanoutTask(self, _resolve)
+        task.start("range", prefix, {},
+                   timeout if timeout is not None else self.timeout * 3)
         if cancel is not None:
             # Cooperative cancellation resolves the multicast with
             # whatever subtrees have answered so far.
             def _cancel_range() -> None:
-                if not task.finished:
+                if task.task_id in self._tasks:  # else finished normally
                     self._failover.cancelled += 1
                     task.finish(False)
 
             cancel.on_cancel(_cancel_range)
-        root_id = self._send_range(prefix, task_id)
-        task.expected.add(root_id)
-        return task.future
+        return future
 
-    def _send_range(self, prefix: Key, task_id: str) -> str:
-        op_id = f"range!{task_id}!{self.node_id}:{next(self._op_ids)}"
-        self._handle_route(Message(
-            kind="route",
-            src=self.node_id,
-            dst=self.node_id,
-            payload={
-                "op": "range",
-                "op_id": op_id,
-                "key": prefix.bits,
-                "origin": task_id.split(":", 1)[0],
-                "value": {"task_id": task_id, "request_id": op_id},
-            },
-            hops=0,
-        ))
-        return op_id
+    def _send_subrequest(self, op: str, task_id: str, key: Key,
+                         value: dict) -> str:
+        """Route one sub-request of fan-out ``task_id`` toward ``key``.
+
+        Returns its id ``<op>!<task>!<n>``, which doubles as the route
+        op id: the reply carries it back to the task's origin as that
+        request's report (see :class:`FanoutTask`).
+        """
+        request_id = f"{op}!{task_id}!{self.node_id}:{next(self._op_ids)}"
+        self._handle_route(Message("route", self.node_id, self.node_id, {
+            "op": op,
+            "op_id": request_id,
+            "key": key.bits,
+            "origin": task_origin(task_id),
+            "value": {**value, "task_id": task_id, "request_id": request_id},
+        }))
+        return request_id
 
     def _handle_range(self, prefix: Key, value: dict) -> dict:
         """Answer for this leaf and delegate sibling subtrees.
@@ -829,38 +838,18 @@ class PGridPeer(Node):
         inside the prefix's subtree — exactly our level references for
         those levels, so each gets one sub-request.
         """
-        task_id = value["task_id"]
         spawned: list[str] = []
         for level in range(len(prefix), len(self.path)):
-            sibling = self.path.sibling_prefix(level)
             next_hop = self._next_hop_with_failover(level, set())
             if next_hop is None:
                 continue  # that subtree's share is lost; timeout covers it
-            spawned.append(self._send_range(sibling, task_id))
+            spawned.append(self._send_subrequest(
+                "range", value["task_id"],
+                self.path.sibling_prefix(level), {}))
         return {
             "range_values": self.local_retrieve_prefix(prefix),
             "spawned": spawned,
         }
-
-    def _on_range_report(self, op_id: str, payload: dict) -> None:
-        task_id = op_id.split("!", 2)[1]
-        task = self._range_tasks.get(task_id)
-        if task is None:
-            return
-        task.on_report(op_id, payload.get("values")
-                       or {"range_values": [], "spawned": []})
-
-    def _on_refs_lookup_reply(self, op_id: str, payload: dict) -> None:
-        """Adopt references discovered by a routed refs_lookup."""
-        try:
-            level = int(op_id.split("!", 2)[1])
-        except (IndexError, ValueError):
-            return
-        if level < len(self.routing_table):
-            # The answering peer vouches for itself and its replicas;
-            # we additionally know the answer came through a route
-            # that terminated inside the complement's subtree.
-            self._adopt_references(level, payload.get("values") or ())
 
     def _adopt_references(self, level: int, candidates) -> None:
         """Add the candidates this peer does not know yet to its
@@ -965,19 +954,27 @@ class PGridPeer(Node):
             self.local_remove(key, message.payload["value"])
 
     def _handle_reply(self, message: Message) -> None:
-        self._complete(message.payload, hops_override=message.payload["hops"])
+        self._complete(message.payload)
 
-    def _complete(self, payload: dict, hops_override: int | None = None) -> None:
+    def _complete(self, payload: dict) -> None:
         op_id = payload["op_id"]
-        if op_id.startswith("range!"):
-            self._on_range_report(op_id, payload)
-            return
-        if op_id.startswith("refslkp!"):
-            self._on_refs_lookup_reply(op_id, payload)
-            return
         pending = self._pending.pop(op_id, None)
         if pending is None:
-            return  # late duplicate after a retry already answered
+            # Not a pending operation: a late duplicate after a retry
+            # already answered, or one of the two tagged id shapes —
+            # ``<op>!<task>!<n>``, a fan-out delegate's report, and
+            # ``refslkp!<level>!<n>``, a routed reference discovery
+            # (see pgrid.maintenance) whose answering peer vouches for
+            # itself and its replicas.
+            tag, _, rest = op_id.partition("!")
+            owner = rest.partition("!")[0]
+            values = payload.get("values")
+            if owner in self._tasks:
+                self._tasks[owner].on_report(op_id, values or {})
+            elif (tag == "refslkp" and owner.isdigit()
+                    and int(owner) < len(self.routing_table)):
+                self._adopt_references(int(owner), values or ())
+            return
         if pending.timeout_handle is not None:
             pending.timeout_handle.cancel()
         self._finish_op_spans(pending, "ok")
@@ -985,61 +982,85 @@ class PGridPeer(Node):
             key=pending.key,
             success=True,
             values=payload.get("values"),
-            hops=hops_override if hops_override is not None else payload["hops"],
+            hops=payload["hops"],
             latency=self.network.loop._now - pending.issued_at,
             attempts=pending.attempts,
         ))
 
 
-class _RangeTask:
-    """Origin-side accounting of a subtree-multicast range query.
+def task_origin(task_id: str) -> str:
+    """The node id that issued fan-out ``task_id`` (``<node id>:<n>``)
+    — where its reports and results are addressed."""
+    return task_id.rpartition(":")[0]
 
-    Identical termination logic to recursive reformulation: every
-    sub-request eventually reports the values of its leaf plus the ids
-    of the sub-requests it spawned; the task completes when every
-    expected id has reported.
+
+class FanoutTask:
+    """Origin-side ledger of one multi-peer operation.
+
+    Each delegate may delegate further and a child's report may
+    overtake its parent's, so the ledger tracks request *ids*, not
+    counts.  Every request yields one report listing the ids it
+    ``spawned`` and, if the report says it ``executes``, one separate
+    results message (handed to ``on_results``); it has *settled* once
+    both have arrived.  ``on_finish(complete)`` runs exactly once,
+    inside the causal scope captured at issue time: complete when every
+    id heard of has settled, incomplete when the virtual-time timeout
+    (or the origin's leave) comes first.  A finished task is out of
+    :attr:`PGridPeer._tasks`, so late messages find nobody.
     """
 
-    def __init__(self, peer: PGridPeer, task_id: str, prefix: Key,
-                 future: Future) -> None:
+    def __init__(self, peer: PGridPeer, on_finish: Any,
+                 on_results: Any = None) -> None:
         self.peer = peer
-        self.task_id = task_id
-        self.prefix = prefix
-        self.future = future
-        self.issued_at = peer.loop.now
-        self.expected: set[str] = set()
-        self.reported: set[str] = set()
-        self.values: list[Any] = []
-        self.finished = False
-        self.timeout_handle: Any = None
-        #: causal scope captured at issue time; a timeout-driven
-        #: finish resolves the future outside any delivery scope, and
-        #: its callbacks may still send attributable traffic
+        self.task_id = f"{peer.node_id}:{next(peer._op_ids)}"
+        #: a timeout-driven finish runs outside any delivery scope,
+        #: and ``on_finish`` may still send attributable traffic
         self.scope = peer.network.scope()
+        self.on_finish = on_finish
+        self.on_results = on_results
+        #: request ids known to be part of this task
+        self.expected: set[str] = set()
+        #: request id -> its report, in first-arrival order
+        self.reports: dict[str, dict] = {}
+        #: request ids whose results message has arrived
+        self.results: set[str] = set()
+
+    def start(self, op: str, key: Key, value: dict, timeout: float) -> None:
+        """Register, arm the timeout, then route the root sub-request
+        (timer first: the loop breaks same-time ties by scheduling
+        order; the root may be answered before this returns)."""
+        peer = self.peer
+        peer._tasks[self.task_id] = self
+        self.timeout_handle = peer.loop.schedule(timeout, self.finish, False)
+        self.expected.add(
+            peer._send_subrequest(op, self.task_id, key, value))
 
     def on_report(self, request_id: str, report: dict) -> None:
-        if self.finished:
-            return
-        self.reported.add(request_id)
+        """A delegate reported which sub-requests it spawned."""
+        self.reports[request_id] = report
         self.expected.add(request_id)
         self.expected.update(report.get("spawned", ()))
-        self.values.extend(report.get("range_values", ()))
-        if self.expected <= self.reported:
-            self.finish(True)
+        self._check_done()
+
+    def on_result(self, request_id: str, *result: Any) -> None:
+        """A delegate's separate results message arrived."""
+        self.results.add(request_id)
+        self.on_results(*result)
+        self._check_done()
+
+    def _check_done(self) -> None:
+        for request_id in self.expected:
+            report = self.reports.get(request_id)
+            if report is None:
+                return
+            if report.get("executes") and request_id not in self.results:
+                return
+        self.finish(True)
 
     def finish(self, complete: bool) -> None:
-        if self.finished:
+        """Close the task (idempotent) and hand over the outcome."""
+        if self.peer._tasks.pop(self.task_id, None) is None:
             return
-        self.finished = True
-        if self.timeout_handle is not None:
-            self.timeout_handle.cancel()
-        self.peer._range_tasks.pop(self.task_id, None)
-        result = OpResult(
-            key=self.prefix,
-            success=complete,
-            values=self.values,
-            hops=len(self.reported),
-            latency=self.peer.loop.now - self.issued_at,
-        )
+        self.timeout_handle.cancel()
         with self.peer.network.resume(self.scope):
-            self.future.set_result(result)
+            self.on_finish(complete)

@@ -263,39 +263,6 @@ class EventLoop:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         return self.schedule(max(0.0, time - self._now), callback, *args)
 
-    def schedule_batch(
-        self, items: "list[tuple[float, Callable, tuple]]",
-    ) -> list[EventHandle]:
-        """Schedule many ``(delay, callback, args)`` entries at once.
-
-        Sequence numbers follow list order, so the firing order is
-        identical to an equivalent sequence of :meth:`schedule` calls;
-        when the queue is empty the entries are bulk-heapified (O(n)
-        instead of n pushes) — the maintenance sweep's start-up storm
-        is the intended caller.
-        """
-        now = self._now
-        seq = self._seq
-        handles: list[EventHandle] = []
-        entries: list[tuple[float, int, EventHandle]] = []
-        for delay, callback, args in items:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past (delay={delay})")
-            time = now + delay
-            handle = EventHandle(time, next(seq), self, callback, args)
-            handles.append(handle)
-            entries.append((time, handle.seq, handle))
-        queue = self._queue
-        if queue:
-            for entry in entries:
-                heapq.heappush(queue, entry)
-        else:
-            queue.extend(entries)
-            heapq.heapify(queue)
-        self._live += len(entries)
-        return handles
-
     def run_until_idle(self, max_events: int | None = None) -> None:
         """Fire events until the queue drains (or ``max_events`` fire)."""
         queue = self._queue

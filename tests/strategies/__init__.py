@@ -8,6 +8,11 @@ Import the tiered settings from here::
 benchmarks' ``from conftest import ...``).
 """
 
+from strategies.fanouts import (
+    fanout_schedules,
+    request_trees,
+    required_events,
+)
 from strategies.settings import (
     DETERMINISM_SETTINGS,
     QUICK_SETTINGS,
@@ -23,6 +28,9 @@ __all__ = [
     "SLOW_SETTINGS",
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
+    "fanout_schedules",
     "peer_synopses",
+    "request_trees",
+    "required_events",
     "triples",
 ]

@@ -148,7 +148,7 @@ SPEC = ScaleoutSpec(num_peers=120, replication=1, refs_per_level=1, seed=3,
                     batch_queries=3)
 
 
-def facade_over(engine, deployment):
+def facade_over(engine, deployment, traced=True):
     """What ``pgrid.scaleout._drive`` builds, tracer installed."""
     peers = {node_id: _make_peer(SPEC, deployment, node_id)
              for node_id in sorted(deployment.assignment)}
@@ -156,7 +156,8 @@ def facade_over(engine, deployment):
     owner = partition_paths(deployment.assignment, engine.num_shards)
     for node_id, peer in peers.items():
         engine.add_peer(peer, owner[node_id])
-    engine.install_tracer(seed=0)
+    if traced:
+        engine.install_tracer(seed=0)
     return GridVineNetwork(engine, peers,
                            mappings=deployment.mediation.mappings)
 
@@ -189,6 +190,46 @@ def test_both_engines_answer_identically():
     assert any(batch_rows) and batch_messages > 0
     assert {r["trace"] for r in records} == {"op:0", "op:1"}
     assert sharded == single
+
+
+def test_observability_calls_work_on_both_engines():
+    """``install_tracer``, the registry views and ``metrics_snapshot``
+    are part of the surface that works on every engine; what only a
+    single loop has (one ``network``) says so in a ``SimulationError``
+    instead of crashing half-way through an install."""
+    deployment = build_deployment(SPEC)
+    origin, query = deployment.mediation.query_waves[0][0]
+
+    def observe(engine):
+        with engine:
+            net = facade_over(engine, deployment, traced=False)
+            tracer = net.install_tracer(seed=0)
+            net.search_for(query, max_hops=SPEC.query_max_hops,
+                           origin=origin)
+            net.settle()
+            views = net.registry.snapshot()["views"]
+            assert views["tracer"]["records"] == len(net.trace_records())
+            assert views["tracer"]["traces"] == 1
+            assert (views["network"]["messages_by_kind"]
+                    == net.metrics_snapshot()["messages_by_kind"])
+            return net, tracer, views
+
+    latency = ConstantLatency(SPEC.latency_delay)
+    net, tracer, single = observe(
+        SingleLoopEngine(latency=latency, seed=SPEC.seed))
+    assert tracer is net.network.tracer
+    assert single["tracer"] == tracer.snapshot()
+    assert single["network"] == net.network.metrics.snapshot()
+
+    net, tracer, sharded = observe(
+        ShardedTransport(2, latency=latency, seed=SPEC.seed))
+    assert tracer is None  # one recorder per shard, none to single out
+    assert sharded["tracer"] == single["tracer"]
+    assert (sharded["network"]["messages_sent"]
+            == single["network"]["messages_sent"] > 0)
+    for single_loop_only in ("network", "loop"):
+        with pytest.raises(SimulationError, match="engine.metrics_snapshot"):
+            getattr(net, single_loop_only)
 
 
 def test_drawing_an_origin_needs_the_harness_rng():

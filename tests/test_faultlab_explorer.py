@@ -202,6 +202,42 @@ class TestStabilizedInvariants:
         assert "live_recall" in trial.invariants.failed_invariants()
 
 
+class TestRecursiveStrategyUnderFaults:
+    """The recursive fan-out's termination ledger under duplicated,
+    reordered, delayed, dropped and partitioned reports: every
+    invariant holds, a seed replays bit for bit, and the counts are
+    pinned (recorded before the two fan-out accountings became one
+    ``FanoutTask``, so they also say the merge moved nothing)."""
+
+    #: (intensity, seed) -> (recall, queries_complete, query_messages,
+    #: total_messages)
+    PINNED = {
+        ("light", 0): (1.0, 6, 33, 1542),
+        ("light", 1): (0.944444, 5, 60, 2178),
+        ("light", 2): (1.0, 6, 66, 1431),
+        ("light", 3): (0.833333, 5, 54, 2209),
+        ("light", 4): (0.75, 5, 50, 2174),
+        ("light", 5): (0.75, 5, 59, 2258),
+        ("heavy", 0): (1.0, 5, 34, 2480),
+        ("heavy", 1): (0.944444, 5, 62, 2224),
+        ("heavy", 2): (0.791667, 5, 63, 2035),
+        ("heavy", 3): (0.888889, 5, 51, 2280),
+    }
+
+    @pytest.mark.parametrize("intensity, seed", sorted(PINNED))
+    def test_invariants_hold_and_counts_are_pinned(self, intensity, seed):
+        spec = replace(default_spec(), strategy="recursive")
+        trial = ScenarioExplorer(spec=spec,
+                                 intensity=intensity).run_trial(seed)
+        assert trial.ok, "\n".join(trial.invariants.summary())
+        report = trial.report
+        assert (round(report.recall, 6), report.queries_complete,
+                report.query_messages, report.total_messages
+                ) == self.PINNED[intensity, seed]
+        again = replay(seed, spec=spec, intensity=intensity)
+        assert asdict(again.report) == asdict(report)
+
+
 class TestSpecPlumbing:
     def test_default_spec_horizon(self):
         spec = default_spec()

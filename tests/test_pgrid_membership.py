@@ -158,7 +158,7 @@ class TestLeave:
         else:
             assert not future.result().success
             assert peer.failover_stats.gave_up == (issue == "retrieve")
-        assert not (peer._pending or peer._range_tasks or peer._refo_tasks)
+        assert not (peer._pending or peer._tasks)
         net.loop.run_until(net.loop.now + 200.0)  # past every timeout
 
 

@@ -124,7 +124,7 @@ class TestPrefixRetrieve:
         depth = max(overlay.trie_depths())
         prefix = base.prefix(max(depth, 20))
         result = overlay.loop.run_until_complete(
-            overlay.peer(origin).retrieve_prefix(prefix))
+            overlay.peer(origin).range_query(prefix))
         assert result.success
         assert "v1" in result.values
 

@@ -14,6 +14,12 @@ One module pair knows how causal scope propagates.  The scope stack
 cross-shard branch of the gate and the tracer that pushes on it;
 everything else goes through ``Transport.operation`` / ``scope`` /
 ``resume`` and ``Tracer.activate`` / ``current``.
+
+One class knows when a multi-peer operation is over.  The fan-out
+ledger (``FanoutTask``), its table and the sub-request sender live on
+the overlay peer; the mediation peer uses them for the recursive
+strategy, and nothing else — the operator algebra least of all — mints
+a request id or keeps a task table.
 """
 
 import ast
@@ -69,4 +75,28 @@ def test_scope_stack_has_four_owners_and_no_twin():
             offenders.append(f"{module}: _scopes")
     assert not offenders, (
         "causal scope handled outside the transport:\n  "
+        + "\n  ".join(offenders))
+
+
+#: the only modules that may mint fan-out ids or reach the task table
+FANOUT_OWNERS = {"pgrid/peer.py", "mediation/peer.py"}
+FANOUT_INTERNALS = ("_op_ids", "_tasks", "_send_subrequest")
+#: the two accountings, tables, senders and report hooks it replaced
+RETIRED_FANOUT = ("_RangeTask", "_range_tasks", "_refo_tasks",
+                  "_send_range", "_send_refo", "_on_range_report",
+                  "_on_refo_report")
+
+
+def test_fanout_termination_has_one_ledger():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        words = set(re.findall(r"\w+", path.read_text()))
+        offenders += [f"{module}: {name}" for name in RETIRED_FANOUT
+                      if name in words]
+        if module not in FANOUT_OWNERS:
+            offenders += [f"{module}: {name}" for name in FANOUT_INTERNALS
+                          if name in words]
+    assert not offenders, (
+        "fan-out bookkeeping outside the peer's ledger:\n  "
         + "\n  ".join(offenders))
