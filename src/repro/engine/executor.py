@@ -63,25 +63,24 @@ class _WaveScheduler:
     (counting each as a saved fetch) — called both on natural
     advancement once everything is satisfied and directly by the last
     query's limit, so the skip accounting is final before the batch
-    result resolves.
+    result resolves.  A wave leaves :attr:`waves` as it starts or is
+    skipped: a finished batch's scheduler references no operator.
     """
 
     def __init__(self, ctx: PipelineContext,
                  satisfied: list[bool]) -> None:
         self.ctx = ctx
         self.satisfied = satisfied
+        #: the waves not started yet, next first
         self.waves: list[list[PatternScan]] = []
         #: id(scan) -> indices of the queries consuming that scan
         self.consumers: dict[int, set[int]] = {}
-        self._next_wave = 0
         self._open_in_wave = 0
 
     def skip_pending(self) -> None:
         """Close (and count as skipped) every not-yet-started wave."""
-        while self._next_wave < len(self.waves):
-            wave = self.waves[self._next_wave]
-            self._next_wave += 1
-            for scan in wave:
+        while self.waves:
+            for scan in self.waves.pop(0):
                 scan.skip()
 
     def _useless(self, scan: PatternScan) -> bool:
@@ -93,13 +92,12 @@ class _WaveScheduler:
 
     def start_next(self) -> None:
         """Start the next pending wave (or skip the rest if done)."""
-        if self._next_wave >= len(self.waves):
+        if not self.waves:
             return
         if self.satisfied and all(self.satisfied):
             self.skip_pending()
             return
-        wave = self.waves[self._next_wave]
-        self._next_wave += 1
+        wave = self.waves.pop(0)
         self._open_in_wave = len(wave)
         for scan in wave:
             scan.on_closed(self._scan_closed)

@@ -392,8 +392,11 @@ class Collect(Operator):
         """Resolve the future now (idempotent; used for early stop)."""
         if self.future.done:
             return
-        if self.finalize is not None:
-            self.finalize()
+        # Taken, not just called: plans close ``finalize`` over this
+        # operator, and a resolved sink must not stay a reference cycle.
+        finalize, self.finalize = self.finalize, None
+        if finalize is not None:
+            finalize()
         self.future.set_result(
             self.outcome if self.outcome is not None else self.rows)
 

@@ -265,16 +265,23 @@ class PipelineContext:
     """Shared state of one pipeline run.
 
     Holds the executing peer, the run's cancellation token, and the
-    registry of operators (for stats aggregation).  Operators issue
-    their overlay work through :meth:`fetch_pattern` so skip/issue
+    registered operators' counters (for stats aggregation).  Operators
+    issue their overlay work through :meth:`fetch_pattern` so skip/issue
     accounting stays in one place.
+
+    References run one way — operator to context, context to
+    :class:`OperatorStats` — so a pipeline is never a reference cycle
+    and a finished one is freed by reference counting.
     """
 
     def __init__(self, peer: "GridVinePeer",
                  cancel: CancelToken | None = None) -> None:
         self.peer = peer
         self.cancel = cancel if cancel is not None else CancelToken()
-        self.operators: list[Operator] = []
+        #: counters of the registered operators, in registration order
+        self.stats: list[OperatorStats] = []
+        #: ``id`` of every entry of :attr:`stats` (which keeps them
+        #: alive, so the ids stay unique)
         self._registered: set[int] = set()
         self.issued_at = peer.loop.now
         #: the optimizer's :class:`~repro.optimizer.core.PlanDecision`
@@ -296,9 +303,10 @@ class PipelineContext:
     def register(self, *operators: Operator) -> None:
         """Track operators for stats aggregation (idempotent)."""
         for op in operators:
-            if id(op) not in self._registered:
-                self._registered.add(id(op))
-                self.operators.append(op)
+            stats = op.stats
+            if id(stats) not in self._registered:
+                self._registered.add(id(stats))
+                self.stats.append(stats)
                 op.ctx = self
 
     def start_source(self, op: Operator) -> None:
@@ -341,12 +349,12 @@ class PipelineContext:
 
     def fetches_issued(self) -> int:
         """Total overlay fetches issued across all operators."""
-        return sum(op.stats.fetches_issued for op in self.operators)
+        return sum(stats.fetches_issued for stats in self.stats)
 
     def fetches_skipped(self) -> int:
         """Total overlay fetches skipped due to cancellation."""
-        return sum(op.stats.fetches_skipped for op in self.operators)
+        return sum(stats.fetches_skipped for stats in self.stats)
 
     def operator_snapshots(self) -> list[dict]:
         """Per-operator stats in registration order."""
-        return [op.stats.snapshot() for op in self.operators]
+        return [stats.snapshot() for stats in self.stats]

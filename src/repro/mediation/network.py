@@ -90,6 +90,8 @@ class GridVineNetwork:
                  mappings: Sequence[SchemaMapping] = ()) -> None:
         self.engine = engine
         self.peers = peers
+        #: sorted node ids, cached between :meth:`join` / :meth:`leave`
+        self._sorted_ids: list[str] | None = None
         self.rng = rng
         #: mappings already in the overlay, replayed to new listeners
         self._mappings = list(mappings)
@@ -165,8 +167,14 @@ class GridVineNetwork:
         return self.network.loop
 
     def peer_ids(self) -> list[str]:
-        """All node ids, sorted."""
-        return sorted(self.peers)
+        """All node ids, sorted (a fresh list)."""
+        return list(self._peer_order())
+
+    def _peer_order(self) -> list[str]:
+        ids = self._sorted_ids
+        if ids is None:
+            ids = self._sorted_ids = sorted(self.peers)
+        return ids
 
     def peer(self, node_id: str) -> GridVinePeer:
         """Look up a peer by id."""
@@ -184,7 +192,7 @@ class GridVineNetwork:
             raise SimulationError(
                 "no harness rng to draw an origin from; pass an "
                 "explicit origin peer")
-        online = [node_id for node_id in self.peer_ids()
+        online = [node_id for node_id in self._peer_order()
                   if self.peers[node_id].online]
         if not online:
             raise SimulationError("no online peer available as origin")
@@ -210,18 +218,19 @@ class GridVineNetwork:
         from repro.pgrid.membership import join_network
 
         def factory(new_id: str, path: Key) -> GridVinePeer:
-            peer = GridVinePeer(new_id, path,
-                                rng=random.Random(self.rng.random()),
+            peer = GridVinePeer(new_id, path, rng=self.rng.random(),
                                 failover=self.failover)
             peer.mapping_hooks.append(self._emit_mapping_event)
             return peer
 
+        self._sorted_ids = None
         return join_network(self.network, self.peers, node_id, factory,
                             rng=random.Random(self.rng.random()))
 
     def leave(self, node_id: str) -> None:
         """Gracefully remove a peer (data handed to its replicas)."""
         from repro.pgrid.membership import graceful_leave
+        self._sorted_ids = None
         graceful_leave(self.network, self.peers, node_id)
 
     def settle(self) -> None:

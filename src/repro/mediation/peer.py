@@ -54,6 +54,7 @@ under ``Hash(Domain)``.  The domain peer keeps one record per schema
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Any
 
 from repro.exec.plans import execute_query_rows, run_query_plan
@@ -93,7 +94,7 @@ class GridVinePeer(PGridPeer):
         self,
         node_id: str,
         path: Key,
-        rng: random.Random | None = None,
+        rng: "random.Random | int | float | str | None" = None,
         timeout: float = 15.0,
         max_retries: int = 2,
         query_timeout: float = 120.0,
@@ -133,12 +134,16 @@ class GridVinePeer(PGridPeer):
         #: folded into the synopsis digest version
         self._mapping_stats_version = 0
         self._digest_cache: tuple[int, PeerSynopsis] | None = None
-        #: cost-based query optimizer over the peer's synopsis
-        #: registry; consulted by ``strategy="auto"`` and by engines
-        #: executing with ``optimize=True`` (static strategies keep
-        #: their historical behaviour bit for bit)
-        self.optimizer = QueryOptimizer(self)
         self.register_handler("refo_results", self._handle_refo_results)
+
+    @cached_property
+    def optimizer(self) -> QueryOptimizer:
+        """Cost-based query optimizer over the peer's synopsis
+        registry (built, like it, on first use); consulted by
+        ``strategy="auto"`` and by engines executing with
+        ``optimize=True`` (static strategies keep their historical
+        behaviour bit for bit)."""
+        return QueryOptimizer(self)
 
     # ------------------------------------------------------------------
     # Statistics (see repro.stats)

@@ -228,7 +228,7 @@ def sample_routing_tables(
     assignment: dict[str, Key],
     refs_per_level: int = 2,
     rng: random.Random | None = None,
-) -> dict[str, tuple[list[str], list[list[str]]]]:
+) -> dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
     """Near-linear routing-table construction for large deployments.
 
     :func:`build_routing_tables` materializes every eligible candidate
@@ -248,6 +248,11 @@ def sample_routing_tables(
     (uniform choice without replacement among the same candidate set)
     but not bit-identical to it; large-scale runs use this builder for
     every engine under comparison, so A/B results stay fair.
+
+    The tables are *tuples*: one build is shared, read-only, by every
+    engine run over it, and tuples of strings are invisible to the
+    cyclic collector where 140k lists (at 10k peers) are re-traversed
+    by every full collection.
     """
     import bisect
 
@@ -281,21 +286,21 @@ def sample_routing_tables(
         leaf = bisect.bisect_right(starts, starts[first_leaf] + offset) - 1
         return members[leaf_bits[leaf]][starts[first_leaf] + offset - starts[leaf]]
 
-    tables: dict[str, tuple[list[str], list[list[str]]]] = {}
+    tables = {}
     for node_id, path in assignment.items():
         replicas = sorted(m for m in members[path.bits] if m != node_id)
-        routing_table: list[list[str]] = []
+        routing_table: list[tuple[str, ...]] = []
         for level in range(len(path)):
             complement = path.sibling_prefix(level)
             first, total = _population(complement.bits)
             take = min(refs_per_level, total)
             if take == 0:
-                routing_table.append([])
+                routing_table.append(())
                 continue
             offsets = rng.sample(range(total), take)
             routing_table.append(
-                sorted(_member_at(first, off) for off in offsets))
-        tables[node_id] = (replicas, routing_table)
+                tuple(sorted(_member_at(first, off) for off in offsets)))
+        tables[node_id] = (tuple(replicas), tuple(routing_table))
     return tables
 
 

@@ -24,7 +24,7 @@ from repro.util.keys import Key
 
 def build_overlay(
     num_peers: int,
-    make_peer: Callable[[str, Key, random.Random], PGridPeer],
+    make_peer: Callable[[str, Key, float], PGridPeer],
     key_sample: Sequence[Key] | None = None,
     replication: int = 1,
     refs_per_level: int = 2,
@@ -35,11 +35,13 @@ def build_overlay(
 ) -> tuple[SimNetwork, dict[str, Any], random.Random]:
     """A network of ``num_peers`` attached peers with routing tables.
 
-    ``make_peer(node_id, path, rng)`` builds each peer.  All randomness
-    derives from ``seed`` in one fixed draw order — network stream,
-    path assignment, one stream per peer in sorted id order, routing
-    tables — which the transport goldens pin; the master generator is
-    returned, positioned after those draws, for harness randomness.
+    ``make_peer(node_id, path, rng)`` builds each peer; ``rng`` is the
+    *seed* of the peer's stream, which the peer creates on its first
+    draw.  All randomness derives from ``seed`` in one fixed draw order
+    — network stream, path assignment, one seed per peer in sorted id
+    order, routing tables — which the transport goldens pin; the master
+    generator is returned, positioned after those draws, for harness
+    randomness.
     """
     rng = random.Random(seed)
     network = SimNetwork(loop=loop, latency=latency,
@@ -49,7 +51,7 @@ def build_overlay(
         key_bits=key_bits, rng=random.Random(rng.random()))
     peers: dict[str, Any] = {}
     for node_id, path in sorted(assignment.items()):
-        peer = make_peer(node_id, path, random.Random(rng.random()))
+        peer = make_peer(node_id, path, rng.random())
         network.attach(peer)
         peers[node_id] = peer
     populate_routing_tables(peers, refs_per_level=refs_per_level,
@@ -151,7 +153,7 @@ class PGridOverlay:
         rng = random.Random(seed)
 
         def factory(new_id: str, path: Key) -> PGridPeer:
-            return PGridPeer(new_id, path, rng=random.Random(rng.random()))
+            return PGridPeer(new_id, path, rng=rng.random())
 
         return join_network(self.network, self.peers, node_id, factory,
                             rng=rng)

@@ -33,9 +33,9 @@ is the delegate's report to the task that id names.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.obs.registry import FailoverCounters
@@ -123,7 +123,9 @@ class PGridPeer(Node):
     path:
         The binary prefix ``pi(p)`` this peer is responsible for.
     rng:
-        Randomness for reference selection (ties on equal-level refs).
+        Randomness for reference selection (ties on equal-level refs):
+        a ``random.Random``, or the seed of one — the stream is then
+        created on the peer's first draw (same seed, same draws).
     timeout:
         Seconds an origin waits for a reply before retrying.
     max_retries:
@@ -151,24 +153,20 @@ class PGridPeer(Node):
         self,
         node_id: str,
         path: Key,
-        rng: random.Random | None = None,
+        rng: "random.Random | int | float | str | None" = None,
         timeout: float = 15.0,
         max_retries: int = 2,
         failover: bool = True,
     ) -> None:
         super().__init__(node_id)
         self.path = path
-        self.rng = rng if rng is not None else random.Random(0)
+        if isinstance(rng, random.Random):
+            self.rng = rng
+        else:
+            self._rng_seed = rng if rng is not None else 0
         self.timeout = timeout
         self.max_retries = max_retries
         self.failover = failover
-        #: failover counters: ``failovers`` counts dead references
-        #: skipped in favour of an alternate replica, ``retries`` the
-        #: timeout-driven re-attempts, ``gave_up`` the operations that
-        #: exhausted every attempt, ``cancelled`` the ones torn down by
-        #: cooperative cancellation (limit pushdown) before completing.
-        #: Read through :attr:`failover_stats`.
-        self._failover = FailoverCounters()
         #: level -> list of node ids covering the complementary subtree
         self.routing_table: list[list[str]] = [[] for _ in range(len(path))]
         #: replica group sigma(p): other peers with the same path
@@ -179,23 +177,12 @@ class PGridPeer(Node):
         #: (see :meth:`sync_snapshot`); every store writer resets it to
         #: ``None`` and the next sync rebuilds it
         self._sync_snapshot: tuple | None = None
-        self._op_ids = itertools.count()
+        #: next operation / task / sub-request number minted here
+        self._op_ids = 0
         self._pending: dict[str, _Pending] = {}
-        #: origin-side ledgers of multi-peer operations, by task id
-        self._tasks: dict[str, FanoutTask] = {}
-        #: outstanding liveness probes (token -> (level, ref node id))
-        self._probe_pending: dict[str, tuple[int, str]] = {}
         #: failure-detector quarantine: refs recently observed dead are
         #: not re-adopted until their expiry time (node id -> time)
         self.ref_blacklist: dict[str, float] = {}
-        #: maintenance counters (filled by pgrid.maintenance)
-        self.maintenance_stats = {
-            "probes_sent": 0, "refs_dropped": 0, "refs_added": 0,
-            "sync_pushes": 0, "values_repaired": 0,
-        }
-        #: synopsis digests known about other peers (merged from
-        #: piggybacked maintenance traffic and anti-entropy pulls)
-        self.synopses = SynopsisRegistry()
         #: whether to piggyback synopsis digests on maintenance
         #: messages (zero extra messages either way; the flag exists
         #: for A/B attribution checks)
@@ -222,6 +209,49 @@ class PGridPeer(Node):
         self.register_handler("refs_request", self._handle_refs_request)
         self.register_handler("refs_reply", self._handle_refs_reply)
         self.register_handler("sync_push", self._handle_sync_push)
+
+    # State most peers of a large deployment never touch appears on
+    # first use (``cached_property`` lands in the instance dict, so
+    # later reads are plain attribute loads).
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This peer's private randomness stream."""
+        return random.Random(self._rng_seed)
+
+    @cached_property
+    def _failover(self) -> FailoverCounters:
+        """Failover counters: ``failovers`` counts dead references
+        skipped in favour of an alternate replica, ``retries`` the
+        timeout-driven re-attempts, ``gave_up`` the operations that
+        exhausted every attempt, ``cancelled`` the ones torn down by
+        cooperative cancellation (limit pushdown) before completing.
+        Read through :attr:`failover_stats`."""
+        return FailoverCounters()
+
+    @cached_property
+    def synopses(self) -> SynopsisRegistry:
+        """Synopsis digests known about other peers (merged from
+        piggybacked maintenance traffic and anti-entropy pulls)."""
+        return SynopsisRegistry()
+
+    @cached_property
+    def _tasks(self) -> "dict[str, FanoutTask]":
+        """Origin-side ledgers of multi-peer operations, by task id."""
+        return {}
+
+    @cached_property
+    def _probe_pending(self) -> dict[str, tuple[int, str]]:
+        """Outstanding liveness probes (token -> (level, ref node id))."""
+        return {}
+
+    @cached_property
+    def maintenance_stats(self) -> dict[str, int]:
+        """Maintenance counters (filled by pgrid.maintenance)."""
+        return {
+            "probes_sent": 0, "refs_dropped": 0, "refs_added": 0,
+            "sync_pushes": 0, "values_repaired": 0,
+        }
 
     @property
     def failover_stats(self) -> FailoverCounters:
@@ -402,7 +432,8 @@ class PGridPeer(Node):
             # Cancelled before issue: spend zero messages.
             future.set_result(OpResult(key=key, success=False, attempts=0))
             return future
-        op_id = f"{self.node_id}:{next(self._op_ids)}"
+        op_id = f"{self.node_id}:{self._op_ids}"
+        self._op_ids += 1
         # Direct transport access (vs the ``loop`` property): ops are
         # issued in bulk during deployment builds, where the extra
         # frames are measurable.
@@ -819,7 +850,8 @@ class PGridPeer(Node):
         op id: the reply carries it back to the task's origin as that
         request's report (see :class:`FanoutTask`).
         """
-        request_id = f"{op}!{task_id}!{self.node_id}:{next(self._op_ids)}"
+        request_id = f"{op}!{task_id}!{self.node_id}:{self._op_ids}"
+        self._op_ids += 1
         self._handle_route(Message("route", self.node_id, self.node_id, {
             "op": op,
             "op_id": request_id,
@@ -1012,7 +1044,8 @@ class FanoutTask:
     def __init__(self, peer: PGridPeer, on_finish: Any,
                  on_results: Any = None) -> None:
         self.peer = peer
-        self.task_id = f"{peer.node_id}:{next(peer._op_ids)}"
+        self.task_id = f"{peer.node_id}:{peer._op_ids}"
+        peer._op_ids += 1
         #: a timeout-driven finish runs outside any delivery scope,
         #: and ``on_finish`` may still send attributable traffic
         self.scope = peer.network.scope()
@@ -1062,5 +1095,8 @@ class FanoutTask:
         if self.peer._tasks.pop(self.task_id, None) is None:
             return
         self.timeout_handle.cancel()
+        # Taken, not just called: whatever waits on this task may hold
+        # it too (a cancel token's callback list does).
+        on_finish, self.on_finish, self.on_results = self.on_finish, None, None
         with self.peer.network.resume(self.scope):
-            self.on_finish(complete)
+            on_finish(complete)

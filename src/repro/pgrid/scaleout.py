@@ -254,7 +254,7 @@ class Deployment:
     """Everything both engines build identically from the spec."""
 
     assignment: dict[str, Key]
-    tables: dict[str, tuple[list[str], list[list[str]]]]
+    tables: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]
     #: needle key -> stored value
     needles: dict[Key, str]
     #: sorted leaf bits (for responsible-leaf lookup)
@@ -366,14 +366,15 @@ def _build_mediation(spec: ScaleoutSpec,
         query_waves=query_waves, batch_waves=batch_waves)
 
 
-def _stream(*parts: object) -> random.Random:
-    """A private rng stream keyed by plain values.
+def _stream_seed(*parts: object) -> int:
+    """The seed of a private rng stream keyed by plain values (the
+    peer creates the stream on its first draw).
 
     Seeding with a small int takes a fast path in CPython (string
     seeds are hashed through SHA-512); at 10k peers the difference is
     a tenth of a second of pure setup per engine run.
     """
-    return random.Random(zlib.crc32("/".join(map(str, parts)).encode()))
+    return zlib.crc32("/".join(map(str, parts)).encode())
 
 
 def _make_peer(spec: ScaleoutSpec, deployment: Deployment,
@@ -382,7 +383,7 @@ def _make_peer(spec: ScaleoutSpec, deployment: Deployment,
     peer_class = GridVinePeer if spec.workload == "mediation" else PGridPeer
     peer = peer_class(
         node_id, deployment.assignment[node_id],
-        rng=_stream(spec.seed, "peer", node_id),
+        rng=_stream_seed(spec.seed, "peer", node_id),
         timeout=spec.timeout, max_retries=spec.max_retries,
         failover=spec.failover)
     peer.replicas, peer.routing_table = deployment.tables[node_id]

@@ -18,14 +18,20 @@ class SimulationError(RuntimeError):
     """Raised for scheduling misuse or when a simulation cannot progress."""
 
 
+#: a queue is swept only past this many tombstones (below it the
+#: rebuild costs more than skipping them at pop time)
+_SWEEP_FLOOR = 64
+
+
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
     Cancellation is *lazy*: the heap entry stays queued and is skipped
-    when popped.  The owning loop keeps a live-event counter so
-    callers (e.g. the sharded transport's window stepper) can tell
-    "queue still holds work" from "queue holds only cancelled
-    tombstones" without draining it.
+    when popped — or swept out earlier, once such tombstones outnumber
+    the live entries (see :meth:`EventLoop._sweep`).  The owning loop
+    keeps a live-event counter so callers (e.g. the sharded transport's
+    window stepper) can tell "queue still holds work" from "queue holds
+    only cancelled tombstones" without draining it.
 
     The handle also *is* the event: callback and arguments live in
     slots here (no per-event dict, no separate heap payload), so a
@@ -51,8 +57,18 @@ class EventHandle:
         """Prevent the event from firing (idempotent)."""
         if not self.cancelled:
             self.cancelled = True
-            if self._loop is not None and not self._fired:
-                self._loop._live -= 1
+            # Never fires: drop what it would have called, so neither a
+            # queued tombstone nor a handle its callback's owner keeps
+            # pins anything.
+            self._callback = None
+            self._args = ()
+            loop = self._loop
+            if loop is not None and not self._fired:
+                loop._live -= 1
+                # Every queue entry is live or a tombstone.
+                tombstones = len(loop._queue) - loop._live
+                if tombstones > loop._live and tombstones > _SWEEP_FLOOR:
+                    loop._sweep()
 
 
 class CancelToken:
@@ -248,6 +264,15 @@ class EventLoop:
         while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
+
+    def _sweep(self) -> None:
+        """Drop every cancelled entry and restore the heap (in place:
+        the run loops hold the list).  Pops follow the total ``(time,
+        seq)`` order whatever the heap's layout, so nothing observable
+        changes."""
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""

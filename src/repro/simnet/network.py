@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappush
+from types import MethodType
 from typing import Any, Callable
 
 from repro.simnet.events import EventHandle, EventLoop, SimulationError
@@ -99,8 +100,9 @@ class Node:
         self.node_id = node_id
         self.network: Transport | None = None
         self.online = True
-        #: message kind -> bound handler (see :meth:`register_handler`)
-        self._handlers: dict[str, Callable[[Message], None]] = {}
+        #: message kind -> ``handler(node, message)`` (see
+        #: :meth:`register_handler`)
+        self._handlers: dict[str, Callable[["Node", Message], None]] = {}
         #: True when this node uses the stock :meth:`on_message`
         #: dispatch, letting the transport jump straight to the handler
         #: registry on delivery (one less frame per message)
@@ -130,8 +132,18 @@ class Node:
 
     def register_handler(self, kind: str,
                          handler: Callable[[Message], None]) -> None:
-        """Route deliveries of ``kind`` to ``handler`` (last wins)."""
-        self._handlers[kind] = handler
+        """Route deliveries of ``kind`` to ``handler(message)`` (last
+        wins).
+
+        The registry is called as ``handler(node, message)``, so a
+        method bound to this node is stored as its plain function and
+        no bound-method object outlives registration (ten a peer, for
+        the cyclic collector to re-traverse, at deployment scale).
+        """
+        if isinstance(handler, MethodType) and handler.__self__ is self:
+            self._handlers[kind] = handler.__func__
+        else:
+            self._handlers[kind] = lambda _node, message: handler(message)
 
     def on_message(self, message: Message) -> None:
         """Dispatch a delivered message to its registered handler."""
@@ -139,7 +151,7 @@ class Node:
         if handler is None:
             self.unhandled_message(message)
         else:
-            handler(message)
+            handler(self, message)
 
     def unhandled_message(self, message: Message) -> None:
         """Called for deliveries with no registered handler."""
@@ -272,9 +284,9 @@ class SimNetwork(Transport):
             # deeper — and this is the hottest call site in the system).
             handler = node._handlers.get(message.kind)
             if handler is None:
-                handler = node.unhandled_message
+                handler = type(node).unhandled_message
         else:
-            handler = node.on_message
+            handler = type(node).on_message
         scope = message.scope
         if scope is not None:
             # Re-open the scope so messages sent by the handler inherit
@@ -285,8 +297,8 @@ class SimNetwork(Transport):
             scopes = self._scopes
             scopes.append(scope)
             try:
-                handler(message)
+                handler(node, message)
             finally:
                 scopes.pop()
         else:
-            handler(message)
+            handler(node, message)

@@ -60,6 +60,7 @@ import random
 import resource
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.simnet.events import SimulationError
@@ -290,17 +291,21 @@ class Shard:
                      None if root is None else tracer.context_of(root))
         with transport.resume(scope):
             future = getattr(peer, method)(*args)
-
-        def _done(f: Any) -> None:
-            result = f.result()
-            if root is not None:
-                tracer.finish(root, loop.now,
-                              "ok" if getattr(result, "success", True)
-                              else "failed")
-            self._completions[ref] = summarize(result)
-
-        future.add_done_callback(_done)
+        # A partial, not a closure: a closure keeps a cell per captured
+        # name alive for each of the thousands of operations in flight.
+        future.add_done_callback(
+            partial(self._record_completion, ref, summarize, root))
         return future
+
+    def _record_completion(self, ref: int, summarize: Callable,
+                           root: Any, future: Any) -> None:
+        result = future.result()
+        if root is not None:
+            transport = self.transport
+            transport.tracer.finish(root, transport.loop.now,
+                                    "ok" if getattr(result, "success", True)
+                                    else "failed")
+        self._completions[ref] = summarize(result)
 
     def stats(self) -> dict:
         """Per-shard report (metrics + footprint + spans)."""

@@ -109,14 +109,12 @@ class TestHandlerExceptionOnTheSingleLoop:
         boom = RuntimeError("route handler failed")
 
         def raise_once(message):
-            for peer, handler in originals.items():
-                peer._handlers["route"] = handler
+            for peer in net.peers.values():
+                peer.register_handler("route", peer._handle_route)
             raise boom
 
-        originals = {peer: peer._handlers["route"]
-                     for peer in net.peers.values()}
-        for peer in originals:  # whichever peer routes first raises
-            peer._handlers["route"] = raise_once
+        for peer in net.peers.values():  # whichever routes first raises
+            peer.register_handler("route", raise_once)
 
         with pytest.raises(RuntimeError) as caught:
             net.search_for(QUERY, origin=first)

@@ -1,8 +1,13 @@
 """Tests for the discrete-event loop and futures."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.simnet import events
 from repro.simnet.events import EventLoop, Future, SimulationError, gather
+
+from strategies import STANDARD_SETTINGS
 
 
 class TestEventLoop:
@@ -93,6 +98,84 @@ class TestEventLoop:
             loop.schedule(1.0, lambda: None)
         loop.run_until_idle()
         assert loop.events_processed == 5
+
+
+class TestTombstoneSweep:
+    """Cancelled timers leave the queue once they outnumber the live
+    ones; nothing observable may depend on whether they did."""
+
+    def test_a_queue_of_mostly_tombstones_is_swept(self):
+        loop = EventLoop()
+        fired = []
+        handles = [loop.schedule(1.0 + i, fired.append, i)
+                   for i in range(300)]
+        for handle in handles[:200]:
+            handle.cancel()
+        assert loop.live_events == 100
+        assert len(loop._queue) < 200  # not 300: tombstones were dropped
+        assert loop.next_live_event_time() == 201.0
+        loop.run_until_idle()
+        assert fired == list(range(200, 300))
+        assert loop.events_processed == 100
+
+    @staticmethod
+    def replay(program, floor):
+        """Run ``program`` on a fresh loop that sweeps past ``floor``
+        tombstones; returns everything a caller can observe."""
+        saved, events._SWEEP_FLOOR = events._SWEEP_FLOOR, floor
+        try:
+            loop = EventLoop()
+            handles, log, longest = [], [], [0]
+
+            def fire(index, victim, follow_up):
+                log.append(("fired", index, loop.now))
+                if victim is not None:
+                    handles[victim % len(handles)].cancel()
+                if follow_up is not None:
+                    add(follow_up, None, None)
+
+            def add(delay, victim, follow_up):
+                handles.append(loop.schedule(
+                    delay, fire, len(handles), victim, follow_up))
+
+            for step in program:
+                if step[0] == "schedule":
+                    delay, victim, follow_up, copies = step[1:]
+                    for copy in range(copies):
+                        add(delay + copy / 4, victim, follow_up)
+                elif step[0] == "cancel":
+                    start, count = step[1:]
+                    for handle in handles[start:start + count]:
+                        handle.cancel()
+                elif step[0] == "run_until":
+                    loop.run_until(loop.now + step[1])
+                longest[0] = max(longest[0], len(loop._queue))
+                log.append((loop.live_events, loop.events_processed,
+                            loop.next_live_event_time(), loop.now))
+            loop.run_until_idle()
+            log.append((loop.live_events, loop.events_processed, loop.now))
+            return log, longest[0]
+        finally:
+            events._SWEEP_FLOOR = saved
+
+    delays = st.floats(min_value=0.0, max_value=4.0)
+    steps = st.one_of(
+        # bursts, and runs of handles cancelled at once: sweeping needs
+        # tombstones to outnumber what is left
+        st.tuples(st.just("schedule"), delays,
+                  st.none() | st.integers(0, 80), st.none() | delays,
+                  st.integers(1, 12)),
+        st.tuples(st.just("cancel"), st.integers(0, 40), st.integers(1, 12)),
+        st.tuples(st.just("run_until"), delays),
+    )
+
+    @STANDARD_SETTINGS
+    @given(program=st.lists(steps, max_size=80))
+    def test_same_firing_sequence_with_and_without_sweeping(self, program):
+        swept, swept_longest = self.replay(program, floor=0)
+        lazy, lazy_longest = self.replay(program, floor=10 ** 9)
+        assert swept == lazy
+        assert swept_longest <= lazy_longest
 
 
 class TestFuture:
