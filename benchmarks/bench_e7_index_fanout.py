@@ -37,13 +37,13 @@ def build(num_triples=60):
 
 def test_e7_insertion_fanout_is_three(benchmark):
     net, _ = build(num_triples=1)
-    origin = net.peer(net.peer_ids()[0])
+    origin = net.peer_ids()[0]
     triple = Triple(URI("S:extra"), URI("S#organism"),
                     Literal("Aspergillus extra"))
 
     def run():
         before = net.metrics_snapshot()["messages_by_kind"]
-        net.loop.run_until_complete(origin.insert_triple(triple))
+        net.call("insert_triple", triple, origin=origin)
         net.settle()
         after = net.metrics_snapshot()["messages_by_kind"]
         return before, after
@@ -101,13 +101,13 @@ def test_e7_routing_key_ablation(benchmark):
     target = triples[7]
 
     def run():
-        origin = net.peer(net.peer_ids()[0])
+        origin = net.peer_ids()[0]
         # correct rule: predicate key (object is a LIKE pattern)
-        good = net.loop.run_until_complete(
-            origin.retrieve(term_key(target.predicate)))
+        good, _ = net.call("retrieve", term_key(target.predicate),
+                           origin=origin)
         # ablated rule: hash the wildcard literal itself
-        bad = net.loop.run_until_complete(
-            origin.retrieve(term_key(Literal("%strain 7%"))))
+        bad, _ = net.call("retrieve", term_key(Literal("%strain 7%")),
+                          origin=origin)
         return good, bad
 
     good, bad = run_once(benchmark, run)

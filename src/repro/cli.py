@@ -159,8 +159,16 @@ def _maybe_install_tracer(net, args):
 def _maybe_export_trace(net, args) -> None:
     path = getattr(args, "trace", None)
     if path:
-        count = net.export_trace(path)
-        print(f"trace    : {count} record(s) -> {path} "
+        from repro.obs.analysis import trace_ids
+        from repro.obs.tracer import export_records_jsonl
+
+        records = net.trace_records()
+        # Ids count every operation since the deployment was built.
+        ids = trace_ids(records)
+        shown = (", ".join(ids) if len(ids) <= 4
+                 else f"{ids[0]} .. {ids[-1]} ({len(ids)} traces)")
+        count = export_records_jsonl(records, path)
+        print(f"trace    : {count} record(s), {shown} -> {path} "
               f"(inspect with: python -m repro trace {path})")
 
 

@@ -1,16 +1,17 @@
 """The whole-system harness: build and drive a GridVine deployment.
 
-:class:`GridVineNetwork` is the one mediation facade.  It sits on an
-*engine* (the :class:`repro.simnet.shard._Engine` surface) and exposes
-a *synchronous* façade over the asynchronous protocol.  Queries — the
-paper's ``SearchFor`` and the engine batches of
-:class:`~repro.engine.core.QueryEngine` — are *submitted* to the
-engine and waited for (``submit`` then ``result``), so their
-attribution scope (``op:<ref>``), trace root and loop driving are the
-engine's, identical on one event loop and on N shards.  Everything
-else (inserts, membership, diagnostics) calls the local peers directly
-and runs the loop until the resulting future resolves.  Examples,
-tests and benchmarks all talk to this class.
+:class:`GridVineNetwork` is the one mediation facade: the
+:class:`~repro.pgrid.overlay.PGridOverlay` spine (engine, peers,
+origins, membership, :meth:`~repro.pgrid.overlay.PGridOverlay.call`)
+plus what is mediation.  It exposes a *synchronous* façade over the
+asynchronous protocol, and every operation on it — each ``Update`` of
+a schema, triples or a mapping, each mediation read, the paper's
+``SearchFor`` and the engine batches of
+:class:`~repro.engine.core.QueryEngine` — is one ``call``: a peer
+method *submitted* to the engine and waited for, so its attribution
+scope (``op:<ref>``), trace root and loop driving are the engine's,
+identical on one event loop and on N shards.  Examples, tests and
+benchmarks all talk to this class.
 
 The harness view is deliberately omniscient (it can read any peer's
 state directly) — that power is only used for ground-truth checks and
@@ -33,39 +34,24 @@ from repro.mapping.model import (
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import ConnectivityRecord
 from repro.mediation.query import QueryOutcome
-from repro.pgrid.overlay import build_overlay
+from repro.pgrid.membership import join_network
+from repro.pgrid.overlay import PGridOverlay, build_overlay
 from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
-from repro.simnet.events import EventLoop, Future, SimulationError
+from repro.simnet.events import SimulationError
 from repro.simnet.latency import LatencyModel
-from repro.simnet.network import SimNetwork
-from repro.simnet.shard import SingleLoopEngine
 from repro.util.keys import Key
 
 
-def passthrough(result: Any) -> Any:
-    """Ship a :class:`QueryOutcome` or an ``(outcomes, fetch_stats)``
-    batch result back from ``submit`` unchanged (module-level: process
-    workers pickle it by reference)."""
-    return result
-
-
-class GridVineNetwork:
+class GridVineNetwork(PGridOverlay):
     """A simulated GridVine deployment of N peers, on either engine.
 
     Parameters
     ----------
-    engine:
-        What the deployment runs on: :meth:`build` wraps its network in
-        a :class:`~repro.simnet.shard.SingleLoopEngine`; the scale-out
-        driver hands in whichever engine it was given.
-    peers:
-        The deployment's peers, already attached to ``engine``.
-    rng:
-        Harness randomness (random origins, joins).  Without one every
-        operation needs an explicit ``origin``.
+    engine, peers, rng:
+        As for :class:`~repro.pgrid.overlay.PGridOverlay`.
     mappings:
         Schema mappings the overlay already holds (both directions of
         every bidirectional insert).  Replayed as ``"insert"`` events
@@ -73,13 +59,12 @@ class GridVineNetwork:
         over a preloaded deployment starts with a complete mirror
         without crawling the overlay.
 
-    The query surface (:meth:`search_for`, :meth:`run_batch`, tracing,
-    :meth:`settle`) needs nothing but the engine surface and works on
-    every engine.  The methods that read peer state directly (inserts,
-    membership, :meth:`random_peer`, diagnostics, :attr:`network`,
-    ``optimize=True`` engines) work on *local* peers: on an engine with
-    forked workers the controller's peers are pre-fork copies, and only
-    the query surface is meaningful there.
+    Writes, reads, queries, tracing and :meth:`settle` need nothing
+    but the engine surface and work on every engine.  One caveat
+    survives: under ``mode="process"`` the controller's peers are
+    pre-fork copies, so mapping-event hooks fire in the worker and
+    peer state read here (diagnostics, ``optimize=True`` engines) is
+    the pre-fork state.
     """
 
     def __init__(self, engine: Any,
@@ -88,11 +73,7 @@ class GridVineNetwork:
                  failover: bool = True,
                  refs_per_level: int = 2,
                  mappings: Sequence[SchemaMapping] = ()) -> None:
-        self.engine = engine
-        self.peers = peers
-        #: sorted node ids, cached between :meth:`join` / :meth:`leave`
-        self._sorted_ids: list[str] | None = None
-        self.rng = rng
+        super().__init__(engine, peers, rng)
         #: mappings already in the overlay, replayed to new listeners
         self._mappings = list(mappings)
         #: whether peers created later (joins) use replica failover
@@ -133,7 +114,7 @@ class GridVineNetwork:
         :meth:`repro.pgrid.overlay.PGridOverlay.build` plus
         ``failover`` (replica-aware retry steering, see
         :class:`~repro.pgrid.peer.PGridPeer`)."""
-        network, peers, rng = build_overlay(
+        engine, peers, rng = build_overlay(
             num_peers,
             lambda node_id, path, peer_rng: GridVinePeer(
                 node_id, path, rng=peer_rng, timeout=timeout,
@@ -143,71 +124,8 @@ class GridVineNetwork:
             refs_per_level=refs_per_level, key_bits=key_bits,
             latency=latency, seed=seed,
         )
-        return cls(SingleLoopEngine(seed=seed, net=network), peers, rng,
+        return cls(engine, peers, rng,
                    failover=failover, refs_per_level=refs_per_level)
-
-    # ------------------------------------------------------------------
-    # Peer access
-    # ------------------------------------------------------------------
-
-    @property
-    def network(self) -> SimNetwork:
-        """The single loop's transport (a sharded engine has one per
-        shard: there this is a :class:`SimulationError`)."""
-        net = getattr(self.engine, "net", None)
-        if net is None:
-            raise SimulationError(
-                "a sharded engine has one transport per shard and no "
-                "`network`; its counters are engine.metrics_snapshot()")
-        return net
-
-    @property
-    def loop(self) -> EventLoop:
-        """The deployment's event loop."""
-        return self.network.loop
-
-    def peer_ids(self) -> list[str]:
-        """All node ids, sorted (a fresh list)."""
-        return list(self._peer_order())
-
-    def _peer_order(self) -> list[str]:
-        ids = self._sorted_ids
-        if ids is None:
-            ids = self._sorted_ids = sorted(self.peers)
-        return ids
-
-    def peer(self, node_id: str) -> GridVinePeer:
-        """Look up a peer by id."""
-        return self.peers[node_id]
-
-    def random_peer(self) -> GridVinePeer:
-        """A uniformly random *online* peer (from the harness RNG).
-
-        Offline peers cannot originate operations — their messages
-        would vanish and the whole query would spuriously fail — so
-        under churn the draw skips them.  With every peer online the
-        draw is identical to the historical uniform choice.
-        """
-        if self.rng is None:
-            raise SimulationError(
-                "no harness rng to draw an origin from; pass an "
-                "explicit origin peer")
-        online = [node_id for node_id in self._peer_order()
-                  if self.peers[node_id].online]
-        if not online:
-            raise SimulationError("no online peer available as origin")
-        return self.peers[self.rng.choice(online)]
-
-    def _origin(self, origin: str | None) -> GridVinePeer:
-        if origin is None:
-            return self.random_peer()
-        peer = self.peers[origin]
-        if not peer.online:
-            raise SimulationError(
-                f"origin peer {origin!r} is offline; pick an online "
-                "peer or protect the origin from churn"
-            )
-        return peer
 
     # ------------------------------------------------------------------
     # Membership
@@ -215,23 +133,17 @@ class GridVineNetwork:
 
     def join(self, node_id: str) -> GridVinePeer:
         """Add a new GridVine peer to the live deployment."""
-        from repro.pgrid.membership import join_network
+        rng = self._harness_rng()
 
         def factory(new_id: str, path: Key) -> GridVinePeer:
-            peer = GridVinePeer(new_id, path, rng=self.rng.random(),
+            peer = GridVinePeer(new_id, path, rng=rng.random(),
                                 failover=self.failover)
             peer.mapping_hooks.append(self._emit_mapping_event)
             return peer
 
-        self._sorted_ids = None
+        self._sorted_peers = None
         return join_network(self.network, self.peers, node_id, factory,
-                            rng=random.Random(self.rng.random()))
-
-    def leave(self, node_id: str) -> None:
-        """Gracefully remove a peer (data handed to its replicas)."""
-        from repro.pgrid.membership import graceful_leave
-        self._sorted_ids = None
-        graceful_leave(self.network, self.peers, node_id)
+                            rng=random.Random(rng.random()))
 
     def settle(self) -> None:
         """Run the engine until quiescence (replication, republication
@@ -286,35 +198,30 @@ class GridVineNetwork:
     # Synchronous mediation operations
     # ------------------------------------------------------------------
 
-    def _run(self, future: Future):
-        return self.loop.run_until_complete(future)
-
     def insert_schema(self, schema: Schema, origin: str | None = None) -> None:
         """Insert a schema definition from ``origin`` (random default)."""
-        self._run(self._origin(origin).insert_schema(schema))
+        self.call("insert_schema", schema, origin=origin)
 
     def insert_triples(self, triples: Sequence[Triple],
                        origin: str | None = None) -> None:
         """Insert data triples (each indexed under its three keys)."""
-        self._run(self._origin(origin).insert_triples(list(triples)))
+        self.call("insert_triples", list(triples), origin=origin)
 
     def insert_mapping(self, mapping: SchemaMapping,
                        bidirectional: bool = False,
                        origin: str | None = None) -> None:
         """Insert a schema mapping."""
-        self._run(self._origin(origin).insert_mapping(
-            mapping, bidirectional=bidirectional
-        ))
+        self.call("insert_mapping", mapping, bidirectional, origin=origin)
 
     def remove_mapping(self, mapping: SchemaMapping,
                        origin: str | None = None) -> None:
         """Remove a schema mapping entirely."""
-        self._run(self._origin(origin).remove_mapping(mapping))
+        self.call("remove_mapping", mapping, origin=origin)
 
     def deprecate_mapping(self, mapping: SchemaMapping,
                           origin: str | None = None) -> None:
         """Flag a mapping as deprecated."""
-        self._run(self._origin(origin).deprecate_mapping(mapping))
+        self.call("deprecate_mapping", mapping, origin=origin)
 
     def create_mapping(
         self,
@@ -342,7 +249,7 @@ class GridVineNetwork:
             provenance=provenance,
             confidence=confidence,
         )
-        self._run(creator.insert_mapping(mapping))
+        self.insert_mapping(mapping, origin=creator.node_id)
         return mapping
 
     # ------------------------------------------------------------------
@@ -383,10 +290,8 @@ class GridVineNetwork:
         """
         if isinstance(query, str):
             query = parse_search_for(query)
-        ref = self.engine.submit(
-            self._origin(origin).node_id, "search_for", query, strategy,
-            max_hops, limit, summarize=passthrough, attribute=True)
-        outcome, messages = self.engine.result(ref)
+        outcome, messages = self.call("search_for", query, strategy,
+                                      max_hops, limit, origin=origin)
         outcome.messages = messages
         return outcome
 
@@ -407,10 +312,9 @@ class GridVineNetwork:
             raise SimulationError(
                 "cost-based optimization needs peer-side state and is "
                 "not available across a process boundary")
-        ref = self.engine.submit(
-            peer.node_id, "execute_planned_batch", queries, plans, limit,
-            optimizer, summarize=passthrough, attribute=True)
-        (outcomes, fetch_stats), messages = self.engine.result(ref)
+        (outcomes, fetch_stats), messages = self.call(
+            "execute_planned_batch", queries, plans, limit, optimizer,
+            origin=peer.node_id)
         return outcomes, fetch_stats, messages
 
     # ------------------------------------------------------------------
@@ -420,7 +324,7 @@ class GridVineNetwork:
     def connectivity_records(self, domain: str = "default",
                              origin: str | None = None) -> list[ConnectivityRecord]:
         """Fetch the domain's connectivity records through the overlay."""
-        records = self._run(self._origin(origin).fetch_connectivity(domain))
+        records, _ = self.call("fetch_connectivity", domain, origin=origin)
         return sorted(records, key=lambda r: r.schema_name)
 
     def connectivity_indicator(self, domain: str = "default",
@@ -433,9 +337,8 @@ class GridVineNetwork:
                        include_deprecated: bool = False,
                        origin: str | None = None) -> list[SchemaMapping]:
         """Active outgoing mappings of a schema, via the overlay."""
-        return self._run(self._origin(origin).fetch_mappings(
-            schema_name, include_deprecated=include_deprecated
-        ))
+        return self.call("fetch_mappings", schema_name, include_deprecated,
+                         origin=origin)[0]
 
     def mapping_graph(self, domain: str = "default",
                       include_deprecated: bool = False,

@@ -44,9 +44,9 @@ estimates spread epidemically at zero extra message cost.
 .. warning::
    While a maintenance process is running, the event queue never
    drains — ticks reschedule themselves indefinitely.  Advance the
-   simulation with ``loop.run_until(time)`` or
-   ``loop.run_until_complete(future)``; ``run_until_idle()`` would
-   spin forever.
+   simulation with ``engine.run_until(time)`` or wait on one operation
+   (``engine.result(ref)``, what every facade call does);
+   ``run_until_idle()`` / ``settle()`` would spin forever.
 """
 
 from __future__ import annotations

@@ -12,7 +12,11 @@ schema; the controller here drives the identical sequence of overlay
 operations from one vantage peer per round, which produces the same
 record-level state evolution while keeping experiments deterministic
 and debuggable.  All state the controller uses is obtained through the
-overlay (``Retrieve``); nothing is read out-of-band.
+overlay (``Retrieve``); nothing is read out-of-band: each fetch is an
+attributed peer operation (:meth:`GridVineNetwork.call
+<repro.pgrid.overlay.PGridOverlay.call>`) from an origin drawn from
+the harness rng, so a round runs on whichever engine the network does
+and leaves one ``op:<ref>`` trace per fetch.
 """
 
 from __future__ import annotations
@@ -89,10 +93,8 @@ class SelfOrganizationController:
         """Schema definitions for every schema with a connectivity record."""
         schemas: dict[str, Schema] = {}
         for record in self.network.connectivity_records(self.domain):
-            peer = self.network.random_peer()
-            space = self.network.loop.run_until_complete(
-                peer.fetch_schema_space(record.schema_name)
-            )
+            space, _ = self.network.call("fetch_schema_space",
+                                         record.schema_name)
             for item in space:
                 if isinstance(item, SchemaRecord):
                     schemas[item.schema.name] = item.schema
@@ -102,11 +104,8 @@ class SelfOrganizationController:
     def _fetch_predicate_values(self, schema: Schema,
                                 attribute: str) -> set[str]:
         """Object values observed under one predicate, via the overlay."""
-        peer = self.network.random_peer()
         predicate = schema.predicate(attribute)
-        result = self.network.loop.run_until_complete(
-            peer.retrieve(term_key(predicate))
-        )
+        result, _ = self.network.call("retrieve", term_key(predicate))
         values: set[str] = set()
         for item in result.values or ():
             if (isinstance(item, TripleRecord)

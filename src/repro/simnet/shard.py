@@ -229,7 +229,7 @@ class Shard:
         horizon: float,
         liveness: dict[str, bool],
         toggles: list[tuple[float, str, bool]],
-        ops: list[tuple[int, str, str, tuple, Callable | None, bool]],
+        ops: list[tuple[int, str, str, tuple, Callable | None, str | None]],
         arrivals: list[tuple[float, int, int, Message]],
     ) -> tuple[list, dict, int, float | None]:
         """One window, barrier to barrier: apply the controller's
@@ -247,8 +247,8 @@ class Shard:
             transport._liveness.update(liveness)
         for at, node_id, online in toggles:
             loop.schedule_at(at, transport.set_online, node_id, online)
-        for ref, node_id, method, args, summarize, attribute in ops:
-            self._issue(ref, node_id, method, args, summarize, attribute)
+        for ref, node_id, method, args, summarize, tag in ops:
+            self._issue(ref, node_id, method, args, summarize, tag)
         for deliver_time, _src_shard, _src_seq, message in arrivals:
             loop.schedule_at(deliver_time, transport._deliver, message)
         self.run_window(horizon)
@@ -263,13 +263,14 @@ class Shard:
     # -- helpers -------------------------------------------------------
 
     def _issue(self, ref: int, node_id: str, method: str, args: tuple,
-               summarize: Callable | None, attribute: bool) -> Any:
+               summarize: Callable | None, tag: str | None) -> Any:
         """Call ``peer.<method>(*args)`` now; summarize on completion
         (by default with :func:`summarize_op_result`).  Returns the
         operation's future.
 
-        ``attribute`` runs the synchronous kickoff inside an
-        ``op:<ref>`` scope; every asynchronous continuation inherits
+        ``tag`` is the attribution tag ``op:<ref>`` of an attributed
+        submission (``None`` otherwise): the synchronous kickoff runs
+        inside that scope and every asynchronous continuation inherits
         the tag through the messages themselves (across shard
         boundaries too), so the ``operations`` counters give an exact
         per-op message count.  With a tracer installed the kickoff is
@@ -278,23 +279,29 @@ class Shard:
         span's per-peer sequence — do not depend on how peers are
         sharded.
         """
-        summarize = summarize or summarize_op_result
         transport = self.transport
         peer = transport.node(node_id)
         tracer = transport.tracer
-        loop = transport.loop
-        root = None if tracer is None else tracer.start_trace(
-            f"op:{ref}", f"op:{method}", peer=node_id, start=loop.now)
-        scope = None
-        if attribute or root is not None:
-            scope = (f"op:{ref}" if attribute else None,
-                     None if root is None else tracer.context_of(root))
-        with transport.resume(scope):
+        root = context = None
+        if tracer is not None:
+            root = tracer.start_trace(tag or f"op:{ref}", f"op:{method}",
+                                      peer=node_id, start=transport.loop.now)
+            context = tracer.context_of(root)
+        if tag is None and root is None:
             future = getattr(peer, method)(*args)
+        else:
+            # ``transport.resume((tag, context))``, inlined as at the gate
+            scopes = transport._scopes
+            scopes.append((tag, context))
+            try:
+                future = getattr(peer, method)(*args)
+            finally:
+                scopes.pop()
         # A partial, not a closure: a closure keeps a cell per captured
         # name alive for each of the thousands of operations in flight.
-        future.add_done_callback(
-            partial(self._record_completion, ref, summarize, root))
+        future.add_done_callback(partial(
+            self._record_completion, ref, summarize or summarize_op_result,
+            root))
         return future
 
     def _record_completion(self, ref: int, summarize: Callable,
@@ -364,8 +371,8 @@ class _WindowInput:
 
     liveness: dict[str, bool] = field(default_factory=dict)
     toggles: list[tuple[float, str, bool]] = field(default_factory=list)
-    ops: list[tuple[int, str, str, tuple, Callable | None, bool]] = field(
-        default_factory=list)
+    ops: list[tuple[int, str, str, tuple, Callable | None, str | None]] = \
+        field(default_factory=list)
     arrivals: list[tuple[float, int, int, Message]] = field(
         default_factory=list)
 
@@ -496,8 +503,7 @@ class SingleLoopEngine(_Engine):
     roots and the report come from the same :class:`Shard` code the
     sharded engine runs, so the two differ by the window barrier and
     nothing else.  The network is built here, or handed in
-    (:meth:`GridVineNetwork.build
-    <repro.mediation.network.GridVineNetwork.build>` wraps the one it
+    (:func:`repro.pgrid.overlay.build_overlay` wraps the one it
     constructs, seed streams and all).
     """
 
@@ -513,8 +519,8 @@ class SingleLoopEngine(_Engine):
             latency=latency, rng=random.Random(f"{seed}/latency"))
         self._shard = Shard(0, self.net)
         self._refs = itertools.count()
-        #: op ref -> the operation's future, until :meth:`result`
-        #: waits on it
+        #: op ref -> (the operation's future, its attribution tag),
+        #: until :meth:`result` waits on it
         self._futures: dict[int, Any] = {}
 
     @property
@@ -542,13 +548,14 @@ class SingleLoopEngine(_Engine):
         """Call ``peer.<method>(*args)`` now; see
         :meth:`ShardedTransport.submit` for the contract."""
         ref = next(self._refs)
+        tag = f"op:{ref}" if attribute else None
         if attribute:
-            self.net.metrics.begin_operation(f"op:{ref}")
+            self.net.metrics.begin_operation(tag)
         try:
             self._futures[ref] = self._shard._issue(
-                ref, node_id, method, args, summarize, attribute)
+                ref, node_id, method, args, summarize, tag), tag
         except BaseException:
-            self.net.metrics.end_operation(f"op:{ref}")
+            self.net.metrics.end_operation(tag)
             raise
         return ref
 
@@ -561,7 +568,7 @@ class SingleLoopEngine(_Engine):
         exception propagates unchanged, with the op forgotten all the
         same.
         """
-        future = self._futures.pop(ref)
+        future, tag = self._futures.pop(ref)
         try:
             self.net.loop.run_until_complete(future)
         except BaseException:
@@ -570,7 +577,7 @@ class SingleLoopEngine(_Engine):
             future.add_done_callback(lambda _f: self.completed.pop(ref, None))
             raise
         finally:
-            messages = self.net.metrics.end_operation(f"op:{ref}")
+            messages = self.net.metrics.end_operation(tag)
         return self.completed.pop(ref), messages
 
     def run_until(self, t_end: float) -> None:
@@ -798,7 +805,8 @@ class ShardedTransport(_Engine):
             raise SimulationError(f"unknown node {node_id!r}")
         ref = next(self._refs)
         self._inputs[self._owner_of[node_id]].ops.append(
-            (ref, node_id, method, args, summarize, attribute))
+            (ref, node_id, method, args, summarize,
+             f"op:{ref}" if attribute else None))
         return ref
 
     def result(self, ref: int) -> tuple[Any, int]:

@@ -43,3 +43,31 @@ def bio_dataset():
     return BioDatasetGenerator(
         num_schemas=8, num_entities=80, entities_per_schema=25, seed=3,
     ).generate()
+
+
+@pytest.fixture
+def record_calls():
+    """``record_calls(net)`` logs every later ``net.call`` — the facade's
+    own and a controller's — as ``(method, attributed, sent_at_return,
+    sent_settled)``: the operation's attributed message count, and the
+    deployment-wide ``messages_sent`` delta when the call returned and
+    after settling.  It settles after every call, so on a deployment
+    without timers each operation starts on a quiet network."""
+    def install(net):
+        log = []
+        call = net.call
+
+        def sent():
+            return net.metrics_snapshot()["messages_sent"]
+
+        def recording(method, *args, origin=None):
+            before = sent()
+            result = call(method, *args, origin=origin)
+            at_return = sent() - before
+            net.settle()
+            log.append((method, result[1], at_return, sent() - before))
+            return result
+
+        net.call = recording
+        return log
+    return install

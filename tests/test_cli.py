@@ -197,23 +197,25 @@ class TestTraceCommand:
     def test_query_trace_flag_writes_jsonl(self, tmp_path, capsys):
         path = self.run_traced_query(tmp_path)
         out = capsys.readouterr().out
-        assert f"-> {path}" in out
         from repro.obs.analysis import load_jsonl, trace_ids
         records = load_jsonl(str(path))
-        assert trace_ids(records) == ["op:0"]
+        # One query, one trace; deployment writes took the refs before
+        # it, so the id is whatever the command says it wrote.
+        (trace,) = trace_ids(records)
+        assert f"{len(records)} record(s), {trace} -> {path}" in out
 
     def test_trace_summary_waterfall_and_stats(self, tmp_path, capsys):
         path = self.run_traced_query(tmp_path)
+        from repro.obs.analysis import load_jsonl, trace_ids
+        (trace,) = trace_ids(load_jsonl(str(path)))
         capsys.readouterr()
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "1 trace(s)" in out and "op:0" in out
-        assert main(["trace", str(path), "--waterfall",
-                     "op:0"]) == 0
+        assert "1 trace(s)" in out and trace in out
+        assert main(["trace", str(path), "--waterfall", trace]) == 0
         out = capsys.readouterr().out
         assert "msg:route" in out and "|" in out
-        assert main(["trace", str(path), "--critical-path",
-                     "op:0"]) == 0
+        assert main(["trace", str(path), "--critical-path", trace]) == 0
         assert "critical path" in capsys.readouterr().out
         assert main(["trace", str(path), "--stats"]) == 0
         assert "message attribution" in capsys.readouterr().out

@@ -1,14 +1,19 @@
-"""``GridVineNetwork`` on the engine surface: one query path.
+"""``GridVineNetwork`` on the engine surface: one way to run an op.
 
-``search_for`` and ``run_batch`` are one ``submit`` plus one ``result``
-on whichever engine the facade was built over, so three things hold:
-nothing about a finished query is retained, a handler exception leaves
-the deployment usable, and both engines answer identically.
+Every write, read, query and controller fetch is one ``call`` — one
+``submit`` plus one ``result`` on whichever engine the facade was built
+over — so three things hold: nothing about a finished operation is
+retained, a handler exception leaves the deployment usable, and both
+engines do and answer the same.
 """
+
+import random
 
 import pytest
 
+from repro.mapping.model import PredicateCorrespondence, SchemaMapping
 from repro.mediation.network import GridVineNetwork
+from repro.obs.analysis import trace_ids
 from repro.pgrid.scaleout import (
     ScaleoutSpec,
     _make_peer,
@@ -19,6 +24,7 @@ from repro.pgrid.scaleout import (
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
+from repro.selforg import CreationPolicy, SelfOrganizationController
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.shard import (
@@ -30,12 +36,14 @@ from repro.simnet.shard import (
 QUERY = "SearchFor(x? : (x?, EMBL#Organism, %Aspergillus%))"
 
 
-def deploy(**kwargs):
-    net = GridVineNetwork.build(num_peers=16, seed=5, **kwargs)
-    embl = Schema("EMBL", ["Organism"], domain="d")
-    emp = Schema("EMP", ["SystematicName"], domain="d")
-    net.insert_schema(embl)
-    net.insert_schema(emp)
+EMBL = Schema("EMBL", ["Organism"], domain="d")
+EMP = Schema("EMP", ["SystematicName"], domain="d")
+
+
+def load_corpus(net):
+    """Two schemas, their triples and the mapping EMBL -> EMP."""
+    net.insert_schema(EMBL)
+    net.insert_schema(EMP)
     net.insert_triples([
         Triple(URI(f"EMBL:{i}"), URI("EMBL#Organism"),
                Literal(f"Aspergillus {i}"))
@@ -44,15 +52,68 @@ def deploy(**kwargs):
         Triple(URI("EMP:9"), URI("EMP#SystematicName"),
                Literal("Aspergillus 9")),
     ])
-    net.create_mapping(embl, emp, [("Organism", "SystematicName")],
+    net.create_mapping(EMBL, EMP, [("Organism", "SystematicName")],
                        origin=net.peer_ids()[0])
     net.settle()
+
+
+def deploy(**kwargs):
+    net = GridVineNetwork.build(num_peers=16, seed=5, **kwargs)
+    load_corpus(net)
     return net
+
+
+SWISS = Schema("SWISS", ["Species"], domain="d")
+
+
+def directed(source, target, attribute_pairs):
+    return SchemaMapping(
+        f"m:{source.name}->{target.name}", source.name, target.name,
+        [PredicateCorrespondence(source.predicate(a), target.predicate(b))
+         for a, b in attribute_pairs])
+
+
+def write_read_script(net):
+    """Every write and read kind of the facade on the ``deploy`` corpus,
+    then one self-organization round over the fragmented result."""
+    load_corpus(net)
+    net.insert_schema(SWISS)
+    net.insert_triples([
+        Triple(URI(f"SWISS:{i}"), URI("SWISS#Species"),
+               Literal(f"Aspergillus {i}"))
+        for i in range(4)])
+    both_ways = directed(EMP, SWISS, [("SystematicName", "Species")])
+    net.insert_mapping(both_ways, bidirectional=True)
+    net.deprecate_mapping(both_ways)
+    short_lived = directed(SWISS, EMBL, [("Species", "Organism")])
+    net.insert_mapping(short_lived)
+    net.remove_mapping(short_lived)
+    records = net.connectivity_records("d")
+    mappings = net.fetch_mappings("EMP", include_deprecated=True)
+    graph = net.mapping_graph("d", include_deprecated=True)
+    controller = SelfOrganizationController(
+        net, domain="d", policy=CreationPolicy(mappings_per_round=1))
+    report = controller.step()
+    net.settle()
+    return (
+        [(r.schema_name, r.degree_pair) for r in records],
+        [(m.mapping_id, m.deprecated) for m in mappings],
+        sorted(m.mapping_id for m in graph.mappings()),
+        (report.ci_before, report.ci_after, report.created,
+         report.deprecated, report.posteriors),
+    )
 
 
 def remote_origins(net):
     """Two origins that do not own the queried key space themselves."""
     return net.peer_ids()[2], net.peer_ids()[3]
+
+
+def traces_rooted_at(records, name):
+    """Trace ids, in submit order, whose root span is called ``name``."""
+    return [r["trace"] for r in records
+            if r["type"] == "span" and r["parent"] is None
+            and r["name"] == name]
 
 
 def assert_nothing_retained(net):
@@ -89,6 +150,18 @@ class TestNothingRetained:
             net.search_for("SearchFor(x? : (x?, y?, z?))",
                            origin=remote_origins(net)[0])
         assert_nothing_retained(net)
+
+    def test_after_writes_reads_and_a_controller_round(self):
+        net = GridVineNetwork.build(num_peers=16, seed=5)
+        write_read_script(net)
+        assert_nothing_retained(net)
+
+    def test_after_a_write_whose_kickoff_raises(self):
+        net = deploy()
+        with pytest.raises(AttributeError):
+            net.insert_schema(None, origin=remote_origins(net)[0])
+        assert_nothing_retained(net)
+        assert net.network.scope() is None
 
 
 class TestHandlerExceptionOnTheSingleLoop:
@@ -127,8 +200,10 @@ class TestHandlerExceptionOnTheSingleLoop:
         assert outcome.messages == expected
         if traced:
             assert tracer.current() is None
-            hops = [r for r in net.trace_records()
-                    if r["trace"] == "op:1" and r.get("kind") == "message"]
+            records = net.trace_records()
+            _raised, trace = traces_rooted_at(records, "op:search_for")
+            hops = [r for r in records
+                    if r["trace"] == trace and r.get("kind") == "message"]
             assert len(hops) == expected
         # The abandoned query's retries still run their course; its
         # late completion is not kept either.
@@ -146,18 +221,21 @@ SPEC = ScaleoutSpec(num_peers=120, replication=1, refs_per_level=1, seed=3,
                     batch_queries=3)
 
 
-def facade_over(engine, deployment, traced=True):
-    """What ``pgrid.scaleout._drive`` builds, tracer installed."""
+def facade_over(engine, deployment, traced=True, rng=None, preload=True):
+    """What ``pgrid.scaleout._drive`` builds, tracer installed
+    (``preload=False``: the same overlay with empty stores)."""
     peers = {node_id: _make_peer(SPEC, deployment, node_id)
              for node_id in sorted(deployment.assignment)}
-    _preload_mediation(deployment, peers)
+    mappings = ()
+    if preload:
+        _preload_mediation(deployment, peers)
+        mappings = deployment.mediation.mappings
     owner = partition_paths(deployment.assignment, engine.num_shards)
     for node_id, peer in peers.items():
         engine.add_peer(peer, owner[node_id])
     if traced:
         engine.install_tracer(seed=0)
-    return GridVineNetwork(engine, peers,
-                           mappings=deployment.mediation.mappings)
+    return GridVineNetwork(engine, peers, rng=rng, mappings=mappings)
 
 
 def test_both_engines_answer_identically():
@@ -186,8 +264,68 @@ def test_both_engines_answer_identically():
     rows, messages, batch_rows, batch_messages, records = single
     assert rows and messages > 0
     assert any(batch_rows) and batch_messages > 0
-    assert {r["trace"] for r in records} == {"op:0", "op:1"}
+    assert trace_ids(records) == (
+        traces_rooted_at(records, "op:search_for")
+        + traces_rooted_at(records, "op:execute_planned_batch"))
+    assert len(trace_ids(records)) == 2
     assert sharded == single
+
+
+def test_writes_reads_and_a_controller_round_are_equal_on_both_engines(
+        record_calls):
+    """The paper's other two thirds — every ``Update``, every mediation
+    read and the §3.2 loop — on the single loop and on 1 / 2 / 4 inline
+    shards: same stores, same ``ci``, same messages, call by call.
+
+    Two clocks, so one thing differs by design and is pinned here: the
+    single loop's ``result`` returns at the operation's own completion,
+    a sharded one at quiescence.  A mapping mutation's holders republish
+    their connectivity records *after* acknowledging it; that tail
+    carries the op's tag, so the sharded count includes it and the
+    single loop's stops short of it by exactly the traffic still in
+    flight when the call returned.
+    """
+    deployment = build_deployment(SPEC)
+
+    def observe(engine):
+        with engine:
+            net = facade_over(engine, deployment, traced=False,
+                              rng=random.Random(SPEC.seed), preload=False)
+            log = record_calls(net)
+            observed = write_read_script(net)
+            stores = {node_id: {bits: sorted(map(repr, values))
+                                for bits, values in peer.store.items()}
+                      for node_id, peer in net.peers.items()}
+            return (log, observed, stores, net.connectivity_indicator("d"),
+                    net.metrics_snapshot()["messages_sent"])
+
+    latency = ConstantLatency(SPEC.latency_delay)
+    log, observed, *rest = observe(
+        SingleLoopEngine(latency=latency, seed=SPEC.seed))
+    report = observed[-1]
+    assert report[0] < 0.0 and report[2], "the round must fetch and create"
+    methods = {method for method, *_ in log}
+    assert methods >= {
+        "insert_schema", "insert_triples", "insert_mapping",
+        "deprecate_mapping", "remove_mapping", "fetch_connectivity",
+        "fetch_mappings", "fetch_schema_space", "retrieve"}
+    # On a quiet single loop the attributed count is exact for every
+    # kind: everything sent before the call returned was the op's.
+    assert all(attributed == at_return <= settled
+               for _method, attributed, at_return, settled in log)
+    assert {method for method, attributed, _r, settled in log
+            if attributed < settled} <= {
+        "insert_schema", "insert_mapping", "deprecate_mapping",
+        "remove_mapping"}
+
+    for shards in (1, 2, 4):
+        sharded_log, *sharded = observe(
+            ShardedTransport(shards, latency=latency, seed=SPEC.seed))
+        assert sharded == [observed, *rest]
+        assert all(attributed == at_return == settled
+                   for _method, attributed, at_return, settled in sharded_log)
+        assert ([(method, settled) for method, *_, settled in sharded_log]
+                == [(method, settled) for method, *_, settled in log])
 
 
 def test_observability_calls_work_on_both_engines():
@@ -235,3 +373,7 @@ def test_drawing_an_origin_needs_the_harness_rng():
     net = facade_over(SingleLoopEngine(seed=SPEC.seed), deployment)
     with pytest.raises(SimulationError, match="explicit origin"):
         net.search_for(deployment.mediation.query_waves[0][0][1])
+    # A join draws the newcomer's seeds from the same rng.
+    with pytest.raises(SimulationError, match="pass the facade an rng"):
+        net.join("newcomer")
+    assert "newcomer" not in net.peers

@@ -8,6 +8,7 @@ from repro.rdf.parser import ParseError
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
+from repro.simnet.events import SimulationError
 
 
 class TestFacadeBasics:
@@ -22,9 +23,15 @@ class TestFacadeBasics:
 
     def test_unknown_origin_raises(self):
         net = GridVineNetwork.build(num_peers=4, seed=3)
-        with pytest.raises(KeyError):
+        with pytest.raises(SimulationError,
+                           match="unknown origin peer 'ghost'"):
             net.search_for("SearchFor(x? : (x?, S#p, %v%))",
                            origin="ghost")
+        with pytest.raises(SimulationError, match="'ghost'"):
+            net.insert_schema(Schema("S", ["p"]), origin="ghost")
+        # Refused before anything was submitted: no op ref is spent.
+        assert net.engine.submit(net.peer_ids()[0], "fetch_connectivity",
+                                 "default") == 0
 
     def test_string_query_parse_errors_propagate(self, small_network):
         with pytest.raises(ParseError):

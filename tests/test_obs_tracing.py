@@ -20,6 +20,7 @@ from repro.pgrid.peer import PGridPeer
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
+from repro.selforg import SelfOrganizationController
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.shard import ShardedTransport
 from repro.util.keys import Key
@@ -90,15 +91,51 @@ class TestQueryTraces:
         result = engine.execute_batch([
             QUERY, "SearchFor(x? : (x?, S1#org, %Yeast%))"])
         records = net.trace_records()
-        traces = trace_ids(records)
-        assert len(traces) == 1
-        trace = traces[0]
-        assert trace.startswith("op:")
+        # The engine's backfill crawl was traced operations too; the
+        # batch is the one rooted at its peer method.
+        (trace,) = [s["trace"] for s in records
+                    if s["type"] == "span" and s["parent"] is None
+                    and s["name"] == "op:execute_planned_batch"]
         assert_trace_well_formed(records, trace)
         message_spans = [s for s in spans_of(records, trace)
                          if s["kind"] == "message"]
         assert result.messages > 0
         assert len(message_spans) == result.messages
+
+    def test_every_write_read_and_controller_fetch_is_one_exact_trace(
+            self, record_calls):
+        net = build_corpus()
+        mapping, = net.fetch_mappings("S0")
+        net.insert_schema(Schema("S2", ["org", "len"], domain="e13"))
+        net.insert_triples([Triple(URI("S2:e0"), URI("S2#org"),
+                                   Literal("Aspergillus-0"))])
+        net.settle()
+        net.install_tracer()
+        log = record_calls(net)
+        net.deprecate_mapping(mapping)
+        net.insert_mapping(mapping)
+        report = SelfOrganizationController(net, domain="e13").step()
+        net.remove_mapping(mapping)
+        assert report.ci_before < 0.0 and report.created
+        assert {method for method, *_ in log} >= {
+            "deprecate_mapping", "insert_mapping", "remove_mapping",
+            "fetch_connectivity", "fetch_schema_space", "retrieve",
+            "fetch_mappings"}
+        records = net.trace_records()
+        # One trace per call, ids in submit order.
+        traces = sorted(trace_ids(records), key=lambda t: int(t[3:]))
+        assert len(traces) == len(log)
+        for trace, (method, attributed, at_return, settled) in zip(traces,
+                                                                  log):
+            assert_trace_well_formed(records, trace)
+            spans = spans_of(records, trace)
+            root, = [s for s in spans if s["parent"] is None]
+            assert root["name"] == f"op:{method}"
+            # The trace follows the operation's whole causal chain; the
+            # single loop's counter stops when the call returns (see
+            # test_facade_engine for the tail a mapping mutation has).
+            assert attributed == at_return <= settled
+            assert sum(1 for s in spans if s["kind"] == "message") == settled
 
     def test_concurrent_queries_never_share_spans(self):
         net = build_corpus()

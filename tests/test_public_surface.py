@@ -20,6 +20,13 @@ ledger (``FanoutTask``), its table and the sub-request sender live on
 the overlay peer; the mediation peer uses them for the recursive
 strategy, and nothing else — the operator algebra least of all — mints
 a request id or keeps a task table.
+
+One function runs a peer operation to completion.  Outside ``simnet/``
+nothing spins an event loop on a future, and exactly one function pairs
+``engine.submit`` with ``engine.result`` — the facade spine's ``call``.
+Writes, reads, queries, engine batches and the self-organization
+controller's fetches all go through it, which is what makes each of
+them attributed, traced and runnable on either engine.
 """
 
 import ast
@@ -100,3 +107,26 @@ def test_fanout_termination_has_one_ledger():
     assert not offenders, (
         "fan-out bookkeeping outside the peer's ledger:\n  "
         + "\n  ".join(offenders))
+
+
+def _attribute_names(node):
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_one_function_runs_a_peer_operation():
+    loop_drivers, blocking_calls = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module.startswith("simnet/"):
+            continue
+        tree = ast.parse(path.read_text())
+        if "run_until_complete" in _attribute_names(tree):
+            loop_drivers.append(module)
+        blocking_calls += [
+            f"{module}:{node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {"submit", "result"} <= _attribute_names(node)]
+    assert not loop_drivers, (
+        "an event loop driven outside simnet/ (use the facade's call): "
+        + ", ".join(loop_drivers))
+    assert blocking_calls == ["pgrid/overlay.py:call"], blocking_calls
