@@ -75,13 +75,17 @@ class PlanCacheStats:
 class _Entry:
     """One cached plan: canonical reformulations + version snapshot."""
 
-    __slots__ = ("reformulations", "depends_on", "snapshot")
+    __slots__ = ("reformulations", "depends_on", "snapshot", "renamed")
 
     def __init__(self, reformulations: list[Reformulation],
                  depends_on: set[str], snapshot: dict[str, int]) -> None:
         self.reformulations = reformulations
         self.depends_on = depends_on
         self.snapshot = snapshot
+        #: the plan as last served: ``(inverse renaming's items, plan in
+        #: the asker's variables)`` — repeat lookups of one query skip
+        #: the renaming and share its (already prepared) patterns
+        self.renamed: tuple[tuple, list[Reformulation]] | None = None
 
 
 class PlanCache:
@@ -123,7 +127,9 @@ class PlanCache:
         """The cached plan for ``query``, re-expressed in its variables.
 
         Returns ``None`` (and counts a miss) when no current entry
-        exists.  Alpha-variants of a cached query hit the same entry.
+        exists.  Alpha-variants of a cached query hit the same entry;
+        lookups under the same variable names get a fresh list of the
+        same (immutable) :class:`Reformulation` objects.
         """
         canonical, inverse = canonicalize_query(query)
         key = (canonical, max_hops, include_original)
@@ -138,10 +144,13 @@ class PlanCache:
             return None
         self.stats.hits += 1
         self._entries.move_to_end(key)
-        return [
-            Reformulation(rename_query(r.query, inverse), r.path)
-            for r in entry.reformulations
-        ]
+        names = tuple(inverse.items())
+        if entry.renamed is None or entry.renamed[0] != names:
+            entry.renamed = (names, [
+                Reformulation(rename_query(r.query, inverse), r.path)
+                for r in entry.reformulations
+            ])
+        return list(entry.renamed[1])
 
     def store(self, query: ConjunctiveQuery, max_hops: int,
               reformulations: list[Reformulation],

@@ -22,8 +22,9 @@ of the historical collect-everything-then-return callback chains:
     execute received reformulations.
 
 :mod:`repro.exec.bindings`
-    ``pattern_schema`` (the schema a pattern scan produces) and
-    ``join_batches`` (the one natural join).
+    ``join_batches`` (the one natural join).  ``pattern_schema`` (the
+    schema a pattern scan produces) is re-exported from
+    :mod:`repro.rdf.patterns`, where the scan itself is prepared.
 
 The headline capability is **limit pushdown with cooperative
 cancellation**: a satisfied ``Limit`` fires the pipeline's
@@ -34,7 +35,7 @@ spending messages the moment it has enough answers, and the outcome
 reports exactly how much work the early stop skipped.
 """
 
-from repro.exec.bindings import join_batches, pattern_schema
+from repro.exec.bindings import join_batches
 from repro.exec.operators import (
     BoundJoin,
     Collect,
@@ -54,6 +55,7 @@ from repro.exec.plans import (
     run_query_plan,
 )
 from repro.exec.stream import Batch, Operator, OperatorStats, PipelineContext
+from repro.rdf.patterns import pattern_schema
 
 __all__ = [
     "Batch",

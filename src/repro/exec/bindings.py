@@ -1,38 +1,18 @@
-"""The two schema-aware helpers of the operator plane.
+"""The one natural join of the operator plane.
 
 Rows move through the operator runtime as
 :class:`~repro.exec.stream.Batch` objects (a variable schema plus row
-tuples).  :func:`pattern_schema` says which schema a scan of a triple
-pattern produces, and :func:`join_batches` is the one natural join —
-``HashJoin`` folds its inputs with it and ``BoundJoin`` joins each
-fetched step with it.  The Hypothesis property suite in
-``tests/strategies/`` checks it against a naive nested-loop join over
-:meth:`Batch.to_bindings`.
+tuples); a scan of a triple pattern produces the pattern's own
+:attr:`~repro.rdf.patterns.TriplePattern.schema`.
+:func:`join_batches` is the one natural join — ``HashJoin`` folds its
+inputs with it and ``BoundJoin`` joins each fetched step with it.  The
+Hypothesis property suite in ``tests/strategies/`` checks it against a
+naive nested-loop join over :meth:`Batch.to_bindings`.
 """
 
 from __future__ import annotations
 
 from repro.exec.stream import Batch
-from repro.rdf.patterns import TriplePattern
-from repro.rdf.terms import Variable
-from repro.rdf.triples import ALL_POSITIONS
-
-
-def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
-    """The batch schema a scan of ``pattern`` produces.
-
-    Unique variables in subject, predicate, object order — exactly the
-    insertion order of the binding dicts
-    :meth:`~repro.rdf.patterns.TriplePattern.matches` builds, so the
-    wire format's dict rows and the batch's tuple rows agree on
-    position order.
-    """
-    out: list[Variable] = []
-    for pos in ALL_POSITIONS:
-        term = pattern.at(pos)
-        if isinstance(term, Variable) and term not in out:
-            out.append(term)
-    return tuple(out)
 
 
 def join_batches(left: Batch, right: Batch) -> Batch:

@@ -24,12 +24,11 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
-from repro.exec.bindings import join_batches, pattern_schema
+from repro.exec.bindings import join_batches
 from repro.exec.stream import Batch, Operator, PipelineContext
 from repro.mapping.unfolding import query_schemas, translate_query
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
-from repro.rdf.terms import Variable
-from repro.rdf.triples import ALL_POSITIONS, Position
+from repro.rdf.triples import Position
 from repro.simnet.events import Future, gather
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +52,7 @@ def selectivity_rank(pattern: TriplePattern) -> tuple:
 
 
 class PatternScan(Operator):
-    """Fetch one triple pattern's bindings from the overlay.
+    """Fetch one triple pattern's rows from the overlay.
 
     Emits a single batch when the fetch resolves, then closes.  A scan
     started after the pipeline was cancelled skips the fetch entirely
@@ -71,10 +70,9 @@ class PatternScan(Operator):
             self._on_rows)
 
     def _on_rows(self, future: Future) -> None:
-        # The overlay's wire format stays binding dicts; the scan is
-        # the row-tuple boundary — one conversion per fetched batch.
-        self.emit(Batch.from_bindings(future.result(),
-                                      schema=pattern_schema(self.pattern)))
+        # The reply carries the store's row tuples in the pattern's
+        # schema order: the fetched list is the batch.
+        self.emit(Batch(self.pattern.schema, tuples=future.result()))
         self.close()
 
     def skip(self) -> None:
@@ -210,30 +208,30 @@ class BoundJoin(Operator):
                     {schema[i]: row[i] for i in rel_idx}))
         if (len(variants) > self.fanout_cap
                 or any(not v.variables() for v in variants)):
-            # Too many variants (or fully ground ones, whose empty
-            # binding dicts would not join back): fetch unbound.
+            # Too many variants (or fully ground ones, which bind
+            # nothing a fetch could return): fetch unbound.
             variants = [pattern]
 
-        fetch_schema = pattern_schema(pattern)
+        fetch_schema = pattern.schema
+        terms = (pattern.subject, pattern.predicate, pattern.object)
 
         def _on_fetched(future: Future) -> None:
             # Restore the variables each substitution erased (their
-            # ground values are read off the variant once per variant,
-            # not once per row), dedup across variants by value tuple,
-            # and join.
+            # ground values and every row position are read off the
+            # variant once per variant, not once per row), dedup across
+            # variants with the row as the key, and join.
             fetched: list[tuple] = []
             seen_keys: set[tuple] = set()
-            for bindings_list, variant in zip(future.result(), variants):
-                restored: dict = {}
-                for pos in ALL_POSITIONS:
-                    term = pattern.at(pos)
-                    variant_term = variant.at(pos)
-                    if (isinstance(term, Variable)
-                            and not isinstance(variant_term, Variable)):
-                        restored[term] = variant_term
-                for b in bindings_list:
-                    row = tuple(restored[v] if v in restored else b[v]
-                                for v in fetch_schema)
+            for rows, variant in zip(future.result(), variants):
+                vschema = variant.schema
+                erased = [v for v in fetch_schema if v not in vschema]
+                ground = (variant.subject, variant.predicate, variant.object)
+                restored = tuple(ground[terms.index(v)] for v in erased)
+                source = vschema + tuple(erased)
+                positions = [source.index(v) for v in fetch_schema]
+                for row in rows:
+                    wide = row + restored
+                    row = tuple([wide[i] for i in positions])
                     if row not in seen_keys:
                         seen_keys.add(row)
                         fetched.append(row)

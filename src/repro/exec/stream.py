@@ -109,19 +109,6 @@ class Batch:
         self.count = len(tuples)
 
     @classmethod
-    def from_bindings(cls, rows: list, schema: tuple | None = None,
-                      source: "ConjunctiveQuery | None" = None) -> "Batch":
-        """Build a batch from homogeneous binding dicts.
-
-        ``schema`` defaults to the first row's insertion order; every
-        row must bind exactly the schema's variables.
-        """
-        if schema is None:
-            schema = tuple(rows[0]) if rows else ()
-        tuples = [tuple(row[v] for v in schema) for row in rows]
-        return cls(schema, tuples=tuples, source=source)
-
-    @classmethod
     def from_tuples(cls, schema: tuple, tuples: list,
                     source: "ConjunctiveQuery | None" = None) -> "Batch":
         """Build a batch from row tuples in ``schema`` position order."""
@@ -319,7 +306,7 @@ class PipelineContext:
         """Issue one pattern fetch on behalf of ``op``.
 
         When the pipeline is already cancelled the fetch is skipped
-        (counted on the operator) and an empty binding list resolves
+        (counted on the operator) and an empty row list resolves
         immediately — zero messages spent.
         """
         if self.cancel.cancelled:

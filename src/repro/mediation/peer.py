@@ -369,7 +369,10 @@ class GridVinePeer(PGridPeer):
 
     def _search_pattern(self, pattern: TriplePattern,
                         cancel: CancelToken | None = None) -> Future:
-        """Route one pattern to its key space; resolves to bindings.
+        """Route one pattern to its key space; resolves to rows.
+
+        Rows are value tuples in ``pattern.schema`` order, exactly as
+        the destination's :meth:`TripleStore.match` produced them.
 
         Exact routing constants resolve with a single ``search`` op at
         the constant's key space.  A ``prefix%`` routing constant has
@@ -409,19 +412,12 @@ class GridVinePeer(PGridPeer):
         out: Future = Future()
 
         def _on_ranges(f: Future) -> None:
-            bindings: list[dict] = []
-            seen_triples: set[Triple] = set()
-            for result in f.result():
-                for value in result.values or ():
-                    if not isinstance(value, TripleRecord):
-                        continue
-                    if value.triple in seen_triples:
-                        continue
-                    seen_triples.add(value.triple)
-                    matched = pattern.matches(value.triple)
-                    if matched is not None:
-                        bindings.append(matched)
-            out.set_result(bindings)
+            # One row per distinct matching triple, in arrival order.
+            triples = dict.fromkeys(
+                value.triple for result in f.result()
+                for value in result.values or ()
+                if isinstance(value, TripleRecord))
+            out.set_result(pattern.prepared().scan(triples))
 
         gather([self.range_query(c, cancel=cancel) for c in covers]
                ).add_done_callback(_on_ranges)

@@ -17,9 +17,8 @@ routes on the predicate even though the object is also constant.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from operator import attrgetter
-from typing import Any
+from collections.abc import Callable, Iterable, Mapping
+from typing import NamedTuple
 
 from repro.rdf.terms import (
     GroundTerm,
@@ -40,6 +39,52 @@ _SPECIFICITY_ORDER = (Position.SUBJECT, Position.OBJECT, Position.PREDICATE)
 Bindings = Mapping[Variable, GroundTerm]
 
 
+class PreparedPattern(NamedTuple):
+    """What evaluating a pattern needs, derived once per pattern."""
+
+    #: unique variables in subject, predicate, object order — the
+    #: position order of the rows :attr:`scan` yields
+    schema: tuple[Variable, ...]
+    #: the exact constants, i.e. the index buckets a store may probe
+    probes: tuple[tuple[Position, GroundTerm], ...]
+    #: ``triples -> rows``: one row tuple per matching triple, in
+    #: input order (the paper's ``pi_pos(x) sigma_pos(const)=const``)
+    scan: Callable[[Iterable[Triple]], list[tuple]]
+    #: whether distinct triples always yield distinct rows (false with
+    #: a LIKE / prefix constant, whose position is projected away)
+    distinct: bool
+
+
+def _scan_factory(shape: str) -> Callable[..., Callable]:
+    """``(subject, predicate, object) -> scan`` for one pattern shape.
+
+    The scan is a single comprehension: variable positions form the
+    row, constant positions the filter.  Terms are equal when class
+    and value are; a triple's subject and predicate are always URIs,
+    so there the value comparison alone decides, and LIKE / prefix
+    constants match a URI's value as well as a literal's.
+    """
+    exact = "t.{a}.value == {a}"
+    tests = {"u": exact, "e": exact, "l": "{a} in t.{a}.value",
+             "p": "t.{a}.value.startswith({a})"}
+    positions = list(zip(shape, ("subject", "predicate", "object")))
+    row = "".join(f"t.{a}, " for kind, a in positions if kind == "?")
+    checks = [tests[kind].format(a=a) for kind, a in positions if kind != "?"]
+    if shape[2] in "ue":
+        checks.append("t.object.__class__ is "
+                      + ("URI" if shape[2] == "u" else "Literal"))
+    where = " if " + " and ".join(checks) if checks else ""
+    return eval(f"lambda subject, predicate, object: lambda triples: "
+                f"[({row}) for t in triples{where}]",
+                {"URI": URI, "Literal": Literal})
+
+
+#: one scan factory per shape without repeated variables, built once
+#: per process: preparing a pattern is a lookup plus one closure
+_SCAN_FACTORIES = {shape: _scan_factory(shape) for shape in (
+    s + p + o for s in "?u" for p in "?u" for o in "?uelp")}
+
+
 class TriplePattern:
     """One triple pattern, the unit of querying.
 
@@ -49,7 +94,7 @@ class TriplePattern:
     <Position.PREDICATE: 'predicate'>
     """
 
-    __slots__ = ("subject", "predicate", "object", "_hash", "_matcher")
+    __slots__ = ("subject", "predicate", "object", "_hash", "_prepared")
 
     def __init__(self, subject: Term, predicate: Term, obj: Term) -> None:
         if isinstance(subject, Literal):
@@ -65,8 +110,8 @@ class TriplePattern:
 
     def __reduce__(self):
         # Rebuild through the constructor: the lazily-cached hash and
-        # compiled matcher closure are caches, not state, and closures
-        # cannot cross process boundaries (sharded worker pipes).
+        # prepared scan are caches, not state, and closures cannot
+        # cross process boundaries (sharded worker pipes).
         return (TriplePattern, (self.subject, self.predicate, self.object))
 
     # -- structure ------------------------------------------------------
@@ -170,6 +215,60 @@ class TriplePattern:
 
     # -- matching ---------------------------------------------------------
 
+    @property
+    def schema(self) -> tuple[Variable, ...]:
+        """The row schema a scan of this pattern produces."""
+        return self.prepared().schema
+
+    def prepared(self) -> PreparedPattern:
+        """The pattern's :class:`PreparedPattern` (built once, cached).
+
+        Patterns are immutable, so the shape analysis — which
+        positions are variables, which constants are exact, LIKE or
+        prefix — is done once; the scan itself comes from a table with
+        one comprehension per shape, closed over this pattern's
+        constants.  Repeated variables need consistency checks and
+        stay on :meth:`_match_generic`.
+        """
+        try:
+            return self._prepared
+        except AttributeError:
+            pass
+        # One letter per position: ``?`` variable, ``u`` URI, ``e``
+        # exact literal, ``l`` ``%like%``, ``p`` ``prefix%``; the
+        # constant is the string a stored term's value is tested with.
+        shape, constants, schema, probes = "", [], [], []
+        for pos, term in zip(ALL_POSITIONS,
+                             (self.subject, self.predicate, self.object)):
+            wildcard = isinstance(term, Literal) and term._pattern_kind()
+            if isinstance(term, Variable):
+                shape += "?"
+                constants.append(None)
+                schema.append(term)
+            elif wildcard:
+                shape += "l" if wildcard == 1 else "p"
+                constants.append(term.value[1:-1] if wildcard == 1
+                                 else term.value[:-1])
+            else:
+                shape += "e" if isinstance(term, Literal) else "u"
+                constants.append(term.value)
+                probes.append((pos, term))
+        if len(set(schema)) == len(schema):
+            scan = _SCAN_FACTORIES[shape](*constants)
+        else:
+            # Repeated variables: the generic matcher, on an unprepared
+            # twin so the cached closure is not a reference cycle.
+            schema = list(dict.fromkeys(schema))
+            generic = TriplePattern(
+                self.subject, self.predicate, self.object)._match_generic
+            scan = lambda triples: [  # noqa: E731
+                tuple(b[v] for v in schema) for t in triples
+                if (b := generic(t, None)) is not None]
+        prepared = PreparedPattern(tuple(schema), tuple(probes), scan,
+                                   "l" not in shape and "p" not in shape)
+        object.__setattr__(self, "_prepared", prepared)
+        return prepared
+
     def matches(self, triple: Triple,
                 bindings: Bindings | None = None) -> dict[Variable, GroundTerm] | None:
         """Match a ground triple, extending optional prior bindings.
@@ -178,58 +277,14 @@ class TriplePattern:
         ``None`` on mismatch.  LIKE literals match by substring;
         repeated variables must bind consistently.
 
-        This runs once per (pattern, candidate triple) on every local
-        scan.  Patterns are immutable and long-lived (plans cache
-        them), so the shape analysis — which positions are variables,
-        which constants are LIKE literals — is done once and cached as
-        a compiled matcher closure; the per-triple work is then just
-        the constant checks plus one dict build for the bindings.
+        The single-triple view of the prepared scan the stores run
+        set-at-a-time (:meth:`prepared`).
         """
         if bindings:
             return self._match_generic(triple, bindings)
-        try:
-            matcher = self._matcher
-        except AttributeError:
-            matcher = self._compile_matcher()
-            object.__setattr__(self, "_matcher", matcher)
-        return matcher(triple)
-
-    def _compile_matcher(self):
-        """Build the per-triple matcher closure for this pattern."""
-        consts: list[tuple[Any, Term, bool]] = []
-        var_binds: list[tuple[Variable, Any]] = []
-        seen: set[Variable] = set()
-        repeated = False
-        for name, term in (("subject", self.subject),
-                           ("predicate", self.predicate),
-                           ("object", self.object)):
-            get = attrgetter(name)
-            if isinstance(term, Variable):
-                if term in seen:
-                    repeated = True
-                seen.add(term)
-                var_binds.append((term, get))
-            elif isinstance(term, Literal):
-                consts.append((get, term, True))
-            else:
-                consts.append((get, term, False))
-        if repeated:
-            # Repeated variables need consistency checks; rare enough
-            # to keep on the generic path.
-            return lambda triple: self._match_generic(triple, None)
-        const_checks = tuple(consts)
-        binds = tuple(var_binds)
-
-        def matcher(triple: Triple) -> dict[Variable, GroundTerm] | None:
-            for get, term, is_literal in const_checks:
-                if is_literal:
-                    if not term.matches_value(get(triple)):
-                        return None
-                elif term != get(triple):
-                    return None
-            return {var: get(triple) for var, get in binds}
-
-        return matcher
+        schema, _probes, scan, _distinct = self.prepared()
+        rows = scan((triple,))
+        return dict(zip(schema, rows[0])) if rows else None
 
     def _match_generic(self, triple: Triple,
                        bindings: Bindings | None
@@ -357,3 +412,9 @@ class ConjunctiveQuery:
         heads = ", ".join(str(v) for v in self.distinguished)
         body = " AND ".join(str(p) for p in self.patterns)
         return f"SearchFor({heads} : {body})"
+
+
+def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
+    """:attr:`TriplePattern.schema` as a function (``repro.exec``
+    re-exports it)."""
+    return pattern.schema

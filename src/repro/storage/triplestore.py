@@ -7,8 +7,10 @@ evaluation follows the paper's local plan:
 
     Results = pi_pos(x) sigma_pos(const)=const (DB_dest)
 
-i.e. probe the most selective available index, then filter remaining
-constants (including LIKE literals) and bind variables.
+i.e. probe the most selective available index, then run the pattern's
+prepared scan over the bucket: one set-at-a-time pass that filters the
+remaining constants (including LIKE literals) and projects the variable
+positions into row tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.rdf.patterns import TriplePattern
-from repro.rdf.terms import GroundTerm, Literal, Variable, is_ground
+from repro.rdf.terms import GroundTerm
 from repro.rdf.triples import ALL_POSITIONS, Position, Triple
 from repro.stats.synopsis import StoreSynopsis
 
@@ -143,8 +145,9 @@ class TripleStore:
             self._unsorted.discard((pos, term))
         return bucket
 
-    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """Smallest index bucket among the pattern's exact constants.
+    def _candidates(self, probes: Iterable[tuple[Position, GroundTerm]]
+                    ) -> list[Triple]:
+        """Smallest index bucket among a pattern's exact constants.
 
         Always yields triples in sorted order: the chosen bucket is
         sorted on demand, and the no-exact-constant fallback sorts the
@@ -153,14 +156,9 @@ class TripleStore:
         """
         best: tuple[Position, GroundTerm] | None = None
         best_size = 0
-        for pos in ALL_POSITIONS:
-            term = pattern.at(pos)
-            if not is_ground(term):
-                continue
-            if isinstance(term, Literal) and (term.is_like_pattern
-                                              or term.is_prefix_pattern):
-                continue  # pattern literals cannot be probed exactly
-            size = len(self._index[pos].get(term, ()))
+        index = self._index
+        for pos, term in probes:
+            size = len(index[pos].get(term, ()))
             if best is None or size < best_size:
                 best = (pos, term)
                 best_size = size
@@ -168,45 +166,30 @@ class TripleStore:
             return sorted(self._triples)
         return self._sorted_bucket(*best)
 
-    def match(self, pattern: TriplePattern) -> list[dict[Variable, GroundTerm]]:
-        """All variable bindings of ``pattern`` against the store.
+    def match(self, pattern: TriplePattern) -> list[tuple]:
+        """All rows of ``pattern`` against the store.
 
-        Patterns with no variables return ``[{}]`` when a matching
+        A row is the tuple of the matched triple's terms at the
+        pattern's variable positions, in ``pattern.schema`` order.
+        Patterns with no variables return ``[()]`` when a matching
         triple exists (boolean semantics) and ``[]`` otherwise.
 
-        Bindings come back in sorted-triple order (see the class
-        docstring): with limit pushdown truncating result streams,
-        iteration order is semantics now, not cosmetics.
+        Rows come back in sorted-triple order (see the class
+        docstring), first occurrence of each: with limit pushdown
+        truncating result streams, iteration order is semantics now,
+        not cosmetics.
         """
-        results = []
-        # Hoist the compiled matcher out of the scan: going through
-        # ``pattern.matches`` would pay an extra dispatch frame per
-        # candidate triple (see TriplePattern._compile_matcher).
-        try:
-            matcher = pattern._matcher
-        except AttributeError:
-            matcher = pattern._compile_matcher()
-            object.__setattr__(pattern, "_matcher", matcher)
-        for triple in self._candidates(pattern):
-            bindings = matcher(triple)
-            if bindings is not None:
-                results.append(bindings)
-        variables = pattern.variables()
-        if not variables:
-            return [{}] if results else []
-        # Deduplicate equal binding dicts (LIKE matches may repeat).
-        # Every dict binds exactly the pattern's variables, so the
-        # value tuple in a fixed variable order is a complete identity
-        # — no repr round-trip needed.
-        order = sorted(variables, key=lambda v: v.value)
-        unique: dict[tuple, dict[Variable, GroundTerm]] = {}
-        for b in results:
-            unique[tuple(b[v] for v in order)] = b
-        return list(unique.values())
+        _schema, probes, scan, distinct = pattern.prepared()
+        rows = scan(self._candidates(probes))
+        if not distinct and len(rows) > 1:
+            # LIKE / prefix matches may repeat a row; the row is its
+            # own identity.
+            rows = list(dict.fromkeys(rows))
+        return rows
 
     def matching_triples(self, pattern: TriplePattern) -> list[Triple]:
-        """The triples (not bindings) satisfying ``pattern``."""
+        """The triples (not rows) satisfying ``pattern``."""
         return sorted(
-            t for t in self._candidates(pattern)
+            t for t in self._candidates(pattern.prepared().probes)
             if pattern.matches(t) is not None
         )

@@ -13,6 +13,7 @@ from strategies.fanouts import (
     request_trees,
     required_events,
 )
+from strategies.patterns import patterns, triple_sets
 from strategies.settings import (
     DETERMINISM_SETTINGS,
     QUICK_SETTINGS,
@@ -29,8 +30,10 @@ __all__ = [
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
     "fanout_schedules",
+    "patterns",
     "peer_synopses",
     "request_trees",
     "required_events",
+    "triple_sets",
     "triples",
 ]

@@ -38,7 +38,7 @@ def batches(draw, schema=None):
     width = len(schema)
     rows = draw(st.lists(
         st.tuples(*[st.sampled_from(VALUES)] * width), max_size=8))
-    return Batch.from_tuples(schema, rows)
+    return Batch(schema, tuples=rows)
 
 
 @st.composite
@@ -117,7 +117,7 @@ class TestDedupProperty:
 
 #: a fixed three-variable batch with a repeated row, for the pinned
 #: projection cases
-_ABC = Batch.from_tuples(VARIABLES[:3], [VALUES[:3], VALUES[2:5], VALUES[:3]])
+_ABC = Batch(VARIABLES[:3], tuples=[VALUES[:3], VALUES[2:5], VALUES[:3]])
 
 
 class TestProjectProperty:

@@ -102,6 +102,27 @@ class TestPlanCache:
         assert Variable("y") in cached[1].query.variables()
         assert cached[1].query.patterns[0].predicate == URI("B#name")
 
+    def test_repeat_lookups_share_the_renamed_plan(self):
+        clock, cache, graph = self._cache_and_graph()
+        plan = plan_reformulations(QUERY, graph, 5)
+        cache.store(QUERY, 5, plan)
+        first, second = cache.lookup(QUERY, 5), cache.lookup(QUERY, 5)
+        # A fresh list each time, of the very same reformulations.
+        assert first is not second and len(first) == 2
+        assert all(a.query is b.query for a, b in zip(first, second))
+        # An alpha-variant is renamed afresh (and takes over the memo).
+        variant = cache.lookup(ALPHA_VARIANT, 5)
+        assert all(a.query is not b.query for a, b in zip(first, variant))
+        assert variant[0].query == ALPHA_VARIANT
+        assert cache.lookup(ALPHA_VARIANT, 5)[1].query is variant[1].query
+        assert (cache.stats.hits, cache.stats.misses) == (4, 0)
+        # Invalidation drops the memo with the entry.
+        clock.bump(edge("m2", "B", "C", [("name", "species")]))
+        assert cache.lookup(QUERY, 5) is None
+        cache.store(QUERY, 5, plan)
+        assert cache.lookup(QUERY, 5)[0].query is not first[0].query
+        assert cache.stats.invalidations == 1
+
     def test_max_hops_is_part_of_the_key(self):
         _clock, cache, graph = self._cache_and_graph()
         cache.store(QUERY, 5, plan_reformulations(QUERY, graph, 5))

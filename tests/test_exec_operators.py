@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.exec.operators import Dedup, Limit, Project, Union
-from repro.exec.stream import Batch, Operator
+from repro.exec.operators import Dedup, Limit, PatternScan, Project, Union
+from repro.exec.stream import Batch, Operator, PipelineContext
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
 from repro.reformulation.planner import (
     Reformulation,
     reformulation_waves,
 )
-from repro.simnet.events import CancelToken, EventLoop
+from repro.simnet.events import CancelToken, EventLoop, Future
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -39,24 +39,24 @@ class _Sink(Operator):
 
 def _ints(*values):
     """A one-column test batch of integer rows."""
-    return Batch.from_tuples((X,), [(v,) for v in values])
+    return Batch((X,), tuples=[(v,) for v in values])
 
 
 class TestBatch:
-    def test_from_bindings_derives_schema(self):
-        batch = Batch.from_bindings([{X: URI("a"), Y: Literal("v")},
-                                     {X: URI("b"), Y: Literal("w")}])
+    def test_rows_are_the_only_layout(self):
+        rows = [(URI("a"), Literal("v")), (URI("b"), Literal("w"))]
+        batch = Batch((X, Y), tuples=rows)
         assert batch.schema == (X, Y)
         assert batch.count == 2
-        assert batch.tuples() == [(URI("a"), Literal("v")),
-                                  (URI("b"), Literal("w"))]
-        # Rows are the only layout: there is no column view.
+        assert batch.tuples() is rows
+        # No column view, and no dict-row constructor either.
         assert not hasattr(batch, "columns")
         assert not hasattr(batch, "column")
+        assert not hasattr(Batch, "from_bindings")
 
     def test_to_bindings_round_trip(self):
-        rows = [{X: URI("a"), Y: Literal("v")}]
-        assert Batch.from_bindings(rows).to_bindings() == rows
+        batch = Batch((X, Y), tuples=[(URI("a"), Literal("v"))])
+        assert batch.to_bindings() == [{X: URI("a"), Y: Literal("v")}]
 
     def test_unit_relation_vs_empty(self):
         unit = Batch((), tuples=[()])
@@ -65,7 +65,7 @@ class TestBatch:
         assert empty.count == 0 and empty.tuples() == []
 
     def test_renamed_shares_storage(self):
-        batch = Batch.from_bindings([{X: URI("a")}])
+        batch = Batch((X,), tuples=[(URI("a"),)])
         renamed = batch.renamed({X: Z})
         assert renamed.schema == (Z,)
         assert renamed.tuples() is batch.tuples()
@@ -109,19 +109,52 @@ PATTERN = TriplePattern(X, URI("S#org"), Y)
 QUERY = ConjunctiveQuery([PATTERN], [X])
 
 
+class TestRowsFromStoreToScan:
+    def test_pattern_scan_emits_the_fetched_list(self, small_network,
+                                                 monkeypatch):
+        peer = next(iter(small_network.peers.values()))
+        rows = [(URI("a"), Literal("v")), (URI("b"), Literal("w"))]
+        fetched = Future()
+        fetched.set_result(rows)
+        monkeypatch.setattr(peer, "_search_pattern",
+                            lambda pattern, cancel=None: fetched)
+        scan, sink = chain(PatternScan(PATTERN), _Sink())
+        PipelineContext(peer).start_source(scan)
+        # Not a copy, not a per-row conversion: the very list.
+        assert sink.batches[0][0] is rows
+        assert scan.stats.rows_out == 2 and scan.closed
+
+    def test_search_reply_ships_one_value_per_row(self, fig2_network):
+        net, _embl, _emp = fig2_network
+        pattern = TriplePattern(X, URI("EMBL#Organism"), Y)
+        remote = 0
+        for peer in net.peers.values():
+            before = net.metrics_snapshot()
+            future = peer._search_pattern(pattern)
+            net.settle()
+            after = net.metrics_snapshot()
+            rows = future.result()
+            assert len(rows) == 3
+            assert all(type(row) is tuple and len(row) == 2 for row in rows)
+            if after["messages_sent"] > before["messages_sent"]:
+                remote += 1
+                assert (after["values_shipped"] - before["values_shipped"]
+                        == len(rows))
+        assert remote  # some origin does not own the key space
+
+
 class TestProjectDedupLimit:
     def test_project_slices_columns_and_tags_source(self):
         project, sink = chain(Project(QUERY), _Sink())
-        project._receive(Batch.from_bindings(
-            [{X: URI("a"), Y: Literal("v")},
-             {X: URI("b"), Y: Literal("w")}]), 0)
+        project._receive(Batch((X, Y), tuples=[
+            (URI("a"), Literal("v")), (URI("b"), Literal("w"))]), 0)
         rows, source = sink.batches[0]
         assert rows == [(URI("a"),), (URI("b"),)]
         assert source == QUERY
 
     def test_project_missing_variable_emits_empty(self):
         project, sink = chain(Project(QUERY), _Sink())
-        project._receive(Batch.from_bindings([{Y: Literal("w")}]), 0)
+        project._receive(Batch((Y,), tuples=[(Literal("w"),)]), 0)
         rows, source = sink.batches[0]
         assert rows == []
         assert source == QUERY

@@ -27,6 +27,13 @@ nothing spins an event loop on a future, and exactly one function pairs
 Writes, reads, queries, engine batches and the self-organization
 controller's fetches all go through it, which is what makes each of
 them attributed, traced and runnable on either engine.
+
+One evaluator matches a pattern, and rows are tuples from the store to
+the sink.  A pattern is prepared once into a set-at-a-time scan
+(``TriplePattern.prepared``); the per-candidate matcher closure and the
+dict-row batch constructor it fed stay gone, and the layers that
+produce rows (``rdf/``, ``storage/``) never import the operator plane
+that consumes them.
 """
 
 import ast
@@ -130,3 +137,30 @@ def test_one_function_runs_a_peer_operation():
         "an event loop driven outside simnet/ (use the facade's call): "
         + ", ".join(loop_drivers))
     assert blocking_calls == ["pgrid/overlay.py:call"], blocking_calls
+
+
+#: the tuple-at-a-time matcher and the dict-row wire format's converter
+RETIRED_ROW_PATHS = {"_compile_matcher", "_matcher", "from_bindings"}
+
+
+def test_rows_have_one_evaluator_and_one_format():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, field, None)
+                     for field in ("name", "attr", "id", "value")]
+            offenders += [f"{module}: {name}" for name in names
+                          if isinstance(name, str)
+                          and name in RETIRED_ROW_PATHS]
+            if module.startswith(("rdf/", "storage/")):
+                imported = ([alias.name for alias in node.names]
+                            if isinstance(node, ast.Import)
+                            else [node.module or ""]
+                            if isinstance(node, ast.ImportFrom) else [])
+                offenders += [f"{module}: imports {name}"
+                              for name in imported
+                              if name.startswith("repro.exec")]
+    assert not offenders, (
+        "a second row evaluator or row format:\n  "
+        + "\n  ".join(sorted(set(offenders))))

@@ -69,33 +69,40 @@ class TestIndexes:
         assert s.distinct_values(Position.OBJECT) == {Literal("o")}
 
 
+def match_views(store, pattern):
+    """``store.match(pattern)`` read as one binding dict per row."""
+    return [dict(zip(pattern.schema, row)) for row in store.match(pattern)]
+
+
 class TestMatch:
     def test_all_variables_binds_everything(self):
         s = make_store(t("s", "p", "o"))
-        bindings = s.match(TriplePattern(Variable("x"), Variable("y"),
-                                         Variable("z")))
+        pattern = TriplePattern(Variable("x"), Variable("y"), Variable("z"))
+        assert s.match(pattern) == [(URI("s"), URI("p"), Literal("o"))]
+        bindings = match_views(s, pattern)
         assert bindings == [{Variable("x"): URI("s"),
                              Variable("y"): URI("p"),
                              Variable("z"): Literal("o")}]
 
     def test_constant_probe(self):
         s = make_store(t("s1", "p", "o1"), t("s2", "q", "o2"))
-        bindings = s.match(TriplePattern(Variable("x"), URI("p"),
-                                         Variable("y")))
+        bindings = match_views(s, TriplePattern(Variable("x"), URI("p"),
+                                                Variable("y")))
         assert bindings == [{Variable("x"): URI("s1"),
                              Variable("y"): Literal("o1")}]
 
     def test_like_pattern_matching(self):
         s = make_store(t("s1", "p", "Aspergillus niger"),
                        t("s2", "p", "Saccharomyces"))
-        bindings = s.match(TriplePattern(Variable("x"), URI("p"),
-                                         Literal("%Aspergillus%")))
+        bindings = match_views(s, TriplePattern(Variable("x"), URI("p"),
+                                                Literal("%Aspergillus%")))
         assert [b[Variable("x")] for b in bindings] == [URI("s1")]
 
     def test_boolean_query_semantics(self):
         s = make_store(t("s", "p", "o"))
+        # The unit row: the pattern holds, and binds nothing.
         assert s.match(TriplePattern(URI("s"), URI("p"),
-                                     Literal("o"))) == [{}]
+                                     Literal("o"))) == [()]
         assert s.match(TriplePattern(URI("s"), URI("p"),
                                      Literal("nope"))) == []
 
@@ -104,7 +111,7 @@ class TestMatch:
         s.add(Triple(URI("x"), URI("p"), URI("x")))
         s.add(Triple(URI("x"), URI("p"), URI("y")))
         x = Variable("v")
-        bindings = s.match(TriplePattern(x, URI("p"), x))
+        bindings = match_views(s, TriplePattern(x, URI("p"), x))
         assert bindings == [{x: URI("x")}]
 
     def test_matching_triples(self):
@@ -120,7 +127,7 @@ class TestMatch:
         s = make_store(*[t(f"s{i}", "common", "o") for i in range(20)],
                        t("rare", "common", "o"))
         pattern = TriplePattern(URI("rare"), URI("common"), Variable("z"))
-        assert s.match(pattern) == [{Variable("z"): Literal("o")}]
+        assert match_views(s, pattern) == [{Variable("z"): Literal("o")}]
 
 
 names = st.text(alphabet="abcdef", min_size=1, max_size=4)

@@ -1,38 +1,25 @@
-"""Property tests for :class:`TripleStore.match` binding dedup.
+"""Property tests for :class:`TripleStore.match` row dedup.
 
-``match`` deduplicates equal binding dicts (the same bindings can be
-produced by several LIKE matches) through a sorted ``(name, repr)``
-key.  The property under test: deduplication may only merge *equal*
-bindings — it must never drop a distinct one, and the surviving list
-must be duplicate-free.  The reference semantics is the brute-force
-evaluation over every stored triple.
+``match`` deduplicates equal rows (the same row can be produced by
+several LIKE matches) with the row tuple itself as the key.  The
+property under test, read through ``dict(zip(pattern.schema, row))``
+views: deduplication may only merge *equal* bindings — it must never
+drop a distinct one, and the surviving list must be duplicate-free.
+The reference semantics is the brute-force evaluation over every
+stored triple.
 """
 
 from hypothesis import given
-from hypothesis import strategies as st
-from strategies import QUICK_SETTINGS, STANDARD_SETTINGS
+from strategies import (
+    QUICK_SETTINGS,
+    STANDARD_SETTINGS,
+    patterns,
+    triple_sets,
+)
 
 from repro.rdf.patterns import TriplePattern
-from repro.rdf.terms import Literal, URI, Variable
-from repro.rdf.triples import Triple
+from repro.rdf.terms import Variable
 from repro.storage.triplestore import TripleStore
-
-# Small pools on purpose: collisions (same subject, same value, URI vs
-# Literal with identical text) are exactly where dedup could go wrong.
-_NAMES = ["a", "b", "ab", "%a%", "a%"]
-
-uris = st.sampled_from(_NAMES).map(URI)
-literals = st.sampled_from(_NAMES).map(Literal)
-ground_terms = st.one_of(uris, literals)
-variables = st.sampled_from(["x", "y"]).map(Variable)
-
-triples = st.builds(Triple, uris, uris, ground_terms)
-# Subject/predicate slots admit URIs or variables; only the object
-# slot may hold (LIKE-)literals — mirroring TriplePattern's contract.
-node_terms = st.one_of(uris, variables)
-object_terms = st.one_of(ground_terms, variables)
-patterns = st.builds(TriplePattern, node_terms, node_terms,
-                     object_terms)
 
 
 def brute_force_bindings(store, pattern):
@@ -47,18 +34,19 @@ def brute_force_bindings(store, pattern):
 
 class TestMatchDedupProperty:
     @STANDARD_SETTINGS
-    @given(st.lists(triples, max_size=12), patterns)
+    @given(triple_sets(), patterns())
     def test_dedup_never_drops_distinct_bindings(self, triple_list,
                                                  pattern):
         store = TripleStore()
         store.add_all(triple_list)
-        got = store.match(pattern)
+        rows = store.match(pattern)
         if not pattern.variables():
-            # Boolean semantics: [{}] iff any triple matches.
-            expected = ([{}] if any(pattern.matches(t) is not None
+            # Boolean semantics: the unit row iff any triple matches.
+            expected = ([()] if any(pattern.matches(t) is not None
                                     for t in triple_list) else [])
-            assert got == expected
+            assert rows == expected
             return
+        got = [dict(zip(pattern.schema, row)) for row in rows]
         reference = brute_force_bindings(store, pattern)
         # Every distinct binding survives dedup ...
         for binding in reference:
@@ -69,7 +57,7 @@ class TestMatchDedupProperty:
             assert binding in reference
 
     @QUICK_SETTINGS
-    @given(st.lists(triples, max_size=8))
+    @given(triple_sets(max_size=8))
     def test_full_wildcard_returns_one_binding_per_triple(self,
                                                           triple_list):
         store = TripleStore()
