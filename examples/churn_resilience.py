@@ -18,6 +18,7 @@ import argparse
 import random
 
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
+from repro.obs.registry import MaintenanceCounters
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.simnet.churn import ChurnProcess
 
@@ -100,10 +101,10 @@ def main() -> None:
                                      args.departures, args.seed)
         label = "with maintenance" if use_maintenance else "no maintenance"
         results[label] = rates
-        stats_total = {
-            k: sum(p.maintenance_stats[k] for p in net.peers.values())
-            for k in ("refs_dropped", "refs_added", "values_repaired")
-        }
+        totals = MaintenanceCounters.total(
+            p.maintenance_stats for p in net.peers.values()).snapshot()
+        stats_total = {k: totals[k] for k in
+                       ("refs_dropped", "refs_added", "values_repaired")}
         print(f"{label}: {departed} peers departed over the run")
         print("  per-epoch query success: "
               + "  ".join(f"{r:.0%}" for r in rates))

@@ -1,7 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands, mirroring what a demo visitor could do at the VLDB'07
-booth:
+Nine commands: what a demo visitor could do at the VLDB'07 booth
+(``demo``, ``query``), and the reproduction's own instruments around
+it:
 
 ``demo``
     Run the §4 storyline end to end (corpus generation, deployment,
@@ -63,10 +64,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import GridVineNetwork
-from repro.datagen import BioDatasetGenerator, QueryWorkloadGenerator
+from repro.datagen import QueryWorkloadGenerator
 from repro.rdf.parser import ParseError, parse_search_for
-from repro.selforg import CreationPolicy, SelfOrganizationController
 
 _EXPERIMENTS = [
     ("E1", "Figure 2 reformulation", "bench_e1_reformulation.py"),
@@ -107,28 +106,25 @@ _EXPERIMENTS = [
 ]
 
 
-def _deploy(args) -> tuple[GridVineNetwork, object]:
-    """Build the corpus and deployment shared by demo/query."""
-    dataset = BioDatasetGenerator(
-        num_schemas=args.schemas,
-        num_entities=args.entities,
-        entities_per_schema=max(5, args.entities // 5),
-        seed=args.seed,
-    ).generate()
-    net = GridVineNetwork.build(num_peers=args.peers, seed=args.seed,
-                                replication=2)
-    for schema in dataset.schemas:
-        net.insert_schema(schema)
-    net.insert_triples(dataset.triples)
-    # seed mappings pair the schemas off: every schema touches a
-    # mapping, but the graph starts far from strongly connected, so
-    # the self-organization loop has work to do
-    names = [s.name for s in dataset.schemas]
-    for i in range(0, len(names) - 1, 2):
-        net.insert_mapping(
-            dataset.ground_truth_mapping(names[i], names[i + 1]))
-    net.settle()
-    return net, dataset
+def _deploy(args):
+    """The deployment demo / query / batch / stats share: the scenario
+    runner's build with its sparse seed pairing — every schema touches
+    a mapping, but the graph starts far from strongly connected, so the
+    self-organization loop has work to do."""
+    from repro.resilience import ScenarioRunner, ScenarioSpec
+
+    return ScenarioRunner.from_spec(ScenarioSpec(
+        num_peers=args.peers, replication=2, refs_per_level=2,
+        seed=args.seed, num_schemas=args.schemas,
+        num_entities=args.entities, selforg_rounds=1))
+
+
+def _deploy_organized(args):
+    """``(network, dataset)`` after ``args.rounds`` rounds of
+    self-organization over :func:`_deploy`."""
+    runner = _deploy(args)
+    runner.self_organize(args.rounds)
+    return runner.network, runner.dataset
 
 
 def _warm_statistics(net, seconds: float, interval: float = 20.0) -> None:
@@ -173,20 +169,18 @@ def _maybe_export_trace(net, args) -> None:
 
 
 def cmd_demo(args) -> int:
-    net, dataset = _deploy(args)
+    runner = _deploy(args)
+    net, dataset = runner.network, runner.dataset
     print(f"{len(dataset.schemas)} schemas, {len(dataset.triples)} "
           f"triples on {args.peers} peers")
     workload = QueryWorkloadGenerator(dataset, seed=args.seed)
     query = workload.concept_query(dataset.schemas[0].name, "organism",
                                    "Aspergillus")
-    controller = SelfOrganizationController(
-        net, domain=dataset.domain,
-        policy=CreationPolicy(mappings_per_round=3))
     before = net.search_for(query, strategy="iterative", max_hops=8)
     print(f"before self-organization: ci="
           f"{net.connectivity_indicator(dataset.domain):+.3f}, "
           f"probe query answers {before.result_count}")
-    for report in controller.run(max_rounds=args.rounds):
+    for report in runner.self_organize(args.rounds):
         print(f"  round {report.round_index}: "
               f"ci {report.ci_before:+.3f} -> {report.ci_after:+.3f}, "
               f"+{len(report.created)} mappings, "
@@ -204,11 +198,7 @@ def cmd_query(args) -> int:
         print(f"query does not parse: {exc}", file=sys.stderr)
         return 2
     limit = args.limit if args.limit > 0 else None
-    net, dataset = _deploy(args)
-    controller = SelfOrganizationController(
-        net, domain=dataset.domain,
-        policy=CreationPolicy(mappings_per_round=3))
-    controller.run(max_rounds=args.rounds)
+    net, dataset = _deploy_organized(args)
     if args.strategy == "auto":
         _warm_statistics(net, seconds=args.warm_stats)
     _maybe_install_tracer(net, args)
@@ -272,11 +262,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    net, dataset = _deploy(args)
-    controller = SelfOrganizationController(
-        net, domain=dataset.domain,
-        policy=CreationPolicy(mappings_per_round=3))
-    controller.run(max_rounds=args.rounds)
+    net, dataset = _deploy_organized(args)
     _maybe_install_tracer(net, args)
     engine = net.create_engine(domain=dataset.domain,
                                max_hops=args.max_hops)
@@ -310,22 +296,26 @@ def cmd_batch(args) -> int:
 def cmd_scenario(args) -> int:
     from repro.resilience import ScenarioRunner, ScenarioSpec
 
-    spec = ScenarioSpec(
-        num_peers=args.peers,
-        replication=args.replication,
-        refs_per_level=args.replication,
-        seed=args.seed,
-        failover=not args.no_failover,
-        num_schemas=args.schemas,
-        num_entities=args.entities,
-        selforg_rounds=args.selforg_rounds,
-        mean_uptime=args.uptime,
-        mean_downtime=args.downtime,
-        num_queries=args.queries,
-        strategy=args.strategy,
-        max_hops=args.max_hops,
-        limit=args.limit if args.limit > 0 else None,
-    )
+    try:
+        spec = ScenarioSpec(
+            num_peers=args.peers,
+            replication=args.replication,
+            refs_per_level=args.replication,
+            seed=args.seed,
+            failover=not args.no_failover,
+            num_schemas=args.schemas,
+            num_entities=args.entities,
+            selforg_rounds=args.selforg_rounds,
+            mean_uptime=args.uptime,
+            mean_downtime=args.downtime,
+            num_queries=args.queries,
+            strategy=args.strategy,
+            max_hops=args.max_hops,
+            limit=args.limit if args.limit > 0 else None,
+        )
+    except ValueError as exc:
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return 2
     print(f"scenario: {spec.num_peers} peers (replication "
           f"{spec.replication}), {spec.num_schemas} schemas, "
           f"churn up/down {spec.mean_uptime:.0f}s/"
@@ -342,11 +332,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    net, dataset = _deploy(args)
-    controller = SelfOrganizationController(
-        net, domain=dataset.domain,
-        policy=CreationPolicy(mappings_per_round=3))
-    controller.run(max_rounds=args.rounds)
+    net, dataset = _deploy_organized(args)
     _warm_statistics(net, seconds=args.warm_stats)
     node_id = args.node if args.node else net.peer_ids()[0]
     peer = net.peer(node_id)
@@ -573,15 +559,6 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
                              "JSONL; analyze with 'repro trace PATH'")
 
 
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile", action="store_true",
-                        help="run the command under cProfile and "
-                             "print the top-20 functions by "
-                             "cumulative time (repro.util.profiling; "
-                             "for measured host time per layer use "
-                             "perfbench/run.py --trace 1)")
-
-
 def _add_deploy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--peers", type=int, default=100)
     parser.add_argument("--schemas", type=int, default=10)
@@ -625,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="virtual seconds of maintenance gossip "
                             "before an --strategy auto query")
     _add_deploy_args(query)
-    _add_profile_arg(query)
     _add_trace_arg(query)
     query.set_defaults(func=cmd_query)
 
@@ -639,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-hops", type=int, default=8,
                        help="reformulation planning depth")
     _add_deploy_args(batch)
-    _add_profile_arg(batch)
     _add_trace_arg(batch)
     batch.set_defaults(func=cmd_batch)
 
@@ -671,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--no-failover", action="store_true",
                           help="disable replica-aware failover (A/B "
                                "baseline)")
-    _add_profile_arg(scenario)
     _add_trace_arg(scenario)
     scenario.set_defaults(func=cmd_scenario)
 
@@ -798,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "profile", False):
-        from repro.util.profiling import print_profile, profile_call
-
-        status, profile_report = profile_call(lambda: args.func(args))
-        print_profile(profile_report)
-        return status
     return args.func(args)
 
 

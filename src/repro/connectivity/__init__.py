@@ -25,13 +25,11 @@ from repro.connectivity.indicator import (
 from repro.connectivity.analysis import (
     giant_scc_fraction,
     strongly_connected_components,
-    weakly_connected_components,
 )
 
 __all__ = [
     "connectivity_indicator",
     "indicator_from_degrees",
     "strongly_connected_components",
-    "weakly_connected_components",
     "giant_scc_fraction",
 ]

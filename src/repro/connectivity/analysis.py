@@ -87,33 +87,6 @@ def strongly_connected_components(graph: Graph) -> list[set[str]]:
     return components
 
 
-def weakly_connected_components(graph: Graph) -> list[set[str]]:
-    """Connected components ignoring edge direction, largest first."""
-    adjacency = _normalize(graph)
-    undirected: dict[str, set[str]] = {n: set() for n in adjacency}
-    for node, neighbors in adjacency.items():
-        for n in neighbors:
-            undirected[node].add(n)
-            undirected[n].add(node)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(undirected):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in undirected[node]:
-                if neighbor not in component:
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        seen |= component
-        components.append(component)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
-
-
 def giant_scc_fraction(graph: Graph) -> float:
     """Size of the largest SCC divided by the number of nodes.
 

@@ -39,11 +39,3 @@ def connectivity_indicator(p_jk: Mapping[tuple[int, int], float]) -> float:
     return sum((j * k - k) * p for (j, k), p in p_jk.items())
 
 
-def is_fragmented(degree_pairs: Iterable[tuple[int, int]]) -> bool:
-    """Convenience predicate: ``ci < 0`` means mappings are missing.
-
-    "ci < 0 indicates that some of the schemas shared at the mediation
-    layer cannot always be accessed by following series of mappings.
-    In that case, more mappings are needed" (§3.2).
-    """
-    return indicator_from_degrees(degree_pairs) < 0.0

@@ -26,11 +26,11 @@ only for mapping *targets* (cheap, and always safe).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.engine.signature import canonicalize_query, rename_query
 from repro.engine.versioning import MappingVersionClock
 from repro.mapping.unfolding import query_schemas
+from repro.obs.registry import CounterGroup
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.reformulation.planner import Reformulation
 from repro.util.stats import ratio
@@ -39,15 +39,12 @@ from repro.util.stats import ratio
 _Key = tuple[ConjunctiveQuery, int, bool]
 
 
-@dataclass
-class PlanCacheStats:
+class PlanCacheStats(CounterGroup):
     """Lifetime counters of one :class:`PlanCache`."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalidations: int = 0
-    evictions: int = 0
+    _fields = ("hits", "misses", "stores", "invalidations", "evictions")
+    _derived = ("lookups", "hit_rate")
+    __slots__ = _fields
 
     @property
     def lookups(self) -> int:
@@ -58,18 +55,6 @@ class PlanCacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups answered from cache (0.0 when unused)."""
         return ratio(self.hits, self.lookups)
-
-    def snapshot(self) -> dict:
-        """A plain-dict copy, convenient for reporting."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "lookups": self.lookups,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class _Entry:

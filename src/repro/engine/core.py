@@ -29,10 +29,11 @@ engine created after deployment data was already loaded must call
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.engine.cache import PlanCache, PlanCacheStats
+from repro.engine.executor import BatchFetchStats
 from repro.engine.versioning import MappingVersionClock
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import SchemaMapping
@@ -51,85 +52,60 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.mediation.network import GridVineNetwork
 
 
-@dataclass
-class EngineStats:
-    """Lifetime execution statistics of one :class:`QueryEngine`."""
+class EngineStats(BatchFetchStats):
+    """Lifetime execution statistics of one :class:`QueryEngine`.
 
-    #: times the BFS planner actually ran (i.e. plan-cache misses)
-    planner_invocations: int = 0
-    queries_executed: int = 0
-    batches_executed: int = 0
-    #: pattern occurrences across all executed reformulations
-    patterns_total: int = 0
-    #: distinct patterns fetched after deduplication
-    patterns_fetched: int = 0
-    #: network messages attributed to engine execution
-    messages: int = 0
-    #: queries whose result limit was reached (limit pushdown)
-    limits_hit: int = 0
-    #: shared scans never started because limits stopped their batch
-    scans_skipped: int = 0
-    #: reformulations dropped by cost-based pruning (``optimize=True``)
-    reformulations_pruned: int = 0
-    cache: PlanCacheStats = field(default_factory=PlanCacheStats)
+    Every batch's :class:`~repro.engine.executor.BatchFetchStats`
+    summed (``stats.add(fetch_stats)``), plus: ``planner_invocations``
+    (times the BFS planner actually ran, i.e. plan-cache misses),
+    ``queries_executed`` / ``batches_executed``, ``messages`` (network
+    messages attributed to engine execution) and
+    ``reformulations_pruned`` (dropped by cost-based pruning,
+    ``optimize=True``).  ``cache`` is the plan cache's own bag,
+    reported nested.
+    """
 
-    @property
-    def lookups_saved(self) -> int:
-        """Overlay pattern lookups avoided by batching."""
-        return self.patterns_total - self.patterns_fetched
+    _lifetime = ("planner_invocations", "queries_executed",
+                 "batches_executed", "messages", "reformulations_pruned")
+    _fields = BatchFetchStats._fields + _lifetime
+    _derived = ("lookups_saved", "dedup_rate")
+    #: an attribute only: committed reports pin the snapshot's key set
+    _unreported = ("scans_issued",)
+    __slots__ = _lifetime + ("cache",)
+
+    def __init__(self, cache: PlanCacheStats | None = None) -> None:
+        super().__init__()
+        self.cache = cache if cache is not None else PlanCacheStats()
 
     @property
     def dedup_rate(self) -> float:
         """Fraction of pattern occurrences served by a shared lookup."""
         return ratio(self.lookups_saved, self.patterns_total)
 
-    def register_into(self, registry, name: str = "engine") -> None:
-        """Expose these counters as a lazily-evaluated view in a
-        :class:`~repro.obs.registry.MetricsRegistry` (the fields stay
-        plain dataclass attributes on the execution path)."""
-        registry.register_view(name, self.snapshot)
-
     def snapshot(self) -> dict:
-        """A plain-dict copy, convenient for CLI and bench reporting."""
-        return {
-            "planner_invocations": self.planner_invocations,
-            "queries_executed": self.queries_executed,
-            "batches_executed": self.batches_executed,
-            "patterns_total": self.patterns_total,
-            "patterns_fetched": self.patterns_fetched,
-            "lookups_saved": self.lookups_saved,
-            "dedup_rate": self.dedup_rate,
-            "messages": self.messages,
-            "limits_hit": self.limits_hit,
-            "scans_skipped": self.scans_skipped,
-            "reformulations_pruned": self.reformulations_pruned,
-            "cache": self.cache.snapshot(),
-        }
+        """The counters, with the plan cache's nested under ``cache``."""
+        return {**super().snapshot(), "cache": self.cache.snapshot()}
 
 
 @dataclass
 class BatchResult:
-    """Outcomes of one :meth:`QueryEngine.execute_batch` call."""
+    """Outcomes of one :meth:`QueryEngine.execute_batch` call.
+
+    The batch's fetch counters read through: ``result.patterns_total``,
+    ``patterns_fetched``, ``scans_issued``, ``scans_skipped``,
+    ``limits_hit`` and ``lookups_saved`` are ``fetch_stats``'s.
+    """
 
     outcomes: list[QueryOutcome]
-    #: distinct patterns fetched for this batch
-    patterns_fetched: int
-    #: pattern occurrences this batch would have fetched unbatched
-    patterns_total: int
+    #: what pattern sharing and limit pushdown saved for this batch
+    fetch_stats: BatchFetchStats
     #: network messages measured for this batch
     messages: int
-    #: shared scans actually started (== ``patterns_fetched`` when no
-    #: limit stopped the batch early)
-    scans_issued: int = 0
-    #: shared scans never started because every query's limit was met
-    scans_skipped: int = 0
-    #: queries whose result limit was reached
-    limits_hit: int = 0
 
-    @property
-    def lookups_saved(self) -> int:
-        """Overlay lookups this batch avoided through deduplication."""
-        return self.patterns_total - self.patterns_fetched
+    def __getattr__(self, name: str) -> int:
+        if name in BatchFetchStats._fields + BatchFetchStats._derived:
+            return getattr(self.fetch_stats, name)
+        raise AttributeError(name)
 
 
 class QueryEngine:
@@ -299,17 +275,6 @@ class QueryEngine:
             self.stats.reformulations_pruned += sum(pruned_counts)
         self.stats.batches_executed += 1
         self.stats.queries_executed += len(parsed)
-        self.stats.patterns_total += fetch_stats.patterns_total
-        self.stats.patterns_fetched += fetch_stats.patterns_fetched
         self.stats.messages += messages
-        self.stats.limits_hit += fetch_stats.limits_hit
-        self.stats.scans_skipped += fetch_stats.scans_skipped
-        return BatchResult(
-            outcomes=outcomes,
-            patterns_fetched=fetch_stats.patterns_fetched,
-            patterns_total=fetch_stats.patterns_total,
-            messages=messages,
-            scans_issued=fetch_stats.scans_issued,
-            scans_skipped=fetch_stats.scans_skipped,
-            limits_hit=fetch_stats.limits_hit,
-        )
+        self.stats.add(fetch_stats)
+        return BatchResult(outcomes, fetch_stats, messages)

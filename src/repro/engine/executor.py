@@ -34,8 +34,6 @@ all-at-once fetch bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engine.signature import canonicalize_pattern
 from repro.exec.operators import (
     Collect,
@@ -49,6 +47,7 @@ from repro.exec.operators import (
 from repro.exec.stream import PipelineContext
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.query import QueryOutcome
+from repro.obs.registry import CounterGroup
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.reformulation.planner import Reformulation, reformulation_waves
 from repro.simnet.events import Future, gather
@@ -113,20 +112,22 @@ class _WaveScheduler:
             self.start_next()
 
 
-@dataclass
-class BatchFetchStats:
-    """What pattern sharing and limit pushdown saved for one batch."""
+class BatchFetchStats(CounterGroup):
+    """What pattern sharing and limit pushdown saved for one batch.
 
-    #: pattern occurrences across all queries and reformulations
-    patterns_total: int = 0
-    #: distinct patterns in the DAG (shared scan operators)
-    patterns_fetched: int = 0
-    #: scans actually started (== ``patterns_fetched`` without a limit)
-    scans_issued: int = 0
-    #: scans never started because every query's limit was satisfied
-    scans_skipped: int = 0
-    #: queries whose limit was reached
-    limits_hit: int = 0
+    ``patterns_total`` counts pattern occurrences across all queries
+    and reformulations, ``patterns_fetched`` the distinct patterns in
+    the DAG (shared scan operators).  ``scans_issued`` are the scans
+    actually started (== ``patterns_fetched`` when no limit stopped
+    the batch early), ``scans_skipped`` the ones never started because
+    every query's limit was satisfied, ``limits_hit`` the queries whose
+    limit was reached.
+    """
+
+    _fields = ("patterns_total", "patterns_fetched", "scans_issued",
+               "scans_skipped", "limits_hit")
+    _derived = ("lookups_saved",)
+    __slots__ = _fields
 
     @property
     def lookups_saved(self) -> int:

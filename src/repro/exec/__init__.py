@@ -22,9 +22,9 @@ of the historical collect-everything-then-return callback chains:
     execute received reformulations.
 
 :mod:`repro.exec.bindings`
-    ``join_batches`` (the one natural join).  ``pattern_schema`` (the
-    schema a pattern scan produces) is re-exported from
-    :mod:`repro.rdf.patterns`, where the scan itself is prepared.
+    ``join_batches`` (the one natural join).  The schema a pattern
+    scan produces is :attr:`~repro.rdf.patterns.TriplePattern.schema`,
+    in :mod:`repro.rdf.patterns`, where the scan itself is prepared.
 
 The headline capability is **limit pushdown with cooperative
 cancellation**: a satisfied ``Limit`` fires the pipeline's
@@ -55,7 +55,6 @@ from repro.exec.plans import (
     run_query_plan,
 )
 from repro.exec.stream import Batch, Operator, OperatorStats, PipelineContext
-from repro.rdf.patterns import pattern_schema
 
 __all__ = [
     "Batch",
@@ -75,7 +74,6 @@ __all__ = [
     "attach_execution_subplan",
     "execute_query_rows",
     "join_batches",
-    "pattern_schema",
     "run_query_plan",
     "selectivity_rank",
 ]

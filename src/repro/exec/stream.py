@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.registry import CounterGroup
 from repro.simnet.events import CancelToken, Future
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -44,41 +45,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 
 
-class OperatorStats:
-    """Row / fetch counters of one operator."""
+class OperatorStats(CounterGroup):
+    """Row / fetch counters of one operator.
 
-    __slots__ = ("name", "rows_in", "rows_out", "batches_out",
-                 "fetches_issued", "fetches_skipped", "rows_dropped")
+    ``rows_in`` / ``rows_out`` / ``batches_out`` count what crossed the
+    operator's edges.  ``fetches_issued`` are the overlay operations it
+    started (each costs network messages), ``fetches_skipped`` the ones
+    skipped because the pipeline was cancelled first — the "messages
+    saved by early stop" — and ``rows_dropped`` the rows discarded
+    after the operator stopped accepting (e.g. arriving once a limit
+    was already satisfied).
+    """
+
+    _fields = ("rows_in", "rows_out", "batches_out",
+               "fetches_issued", "fetches_skipped", "rows_dropped")
+    _derived = ("name",)  # the operator's label, reported as is
+    __slots__ = _derived + _fields
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        #: rows received from upstream
-        self.rows_in = 0
-        #: rows emitted downstream
-        self.rows_out = 0
-        #: batches emitted downstream
-        self.batches_out = 0
-        #: overlay operations this operator started (each costs
-        #: network messages)
-        self.fetches_issued = 0
-        #: overlay operations skipped because the pipeline was
-        #: cancelled first — the "messages saved by early stop"
-        self.fetches_skipped = 0
-        #: rows discarded after the operator stopped accepting
-        #: (e.g. arriving once a limit was already satisfied)
-        self.rows_dropped = 0
-
-    def snapshot(self) -> dict:
-        """A plain-dict copy for outcomes and reports."""
-        return {
-            "name": self.name,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "batches_out": self.batches_out,
-            "fetches_issued": self.fetches_issued,
-            "fetches_skipped": self.fetches_skipped,
-            "rows_dropped": self.rows_dropped,
-        }
 
 
 class Batch:
@@ -181,11 +167,6 @@ class Operator:
         else:
             self._close_listeners.append(listener)
 
-    @property
-    def closed(self) -> bool:
-        """Whether the operator's output stream has ended."""
-        return self._closed
-
     # -- data flow ------------------------------------------------------
 
     def emit(self, batch: Batch) -> None:
@@ -225,7 +206,6 @@ class Operator:
 
     def _input_closed(self, slot: int) -> None:
         self._open_inputs -= 1
-        self.on_input_closed(slot)
         if self._open_inputs <= 0 and self._input_slots > 0:
             self.close()
 
@@ -237,9 +217,6 @@ class Operator:
     def on_batch(self, batch: Batch, slot: int) -> None:
         """Handle one incoming batch (default: pass through)."""
         self.emit(batch)
-
-    def on_input_closed(self, slot: int) -> None:
-        """React to one input stream ending (default: nothing)."""
 
     def on_finish(self) -> None:
         """Flush before closing (default: nothing)."""

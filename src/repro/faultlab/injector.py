@@ -41,12 +41,22 @@ from repro.faultlab.plan import (
     Partition,
     clause_seed,
 )
+from repro.obs.registry import CounterGroup
 from repro.simnet.events import SimulationError
 from repro.simnet.network import Message
 from repro.simnet.transport import Transport
 
 #: virtual seconds a released held message trails the overtaking one
 _REORDER_EPSILON = 1e-3
+
+
+class FaultCounters(CounterGroup):
+    """What one :class:`FaultInjector` fired: ``injected`` counts by
+    action (drop, partition, duplicate, delay, reorder, crash,
+    restart)."""
+
+    _keyed = ("injected",)
+    __slots__ = _keyed
 
 
 class FaultInjector:
@@ -67,9 +77,9 @@ class FaultInjector:
     def __init__(self, transport: Transport, plan: FaultPlan) -> None:
         self.transport = transport
         self.plan = plan
-        #: action -> times it fired (drop, partition, duplicate,
-        #: delay, reorder, crash, restart)
-        self.injected: dict[str, int] = {}
+        self.counters = FaultCounters()
+        #: action -> times it fired (``counters.injected``)
+        self.injected = self.counters.injected
         self._installed = False
         #: per-clause deterministic randomness (see plan.clause_seed);
         #: repeated identical clauses get independent streams via
@@ -340,11 +350,8 @@ class InstalledPlan:
     @property
     def injected(self) -> dict[str, int]:
         """Fired-fault counts by action, summed over all injectors."""
-        totals: dict[str, int] = {}
-        for injector in self.injectors:
-            for action, count in injector.injected.items():
-                totals[action] = totals.get(action, 0) + count
-        return totals
+        return FaultCounters.total(
+            injector.counters for injector in self.injectors).injected
 
     def currently_down(self) -> set[str]:
         """Nodes any injector holds offline right now."""

@@ -191,10 +191,6 @@ class SchemaMapping:
                 return c.target
         return None
 
-    def mapped_predicates(self) -> set[URI]:
-        """Source predicates this mapping can rewrite."""
-        return {c.source for c in self.correspondences}
-
     # -- derived mappings ---------------------------------------------------
 
     def reversed(self, mapping_id: str | None = None) -> "SchemaMapping":
@@ -223,14 +219,6 @@ class SchemaMapping:
             self.mapping_id, self.source_schema, self.target_schema,
             self.correspondences, provenance=self.provenance,
             deprecated=deprecated, confidence=self.confidence,
-        )
-
-    def with_confidence(self, confidence: float) -> "SchemaMapping":
-        """A copy with an updated posterior correctness probability."""
-        return SchemaMapping(
-            self.mapping_id, self.source_schema, self.target_schema,
-            self.correspondences, provenance=self.provenance,
-            deprecated=self.deprecated, confidence=confidence,
         )
 
     # -- plumbing -----------------------------------------------------------

@@ -191,7 +191,7 @@ class GridVineNetwork(PGridOverlay):
             while f"engine:{index}" in registry.view_names():
                 index += 1
             name = f"engine:{index}"
-        engine.stats.register_into(registry, name)
+        registry.register_view(name, engine.stats.snapshot)
         return engine
 
     # ------------------------------------------------------------------
@@ -276,6 +276,10 @@ class GridVineNetwork(PGridOverlay):
         ``"recursive"``
             Reformulation is delegated hop-by-hop to the peers holding
             the mappings (§4).
+        ``"auto"``
+            The origin's cost-based optimizer picks one of the above
+            per query from gossiped synopses (static fallback until
+            statistics arrive; ``outcome.decision`` says which).
 
         ``limit`` is pushed *into* the distributed execution: the
         streaming pipeline stops issuing pattern fetches and
@@ -369,13 +373,10 @@ class GridVineNetwork(PGridOverlay):
         return sum(peer.db.count() for peer in self.peers.values())
 
     def metrics_snapshot(self) -> dict:
-        """Network counters, for bench reporting: the transport's own
-        snapshot on the single loop, the engine's shard-summed one on
-        a sharded engine."""
-        net = getattr(self.engine, "net", None)
-        if net is None:
-            return self.engine.metrics_snapshot()
-        return net.metrics.snapshot()
+        """Network counters, for bench reporting: the engine's
+        :class:`~repro.simnet.metrics.NetworkMetrics` summed over its
+        transports — the same shape on one loop and on N shards."""
+        return self.engine.metrics_snapshot()
 
     # ------------------------------------------------------------------
     # Observability (see repro.obs)
@@ -383,13 +384,12 @@ class GridVineNetwork(PGridOverlay):
 
     @property
     def registry(self):
-        """The deployment's unified metrics registry (lazily built).
+        """The deployment's metrics registry (lazily built).
 
-        The transport's :class:`~repro.simnet.metrics.NetworkMetrics`
-        is registered as the ``network`` view on first access; engines
-        created via :meth:`create_engine` add ``engine`` views.  Views
-        snapshot the live stat bags on demand — nothing on the message
-        path changes.
+        :meth:`metrics_snapshot` is registered as the ``network`` view
+        on first access; engines created via :meth:`create_engine` add
+        ``engine`` views.  Views snapshot the live stat bags on demand
+        — nothing on the message path changes.
         """
         registry = self._registry
         if registry is None:

@@ -1,4 +1,4 @@
-"""Observability plane: causal tracing + the unified metrics registry.
+"""Observability plane: causal tracing + the statistics plane.
 
 Two independent facilities, both strictly pay-for-what-you-use:
 
@@ -12,9 +12,10 @@ Two independent facilities, both strictly pay-for-what-you-use:
     bit-identical.
 
 :mod:`repro.obs.registry`
-    :class:`~repro.obs.registry.MetricsRegistry` unifying the existing
-    stat bags through lazily-evaluated views, plus
-    :class:`~repro.obs.registry.CounterGroup` for typed counter sets.
+    :class:`~repro.obs.registry.CounterGroup`, the one way a stat bag
+    is declared, snapshotted, summed and reset, and
+    :class:`~repro.obs.registry.MetricsRegistry`, the named
+    lazily-evaluated views through which bags reach a report.
 
 :mod:`repro.obs.analysis`
     Offline trace analysis behind the ``repro trace`` subcommand.
@@ -24,6 +25,7 @@ from repro.obs.context import derive_span_id
 from repro.obs.registry import (
     CounterGroup,
     FailoverCounters,
+    MaintenanceCounters,
     MetricsRegistry,
 )
 from repro.obs.tracer import Tracer, export_records_jsonl, merge_records
@@ -32,6 +34,7 @@ __all__ = [
     "derive_span_id",
     "CounterGroup",
     "FailoverCounters",
+    "MaintenanceCounters",
     "MetricsRegistry",
     "Tracer",
     "export_records_jsonl",

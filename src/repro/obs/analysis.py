@@ -1,7 +1,8 @@
 """Offline trace analysis: waterfalls, critical paths, slow queries.
 
-Consumes the JSONL written by :meth:`~repro.obs.tracer.Tracer.
-export_jsonl` (or the merged sharded export).  Everything here is
+Consumes the JSONL written by :func:`~repro.obs.tracer.
+export_records_jsonl` (one loop's records or the merged sharded ones).
+Everything here is
 plain-data in, text out — the ``repro trace`` CLI subcommand is a thin
 shell over these functions, and tests call them directly.
 """
@@ -9,7 +10,7 @@ shell over these functions, and tests call them directly.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Iterable
 
 
 def load_jsonl(path: str) -> list[dict]:
@@ -239,18 +240,3 @@ def critical_path_lines(path: list[dict]) -> list[str]:
 def load_any(path: str) -> list[dict]:
     """Alias for :func:`load_jsonl` (single supported format today)."""
     return load_jsonl(path)
-
-
-def trace_tree(records: list[dict], trace_id: str) -> dict[str, Any]:
-    """Nested dict view of one trace (tests and programmatic use)."""
-    spans = spans_of(records, trace_id)
-    by_id = {s["span"]: dict(s, children=[]) for s in spans}
-    roots = []
-    for span in by_id.values():
-        parent = by_id.get(span["parent"])
-        if parent is None:
-            roots.append(span)
-        else:
-            parent["children"].append(span)
-    return {"trace": trace_id, "roots": roots,
-            "spans": len(spans)}

@@ -203,7 +203,7 @@ class MaintenanceProcess:
         for ref in list(peer.routing_table[level]):
             token = f"{peer.node_id}:{next(self._tokens)}"
             peer._probe_pending[token] = (level, ref)
-            peer.maintenance_stats["probes_sent"] += 1
+            peer.maintenance_stats.probes_sent += 1
             payload: dict = {"token": token}
             if peer.stats_gossip:
                 # Piggyback synopsis digests on the probe we are
@@ -237,7 +237,7 @@ class MaintenanceProcess:
         del self._misses[(node_id, ref)]
         if level < len(peer.routing_table) and ref in peer.routing_table[level]:
             peer.routing_table[level].remove(ref)
-            peer.maintenance_stats["refs_dropped"] += 1
+            peer.maintenance_stats.refs_dropped += 1
         # quarantine the dead ref so replacement offers (which may
         # include it — e.g. a live replica vouching for its dead
         # sibling) do not immediately reinstate it
@@ -294,7 +294,7 @@ class MaintenanceProcess:
         if not peer.replicas:
             return
         replica = self.rng.choice(peer.replicas)
-        peer.maintenance_stats["sync_pushes"] += 1
+        peer.maintenance_stats.sync_pushes += 1
         payload = peer.sync_payload()
         if peer.stats_gossip:
             payload["synopses"] = peer.gossip_synopses()

@@ -215,10 +215,6 @@ class PGridOverlay:
         """Path length of every peer (trie shape diagnostic)."""
         return [len(p.path) for p in self.peers.values()]
 
-    def storage_loads(self) -> list[int]:
-        """Stored-value counts per peer (load-balance diagnostic)."""
-        return [p.storage_load() for p in self.peers.values()]
-
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------

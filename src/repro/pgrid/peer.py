@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from repro.obs.registry import FailoverCounters
+from repro.obs.registry import FailoverCounters, MaintenanceCounters
 from repro.simnet.events import Future, SimulationError
 from repro.simnet.network import Message, Node
 from repro.stats.gossip import PIGGYBACK_BUDGET, PULL_BUDGET
@@ -246,12 +246,9 @@ class PGridPeer(Node):
         return {}
 
     @cached_property
-    def maintenance_stats(self) -> dict[str, int]:
+    def maintenance_stats(self) -> MaintenanceCounters:
         """Maintenance counters (filled by pgrid.maintenance)."""
-        return {
-            "probes_sent": 0, "refs_dropped": 0, "refs_added": 0,
-            "sync_pushes": 0, "values_repaired": 0,
-        }
+        return MaintenanceCounters()
 
     @property
     def failover_stats(self) -> FailoverCounters:
@@ -894,7 +891,7 @@ class PGridPeer(Node):
             if self.ref_blacklist.get(candidate, 0.0) > now:
                 continue  # observed dead recently; quarantine
             refs.append(candidate)
-            self.maintenance_stats["refs_added"] += 1
+            self.maintenance_stats.refs_added += 1
 
     # ------------------------------------------------------------------
     # Maintenance handlers (driven by pgrid.maintenance)
@@ -945,7 +942,7 @@ class PGridPeer(Node):
             return
         for bits, value in payload["items"]:
             if self.local_merge(Key(bits), value):
-                self.maintenance_stats["values_repaired"] += 1
+                self.maintenance_stats.values_repaired += 1
 
     def _answer(self, message: Message, key: Key) -> None:
         """Apply the operation locally and reply to the origin."""

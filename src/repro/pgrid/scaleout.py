@@ -565,16 +565,19 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
 
     if spec.trace_path is not None:
         export_records_jsonl(engine.trace_records(), spec.trace_path)
-    merged = engine.metrics_snapshot()
     # (``result`` already took the batches out of ``completed``)
     for ref, summary in engine.completed.items():
         report.outcomes[ref] = summary if med is None else \
-            summary + (merged["operations"].get(f"op:{ref}", 0),)
+            summary + (engine.attributed_messages(ref),)
     _fill_outcome_counts(report)
+    merged = engine.metrics_snapshot()
     for name in ("messages_sent", "messages_dropped", "values_shipped",
-                 "messages_by_kind", "drops_by_reason", "faults_by_kind",
-                 "events_processed", "per_shard_peak_rss_kb"):
+                 "messages_by_kind", "drops_by_reason", "faults_by_kind"):
         setattr(report, name, merged[name])
+    # Host numbers are per shard, not part of the summed metrics.
+    shards = engine.shard_stats()
+    report.events_processed = sum(s["events_processed"] for s in shards)
+    report.per_shard_peak_rss_kb = [s["peak_rss_kb"] for s in shards]
     report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
     report.virtual_time = engine.now
     report.wall_clock_s = time.perf_counter() - started

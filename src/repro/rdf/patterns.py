@@ -412,9 +412,3 @@ class ConjunctiveQuery:
         heads = ", ".join(str(v) for v in self.distinguished)
         body = " AND ".join(str(p) for p in self.patterns)
         return f"SearchFor({heads} : {body})"
-
-
-def pattern_schema(pattern: TriplePattern) -> tuple[Variable, ...]:
-    """:attr:`TriplePattern.schema` as a function (``repro.exec``
-    re-exports it)."""
-    return pattern.schema

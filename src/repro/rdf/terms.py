@@ -135,13 +135,6 @@ class Literal(_BaseTerm):
         return self._pattern_kind() == 2
 
     @property
-    def like_needle(self) -> str:
-        """The substring inside the ``%...%`` wrapper."""
-        if not self.is_like_pattern:
-            raise ValueError(f"{self!r} is not a LIKE pattern")
-        return self.value[1:-1]
-
-    @property
     def prefix_needle(self) -> str:
         """The prefix before the trailing ``%``."""
         if not self.is_prefix_pattern:

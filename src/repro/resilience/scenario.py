@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING
 
 from repro.datagen.generator import BioDataset, BioDatasetGenerator
 from repro.datagen.workload import QueryWorkloadGenerator
-from repro.obs.registry import MetricsRegistry
+from repro.exec.plans import STRATEGIES
+from repro.obs.registry import FailoverCounters, MetricsRegistry
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.simnet.churn import ChurnProcess
@@ -40,6 +41,10 @@ from repro.util.stats import percentile_or_none
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.faultlab.plan import FaultPlan
     from repro.mediation.network import GridVineNetwork
+
+#: what :attr:`ScenarioSpec.strategy` accepts: the facade's strategies
+#: plus the plan-caching engine
+SCENARIO_STRATEGIES = STRATEGIES + ("engine",)
 
 #: panel item: (query, set of expected ``Schema:Accession`` subjects)
 Panel = list[tuple[ConjunctiveQuery, set[str]]]
@@ -102,6 +107,26 @@ class ScenarioSpec:
     #: with ``churn``: the injector never crashes a node churn took
     #: down and vice versa.
     faults: "FaultPlan | None" = None
+
+    def __post_init__(self) -> None:
+        """Reject a malformed script before anything is built."""
+        def reject(name: str, accepted: str) -> None:
+            raise ValueError(f"ScenarioSpec.{name} must be {accepted}, "
+                             f"got {getattr(self, name)!r}")
+
+        if self.strategy not in SCENARIO_STRATEGIES:
+            reject("strategy", f"one of {SCENARIO_STRATEGIES}")
+        for name in ("num_peers", "replication", "refs_per_level",
+                     "num_schemas", "num_entities", "selforg_rounds",
+                     "num_queries", "max_hops", "warmup"):
+            if getattr(self, name) < 0:
+                reject(name, ">= 0")
+        for name in ("mean_uptime", "mean_downtime", "maintenance_interval",
+                     "query_interval", "stats_pull_interval"):
+            if getattr(self, name) <= 0:
+                reject(name, "> 0")
+        if self.limit is not None and self.limit < 1:
+            reject("limit", "None or >= 1")
 
 
 @dataclass
@@ -263,14 +288,6 @@ def ground_truth_panel(dataset: BioDataset,
     return panel
 
 
-def _failover_totals(peers: dict) -> tuple[int, int, int]:
-    """``(failovers, gave_up, cancelled)`` summed over every peer."""
-    stats = [peer.failover_stats for peer in peers.values()]
-    return (sum(s.failovers for s in stats),
-            sum(s.gave_up for s in stats),
-            sum(s.cancelled for s in stats))
-
-
 class ScenarioRunner:
     """Executes one :class:`ScenarioSpec` against a deployment.
 
@@ -363,6 +380,22 @@ class ScenarioRunner:
     # Execution
     # ------------------------------------------------------------------
 
+    def self_organize(self, rounds: int) -> list:
+        """Run up to ``rounds`` self-organization rounds (three
+        mappings a round) on the deployment; returns their reports."""
+        from repro.selforg import CreationPolicy, SelfOrganizationController
+
+        return SelfOrganizationController(
+            self.network, domain=self.domain,
+            policy=CreationPolicy(mappings_per_round=3),
+        ).run(max_rounds=rounds)
+
+    def _failover_snapshot(self) -> dict:
+        """Every peer's :class:`FailoverCounters`, summed."""
+        return FailoverCounters.total(
+            peer.failover_stats
+            for peer in self.network.peers.values()).snapshot()
+
     def run(self) -> ScenarioReport:
         """Run the scripted scenario; returns its report.
 
@@ -380,17 +413,8 @@ class ScenarioRunner:
         # Baselines, so repeated runs on the same deployment report
         # per-run deltas instead of lifetime cumulative counters.
         metrics_before = sim.metrics_snapshot()
-        failover_before = _failover_totals(net.peers)
-        if spec.selforg_rounds > 0:
-            from repro.selforg import (
-                CreationPolicy,
-                SelfOrganizationController,
-            )
-            controller = SelfOrganizationController(
-                net, domain=self.domain,
-                policy=CreationPolicy(mappings_per_round=3),
-            )
-            controller.run(max_rounds=spec.selforg_rounds)
+        failover_before = self._failover_snapshot()
+        self.self_organize(spec.selforg_rounds)
         engine = None
         if spec.strategy == "engine":
             engine = net.create_engine(domain=self.domain,
@@ -521,9 +545,11 @@ class ScenarioRunner:
             report.failures = churn.failures
             report.recoveries = churn.recoveries
             churn.assert_consistent()
-        report.failovers, report.ops_gave_up, report.ops_cancelled = (
-            after - before for after, before
-            in zip(_failover_totals(net.peers), failover_before))
+        failover = MetricsRegistry.diff(failover_before,
+                                        self._failover_snapshot())
+        report.failovers = failover.get("failovers", 0)
+        report.ops_gave_up = failover.get("gave_up", 0)
+        report.ops_cancelled = failover.get("cancelled", 0)
         if engine is not None:
             report.engine_stats = engine.stats.snapshot()
         return report

@@ -33,6 +33,7 @@ from repro.selforg.creator import CreationPolicy, propose_mappings
 from repro.selforg.deprecation import (
     DeprecationConfig,
     assess_mapping_quality,
+    mappings_to_deprecate,
 )
 
 
@@ -175,12 +176,10 @@ class SelfOrganizationController:
         graph = self.network.mapping_graph(self.domain)
         posteriors = assess_mapping_quality(graph, self.deprecation)
         deprecated: list[str] = []
-        for mapping in graph.mappings():
-            if mapping.is_user_defined:
-                continue
-            if posteriors[mapping.mapping_id] < self.deprecation.threshold:
-                self.network.deprecate_mapping(mapping)
-                deprecated.append(mapping.mapping_id)
+        for mapping in mappings_to_deprecate(graph, self.deprecation,
+                                             posteriors):
+            self.network.deprecate_mapping(mapping)
+            deprecated.append(mapping.mapping_id)
         if deprecated:
             self.network.settle()
         records = self.network.connectivity_records(self.domain)

@@ -159,14 +159,16 @@ def assess_mapping_quality(
 def mappings_to_deprecate(
     graph: MappingGraph,
     config: DeprecationConfig | None = None,
+    beliefs: dict[str, float] | None = None,
 ) -> list[SchemaMapping]:
     """The active automatic mappings whose posterior falls below the
-    deprecation threshold, sorted by id."""
+    deprecation threshold, sorted by id (``beliefs``: the posteriors,
+    when the caller already ran :func:`assess_mapping_quality`)."""
     config = config if config is not None else DeprecationConfig()
-    beliefs = assess_mapping_quality(graph, config)
-    doomed = [
-        mapping for mapping in graph.mappings()
+    if beliefs is None:
+        beliefs = assess_mapping_quality(graph, config)
+    return [
+        mapping for mapping in graph.mappings()  # sorted by id
         if not mapping.is_user_defined
         and beliefs[mapping.mapping_id] < config.threshold
     ]
-    return sorted(doomed, key=lambda m: m.mapping_id)

@@ -1,40 +1,44 @@
-"""Counters and traces collected by the simulated network."""
+"""Counters collected by the simulated network."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.obs.registry import CounterGroup
 
 
-@dataclass
-class NetworkMetrics:
+class NetworkMetrics(CounterGroup):
     """Aggregate statistics over all messages sent through a network.
 
     ``messages_by_kind`` groups counts by the message's ``kind`` tag so
     benchmarks can separate routing traffic from maintenance traffic.
+    ``values_shipped`` counts the result values carried by reply
+    messages — a proxy for data volume on the wire (bound vs parallel
+    joins trade messages for shipped tuples; see bench E12).
+    ``drops_by_reason`` keys drops by *cause*: ``"offline"``
+    (destination was already offline at send time — the silent drops
+    churn produces), ``"in_flight"`` (destination crashed while the
+    message was on the wire), or a fault-injection reason such as
+    ``"fault"`` / ``"partition"`` (see :mod:`repro.faultlab`).
+    ``faults_by_kind`` keys injected faults ``"<action>:<kind>"``
+    (actions: ``drop``, ``partition``, ``duplicate``, ``delay``,
+    ``reorder``, ``crash``, ``restart`` — the latter two use kind
+    ``"node"``).
     """
 
-    messages_sent: int = 0
-    messages_dropped: int = 0
-    total_latency: float = 0.0
-    #: result values carried by reply messages — a proxy for data
-    #: volume on the wire (bound vs parallel joins trade messages for
-    #: shipped tuples; see bench E12)
-    values_shipped: int = 0
-    messages_by_kind: dict[str, int] = field(default_factory=dict)
-    #: drop counts by *cause*: ``"offline"`` (destination was already
-    #: offline at send time — the silent drops churn produces),
-    #: ``"in_flight"`` (destination crashed while the message was on
-    #: the wire), or a fault-injection reason such as ``"fault"`` /
-    #: ``"partition"`` (see :mod:`repro.faultlab`)
-    drops_by_reason: dict[str, int] = field(default_factory=dict)
-    #: injected-fault counts keyed ``"<action>:<kind>"`` (actions:
-    #: ``drop``, ``partition``, ``duplicate``, ``delay``, ``reorder``,
-    #: ``crash``, ``restart`` — the latter two use kind ``"node"``)
-    faults_by_kind: dict[str, int] = field(default_factory=dict)
-    #: message counts for *tracked* operations only (see
-    #: :meth:`begin_operation`) — exact per-operation attribution even
-    #: with concurrent background traffic on the same network
-    operations: dict[str, int] = field(default_factory=dict)
+    _fields = ("messages_sent", "messages_dropped", "values_shipped",
+               "total_latency")
+    _keyed = ("messages_by_kind", "drops_by_reason", "faults_by_kind")
+    _derived = ("mean_latency",)
+    _unreported = ("total_latency",)  # reported as ``mean_latency``
+    __slots__ = _fields + _keyed + ("operations",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: message counts for *tracked* operations only (see
+        #: :meth:`begin_operation`) — exact per-operation attribution
+        #: even with concurrent background traffic on the same
+        #: network.  A live ledger, not a statistic: it is neither
+        #: reported nor summed.
+        self.operations: dict[str, int] = {}
 
     def begin_operation(self, op_tag: str) -> None:
         """Start counting messages attributed to ``op_tag``.
@@ -91,18 +95,6 @@ class NetworkMetrics:
             return 0.0
         return self.total_latency / self.messages_sent
 
-    def snapshot(self) -> dict:
-        """A plain-dict copy, convenient for bench reporting."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "mean_latency": self.mean_latency,
-            "values_shipped": self.values_shipped,
-            "messages_by_kind": dict(self.messages_by_kind),
-            "drops_by_reason": dict(self.drops_by_reason),
-            "faults_by_kind": dict(self.faults_by_kind),
-        }
-
     def reset(self) -> None:
         """Zero all counters (e.g. after a warm-up phase).
 
@@ -110,12 +102,6 @@ class NetworkMetrics:
         an operation spanning the reset keeps attributing its later
         messages.
         """
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.total_latency = 0.0
-        self.values_shipped = 0
-        self.messages_by_kind.clear()
-        self.drops_by_reason.clear()
-        self.faults_by_kind.clear()
+        super().reset()
         for op_tag in self.operations:
             self.operations[op_tag] = 0

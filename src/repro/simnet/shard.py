@@ -65,6 +65,7 @@ from typing import Any, Callable
 
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency, LatencyModel
+from repro.simnet.metrics import NetworkMetrics
 from repro.simnet.network import Message, Node, SimNetwork
 
 
@@ -320,10 +321,10 @@ class Shard:
         report = {
             "shard": self.shard_id,
             "peers": len(transport._nodes),
-            "metrics": transport.metrics.snapshot(),
-            # Per-op attribution counters (not part of the generic
-            # metrics snapshot): every tag this shard's traffic carried.
-            "operations": dict(transport.metrics.operations),
+            # The live bag (a worker's stats pipe pickles it by value);
+            # its ``operations`` ledger holds the per-op attribution
+            # counters of every tag this shard's traffic carried.
+            "metrics": transport.metrics,
             "events_processed": transport.loop.events_processed,
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
@@ -387,24 +388,14 @@ class _WindowInput:
                     or self.arrivals)
 
 
-#: :meth:`NetworkMetrics.snapshot` fields an engine sums over shards
-_SUMMED = ("messages_sent", "messages_dropped", "values_shipped")
-_SUMMED_BY_KEY = ("messages_by_kind", "drops_by_reason", "faults_by_kind")
-
-
-def _add_counts(into: dict[str, int], counts: dict[str, int]) -> None:
-    for key, count in counts.items():
-        into[key] = into.get(key, 0) + count
-
-
 class _Engine:
     """What the two engines share: installs, reporting and lifetime.
 
     An engine is what a workload driver or query facade runs a
     deployment on: ``add_peer / set_online_at / install_tracer /
     install_fault_plan / submit / result / run_until /
-    run_until_quiescent / stop / metrics_snapshot / completed /
-    trace_records / now``.
+    run_until_quiescent / stop / metrics_snapshot /
+    attributed_messages / completed / trace_records / now``.
     Subclasses supply the clock (one loop, or N windowed ones) and say
     where their transports are (``_transports()``, what tracers and
     injectors install on) and their per-shard :meth:`Shard.stats`
@@ -469,23 +460,20 @@ class _Engine:
                               for entry in self.shard_stats()])
 
     def metrics_snapshot(self) -> dict:
-        """Metrics summed over shards (live mid-run, final after stop)."""
-        merged: dict[str, Any] = {name: 0 for name in _SUMMED}
-        merged.update({name: {} for name in _SUMMED_BY_KEY})
-        merged.update(events_processed=0, operations={},
-                      per_shard_peak_rss_kb=[])
-        for entry in self.shard_stats():
-            snap = entry["metrics"]
-            for name in _SUMMED:
-                merged[name] += snap[name]
-            for name in _SUMMED_BY_KEY:
-                _add_counts(merged[name], snap[name])
-            # A cross-shard operation's tag appears on every shard its
-            # causal chain touched; the per-op total is the sum.
-            _add_counts(merged["operations"], entry["operations"])
-            merged["events_processed"] += entry["events_processed"]
-            merged["per_shard_peak_rss_kb"].append(entry["peak_rss_kb"])
-        return merged
+        """The transports' :class:`NetworkMetrics` summed (live mid-run,
+        final after stop), in :meth:`NetworkMetrics.snapshot`'s shape on
+        every engine.  Host numbers — events processed, peak RSS — are
+        per shard and stay in :meth:`shard_stats`."""
+        return NetworkMetrics.total(
+            entry["metrics"] for entry in self.shard_stats()).snapshot()
+
+    def attributed_messages(self, ref: int) -> int:
+        """Messages counted under ``op:<ref>``: a cross-shard
+        operation's tag appears on every shard its causal chain
+        touched, and the per-op total is the sum."""
+        tag = f"op:{ref}"
+        return sum(entry["metrics"].operations.get(tag, 0)
+                   for entry in self.shard_stats())
 
     def __enter__(self) -> "_Engine":
         return self
@@ -797,9 +785,9 @@ class ShardedTransport(_Engine):
 
         ``attribute=True`` opens an ``op:<ref>`` attribution scope
         around the submission: every message the operation causes —
-        on any shard — is counted under that tag in the merged
-        :meth:`metrics_snapshot` ``operations`` dict.  Bulk workloads
-        leave it off and pay nothing.
+        on any shard — is counted under that tag
+        (:meth:`attributed_messages`).  Bulk workloads leave it off and
+        pay nothing.
         """
         if node_id not in self._owner_of:
             raise SimulationError(f"unknown node {node_id!r}")
@@ -815,9 +803,7 @@ class ShardedTransport(_Engine):
         over every shard its causal chain touched — and drop the
         summary from :attr:`completed`."""
         self.run_until_quiescent()
-        tag = f"op:{ref}"
-        return self.completed.pop(ref), sum(
-            entry["operations"].get(tag, 0) for entry in self.shard_stats())
+        return self.completed.pop(ref), self.attributed_messages(ref)
 
     def set_online_at(self, time: float, node_id: str, online: bool) -> None:
         """Schedule a churn toggle at virtual ``time`` (exact at the

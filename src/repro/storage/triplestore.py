@@ -76,10 +76,6 @@ class TripleStore:
             unsorted_.add((pos, term))
         return True
 
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns the number actually added."""
-        return sum(1 for t in triples if self.add(t))
-
     def remove(self, triple: Triple) -> bool:
         """Delete a triple; returns False if it was absent."""
         if triple not in self._triples:
@@ -123,14 +119,6 @@ class TripleStore:
     def by_position(self, position: Position, term: GroundTerm) -> set[Triple]:
         """Index probe: triples whose ``position`` equals ``term``."""
         return set(self._index[position].get(term, ()))
-
-    def distinct_values(self, position: Position) -> set[GroundTerm]:
-        """All distinct terms occurring at ``position``.
-
-        Used by the automatic matcher to collect the value set of a
-        predicate.
-        """
-        return set(self._index[position])
 
     # -- pattern evaluation -----------------------------------------------
 
@@ -186,10 +174,3 @@ class TripleStore:
             # own identity.
             rows = list(dict.fromkeys(rows))
         return rows
-
-    def matching_triples(self, pattern: TriplePattern) -> list[Triple]:
-        """The triples (not rows) satisfying ``pattern``."""
-        return sorted(
-            t for t in self._candidates(pattern.prepared().probes)
-            if pattern.matches(t) is not None
-        )

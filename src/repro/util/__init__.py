@@ -7,7 +7,7 @@ them without cycles.
 
 from repro.util.keys import Key, common_prefix_length
 from repro.util.hashing import order_preserving_hash, uniform_hash
-from repro.util.guid import mint_guid, split_guid
+from repro.util.guid import mint_guid
 from repro.util.similarity import (
     dice_coefficient,
     jaccard_similarity,
@@ -24,7 +24,6 @@ __all__ = [
     "order_preserving_hash",
     "uniform_hash",
     "mint_guid",
-    "split_guid",
     "levenshtein",
     "normalized_levenshtein",
     "ngram_similarity",

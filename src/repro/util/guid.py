@@ -31,14 +31,3 @@ def mint_guid(peer_path: Key, local_identifier: str) -> str:
     """
     local_hash = uniform_hash(local_identifier, _LOCAL_HASH_BITS)
     return f"{peer_path.bits}{_SEPARATOR}{local_hash.to_int():08x}"
-
-
-def split_guid(guid: str) -> tuple[Key, str]:
-    """Split a GUID back into ``(peer path, local-hash hex)``.
-
-    Raises :class:`ValueError` for malformed GUIDs.
-    """
-    path_bits, sep, local_hex = guid.partition(_SEPARATOR)
-    if not sep:
-        raise ValueError(f"not a GUID (missing {_SEPARATOR!r}): {guid!r}")
-    return Key(path_bits), local_hex

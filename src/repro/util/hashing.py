@@ -51,12 +51,6 @@ HASH_CACHE = MemoCache(maxsize=1 << 16)
 PREFIX_INTERVAL_CACHE = MemoCache(maxsize=1 << 14)
 
 
-def hash_cache_stats() -> dict[str, dict[str, int]]:
-    """Counter snapshots for the hashing memo caches."""
-    return {"order_preserving_hash": HASH_CACHE.stats(),
-            "prefix_interval": PREFIX_INTERVAL_CACHE.stats()}
-
-
 def clear_hash_caches() -> None:
     """Empty both memo caches (isolation hook for tests/benchmarks)."""
     HASH_CACHE.clear()

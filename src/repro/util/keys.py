@@ -179,10 +179,6 @@ class Key:
             raise ValueError(f"bit must be '0' or '1', got {bit!r}")
         return Key(self._bits + bit)
 
-    def concat(self, other: "Key") -> "Key":
-        """Concatenation of two keys."""
-        return Key(self._bits + other._bits)
-
     def flip(self, i: int) -> "Key":
         """A new key with bit ``i`` flipped (used for routing tables)."""
         flipped = "1" if self._bits[i] == "0" else "0"

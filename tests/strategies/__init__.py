@@ -21,6 +21,7 @@ from strategies.settings import (
     STANDARD_SETTINGS,
     STATE_MACHINE_SETTINGS,
 )
+from strategies.stat_bags import SampleBag, stat_bags
 from strategies.synopses import peer_synopses, triples
 
 __all__ = [
@@ -29,11 +30,13 @@ __all__ = [
     "SLOW_SETTINGS",
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
+    "SampleBag",
     "fanout_schedules",
     "patterns",
     "peer_synopses",
     "request_trees",
     "required_events",
+    "stat_bags",
     "triple_sets",
     "triples",
 ]

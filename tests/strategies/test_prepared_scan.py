@@ -13,7 +13,6 @@ import pickle
 
 from hypothesis import given
 
-from repro.exec import pattern_schema
 from repro.rdf.patterns import TriplePattern
 from repro.rdf.terms import URI, Literal, Variable
 from repro.rdf.triples import Triple
@@ -30,7 +29,7 @@ def generic_rows(pattern, triples):
     for triple in sorted(set(triples)):
         bindings = pattern._match_generic(triple, None)
         if bindings is not None:
-            row = tuple(bindings[v] for v in pattern_schema(pattern))
+            row = tuple(bindings[v] for v in pattern.schema)
             if row not in rows:
                 rows.append(row)
     return rows
@@ -41,7 +40,8 @@ class TestPreparedScan:
     @given(patterns(), triple_sets())
     def test_match_equals_generic_projection(self, pattern, triples):
         store = TripleStore()
-        store.add_all(triples)
+        for triple in triples:
+            store.add(triple)
         assert store.match(pattern) == generic_rows(pattern, triples)
         # A second evaluation runs the cached scan.
         assert store.match(pattern) == generic_rows(pattern, triples)

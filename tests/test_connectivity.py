@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from repro.connectivity.analysis import (
     giant_scc_fraction,
     strongly_connected_components,
-    weakly_connected_components,
 )
 from repro.connectivity.indicator import (
     connectivity_indicator,
     indicator_from_degrees,
-    is_fragmented,
 )
 
 
@@ -26,7 +24,6 @@ class TestIndicator:
 
     def test_single_edge_is_fragmented(self):
         assert indicator_from_degrees([(0, 1), (1, 0)]) == -0.5
-        assert is_fragmented([(0, 1), (1, 0)])
 
     def test_empty_is_zero(self):
         assert indicator_from_degrees([]) == 0.0
@@ -124,30 +121,6 @@ class TestTarjan:
         ours = {frozenset(c) for c in strongly_connected_components(graph)}
         theirs = {frozenset(c)
                   for c in nx.strongly_connected_components(nxg)}
-        assert ours == theirs
-
-
-class TestWeakComponents:
-    def test_direction_ignored(self):
-        comps = weakly_connected_components({"a": ["b"], "c": []})
-        assert sorted(len(c) for c in comps) == [1, 2]
-
-    def test_chain_is_one_component(self):
-        comps = weakly_connected_components(
-            {"a": ["b"], "b": ["c"], "c": []})
-        assert len(comps) == 1
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60))
-    def test_matches_networkx(self, edge_list):
-        graph: dict[str, list[str]] = {}
-        nxg = nx.Graph()
-        for a, b in edge_list:
-            graph.setdefault(str(a), []).append(str(b))
-            nxg.add_edge(str(a), str(b))
-        ours = {frozenset(c) for c in weakly_connected_components(graph)}
-        theirs = {frozenset(c) for c in nx.connected_components(nxg)}
         assert ours == theirs
 
 

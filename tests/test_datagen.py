@@ -89,7 +89,8 @@ class TestGenerator:
         acc_a = bio_dataset.concept_attribute(a.name, "accession")
         acc_b = bio_dataset.concept_attribute(b.name, "accession")
         store_a = TripleStore()
-        store_a.add_all(bio_dataset.triples_by_schema[a.name])
+        for triple in bio_dataset.triples_by_schema[a.name]:
+            store_a.add(triple)
         values_a = {
             t.object.value for t in store_a.all_triples()
             if t.predicate == a.predicate(acc_a)
@@ -140,7 +141,8 @@ class TestGenerator:
 class TestWorkload:
     def test_queries_are_satisfiable(self, bio_dataset):
         store = TripleStore()
-        store.add_all(bio_dataset.triples)
+        for triple in bio_dataset.triples:
+            store.add(triple)
         workload = QueryWorkloadGenerator(bio_dataset, seed=13)
         for query in workload.queries(50):
             pattern = query.patterns[0]

@@ -147,6 +147,24 @@ class TestEngineLimitPushdown:
         assert result.scans_issued + result.scans_skipped == \
             result.patterns_fetched
 
+    def test_engine_stats_sum_every_fetch_counter_of_a_limited_batch(self):
+        """Regression: the hand relay ``BatchFetchStats -> BatchResult ->
+        EngineStats`` dropped ``scans_issued`` on its last leg."""
+        from repro.engine import BatchFetchStats
+
+        net = deploy_chain()
+        engine = net.create_engine(domain="lp", max_hops=8)
+        result = engine.execute_batch([QUERY], origin=net.peer_ids()[0],
+                                      limit=4)
+        assert result.scans_skipped > 0 and result.scans_issued > 0
+        for name in BatchFetchStats._fields + BatchFetchStats._derived:
+            assert getattr(engine.stats, name) == getattr(result, name) \
+                == getattr(result.fetch_stats, name), name
+        again = engine.execute_batch([QUERY], origin=net.peer_ids()[0],
+                                     limit=4)
+        assert engine.stats.scans_issued == (result.scans_issued
+                                             + again.scans_issued)
+
     def test_engine_mixed_batch_skips_satisfied_queries_scans(self):
         """Scans consumed only by already-satisfied queries are never
         fetched, even while other queries in the batch keep running

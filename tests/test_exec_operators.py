@@ -78,16 +78,16 @@ class TestStreamMechanics:
         src.emit(_ints(1, 2))
         src.close()
         assert sink.batches == [([(1,), (2,)], None)]
-        assert sink.closes == 1 and sink.closed
+        assert sink.closes == 1 and sink._closed
 
     def test_multi_input_close_barrier(self):
         a, b, sink = Union("a"), Union("b"), _Sink()
         a.connect(sink)
         b.connect(sink)
         a.close()
-        assert not sink.closed
+        assert not sink._closed
         b.close()
-        assert sink.closed
+        assert sink._closed
 
     def test_rows_after_close_are_dropped_and_counted(self):
         a, b, sink = Union("a"), Union("b"), _Sink()
@@ -122,7 +122,7 @@ class TestRowsFromStoreToScan:
         PipelineContext(peer).start_source(scan)
         # Not a copy, not a per-row conversion: the very list.
         assert sink.batches[0][0] is rows
-        assert scan.stats.rows_out == 2 and scan.closed
+        assert scan.stats.rows_out == 2 and scan._closed
 
     def test_search_reply_ships_one_value_per_row(self, fig2_network):
         net, _embl, _emp = fig2_network

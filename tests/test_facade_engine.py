@@ -357,12 +357,24 @@ def test_observability_calls_work_on_both_engines():
     assert single["tracer"] == tracer.snapshot()
     assert single["network"] == net.network.metrics.snapshot()
 
-    net, tracer, sharded = observe(
-        ShardedTransport(2, latency=latency, seed=SPEC.seed))
-    assert tracer is None  # one recorder per shard, none to single out
-    assert sharded["tracer"] == single["tracer"]
-    assert (sharded["network"]["messages_sent"]
-            == single["network"]["messages_sent"] > 0)
+    assert net.metrics_snapshot() == net.network.metrics.snapshot()
+    assert single["network"]["messages_sent"] > 0
+
+    # ``metrics_snapshot`` is engine-independent: one shape, and (in
+    # SPEC's rng-free regime) the same counts on any number of shards;
+    # only the float sum behind the mean may round differently.
+    for num_shards in (1, 2, 4):
+        net, tracer, sharded = observe(
+            ShardedTransport(num_shards, latency=latency, seed=SPEC.seed))
+        assert tracer is None  # one recorder per shard, none to single out
+        assert sharded["tracer"] == single["tracer"]
+        assert sharded["network"] == net.metrics_snapshot()
+        assert set(sharded["network"]) == set(single["network"])
+        assert sharded["network"].pop("mean_latency") == pytest.approx(
+            single["network"]["mean_latency"])
+        assert sharded["network"] == {
+            name: count for name, count in single["network"].items()
+            if name != "mean_latency"}
     for single_loop_only in ("network", "loop"):
         with pytest.raises(SimulationError, match="engine.metrics_snapshot"):
             getattr(net, single_loop_only)

@@ -82,10 +82,6 @@ class TestMappingGraphEdges:
 
 
 class TestKeyEdges:
-    def test_concat_with_empty(self):
-        assert Key("01").concat(Key("")) == Key("01")
-        assert Key("").concat(Key("01")) == Key("01")
-
     def test_prefix_longer_than_key(self):
         # prefix() never pads; asking beyond length returns the key
         assert Key("01").prefix(10) == Key("01")
@@ -118,14 +114,3 @@ class TestSchemaMappingValidationEdges:
                 [PredicateCorrespondence(URI("A#x"), URI("B#y"))],
                 confidence=1.5,
             )
-
-    def test_with_confidence_keeps_other_fields(self):
-        mapping = SchemaMapping(
-            "m", "A", "B",
-            [PredicateCorrespondence(URI("A#x"), URI("B#y"))],
-            provenance="auto", deprecated=True,
-        )
-        updated = mapping.with_confidence(0.1)
-        assert updated.deprecated
-        assert updated.provenance == "auto"
-        assert updated.confidence == 0.1

@@ -14,7 +14,6 @@ from repro.obs.analysis import (
     summary_lines,
     top_slowest,
     trace_summaries,
-    trace_tree,
     waterfall,
 )
 from repro.obs.context import derive_span_id
@@ -170,13 +169,6 @@ class TestAnalysis:
         lines = format_stats(table)
         assert "dropped: 1 offline" in lines[0]
         assert summary_lines(trace_summaries(build_sample_records()))
-
-    def test_trace_tree(self):
-        tree = trace_tree(build_sample_records(), "q:0")
-        assert tree["spans"] == 3
-        root = tree["roots"][0]
-        assert root["name"] == "searchfor"
-        assert root["children"][0]["children"][0]["name"] == "msg:reply"
 
 
 class TestExport:

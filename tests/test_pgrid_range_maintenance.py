@@ -181,7 +181,7 @@ class TestMaintenance:
         for peer in referencing:
             for refs in peer.routing_table:
                 assert victim not in refs
-        dropped = sum(p.maintenance_stats["refs_dropped"]
+        dropped = sum(p.maintenance_stats.refs_dropped
                       for p in peers.values())
         assert dropped >= 1
 
@@ -302,7 +302,7 @@ class TestBackgroundWorkIsConstant:
                              if m.src == peer.node_id)
             assert first is second
             assert len(first) == peer.storage_load() > 0
-        assert all(p.maintenance_stats["values_repaired"] == 0
+        assert all(p.maintenance_stats.values_repaired == 0
                    for p in group)
 
     def test_gossip_sorts_only_when_registry_grows(self, monkeypatch):
@@ -374,7 +374,7 @@ def ungated_sync_push(peer, items):
     """The merge loop as it ran before pushes carried a digest."""
     for bits, value in items:
         if peer.local_merge(Key(bits), value):
-            peer.maintenance_stats["values_repaired"] += 1
+            peer.maintenance_stats.values_repaired += 1
 
 
 def flattened(peer):
@@ -384,7 +384,7 @@ def flattened(peer):
 
 def replica_state(peer):
     return (peer.store, peer.db.all_triples(), peer.local_mappings,
-            peer.maintenance_stats["values_repaired"])
+            peer.maintenance_stats.values_repaired)
 
 
 def push(sender, receiver):
@@ -436,11 +436,11 @@ class TestDigestGatedSync:
         items = [(SYNC_KEYS[0], SYNC_VALUES[0]), (SYNC_KEYS[1], SYNC_VALUES[1])]
         sender, receiver = sync_pair(items, [], [])
         push(sender, receiver)  # equal digests: skipped
-        assert receiver.maintenance_stats["values_repaired"] == 0
+        assert receiver.maintenance_stats.values_repaired == 0
         receiver.local_remove(*items[0])
         assert receiver.db.all_triples() == [SYNC_VALUES[1].triple]
         push(sender, receiver)
-        assert receiver.maintenance_stats["values_repaired"] == 1
+        assert receiver.maintenance_stats.values_repaired == 1
         assert receiver.local_retrieve(SYNC_KEYS[0]) == [SYNC_VALUES[0]]
         assert len(receiver.db.all_triples()) == 2
 
@@ -455,7 +455,7 @@ class TestDigestGatedSync:
         push(sender, receiver)
         push(sender, receiver)
         assert receiver.store == {"0": [["a", "list"]]}
-        assert receiver.maintenance_stats["values_repaired"] == 1
+        assert receiver.maintenance_stats.values_repaired == 1
 
 
 class TestPrefixPatternQueries:

@@ -93,7 +93,7 @@ class TestUpdateRetrieve:
         overlay = build(8)
         origin = overlay.peer_ids()[0]
         peer = overlay.peer(origin)
-        key = peer.path.concat(Key("0" * (128 - len(peer.path))))
+        key = Key(peer.path.bits.ljust(128, "0"))
         result = overlay.retrieve_sync(origin, key)
         assert result.success
         assert result.hops == 0
@@ -219,4 +219,7 @@ class TestLoadBalancing:
             origin = overlay.peer_ids()[0]
             for i, key in enumerate(rng.sample(keys, 150)):
                 overlay.update_sync(origin, key, i)
-        assert max(adapted.storage_loads()) < max(uniform.storage_loads())
+        adapted_max, uniform_max = (
+            max(p.storage_load() for p in overlay.peers.values())
+            for overlay in (adapted, uniform))
+        assert adapted_max < uniform_max

@@ -1,13 +1,23 @@
 """Structural rules over ``src/repro``, checked on the source text.
 
-Every name defined is referenced somewhere.  A function, method or class whose name occurs exactly once across the
-code base — its own definition — has no caller in the package, a
-benchmark, perfbench, an example or even a test: it is dead surface
-that still has to be read, kept importable and documented.  The rule
-is a word count, so it cannot tell two same-named definitions apart
-(one live ``register_into`` hides a dead one); it is a floor, not a
-proof.  Package ``__init__.py`` files are left out of the count: a
-re-export is not a use.
+Every name defined is used by something.  A function, method or class
+whose name occurs exactly once across the package, the benchmarks,
+perfbench and the examples — its own definition — has no caller there:
+it is surface that still has to be read, kept importable and
+documented for the sake of its own tests.  The tests are not counted as
+a user; the few definitions the suite needs that nothing else calls
+are named, each with its reason, in ``KEPT_FOR_TESTS``.  The rule is a
+word count, so it cannot tell two same-named definitions apart (one
+live ``snapshot`` hides a dead one); it is a floor, not a proof.
+Package ``__init__.py`` files are left out of the count: a re-export is
+not a use.
+
+A statistic is declared once.  Every stat bag subclasses
+``obs.registry.CounterGroup``, which is where ``snapshot`` / ``reset``
+/ ``add`` are written; a bag with something extra to report extends
+them through ``super()``.  The hand merges and the registry's native
+series that idiom replaced stay gone, and the facade reports network
+metrics without asking which engine it runs on.
 
 One module pair knows how causal scope propagates.  The scope stack
 (``Transport._scopes``) is touched by the transport, its gate, the
@@ -43,7 +53,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-USERS = ("src", "tests", "benchmarks", "perfbench", "examples")
+USERS = ("src", "benchmarks", "perfbench", "examples")
+
+#: defined under ``src/repro`` and called only by the tests, on purpose
+KEPT_FOR_TESTS = {
+    "responsible_peers": "ground truth: the peers whose path prefixes a "
+                         "key, which routing tests check the protocol with",
+    "storage_load": "ground truth: per-peer load, an observable of the "
+                    "determinism goldens and the membership tests",
+    "all_triples": "ground truth: a store's sorted contents, what the "
+                   "sync-merge, datagen and model-based store tests compare",
+    "clear_hash_caches": "isolation: memo-cache tests start from cold caches",
+    "remove_triple": "paper primitive: the deleting Update of §2.2",
+    "set_exception": "error handling: a Future resolves to a failure",
+}
 
 
 def _defined_names():
@@ -65,10 +88,73 @@ def test_no_definition_without_a_reference():
             words.update(re.findall(r"\w+", path.read_text()))
     unreferenced = sorted(f"{name} ({where})"
                           for name, where in _defined_names()
-                          if words[name] <= 1)
+                          if words[name] <= 1 and name not in KEPT_FOR_TESTS)
     assert not unreferenced, (
-        "defined under src/repro but never referenced:\n  "
+        "defined under src/repro, used by nothing but tests:\n  "
         + "\n  ".join(unreferenced))
+    stale = sorted(name for name in KEPT_FOR_TESTS if words[name] != 1)
+    assert not stale, f"no longer test-only (or gone): {stale}"
+
+
+#: where ``snapshot`` / ``reset`` may be written out in full: the stat
+#: idiom itself and the tracer (a span buffer, not a counter bag)
+STAT_IDIOM_OWNERS = {"obs/registry.py", "obs/tracer.py"}
+#: a version read, not a stat bag (and pinned by perfbench)
+NOT_A_STAT_BAG = {("engine/versioning.py", "MappingVersionClock", "snapshot")}
+#: the hand merges, the relay hook and the registry's native series
+RETIRED_STATS = ("_SUMMED", "_SUMMED_BY_KEY", "_add_counts", "register_into",
+                 "_failover_totals", "set_gauge", "counter_value")
+
+
+def test_statistics_are_declared_once():
+    from repro.engine import BatchFetchStats, EngineStats, PlanCacheStats
+    from repro.exec import OperatorStats
+    from repro.faultlab.injector import FaultCounters
+    from repro.obs.registry import (
+        CounterGroup,
+        FailoverCounters,
+        MaintenanceCounters,
+    )
+    from repro.simnet.metrics import NetworkMetrics
+
+    for bag in (NetworkMetrics, FailoverCounters, MaintenanceCounters,
+                OperatorStats, PlanCacheStats, EngineStats, BatchFetchStats,
+                FaultCounters):
+        assert issubclass(bag, CounterGroup), bag
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        words = set(re.findall(r"\w+", text))
+        offenders += [f"{module}: {name}" for name in RETIRED_STATS
+                      if name in words]
+        if module in STAT_IDIOM_OWNERS:
+            continue
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and method.name in ("snapshot", "reset")
+                        and (module, cls.name, method.name)
+                        not in NOT_A_STAT_BAG
+                        and not any(isinstance(n, ast.Name)
+                                    and n.id == "super"
+                                    for n in ast.walk(method))):
+                    offenders.append(
+                        f"{module}: {cls.name}.{method.name} is hand-written")
+    facade = ast.parse((SRC / "mediation" / "network.py").read_text())
+    for node in ast.walk(facade):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name == "metrics_snapshot"
+                and "getattr" in {n.id for n in ast.walk(node)
+                                  if isinstance(n, ast.Name)}):
+            offenders.append("mediation/network.py: metrics_snapshot "
+                             "asks which engine it is on")
+    assert not offenders, (
+        "a statistic declared or merged by hand:\n  "
+        + "\n  ".join(offenders))
 
 
 #: the only modules that may touch the causal scope stack

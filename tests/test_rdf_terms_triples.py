@@ -58,13 +58,6 @@ class TestLikeLiterals:
         assert not Literal("%onlyleading").is_like_pattern
         assert Literal("%%").is_like_pattern
 
-    def test_needle(self):
-        assert Literal("%Aspergillus%").like_needle == "Aspergillus"
-
-    def test_needle_on_plain_literal_raises(self):
-        with pytest.raises(ValueError):
-            Literal("plain").like_needle
-
     def test_matches_value_like(self):
         like = Literal("%sperg%")
         assert like.matches_value(Literal("Aspergillus niger"))

@@ -8,6 +8,7 @@ integration) and the origin-selection fixes.
 
 import pytest
 
+from repro.obs.registry import FailoverCounters
 from repro.resilience import ScenarioRunner, ScenarioSpec, ground_truth_panel
 from repro.simnet.churn import ChurnProcess
 from repro.simnet.events import SimulationError
@@ -252,8 +253,68 @@ class TestPinnedChurnReport:
         assert report.drops_by_reason == {"offline": 368}
         assert report.failovers == 63
         stats = [p.maintenance_stats for p in runner.network.peers.values()]
-        assert sum(s["sync_pushes"] for s in stats) == 312
-        assert sum(s["values_repaired"] for s in stats) == 2
+        assert sum(s.sync_pushes for s in stats) == 312
+        assert sum(s.values_repaired for s in stats) == 2
+
+
+class TestFailoverAccounting:
+    def test_report_equals_the_field_wise_sum_of_the_peers_counters(self):
+        """Regression: the report's failover numbers came from a hand
+        sum that knew three of ``FailoverCounters``' four fields."""
+        runner = ScenarioRunner.from_spec(small_spec(num_queries=6))
+        report = runner.run()
+        total = FailoverCounters.total(
+            peer.failover_stats for peer in runner.network.peers.values())
+        assert report.failovers == total.failovers > 0
+        assert report.ops_gave_up == total.gave_up
+        assert report.ops_cancelled == total.cancelled
+        assert total.retries == sum(
+            peer.failover_stats.retries
+            for peer in runner.network.peers.values()) > 0
+
+
+class TestSpecValidation:
+    """A malformed script is rejected when the spec is made — before a
+    corpus, a deployment or a warm-up is spent on it."""
+
+    @pytest.mark.parametrize("field, value, accepted", [
+        ("strategy", "itertive", "one of"),
+        ("num_peers", -1, ">= 0"),
+        ("replication", -2, ">= 0"),
+        ("num_schemas", -1, ">= 0"),
+        ("num_entities", -5, ">= 0"),
+        ("num_queries", -3, ">= 0"),
+        ("selforg_rounds", -1, ">= 0"),
+        ("max_hops", -1, ">= 0"),
+        ("warmup", -0.5, ">= 0"),
+        ("query_interval", -1.0, "> 0"),
+        ("query_interval", 0.0, "> 0"),
+        ("maintenance_interval", 0.0, "> 0"),
+        ("stats_pull_interval", -30.0, "> 0"),
+        ("mean_uptime", 0.0, "> 0"),
+        ("mean_downtime", -45.0, "> 0"),
+        ("limit", 0, "None or >= 1"),
+        ("limit", -2, "None or >= 1"),
+    ])
+    def test_rejected_naming_the_field(self, field, value, accepted):
+        with pytest.raises(ValueError) as error:
+            ScenarioSpec(**{field: value})
+        assert f"ScenarioSpec.{field} must be {accepted}" in str(error.value)
+        assert repr(value) in str(error.value)
+
+    def test_every_strategy_and_the_edge_values_are_accepted(self):
+        for strategy in ("local", "iterative", "recursive", "engine", "auto"):
+            assert ScenarioSpec(strategy=strategy).strategy == strategy
+        ScenarioSpec(num_queries=0, warmup=0.0, selforg_rounds=0, limit=1)
+        ScenarioSpec(limit=None)
+
+    def test_cli_exits_2_with_the_message(self, capsys):
+        from repro.cli import main
+
+        assert main(["scenario", "--queries", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "ScenarioSpec.num_queries must be >= 0, got -3" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestEngineExposure:

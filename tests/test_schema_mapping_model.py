@@ -126,9 +126,6 @@ class TestSchemaMapping:
         assert m.translate(URI("A#x")) == URI("B#y")
         assert m.translate(URI("A#unmapped")) is None
 
-    def test_mapped_predicates(self):
-        assert make_mapping().mapped_predicates() == {URI("A#x"), URI("A#z")}
-
     def test_reversed_keeps_only_equivalences(self):
         r = make_mapping().reversed()
         assert r.source_schema == "B"
@@ -149,10 +146,6 @@ class TestSchemaMapping:
         assert d.deprecated and not m.deprecated
         assert not d.active and m.active
         assert d != m  # value semantics: the flag matters for equality
-
-    def test_with_confidence(self):
-        m = make_mapping().with_confidence(0.2)
-        assert m.confidence == 0.2
 
     def test_user_flag(self):
         assert make_mapping().is_user_defined

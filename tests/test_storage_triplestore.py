@@ -15,7 +15,8 @@ def t(s, p, o):
 
 def make_store(*triples):
     store = TripleStore()
-    store.add_all(triples)
+    for triple in triples:
+        store.add(triple)
     return store
 
 
@@ -41,18 +42,12 @@ class TestMutation:
         store = make_store(t("s", "p", "o"))
         store.remove(t("s", "p", "o"))
         assert store.by_position(Position.SUBJECT, URI("s")) == set()
-        assert store.distinct_values(Position.PREDICATE) == set()
+        assert store.by_position(Position.PREDICATE, URI("p")) == set()
 
     def test_clear(self):
         store = make_store(t("a", "b", "c"), t("d", "e", "f"))
         store.clear()
         assert store.count() == 0
-
-    def test_add_all_returns_inserted_count(self):
-        store = TripleStore()
-        n = store.add_all([t("a", "b", "c"), t("a", "b", "c"),
-                           t("d", "e", "f")])
-        assert n == 2
 
 
 class TestIndexes:
@@ -62,11 +57,6 @@ class TestIndexes:
         assert len(s.by_position(Position.SUBJECT, URI("s1"))) == 1
         assert s.by_position(Position.OBJECT, Literal("o1")) == {
             t("s1", "p", "o1")}
-
-    def test_distinct_values(self):
-        s = make_store(t("s1", "p", "o"), t("s2", "p", "o"))
-        assert s.distinct_values(Position.SUBJECT) == {URI("s1"), URI("s2")}
-        assert s.distinct_values(Position.OBJECT) == {Literal("o")}
 
 
 def match_views(store, pattern):
@@ -114,13 +104,6 @@ class TestMatch:
         bindings = match_views(s, TriplePattern(x, URI("p"), x))
         assert bindings == [{x: URI("x")}]
 
-    def test_matching_triples(self):
-        s = make_store(t("s1", "p", "o"), t("s2", "p", "o"),
-                       t("s3", "q", "o"))
-        found = s.matching_triples(TriplePattern(Variable("x"), URI("p"),
-                                                 Variable("y")))
-        assert len(found) == 2
-
     def test_match_uses_most_selective_index(self):
         # Functional check: results identical regardless of which
         # constant is most selective.
@@ -138,14 +121,16 @@ class TestStoreProperties:
     def test_count_matches_distinct_inserts(self, raw):
         triples = [t(*row) for row in raw]
         store = TripleStore()
-        store.add_all(triples)
+        for triple in triples:
+            store.add(triple)
         assert store.count() == len(set(triples))
 
     @given(st.lists(st.tuples(names, names, names), max_size=30))
     def test_match_all_returns_everything(self, raw):
         triples = {t(*row) for row in raw}
         store = TripleStore()
-        store.add_all(triples)
+        for triple in triples:
+            store.add(triple)
         pattern = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
         assert len(store.match(pattern)) == len(triples)
 
@@ -154,7 +139,8 @@ class TestStoreProperties:
     def test_add_remove_round_trip(self, raw):
         triples = [t(*row) for row in raw]
         store = TripleStore()
-        store.add_all(triples)
+        for triple in triples:
+            store.add(triple)
         for triple in set(triples):
             store.remove(triple)
         assert store.count() == 0

@@ -38,7 +38,8 @@ class TestMatchDedupProperty:
     def test_dedup_never_drops_distinct_bindings(self, triple_list,
                                                  pattern):
         store = TripleStore()
-        store.add_all(triple_list)
+        for triple in triple_list:
+            store.add(triple)
         rows = store.match(pattern)
         if not pattern.variables():
             # Boolean semantics: the unit row iff any triple matches.
@@ -61,7 +62,8 @@ class TestMatchDedupProperty:
     def test_full_wildcard_returns_one_binding_per_triple(self,
                                                           triple_list):
         store = TripleStore()
-        store.add_all(triple_list)
+        for triple in triple_list:
+            store.add(triple)
         pattern = TriplePattern(Variable("x"), Variable("y"),
                                 Variable("z"))
         got = store.match(pattern)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.guid import mint_guid, split_guid
+from repro.util.guid import mint_guid
 from repro.util.keys import Key
 from repro.util.stats import (
     empirical_cdf_at,
@@ -29,21 +29,11 @@ class TestGuid:
     def test_deterministic(self):
         assert mint_guid(Key("01"), "a") == mint_guid(Key("01"), "a")
 
-    def test_split_round_trip(self):
-        guid = mint_guid(Key("0110"), "thing")
-        path, local = split_guid(guid)
-        assert path == Key("0110")
-        assert len(local) == 8
-
-    def test_split_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            split_guid("no-separator")
-
     @given(st.text(alphabet="01", max_size=16), st.text(min_size=1,
                                                         max_size=30))
     def test_round_trip_property(self, bits, name):
-        path, _local = split_guid(mint_guid(Key(bits), name))
-        assert path == Key(bits)
+        path, separator, local = mint_guid(Key(bits), name).partition("@")
+        assert (path, separator, len(local)) == (bits, "@", 8)
 
 
 class TestStats:

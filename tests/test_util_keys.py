@@ -46,9 +46,8 @@ class TestKeyBasics:
         assert not Key("10").is_prefix_of(Key("0110"))
         assert Key("01").is_prefix_of(Key("01"))  # non-strict
 
-    def test_append_and_concat(self):
+    def test_append(self):
         assert Key("01").append("1") == Key("011")
-        assert Key("01").concat(Key("10")) == Key("0110")
 
     def test_append_rejects_bad_bit(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from repro.util.hashing import (
     HASH_CACHE,
     PREFIX_INTERVAL_CACHE,
     clear_hash_caches,
-    hash_cache_stats,
     order_preserving_hash,
     prefix_interval,
 )
@@ -103,7 +102,7 @@ class TestPrefixIntervalMemo:
         cold = prefix_interval("Asp")
         warm = prefix_interval("Asp")
         assert cold == warm
-        stats = hash_cache_stats()["prefix_interval"]
+        stats = PREFIX_INTERVAL_CACHE.stats()
         assert stats == {"hits": 1, "misses": 1, "evictions": 0, "size": 1}
 
 
