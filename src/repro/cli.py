@@ -559,11 +559,25 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
                              "JSONL; analyze with 'repro trace PATH'")
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``.
+    A smaller one is a usage error naming the flag (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: ..." wording
+    return parse
+
+
 def _add_deploy_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--peers", type=int, default=100)
-    parser.add_argument("--schemas", type=int, default=10)
-    parser.add_argument("--entities", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--peers", type=_at_least(1), default=100)
+    parser.add_argument("--schemas", type=_at_least(1), default=10)
+    # every schema covers max(5, entities // 5) of the entities
+    parser.add_argument("--entities", type=_at_least(5), default=100)
+    parser.add_argument("--rounds", type=_at_least(0), default=8)
     parser.add_argument("--seed", type=int, default=42)
 
 

@@ -126,27 +126,32 @@ class MappingGraph:
         at most once.  Sorted by length then ids for determinism.
         """
         paths: list[list[SchemaMapping]] = []
-
-        def _dfs(current: str, visited: set[str],
-                 trail: list[SchemaMapping]) -> None:
-            if len(trail) > max_hops:
-                return
-            if current == target and trail:
-                paths.append(list(trail))
-                return
-            for mapping in self.outgoing(current):
-                nxt = mapping.target_schema
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                trail.append(mapping)
-                _dfs(nxt, visited, trail)
-                trail.pop()
-                visited.discard(nxt)
-
-        _dfs(source, {source}, [])
+        self._extend_paths(source, target, max_hops, {source}, [], paths)
         paths.sort(key=lambda p: (len(p), [m.mapping_id for m in p]))
         return paths
+
+    # The two depth-first searches recurse through methods that take
+    # their state as arguments: a nested function that calls itself
+    # references its own closure cell, which makes every search cyclic
+    # garbage.
+
+    def _extend_paths(self, current: str, target: str, max_hops: int,
+                      visited: set[str], trail: list[SchemaMapping],
+                      paths: list[list[SchemaMapping]]) -> None:
+        if len(trail) > max_hops:
+            return
+        if current == target and trail:
+            paths.append(list(trail))
+            return
+        for mapping in self.outgoing(current):
+            nxt = mapping.target_schema
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            trail.append(mapping)
+            self._extend_paths(nxt, target, max_hops, visited, trail, paths)
+            trail.pop()
+            visited.discard(nxt)
 
     def reachable_schemas(self, source: str,
                           max_hops: int | None = None) -> set[str]:
@@ -238,26 +243,26 @@ class MappingGraph:
         mappings" the Bayesian quality analysis compares (§3.2).
         """
         cycles: list[list[SchemaMapping]] = []
-        schemas = self.schemas()
-
-        def _dfs(root: str, current: str, visited: set[str],
-                 trail: list[SchemaMapping]) -> None:
-            if len(trail) >= max_length:
-                return
-            for mapping in self.outgoing(current):
-                nxt = mapping.target_schema
-                if nxt == root and trail:
-                    cycles.append(trail + [mapping])
-                    continue
-                if nxt in visited or nxt < root:
-                    continue
-                visited.add(nxt)
-                trail.append(mapping)
-                _dfs(root, nxt, visited, trail)
-                trail.pop()
-                visited.discard(nxt)
-
-        for root in schemas:
-            _dfs(root, root, {root}, [])
+        for root in self.schemas():
+            self._extend_cycles(root, root, max_length, {root}, [], cycles)
         cycles.sort(key=lambda c: (len(c), [m.mapping_id for m in c]))
         return cycles
+
+    def _extend_cycles(self, root: str, current: str, max_length: int,
+                       visited: set[str], trail: list[SchemaMapping],
+                       cycles: list[list[SchemaMapping]]) -> None:
+        if len(trail) >= max_length:
+            return
+        for mapping in self.outgoing(current):
+            nxt = mapping.target_schema
+            if nxt == root and trail:
+                cycles.append(trail + [mapping])
+                continue
+            if nxt in visited or nxt < root:
+                continue
+            visited.add(nxt)
+            trail.append(mapping)
+            self._extend_cycles(root, nxt, max_length, visited, trail,
+                                cycles)
+            trail.pop()
+            visited.discard(nxt)

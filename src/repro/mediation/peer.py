@@ -183,14 +183,19 @@ class GridVinePeer(PGridPeer):
 
     def insert_triple(self, triple: Triple) -> Future:
         """``Update(t)``: three overlay updates, one per position key."""
-        record = TripleRecord(triple)
-        return gather([
-            self.update(key, record) for key in triple_keys(triple)
-        ])
+        return self.insert_triples([triple])
 
     def insert_triples(self, triples: list[Triple]) -> Future:
-        """Insert a batch of triples (3 x len(triples) overlay updates)."""
-        return gather([self.insert_triple(t) for t in triples])
+        """``Update(t)`` for each triple: one overlay update per
+        position key, triple by triple, under one flat gather that
+        resolves to the 3 x len(triples) results in that order."""
+        update = self.update
+        updates = []
+        for triple in triples:
+            record = TripleRecord(triple)
+            for key in triple_keys(triple):
+                updates.append(update(key, record))
+        return gather(updates)
 
     def remove_triple(self, triple: Triple) -> Future:
         """Delete a triple from all three position key spaces."""

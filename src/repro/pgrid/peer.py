@@ -53,7 +53,7 @@ _NO_AVOID: frozenset = frozenset()
 _DIGEST_MASK = (1 << 64) - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class OpResult:
     """Outcome of a Retrieve or Update operation.
 

@@ -128,6 +128,10 @@ class Future:
 
     Unlike asyncio futures there is no event-loop affinity or thread
     safety — the simulation is single-threaded by construction.
+
+    Callbacks fire once each, in registration order.  Almost every
+    future has exactly one (its consumer), so that one is stored as is
+    and a list appears only for a second.
     """
 
     __slots__ = ("_done", "_result", "_exception", "_callbacks")
@@ -136,7 +140,8 @@ class Future:
         self._done = False
         self._result: Any = None
         self._exception: BaseException | None = None
-        self._callbacks: list[Callable[[Future], None]] = []
+        #: ``None``, the one callback, or a list of several
+        self._callbacks: Any = None
 
     @property
     def done(self) -> bool:
@@ -171,51 +176,64 @@ class Future:
         """Call ``callback(self)`` on resolution (immediately if done)."""
         if self._done:
             callback(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [callbacks, callback]
 
     def _fire_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks, self._callbacks = self._callbacks, None
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(self)
+        elif callbacks is not None:
+            callbacks(self)
 
 
 def gather(futures: list[Future]) -> Future:
     """A future resolving to the list of results of ``futures``.
 
     Resolves once every input is done; results keep input order.  Used
-    e.g. by triple insertion, which fans one mediation-layer update out
-    into three overlay updates.  An empty input resolves immediately.
+    e.g. by triple insertion, which fans a whole upload out into three
+    overlay updates a triple.  An empty input resolves immediately.  An
+    input that fails raises its exception to whoever resolved it, and
+    the gather never resolves.
+
+    The inputs are read back when the last one resolves, so the list
+    must not change while the gather is pending.
     """
-    combined: Future = Future()
-    remaining = len(futures)
-    if remaining == 0:
+    if not futures:
+        combined: Future = Future()
         combined.set_result([])
         return combined
-    gatherer = _Gather(combined, remaining)
-    for i, fut in enumerate(futures):
-        fut.add_done_callback(gatherer._callback(i))
+    gatherer = _Gather(futures)
+    for fut in futures:
+        fut.add_done_callback(gatherer)
     return gatherer.combined
 
 
 class _Gather:
-    """Shared state of one :func:`gather` call (slot class: one
-    instance per gather, and triple insertion gathers constantly)."""
+    """Shared state of one :func:`gather` call, and the done-callback
+    of every input: it counts resolutions down and collects the results
+    in input order at the last one, so an input costs nothing here."""
 
-    __slots__ = ("combined", "left", "results")
+    __slots__ = ("combined", "futures", "left")
 
-    def __init__(self, combined: Future, remaining: int) -> None:
-        self.combined = combined
-        self.left = remaining
-        self.results: list = [None] * remaining
+    def __init__(self, futures: list[Future]) -> None:
+        self.combined: Future = Future()
+        self.futures = futures
+        self.left = len(futures)
 
-    def _callback(self, index: int):
-        def _on_done(fut: Future) -> None:
-            self.results[index] = fut.result()
-            self.left -= 1
-            if self.left == 0:
-                self.combined.set_result(self.results)
-        return _on_done
+    def __call__(self, fut: Future) -> None:
+        fut.result()  # a failed input raises here
+        self.left -= 1
+        if self.left == 0:
+            futures, self.futures = self.futures, None
+            self.combined.set_result([f._result for f in futures])
 
 
 class EventLoop:

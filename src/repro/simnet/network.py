@@ -183,6 +183,10 @@ class SimNetwork(Transport):
         self.loop = loop if loop is not None else EventLoop()
         self.latency = latency if latency is not None else ConstantLatency()
         self.rng = rng if rng is not None else random.Random(0)
+        #: bound once: every scheduled delivery (here, in a fault
+        #: injector, at a shard barrier) shares this one method object
+        #: instead of binding its own per message
+        self._deliver = self._deliver
 
     # -- transport -----------------------------------------------------
 

@@ -48,8 +48,11 @@ class TripleStore:
         self._index: dict[Position, dict[GroundTerm, list[Triple]]] = {
             pos: {} for pos in ALL_POSITIONS
         }
-        #: buckets appended to since their last sort
-        self._unsorted: set[tuple[Position, GroundTerm]] = set()
+        #: per position, the terms whose bucket was appended to since
+        #: its last sort (a one-triple bucket is sorted as created)
+        self._unsorted: dict[Position, set[GroundTerm]] = {
+            pos: set() for pos in ALL_POSITIONS
+        }
         #: incrementally maintained statistics (per-predicate counts,
         #: distinct subjects/objects, top-k object sketch) — digested
         #: and disseminated by the statistics layer (:mod:`repro.stats`)
@@ -73,7 +76,7 @@ class TripleStore:
                 index[pos][term] = [triple]
             else:
                 bucket.append(triple)
-            unsorted_.add((pos, term))
+                unsorted_[pos].add(term)
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -92,16 +95,16 @@ class TripleStore:
                 bucket.remove(triple)
                 if not bucket:
                     del self._index[pos][term]
-                    self._unsorted.discard((pos, term))
+                    self._unsorted[pos].discard(term)
         return True
 
     def clear(self) -> None:
         """Drop everything."""
         self._triples.clear()
-        self._unsorted.clear()
         self.synopsis.clear()
         for pos in ALL_POSITIONS:
             self._index[pos].clear()
+            self._unsorted[pos].clear()
 
     # -- lookups --------------------------------------------------------
 
@@ -128,9 +131,10 @@ class TripleStore:
         bucket = self._index[pos].get(term)
         if bucket is None:
             return []
-        if (pos, term) in self._unsorted:
+        unsorted_ = self._unsorted[pos]
+        if term in unsorted_:
             bucket.sort()
-            self._unsorted.discard((pos, term))
+            unsorted_.discard(term)
         return bucket
 
     def _candidates(self, probes: Iterable[tuple[Position, GroundTerm]]

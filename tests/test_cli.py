@@ -44,6 +44,39 @@ class TestParser:
             ["batch", "--max-hops", "4"]).max_hops == 4
 
 
+class TestDeployArguments:
+    """``demo`` / ``query`` / ``batch`` / ``stats`` refuse a deployment
+    they cannot build while parsing, naming the flag, instead of
+    failing with a traceback from the overlay or the generator."""
+
+    LEADING = {"demo": [], "query": ["SearchFor(x? : (x?, A#p, %v%))"],
+               "batch": [], "stats": []}
+
+    @pytest.mark.parametrize("flag,value,floor", [
+        ("--peers", "0", 1), ("--schemas", "0", 1),
+        ("--entities", "4", 5), ("--rounds", "-1", 0)])
+    @pytest.mark.parametrize("command", ["demo", "query", "batch", "stats"])
+    def test_out_of_range_exits_2_naming_the_flag(
+            self, capsys, command, flag, value, floor):
+        with pytest.raises(SystemExit) as exited:
+            main([command, *self.LEADING[command], flag, value])
+        assert exited.value.code == 2
+        assert (f"argument {flag}: must be >= {floor}, got {value}"
+                in capsys.readouterr().err)
+
+    def test_non_integer_keeps_the_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["batch", "--peers", "many"])
+        assert exited.value.code == 2
+        assert ("argument --peers: invalid int value: 'many'"
+                in capsys.readouterr().err)
+
+    def test_smallest_accepted_values_run(self, capsys):
+        assert main(["demo", "--peers", "1", "--schemas", "1",
+                     "--entities", "5", "--rounds", "0"]) == 0
+        assert "30 triples on 1 peers" in capsys.readouterr().out
+
+
 class TestExperimentsCommand:
     def test_lists_all_experiments(self, capsys):
         assert main(["experiments"]) == 0

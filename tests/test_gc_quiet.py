@@ -1,14 +1,17 @@
 """The run phase leaves the cyclic collector nothing to do.
 
-Two properties, neither of them a timing.  *A finished query is freed
-by reference counting*: with the collector switched off, a
-``search_for`` or an engine batch — limit hit or not, late replies
-included — leaves no unreachable object behind for ``gc.collect()`` to
-find.  *A peer owns eagerly only what every peer needs*: its tables,
-its store and its handler registry; the rng stream, the failover
-counters, the synopsis registry and the maintenance ledgers appear on
-first use, which is pinned as a per-peer budget of GC-tracked objects
-rather than as a list of attribute names.
+Three properties, none of them a timing.  *A finished operation is
+freed by reference counting*: with the collector switched off, a
+``search_for``, an engine batch — limit hit or not, late replies
+included — an upload or a self-organization round leaves no
+unreachable object behind for ``gc.collect()`` to find.  *A peer owns
+eagerly only what every peer needs*: its tables, its store and its
+handler registry; the rng stream, the failover counters, the synopsis
+registry and the maintenance ledgers appear on first use, which is
+pinned as a per-peer budget of GC-tracked objects rather than as a
+list of attribute names.  *A write holds only what it routes*: budgets
+of tracked objects per in-flight overlay update and per stored triple
+copy.
 """
 
 import gc
@@ -18,14 +21,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datagen import BioDatasetGenerator
 from repro.exec.operators import Collect, Limit, Union
 from repro.exec.stream import Batch, PipelineContext
+from repro.mediation.keys import triple_keys
+from repro.mediation.network import GridVineNetwork
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.query import QueryOutcome
 from repro.pgrid.peer import PGridPeer
 from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
+from repro.rdf.triples import Triple
+from repro.selforg.controller import SelfOrganizationController
+from repro.selforg.creator import CreationPolicy
 from repro.simnet.network import Message, Node, SimNetwork
 from repro.util.keys import Key
 
@@ -50,6 +59,19 @@ def unreachable_after(action) -> int:
     try:
         action()
         return gc.collect()
+    finally:
+        gc.enable()
+
+
+def tracked_growth(action) -> int:
+    """GC-tracked objects alive after ``action()`` ran with the
+    collector off that were not alive before it."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        action()
+        return len(gc.get_objects()) - before
     finally:
         gc.enable()
 
@@ -180,16 +202,11 @@ class TestPeerBudget:
 
     def per_peer(self, make) -> float:
         path = Key("01")
-        gc.collect()
-        gc.disable()
-        try:
-            before = len(gc.get_objects())
-            peers = [make(f"n{i}", path, i) for i in range(self.PEERS)]
-            after = len(gc.get_objects())
-        finally:
-            gc.enable()
+        peers = []
+        growth = tracked_growth(lambda: peers.extend(
+            make(f"n{i}", path, i) for i in range(self.PEERS)))
         assert len(peers) == self.PEERS
-        return (after - before) / self.PEERS
+        return growth / self.PEERS
 
     def test_pgrid_peer(self):
         assert self.per_peer(
@@ -201,6 +218,128 @@ class TestPeerBudget:
             lambda node_id, path, seed: GridVinePeer(node_id, path,
                                                     rng=seed)
         ) <= 22
+
+
+class TestSelfOrganizationIsNotCyclicGarbage:
+    @pytest.fixture(scope="class")
+    def ring(self):
+        """Eight schemas on 32 peers, mapped in a bidirectional ring."""
+        dataset = BioDatasetGenerator(
+            num_schemas=8, num_entities=80, entities_per_schema=25, seed=3,
+        ).generate()
+        net = GridVineNetwork.build(num_peers=32, seed=11)
+        for schema in dataset.schemas:
+            net.insert_schema(schema)
+        net.insert_triples(dataset.triples)
+        names = [schema.name for schema in dataset.schemas]
+        for source, target in zip(names, names[1:] + names[:1]):
+            net.insert_mapping(dataset.ground_truth_mapping(source, target),
+                               bidirectional=True)
+        net.settle()
+        return net, dataset
+
+    def test_cycle_and_path_search(self, ring):
+        net, dataset = ring
+        graph = net.mapping_graph(dataset.domain)
+        names = graph.schemas()
+        assert graph.find_cycles(4)
+        assert unreachable_after(lambda: graph.find_cycles(4)) == 0
+        assert unreachable_after(
+            lambda: graph.find_paths(names[0], names[3])) == 0
+
+    def test_controller_step(self, ring):
+        net, dataset = ring
+        controller = SelfOrganizationController(
+            net, domain=dataset.domain,
+            policy=CreationPolicy(mappings_per_round=4))
+        assert unreachable_after(controller.step) == 0
+
+
+class TestWritePath:
+    """An overlay update holds only what it routes, and a stored triple
+    copy leaves behind only what storing it needs.
+
+    The key caches are warmed first, so only per-write state counts.
+    In flight, an update that left its origin is its future, its
+    pending entry and the set of first hops it tried, the route
+    payload and message, the timeout handle with its arguments, bound
+    ``_on_timeout`` and heap entry, and the delivery handle with its
+    arguments and heap entry — twelve objects — plus a third of the
+    triple's record (12.34 measured on CPython 3.11).  The budget of 13
+    has room for none of a per-triple future and gather, a closure per
+    gather input, a callback list per future or a bound ``_deliver``
+    per message (21.01 before those went).  A stored copy is its store
+    bucket and index buckets (every term is fresh here), a share of the
+    record and of the synopsis entries (2.40 measured); the budget has
+    no room for a ``(position, term)`` tuple per indexed position (3.74
+    before).
+    """
+
+    TRIPLES = 300
+
+    @staticmethod
+    def deploy():
+        return GridVineNetwork.build(num_peers=64, seed=5)
+
+    def batch(self, tag: str) -> list[Triple]:
+        triples = [Triple(URI(f"W:{tag}{i}"), URI(f"W#{tag}p{i % 7}"),
+                          Literal(f"{tag} value {i}"))
+                   for i in range(self.TRIPLES)]
+        for triple in triples:  # warm the shared key caches
+            for key in triple_keys(triple):
+                Key.of(key.bits)
+        return triples
+
+    def test_insert_then_settle_leaves_no_cyclic_garbage(self):
+        net = self.deploy()
+        batch = self.batch("garbage")
+        origin = net.peer_ids()[0]
+
+        def run():
+            net.insert_triples(batch, origin=origin)
+            net.settle()
+
+        assert unreachable_after(run) == 0
+        assert all(any(triple in peer.db for peer in net.peers.values())
+                   for triple in batch)
+
+    def test_in_flight_budget_per_update(self):
+        net = self.deploy()
+        batch = self.batch("flight")
+        keys = {key for triple in batch for key in triple_keys(triple)}
+        # Every update leaves the origin: none resolves (and stores) on
+        # the spot.
+        origin = next(peer for peer in net.peers.values()
+                      if not any(peer.is_responsible_for(key)
+                                 for key in keys))
+        futures = []
+        growth = tracked_growth(
+            lambda: futures.append(origin.insert_triples(batch)))
+        assert growth / (3 * self.TRIPLES) <= 13
+        net.settle()
+        assert len(futures[0].result()) == 3 * self.TRIPLES
+
+    def test_stored_budget_per_triple_copy(self):
+        net = self.deploy()
+        origin = net.peer(net.peer_ids()[0])
+
+        def copies():
+            return sum(len(bucket) for peer in net.peers.values()
+                       for bucket in peer.store.values())
+
+        batch = self.batch("stored")
+        held = copies()
+
+        def run():
+            net.loop.run_until_complete(origin.insert_triples(batch))
+            net.settle()
+
+        # Reference counting frees everything else (an upload leaves no
+        # cyclic garbage, pinned above).
+        growth = tracked_growth(run)
+        stored = copies() - held
+        assert stored >= 3 * self.TRIPLES
+        assert growth / stored <= 2.6
 
 
 @DETERMINISM_SETTINGS

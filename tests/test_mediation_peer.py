@@ -51,6 +51,18 @@ class TestTripleInsertion:
         )
         assert stored == 3  # one copy per key (replication=1)
 
+    def test_a_batch_resolves_flat_in_issue_order(self, small_network):
+        net = small_network
+        origin = net.peer(net.peer_ids()[0])
+        batch = [TRIPLE, Triple(URI("EMP:N1"), URI("EMP#Length"),
+                                Literal("1200"))]
+        results = net.loop.run_until_complete(origin.insert_triples(batch))
+        assert [r.key for r in results] == [
+            key for triple in batch for key in triple_keys(triple)]
+        assert all(r.success for r in results)
+        single = net.loop.run_until_complete(origin.insert_triple(TRIPLE))
+        assert [r.key for r in single] == triple_keys(TRIPLE)
+
     def test_remove_triple(self, small_network):
         net = small_network
         origin = net.peer(net.peer_ids()[0])

@@ -216,6 +216,27 @@ class TestFuture:
         f.set_result("y")
         assert seen == ["y"]
 
+    @pytest.mark.parametrize("resolve", ["result", "exception"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_each_callback_fires_once_in_registration_order(
+            self, count, resolve):
+        f = Future()
+        fired = []
+        for index in range(count):
+            f.add_done_callback(lambda fut, index=index: fired.append(index))
+        assert fired == []
+        if resolve == "result":
+            f.set_result("x")
+        else:
+            f.set_exception(RuntimeError("boom"))
+        assert fired == list(range(count))
+        # Added after resolution: runs at once, and alone.
+        f.add_done_callback(lambda fut: fired.append("late"))
+        assert fired == list(range(count)) + ["late"]
+        with pytest.raises(SimulationError):
+            f.set_result("again")
+        assert fired == list(range(count)) + ["late"]
+
     def test_run_until_complete(self):
         loop = EventLoop()
         f = Future()
@@ -259,3 +280,56 @@ class TestGather:
         f1.set_result("i")
         f2.set_result("o")
         assert outer.result() == [["i"], "o"]
+
+    def test_failing_input_raises_to_its_resolver(self):
+        f1, f2 = Future(), Future()
+        g = gather([f1, f2])
+        with pytest.raises(RuntimeError, match="boom"):
+            f1.set_exception(RuntimeError("boom"))
+        f2.set_result(2)
+        assert not g.done  # a gather with a failed input never resolves
+
+    def test_already_failed_input_raises_at_gather(self):
+        f1 = Future()
+        f1.set_exception(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            gather([Future(), f1])
+
+    #: a gather tree: ``None`` is an input future, a list a nested
+    #: gather of its children (possibly empty)
+    trees = st.recursive(st.none(), lambda children: st.lists(
+        children, max_size=4), max_leaves=12)
+
+    @STANDARD_SETTINGS
+    @given(tree=st.lists(trees, max_size=5), data=st.data())
+    def test_input_order_under_every_completion_order(self, tree, data):
+        leaves = []
+
+        def plant(node):
+            if node is None:
+                leaves.append(Future())
+                return len(leaves) - 1
+            return [plant(child) for child in node]
+
+        def combine(node):
+            if isinstance(node, int):
+                return leaves[node]
+            return gather([combine(child) for child in node])
+
+        def expected(node):
+            if isinstance(node, int):
+                return ("leaf", node)
+            return [expected(child) for child in node]
+
+        shape = plant(tree)
+        order = data.draw(st.permutations(range(len(leaves))))
+        # Some inputs may be resolved before the gathers are built.
+        early = data.draw(st.integers(0, len(order)))
+        for index in order[:early]:
+            leaves[index].set_result(("leaf", index))
+        root = combine(shape)
+        for index in order[early:]:
+            assert not root.done
+            leaves[index].set_result(("leaf", index))
+        assert root.done
+        assert root.result() == expected(shape)
