@@ -42,7 +42,6 @@ from repro.faultlab import FaultInjector, FaultPlan, LabContext, Partition
 from repro.faultlab.invariants import check_synopsis_convergence
 from repro.mediation.keys import triple_keys
 from repro.mediation.network import GridVineNetwork
-from repro.mediation.records import TripleRecord
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.resilience.scenario import ground_truth_panel, recall_hits
 from repro.simnet.events import gather
@@ -99,7 +98,7 @@ def insert_until_placed(net, origin_peer, triples,
     rounds = 0
     while pending and rounds < max_rounds:
         rounds += 1
-        futures = [origin_peer.update(key, TripleRecord(triple))
+        futures = [origin_peer.update(key, triple)
                    for triple, key in pending]
         results = net.loop.run_until_complete(gather(futures))
         pending = [pair for pair, result in zip(pending, results)

@@ -53,7 +53,7 @@ def test_e7_insertion_fanout_is_three(benchmark):
         1 for peer in net.peers.values()
         for bucket in peer.store.values()
         for value in bucket
-        if getattr(value, "triple", None) == triple
+        if value == triple
     )
     report("E7", f"one mediation-layer insert -> {copies} stored copies "
                  f"(paper: 3 Update() operations, one per position key)")
@@ -113,7 +113,7 @@ def test_e7_routing_key_ablation(benchmark):
     good, bad = run_once(benchmark, run)
     good_hits = sum(
         1 for value in (good.values or [])
-        if getattr(value, "triple", None) is not None
+        if isinstance(value, Triple)
     )
     bad_hits = len(bad.values or [])
     report("E7", f"routing by predicate key: {good_hits} candidate "

@@ -311,7 +311,7 @@ def cmd_scenario(args) -> int:
             num_queries=args.queries,
             strategy=args.strategy,
             max_hops=args.max_hops,
-            limit=args.limit if args.limit > 0 else None,
+            limit=args.limit or None,
         )
     except ValueError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
@@ -635,26 +635,26 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = sub.add_parser(
         "scenario", help="run a scripted churn scenario and report "
                          "recall, latency and failover activity")
-    scenario.add_argument("--peers", type=int, default=48)
-    scenario.add_argument("--replication", type=int, default=3,
+    scenario.add_argument("--peers", type=_at_least(1), default=48)
+    scenario.add_argument("--replication", type=_at_least(1), default=3,
                           help="replica-group size (and refs per level)")
-    scenario.add_argument("--schemas", type=int, default=6)
-    scenario.add_argument("--entities", type=int, default=60)
+    scenario.add_argument("--schemas", type=_at_least(1), default=6)
+    scenario.add_argument("--entities", type=_at_least(5), default=60)
     scenario.add_argument("--seed", type=int, default=42)
-    scenario.add_argument("--queries", type=int, default=18)
+    scenario.add_argument("--queries", type=_at_least(0), default=18)
     scenario.add_argument("--uptime", type=float, default=120.0,
                           help="mean seconds a peer stays online")
     scenario.add_argument("--downtime", type=float, default=45.0,
                           help="mean seconds a failed peer stays offline")
-    scenario.add_argument("--selforg-rounds", type=int, default=0,
+    scenario.add_argument("--selforg-rounds", type=_at_least(0), default=0,
                           help="self-organization rounds before churn "
                                "(0: pre-insert the ground-truth chain)")
     scenario.add_argument("--strategy", default="iterative",
                           choices=["local", "iterative", "recursive",
                                    "engine", "auto"])
-    scenario.add_argument("--max-hops", type=int, default=8,
+    scenario.add_argument("--max-hops", type=_at_least(0), default=8,
                           help="mapping-path exploration depth")
-    scenario.add_argument("--limit", type=int, default=0,
+    scenario.add_argument("--limit", type=_at_least(0), default=0,
                           help="per-query result cap pushed into "
                                "execution (0 = unlimited)")
     scenario.add_argument("--no-failover", action="store_true",
@@ -688,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="fault-schedule generation profile "
                                  "(extreme adds a kill-every-reply "
                                  "clause)")
-        parser.add_argument("--peers", type=int, default=20)
-        parser.add_argument("--queries", type=int, default=6,
+        parser.add_argument("--peers", type=_at_least(1), default=20)
+        parser.add_argument("--queries", type=_at_least(0), default=6,
                             help="queries issued while faults run")
         parser.add_argument("--min-recall", type=float, default=0.9,
                             help="post-heal recall floor (invariant)")
@@ -708,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_explore = chaos_sub.add_parser(
         "explore", help="sweep a budget of consecutive seeds; exit 1 "
                         "if any invariant broke")
-    chaos_explore.add_argument("--budget", type=int, default=8,
+    chaos_explore.add_argument("--budget", type=_at_least(1), default=8,
                                help="number of seeded scenarios to run")
     chaos_explore.add_argument("--start-seed", type=int, default=0)
     _add_chaos_args(chaos_explore)
@@ -734,19 +734,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inprocess: one event loop (the E18 "
                                "baseline); sharded: windowed shards "
                                "over the trie key space")
-    scaleout.add_argument("--peers", type=int, default=2000)
-    scaleout.add_argument("--shards", type=int, default=4,
+    scaleout.add_argument("--peers", type=_at_least(1), default=2000)
+    scaleout.add_argument("--shards", type=_at_least(1), default=4,
                           help="shard count (sharded engine only)")
     scaleout.add_argument("--mode", default="inline",
                           choices=["inline", "process"],
                           help="run shards in-process or as forked "
                                "workers (identical results either way)")
     scaleout.add_argument("--seed", type=int, default=0)
-    scaleout.add_argument("--keys", type=int, default=200,
+    scaleout.add_argument("--keys", type=_at_least(1), default=200,
                           help="distinct preloaded needle keys")
-    scaleout.add_argument("--ops", type=int, default=100,
+    scaleout.add_argument("--ops", type=_at_least(0), default=100,
                           help="retrieve operations per wave")
-    scaleout.add_argument("--waves", type=int, default=3)
+    scaleout.add_argument("--waves", type=_at_least(0), default=3)
     scaleout.add_argument("--churn", action="store_true",
                           help="replay the seeded exponential outage "
                                "trace while the waves run")

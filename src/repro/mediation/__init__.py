@@ -36,8 +36,6 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
-    SchemaRecord,
-    TripleRecord,
 )
 from repro.mediation.keys import domain_key, schema_key, term_key, triple_keys
 from repro.mediation.query import QueryOutcome
@@ -45,8 +43,6 @@ from repro.mediation.peer import GridVinePeer
 from repro.mediation.network import GridVineNetwork
 
 __all__ = [
-    "TripleRecord",
-    "SchemaRecord",
     "MappingRecord",
     "IncomingMappingRecord",
     "ConnectivityRecord",

@@ -5,8 +5,8 @@ with the paper's mediation operations:
 
 * ``Update(data)`` / ``Update(schema)`` / ``Update(mapping)`` /
   ``Update(connectivity)`` — all reduce to overlay ``Update(key,
-  value)`` calls with typed records and the key derivations of
-  :mod:`repro.mediation.keys`;
+  value)`` calls, with the triple or schema itself or a typed record
+  as the value, at the key derivations of :mod:`repro.mediation.keys`;
 * ``SearchFor(query)`` — triple-pattern and conjunctive queries with
   three execution strategies:
 
@@ -67,8 +67,6 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
-    SchemaRecord,
-    TripleRecord,
 )
 from repro.pgrid.peer import FanoutTask, PGridPeer, task_origin
 from repro.optimizer.core import QueryOptimizer
@@ -190,24 +188,19 @@ class GridVinePeer(PGridPeer):
         position key, triple by triple, under one flat gather that
         resolves to the 3 x len(triples) results in that order."""
         update = self.update
-        updates = []
-        for triple in triples:
-            record = TripleRecord(triple)
-            for key in triple_keys(triple):
-                updates.append(update(key, record))
-        return gather(updates)
+        return gather([update(key, triple)
+                       for triple in triples for key in triple_keys(triple)])
 
     def remove_triple(self, triple: Triple) -> Future:
         """Delete a triple from all three position key spaces."""
-        record = TripleRecord(triple)
         return gather([
-            self.update(key, record, action="remove")
+            self.update(key, triple, action="remove")
             for key in triple_keys(triple)
         ])
 
     def insert_schema(self, schema: Schema) -> Future:
         """``Update(Schema)``: definition stored at ``Hash(Schema Name)``."""
-        return self.update(schema_key(schema.name), SchemaRecord(schema))
+        return self.update(schema_key(schema.name), schema)
 
     def _fire_mapping_event(self, action: str,
                             mapping: SchemaMapping) -> None:
@@ -419,9 +412,9 @@ class GridVinePeer(PGridPeer):
         def _on_ranges(f: Future) -> None:
             # One row per distinct matching triple, in arrival order.
             triples = dict.fromkeys(
-                value.triple for result in f.result()
+                value for result in f.result()
                 for value in result.values or ()
-                if isinstance(value, TripleRecord))
+                if isinstance(value, Triple))
             out.set_result(pattern.prepared().scan(triples))
 
         gather([self.range_query(c, cancel=cancel) for c in covers]
@@ -543,15 +536,6 @@ class GridVinePeer(PGridPeer):
     # ------------------------------------------------------------------
 
     def local_insert(self, key: Key, value: Any) -> None:
-        if type(value) is TripleRecord:
-            # Hot path: triple inserts dominate every deployment build
-            # (three overlay keys per triple), so dispatch them before
-            # the full record-type chain.  Subclassed records still
-            # take the generic path below.
-            self.store.setdefault(key._bits, []).append(value)
-            self._sync_snapshot = None
-            self.db.add(value.triple)
-            return
         if isinstance(value, ConnectivityRecord):
             # Last-writer-wins per schema: drop stale records so the
             # domain key space holds exactly one record per schema.
@@ -565,11 +549,11 @@ class GridVinePeer(PGridPeer):
             self._sync_snapshot = None
             return
         super().local_insert(key, value)
-        if isinstance(value, TripleRecord):
-            self.db.add(value.triple)
-        elif isinstance(value, SchemaRecord):
-            self.local_schemas[value.schema.name] = value.schema
-            self._republish_connectivity(value.schema.name)
+        if isinstance(value, Triple):
+            self.db.add(value)
+        elif isinstance(value, Schema):
+            self.local_schemas[value.name] = value
+            self._republish_connectivity(value.name)
         elif isinstance(value, MappingRecord):
             self.local_mappings[value.mapping.mapping_id] = value.mapping
             self._mapping_stats_version += 1
@@ -582,18 +566,13 @@ class GridVinePeer(PGridPeer):
         removed = super().local_remove(key, value)
         if not removed:
             return removed
-        if isinstance(value, TripleRecord):
-            # The triple may still be stored under another of its three
-            # keys at this peer; only drop it from the local database
-            # when no copy remains in the generic store.
-            still_here = any(
-                isinstance(v, TripleRecord) and v.triple == value.triple
-                for bucket in self.store.values() for v in bucket
-            )
-            if not still_here:
-                self.db.remove(value.triple)
-        elif isinstance(value, SchemaRecord):
-            self.local_schemas.pop(value.schema.name, None)
+        if isinstance(value, Triple):
+            # One database copy per removed store copy: the triple
+            # leaves the database with its last copy at this peer.
+            for _ in range(removed):
+                self.db.remove(value)
+        elif isinstance(value, Schema):
+            self.local_schemas.pop(value.name, None)
         elif isinstance(value, MappingRecord):
             self.local_mappings.pop(value.mapping.mapping_id, None)
             self._mapping_stats_version += 1

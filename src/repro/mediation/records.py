@@ -1,75 +1,21 @@
 """Typed records stored in the overlay by the mediation layer.
 
-The overlay stores opaque values; the mediation layer wraps everything
-it publishes in one of these record types so a peer receiving an
-``insert`` can dispatch on the record kind (triples feed the local
-triple database, mapping records feed the mapping registry and trigger
-connectivity republication, and so on).
+Triples and schemas are stored as themselves: a peer receiving an
+``insert`` dispatches on the value's type (a ``Triple`` feeds the local
+triple database, a ``Schema`` the local schema definitions).  A record
+type exists only where
+one payload type plays two roles — a mapping stored at its source
+schema's key space and its incoming-edge marker at the target's — or
+where the payload is the record's own data (the connectivity record).
 
-All records are immutable value objects: overlay ``remove`` operations
-match stored values by equality, so replacing a record means removing
-the exact old value and inserting the new one.
+All stored values are immutable value objects: overlay ``remove``
+operations match stored values by equality, so replacing a record means
+removing the exact old value and inserting the new one.
 """
 
 from __future__ import annotations
 
 from repro.mapping.model import SchemaMapping
-from repro.rdf.triples import Triple
-from repro.schema.model import Schema
-
-
-class TripleRecord:
-    """A data triple published under one of its three position keys."""
-
-    __slots__ = ("triple",)
-
-    def __init__(self, triple: Triple) -> None:
-        object.__setattr__(self, "triple", triple)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("TripleRecord is immutable")
-
-    def __reduce__(self):
-        return (TripleRecord, (self.triple,))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, TripleRecord):
-            return NotImplemented
-        return self.triple == other.triple
-
-    def __hash__(self) -> int:
-        return hash(("TripleRecord", self.triple))
-
-    def __repr__(self) -> str:
-        return f"TripleRecord({self.triple!r})"
-
-
-class SchemaRecord:
-    """A schema definition published at ``Hash(Schema Name)``."""
-
-    __slots__ = ("schema",)
-
-    def __init__(self, schema: Schema) -> None:
-        object.__setattr__(self, "schema", schema)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("SchemaRecord is immutable")
-
-    def __reduce__(self):
-        return (SchemaRecord, (self.schema,))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchemaRecord):
-            return NotImplemented
-        return self.schema == other.schema
-
-    def __hash__(self) -> int:
-        return hash(("SchemaRecord", self.schema))
-
-    def __repr__(self) -> str:
-        return f"SchemaRecord({self.schema.name!r})"
 
 
 class MappingRecord:

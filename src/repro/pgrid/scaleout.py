@@ -52,8 +52,6 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
-    SchemaRecord,
-    TripleRecord,
 )
 from repro.obs.tracer import export_records_jsonl
 from repro.pgrid.construction import (
@@ -146,7 +144,8 @@ class ScaleoutSpec:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be one of {accepted}, "
                     f"got {getattr(self, name)!r}")
-        for name, least in (("num_shards", 1), ("num_waves", 0),
+        for name, least in (("num_peers", 1), ("num_shards", 1),
+                            ("num_keys", 1), ("num_waves", 0),
                             ("ops_per_wave", 0)):
             if getattr(self, name) < least:
                 raise ValueError(
@@ -413,20 +412,20 @@ def _preload_mediation(deployment: Deployment,
     schema definitions are still absent (the connectivity republish
     hook no-ops), and each schema holder's published-connectivity
     cache is pre-set to the final degrees immediately before its
-    ``SchemaRecord`` lands, so the schema-insert republish compares
+    schema definition lands, so the schema-insert republish compares
     equal and never issues an overlay update.
     """
     med = deployment.mediation
     assert med is not None
 
-    def place(key: Key, record: object, preset: str | None = None) -> None:
+    def place(key: Key, value: object, preset: str | None = None) -> None:
         leaf = _responsible_leaf(deployment.leaf_bits, key)
         for node_id in deployment.groups[leaf]:
             peer = peers[node_id]
             if preset is not None:
                 peer._published_connectivity[preset] = ConnectivityRecord(
                     preset, *peer._local_degree(preset))
-            peer.local_insert(key, record)
+            peer.local_insert(key, value)
 
     for mapping in med.mappings:
         place(schema_key(mapping.source_schema), MappingRecord(mapping))
@@ -434,12 +433,10 @@ def _preload_mediation(deployment: Deployment,
               IncomingMappingRecord(mapping))
     for triples in med.triples_by_schema.values():
         for triple in triples:
-            record = TripleRecord(triple)
             for key in triple_keys(triple):
-                place(key, record)
+                place(key, triple)
     for schema in med.schemas:
-        place(schema_key(schema.name), SchemaRecord(schema),
-              preset=schema.name)
+        place(schema_key(schema.name), schema, preset=schema.name)
 
 
 # ----------------------------------------------------------------------

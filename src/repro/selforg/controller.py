@@ -27,7 +27,7 @@ from repro.connectivity.indicator import indicator_from_degrees
 from repro.mapping.model import MappingKind
 from repro.mediation.keys import term_key
 from repro.mediation.network import GridVineNetwork
-from repro.mediation.records import SchemaRecord, TripleRecord
+from repro.rdf.triples import Triple
 from repro.schema.model import Schema
 from repro.selforg.creator import CreationPolicy, propose_mappings
 from repro.selforg.deprecation import (
@@ -97,8 +97,8 @@ class SelfOrganizationController:
             space, _ = self.network.call("fetch_schema_space",
                                          record.schema_name)
             for item in space:
-                if isinstance(item, SchemaRecord):
-                    schemas[item.schema.name] = item.schema
+                if isinstance(item, Schema):
+                    schemas[item.name] = item
                     break
         return schemas
 
@@ -109,9 +109,8 @@ class SelfOrganizationController:
         result, _ = self.network.call("retrieve", term_key(predicate))
         values: set[str] = set()
         for item in result.values or ():
-            if (isinstance(item, TripleRecord)
-                    and item.triple.predicate == predicate):
-                values.add(item.triple.object.value)
+            if isinstance(item, Triple) and item.predicate == predicate:
+                values.add(item.object.value)
         return values
 
     def _collect_instance_state(

@@ -26,6 +26,12 @@ from repro.stats.synopsis import StoreSynopsis
 class TripleStore:
     """An in-memory triple table with per-position indexes.
 
+    It is the positional index of a peer's key-addressed bucket store,
+    which holds a triple once per key it lands under (and again if it
+    is published again): :meth:`add` and :meth:`remove` count those
+    copies, and a triple is indexed (and counted by the synopsis) from
+    its first copy to its last.
+
     Index buckets are list-backed and served in *sorted order*:
     pattern matching iterates buckets directly, and with limit
     pushdown truncating result streams the iteration order is
@@ -44,7 +50,8 @@ class TripleStore:
     """
 
     def __init__(self) -> None:
-        self._triples: set[Triple] = set()
+        #: stored copies per triple, one per bucket-store entry
+        self._copies: dict[Triple, int] = {}
         self._index: dict[Position, dict[GroundTerm, list[Triple]]] = {
             pos: {} for pos in ALL_POSITIONS
         }
@@ -61,10 +68,14 @@ class TripleStore:
     # -- mutation ------------------------------------------------------
 
     def add(self, triple: Triple) -> bool:
-        """Insert a triple; returns False if it was already present."""
-        if triple in self._triples:
+        """Record one stored copy of a triple; True for its first copy,
+        the only one that enters the indexes and the synopsis."""
+        copies = self._copies
+        held = copies.get(triple)
+        if held is not None:
+            copies[triple] = held + 1
             return False
-        self._triples.add(triple)
+        copies[triple] = 1
         self.synopsis.add(triple)
         unsorted_ = self._unsorted
         index = self._index
@@ -80,16 +91,22 @@ class TripleStore:
         return True
 
     def remove(self, triple: Triple) -> bool:
-        """Delete a triple; returns False if it was absent."""
-        if triple not in self._triples:
+        """Drop one stored copy of a triple; True when its last copy
+        goes and it leaves the indexes and the synopsis."""
+        copies = self._copies
+        held = copies.get(triple)
+        if held is None:
             return False
-        self._triples.discard(triple)
+        if held > 1:
+            copies[triple] = held - 1
+            return False
+        del copies[triple]
         self.synopsis.remove(triple)
         for pos in ALL_POSITIONS:
             term = triple.at(pos)
             bucket = self._index[pos].get(term)
             if bucket is not None:
-                # add() guards duplicates, so exactly one copy exists;
+                # Indexed once per triple, so exactly one entry exists;
                 # a linear remove keeps relative order (and therefore
                 # sortedness) intact.
                 bucket.remove(triple)
@@ -100,7 +117,7 @@ class TripleStore:
 
     def clear(self) -> None:
         """Drop everything."""
-        self._triples.clear()
+        self._copies.clear()
         self.synopsis.clear()
         for pos in ALL_POSITIONS:
             self._index[pos].clear()
@@ -109,15 +126,15 @@ class TripleStore:
     # -- lookups --------------------------------------------------------
 
     def count(self) -> int:
-        """Number of stored triples."""
-        return len(self._triples)
+        """Number of distinct stored triples."""
+        return len(self._copies)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        return triple in self._copies
 
     def all_triples(self) -> list[Triple]:
         """All triples, sorted for deterministic output."""
-        return sorted(self._triples)
+        return sorted(self._copies)
 
     def by_position(self, position: Position, term: GroundTerm) -> set[Triple]:
         """Index probe: triples whose ``position`` equals ``term``."""
@@ -155,7 +172,7 @@ class TripleStore:
                 best = (pos, term)
                 best_size = size
         if best is None:
-            return sorted(self._triples)
+            return sorted(self._copies)
         return self._sorted_bucket(*best)
 
     def match(self, pattern: TriplePattern) -> list[tuple]:

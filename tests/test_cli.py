@@ -77,6 +77,53 @@ class TestDeployArguments:
         assert "30 triples on 1 peers" in capsys.readouterr().out
 
 
+class TestCountArguments:
+    """Every count flag of ``scenario``, ``chaos`` and ``scaleout`` is
+    checked while parsing, naming the flag, instead of dying with a
+    traceback from the overlay builder or silently doing nothing."""
+
+    @pytest.mark.parametrize("argv,flag,value,floor", [
+        (["scenario"], "--peers", "0", 1),
+        (["scenario"], "--replication", "0", 1),
+        (["scenario"], "--schemas", "0", 1),
+        (["scenario"], "--entities", "4", 5),
+        (["scenario"], "--queries", "-3", 0),
+        (["scenario"], "--selforg-rounds", "-1", 0),
+        (["scenario"], "--max-hops", "-1", 0),
+        (["scenario"], "--limit", "-1", 0),
+        (["chaos", "run"], "--peers", "0", 1),
+        (["chaos", "run"], "--queries", "-1", 0),
+        (["chaos", "explore"], "--budget", "-3", 1),
+        (["chaos", "explore"], "--budget", "0", 1),
+        (["chaos", "explore"], "--peers", "0", 1),
+        (["chaos", "replay", "--seed", "0"], "--peers", "0", 1),
+        (["chaos", "replay", "--seed", "0"], "--queries", "-1", 0),
+        (["scaleout"], "--peers", "0", 1),
+        (["scaleout"], "--shards", "0", 1),
+        (["scaleout"], "--keys", "0", 1),
+        (["scaleout"], "--ops", "-1", 0),
+        (["scaleout"], "--waves", "-1", 0),
+    ])
+    def test_out_of_range_exits_2_naming_the_flag(
+            self, capsys, argv, flag, value, floor):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= {floor}, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_smallest_accepted_counts_run(self, capsys):
+        assert main(["scaleout", "--peers", "1", "--shards", "1",
+                     "--keys", "1", "--ops", "0", "--waves", "0"]) == 0
+        assert main(["scenario", "--peers", "1", "--replication", "1",
+                     "--schemas", "1", "--entities", "5", "--queries", "0",
+                     "--max-hops", "0", "--limit", "0"]) == 0
+        assert main(["chaos", "explore", "--budget", "1", "--peers", "1",
+                     "--queries", "0"]) == 0
+        assert "explored 1 seed(s)" in capsys.readouterr().out
+
+
 class TestExperimentsCommand:
     def test_lists_all_experiments(self, capsys):
         assert main(["experiments"]) == 0

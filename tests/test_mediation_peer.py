@@ -3,10 +3,10 @@
 import pytest
 
 from repro.mediation.keys import domain_key, schema_key, triple_keys
+from repro.mediation.network import GridVineNetwork
 from repro.mediation.records import (
     ConnectivityRecord,
     MappingRecord,
-    SchemaRecord,
 )
 from repro.rdf.parser import parse_search_for
 from repro.rdf.terms import Literal, URI, Variable
@@ -47,7 +47,7 @@ class TestTripleInsertion:
             1 for peer in net.peers.values()
             for bucket in peer.store.values()
             for value in bucket
-            if getattr(value, "triple", None) == TRIPLE
+            if value == TRIPLE
         )
         assert stored == 3  # one copy per key (replication=1)
 
@@ -74,6 +74,41 @@ class TestTripleInsertion:
             assert TRIPLE not in peer.db
 
 
+class TestStoredCopies:
+    """A peer holds a triple once per key it lands under there, and the
+    triple database counts those copies instead of searching for them."""
+
+    def test_removing_a_copy_compares_only_within_its_bucket(
+            self, monkeypatch):
+        net = GridVineNetwork.build(num_peers=1, seed=3)
+        peer = net.peer(net.peer_ids()[0])  # responsible for every key
+        target = Triple(URI("T:alone"), URI("T#alone"), Literal("alone"))
+        net.insert_triples(
+            [Triple(URI(f"S:e{i}"), URI(f"S#p{i % 7}"), Literal(f"v{i}"))
+             for i in range(300)] + [target])
+        net.settle()
+        real_eq = Triple.__eq__
+        compared = []
+
+        def counting_eq(left, right):
+            compared.append((left, right))
+            return real_eq(left, right)
+
+        monkeypatch.setattr(Triple, "__eq__", counting_eq)
+        for removed, key in enumerate(triple_keys(target), start=1):
+            bucket = list(peer.store[key.bits])
+            (stored,) = bucket  # the target's terms are its own
+            compared.clear()
+            assert peer.local_remove(key, stored) == 1
+            outside = [pair for pair in compared
+                       if not all(any(operand is value for value in bucket)
+                                  for operand in pair)]
+            assert outside == []
+            assert (target in peer.db) == (removed < 3)
+        monkeypatch.undo()
+        assert peer.db.count() == 300
+
+
 class TestSchemaAndMappingPlacement:
     def test_schema_record_at_schema_key(self, small_network):
         net = small_network
@@ -84,7 +119,7 @@ class TestSchemaAndMappingPlacement:
         for peer in net.peers.values():
             if peer.is_responsible_for(key):
                 assert peer.local_schemas["EMBL"] == schema
-                assert SchemaRecord(schema) in peer.store[key.bits]
+                assert schema in peer.store[key.bits]
 
     def test_mapping_stored_at_source_key_space(self, fig2_network):
         net, embl, emp = fig2_network

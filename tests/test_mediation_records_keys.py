@@ -8,12 +8,9 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
-    SchemaRecord,
-    TripleRecord,
 )
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.schema.model import Schema
 from repro.util.hashing import order_preserving_hash
 
 
@@ -25,16 +22,6 @@ def sample_mapping():
 
 
 class TestRecords:
-    def test_triple_record_equality(self):
-        t = Triple(URI("s"), URI("p"), Literal("o"))
-        assert TripleRecord(t) == TripleRecord(t)
-        assert TripleRecord(t) != TripleRecord(
-            Triple(URI("s2"), URI("p"), Literal("o")))
-
-    def test_schema_record_equality(self):
-        s = Schema("S", ["a"])
-        assert SchemaRecord(s) == SchemaRecord(s)
-
     def test_mapping_and_incoming_are_distinct_types(self):
         m = sample_mapping()
         assert MappingRecord(m) != IncomingMappingRecord(m)
@@ -54,8 +41,8 @@ class TestRecords:
             ConnectivityRecord("S", -1, 0)
 
     def test_records_hashable(self):
-        t = Triple(URI("s"), URI("p"), Literal("o"))
-        assert len({TripleRecord(t), TripleRecord(t)}) == 1
+        m = sample_mapping()
+        assert len({MappingRecord(m), MappingRecord(m)}) == 1
 
     def test_records_immutable(self):
         record = ConnectivityRecord("S", 1, 1)

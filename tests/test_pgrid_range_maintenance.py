@@ -14,7 +14,6 @@ from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import (
     ConnectivityRecord,
     MappingRecord,
-    TripleRecord,
 )
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.pgrid.overlay import PGridOverlay
@@ -343,8 +342,7 @@ def _mapping(i: int) -> SchemaMapping:
 
 
 SYNC_VALUES = (
-    [TripleRecord(Triple(URI(f"S:e{i}"), URI("S#p"), Literal(f"v{i}")))
-     for i in range(5)]
+    [Triple(URI(f"S:e{i}"), URI("S#p"), Literal(f"v{i}")) for i in range(5)]
     + [MappingRecord(_mapping(i)) for i in range(2)]
     # one schema, different degrees: last-writer-wins replace path
     + [ConnectivityRecord("S0", in_degree, 1) for in_degree in range(3)]
@@ -387,6 +385,13 @@ def replica_state(peer):
             peer.maintenance_stats.values_repaired)
 
 
+def assert_db_mirrors_store(peer):
+    """The triple database holds exactly the triples the store does."""
+    assert set(peer.db.all_triples()) == {
+        value for values in peer.store.values() for value in values
+        if isinstance(value, Triple)}
+
+
 def push(sender, receiver):
     receiver._handle_sync_push(Message(
         "sync_push", sender.node_id, receiver.node_id,
@@ -408,6 +413,8 @@ class TestDigestGatedSync:
             ungated_sync_push(ungated, flattened(sender))
             assert replica_state(gated) == replica_state(ungated)
             assert sender.sync_snapshot()[1] == tuple(flattened(sender))
+            for peer in (sender, gated, ungated):
+                assert_db_mirrors_store(peer)
 
         push_both()
         # every kind of write at the sender after a push built its
@@ -438,7 +445,7 @@ class TestDigestGatedSync:
         push(sender, receiver)  # equal digests: skipped
         assert receiver.maintenance_stats.values_repaired == 0
         receiver.local_remove(*items[0])
-        assert receiver.db.all_triples() == [SYNC_VALUES[1].triple]
+        assert receiver.db.all_triples() == [SYNC_VALUES[1]]
         push(sender, receiver)
         assert receiver.maintenance_stats.values_repaired == 1
         assert receiver.local_retrieve(SYNC_KEYS[0]) == [SYNC_VALUES[0]]

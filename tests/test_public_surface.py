@@ -44,6 +44,11 @@ the sink.  A pattern is prepared once into a set-at-a-time scan
 dict-row batch constructor it fed stay gone, and the layers that
 produce rows (``rdf/``, ``storage/``) never import the operator plane
 that consumes them.
+
+A stored value is the value itself.  The overlay holds a triple or a
+schema as it is, not in a wrapper record, and the peer's triple
+database counts the copies its store holds instead of walking every
+bucket to find out whether one is left.
 """
 
 import ast
@@ -250,3 +255,38 @@ def test_rows_have_one_evaluator_and_one_format():
     assert not offenders, (
         "a second row evaluator or row format:\n  "
         + "\n  ".join(sorted(set(offenders))))
+
+
+#: the wrappers a stored triple and a stored schema used to travel in
+RETIRED_RECORDS = ("TripleRecord", "SchemaRecord")
+
+
+def _iterates_self_store(function) -> bool:
+    return any(
+        isinstance(loop, (ast.For, ast.comprehension))
+        and any(isinstance(n, ast.Attribute) and n.attr == "store"
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+                for n in ast.walk(loop.iter))
+        for loop in ast.walk(function))
+
+
+def test_a_stored_value_is_the_value():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        words = set(re.findall(r"\w+", path.read_text()))
+        offenders += [f"{module}: {name}" for name in RETIRED_RECORDS
+                      if name in words]
+    peer = ast.parse((SRC / "mediation" / "peer.py").read_text())
+    (local_remove,) = [
+        method for cls in ast.walk(peer)
+        if isinstance(cls, ast.ClassDef) and cls.name == "GridVinePeer"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name == "local_remove"]
+    if _iterates_self_store(local_remove):
+        offenders.append("mediation/peer.py: GridVinePeer.local_remove "
+                         "walks the store to count a triple's copies")
+    assert not offenders, (
+        "a stored value wrapped, or its copies searched for:\n  "
+        + "\n  ".join(offenders))

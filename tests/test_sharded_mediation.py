@@ -238,7 +238,9 @@ class TestLiveProcessStats:
     ("mode", "threads", "'inline', 'process'"),
     ("workload", "raw", "'retrieve', 'mediation'"),
     ("strategy", "psychic", "'local', 'iterative', 'recursive', 'auto'"),
+    ("num_peers", 0, ">= 1"),
     ("num_shards", 0, ">= 1"),
+    ("num_keys", 0, ">= 1"),
     ("num_waves", -1, ">= 0"),
     ("ops_per_wave", -1, ">= 0"),
 ])

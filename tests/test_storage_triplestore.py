@@ -44,6 +44,35 @@ class TestMutation:
         assert store.by_position(Position.SUBJECT, URI("s")) == set()
         assert store.by_position(Position.PREDICATE, URI("p")) == set()
 
+    def test_a_copy_outlives_the_removal_of_another(self):
+        # The bucket store holds a triple once per key it lands under;
+        # the database keeps it while any of those copies remains.
+        store = make_store(t("s", "p", "o"), t("s", "p", "o"),
+                           t("s", "q", "o"))
+        assert store.remove(t("s", "p", "o")) is False
+        assert t("s", "p", "o") in store
+        assert store.count() == 2
+        assert store.match(TriplePattern(URI("s"), URI("p"),
+                                         Variable("z"))) == [(Literal("o"),)]
+        assert store.synopsis.version == 2  # untouched by the extra copy
+        assert store.remove(t("s", "p", "o")) is True
+        assert t("s", "p", "o") not in store
+        assert store.by_position(Position.PREDICATE, URI("p")) == set()
+        assert store.match(TriplePattern(URI("s"), URI("p"),
+                                         Variable("z"))) == []
+
+    def test_the_last_copy_empties_the_store_and_its_indexes(self):
+        store = make_store(t("s", "p", "o"), t("s", "p", "o"))
+        assert store.remove(t("s", "p", "o")) is False
+        assert store.remove(t("s", "p", "o")) is True
+        assert store.count() == 0
+        assert store.all_triples() == []
+        for position, term in ((Position.SUBJECT, URI("s")),
+                               (Position.PREDICATE, URI("p")),
+                               (Position.OBJECT, Literal("o"))):
+            assert store.by_position(position, term) == set()
+        assert store.remove(t("s", "p", "o")) is False
+
     def test_clear(self):
         store = make_store(t("a", "b", "c"), t("d", "e", "f"))
         store.clear()
@@ -141,7 +170,7 @@ class TestStoreProperties:
         store = TripleStore()
         for triple in triples:
             store.add(triple)
-        for triple in set(triples):
+        for triple in triples:  # once per added copy
             store.remove(triple)
         assert store.count() == 0
         assert store.match(TriplePattern(
