@@ -35,8 +35,8 @@ from repro.rdf.patterns import ConjunctiveQuery
 from repro.reformulation.planner import Reformulation
 from repro.util.stats import ratio
 
-#: cache key: (canonical query, max_hops, include_original)
-_Key = tuple[ConjunctiveQuery, int, bool]
+#: cache key: (canonical query, max_hops)
+_Key = tuple[ConjunctiveQuery, int]
 
 
 class PlanCacheStats(CounterGroup):
@@ -97,18 +97,17 @@ class PlanCache:
     def entries(self) -> list[tuple[_Key, _Entry]]:
         """Live ``(key, entry)`` pairs, LRU order (oldest first).
 
-        Keys are ``(canonical query, max_hops, include_original)`` and
-        entries carry *canonical* plans — used by the fault lab's
-        cache-coherence invariant to replay every cached plan against
-        a fresh planning run.  Read-only: does not touch LRU order or
-        stats.
+        Keys are ``(canonical query, max_hops)`` and entries carry
+        *canonical* plans — used by the fault lab's cache-coherence
+        invariant to replay every cached plan against a fresh planning
+        run.  Read-only: does not touch LRU order or stats.
         """
         return list(self._entries.items())
 
     # -- lookup / store -------------------------------------------------
 
-    def lookup(self, query: ConjunctiveQuery, max_hops: int,
-               include_original: bool = True) -> list[Reformulation] | None:
+    def lookup(self, query: ConjunctiveQuery,
+               max_hops: int) -> list[Reformulation] | None:
         """The cached plan for ``query``, re-expressed in its variables.
 
         Returns ``None`` (and counts a miss) when no current entry
@@ -117,7 +116,7 @@ class PlanCache:
         same (immutable) :class:`Reformulation` objects.
         """
         canonical, inverse = canonicalize_query(query)
-        key = (canonical, max_hops, include_original)
+        key = (canonical, max_hops)
         entry = self._entries.get(key)
         if entry is not None and not self.clock.is_current(entry.snapshot):
             # Lazy backstop: the clock moved while we were not looking
@@ -138,8 +137,7 @@ class PlanCache:
         return list(entry.renamed[1])
 
     def store(self, query: ConjunctiveQuery, max_hops: int,
-              reformulations: list[Reformulation],
-              include_original: bool = True) -> None:
+              reformulations: list[Reformulation]) -> None:
         """Cache a freshly planned reformulation set for ``query``."""
         if self.capacity <= 0:
             return
@@ -152,7 +150,7 @@ class PlanCache:
         depends_on = set(query_schemas(canonical))
         for reformulation in canonical_plan:
             depends_on |= query_schemas(reformulation.query)
-        key = (canonical, max_hops, include_original)
+        key = (canonical, max_hops)
         if key in self._entries:
             self._drop(key)
         self._entries[key] = _Entry(

@@ -26,9 +26,10 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.exec.bindings import join_batches
 from repro.exec.stream import Batch, Operator, PipelineContext
-from repro.mapping.unfolding import query_schemas, translate_query
+from repro.mapping.unfolding import query_schemas
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.triples import Position
+from repro.reformulation.planner import translations
 from repro.simnet.events import Future, gather
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -431,13 +432,11 @@ class Reformulate(Operator):
         #: translations dropped by the prune predicate
         self.pruned = 0
         self.seen: set[ConjunctiveQuery] = {query}
-        #: schema -> list of (query, hops) posed against it
-        self._queries_by_schema: dict[
-            str, list[tuple[ConjunctiveQuery, int]]] = {}
         #: schema -> fetched active mappings (present once fetched)
         self._mappings_cache: dict[str, list] = {}
-        self._fetching: set[str] = set()
-        self._pending = 0
+        #: schema -> (query, hops) posed against it while its fetch is
+        #: in flight; the BFS has settled when this is empty
+        self._waiting: dict[str, list[tuple[ConjunctiveQuery, int]]] = {}
         #: guards against closing mid-start (a fetch can complete
         #: synchronously when the origin owns the key)
         self._starting = False
@@ -476,32 +475,30 @@ class Reformulate(Operator):
         if hops >= self.max_hops:
             return
         for schema in sorted(query_schemas(query)):
-            self._queries_by_schema.setdefault(schema, []).append(
-                (query, hops))
             if schema in self._mappings_cache:
                 self._translate(query, hops, schema)
+            elif schema in self._waiting:
+                self._waiting[schema].append((query, hops))
             else:
-                self._fetch_schema(schema)
+                self._fetch_schema(schema, query, hops)
 
-    def _fetch_schema(self, schema: str) -> None:
-        if schema in self._fetching or schema in self._mappings_cache:
-            return
+    def _fetch_schema(self, schema: str, query: ConjunctiveQuery,
+                      hops: int) -> None:
         ctx = self._ctx
         assert ctx is not None
         if ctx.cancelled:
             self.stats.fetches_skipped += 1
             return
-        self._fetching.add(schema)
-        self._pending += 1
+        self._waiting[schema] = [(query, hops)]
         self.stats.fetches_issued += 1
 
         def _on_mappings(future: Future) -> None:
+            # Cached first, so a query registered against ``schema``
+            # from here on is translated at once, not appended.
             self._mappings_cache[schema] = future.result()
-            self._fetching.discard(schema)
-            for query, hops in list(
-                    self._queries_by_schema.get(schema, ())):
-                self._translate(query, hops, schema)
-            self._pending -= 1
+            for waiting, waiting_hops in self._waiting[schema]:
+                self._translate(waiting, waiting_hops, schema)
+            del self._waiting[schema]
             self._maybe_close()
 
         ctx.peer.fetch_mappings(schema, cancel=ctx.cancel
@@ -509,22 +506,17 @@ class Reformulate(Operator):
 
     def _translate(self, query: ConjunctiveQuery, hops: int,
                    schema: str) -> None:
-        ctx = self._ctx
-        assert ctx is not None
-        for mapping in self._mappings_cache.get(schema, ()):
-            translated = translate_query(query, mapping)
-            if translated is None or translated in self.seen:
-                continue
-            self.seen.add(translated)
+        for mapping, translated in translations(
+                query, self._mappings_cache[schema], self.seen):
             if (self._prune is not None
                     and not self._prune(translated, mapping.confidence)):
                 self.pruned += 1
                 continue
-            self._spawn_subplan(ctx, translated)
+            self._spawn_subplan(self._ctx, translated)
             self._register(translated, hops + 1)
 
     def _maybe_close(self) -> None:
-        if self._pending == 0 and not self._starting:
+        if not self._waiting and not self._starting:
             self.close()
 
 

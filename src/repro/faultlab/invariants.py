@@ -133,9 +133,8 @@ def check_engine_cache(ctx: LabContext) -> list[str]:
     from repro.reformulation.planner import plan_reformulations
 
     violations = []
-    for (query, max_hops, include_original), entry in engine.cache.entries():
-        fresh = plan_reformulations(query, engine.graph, max_hops=max_hops,
-                                    include_original=include_original)
+    for (query, max_hops), entry in engine.cache.entries():
+        fresh = plan_reformulations(query, engine.graph, max_hops=max_hops)
         if set(entry.reformulations) != set(fresh):
             violations.append(
                 f"stale cached plan for {query} (hops {max_hops}): "

@@ -65,7 +65,7 @@ from typing import Any
 
 from repro.exec.plans import execute_query_rows, run_query_plan
 from repro.mapping.model import SchemaMapping
-from repro.mapping.unfolding import query_schemas, translate_query
+from repro.mapping.unfolding import query_schemas
 from repro.mediation.keys import domain_key, group_by_key, schema_key, term_key
 from repro.util.hashing import prefix_interval
 from repro.util.keys import covering_prefixes
@@ -78,6 +78,7 @@ from repro.pgrid.peer import FanoutTask, PGridPeer, task_origin
 from repro.optimizer.core import QueryOptimizer
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.triples import Triple
+from repro.reformulation.planner import translations
 from repro.schema.model import Schema
 from repro.simnet.events import CancelToken, Future, gather
 from repro.simnet.network import Message
@@ -500,18 +501,12 @@ class GridVinePeer(PGridPeer):
         seen.add(query)
         spawned: list[str] = []
         if ttl > 0:
-            source_schemas = query_schemas(query)
-            for mapping in sorted(self.local_mappings.values(),
-                                  key=lambda m: m.mapping_id):
-                if not mapping.active:
-                    continue
-                if mapping.source_schema not in source_schemas:
-                    continue
-                if mapping.target_schema in visited:
-                    continue
-                translated = translate_query(query, mapping)
-                if translated is None:
-                    continue
+            # No dedup here: a repeat goes out and the receiving peer's
+            # per-task ``seen`` set drops it.
+            for mapping, translated in translations(
+                    query, sorted(self.local_mappings.values(),
+                                  key=lambda m: m.mapping_id),
+                    None, visited):
                 spawned.append(self._send_subrequest(
                     "reformulate", task_id,
                     schema_key(mapping.target_schema), {

@@ -221,15 +221,15 @@ class QueryOptimizer:
         """BFS over *known* mapping edges from the query's schemas.
 
         Returns ``(edges_explored, useful_targets, reached_schemas)``:
-        each BFS-tree edge is one reformulation forward (back edges
-        into visited schemas are never forwarded by the recursive
-        protocol and reproduce known queries on the iterative path, so
-        they cost nothing); a target is *useful* when its schema holds
-        any data at all (schema-level cardinality — optimistic on
-        purpose: the per-predicate check happens at live pruning
-        time).  Without full key-space coverage every target counts
-        as useful: the data might live on a peer whose digest has not
-        gossiped in.
+        each BFS-tree edge is one reformulation forward.  Back edges
+        into reached schemas count nothing: recursive never forwards
+        them, but on the iterative path a non-inverse cycle (``A#x ->
+        B#y -> A#z``) derives a new query this estimate leaves out.  A
+        target is *useful* when its schema holds any data at all
+        (schema-level cardinality — optimistic on purpose: the
+        per-predicate check happens at live pruning time).  Without
+        full key-space coverage every target counts as useful: the data
+        might live on a peer whose digest has not gossiped in.
         """
         estimator = self.estimator
         authoritative = estimator.full_coverage()

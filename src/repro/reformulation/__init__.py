@@ -4,20 +4,15 @@
 a sequence of schemas at the mediation layer and retrieve all relevant
 results, irrespective of their schemas."
 
-This package holds the *logic* of reformulation — planning which
-reformulated queries exist and along which mapping paths
-(:mod:`repro.reformulation.planner`).  The two *distributed execution
-strategies* of §4 (iterative: the issuing peer walks mapping paths
-itself; recursive: successive reformulations are delegated to the
-intermediate peers holding the mappings) are expressed as operator-
-DAG plan shapes in :mod:`repro.exec.plans` on top of this logic, with
-the recursive wire protocol living in :mod:`repro.mediation.peer`.
-
-Planning is a pure function of (query, mapping graph), which is what
-makes it cacheable: :mod:`repro.engine` wraps
-:func:`~repro.reformulation.planner.plan_reformulations` in an
-invalidation-aware plan cache so repeated and structurally identical
-queries skip the BFS entirely.
+This package holds the *logic* of reformulation: one step,
+:func:`~repro.reformulation.planner.translations`, which every strategy
+runs with its own policy — the engine offline over a mapping graph
+(:func:`~repro.reformulation.planner.plan_reformulations`, which its
+plan cache memoizes), the iterative strategy at the origin
+(:class:`repro.exec.operators.Reformulate`) and the recursive strategy
+at each schema's peer (:mod:`repro.mediation.peer`, under a
+``visited``-schema rule and a ``ttl``).  Nothing outside this package
+calls :func:`~repro.mapping.unfolding.translate_query`.
 """
 
 from repro.reformulation.planner import (

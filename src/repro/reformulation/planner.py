@@ -1,23 +1,24 @@
-"""Breadth-first reformulation planning over a mapping graph.
+"""One reformulation step, and the breadth-first planner built on it.
 
-Given a query and a :class:`~repro.mapping.graph.MappingGraph`, the
-planner enumerates every distinct reformulated query reachable through
-active mappings, together with the mapping path that produced it.
-This is the sequential core both distributed strategies share; they
-differ only in *where* each translation step runs and which messages it
-costs.
+:func:`translations` is §2.3's step: a query through a list of
+mappings, minus what the caller's policy excludes.  It is the only
+place a reformulation is computed, and the strategies differ only in
+where they run it and which policy they pass (``docs/ARCHITECTURE.md``
+says what that leaves different): :func:`plan_reformulations` runs it
+offline over a :class:`~repro.mapping.graph.MappingGraph` for the
+engine, :class:`repro.exec.operators.Reformulate` at the origin as
+schema spaces arrive (iterative), and ``GridVinePeer.
+_handle_reformulate`` at each schema's peer (recursive).
 
 A plan is the *logical* half of execution: the engine's batch executor
 (:mod:`repro.engine.executor`) turns it into a physical operator DAG
-(shared pattern scans, hash joins, per-query limits — see
-:mod:`repro.exec`).  :func:`reformulation_waves` provides the bridge
-for limit pushdown: it groups a plan by hop count so the executor can
-fetch wave by wave and stop fanning out as soon as a query's limit is
-satisfied.
+(see :mod:`repro.exec`), and :func:`reformulation_waves` groups it by
+hop count so the executor can fetch wave by wave under a limit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.mapping.graph import MappingGraph
@@ -57,18 +58,44 @@ class Reformulation:
         return query_schemas(self.query)
 
 
+def translations(
+    query: ConjunctiveQuery,
+    mappings: Iterable[SchemaMapping],
+    seen: set[ConjunctiveQuery] | None,
+    visited: Collection[str] = (),
+) -> Iterator[tuple[SchemaMapping, ConjunctiveQuery]]:
+    """One reformulation step: ``query`` through each of ``mappings``.
+
+    Yields ``(mapping, translated)``, in the order of ``mappings``, for
+    each :func:`translate_query` result (``None`` for a deprecated
+    mapping or one that changes no pattern) into a schema not in
+    ``visited`` that is new to ``seen``, adding it there; ``seen=None``
+    forwards every translation, repeats included.
+    """
+    for mapping in mappings:
+        if mapping.target_schema in visited:
+            continue
+        translated = translate_query(query, mapping)
+        if translated is None or (seen is not None and translated in seen):
+            continue
+        if seen is not None:
+            seen.add(translated)
+        yield mapping, translated
+
+
 def plan_reformulations(
     query: ConjunctiveQuery,
     graph: MappingGraph,
     max_hops: int = 6,
-    include_original: bool = True,
 ) -> list[Reformulation]:
     """Enumerate reachable reformulations of ``query``, BFS order.
 
     Each *distinct* reformulated query is reported once, with the
-    shortest (first-found) mapping path that produces it.  Cycles in
-    the mapping graph are harmless: revisiting a schema can only
-    reproduce a query already seen, which is dropped by the dedup set.
+    shortest (first-found) mapping path that produces it, so its
+    ``hops`` is its distance from ``query``.  Cycles in the mapping
+    graph are harmless: revisiting a schema either reproduces a query
+    already seen, which the step drops, or derives a new one (a
+    non-inverse cycle), which is planned like any other.
 
     >>> # with an empty graph only the original query is planned
     >>> from repro.rdf.parser import parse_search_for
@@ -77,26 +104,15 @@ def plan_reformulations(
     [0]
     """
     original = Reformulation(query, ())
-    seen: set[ConjunctiveQuery] = {query}
-    frontier: list[Reformulation] = [original]
-    planned: list[Reformulation] = [original] if include_original else []
-    hops = 0
-    while frontier and hops < max_hops:
-        next_frontier: list[Reformulation] = []
-        for current in frontier:
-            for schema in sorted(current.target_schemas):
-                for mapping in graph.outgoing(schema):
-                    translated = translate_query(current.query, mapping)
-                    if translated is None or translated in seen:
-                        continue
-                    seen.add(translated)
-                    reformulation = Reformulation(
-                        translated, current.path + (mapping,)
-                    )
-                    next_frontier.append(reformulation)
-                    planned.append(reformulation)
-        frontier = next_frontier
-        hops += 1
+    planned, frontier, seen = [original], [original], {query}
+    for _hop in range(max_hops):
+        frontier = [
+            Reformulation(translated, current.path + (mapping,))
+            for current in frontier
+            for schema in sorted(current.target_schemas)
+            for mapping, translated in translations(
+                current.query, graph.outgoing(schema), seen)]
+        planned += frontier
     return planned
 
 

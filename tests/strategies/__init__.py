@@ -13,6 +13,12 @@ from strategies.fanouts import (
     request_trees,
     required_events,
 )
+from strategies.mapping_graphs import (
+    ReformulationCase,
+    mapping_forests,
+    mapping_graphs,
+    reformulation_cases,
+)
 from strategies.patterns import patterns, triple_sets
 from strategies.settings import (
     DETERMINISM_SETTINGS,
@@ -28,6 +34,7 @@ from strategies.uploads import UploadCase, corpora, upload_cases
 __all__ = [
     "DETERMINISM_SETTINGS",
     "QUICK_SETTINGS",
+    "ReformulationCase",
     "SLOW_SETTINGS",
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
@@ -35,8 +42,11 @@ __all__ = [
     "UploadCase",
     "corpora",
     "fanout_schedules",
+    "mapping_forests",
+    "mapping_graphs",
     "patterns",
     "peer_synopses",
+    "reformulation_cases",
     "request_trees",
     "required_events",
     "stat_bags",

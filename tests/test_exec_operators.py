@@ -1,13 +1,26 @@
 """Unit tests for the streaming operator runtime (repro.exec)."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.exec.operators import Dedup, Limit, PatternScan, Project, Union
+from repro.exec.operators import (
+    Dedup,
+    Limit,
+    PatternScan,
+    Project,
+    Reformulate,
+    Union,
+)
 from repro.exec.stream import Batch, Operator, PipelineContext
+from repro.mapping.graph import MappingGraph
+from repro.mapping.model import PredicateCorrespondence, SchemaMapping
+from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
 from repro.reformulation.planner import (
     Reformulation,
+    plan_reformulations,
     reformulation_waves,
 )
 from repro.simnet.events import CancelToken, EventLoop, Future
@@ -251,6 +264,81 @@ class TestReformulationWaves:
 
     def test_empty_plan(self):
         assert reformulation_waves([]) == []
+
+
+class _SchemaSpacePeer:
+    """A peer whose schema-space reads stay pending until the test
+    resolves them, in the order it chooses; it is its own (untraced,
+    unscoped) network."""
+
+    tracer = None
+
+    def __init__(self, mappings):
+        self.loop = EventLoop()
+        self.network = self
+        self.mappings = mappings
+        self.pending = {}
+
+    def scope(self):
+        return None
+
+    def resume(self, scope):
+        return nullcontext()
+
+    def fetch_mappings(self, schema, cancel=None):
+        self.pending[schema] = future = Future()
+        return future
+
+    def resolve_in(self, order):
+        """Answer pending reads, always the earliest in ``order`` next."""
+        while self.pending:
+            schema = next(s for s in order if s in self.pending)
+            self.pending.pop(schema).set_result(
+                [m for m in self.mappings if m.source_schema == schema])
+
+
+class TestReformulateFirstArrival:
+    """``A->B->D->F`` and ``A->C->E->D``, one predicate each, at
+    ``max_hops=3``: ``D#p`` is two hops away through B and three
+    through C and E, so ``F#p`` is exactly three away."""
+
+    EDGES = ("AB", "BD", "DF", "AC", "CE", "ED")
+    MAPPINGS = [
+        SchemaMapping(f"m{s}{t}", s, t, [
+            PredicateCorrespondence(URI(f"{s}#p"), URI(f"{t}#p"))])
+        for s, t in EDGES]
+    QUERY = parse_search_for("SearchFor(x? : (x?, A#p, v))")
+
+    def spawned(self, order):
+        peer = _SchemaSpacePeer(self.MAPPINGS)
+        spawned = []
+        operator = Reformulate(self.QUERY, 3,
+                               lambda _ctx, query: spawned.append(query))
+        PipelineContext(peer).start_source(operator)
+        peer.resolve_in(order)
+        assert operator._closed
+        return spawned
+
+    def planned(self):
+        return [r.query for r in plan_reformulations(
+            self.QUERY, MappingGraph(self.MAPPINGS), 3)]
+
+    @staticmethod
+    def schemas(queries):
+        return sorted(q.patterns[0].predicate.namespace for q in queries)
+
+    def test_shortest_path_first_reaches_the_plan(self):
+        assert self.schemas(self.planned()) == list("ABCDEF")
+        assert self.schemas(self.spawned("ABCDEF")) == list("ABCDEF")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "an online query keeps the hop count of its first-arriving path: "
+        "D#p arrives three hops out through C and E, the shorter path "
+        "through B is dropped as seen, and D is never extended to F "
+        "(ROADMAP item 11)"))
+    def test_a_later_shorter_path_still_reaches_the_plan(self):
+        assert (self.schemas(self.spawned("ACEBDF"))
+                == self.schemas(self.planned()))
 
 
 class TestPeerSearchForValidation:

@@ -53,6 +53,12 @@ bucket to find out whether one is left.
 An upload is set-at-a-time.  Triples are grouped by key, and each
 distinct key gets one overlay op carrying all of its triples; no
 per-triple path survives beside it.
+
+A reformulation is computed in one place.  The planner, the iterative
+operator and the recursive handler all take their translations from
+``reformulation.planner.translations``; nothing outside
+``reformulation/`` calls ``translate_query`` itself, and the plan has no
+option to leave the original query out.
 """
 
 import ast
@@ -320,3 +326,23 @@ def test_one_update_per_key(monkeypatch):
     net.insert_triples(batch, origin=net.peer_ids()[0])
     assert started.count(("insert", term_key(predicate))) == 1
     assert len(started) == 2 * len(batch) + 1
+
+
+def test_one_reformulation_step():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        if "include_original" in re.findall(r"\w+", text):
+            offenders.append(f"{module}: include_original")
+        if module.startswith("reformulation/"):
+            continue
+        offenders += [
+            f"{module}:{node.lineno} calls translate_query"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "translate_query"]
+    assert not offenders, (
+        "a reformulation step written outside reformulation/:\n  "
+        + "\n  ".join(offenders))

@@ -26,11 +26,6 @@ class TestPlanner:
         assert plans[0].hops == 0
         assert plans[0].min_confidence == 1.0
 
-    def test_exclude_original(self):
-        plans = plan_reformulations(QUERY, MappingGraph(),
-                                    include_original=False)
-        assert plans == []
-
     def test_single_hop(self):
         graph = MappingGraph([edge("m1", "A", "B", [("org", "name")])])
         plans = plan_reformulations(QUERY, graph)
