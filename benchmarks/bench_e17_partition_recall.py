@@ -12,9 +12,11 @@ the fault lab's deterministic partition machinery
    across the cut (each leaf keeps exactly one live replica per
    side), with a scheduled heal;
 3. insert **wave 2** during the partition from a side-A origin
-   (key-level retries until every record lands — so the A-side
-   replica of each leaf has it, while the ``replicate`` fan-out to
-   the B-side replica dies on the cut: the stores now *disagree*);
+   through ``insert_triples`` — one split write whose keys a lost
+   sub-request leaves unconfirmed are re-sent one update per key —
+   then retry the keys that still failed until every record lands; the
+   A-side replica of each leaf has it, while the ``replicate`` fan-out
+   to the B-side replica dies on the cut: the stores now *disagree*);
 4. after the heal plus a fixed convergence window, issue the recall
    panel and measure recall against ground truth.
 
@@ -44,7 +46,6 @@ from repro.mediation.keys import group_by_key
 from repro.mediation.network import GridVineNetwork
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.resilience.scenario import ground_truth_panel, recall_hits
-from repro.simnet.events import gather
 from repro.stats.gossip import StatsAntiEntropy
 
 NEEDLES = ("Aspergillus", "Saccharomyces", "Escherichia")
@@ -87,24 +88,28 @@ def straddling_partition(net: GridVineNetwork, origin: str,
 
 def insert_until_placed(net, origin_peer, triples,
                         max_rounds: int = 8) -> tuple[int, int]:
-    """Insert triples one update per key, retrying failures until placed.
+    """Upload triples, retrying the failed keys until every one lands.
 
-    Each key's update carries every triple published under it, as
-    ``insert_triples`` sends them.  During the partition roughly half
-    the routing attempts die on the cut; retrying only the *failed*
-    keys converges in a few rounds without duplicating the
-    already-placed records.  Returns ``(unplaced_keys, rounds_used)``.
+    The first round is ``insert_triples``: the triples grouped by key
+    and sent as one split write, whose keys no report confirmed are
+    re-sent on their own.  During the partition roughly half the
+    routing attempts die on the cut; each further round writes only
+    the keys whose result failed, with every triple published under
+    them, so the upload converges in a few rounds without duplicating
+    the already-placed records.  Returns ``(unplaced_keys,
+    rounds_used)``.
     """
-    pending = list(group_by_key(triples).items())
+    groups = group_by_key(triples)
+    write = origin_peer.insert_triples(triples)
     rounds = 0
-    while pending and rounds < max_rounds:
+    while True:
         rounds += 1
-        futures = [origin_peer.update(key, values)
-                   for key, values in pending]
-        results = net.loop.run_until_complete(gather(futures))
-        pending = [pair for pair, result in zip(pending, results)
-                   if not result.success]
-    return len(pending), rounds
+        failed = [result.key
+                  for result in net.loop.run_until_complete(write)
+                  if not result.success]
+        if not failed or rounds == max_rounds:
+            return len(failed), rounds
+        write = origin_peer.update_many({key: groups[key] for key in failed})
 
 
 def run_partition_scenario(seed: int, anti_entropy: bool, scale: str):

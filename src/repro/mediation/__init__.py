@@ -7,7 +7,8 @@ operations of the paper:
 
 * ``Update(data)`` — :meth:`GridVinePeer.insert_triple` indexes the
   triple under the order-preserving hashes of its subject, predicate
-  and object (three overlay updates);
+  and object (three keys of one overlay write; an upload of many
+  triples is one write too, split where its keys diverge);
 * ``Update(schema)`` — :meth:`GridVinePeer.insert_schema` stores the
   schema definition at ``Hash(Schema Name)``;
 * ``Update(mapping)`` — :meth:`GridVinePeer.insert_mapping` stores the

@@ -6,7 +6,7 @@ the tests agree on key widths:
 * ``triple_keys(t)`` — the three keys a triple is indexed under
   (``Hash(t_subject), Hash(t_predicate), Hash(t_object)``, §2.2);
 * ``group_by_key(triples)`` — the triples each of those keys carries
-  in one upload;
+  in one upload's write;
 * ``schema_key(name)`` — ``Hash(Schema Name)`` for schema definitions
   and mappings (§2.2/§3);
 * ``domain_key(domain)`` — ``Hash(Domain)`` for connectivity records
@@ -38,7 +38,7 @@ def triple_keys(triple: Triple, bits: int = DEFAULT_KEY_BITS) -> list[Key]:
 def group_by_key(triples: Iterable[Triple],
                  bits: int = DEFAULT_KEY_BITS) -> dict[Key, tuple[Triple, ...]]:
     """Every triple under each of its keys, keys in first-occurrence
-    order: what one upload sends, one update per key."""
+    order: what one upload writes, as one split write."""
     groups: dict[Key, list[Triple]] = {}
     for triple in triples:
         for key in triple_keys(triple, bits):

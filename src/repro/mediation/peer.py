@@ -7,8 +7,9 @@ with the paper's mediation operations:
   ``Update(connectivity)`` — all reduce to overlay ``Update(key,
   values)`` calls, with triples or a schema themselves or a typed
   record as the values, at the key derivations of
-  :mod:`repro.mediation.keys`; an upload of triples sends one update
-  per distinct key, carrying every triple published under it;
+  :mod:`repro.mediation.keys`; an upload of triples groups them by
+  key and sends the groups as one write that splits where the keys
+  diverge;
 * ``SearchFor(query)`` — triple-pattern and conjunctive queries with
   three execution strategies:
 
@@ -190,33 +191,27 @@ class GridVinePeer(PGridPeer):
     # ------------------------------------------------------------------
 
     def insert_triple(self, triple: Triple) -> Future:
-        """``Update(t)``: three overlay updates, one per position key
-        (fewer when two positions share a key)."""
+        """``Update(t)``: the triple under its three position keys
+        (fewer when two positions share a key), as one write."""
         return self.insert_triples([triple])
 
     def insert_triples(self, triples: list[Triple]) -> Future:
-        """``Update(t)`` for each triple, set at a time: one overlay
-        update per distinct key, resolving to one result per key in
-        first-occurrence order (see :meth:`_update_by_key`)."""
-        return self._update_by_key(triples, "insert")
-
-    def remove_triple(self, triple: Triple) -> Future:
-        """Delete a triple from all three position key spaces."""
-        return self._update_by_key([triple], "remove")
-
-    def _update_by_key(self, triples: list[Triple], action: str) -> Future:
-        """One overlay update per distinct position key of ``triples``.
+        """``Update(t)`` for each triple, set at a time.
 
         Every triple is published under each of its three keys (§2.2),
         and within one upload those keys repeat — a predicate's key is
         shared by every triple with that predicate.  The triples are
-        grouped by key in first-occurrence order (:func:`group_by_key`),
-        and each key's update carries all of its triples; one flat
-        gather resolves to the per-key results in that order.
+        grouped by key in first-occurrence order (:func:`group_by_key`)
+        and the groups go out as one overlay write that splits where
+        the keys diverge (:meth:`~repro.pgrid.peer.PGridPeer.
+        update_many`), resolving to one result per key in that order.
         """
-        update = self.update
-        return gather([update(key, group, action)
-                       for key, group in group_by_key(triples).items()])
+        return self.update_many(group_by_key(triples))
+
+    def remove_triple(self, triple: Triple) -> Future:
+        """Delete a triple from all three position key spaces, as one
+        write."""
+        return self.update_many(group_by_key([triple]), "remove")
 
     def insert_schema(self, schema: Schema) -> Future:
         """``Update(Schema)``: definition stored at ``Hash(Schema Name)``."""

@@ -18,7 +18,8 @@ Protocol overview (all messages flow through ``repro.simnet``):
 
 ``replicate``
     Fans a successful mutation out to the responsible peer's replica
-    group ``sigma(p)``; replicas apply it without replying.
+    group ``sigma(p)``; replicas apply it without replying.  One
+    message carries every key the mutation wrote at that peer.
 
 Origins keep a pending-operation table with timeouts: if a reply does
 not arrive in time (offline peer on the path, message drop), the
@@ -27,10 +28,15 @@ the future resolves as failed.  This mirrors P-Grid's "probabilistic
 guarantees ... even in highly unreliable, dynamic environments".
 
 Operations answered by *many* peers from one request — the range
-shower here, recursive reformulation in :mod:`repro.mediation.peer` —
-terminate through one origin-side ledger, :class:`FanoutTask`: each
-sub-request is a route under the id ``<op>!<task>!<n>``, and its reply
-is the delegate's report to the task that id names.
+shower and the many-key write here, recursive reformulation in
+:mod:`repro.mediation.peer` — terminate through one origin-side
+ledger, :class:`FanoutTask`: each sub-request is a route under the id
+``<op>!<task>!<n>``, and its reply is the delegate's report to the
+task that id names.  The range shower splits a prefix into the
+sibling subtrees below it; the write (:meth:`PGridPeer.update_many`)
+splits a set of keys at each trie level where they leave the
+delegate's path, so an upload routes one sub-request per subtree its
+keys reach, not one route per key.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from functools import cached_property
 from typing import Any
 
 from repro.obs.registry import FailoverCounters, MaintenanceCounters
-from repro.simnet.events import Future, SimulationError
+from repro.simnet.events import Future, SimulationError, gather
 from repro.simnet.network import Message, Node
 from repro.stats.gossip import PIGGYBACK_BUDGET, PULL_BUDGET
 from repro.stats.synopsis import PeerSynopsis, SynopsisRegistry
@@ -60,9 +66,11 @@ class OpResult:
     """Outcome of a Retrieve or Update operation.
 
     ``hops`` counts forwarding steps of the winning attempt (0 when the
-    origin itself was responsible); ``latency`` is virtual seconds from
-    issue to completion, including failed attempts; ``values`` is the
-    retrieved list for retrieves and ``None`` for updates.
+    origin itself was responsible, or the key was written by a split
+    write — see :meth:`PGridPeer.update_many`); ``latency`` is virtual
+    seconds from issue to completion, including failed attempts;
+    ``values`` is the retrieved list for retrieves and ``None`` for
+    updates.
     """
 
     key: Key
@@ -439,6 +447,61 @@ class PGridPeer(Node):
             raise ValueError(f"unknown update action {action!r}")
         return self._start_op(action, key, values)
 
+    def update_many(self, groups: dict, action: str = "insert") -> Future:
+        """Start one ``Update`` of many keys: every ``values`` tuple of
+        ``groups`` (``{key: values}``) under its key, resolving to one
+        :class:`OpResult` per key, in ``groups`` order.
+
+        One write that splits where its keys diverge: a
+        :class:`FanoutTask` whose root sub-request is answered here.
+        Each delegate applies the keys under its own path and sends
+        their replicas one ``replicate`` each, then sends the rest on
+        one sub-request per trie level where they leave its path (see
+        :meth:`_handle_write`), so keys share every hop up to the
+        subtree where they part.  A key no report confirms before
+        :attr:`timeout` expires is re-sent through :meth:`update`,
+        whose retries and failover repair a lost batch like a lost
+        update; its result counts the split write as one more attempt.
+        Delivery is at least once either way: a key whose confirmation
+        was lost is written again.
+        """
+        if action not in ("insert", "remove"):
+            raise ValueError(f"unknown update action {action!r}")
+        future: Future = Future()
+        issued_at = self.loop.now
+
+        def _finish(complete: bool) -> None:
+            confirmed = {bits for report in task.reports.values()
+                         for bits in report["applied"]}
+            now = self.loop.now
+            results = [OpResult(key, True, latency=now - issued_at)
+                       if key._bits in confirmed else None
+                       for key in groups]
+            missing = [key for key, result in zip(groups, results)
+                       if result is None]
+            if not missing:
+                future.set_result(results)
+                return
+
+            def _refill(resent: Future) -> None:
+                retried = iter(resent.result())
+                for index, result in enumerate(results):
+                    if result is None:
+                        result = results[index] = next(retried)
+                        result.latency += now - issued_at
+                        result.attempts += 1
+                future.set_result(results)
+
+            gather([self.update(key, groups[key], action)
+                    for key in missing]).add_done_callback(_refill)
+
+        task = FanoutTask(self, _finish)
+        task.start("write", Key.of(""), {
+            "action": action,
+            "groups": {key._bits: values for key, values in groups.items()},
+        }, self.timeout)
+        return future
+
     def _start_op(self, op: str, key: Key, value: Any,
                   cancel: Any = None) -> Future:
         future: Future = Future()
@@ -791,6 +854,8 @@ class PGridPeer(Node):
         """
         if op == "retrieve":
             return self.local_retrieve(key), False
+        if op == "write":
+            return self._handle_write(value), False  # type: ignore[return-value]
         if op == "range":
             return self._handle_range(key, value), False  # type: ignore[return-value]
         if op == "refs_lookup":
@@ -899,6 +964,50 @@ class PGridPeer(Node):
             "spawned": spawned,
         }
 
+    def _handle_write(self, value: dict) -> dict:
+        """Apply the keys under this path and delegate the rest.
+
+        A key belongs here on the rule :meth:`_handle_route` answers
+        by (the path prefixes it, or it prefixes the path).  Every
+        other key leaves the path at some trie level; the keys leaving
+        at one level go on together in one sub-request toward that
+        level's sibling subtree, where the next delegate repeats this.
+        Keys keep their first-occurrence order throughout, so the split
+        depends on no set or hash order.  The report lists the keys
+        applied here and the sub-requests spawned.
+        """
+        action = value["action"]
+        path = self.path._bits
+        applied: dict[str, tuple] = {}
+        onward: dict[int, dict[str, tuple]] = {}
+        for bits, values in value["groups"].items():
+            if bits.startswith(path):
+                applied[bits] = values
+                continue
+            level = 0
+            for x, y in zip(path, bits):
+                if x != y:
+                    break
+                level += 1
+            if level == len(bits):
+                applied[bits] = values
+            else:
+                onward.setdefault(level, {})[bits] = values
+        execute = self._execute_op
+        for bits, values in applied.items():
+            execute(action, Key.of(bits), values)
+        if applied:
+            self._propagate_to_replicas(action, applied)
+        task_id = value["task_id"]
+        return {
+            "applied": list(applied),
+            "spawned": [
+                self._send_subrequest(
+                    "write", task_id, self.path.sibling_prefix(level),
+                    {"action": action, "groups": groups})
+                for level, groups in onward.items()],
+        }
+
     def _adopt_references(self, level: int, candidates) -> None:
         """Add the candidates this peer does not know yet to its
         references for ``level``."""
@@ -970,7 +1079,7 @@ class PGridPeer(Node):
         value = payload.get("value")
         values, mutated = self._execute_op(op, key, value)
         if mutated:
-            self._propagate_to_replicas(op, key, value)
+            self._propagate_to_replicas(op, {key._bits: value})
         origin = payload["origin"]
         reply_payload = {
             "op_id": payload["op_id"],
@@ -984,24 +1093,23 @@ class PGridPeer(Node):
             self.network.send(Message("reply", self.node_id, origin,
                                       reply_payload, message.hops + 1))
 
-    def _propagate_to_replicas(self, op: str, key: Key, values: tuple) -> None:
-        """One ``replicate`` message per replica, carrying the whole
-        values tuple of the mutation."""
+    def _propagate_to_replicas(self, op: str, groups: dict) -> None:
+        """One ``replicate`` message per replica, carrying every key
+        the mutation wrote here with its whole values tuple
+        (``groups`` is ``{key bits: values}``)."""
         network = self.network
         node_id = self.node_id
+        payload = {"op": op, "groups": groups}
         for replica in self.replicas:
-            network.send(Message("replicate", node_id, replica, {
-                "op": op,
-                "key": key._bits,
-                "value": values,
-            }))
+            network.send(Message("replicate", node_id, replica, payload))
 
     def _handle_replicate(self, message: Message) -> None:
-        """Apply a replica's mutation: every value of its tuple, in
-        order, through the same op the answering peer executed."""
-        payload = message.payload
-        self._execute_op(payload["op"], Key.of(payload["key"]),
-                         payload["value"])
+        """Apply a replica's mutation: every key's values, in order,
+        through the same op the answering peer executed."""
+        op = message.payload["op"]
+        execute = self._execute_op
+        for bits, values in message.payload["groups"].items():
+            execute(op, Key.of(bits), values)
 
     def _handle_reply(self, message: Message) -> None:
         self._complete(message.payload)

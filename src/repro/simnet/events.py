@@ -198,10 +198,10 @@ def gather(futures: list[Future]) -> Future:
     """A future resolving to the list of results of ``futures``.
 
     Resolves once every input is done; results keep input order.  Used
-    e.g. by triple insertion, which fans a whole upload out into three
-    overlay updates a triple.  An empty input resolves immediately.  An
-    input that fails raises its exception to whoever resolved it, and
-    the gather never resolves.
+    e.g. by a split write, which re-sends the keys its ledger did not
+    confirm as one overlay update each.  An empty input resolves
+    immediately.  An input that fails raises its exception to whoever
+    resolved it, and the gather never resolves.
 
     The inputs are read back when the last one resolves, so the list
     must not change while the gather is pending.

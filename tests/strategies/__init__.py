@@ -29,7 +29,12 @@ from strategies.settings import (
 )
 from strategies.stat_bags import SampleBag, stat_bags
 from strategies.synopses import peer_synopses, triples
-from strategies.uploads import UploadCase, corpora, upload_cases
+from strategies.uploads import (
+    UploadCase,
+    corpora,
+    deploy_upload_case,
+    upload_cases,
+)
 
 __all__ = [
     "DETERMINISM_SETTINGS",
@@ -41,6 +46,7 @@ __all__ = [
     "SampleBag",
     "UploadCase",
     "corpora",
+    "deploy_upload_case",
     "fanout_schedules",
     "mapping_forests",
     "mapping_graphs",

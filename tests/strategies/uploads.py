@@ -7,15 +7,21 @@ twice under one key).  Those are exactly the repeats a set-at-a-time
 upload groups by.  An :class:`UploadCase` spreads such a corpus over a
 few uploads from drawn origins on an overlay of drawn size,
 replication and routing redundancy, then removes a few of the uploaded
-triples.
+triples.  :func:`deploy_upload_case` attaches a case's overlay to an
+engine.
 """
 
+import random
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
+from repro.mediation.network import GridVineNetwork
+from repro.mediation.peer import GridVinePeer
+from repro.pgrid.construction import assign_paths, populate_routing_tables
 from repro.rdf.terms import URI, Literal
 from repro.rdf.triples import Triple
+from repro.simnet.shard import partition_paths
 
 _SUBJECTS = ["s1", "s2", "s3", "o1"]
 _PREDICATES = ["p1", "p2"]
@@ -73,3 +79,20 @@ def upload_cases(draw, max_peers: int = 10):
         uploads=uploads,
         removals=removals,
     )
+
+
+def deploy_upload_case(case, engine) -> GridVineNetwork:
+    """The overlay of ``case`` (any object with its four overlay
+    fields), its peers attached to ``engine``; the same peers, paths
+    and tables on every engine."""
+    rng = random.Random(case.seed)
+    assignment = assign_paths(case.num_peers, replication=case.replication,
+                              rng=rng)
+    peers = {node_id: GridVinePeer(node_id, path, rng=rng.random())
+             for node_id, path in sorted(assignment.items())}
+    populate_routing_tables(peers, refs_per_level=case.refs_per_level,
+                            rng=rng)
+    owner = partition_paths(assignment, engine.num_shards)
+    for node_id, peer in peers.items():
+        engine.add_peer(peer, owner[node_id])
+    return GridVineNetwork(engine, peers)

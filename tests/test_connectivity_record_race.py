@@ -99,7 +99,7 @@ def test_an_older_version_arriving_later_is_dropped():
     other = ConnectivityRecord("EMP", 1, 0, version=(1, "publisher"))
     for record in (newer, other, older):
         publisher.send("holder", "replicate", {
-            "op": "insert", "key": key.bits, "value": (record,)})
+            "op": "insert", "groups": {key.bits: (record,)}})
     network.loop.run_until_idle()
     assert holder.local_retrieve(key) == [newer, other]
     holder.local_merge(key, older)

@@ -39,9 +39,9 @@ class TestTripleInsertion:
         net.settle()
         routes = (net.metrics_snapshot()["messages_by_kind"].get("route", 0)
                   - before)
-        # exactly 3 routed updates (some resolved locally cost 0
-        # network messages, so routes <= 3 * max_hops but >= 0; the
-        # op count is what we check instead)
+        # one write of three keys: no key routes further than it would
+        # alone (some resolved locally cost 0 network messages), so
+        # routes <= 3 * max_hops; the stored copies are what we check
         assert routes <= 3 * 12
         stored = sum(
             1 for peer in net.peers.values()

@@ -130,11 +130,13 @@ class TestLeave:
         assert result.values == ["v"]
 
     @pytest.mark.parametrize("issue", ["retrieve", "range_query",
-                                       "recursive_query"])
+                                       "recursive_query", "insert_triples"])
     def test_leaver_fails_its_own_operations_in_flight(self, issue):
         """Whatever the leaver still has pending resolves as failed at
         the leave; no retry or timeout of it fires after the detach
-        (that used to crash the event loop)."""
+        (that used to crash the event loop).  An unconfirmed split
+        write re-sends its keys one update each, and those fail in
+        turn."""
         net = GridVineNetwork.build(num_peers=16, replication=2, seed=3)
         peer = next(p for p in net.peers.values() if p.replicas)
         for refs in peer.routing_table:  # nothing it routes arrives
@@ -146,6 +148,10 @@ class TestLeave:
                 if not peer.is_responsible_for(key)))
         elif issue == "range_query":
             future = peer.range_query(Key(""))
+        elif issue == "insert_triples":
+            future = peer.insert_triples([
+                Triple(URI(f"S:{i}"), URI("S#org"), Literal(f"Asp {i}"))
+                for i in range(4)])
         else:
             future = peer.search_for(
                 parse_search_for("SearchFor(x? : (x?, S#org, %Asp%))"),
@@ -155,6 +161,10 @@ class TestLeave:
         assert future.done
         if issue == "recursive_query":
             assert not future.result().complete
+        elif issue == "insert_triples":
+            failed = [r for r in future.result() if not r.success]
+            assert failed
+            assert peer.failover_stats.gave_up == len(failed)
         else:
             assert not future.result().success
             assert peer.failover_stats.gave_up == (issue == "retrieve")

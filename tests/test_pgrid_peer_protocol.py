@@ -98,10 +98,11 @@ class TestMessageHandling:
         b = PGridPeer("b", Key("0"))
         network.attach(a)
         network.attach(b)
-        a.send("b", "replicate", {"op": "insert", "key": "0101",
-                                  "value": ("v", "w")})
+        a.send("b", "replicate", {"op": "insert", "groups": {
+            "0101": ("v", "w"), "0110": ("x",)}})
         network.loop.run_until_idle()
         assert b.local_retrieve(Key("0101")) == ["v", "w"]
+        assert b.local_retrieve(Key("0110")) == ["x"]
         assert network.metrics.messages_by_kind.get("reply", 0) == 0
 
     def test_hop_ttl_drops_runaway_routes(self):

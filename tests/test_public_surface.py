@@ -50,9 +50,10 @@ schema as it is, not in a wrapper record, and the peer's triple
 database counts the copies its store holds instead of walking every
 bucket to find out whether one is left.
 
-An upload is set-at-a-time.  Triples are grouped by key, and each
-distinct key gets one overlay op carrying all of its triples; no
-per-triple path survives beside it.
+An upload is one write.  Triples are grouped by key, and the groups
+travel as one fan-out that splits where the keys diverge; no per-key
+op starts unless the write's ledger times out before confirming a key,
+and no per-triple path survives beside it.
 
 A reformulation is computed in one place.  The planner, the iterative
 operator and the recursive handler all take their translations from
@@ -302,30 +303,49 @@ def test_a_stored_value_is_the_value():
         + "\n  ".join(offenders))
 
 
-def test_one_update_per_key(monkeypatch):
-    """An upload is set-at-a-time: N triples sharing a predicate start
-    one overlay op for that predicate's key, not N."""
-    from repro.mediation.keys import term_key
-    from repro.mediation.network import GridVineNetwork
-    from repro.pgrid.peer import PGridPeer
+def test_an_upload_is_one_split_write(monkeypatch):
+    """Five triples from one origin are one fan-out ledger and no
+    per-key op (the per-key gather started 2N + 1), and the write costs
+    the same attributed messages on the single loop and on two inline
+    shards."""
+    from types import SimpleNamespace
+
+    from repro.pgrid.peer import FanoutTask, PGridPeer
     from repro.rdf.terms import Literal, URI
     from repro.rdf.triples import Triple
+    from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+    from strategies import deploy_upload_case
 
-    net = GridVineNetwork.build(num_peers=8, seed=3)
+    overlay = SimpleNamespace(num_peers=8, replication=1,
+                              refs_per_level=2, seed=3)
     predicate = URI("S#shared")
     batch = [Triple(URI(f"S:e{i}"), predicate, Literal(f"v{i}"))
              for i in range(5)]
-    started = []
-    real_start_op = PGridPeer._start_op
+    started, tasks = [], []
+    real_start_op, real_start = PGridPeer._start_op, FanoutTask.start
 
     def counting_start_op(self, op, key, value, cancel=None):
         started.append((op, key))
         return real_start_op(self, op, key, value, cancel=cancel)
 
+    def counting_start(self, op, key, value, timeout):
+        tasks.append(op)
+        return real_start(self, op, key, value, timeout)
+
     monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
-    net.insert_triples(batch, origin=net.peer_ids()[0])
-    assert started.count(("insert", term_key(predicate))) == 1
-    assert len(started) == 2 * len(batch) + 1
+    monkeypatch.setattr(FanoutTask, "start", counting_start)
+    attributed = []
+    for engine in (SingleLoopEngine(seed=3), ShardedTransport(2, seed=3)):
+        with engine:
+            net = deploy_upload_case(overlay, engine)
+            results, messages = net.call("insert_triples", batch,
+                                         origin=net.peer_ids()[0])
+        assert len(results) == 2 * len(batch) + 1
+        assert all(result.success for result in results)
+        assert (started, tasks) == ([], ["write"])
+        attributed.append(messages)
+        tasks.clear()
+    assert attributed[0] == attributed[1] > 0
 
 
 def test_one_reformulation_step():
