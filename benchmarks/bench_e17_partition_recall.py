@@ -86,30 +86,39 @@ def straddling_partition(net: GridVineNetwork, origin: str,
     ))
 
 
-def insert_until_placed(net, origin_peer, triples,
+def insert_until_placed(net, origin_peer, triples, side_a,
                         max_rounds: int = 8) -> tuple[int, int]:
     """Upload triples, retrying the failed keys until every one lands.
 
     The first round is ``insert_triples``: the triples grouped by key
     and sent as one split write, whose keys no report confirmed are
     re-sent on their own.  During the partition roughly half the
-    routing attempts die on the cut; each further round writes only
-    the keys whose result failed, with every triple published under
-    them, so the upload converges in a few rounds without duplicating
-    the already-placed records.  Returns ``(unplaced_keys,
-    rounds_used)``.
+    routing attempts die on the cut, and some keys cannot be reached
+    from the side-A origin at all while it stands.  Each further round
+    writes only the keys whose result failed, with every triple
+    published under them, from the side-A member of each key's replica
+    group: that member owns the key, so it applies the write locally,
+    and its ``replicate`` to the side-B replica dies on the cut.  The
+    upload converges before the heal without duplicating the
+    already-placed records.  Returns ``(unplaced_keys, rounds_used)``.
     """
     groups = group_by_key(triples)
-    write = origin_peer.insert_triples(triples)
+    writes = [origin_peer.insert_triples(triples)]
     rounds = 0
     while True:
         rounds += 1
-        failed = [result.key
+        failed = [result.key for write in writes
                   for result in net.loop.run_until_complete(write)
                   if not result.success]
         if not failed or rounds == max_rounds:
             return len(failed), rounds
-        write = origin_peer.update_many({key: groups[key] for key in failed})
+        by_owner: dict[str, dict] = {}
+        for key in failed:
+            owner = next(node_id for node_id in side_a
+                         if net.peer(node_id).is_responsible_for(key))
+            by_owner.setdefault(owner, {})[key] = groups[key]
+        writes = [net.peer(owner).update_many(keys)
+                  for owner, keys in by_owner.items()]
 
 
 def run_partition_scenario(seed: int, anti_entropy: bool, scale: str):
@@ -144,11 +153,13 @@ def run_partition_scenario(seed: int, anti_entropy: bool, scale: str):
             repair_thin_levels=True,
         )
         maintenance.start()
-    injector = FaultInjector(
-        net.network, straddling_partition(net, origin, seed)).install()
+    plan = straddling_partition(net, origin, seed)
+    injector = FaultInjector(net.network, plan).install()
     t0 = net.loop.now
     net.loop.run_until(t0 + PARTITION_START + 10.0)
-    unplaced, rounds = insert_until_placed(net, origin_peer, wave2)
+    unplaced, rounds = insert_until_placed(net, origin_peer, wave2,
+                                           plan.faults[0].side_a)
+    placed_at = net.loop.now - t0
     net.loop.run_until(t0 + QUERY_START)
 
     panel = ground_truth_panel(dataset, NEEDLES)
@@ -177,6 +188,7 @@ def run_partition_scenario(seed: int, anti_entropy: bool, scale: str):
         "recalls": recalls,
         "unplaced": unplaced,
         "insert_rounds": rounds,
+        "placed_at": placed_at,
         "convergence_gaps": convergence_gaps,
     }
 
@@ -222,6 +234,10 @@ def test_e17_partition_recall(benchmark, scale):
         # Every wave-2 record must have landed somewhere — otherwise
         # low recall would measure insert loss, not divergence.
         assert on["unplaced"] == 0 and off["unplaced"] == 0
+        # ... and landed while the cut stood: a record placed after the
+        # heal replicates to both sides and diverges nothing.
+        assert on["placed_at"] < PARTITION_HEAL
+        assert off["placed_at"] < PARTITION_HEAL
         # The headline claim: with replica anti-entropy the healed
         # network recovers full recall; without it the divergence
         # created during the partition is permanent and strictly

@@ -21,6 +21,7 @@ from repro.simnet.latency import LatencyModel
 from repro.simnet.network import SimNetwork
 from repro.simnet.shard import SingleLoopEngine
 from repro.pgrid.construction import (
+    _stream_seed,
     assign_paths,
     populate_routing_tables,
 )
@@ -50,25 +51,25 @@ def build_overlay(
 
     ``make_peer(node_id, path, rng)`` builds each peer; ``rng`` is the
     *seed* of the peer's stream, which the peer creates on its first
-    draw.  All randomness derives from ``seed`` in one fixed draw order
-    — network stream, path assignment, one seed per peer in sorted id
-    order, routing tables — which the transport goldens pin; the master
-    generator is returned, positioned after those draws, for harness
-    randomness.
+    draw.  Every stream is keyed by ``seed`` and its purpose, as the
+    scale-out deployment keys them: paths from
+    ``Random(f"{seed}/paths")``, each peer from ``_stream_seed(seed,
+    "peer", node_id)``, tables from ``Random(f"{seed}/tables")`` and
+    latency from the engine's own ``{seed}/latency`` stream.  The
+    harness randomness returned is ``Random(f"{seed}/harness")``.
     """
-    rng = random.Random(seed)
-    network = SimNetwork(latency=latency, rng=random.Random(rng.random()))
+    engine = SingleLoopEngine(latency=latency, seed=seed)
     assignment = assign_paths(
         num_peers, key_sample=key_sample, replication=replication,
-        key_bits=key_bits, rng=random.Random(rng.random()))
+        key_bits=key_bits, rng=random.Random(f"{seed}/paths"))
     peers: dict[str, Any] = {}
     for node_id, path in sorted(assignment.items()):
-        peer = make_peer(node_id, path, rng.random())
-        network.attach(peer)
-        peers[node_id] = peer
+        peer = peers[node_id] = make_peer(
+            node_id, path, _stream_seed(seed, "peer", node_id))
+        engine.add_peer(peer)
     populate_routing_tables(peers, refs_per_level=refs_per_level,
-                            rng=random.Random(rng.random()))
-    return SingleLoopEngine(seed=seed, net=network), peers, rng
+                            rng=random.Random(f"{seed}/tables"))
+    return engine, peers, random.Random(f"{seed}/harness")
 
 
 class PGridOverlay:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 import time
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -55,6 +54,7 @@ from repro.mediation.records import (
 )
 from repro.obs.tracer import export_records_jsonl
 from repro.pgrid.construction import (
+    _stream_seed,
     assign_paths,
     replica_groups,
     sample_routing_tables,
@@ -363,17 +363,6 @@ def _build_mediation(spec: ScaleoutSpec,
         schemas=list(dataset.schemas), mappings=mappings,
         triples_by_schema=dict(dataset.triples_by_schema),
         query_waves=query_waves, batch_waves=batch_waves)
-
-
-def _stream_seed(*parts: object) -> int:
-    """The seed of a private rng stream keyed by plain values (the
-    peer creates the stream on its first draw).
-
-    Seeding with a small int takes a fast path in CPython (string
-    seeds are hashed through SHA-512); at 10k peers the difference is
-    a tenth of a second of pure setup per engine run.
-    """
-    return zlib.crc32("/".join(map(str, parts)).encode())
 
 
 def _make_peer(spec: ScaleoutSpec, deployment: Deployment,

@@ -490,21 +490,19 @@ class SingleLoopEngine(_Engine):
     quiescence is ``run_until_idle``.  Kickoff, attribution, trace
     roots and the report come from the same :class:`Shard` code the
     sharded engine runs, so the two differ by the window barrier and
-    nothing else.  The network is built here, or handed in
-    (:func:`repro.pgrid.overlay.build_overlay` wraps the one it
-    constructs, seed streams and all).
+    nothing else.  The engine builds its own network, whose latency
+    draws come from ``Random(f"{seed}/latency")``.
     """
 
     num_shards = 1
     mode = "inline"
 
     def __init__(self, latency: LatencyModel | None = None,
-                 seed: int = 0, net: SimNetwork | None = None) -> None:
+                 seed: int = 0) -> None:
         self.seed = seed
-        #: the network this engine drives (``latency`` applies only to
-        #: the one built here when none is handed in)
-        self.net = net if net is not None else SimNetwork(
-            latency=latency, rng=random.Random(f"{seed}/latency"))
+        #: the network this engine drives
+        self.net = SimNetwork(latency=latency,
+                              rng=random.Random(f"{seed}/latency"))
         self._shard = Shard(0, self.net)
         self._refs = itertools.count()
         #: op ref -> (the operation's future, its attribution tag),

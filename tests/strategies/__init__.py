@@ -29,6 +29,7 @@ from strategies.settings import (
 )
 from strategies.stat_bags import SampleBag, stat_bags
 from strategies.synopses import peer_synopses, triples
+from strategies.tries import TrieCase, trie_cases
 from strategies.uploads import (
     UploadCase,
     corpora,
@@ -44,6 +45,7 @@ __all__ = [
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
     "SampleBag",
+    "TrieCase",
     "UploadCase",
     "corpora",
     "deploy_upload_case",
@@ -56,6 +58,7 @@ __all__ = [
     "request_trees",
     "required_events",
     "stat_bags",
+    "trie_cases",
     "triple_sets",
     "triples",
     "upload_cases",

@@ -77,8 +77,14 @@ def test_a_joined_holder_continues_the_schema_sequence():
         net.leave(node_id)
     other = next(n for n in names if n != name
                  and n not in newcomer.local_schemas)
-    net.insert_mapping(dataset.ground_truth_mapping(name, other))
+    degrees = newcomer._local_degree(name)
+    # Issued at the newcomer: no routing table elsewhere references it,
+    # so an insert routed from another origin could not reach it once
+    # the older holders left.
+    net.insert_mapping(dataset.ground_truth_mapping(name, other),
+                       origin=newcomer.node_id)
     net.settle()
+    assert newcomer._local_degree(name) != degrees
     stored = {record.schema_name: record
               for record in net.connectivity_records(dataset.domain)}
     assert stored[name].degree_pair == newcomer._local_degree(name)

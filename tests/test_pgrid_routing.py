@@ -185,9 +185,13 @@ class TestChurnResilience:
 
     def test_failover_skips_dead_reference_at_every_hop(self):
         """With failover on, a retrieve succeeds as long as one replica
-        of every subtree on the path is alive: dead references are
-        skipped at forwarding time instead of eating a timeout."""
-        overlay = build(24, replication=3, timeout=5.0, max_retries=1)
+        of every subtree on the path is alive and referenced: dead
+        references are skipped at forwarding time instead of eating a
+        timeout.  ``refs_per_level`` equal to the replication makes a
+        forwarder's last level reference the whole owning replica
+        group, so the survivor is always among its choices."""
+        overlay = build(24, replication=3, refs_per_level=3, timeout=5.0,
+                        max_retries=1)
         origin = overlay.peer_ids()[0]
         key = uniform_hash("precious")
         overlay.update_sync(origin, key, "v")

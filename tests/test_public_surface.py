@@ -348,6 +348,49 @@ def test_an_upload_is_one_split_write(monkeypatch):
     assert attributed[0] == attributed[1] > 0
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    (function,) = [node for node in ast.walk(ast.parse(
+                       (SRC / module).read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def _called_names(function: ast.FunctionDef) -> set[str]:
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+
+def test_one_routing_table_builder():
+    """Every deployment samples its tables through one builder and seeds
+    its peers through one helper, and the single-loop engine always
+    builds its own network."""
+    import inspect
+
+    from repro.simnet.shard import SingleLoopEngine
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        if "build_routing_tables" in re.findall(r"\w+", text):
+            offenders.append(f"{module}: build_routing_tables")
+        if "def _stream_seed" in text and module != "pgrid/construction.py":
+            offenders.append(f"{module}: a second _stream_seed")
+    if "net" in inspect.signature(SingleLoopEngine.__init__).parameters:
+        offenders.append("simnet/shard.py: SingleLoopEngine takes a net")
+    if "sample_routing_tables" not in _called_names(
+            _function("pgrid/construction.py", "populate_routing_tables")):
+        offenders.append("pgrid/construction.py: populate_routing_tables "
+                         "draws its own tables")
+    for module, name in (("pgrid/overlay.py", "build_overlay"),
+                         ("pgrid/scaleout.py", "_make_peer")):
+        if "_stream_seed" not in _called_names(_function(module, name)):
+            offenders.append(f"{module}: {name} seeds its peers by hand")
+    assert not offenders, (
+        "a second routing-table builder or seed derivation:\n  "
+        + "\n  ".join(offenders))
+
+
 def test_one_reformulation_step():
     offenders = []
     for path in sorted(SRC.rglob("*.py")):

@@ -238,12 +238,12 @@ class TestDropAccounting:
 class TestPinnedChurnReport:
     def test_smoke_churn_scenario_matches_recorded_report(self):
         """perfbench's pinned ``churn`` scenario at smoke size: the
-        counts recorded when an upload became one write split where
-        its keys diverge (the corpus load routes fewer messages and
-        leaves the peers' rng streams and the latency draws elsewhere,
-        so the churn trajectory and the run's length shift).  Replica
-        sync's digest gate may only skip merge work — one
-        ``sync_push`` per tick, the same repairs, the same report."""
+        counts recorded when every deployment began sampling its tables
+        and keying its seed streams the way the scale-out deployment
+        does (new paths, tables and peer streams, so the churn
+        trajectory and the run's length shift).  Replica sync's digest
+        gate may only skip merge work — one ``sync_push`` per tick, the
+        same repairs, the same report."""
         runner = ScenarioRunner.from_spec(ScenarioSpec(
             seed=11, strategy="iterative", num_peers=32, replication=3,
             refs_per_level=3, num_schemas=4, num_entities=40,
@@ -251,12 +251,12 @@ class TestPinnedChurnReport:
         report = runner.run()
         assert report.recall == 1.0
         assert report.queries_complete == 5
-        assert report.query_messages == 133
-        assert report.total_messages == 1901
-        assert report.drops_by_reason == {"offline": 402}
-        assert report.failovers == 48
+        assert report.query_messages == 111
+        assert report.total_messages == 1509
+        assert report.drops_by_reason == {"offline": 282}
+        assert report.failovers == 38
         stats = [p.maintenance_stats for p in runner.network.peers.values()]
-        assert sum(s.sync_pushes for s in stats) == 346
+        assert sum(s.sync_pushes for s in stats) == 263
         assert sum(s.values_repaired for s in stats) == 0
 
 
