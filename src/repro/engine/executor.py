@@ -28,8 +28,14 @@ query is still unsatisfied.  Each satisfied ``Limit`` resolves its
 query early; once every query is satisfied the pipeline's cancel
 token fires, in-flight scans stop retrying, and all never-started
 scans are skipped — the batch-level form of limit pushdown.  Without
-a limit there is exactly one wave, reproducing the historical
-all-at-once fetch bit for bit.
+a limit there is exactly one wave.
+
+A wave's exact-routed scans start as **one read**: grouped by key
+space (scans with different patterns often share a predicate's key),
+they travel as one overlay read that splits where the keys diverge
+(:meth:`~repro.pgrid.peer.PGridPeer.read_many`), and each scan emits
+its rows the moment its key is answered.  ``prefix%`` scans keep their
+own range shower.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.exec.operators import (
     Union,
 )
 from repro.exec.stream import PipelineContext
+from repro.mediation.keys import term_key
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.query import QueryOutcome
 from repro.obs.registry import CounterGroup
@@ -90,7 +97,8 @@ class _WaveScheduler:
                                        for i in consumers)
 
     def start_next(self) -> None:
-        """Start the next pending wave (or skip the rest if done)."""
+        """Start the next pending wave (or skip the rest if done): its
+        ``prefix%`` scans one by one, the rest as one read."""
         if not self.waves:
             return
         if self.satisfied and all(self.satisfied):
@@ -100,11 +108,17 @@ class _WaveScheduler:
         self._open_in_wave = len(wave)
         for scan in wave:
             scan.on_closed(self._scan_closed)
+        by_key: dict = {}
         for scan in wave:
             if self._useless(scan):
                 scan.skip()
-            else:
+            elif scan.pattern.routing_mode() == "prefix":
                 self.ctx.start_source(scan)
+            else:
+                by_key.setdefault(term_key(scan.pattern.routing_constant()),
+                                  []).append(scan)
+        if by_key:
+            self.ctx.read_scans(by_key)
 
     def _scan_closed(self, _op) -> None:
         self._open_in_wave -= 1
@@ -118,10 +132,11 @@ class BatchFetchStats(CounterGroup):
     ``patterns_total`` counts pattern occurrences across all queries
     and reformulations, ``patterns_fetched`` the distinct patterns in
     the DAG (shared scan operators).  ``scans_issued`` are the scans
-    actually started (== ``patterns_fetched`` when no limit stopped
-    the batch early), ``scans_skipped`` the ones never started because
-    every query's limit was satisfied, ``limits_hit`` the queries whose
-    limit was reached.
+    actually started — sent inside a wave's read, or on their own
+    range shower — (== ``patterns_fetched`` when no limit stopped the
+    batch early), ``scans_skipped`` the ones left out of every read
+    because every query's limit was satisfied, ``limits_hit`` the
+    queries whose limit was reached.
     """
 
     _fields = ("patterns_total", "patterns_fetched", "scans_issued",

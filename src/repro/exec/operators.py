@@ -71,9 +71,13 @@ class PatternScan(Operator):
             self._on_rows)
 
     def _on_rows(self, future: Future) -> None:
+        self.deliver(future.result())
+
+    def deliver(self, rows: list) -> None:
+        """Emit the fetched rows as one batch, then close."""
         # The reply carries the store's row tuples in the pattern's
         # schema order: the fetched list is the batch.
-        self.emit(Batch(self.pattern.schema, tuples=future.result()))
+        self.emit(Batch(self.pattern.schema, tuples=rows))
         self.close()
 
     def skip(self) -> None:

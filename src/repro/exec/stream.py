@@ -35,6 +35,7 @@ measurement) is deterministic under a fixed seed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.registry import CounterGroup
@@ -286,28 +287,87 @@ class PipelineContext:
         (counted on the operator) and an empty row list resolves
         immediately — zero messages spent.
         """
-        if self.cancel.cancelled:
-            op.stats.fetches_skipped += 1
+        if not self._count_fetch(op):
             future: Future = Future()
             future.set_result([])
             return future
+        # A shared-scan span covers the whole overlay search this
+        # operator kicked off and closes when the search resolves.
+        span, issuing = self._open_span("scan", lambda: (
+            f"scan:{op.name}", {"pattern": repr(pattern)}))
+        with issuing:
+            future = self.peer._search_pattern(pattern, cancel=self.cancel)
+        if span is not None:
+            future.add_done_callback(lambda _f: self._close_span(span))
+        return future
+
+    def read_scans(self, by_key: dict) -> None:
+        """Issue exact-routed scans, grouped by key (``{key: [scan,
+        ...]}``), as one split read
+        (:meth:`~repro.pgrid.peer.PGridPeer.read_many`).
+
+        Each key carries the tuple of its scans' patterns, and each
+        scan gets its rows the moment its key's answer arrives, so a
+        satisfied limit still stops the rest.  Every scan counts as
+        one fetch, issued or skipped as in :meth:`fetch_pattern`; a
+        skipped read is never sent.  A scan whose key failed or was
+        cancelled closes empty.
+        """
+        scans = [scan for group in by_key.values() for scan in group]
+        # One cancel check decides for every scan: all issued or none.
+        if not all([self._count_fetch(scan) for scan in scans]):
+            for scan in scans:
+                scan.deliver([])
+            return
+        # One span covers the split read and closes with the last
+        # key's answer.
+        span, issuing = self._open_span("read", lambda: (
+            "read", {"keys": len(by_key)}))
+        unread = len(by_key)
+
+        def on_rows(key, answer) -> None:
+            nonlocal unread
+            for index, scan in enumerate(by_key.pop(key)):
+                scan.deliver(answer[index] if answer else [])
+            unread -= 1
+            if not unread:
+                self._close_span(span)
+
+        groups = {key: tuple(scan.pattern for scan in group)
+                  for key, group in by_key.items()}
+        with issuing:
+            self.peer.read_many("search", groups, on_rows, self.cancel)
+
+    def _count_fetch(self, op: Operator) -> bool:
+        """Count one fetch of ``op``: issued, or skipped when the
+        pipeline is already cancelled.  Whether it is issued."""
+        if self.cancel.cancelled:
+            op.stats.fetches_skipped += 1
+            return False
         op.stats.fetches_issued += 1
+        return True
+
+    def _open_span(self, kind: str,
+                   describe: Callable[[], tuple[str, dict]]) -> tuple:
+        """``(span, context to issue in)`` for one overlay fetch of a
+        traced run — the span's context is active during issue, so the
+        fetch's messages parent under it — and ``(None, a no-op
+        context)`` for an untraced one.  ``describe()`` gives the span's
+        name and attributes; an untraced run never builds them."""
         network = self.peer.network
         tracer = network.tracer
         if tracer is None or tracer.current() is None:
-            return self.peer._search_pattern(pattern, cancel=self.cancel)
-        # Traced fetch: a shared-scan span covers the whole overlay
-        # search this operator kicked off; the span's context is active
-        # during issue so the search's messages parent under it, and it
-        # closes when the search future resolves.
-        span = tracer.begin(f"scan:{op.name}", peer=self.peer.node_id,
-                            kind="scan", start=network.loop._now,
-                            pattern=repr(pattern))
-        with tracer.activate(tracer.context_of(span)):
-            future = self.peer._search_pattern(pattern, cancel=self.cancel)
-        future.add_done_callback(
-            lambda _f: tracer.finish(span, network.loop._now))
-        return future
+            return None, nullcontext()
+        name, attrs = describe()
+        span = tracer.begin(name, peer=self.peer.node_id, kind=kind,
+                            start=network.loop._now, **attrs)
+        return span, tracer.activate(tracer.context_of(span))
+
+    def _close_span(self, span: Any) -> None:
+        """Close a span :meth:`_open_span` opened (``None``: nothing)."""
+        if span is not None:
+            network = self.peer.network
+            network.tracer.finish(span, network.loop._now)
 
     # -- aggregation ----------------------------------------------------
 

@@ -324,6 +324,7 @@ class FaultInjector:
             payload=dict(message.payload),
             hops=message.hops,
             sent_at=message.sent_at,
+            carried=message.carried,
         )
         # The clone stays on the original's causal chain: its delivery
         # re-opens the same scope (tag and hop span), so duplicated

@@ -388,7 +388,11 @@ class GridVinePeer(PGridPeer):
         the destination's :meth:`TripleStore.match` produced them.
 
         Exact routing constants resolve with a single ``search`` op at
-        the constant's key space.  A ``prefix%`` routing constant has
+        the constant's key space, carrying the pattern as a 1-tuple (a
+        ``search`` carries a tuple of patterns and is answered with one
+        row list per pattern — the shape a query batch's split read
+        uses, :meth:`~repro.pgrid.peer.PGridPeer.read_many`).  A
+        ``prefix%`` routing constant has
         no single key; its matches occupy a contiguous key *interval*
         (order-preserving hash), which is fetched with overlay range
         queries over the interval's covering prefixes and matched
@@ -402,11 +406,10 @@ class GridVinePeer(PGridPeer):
         out: Future = Future()
 
         def _on_result(f: Future) -> None:
-            result = f.result()
-            values = result.values if result.success else None
-            out.set_result(list(values) if values else [])
+            values = f.result().values
+            out.set_result(values[0] if values else [])
 
-        self._start_op("search", key, pattern,
+        self._start_op("search", key, (pattern,),
                        cancel=cancel).add_done_callback(_on_result)
         return out
 
@@ -535,10 +538,16 @@ class GridVinePeer(PGridPeer):
 
     def _execute_op(self, op: str, key: Key, value: Any) -> tuple[list[Any] | None, bool]:
         if op == "search":
-            return self.db.match(value), False
+            match = self.db.match
+            return [match(pattern) for pattern in value], False
         if op == "reformulate":
             return self._handle_reformulate(value), False  # type: ignore[return-value]
         return super()._execute_op(op, key, value)
+
+    def _carried(self, op: str, values: Any) -> int:
+        if op == "search":
+            return sum(map(len, values))  # rows, over every pattern
+        return super()._carried(op, values)
 
     # ------------------------------------------------------------------
     # Record dispatch (storage side)

@@ -21,8 +21,8 @@ the guarantees from eroding under sustained churn:
   merge, so a sync with nothing to repair costs O(1) on both sides.
   It is one ``sync_push`` message either way — message counts are
   those of the ungated protocol, and payload bytes are not modelled by
-  any counter (``values_shipped`` counts ``"values"`` payload lists
-  only; a push carries ``"items"``).  A real network would send the
+  any counter (``values_shipped`` counts the result values a reply
+  declares it carries; a push declares none).  A real network would send the
   digest first and pull on mismatch, which *adds* messages per repair;
   that is why it is not simulated here.
   The same digest lets two replicas tell in O(1) whether they would

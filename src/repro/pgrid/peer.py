@@ -28,15 +28,20 @@ the future resolves as failed.  This mirrors P-Grid's "probabilistic
 guarantees ... even in highly unreliable, dynamic environments".
 
 Operations answered by *many* peers from one request — the range
-shower and the many-key write here, recursive reformulation in
-:mod:`repro.mediation.peer` — terminate through one origin-side
+shower and the many-key write and read here, recursive reformulation
+in :mod:`repro.mediation.peer` — terminate through one origin-side
 ledger, :class:`FanoutTask`: each sub-request is a route under the id
 ``<op>!<task>!<n>``, and its reply is the delegate's report to the
 task that id names.  The range shower splits a prefix into the
-sibling subtrees below it; the write (:meth:`PGridPeer.update_many`)
-splits a set of keys at each trie level where they leave the
-delegate's path, so an upload routes one sub-request per subtree its
-keys reach, not one route per key.
+sibling subtrees below it.  The write (:meth:`PGridPeer.update_many`)
+and the read (:meth:`PGridPeer.read_many`) split a set of keys by one
+rule (:meth:`PGridPeer._split_keys`): at each trie level where they
+leave the delegate's path.  So an upload or a query batch routes one
+sub-request per subtree its keys reach, not one route per key.  A
+write sends each subtree's keys toward that level's sibling subtree;
+a read sends them toward their own longest common prefix, and its
+ledger (:class:`ReadTask`) counts answered keys, so a delegate that
+only relays reports nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from os.path import commonprefix
 from typing import Any
 
 from repro.obs.registry import FailoverCounters, MaintenanceCounters
@@ -502,6 +508,56 @@ class PGridPeer(Node):
         }, self.timeout)
         return future
 
+    def read_many(self, op: str, groups: dict, on_rows: Any,
+                  cancel: Any = None) -> None:
+        """Start one read of many keys: ``op`` with each key's argument
+        of ``groups`` (``{key: arg}``) at a peer responsible for that
+        key.  ``on_rows(key, values)`` runs once per key, the moment
+        its answer arrives; ``values`` is ``None`` for a key that
+        failed or was cancelled.
+
+        One read that splits where its keys diverge: a
+        :class:`ReadTask` whose root sub-request goes toward the
+        longest common prefix of the keys.  Each delegate answers the
+        keys under its own path and sends the rest on (see
+        :meth:`_handle_read`), so a one-key read costs what a routed
+        op costs: the hops plus one report.  A key no report answers
+        before :attr:`timeout` expires is re-sent on its own through
+        :meth:`_start_op`, whose retries and failover repair a lost
+        share like a lost retrieve.  ``cancel`` finishes the read:
+        every key not answered yet gets ``None`` at once.
+
+        ``search`` is the only read op today (a query batch's wave,
+        :meth:`~repro.exec.stream.PipelineContext.read_scans`), and the
+        only one ``tests/strategies/test_split_reads.py`` checks against
+        an oracle: a new op needs its case there first.
+        """
+        if cancel is not None and cancel.cancelled:
+            # Cancelled before issue: spend zero messages.
+            for key in groups:
+                on_rows(key, None)
+            return
+
+        def _finish(complete: bool) -> None:
+            missing, task.unanswered = task.unanswered, {}
+            if cancel is not None and cancel.cancelled:
+                self._failover.cancelled += len(missing)
+                for key in missing.values():
+                    on_rows(key, None)
+                return
+            for key in missing.values():
+                self._start_op(op, key, groups[key], cancel=cancel
+                               ).add_done_callback(
+                    lambda f: on_rows(f.result().key, f.result().values))
+
+        task = ReadTask(self, groups, _finish, on_rows)
+        task.start("read", Key.of(commonprefix([key._bits for key in groups])), {
+            "op": op,
+            "groups": {key._bits: arg for key, arg in groups.items()},
+        }, self.timeout)
+        if cancel is not None:
+            cancel.on_cancel(lambda: task.finish(False))
+
     def _start_op(self, op: str, key: Key, value: Any,
                   cancel: Any = None) -> Future:
         future: Future = Future()
@@ -856,6 +912,8 @@ class PGridPeer(Node):
             return self.local_retrieve(key), False
         if op == "write":
             return self._handle_write(value), False  # type: ignore[return-value]
+        if op == "read":
+            return self._handle_read(value), False  # type: ignore[return-value]
         if op == "range":
             return self._handle_range(key, value), False  # type: ignore[return-value]
         if op == "refs_lookup":
@@ -964,25 +1022,23 @@ class PGridPeer(Node):
             "spawned": spawned,
         }
 
-    def _handle_write(self, value: dict) -> dict:
-        """Apply the keys under this path and delegate the rest.
+    def _split_keys(self, groups: dict) -> tuple[dict, dict[int, dict]]:
+        """Split ``groups`` (``{key bits: arg}``) into the keys this
+        peer applies and, by trie level, the keys it sends on.
 
         A key belongs here on the rule :meth:`_handle_route` answers
         by (the path prefixes it, or it prefixes the path).  Every
-        other key leaves the path at some trie level; the keys leaving
-        at one level go on together in one sub-request toward that
-        level's sibling subtree, where the next delegate repeats this.
-        Keys keep their first-occurrence order throughout, so the split
-        depends on no set or hash order.  The report lists the keys
-        applied here and the sub-requests spawned.
+        other key leaves the path at some trie level, and the keys
+        leaving at one level travel on together.  Keys keep their
+        first-occurrence order throughout, so the split depends on no
+        set or hash order.
         """
-        action = value["action"]
         path = self.path._bits
-        applied: dict[str, tuple] = {}
-        onward: dict[int, dict[str, tuple]] = {}
-        for bits, values in value["groups"].items():
+        applied: dict[str, Any] = {}
+        onward: dict[int, dict[str, Any]] = {}
+        for bits, arg in groups.items():
             if bits.startswith(path):
-                applied[bits] = values
+                applied[bits] = arg
                 continue
             level = 0
             for x, y in zip(path, bits):
@@ -990,9 +1046,21 @@ class PGridPeer(Node):
                     break
                 level += 1
             if level == len(bits):
-                applied[bits] = values
+                applied[bits] = arg
             else:
-                onward.setdefault(level, {})[bits] = values
+                onward.setdefault(level, {})[bits] = arg
+        return applied, onward
+
+    def _handle_write(self, value: dict) -> dict:
+        """Apply the keys under this path and delegate the rest.
+
+        The keys :meth:`_split_keys` sends on from one level go in one
+        sub-request toward that level's sibling subtree, where the next
+        delegate repeats this.  The report lists the keys applied here
+        and the sub-requests spawned.
+        """
+        action = value["action"]
+        applied, onward = self._split_keys(value["groups"])
         execute = self._execute_op
         for bits, values in applied.items():
             execute(action, Key.of(bits), values)
@@ -1007,6 +1075,37 @@ class PGridPeer(Node):
                     {"action": action, "groups": groups})
                 for level, groups in onward.items()],
         }
+
+    def _handle_read(self, value: dict) -> dict | None:
+        """Answer the keys under this path and send the rest on.
+
+        The split is :meth:`_split_keys`'s, as for a write, but each
+        onward group goes toward the longest common prefix of its own
+        keys, not toward the sibling subtree of the level where it
+        left: keys that stay together below that level travel on as
+        one message, and the first peer inside their subtree splits
+        them again.  The report answers each key applied here with
+        ``_execute_op(op, key, arg)``'s values and declares what they
+        carry; a delegate that applied no key has nothing to report
+        and returns ``None`` (the origin's :class:`ReadTask` counts
+        keys, not requests).
+        """
+        op = value["op"]
+        applied, onward = self._split_keys(value["groups"])
+        execute = self._execute_op
+        answers = {bits: execute(op, Key.of(bits), arg)[0]
+                   for bits, arg in applied.items()}
+        task_id = value["task_id"]
+        for groups in onward.values():
+            self._send_subrequest("read", task_id,
+                                  Key.of(commonprefix(list(groups))),
+                                  {"op": op, "groups": groups})
+        if not answers:
+            return None
+        carried = self._carried
+        return {"answers": answers,
+                "carried": sum(carried(op, values)
+                               for values in answers.values())}
 
     def _adopt_references(self, level: int, candidates) -> None:
         """Add the candidates this peer does not know yet to its
@@ -1073,13 +1172,16 @@ class PGridPeer(Node):
                 self.maintenance_stats.values_repaired += 1
 
     def _answer(self, message: Message, key: Key) -> None:
-        """Apply the operation locally and reply to the origin."""
+        """Apply the operation locally and reply to the origin (an op
+        with nothing to report — a split read's relay — replies not)."""
         payload = message.payload
         op = payload["op"]
         value = payload.get("value")
         values, mutated = self._execute_op(op, key, value)
         if mutated:
             self._propagate_to_replicas(op, {key._bits: value})
+        elif values is None:
+            return
         origin = payload["origin"]
         reply_payload = {
             "op_id": payload["op_id"],
@@ -1091,7 +1193,18 @@ class PGridPeer(Node):
             self._complete(reply_payload)
         else:
             self.network.send(Message("reply", self.node_id, origin,
-                                      reply_payload, message.hops + 1))
+                                      reply_payload, message.hops + 1,
+                                      carried=self._carried(op, values)))
+
+    def _carried(self, op: str, values: Any) -> int:
+        """The result values a reply to ``op`` carries: a retrieved
+        list's length, what a read report declares, and nothing for an
+        update's ack or a write, range or reformulation report."""
+        if type(values) is list:
+            return len(values)
+        if op == "read":
+            return values["carried"]
+        return 0
 
     def _propagate_to_replicas(self, op: str, groups: dict) -> None:
         """One ``replicate`` message per replica, carrying every key
@@ -1165,6 +1278,10 @@ class FanoutTask:
     id heard of has settled, incomplete when the virtual-time timeout
     (or the origin's leave) comes first.  A finished task is out of
     :attr:`PGridPeer._tasks`, so late messages find nobody.
+
+    That is the *id* rule, used by the range shower, the write and
+    reformulation.  :class:`ReadTask` keeps everything here but
+    :meth:`on_report` and terminates by a second rule, counting keys.
     """
 
     def __init__(self, peer: PGridPeer, on_finish: Any,
@@ -1226,3 +1343,33 @@ class FanoutTask:
         on_finish, self.on_finish, self.on_results = self.on_finish, None, None
         with self.peer.network.resume(self.scope):
             on_finish(complete)
+
+
+class ReadTask(FanoutTask):
+    """The ledger of one split read (:meth:`PGridPeer.read_many`).
+
+    A read's origin knows every key it asked for, so this ledger counts
+    *keys*, not request ids (the *key* rule, beside
+    :class:`FanoutTask`'s id rule): a report answers some keys, each answer
+    goes to ``on_results(key, values)`` the moment it arrives, and the
+    task finishes complete once every key has its answer.  A delegate
+    that answered no key owes no report.  Duplicated or late answers
+    find their key gone and are dropped.
+    """
+
+    def __init__(self, peer: PGridPeer, groups: dict, on_finish: Any,
+                 on_results: Any) -> None:
+        super().__init__(peer, on_finish, on_results)
+        #: key bits -> key, for every key no report has answered yet
+        self.unanswered: dict[str, Key] = {key._bits: key for key in groups}
+
+    def on_report(self, request_id: str, report: dict) -> None:
+        """A delegate's answers arrived."""
+        for bits, values in report["answers"].items():
+            # Re-read per answer: one answer's consumer may cancel the
+            # read, which empties the ledger.
+            key = self.unanswered.pop(bits, None)
+            if key is not None:
+                self.on_results(key, values)
+        if not self.unanswered:
+            self.finish(True)

@@ -11,8 +11,9 @@ class NetworkMetrics(CounterGroup):
     ``messages_by_kind`` groups counts by the message's ``kind`` tag so
     benchmarks can separate routing traffic from maintenance traffic.
     ``values_shipped`` counts the result values carried by reply
-    messages — a proxy for data volume on the wire (bound vs parallel
-    joins trade messages for shipped tuples; see bench E12).
+    messages, as each sender declares them (``Message.carried``) — a
+    proxy for data volume on the wire (bound vs parallel joins trade
+    messages for shipped tuples; see bench E12).
     ``drops_by_reason`` keys drops by *cause*: ``"offline"``
     (destination was already offline at send time — the silent drops
     churn produces), ``"in_flight"`` (destination crashed while the

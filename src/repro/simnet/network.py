@@ -36,7 +36,9 @@ class Message:
     ``hops`` counts forwarding steps for the hop-count benchmarks; the
     free-form ``payload`` dict carries protocol state.  Payloads must
     stay plain data (picklable) — a sharded transport ships them across
-    process boundaries.
+    process boundaries.  ``carried`` is what the sender declares the
+    payload carries — the result values of a reply — and what the gate
+    adds to ``values_shipped``; the gate never looks inside a payload.
 
     A slot-only class rather than a dataclass: one Message is built per
     send, and at deployment scale the per-instance dict is measurable
@@ -44,17 +46,18 @@ class Message:
     """
 
     __slots__ = ("kind", "src", "dst", "payload", "hops", "sent_at",
-                 "scope")
+                 "carried", "scope")
 
     def __init__(self, kind: str, src: str, dst: str,
                  payload: dict[str, Any] | None = None, hops: int = 0,
-                 sent_at: float = 0.0) -> None:
+                 sent_at: float = 0.0, carried: int = 0) -> None:
         self.kind = kind
         self.src = src
         self.dst = dst
         self.payload = {} if payload is None else payload
         self.hops = hops
         self.sent_at = sent_at
+        self.carried = carried
         #: causal scope ``(op_tag | None, trace_ctx | None)`` of the
         #: logical operation this message belongs to (see
         #: ``simnet/transport.py``) — a plain picklable pair so sharded
@@ -240,9 +243,7 @@ class SimNetwork(Transport):
         metrics = self.metrics
         metrics.messages_sent += 1
         metrics.total_latency += delay
-        values = message.payload.get("values")
-        if values is not None and isinstance(values, (list, set)):
-            metrics.values_shipped += len(values)
+        metrics.values_shipped += message.carried
         by_kind = metrics.messages_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
         if scope is not None:

@@ -184,13 +184,10 @@ class ShardTransport(SimNetwork):
                 tracer.message_dropped(message, now, reason)
             return
         delay = self.latency.sample(message.src, dst, self.rng)
-        values = message.payload.get("values")
         # Counted and traced once, at the sender, with the final delay:
         # the receiving shard only schedules the delivery.
-        self.metrics.record_send(
-            message.kind, delay,
-            len(values) if isinstance(values, (list, set)) else 0,
-            message.op_tag)
+        self.metrics.record_send(message.kind, delay, message.carried,
+                                 message.op_tag)
         if tracer is not None:
             tracer.message_sent(message, now, delay)
         self._outbox.append((now + delay, next(self._out_seq), message))

@@ -20,6 +20,7 @@ from strategies.mapping_graphs import (
     reformulation_cases,
 )
 from strategies.patterns import patterns, triple_sets
+from strategies.reads import ReadCase, deploy_read_case, read_cases
 from strategies.settings import (
     DETERMINISM_SETTINGS,
     QUICK_SETTINGS,
@@ -40,6 +41,7 @@ from strategies.uploads import (
 __all__ = [
     "DETERMINISM_SETTINGS",
     "QUICK_SETTINGS",
+    "ReadCase",
     "ReformulationCase",
     "SLOW_SETTINGS",
     "STANDARD_SETTINGS",
@@ -48,12 +50,14 @@ __all__ = [
     "TrieCase",
     "UploadCase",
     "corpora",
+    "deploy_read_case",
     "deploy_upload_case",
     "fanout_schedules",
     "mapping_forests",
     "mapping_graphs",
     "patterns",
     "peer_synopses",
+    "read_cases",
     "reformulation_cases",
     "request_trees",
     "required_events",

@@ -1,0 +1,105 @@
+"""A batch wave's split read returns what per-scan reads would.
+
+An engine batch starts a wave's exact-routed scans as one overlay read
+that splits where their keys diverge.  Whatever the trie and however
+the batch's patterns share keys, every scan gets exactly the rows a
+peer responsible for its key holds (``db.match``, which is the same at
+every responsible peer here), once, and the batch's fetch statistics
+are those of one scan per distinct pattern.  When routes and replies
+are lost for a while, every scan still gets its rows: a key no report
+answered is re-sent on its own.  Checked on the single loop and on two
+inline shards.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.engine.signature import canonicalize_pattern
+from repro.exec.operators import PatternScan
+from repro.faultlab import FaultPlan, MessageDrop
+from repro.faultlab.injector import install_plan
+from repro.mediation.keys import term_key
+from repro.rdf.patterns import ConjunctiveQuery
+from repro.reformulation.planner import Reformulation
+from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+
+from strategies import SLOW_SETTINGS, deploy_read_case, read_cases
+
+ENGINES = {
+    "single-loop": lambda seed: SingleLoopEngine(seed=seed),
+    "2-shards": lambda seed: ShardedTransport(2, seed=seed),
+}
+
+#: virtual seconds of message loss after the fault plan is installed:
+#: below the peers' 15 s timeout, so every re-sent key is delivered
+LOSSY_WINDOW = 10.0
+
+
+def oracle(net, pattern) -> list:
+    """The rows of ``pattern`` at a peer responsible for its key."""
+    key = term_key(pattern.routing_constant())
+    for peer in net.peers.values():
+        if peer.is_responsible_for(key):
+            return peer.db.match(pattern)
+    return []
+
+
+def read_batch(net, case):
+    """Run the case's batch, one single-pattern query per pattern;
+    returns the fetch statistics and every scan's delivered rows."""
+    queries = [ConjunctiveQuery([pattern], pattern.schema)
+               for pattern in case.batch]
+    delivered: list = []
+    real_deliver = PatternScan.deliver
+
+    def recording_deliver(scan, rows):
+        delivered.append((scan.pattern, list(rows)))
+        real_deliver(scan, rows)
+
+    with mock.patch.object(PatternScan, "deliver", recording_deliver):
+        _outcomes, stats, _messages = net.run_batch(
+            net.peers[net.peer_ids()[case.origin]], queries,
+            [[Reformulation(query)] for query in queries])
+    return stats, delivered
+
+
+def assert_per_scan_oracle(net, case, stats, delivered) -> None:
+    scans = list(dict.fromkeys(canonicalize_pattern(pattern)[0]
+                               for pattern in case.batch))
+    assert sorted(delivered, key=repr) == sorted(
+        ((scan, oracle(net, scan)) for scan in scans), key=repr)
+    assert stats.snapshot() == {
+        "patterns_total": len(case.batch),
+        "patterns_fetched": len(scans),
+        "scans_issued": len(scans),
+        "scans_skipped": 0,
+        "limits_hit": 0,
+        "lookups_saved": len(case.batch) - len(scans),
+    }
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases())
+def test_batch_reads_equal_the_per_scan_oracle(engine, case):
+    with ENGINES[engine](case.trie.seed) as transport:
+        net = deploy_read_case(case, transport)
+        stats, delivered = read_batch(net, case)
+        assert_per_scan_oracle(net, case, stats, delivered)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases(),
+       loss=st.floats(min_value=0.2, max_value=0.6))
+def test_lossy_batch_reads_are_repaired_to_the_oracle(engine, case, loss):
+    with ENGINES[engine](case.trie.seed) as transport:
+        net = deploy_read_case(case, transport)
+        install_plan(transport, FaultPlan(seed=case.trie.seed, faults=(
+            MessageDrop(kinds=("route", "reply"), probability=loss,
+                        until=LOSSY_WINDOW),)))
+        stats, delivered = read_batch(net, case)
+        assert_per_scan_oracle(net, case, stats, delivered)

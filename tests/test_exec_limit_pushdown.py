@@ -130,7 +130,13 @@ class TestEngineLimitPushdown:
         assert limited.result_count == 4
         assert limited.limit_hit
         assert limited.fetches_skipped > 0
-        assert limited.messages < unlimited.messages
+        # A limit saves scans, not necessarily messages: each wave is
+        # one split read, so the limited query's two waves may cost
+        # more than the unlimited one-wave read (its reference picks
+        # are random).  The saving is in what is read.
+        assert limited.fetches_issued < unlimited.fetches_issued
+        assert (limited.fetches_issued + limited.fetches_skipped
+                == unlimited.fetches_issued)
         assert engine.stats.limits_hit == 1
         assert engine.stats.scans_skipped == limited.fetches_skipped
 

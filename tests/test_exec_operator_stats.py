@@ -66,7 +66,7 @@ def test_unlimited_operator_stats_pinned():
     engine = build_corpus().create_engine(domain="e13", max_hops=8)
     outcome = engine.search_for(QUERY)
     assert outcome.result_count == 16
-    assert outcome.messages == 23
+    assert outcome.messages == 6
     assert outcome.operator_stats == [
         snap('scan(_c0?, <S0#org>, "%Aspergillus%")', 0, 4, 1, 1, 0, 0),
         snap('scan(_c0?, <S1#org>, "%Aspergillus%")', 0, 4, 1, 1, 0, 0),

@@ -313,4 +313,6 @@ class TestAutoStrategyEndToEnd:
         assert optimized.stats.reformulations_pruned >= 1
         assert outcome.decision is not None
         assert outcome.decision.reformulations_pruned >= 1
-        assert outcome.messages < reference.messages
+        # Pruning saves scans; messages need not follow, since a split
+        # read's cost is not monotone in its key set.
+        assert outcome.fetches_issued < reference.fetches_issued

@@ -409,3 +409,72 @@ def test_one_reformulation_step():
     assert not offenders, (
         "a reformulation step written outside reformulation/:\n  "
         + "\n  ".join(offenders))
+
+
+def test_a_batch_wave_is_one_split_read(monkeypatch):
+    """An engine batch starts each wave's scans as one split read and
+    no per-key op, on the single loop and on two inline shards alike,
+    and the read splits its keys by the write's rule."""
+    import random
+    from types import SimpleNamespace
+
+    from repro.engine.executor import _WaveScheduler
+    from repro.pgrid.peer import PGridPeer
+    from repro.rdf.terms import Literal, URI
+    from repro.rdf.triples import Triple
+    from repro.schema.model import Schema
+    from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+    from strategies import deploy_upload_case
+
+    overlay = SimpleNamespace(num_peers=12, replication=1,
+                              refs_per_level=2, seed=5)
+    schemas = [Schema(f"S{i}", ["org"], domain="w") for i in range(3)]
+    corpus = [Triple(URI(f"S{i}:e{j}"), URI(f"S{i}#org"),
+                     Literal(f"Asp-{i}-{j}"))
+              for i in range(3) for j in range(4)]
+    query = "SearchFor(x? : (x?, S0#org, %Asp%))"
+    waves, reads, started = [], [], []
+    real_start_next = _WaveScheduler.start_next
+    real_read_many, real_start_op = PGridPeer.read_many, PGridPeer._start_op
+
+    def counting_start_next(self):
+        if self.waves and not (self.satisfied and all(self.satisfied)):
+            waves.append(len(self.waves[0]))
+        return real_start_next(self)
+
+    def counting_read_many(self, op, groups, on_rows, cancel=None):
+        reads.append(op)
+        return real_read_many(self, op, groups, on_rows, cancel)
+
+    def counting_start_op(self, op, key, value, cancel=None):
+        started.append(op)
+        return real_start_op(self, op, key, value, cancel=cancel)
+
+    monkeypatch.setattr(_WaveScheduler, "start_next", counting_start_next)
+    monkeypatch.setattr(PGridPeer, "read_many", counting_read_many)
+    monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
+    attributed = []
+    for transport in (SingleLoopEngine(seed=5), ShardedTransport(2, seed=5)):
+        with transport:
+            net = deploy_upload_case(overlay, transport)
+            net.rng = random.Random(5)  # the engine's mirror backfill
+            origin = net.peer_ids()[0]
+            for schema in schemas:
+                net.insert_schema(schema, origin=origin)
+            net.insert_triples(corpus, origin=origin)
+            for a, b in zip(schemas, schemas[1:]):
+                net.create_mapping(a, b, [("org", "org")], origin=origin)
+            net.settle()
+            engine = net.create_engine(domain="w", max_hops=4)
+            del waves[:], reads[:], started[:]
+            unlimited = engine.search_for(query, origin=origin)
+            assert (waves, reads, started) == ([3], ["search"], [])
+            del waves[:], reads[:]
+            limited = engine.search_for(query, origin=origin, limit=6)
+            assert (waves, reads, started) == ([1, 1], ["search"] * 2, [])
+        assert unlimited.result_count == 12 and limited.limit_hit
+        attributed.append((unlimited.messages, limited.messages))
+    assert attributed[0] == attributed[1]
+    for handler in ("_handle_read", "_handle_write"):
+        assert "_split_keys" in _called_names(
+            _function("pgrid/peer.py", handler)), handler
