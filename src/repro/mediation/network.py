@@ -31,8 +31,9 @@ from repro.mapping.model import (
     PredicateCorrespondence,
     SchemaMapping,
 )
+from repro.mediation.keys import schema_key
 from repro.mediation.peer import GridVinePeer
-from repro.mediation.records import ConnectivityRecord
+from repro.mediation.records import ConnectivityRecord, mappings_in
 from repro.mediation.query import QueryOutcome
 from repro.pgrid.membership import join_network
 from repro.pgrid.overlay import PGridOverlay, build_overlay
@@ -43,6 +44,22 @@ from repro.schema.model import Schema
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import LatencyModel
 from repro.util.keys import Key
+
+
+def graph_of_spaces(spaces: dict[str, list],
+                    include_deprecated: bool = False) -> MappingGraph:
+    """The mapping graph a read of schema key spaces shows (``spaces``
+    is ``{schema name: records}``, as :meth:`GridVineNetwork.
+    schema_spaces` returns): every schema, by name, then each one's
+    mapping records (active only by default), by id."""
+    graph = MappingGraph()
+    names = sorted(spaces)
+    for name in names:
+        graph.add_schema(name)
+    for name in names:
+        for mapping in mappings_in(spaces[name], include_deprecated):
+            graph.add(mapping)
+    return graph
 
 
 class GridVineNetwork(PGridOverlay):
@@ -344,25 +361,34 @@ class GridVineNetwork(PGridOverlay):
         return self.call("fetch_mappings", schema_name, include_deprecated,
                          origin=origin)[0]
 
+    def schema_spaces(self, schema_names: Iterable[str],
+                      origin: str | None = None) -> dict[str, list]:
+        """Every record at each schema's key space — its definition,
+        outgoing mapping records and incoming markers — by name, read
+        as one split ``retrieve_many`` of the schema keys."""
+        keys = {name: schema_key(name) for name in schema_names}
+        spaces, _ = self.call("retrieve_many", list(keys.values()),
+                              origin=origin)
+        return {name: spaces[key] for name, key in keys.items()}
+
     def mapping_graph(self, domain: str = "default",
                       include_deprecated: bool = False,
                       origin: str | None = None) -> MappingGraph:
-        """Reconstruct the mapping graph by crawling schema key spaces.
+        """The domain's mapping graph, read through the overlay.
 
-        This is exactly the "repeatedly crawling a decentralized ...
-        graph" the indicator exists to avoid; it is provided for ground
-        truth in tests and experiments.
+        Two reads from one origin (a harness-rng draw by default): the
+        domain's connectivity records name its schemas, and one
+        :meth:`schema_spaces` read returns every schema's mapping
+        records.  This reads the whole graph, which is what the
+        indicator exists to avoid; the self-organization controller
+        and a query engine's mirror build use it, as do ground-truth
+        checks in tests and experiments.
         """
-        graph = MappingGraph()
-        for record in self.connectivity_records(domain, origin):
-            graph.add_schema(record.schema_name)
-        for schema_name in list(graph.schemas()):
-            for mapping in self.fetch_mappings(
-                schema_name, include_deprecated=include_deprecated,
-                origin=origin,
-            ):
-                graph.add(mapping)
-        return graph
+        origin = self._origin(origin).node_id
+        records = self.connectivity_records(domain, origin)
+        return graph_of_spaces(
+            self.schema_spaces([r.schema_name for r in records], origin),
+            include_deprecated)
 
     # ------------------------------------------------------------------
     # Diagnostics

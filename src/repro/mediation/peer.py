@@ -74,6 +74,7 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
+    mappings_in,
 )
 from repro.pgrid.peer import FanoutTask, PGridPeer, task_origin
 from repro.optimizer.core import QueryOptimizer
@@ -302,17 +303,9 @@ class GridVinePeer(PGridPeer):
                        cancel: CancelToken | None = None) -> Future:
         """Active outgoing mappings of a schema, via the overlay."""
         out: Future = Future()
-
-        def _on_records(f: Future) -> None:
-            mappings = [
-                r.mapping for r in f.result()
-                if isinstance(r, MappingRecord)
-                and (include_deprecated or r.mapping.active)
-            ]
-            out.set_result(sorted(mappings, key=lambda m: m.mapping_id))
-
-        self.fetch_schema_space(schema_name, cancel=cancel
-                                ).add_done_callback(_on_records)
+        self.fetch_schema_space(schema_name, cancel=cancel).add_done_callback(
+            lambda f: out.set_result(mappings_in(f.result(),
+                                                 include_deprecated)))
         return out
 
     def fetch_connectivity(self, domain: str) -> Future:

@@ -48,6 +48,16 @@ class MappingRecord:
         return f"MappingRecord({self.mapping.mapping_id!r})"
 
 
+def mappings_in(records, include_deprecated: bool = False
+                ) -> list[SchemaMapping]:
+    """The mappings a schema key space's records store there (its
+    outgoing edges; active only by default), sorted by id."""
+    return sorted((record.mapping for record in records
+                   if isinstance(record, MappingRecord)
+                   and (include_deprecated or record.mapping.active)),
+                  key=lambda mapping: mapping.mapping_id)
+
+
 class IncomingMappingRecord:
     """An incoming-edge marker stored at the *target* schema's key space.
 

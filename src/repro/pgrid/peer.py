@@ -440,6 +440,31 @@ class PGridPeer(Node):
         """
         return self._start_op("retrieve", key, None, cancel=cancel)
 
+    def retrieve_many(self, keys: list) -> Future:
+        """Start one ``Retrieve`` of many keys: resolves to ``{key:
+        values}``, keys in first-occurrence order.
+
+        One :meth:`read_many` of ``"retrieve"``: it splits where the
+        keys diverge and re-sends a key no report answers on its own.
+        A key that still fails reads as empty (``[]``).
+        """
+        future: Future = Future()
+        answers: dict = dict.fromkeys(keys)
+        waiting = len(answers)
+        if not waiting:
+            future.set_result(answers)
+            return future
+
+        def _on_values(key: Key, values: Any) -> None:
+            nonlocal waiting
+            answers[key] = values or []
+            waiting -= 1
+            if not waiting:
+                future.set_result(answers)
+
+        self.read_many("retrieve", dict.fromkeys(answers), _on_values)
+        return future
+
     def update(self, key: Key, values: tuple, action: str = "insert") -> Future:
         """Start an ``Update(key, values)``: every value of the tuple,
         in order, under ``key`` (a single write is a 1-tuple).
@@ -527,10 +552,11 @@ class PGridPeer(Node):
         share like a lost retrieve.  ``cancel`` finishes the read:
         every key not answered yet gets ``None`` at once.
 
-        ``search`` is the only read op today (a query batch's wave,
-        :meth:`~repro.exec.stream.PipelineContext.read_scans`), and the
-        only one ``tests/strategies/test_split_reads.py`` checks against
-        an oracle: a new op needs its case there first.
+        Its ops are ``search`` (a query batch's wave,
+        :meth:`~repro.exec.stream.PipelineContext.read_scans`) and
+        ``retrieve`` (:meth:`retrieve_many`), each checked against a
+        per-key oracle in ``tests/strategies/test_split_reads.py``: a
+        new op needs its case there first.
         """
         if cancel is not None and cancel.cancelled:
             # Cancelled before issue: spend zero messages.

@@ -12,11 +12,17 @@ schema; the controller here drives the identical sequence of overlay
 operations from one vantage peer per round, which produces the same
 record-level state evolution while keeping experiments deterministic
 and debuggable.  All state the controller uses is obtained through the
-overlay (``Retrieve``); nothing is read out-of-band: each fetch is an
-attributed peer operation (:meth:`GridVineNetwork.call
+overlay (``Retrieve``); nothing is read out-of-band.  A round reads
+its state set at a time, in a fixed number of reads whatever the
+number of schemas and attributes: the domain's connectivity records,
+one split read of every schema's key space (definitions and the
+mapping graph, deprecated mappings included), one of every predicate's
+key space (the instance data the matcher mines), and after the
+mutations the active mapping graph and the records again.  Each read
+is an attributed peer operation (:meth:`GridVineNetwork.call
 <repro.pgrid.overlay.PGridOverlay.call>`) from an origin drawn from
 the harness rng, so a round runs on whichever engine the network does
-and leaves one ``op:<ref>`` trace per fetch.
+and leaves one ``op:<ref>`` trace per read.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.connectivity.indicator import indicator_from_degrees
+from repro.mapping.graph import MappingGraph
 from repro.mapping.model import MappingKind
 from repro.mediation.keys import term_key
-from repro.mediation.network import GridVineNetwork
+from repro.mediation.network import GridVineNetwork, graph_of_spaces
+from repro.mediation.records import ConnectivityRecord
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
 from repro.selforg.creator import CreationPolicy, propose_mappings
@@ -90,33 +98,30 @@ class SelfOrganizationController:
     # State collection (all through the overlay)
     # ------------------------------------------------------------------
 
-    def _fetch_schemas(self) -> dict[str, Schema]:
-        """Schema definitions for every schema with a connectivity record."""
+    def _fetch_schemas(
+        self, records: list[ConnectivityRecord],
+    ) -> tuple[dict[str, Schema], MappingGraph]:
+        """Schema definitions for every schema with a connectivity
+        record, and the mapping graph (deprecated mappings included),
+        from one read of their key spaces."""
+        spaces = self.network.schema_spaces(r.schema_name for r in records)
         schemas: dict[str, Schema] = {}
-        for record in self.network.connectivity_records(self.domain):
-            space, _ = self.network.call("fetch_schema_space",
-                                         record.schema_name)
-            for item in space:
+        for record in records:
+            for item in spaces[record.schema_name]:
                 if isinstance(item, Schema):
                     schemas[item.name] = item
                     break
-        return schemas
-
-    def _fetch_predicate_values(self, schema: Schema,
-                                attribute: str) -> set[str]:
-        """Object values observed under one predicate, via the overlay."""
-        predicate = schema.predicate(attribute)
-        result, _ = self.network.call("retrieve", term_key(predicate))
-        values: set[str] = set()
-        for item in result.values or ():
-            if isinstance(item, Triple) and item.predicate == predicate:
-                values.add(item.object.value)
-        return values
+        return schemas, graph_of_spaces(spaces, include_deprecated=True)
 
     def _collect_instance_state(
         self, schemas: dict[str, Schema],
     ) -> tuple[dict[str, dict[str, set[str]]], dict[str, set[str]]]:
-        """Per-schema value sets and reference sets."""
+        """Per-schema value sets and reference sets, from one read of
+        every predicate's key space."""
+        keys = {predicate: term_key(predicate)
+                for schema in schemas.values()
+                for predicate in map(schema.predicate, schema.attributes)}
+        spaces, _ = self.network.call("retrieve_many", list(keys.values()))
         value_sets: dict[str, dict[str, set[str]]] = {}
         references: dict[str, set[str]] = {}
         hint = self.reference_attribute_hint
@@ -124,7 +129,12 @@ class SelfOrganizationController:
             per_attr: dict[str, set[str]] = {}
             refs: set[str] = set()
             for attribute in schema.attributes:
-                values = self._fetch_predicate_values(schema, attribute)
+                predicate = schema.predicate(attribute)
+                # Predicates may share a key: keep this one's triples.
+                values = {item.object.value
+                          for item in spaces[keys[predicate]]
+                          if isinstance(item, Triple)
+                          and item.predicate == predicate}
                 per_attr[attribute] = values
                 if hint is None or hint.lower() in attribute.lower():
                     refs |= values
@@ -148,11 +158,8 @@ class SelfOrganizationController:
         ci_before = indicator_from_degrees([r.degree_pair for r in records])
         created: list[str] = []
         if ci_before < 0.0:
-            schemas = self._fetch_schemas()
+            schemas, graph = self._fetch_schemas(records)
             value_sets, references = self._collect_instance_state(schemas)
-            graph = self.network.mapping_graph(
-                self.domain, include_deprecated=True
-            )
             proposals = propose_mappings(
                 schemas, value_sets, references, graph,
                 policy=self.policy,

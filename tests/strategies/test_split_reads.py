@@ -1,14 +1,16 @@
-"""A batch wave's split read returns what per-scan reads would.
+"""A split read returns what per-key reads would, for each of its ops.
 
 An engine batch starts a wave's exact-routed scans as one overlay read
-that splits where their keys diverge.  Whatever the trie and however
-the batch's patterns share keys, every scan gets exactly the rows a
-peer responsible for its key holds (``db.match``, which is the same at
-every responsible peer here), once, and the batch's fetch statistics
-are those of one scan per distinct pattern.  When routes and replies
-are lost for a while, every scan still gets its rows: a key no report
-answered is re-sent on its own.  Checked on the single loop and on two
-inline shards.
+(``search``) that splits where their keys diverge.  Whatever the trie
+and however the batch's patterns share keys, every scan gets exactly
+the rows a peer responsible for its key holds (``db.match``, which is
+the same at every responsible peer here), once, and the batch's fetch
+statistics are those of one scan per distinct pattern.  A
+``retrieve_many`` (``retrieve``) answers every key, once and in the
+order asked, with the values a responsible peer's ``local_retrieve``
+holds.  When routes and replies are lost for a while, every scan and
+every key still gets its answer: a key no report answered is re-sent
+on its own.  Checked on the single loop and on two inline shards.
 """
 
 from unittest import mock
@@ -21,7 +23,7 @@ from repro.engine.signature import canonicalize_pattern
 from repro.exec.operators import PatternScan
 from repro.faultlab import FaultPlan, MessageDrop
 from repro.faultlab.injector import install_plan
-from repro.mediation.keys import term_key
+from repro.mediation.keys import term_key, triple_keys
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.reformulation.planner import Reformulation
 from repro.simnet.shard import ShardedTransport, SingleLoopEngine
@@ -36,6 +38,14 @@ ENGINES = {
 #: virtual seconds of message loss after the fault plan is installed:
 #: below the peers' 15 s timeout, so every re-sent key is delivered
 LOSSY_WINDOW = 10.0
+
+
+def lossy(transport, case, loss) -> None:
+    """Drop routes and replies with probability ``loss`` for
+    :data:`LOSSY_WINDOW` virtual seconds."""
+    install_plan(transport, FaultPlan(seed=case.trie.seed, faults=(
+        MessageDrop(kinds=("route", "reply"), probability=loss,
+                    until=LOSSY_WINDOW),)))
 
 
 def oracle(net, pattern) -> list:
@@ -98,8 +108,43 @@ def test_batch_reads_equal_the_per_scan_oracle(engine, case):
 def test_lossy_batch_reads_are_repaired_to_the_oracle(engine, case, loss):
     with ENGINES[engine](case.trie.seed) as transport:
         net = deploy_read_case(case, transport)
-        install_plan(transport, FaultPlan(seed=case.trie.seed, faults=(
-            MessageDrop(kinds=("route", "reply"), probability=loss,
-                        until=LOSSY_WINDOW),)))
+        lossy(transport, case, loss)
         stats, delivered = read_batch(net, case)
         assert_per_scan_oracle(net, case, stats, delivered)
+
+
+def retrieve_keys(case) -> list:
+    """The batch's routing keys, then every key of the corpus: keys
+    with values and without, some of them repeated."""
+    return ([term_key(pattern.routing_constant()) for pattern in case.batch]
+            + [key for triple in case.corpus for key in triple_keys(triple)])
+
+
+def assert_per_key_oracle(net, case) -> None:
+    keys = retrieve_keys(case)
+    values, _messages = net.call("retrieve_many", keys,
+                                 origin=net.peer_ids()[case.origin])
+    assert list(values) == list(dict.fromkeys(keys))
+    for key, answer in values.items():
+        holder = next(peer for peer in net.peers.values()
+                      if peer.is_responsible_for(key))
+        assert answer == holder.local_retrieve(key)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases())
+def test_retrieve_many_equals_the_per_key_oracle(engine, case):
+    with ENGINES[engine](case.trie.seed) as transport:
+        assert_per_key_oracle(deploy_read_case(case, transport), case)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases(),
+       loss=st.floats(min_value=0.2, max_value=0.6))
+def test_lossy_retrieve_many_is_repaired_to_the_oracle(engine, case, loss):
+    with ENGINES[engine](case.trie.seed) as transport:
+        net = deploy_read_case(case, transport)
+        lossy(transport, case, loss)
+        assert_per_key_oracle(net, case)

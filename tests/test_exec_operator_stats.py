@@ -66,7 +66,7 @@ def test_unlimited_operator_stats_pinned():
     engine = build_corpus().create_engine(domain="e13", max_hops=8)
     outcome = engine.search_for(QUERY)
     assert outcome.result_count == 16
-    assert outcome.messages == 6
+    assert outcome.messages == 4
     assert outcome.operator_stats == [
         snap('scan(_c0?, <S0#org>, "%Aspergillus%")', 0, 4, 1, 1, 0, 0),
         snap('scan(_c0?, <S1#org>, "%Aspergillus%")', 0, 4, 1, 1, 0, 0),
@@ -82,7 +82,7 @@ def test_limited_operator_stats_pinned():
     engine = build_corpus().create_engine(domain="e13", max_hops=8)
     outcome = engine.search_for(QUERY, limit=6)
     assert outcome.result_count == 6
-    assert outcome.messages == 11
+    assert outcome.messages == 8
     assert outcome.fetches_skipped == 2
     # The third wave's scans never ran: the satisfied limit cancelled
     # them, and the cancellation is visible in fetches_skipped while

@@ -308,7 +308,7 @@ def test_writes_reads_and_a_controller_round_are_equal_on_both_engines(
     assert methods >= {
         "insert_schema", "insert_triples", "insert_mapping",
         "deprecate_mapping", "remove_mapping", "fetch_connectivity",
-        "fetch_mappings", "fetch_schema_space", "retrieve"}
+        "retrieve_many"}
     # On a quiet single loop the attributed count is exact for every
     # kind: everything sent before the call returned was the op's.
     assert all(attributed == at_return <= settled

@@ -119,8 +119,7 @@ class TestQueryTraces:
         assert report.ci_before < 0.0 and report.created
         assert {method for method, *_ in log} >= {
             "deprecate_mapping", "insert_mapping", "remove_mapping",
-            "fetch_connectivity", "fetch_schema_space", "retrieve",
-            "fetch_mappings"}
+            "fetch_connectivity", "retrieve_many"}
         records = net.trace_records()
         # One trace per call, ids in submit order.
         traces = sorted(trace_ids(records), key=lambda t: int(t[3:]))

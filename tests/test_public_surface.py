@@ -478,3 +478,55 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
     for handler in ("_handle_read", "_handle_write"):
         assert "_split_keys" in _called_names(
             _function("pgrid/peer.py", handler)), handler
+
+
+def test_a_controller_round_reads_set_at_a_time(record_calls):
+    """A fragmented self-organization round reads its state in a fixed
+    number of split reads, at most six, and the same number when the
+    deployment has twice the schemas: on the single loop and on two
+    inline shards alike."""
+    import random
+    from types import SimpleNamespace
+
+    from repro.rdf.terms import Literal, URI
+    from repro.rdf.triples import Triple
+    from repro.schema.model import Schema
+    from repro.selforg.controller import SelfOrganizationController
+    from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+    from strategies import deploy_upload_case
+
+    overlay = SimpleNamespace(num_peers=12, replication=1,
+                              refs_per_level=2, seed=5)
+    writes = {"insert_mapping", "deprecate_mapping"}
+    rounds = []
+    for num_schemas in (3, 6):
+        attributes = ("org", "acc")
+        schemas = [Schema(f"S{i}", list(attributes), domain="w")
+                   for i in range(num_schemas)]
+        # Every schema holds the same values, so the round has
+        # overlaps to create mappings from.
+        corpus = [Triple(URI(f"S{i}:e{j}"), URI(f"S{i}#{attribute}"),
+                         Literal(f"{attribute}-{j}"))
+                  for i in range(num_schemas) for j in range(4)
+                  for attribute in attributes]
+        for transport in (SingleLoopEngine(seed=5),
+                          ShardedTransport(2, seed=5)):
+            with transport:
+                net = deploy_upload_case(overlay, transport)
+                net.rng = random.Random(5)  # the controller's origins
+                origin = net.peer_ids()[0]
+                for schema in schemas:
+                    net.insert_schema(schema, origin=origin)
+                net.insert_triples(corpus, origin=origin)
+                # One mapping: a layer of isolated schemas and one
+                # edge, which the indicator calls fragmented.
+                net.create_mapping(schemas[0], schemas[1],
+                                   [("org", "org")], origin=origin)
+                net.settle()
+                log = record_calls(net)
+                report = SelfOrganizationController(net, domain="w").step()
+            assert report.ci_before < 0.0 and report.created
+            reads = [method for method, *_ in log if method not in writes]
+            assert len(reads) <= 6, reads
+            rounds.append(reads)
+    assert all(reads == rounds[0] for reads in rounds), rounds

@@ -34,7 +34,8 @@ class TestReferenceHint:
             # synonym containing "acc" (case-insensitive)
             reference_attribute_hint="acc",
         )
-        schemas = unrestricted._fetch_schemas()
+        schemas, _graph = unrestricted._fetch_schemas(
+            net.connectivity_records(dataset.domain))
         _vals_u, refs_u = unrestricted._collect_instance_state(schemas)
         _vals_h, refs_h = hinted._collect_instance_state(schemas)
         for name in refs_h:
