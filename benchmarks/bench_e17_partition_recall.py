@@ -12,8 +12,8 @@ the fault lab's deterministic partition machinery
    across the cut (each leaf keeps exactly one live replica per
    side), with a scheduled heal;
 3. insert **wave 2** during the partition from a side-A origin
-   through ``insert_triples`` — one split write whose keys a lost
-   sub-request leaves unconfirmed are re-sent one update per key —
+   through ``insert_triples`` — one split write whose ledger re-issues
+   the keys a lost sub-request leaves unconfirmed as one split op —
    then retry the keys that still failed until every record lands; the
    A-side replica of each leaf has it, while the ``replicate`` fan-out
    to the B-side replica dies on the cut: the stores now *disagree*);
@@ -91,8 +91,8 @@ def insert_until_placed(net, origin_peer, triples, side_a,
     """Upload triples, retrying the failed keys until every one lands.
 
     The first round is ``insert_triples``: the triples grouped by key
-    and sent as one split write, whose keys no report confirmed are
-    re-sent on their own.  During the partition roughly half the
+    and sent as one split write, whose ledger re-issues the keys no
+    report confirmed.  During the partition roughly half the
     routing attempts die on the cut, and some keys cannot be reached
     from the side-A origin at all while it stands.  Each further round
     writes only the keys whose result failed, with every triple

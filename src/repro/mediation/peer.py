@@ -229,20 +229,15 @@ class GridVinePeer(PGridPeer):
         for hook in self.mapping_hooks:
             hook(action, mapping)
 
-    def _insert_mapping_records(self, mapping: SchemaMapping) -> Future:
+    def _write_mapping_records(self, mapping: SchemaMapping,
+                               action: str = "insert") -> Future:
+        """Insert (or remove) a mapping's record at its source schema's
+        key space and its incoming marker at the target's."""
         return gather([
             self.update(schema_key(mapping.source_schema),
-                        (MappingRecord(mapping),)),
+                        (MappingRecord(mapping),), action),
             self.update(schema_key(mapping.target_schema),
-                        (IncomingMappingRecord(mapping),)),
-        ])
-
-    def _remove_mapping_records(self, mapping: SchemaMapping) -> Future:
-        return gather([
-            self.update(schema_key(mapping.source_schema),
-                        (MappingRecord(mapping),), action="remove"),
-            self.update(schema_key(mapping.target_schema),
-                        (IncomingMappingRecord(mapping),), action="remove"),
+                        (IncomingMappingRecord(mapping),), action),
         ])
 
     def insert_mapping(self, mapping: SchemaMapping,
@@ -257,17 +252,17 @@ class GridVinePeer(PGridPeer):
         corresponding to both schemas if the mapping is bidirectional".
         """
         self._fire_mapping_event("insert", mapping)
-        ops = [self._insert_mapping_records(mapping)]
+        ops = [self._write_mapping_records(mapping)]
         if bidirectional:
             reverse = mapping.reversed()
             self._fire_mapping_event("insert", reverse)
-            ops.append(self._insert_mapping_records(reverse))
+            ops.append(self._write_mapping_records(reverse))
         return gather(ops)
 
     def remove_mapping(self, mapping: SchemaMapping) -> Future:
         """Delete a directed mapping's record and its incoming marker."""
         self._fire_mapping_event("remove", mapping)
-        return self._remove_mapping_records(mapping)
+        return self._write_mapping_records(mapping, "remove")
 
     def deprecate_mapping(self, mapping: SchemaMapping) -> Future:
         """Mark a mapping deprecated (§3.2): it keeps existing but is
@@ -275,8 +270,8 @@ class GridVinePeer(PGridPeer):
         deprecated = mapping.with_deprecated(True)
         self._fire_mapping_event("deprecate", deprecated)
         return gather([
-            self._remove_mapping_records(mapping),
-            self._insert_mapping_records(deprecated),
+            self._write_mapping_records(mapping, "remove"),
+            self._write_mapping_records(deprecated),
         ])
 
     # ------------------------------------------------------------------
@@ -529,12 +524,12 @@ class GridVinePeer(PGridPeer):
                            message.payload["query"],
                            message.payload["rows"])
 
-    def _execute_op(self, op: str, key: Key, value: Any) -> tuple[list[Any] | None, bool]:
+    def _execute_op(self, op: str, key: Key, value: Any) -> Any:
         if op == "search":
             match = self.db.match
-            return [match(pattern) for pattern in value], False
+            return [match(pattern) for pattern in value]
         if op == "reformulate":
-            return self._handle_reformulate(value), False  # type: ignore[return-value]
+            return self._handle_reformulate(value)
         return super()._execute_op(op, key, value)
 
     def _carried(self, op: str, values: Any) -> int:

@@ -3,13 +3,10 @@
 Protocol overview (all messages flow through ``repro.simnet``):
 
 ``route``
-    Carries an operation (``retrieve`` / ``insert`` / ``remove``)
-    toward the peer responsible for ``key``.  Each peer either answers
-    locally (its path is a prefix of the key) or forwards the message
-    to a reference at the trie level where its path and the key
-    diverge — the defining step of prefix routing.  An ``insert`` or
-    ``remove`` always carries a tuple of values for its key (a single
-    write is a 1-tuple), so a batch of writes to one key is one route.
+    Carries an operation toward the peer responsible for ``key``.  Each
+    peer either answers locally (its path is a prefix of the key) or
+    forwards the message to a reference at the trie level where its
+    path and the key diverge — the defining step of prefix routing.
 
 ``reply``
     Sent directly from the answering peer back to the operation's
@@ -17,31 +14,29 @@ Protocol overview (all messages flow through ``repro.simnet``):
     resolution).
 
 ``replicate``
-    Fans a successful mutation out to the responsible peer's replica
-    group ``sigma(p)``; replicas apply it without replying.  One
-    message carries every key the mutation wrote at that peer.
+    Fans a write out to the responsible peer's replica group
+    ``sigma(p)``; replicas apply it without replying.  One message
+    carries every key the write applied at that peer.
 
-Origins keep a pending-operation table with timeouts: if a reply does
-not arrive in time (offline peer on the path, message drop), the
-operation is retried with a fresh id up to ``max_retries`` times before
-the future resolves as failed.  This mirrors P-Grid's "probabilistic
-guarantees ... even in highly unreliable, dynamic environments".
+Every write and every many-key read is a *split op*, by one rule
+(:meth:`PGridPeer._handle_split`): each peer a sub-request reaches
+answers the keys under its own path and sends the rest on, one
+sub-request per trie level where they leave its path, toward their
+longest common prefix.  So an upload or a query batch routes one
+sub-request per subtree its keys reach, and a one-key write routes like
+a single op.  The origin's ledger (:class:`SplitTask`) counts answered
+keys, so a relay reports nothing, and on timeout it re-issues the
+unanswered keys as one split op.  Single-key reads keep a
+pending-operation table instead.  Both retry by one budget
+(:meth:`PGridPeer._may_retry`), avoiding first hops already tried,
+before resolving as failed — P-Grid's "probabilistic guarantees ...
+even in highly unreliable, dynamic environments".
 
-Operations answered by *many* peers from one request — the range
-shower and the many-key write and read here, recursive reformulation
-in :mod:`repro.mediation.peer` — terminate through one origin-side
-ledger, :class:`FanoutTask`: each sub-request is a route under the id
-``<op>!<task>!<n>``, and its reply is the delegate's report to the
-task that id names.  The range shower splits a prefix into the
-sibling subtrees below it.  The write (:meth:`PGridPeer.update_many`)
-and the read (:meth:`PGridPeer.read_many`) split a set of keys by one
-rule (:meth:`PGridPeer._split_keys`): at each trie level where they
-leave the delegate's path.  So an upload or a query batch routes one
-sub-request per subtree its keys reach, not one route per key.  A
-write sends each subtree's keys toward that level's sibling subtree;
-a read sends them toward their own longest common prefix, and its
-ledger (:class:`ReadTask`) counts answered keys, so a delegate that
-only relays reports nothing.
+The range shower and recursive reformulation (in
+:mod:`repro.mediation.peer`), whose origin cannot list their answerers,
+terminate by :class:`FanoutTask`'s id rule instead: each sub-request
+is a route under the id ``<op>!<task>!<n>``, and its reply is the
+delegate's report, listing the ids it spawned.
 """
 
 from __future__ import annotations
@@ -49,15 +44,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from os.path import commonprefix
 from typing import Any
 
 from repro.obs.registry import FailoverCounters, MaintenanceCounters
-from repro.simnet.events import Future, SimulationError, gather
+from repro.simnet.events import Future, SimulationError
 from repro.simnet.network import Message, Node
 from repro.stats.gossip import PIGGYBACK_BUDGET, PULL_BUDGET
 from repro.stats.synopsis import PeerSynopsis, SynopsisRegistry
-from repro.util.keys import Key, common_prefix_length
+from repro.util.keys import Key, common_prefix_key, common_prefix_length
 
 #: shared empty avoid-set for forwarded routes (never mutated); saves
 #: one set allocation per forwarding hop on the hottest handler
@@ -72,11 +66,12 @@ class OpResult:
     """Outcome of a Retrieve or Update operation.
 
     ``hops`` counts forwarding steps of the winning attempt (0 when the
-    origin itself was responsible, or the key was written by a split
-    write — see :meth:`PGridPeer.update_many`); ``latency`` is virtual
-    seconds from issue to completion, including failed attempts;
-    ``values`` is the retrieved list for retrieves and ``None`` for
-    updates.
+    origin itself was responsible; for a key of a split write, the
+    steps of the sub-request that reached its peer — the whole route
+    for a one-key write, see :meth:`PGridPeer.update_many`);
+    ``latency`` is virtual seconds from issue to completion, including
+    failed attempts; ``values`` is the retrieved list for retrieves and
+    ``None`` for updates.
     """
 
     key: Key
@@ -88,11 +83,11 @@ class OpResult:
 
 
 class _Pending:
-    """Origin-side state of one in-flight operation.
+    """Origin-side state of one in-flight single-key read.
 
     A slot class with a hand-written ``__init__`` — one instance per
-    issued operation makes the dataclass machinery (default factories,
-    keyword processing) measurable during deployment builds.
+    issued read makes the dataclass machinery (default factories,
+    keyword processing) measurable on read-heavy workloads.
     """
 
     __slots__ = ("future", "key", "op", "value", "issued_at", "attempts",
@@ -445,8 +440,8 @@ class PGridPeer(Node):
         values}``, keys in first-occurrence order.
 
         One :meth:`read_many` of ``"retrieve"``: it splits where the
-        keys diverge and re-sends a key no report answers on its own.
-        A key that still fails reads as empty (``[]``).
+        keys diverge, and its ledger re-issues the keys no report
+        answered.  A key that still fails reads as empty (``[]``).
         """
         future: Future = Future()
         answers: dict = dict.fromkeys(keys)
@@ -467,90 +462,70 @@ class PGridPeer(Node):
 
     def update(self, key: Key, values: tuple, action: str = "insert") -> Future:
         """Start an ``Update(key, values)``: every value of the tuple,
-        in order, under ``key`` (a single write is a 1-tuple).
+        in order, under ``key`` (a single write is a 1-tuple); resolves
+        to one :class:`OpResult`.
 
         ``action`` is ``"insert"`` or ``"remove"`` — the paper uses one
         generic Update primitive for insertion, update and deletion.
-        One routed op, one replica propagation and one reply carry the
-        whole tuple.
+        A one-key :meth:`update_many`, routed toward the key itself: the
+        hops, one ``replicate`` per replica and one report.
         """
-        if action not in ("insert", "remove"):
-            raise ValueError(f"unknown update action {action!r}")
-        return self._start_op(action, key, values)
+        future: Future = Future()
+        self.update_many({key: values}, action).add_done_callback(
+            lambda written: future.set_result(written.result()[0]))
+        return future
 
     def update_many(self, groups: dict, action: str = "insert") -> Future:
         """Start one ``Update`` of many keys: every ``values`` tuple of
         ``groups`` (``{key: values}``) under its key, resolving to one
         :class:`OpResult` per key, in ``groups`` order.
 
-        One write that splits where its keys diverge: a
-        :class:`FanoutTask` whose root sub-request is answered here.
-        Each delegate applies the keys under its own path and sends
-        their replicas one ``replicate`` each, then sends the rest on
-        one sub-request per trie level where they leave its path (see
-        :meth:`_handle_write`), so keys share every hop up to the
-        subtree where they part.  A key no report confirms before
-        :attr:`timeout` expires is re-sent through :meth:`update`,
-        whose retries and failover repair a lost batch like a lost
-        update; its result counts the split write as one more attempt.
-        Delivery is at least once either way: a key whose confirmation
-        was lost is written again.
+        One write that splits where its keys diverge (a
+        :class:`SplitTask`, op ``"write"``; see :meth:`_handle_split`),
+        so keys share every hop up to the subtree where they part.  Its
+        ledger re-issues keys no report confirmed within
+        :attr:`timeout`, so delivery is at least once: a key whose
+        confirmation was lost is written again.
         """
         if action not in ("insert", "remove"):
             raise ValueError(f"unknown update action {action!r}")
         future: Future = Future()
+        if not groups:
+            future.set_result([])
+            return future
         issued_at = self.loop.now
+        confirmed: dict = {}
+
+        def _on_applied(key: Key, _answer: Any, hops: int) -> None:
+            confirmed[key] = OpResult(key, True, hops=hops,
+                                      latency=self.loop.now - issued_at,
+                                      attempts=task.attempts)
 
         def _finish(complete: bool) -> None:
-            confirmed = {bits for report in task.reports.values()
-                         for bits in report["applied"]}
-            now = self.loop.now
-            results = [OpResult(key, True, latency=now - issued_at)
-                       if key._bits in confirmed else None
-                       for key in groups]
-            missing = [key for key, result in zip(groups, results)
-                       if result is None]
-            if not missing:
-                future.set_result(results)
-                return
+            latency = self.loop.now - issued_at
+            future.set_result([
+                confirmed.get(key) or OpResult(key, False, latency=latency,
+                                               attempts=task.attempts)
+                for key in groups])
 
-            def _refill(resent: Future) -> None:
-                retried = iter(resent.result())
-                for index, result in enumerate(results):
-                    if result is None:
-                        result = results[index] = next(retried)
-                        result.latency += now - issued_at
-                        result.attempts += 1
-                future.set_result(results)
-
-            gather([self.update(key, groups[key], action)
-                    for key in missing]).add_done_callback(_refill)
-
-        task = FanoutTask(self, _finish)
-        task.start("write", Key.of(""), {
-            "action": action,
-            "groups": {key._bits: values for key, values in groups.items()},
-        }, self.timeout)
+        task = SplitTask(self, "write", action, groups, _on_applied, _finish)
+        task.start()
         return future
 
     def read_many(self, op: str, groups: dict, on_rows: Any,
                   cancel: Any = None) -> None:
         """Start one read of many keys: ``op`` with each key's argument
-        of ``groups`` (``{key: arg}``) at a peer responsible for that
-        key.  ``on_rows(key, values)`` runs once per key, the moment
-        its answer arrives; ``values`` is ``None`` for a key that
-        failed or was cancelled.
+        of ``groups`` (a non-empty ``{key: arg}``) at a peer responsible
+        for that key.  ``on_rows(key, values)`` runs once per key, the
+        moment its answer arrives; ``values`` is ``None`` for a key
+        that failed or was cancelled.
 
-        One read that splits where its keys diverge: a
-        :class:`ReadTask` whose root sub-request goes toward the
-        longest common prefix of the keys.  Each delegate answers the
-        keys under its own path and sends the rest on (see
-        :meth:`_handle_read`), so a one-key read costs what a routed
-        op costs: the hops plus one report.  A key no report answers
-        before :attr:`timeout` expires is re-sent on its own through
-        :meth:`_start_op`, whose retries and failover repair a lost
-        share like a lost retrieve.  ``cancel`` finishes the read:
-        every key not answered yet gets ``None`` at once.
+        One read that splits where its keys diverge (a
+        :class:`SplitTask`, op ``"read"``; see :meth:`_handle_split`),
+        so a one-key read costs the hops plus one report.  Its ledger
+        re-issues keys no report answered within :attr:`timeout`.
+        ``cancel`` finishes the read: every key not answered yet gets
+        ``None`` at once.
 
         Its ops are ``search`` (a query batch's wave,
         :meth:`~repro.exec.stream.PipelineContext.read_scans`) and
@@ -565,22 +540,18 @@ class PGridPeer(Node):
             return
 
         def _finish(complete: bool) -> None:
+            # Emptied first: an answer's consumer may fire the cancel
+            # token mid-report, and no key may be answered twice.
             missing, task.unanswered = task.unanswered, {}
             if cancel is not None and cancel.cancelled:
                 self._failover.cancelled += len(missing)
-                for key in missing.values():
-                    on_rows(key, None)
-                return
             for key in missing.values():
-                self._start_op(op, key, groups[key], cancel=cancel
-                               ).add_done_callback(
-                    lambda f: on_rows(f.result().key, f.result().values))
+                on_rows(key, None)
 
-        task = ReadTask(self, groups, _finish, on_rows)
-        task.start("read", Key.of(commonprefix([key._bits for key in groups])), {
-            "op": op,
-            "groups": {key._bits: arg for key, arg in groups.items()},
-        }, self.timeout)
+        task = SplitTask(self, "read", op, groups,
+                         lambda key, values, _hops: on_rows(key, values),
+                         _finish)
+        task.start()
         if cancel is not None:
             cancel.on_cancel(lambda: task.finish(False))
 
@@ -591,14 +562,13 @@ class PGridPeer(Node):
             # Cancelled before issue: spend zero messages.
             future.set_result(OpResult(key=key, success=False, attempts=0))
             return future
-        op_id = f"{self.node_id}:{self._op_ids}"
-        self._op_ids += 1
-        # Direct transport access (vs the ``loop`` property): ops are
-        # issued in bulk during deployment builds, where the extra
-        # frames are measurable.
+        # Direct transport access (vs the ``loop`` property): reads are
+        # issued in bulk, where the extra frames are measurable.
         network = self.network
         if network is None:
             raise SimulationError(f"node {self.node_id} is not attached")
+        op_id = f"{self.node_id}:{self._op_ids}"
+        self._op_ids += 1
         pending = _Pending(
             future=future,
             key=key,
@@ -700,20 +670,17 @@ class PGridPeer(Node):
         pending.timeout_handle = network.loop.schedule(
             self.timeout, self._on_timeout, op_id
         )
-        payload = {
-            "op": pending.op,
-            "op_id": op_id,
-            "key": pending.key._bits,
-            "origin": self.node_id,
-            "value": pending.value,
-        }
-        if self.failover and pending.tried_hops:
-            payload["avoid"] = sorted(pending.tried_hops)
         message = Message(
             kind="route",
             src=self.node_id,
             dst=self.node_id,
-            payload=payload,
+            payload={
+                "op": pending.op,
+                "op_id": op_id,
+                "key": pending.key._bits,
+                "origin": self.node_id,
+                "value": pending.value,
+            },
             hops=0,
         )
         scope = pending.scope
@@ -733,19 +700,28 @@ class PGridPeer(Node):
         # re-enter the operation's scope (under the attempt span when
         # traced) so the retry's messages are attributed to it.
         with network.resume(scope):
-            self._handle_route(message)
+            self._handle_route(message, pending.tried_hops)
 
-    def _untried_alternates(self, pending: _Pending) -> bool:
-        """Whether the routing table still offers a first hop toward
-        ``pending.key`` that this operation has not tried yet."""
-        key = pending.key
-        if not len(self.path) or self.is_responsible_for(key):
+    def _may_retry(self, attempts: int, keys: Any, tried: set) -> bool:
+        """Whether an op on ``keys`` that has made ``attempts`` attempts
+        gets another — the one retry budget of every op issued here:
+        ``max_retries`` retries, plus ``failover_retries`` while (with
+        failover on) a key has a first hop outside ``tried``, those
+        its attempts took."""
+        if attempts <= self.max_retries:
+            return True
+        if (not self.failover
+                or attempts > self.max_retries + self.failover_retries):
             return False
-        level = common_prefix_length(self.path, key)
-        if level >= len(self.path) or level >= len(key):
-            return False  # answered locally; no first hop involved
-        return any(ref not in pending.tried_hops
-                   for ref in self.routing_table[level])
+        path = self.path._bits
+        for key in keys:
+            level = common_prefix_length(path, key._bits)
+            # A key under our path, or a prefix of it, has no first hop.
+            if (level < len(path) and level < len(key)
+                    and any(ref not in tried
+                            for ref in self.routing_table[level])):
+                return True
+        return False
 
     def _on_timeout(self, op_id: str) -> None:
         pending = self._pending.get(op_id)
@@ -758,10 +734,8 @@ class PGridPeer(Node):
             self.network.tracer.finish(
                 pending.attempt_span, self.network.loop._now,
                 status="timeout")
-        budget = self.max_retries + 1
-        if self.failover and self._untried_alternates(pending):
-            budget += self.failover_retries
-        if pending.attempts < budget:
+        if self._may_retry(pending.attempts, (pending.key,),
+                           pending.tried_hops):
             pending.attempts += 1
             self._failover.retries += 1
             self._attempt(op_id)
@@ -795,59 +769,40 @@ class PGridPeer(Node):
     def _handle_stats_push(self, message: Message) -> None:
         self.receive_synopses(message.payload.get("synopses") or ())
 
-    def _handle_route(self, message: Message) -> None:
+    def _handle_route(self, message: Message,
+                      tried: "set[str] | None" = None) -> None:
+        """Answer a route here or forward it one step.  An origin
+        issuing its own op passes ``tried``, the first hops the op took
+        so far: this hop avoids them (with failover on) and joins them."""
         # Hottest handler in the system: work on the payload's raw bit
         # string and only materialize a (shared, interned) Key object
         # when this peer actually answers.  Forwarding a message costs
         # no Key construction at all.
-        key_bits: str = message.payload["key"]
+        payload = message.payload
+        key_bits: str = payload["key"]
         if message.hops > len(key_bits) + 8:
             # Safety net: greedy forwarding strictly extends the
             # common prefix, so a legitimate route never exceeds the
             # key width; anything longer indicates a poisoned table.
             return
         path_bits = self.path._bits
-        if key_bits.startswith(path_bits):  # responsible (or root path)
+        level = common_prefix_length(path_bits, key_bits)
+        if level == len(path_bits) or level == len(key_bits):
+            # Our path prefixes the key (we are responsible), or the key
+            # prefixes our path: for short prefix keys (range queries, a
+            # split op's common prefix) our leaf lies inside the prefix's
+            # subtree, making us a valid entry point.
             self._answer(message, Key.of(key_bits))
             return
-        level = 0
-        for x, y in zip(path_bits, key_bits):
-            if x != y:
-                break
-            level += 1
-        if level >= len(path_bits) or level >= len(key_bits):
-            # Prefix-comparable in either direction: for full-width
-            # keys this means we own the key; for short prefix keys
-            # (range queries) our leaf lies inside the prefix's
-            # subtree, making us a valid entry point for the shower.
-            self._answer(message, Key.of(key_bits))
-            return
-        at_origin = (message.hops == 0
-                     and message.payload.get("origin") == self.node_id)
-        if at_origin:
-            avoid: "set[str] | frozenset[str]" = set(
-                message.payload.get("avoid") or ())
-        else:
-            avoid = _NO_AVOID
+        avoid = tried if tried is not None and self.failover else _NO_AVOID
         next_hop = self._next_hop_with_failover(level, avoid)
         if next_hop is None:
             # Dead end: no live reference toward the key.  Drop; the
             # origin's timeout will retry (possibly through another
             # replica of the first hop).
             return
-        payload = message.payload
-        if at_origin:
-            pending = self._pending.get(payload.get("op_id"))
-            if pending is not None:
-                pending.tried_hops.add(next_hop)
-        if "avoid" in payload:
-            # The avoid hint is an origin-local failover decision; it
-            # has no meaning (and must not constrain routing) past the
-            # first hop.  Only then is a copy needed — forwarded
-            # payloads are immutable by protocol convention, so the
-            # common case shares the dict across hops.
-            payload = dict(payload)
-            del payload["avoid"]
+        if tried is not None:
+            tried.add(next_hop)
         self.network.send(Message("route", self.node_id, next_hop,
                                   payload, message.hops + 1))
 
@@ -927,34 +882,24 @@ class PGridPeer(Node):
         rng = self.rng
         return pool[rng._randbelow(len(pool))]
 
-    def _execute_op(self, op: str, key: Key, value: Any) -> tuple[list[Any] | None, bool]:
-        """Apply one operation against local state.
+    def _execute_op(self, op: str, key: Key, value: Any) -> Any:
+        """Answer one operation from local state.
 
-        Returns ``(values, mutated)`` — ``values`` goes into the reply,
-        ``mutated`` triggers replica propagation.  Subclasses extend
-        this to add mediation-layer operations.
+        Returns what the reply carries, or ``None`` when there is
+        nothing to reply (a split op's relay).  Subclasses extend this
+        to add mediation-layer operations.
         """
         if op == "retrieve":
-            return self.local_retrieve(key), False
-        if op == "write":
-            return self._handle_write(value), False  # type: ignore[return-value]
-        if op == "read":
-            return self._handle_read(value), False  # type: ignore[return-value]
+            return self.local_retrieve(key)
+        if op == "write" or op == "read":
+            return self._handle_split(op, value)
         if op == "range":
-            return self._handle_range(key, value), False  # type: ignore[return-value]
+            return self._handle_range(key, value)
         if op == "refs_lookup":
             # Routed reference discovery: whoever answers covers the
             # requested prefix, so it can vouch for itself and its
             # replica group.
-            return [self.node_id] + list(self.replicas), False
-        if op == "insert":
-            for item in value:
-                self.local_insert(key, item)
-            return None, True
-        if op == "remove":
-            for item in value:
-                self.local_remove(key, item)
-            return None, True
+            return [self.node_id] + list(self.replicas)
         raise ValueError(f"unknown operation {op!r}")
 
     # ------------------------------------------------------------------
@@ -1008,12 +953,14 @@ class PGridPeer(Node):
         return future
 
     def _send_subrequest(self, op: str, task_id: str, key: Key,
-                         value: dict) -> str:
+                         value: dict, tried: "set[str] | None" = None
+                         ) -> str:
         """Route one sub-request of fan-out ``task_id`` toward ``key``.
 
         Returns its id ``<op>!<task>!<n>``, which doubles as the route
         op id: the reply carries it back to the task's origin as that
-        request's report (see :class:`FanoutTask`).
+        request's report (see :class:`FanoutTask`).  ``tried``: see
+        :meth:`_handle_route`.
         """
         request_id = f"{op}!{task_id}!{self.node_id}:{self._op_ids}"
         self._op_ids += 1
@@ -1023,7 +970,7 @@ class PGridPeer(Node):
             "key": key.bits,
             "origin": task_origin(task_id),
             "value": {**value, "task_id": task_id, "request_id": request_id},
-        }))
+        }), tried)
         return request_id
 
     def _handle_range(self, prefix: Key, value: dict) -> dict:
@@ -1063,75 +1010,52 @@ class PGridPeer(Node):
         applied: dict[str, Any] = {}
         onward: dict[int, dict[str, Any]] = {}
         for bits, arg in groups.items():
-            if bits.startswith(path):
-                applied[bits] = arg
-                continue
-            level = 0
-            for x, y in zip(path, bits):
-                if x != y:
-                    break
-                level += 1
-            if level == len(bits):
+            level = common_prefix_length(path, bits)
+            if level == len(path) or level == len(bits):
                 applied[bits] = arg
             else:
                 onward.setdefault(level, {})[bits] = arg
         return applied, onward
 
-    def _handle_write(self, value: dict) -> dict:
-        """Apply the keys under this path and delegate the rest.
+    def _handle_split(self, kind: str, value: dict) -> dict | None:
+        """Apply the keys under this path and send the rest on — the
+        one body of a split op, ``kind`` ``"write"`` or ``"read"``.
 
-        The keys :meth:`_split_keys` sends on from one level go in one
-        sub-request toward that level's sibling subtree, where the next
-        delegate repeats this.  The report lists the keys applied here
-        and the sub-requests spawned.
-        """
-        action = value["action"]
-        applied, onward = self._split_keys(value["groups"])
-        execute = self._execute_op
-        for bits, values in applied.items():
-            execute(action, Key.of(bits), values)
-        if applied:
-            self._propagate_to_replicas(action, applied)
-        task_id = value["task_id"]
-        return {
-            "applied": list(applied),
-            "spawned": [
-                self._send_subrequest(
-                    "write", task_id, self.path.sibling_prefix(level),
-                    {"action": action, "groups": groups})
-                for level, groups in onward.items()],
-        }
-
-    def _handle_read(self, value: dict) -> dict | None:
-        """Answer the keys under this path and send the rest on.
-
-        The split is :meth:`_split_keys`'s, as for a write, but each
-        onward group goes toward the longest common prefix of its own
-        keys, not toward the sibling subtree of the level where it
-        left: keys that stay together below that level travel on as
-        one message, and the first peer inside their subtree splits
-        them again.  The report answers each key applied here with
-        ``_execute_op(op, key, arg)``'s values and declares what they
-        carry; a delegate that applied no key has nothing to report
-        and returns ``None`` (the origin's :class:`ReadTask` counts
-        keys, not requests).
+        :meth:`_split_keys` splits the keys, and each onward group goes
+        toward the longest common prefix of its own keys, where the
+        first peer inside their subtree splits them again.  A write
+        applies each key's values tuple and sends each replica one
+        ``replicate`` carrying all of them; a read answers each key
+        with ``_execute_op(op, key, arg)``.  The report answers the keys
+        applied here and declares what the answers carry; a peer that
+        applied none reports nothing (``None``).  At the origin, onward
+        sub-requests are first hops of the op (see :class:`SplitTask`).
         """
         op = value["op"]
         applied, onward = self._split_keys(value["groups"])
-        execute = self._execute_op
-        answers = {bits: execute(op, Key.of(bits), arg)[0]
-                   for bits, arg in applied.items()}
-        task_id = value["task_id"]
-        for groups in onward.values():
-            self._send_subrequest("read", task_id,
-                                  Key.of(commonprefix(list(groups))),
-                                  {"op": op, "groups": groups})
+        if kind == "write":
+            if applied:
+                self._write_local(op, applied)
+                self._propagate_to_replicas(op, applied)
+            answers = dict.fromkeys(applied, ())
+        else:
+            execute = self._execute_op
+            answers = {bits: execute(op, Key.of(bits), arg)
+                       for bits, arg in applied.items()}
+        if onward:
+            task_id = value["task_id"]
+            task = (self._tasks.get(task_id)
+                    if task_origin(task_id) == self.node_id else None)
+            tried = None if task is None else task.tried_hops
+            for groups in onward.values():
+                self._send_subrequest(kind, task_id, common_prefix_key(groups),
+                                      {"op": op, "groups": groups}, tried)
         if not answers:
             return None
         carried = self._carried
         return {"answers": answers,
-                "carried": sum(carried(op, values)
-                               for values in answers.values())}
+                "carried": sum(carried(op, answer)
+                               for answer in answers.values())}
 
     def _adopt_references(self, level: int, candidates) -> None:
         """Add the candidates this peer does not know yet to its
@@ -1199,21 +1123,17 @@ class PGridPeer(Node):
 
     def _answer(self, message: Message, key: Key) -> None:
         """Apply the operation locally and reply to the origin (an op
-        with nothing to report — a split read's relay — replies not)."""
+        with nothing to report — a split op's relay — replies not)."""
         payload = message.payload
         op = payload["op"]
-        value = payload.get("value")
-        values, mutated = self._execute_op(op, key, value)
-        if mutated:
-            self._propagate_to_replicas(op, {key._bits: value})
-        elif values is None:
+        values = self._execute_op(op, key, payload.get("value"))
+        if values is None:
             return
         origin = payload["origin"]
         reply_payload = {
             "op_id": payload["op_id"],
             "values": values,
             "hops": message.hops,
-            "answered_by": self.node_id,
         }
         if origin == self.node_id:
             self._complete(reply_payload)
@@ -1224,17 +1144,26 @@ class PGridPeer(Node):
 
     def _carried(self, op: str, values: Any) -> int:
         """The result values a reply to ``op`` carries: a retrieved
-        list's length, what a read report declares, and nothing for an
-        update's ack or a write, range or reformulation report."""
+        list's length, what a split op's report declares (nothing for a
+        write), and nothing for a range or reformulation report."""
         if type(values) is list:
             return len(values)
-        if op == "read":
+        if op == "read" or op == "write":
             return values["carried"]
         return 0
 
+    def _write_local(self, action: str, groups: dict) -> None:
+        """Apply a write here: every key's values tuple of ``groups``
+        (``{key bits: values}``), in order, by ``action``."""
+        apply = self.local_insert if action == "insert" else self.local_remove
+        for bits, values in groups.items():
+            key = Key.of(bits)
+            for value in values:
+                apply(key, value)
+
     def _propagate_to_replicas(self, op: str, groups: dict) -> None:
         """One ``replicate`` message per replica, carrying every key
-        the mutation wrote here with its whole values tuple
+        the write applied here with its whole values tuple
         (``groups`` is ``{key bits: values}``)."""
         network = self.network
         node_id = self.node_id
@@ -1243,12 +1172,9 @@ class PGridPeer(Node):
             network.send(Message("replicate", node_id, replica, payload))
 
     def _handle_replicate(self, message: Message) -> None:
-        """Apply a replica's mutation: every key's values, in order,
-        through the same op the answering peer executed."""
-        op = message.payload["op"]
-        execute = self._execute_op
-        for bits, values in message.payload["groups"].items():
-            execute(op, Key.of(bits), values)
+        """Apply a replica's write: every key's values, in order, by
+        the action the answering peer applied."""
+        self._write_local(message.payload["op"], message.payload["groups"])
 
     def _handle_reply(self, message: Message) -> None:
         self._complete(message.payload)
@@ -1267,7 +1193,8 @@ class PGridPeer(Node):
             owner = rest.partition("!")[0]
             values = payload.get("values")
             if owner in self._tasks:
-                self._tasks[owner].on_report(op_id, values or {})
+                self._tasks[owner].on_report(op_id, values or {},
+                                             payload["hops"])
             elif (tag == "refslkp" and owner.isdigit()
                     and int(owner) < len(self.routing_table)):
                 self._adopt_references(int(owner), values or ())
@@ -1305,19 +1232,23 @@ class FanoutTask:
     (or the origin's leave) comes first.  A finished task is out of
     :attr:`PGridPeer._tasks`, so late messages find nobody.
 
-    That is the *id* rule, used by the range shower, the write and
-    reformulation.  :class:`ReadTask` keeps everything here but
-    :meth:`on_report` and terminates by a second rule, counting keys.
+    That is the *id* rule, for operations whose origin cannot list
+    their answerers: the range shower and recursive reformulation.
+    :class:`SplitTask` keeps the rest of this class and terminates by
+    a second rule, counting keys.
     """
 
     def __init__(self, peer: PGridPeer, on_finish: Any,
                  on_results: Any = None) -> None:
+        network = peer.network
+        if network is None:
+            raise SimulationError(f"node {peer.node_id} is not attached")
         self.peer = peer
         self.task_id = f"{peer.node_id}:{peer._op_ids}"
         peer._op_ids += 1
         #: a timeout-driven finish runs outside any delivery scope,
         #: and ``on_finish`` may still send attributable traffic
-        self.scope = peer.network.scope()
+        self.scope = network.scope()
         self.on_finish = on_finish
         self.on_results = on_results
         #: request ids known to be part of this task
@@ -1337,8 +1268,9 @@ class FanoutTask:
         self.expected.add(
             peer._send_subrequest(op, self.task_id, key, value))
 
-    def on_report(self, request_id: str, report: dict) -> None:
-        """A delegate reported which sub-requests it spawned."""
+    def on_report(self, request_id: str, report: dict, hops: int) -> None:
+        """A delegate reported which sub-requests it spawned (``hops``:
+        the forwarding steps its request took)."""
         self.reports[request_id] = report
         self.expected.add(request_id)
         self.expected.update(report.get("spawned", ()))
@@ -1371,31 +1303,75 @@ class FanoutTask:
             on_finish(complete)
 
 
-class ReadTask(FanoutTask):
-    """The ledger of one split read (:meth:`PGridPeer.read_many`).
+class SplitTask(FanoutTask):
+    """The ledger of one split op (``op`` ``"write"`` or ``"read"``) of
+    ``action`` on every key of ``groups`` (``{key: arg}``).
 
-    A read's origin knows every key it asked for, so this ledger counts
+    The origin knows every key it asked for, so this ledger counts
     *keys*, not request ids (the *key* rule, beside
-    :class:`FanoutTask`'s id rule): a report answers some keys, each answer
-    goes to ``on_results(key, values)`` the moment it arrives, and the
-    task finishes complete once every key has its answer.  A delegate
-    that answered no key owes no report.  Duplicated or late answers
-    find their key gone and are dropped.
+    :class:`FanoutTask`'s id rule): each answer goes to
+    ``on_results(key, answer, hops)`` the moment it arrives, and the
+    task finishes complete once every key has its answer.  A peer that
+    answered no key owes no report; duplicated or late answers find
+    their key gone.  When the timeout expires first, the ledger
+    re-issues the unanswered keys from the origin as one split op,
+    avoiding the first hops already tried, while
+    :meth:`PGridPeer._may_retry` grants it; then it finishes
+    incomplete.  An answer to any attempt counts.
     """
 
-    def __init__(self, peer: PGridPeer, groups: dict, on_finish: Any,
-                 on_results: Any) -> None:
+    def __init__(self, peer: PGridPeer, op: str, action: str, groups: dict,
+                 on_results: Any, on_finish: Any) -> None:
         super().__init__(peer, on_finish, on_results)
+        self.op = op
+        self.action = action
+        #: key bits -> argument, for every key asked for
+        self.groups = {key._bits: arg for key, arg in groups.items()}
         #: key bits -> key, for every key no report has answered yet
         self.unanswered: dict[str, Key] = {key._bits: key for key in groups}
+        self.attempts = 0
+        #: first hops the attempts' sub-requests took from the origin
+        self.tried_hops: set[str] = set()
 
-    def on_report(self, request_id: str, report: dict) -> None:
-        """A delegate's answers arrived."""
-        for bits, values in report["answers"].items():
+    def start(self) -> None:  # type: ignore[override]
+        """Register and make the first attempt."""
+        self.peer._tasks[self.task_id] = self
+        self._attempt()
+
+    def _attempt(self) -> None:
+        """Arm the timeout (first, as in :meth:`FanoutTask.start`),
+        then route the unanswered keys as one sub-request."""
+        peer = self.peer
+        self.attempts += 1
+        self.timeout_handle = peer.loop.schedule(peer.timeout,
+                                                 self._on_timeout)
+        groups = self.groups
+        if len(self.unanswered) < len(groups):
+            groups = {bits: groups[bits] for bits in self.unanswered}
+        peer._send_subrequest(self.op, self.task_id, common_prefix_key(groups),
+                              {"op": self.action, "groups": groups},
+                              self.tried_hops)
+
+    def _on_timeout(self) -> None:
+        peer = self.peer
+        if peer._may_retry(self.attempts, self.unanswered.values(),
+                           self.tried_hops):
+            peer._failover.retries += 1
+            # Outside any delivery scope: re-enter the op's, so the
+            # retry's messages are attributed to it.
+            with peer.network.resume(self.scope):
+                self._attempt()
+            return
+        peer._failover.gave_up += 1
+        self.finish(False)
+
+    def on_report(self, request_id: str, report: dict, hops: int) -> None:
+        """A peer's answers arrived."""
+        for bits, answer in report["answers"].items():
             # Re-read per answer: one answer's consumer may cancel the
-            # read, which empties the ledger.
+            # op, which empties the ledger.
             key = self.unanswered.pop(bits, None)
             if key is not None:
-                self.on_results(key, values)
+                self.on_results(key, answer, hops)
         if not self.unanswered:
             self.finish(True)

@@ -289,19 +289,40 @@ def covering_prefixes(low: Key, high: Key,
     return result
 
 
-def common_prefix_length(a: Key, b: Key) -> int:
-    """Length of the longest common prefix of two keys.
+def common_prefix_length(a: "str | Key", b: "str | Key") -> int:
+    """Length of the longest common prefix of two bit strings (or keys,
+    which iterate their bits).
 
     This is the trie depth at which the two keys' subtrees diverge;
     prefix routing forwards a query to a reference whose common prefix
     with the target key is strictly longer than the current peer's.
+    The one place keys are compared bit by bit: routing, the split of
+    a many-key operation and :func:`common_prefix_key` count here, on
+    raw bit strings.
 
-    >>> common_prefix_length(Key("0011"), Key("0010"))
+    >>> common_prefix_length("0011", "0010")
     3
+    >>> common_prefix_length(Key("01"), Key("0110"))
+    2
     """
     n = 0
-    for x, y in zip(a._bits, b._bits):
+    for x, y in zip(a, b):
         if x != y:
             break
         n += 1
     return n
+
+
+def common_prefix_key(bits: "dict[str, Any] | list[str]") -> Key:
+    """The longest common prefix of the bit strings ``bits`` (a
+    non-empty list or dict of them) as a key — where a many-key
+    operation sends them.  A lone key is itself, with no comparison;
+    more share the prefix of their least and greatest.
+
+    >>> common_prefix_key(["0110", "0100", "0111"]), common_prefix_key(["01"])
+    (Key('01'), Key('01'))
+    """
+    if len(bits) == 1:
+        return Key.of(next(iter(bits)))
+    low, high = min(bits), max(bits)
+    return Key.of(low[:common_prefix_length(low, high)])

@@ -12,6 +12,7 @@ from strategies.fanouts import (
     fanout_schedules,
     request_trees,
     required_events,
+    split_write_schedules,
 )
 from strategies.mapping_graphs import (
     ReformulationCase,
@@ -61,6 +62,7 @@ __all__ = [
     "reformulation_cases",
     "request_trees",
     "required_events",
+    "split_write_schedules",
     "stat_bags",
     "trie_cases",
     "triple_sets",

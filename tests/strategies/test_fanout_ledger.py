@@ -9,6 +9,11 @@ the order, however often a message is duplicated.  Short of that it
 finishes incomplete at its timeout and not before.  Either way
 ``on_finish`` runs once and nothing is left behind.
 
+A split op's ledger (:class:`~repro.pgrid.peer.SplitTask`) counts
+keys instead: a split write finishes complete at exactly the delivery
+that answers its last key, though its relays — requests that answered
+no key — never report.
+
 The peer under test routes nothing: the test plays the delegates,
 delivering reports through ``PGridPeer._complete`` (so the
 ``<op>!<task>!<n>`` id dispatch is covered too) and results through
@@ -22,7 +27,7 @@ from repro.pgrid.peer import FanoutTask, PGridPeer
 from repro.simnet.network import SimNetwork
 from repro.util.keys import Key
 
-from .fanouts import fanout_schedules, required_events
+from .fanouts import fanout_schedules, required_events, split_write_schedules
 from .settings import STANDARD_SETTINGS
 
 TIMEOUT = 50.0
@@ -35,7 +40,7 @@ def request_id(task_id, index):
 class _Origin(PGridPeer):
     """Sub-requests go nowhere; the root's id is request 0's."""
 
-    def _send_subrequest(self, op, task_id, key, value):
+    def _send_subrequest(self, op, task_id, key, value, tried=None):
         return request_id(task_id, 0)
 
 
@@ -117,3 +122,38 @@ def test_one_message_short_it_finishes_incomplete_at_the_timeout(case, data):
     fanout.assert_closed(False)
     fanout.deliver(withheld)  # too late to matter
     fanout.assert_closed(False)
+
+
+@STANDARD_SETTINGS
+@given(split_write_schedules())
+def test_a_split_write_finishes_complete_though_its_relays_never_report(case):
+    (parents, _executes), answered_by, schedule = case
+    peer = _Origin("origin", Key(""))
+    SimNetwork().attach(peer)
+    keys = [Key(format(index, "03b")) for index in range(len(answered_by))]
+    future = peer.update_many({key: (index,) for index, key in enumerate(keys)})
+    (task,) = peer._tasks.values()
+    silent = set(range(len(parents))) - set(answered_by)
+    unheard = set(answered_by)
+    for index in schedule:
+        assert not future.done and index not in silent
+        peer._complete({
+            "op_id": request_id(task.task_id, index),
+            "hops": 0,
+            "values": {"answers": {key.bits: () for key, by
+                                   in zip(keys, answered_by) if by == index},
+                       "carried": 0},
+        })
+        unheard.discard(index)
+        if not unheard:
+            break
+    assert future.done and peer._tasks == {}
+    assert task.timeout_handle.cancelled
+    assert [result.key for result in future.result()] == keys
+    assert all(result.success for result in future.result())
+    # Replays after the finish are dropped, and no retry fires.
+    for index in schedule:
+        peer._complete({"op_id": request_id(task.task_id, index), "hops": 0,
+                        "values": {"answers": {}, "carried": 0}})
+    peer.loop.run_until(2 * TIMEOUT)
+    assert peer.failover_stats.retries == 0

@@ -134,9 +134,9 @@ class TestLeave:
     def test_leaver_fails_its_own_operations_in_flight(self, issue):
         """Whatever the leaver still has pending resolves as failed at
         the leave; no retry or timeout of it fires after the detach
-        (that used to crash the event loop).  An unconfirmed split
-        write re-sends its keys one update each, and those fail in
-        turn."""
+        (that used to crash the event loop).  A split write fails the
+        keys no report confirmed, with no re-send; like every ledger
+        torn down by the leave, it counts no give-up."""
         net = GridVineNetwork.build(num_peers=16, replication=2, seed=3)
         peer = next(p for p in net.peers.values() if p.replicas)
         for refs in peer.routing_table:  # nothing it routes arrives
@@ -162,12 +162,10 @@ class TestLeave:
         if issue == "recursive_query":
             assert not future.result().complete
         elif issue == "insert_triples":
-            failed = [r for r in future.result() if not r.success]
-            assert failed
-            assert peer.failover_stats.gave_up == len(failed)
+            assert not all(r.success for r in future.result())
         else:
             assert not future.result().success
-            assert peer.failover_stats.gave_up == (issue == "retrieve")
+        assert peer.failover_stats.gave_up == (issue == "retrieve")
         assert not (peer._pending or peer._tasks)
         net.loop.run_until(net.loop.now + 200.0)  # past every timeout
 

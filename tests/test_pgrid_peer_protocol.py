@@ -4,6 +4,7 @@ import pytest
 
 from repro.pgrid.overlay import PGridOverlay
 from repro.pgrid.peer import PGridPeer
+from repro.simnet.events import SimulationError
 from repro.simnet.network import Message, SimNetwork
 from repro.util.hashing import uniform_hash
 from repro.util.keys import Key
@@ -116,6 +117,30 @@ class TestMessageHandling:
         a.on_message(runaway)  # must not answer or forward
         network.loop.run_until_idle()
         assert network.metrics.messages_sent == 0
+
+
+class TestDetachedPeer:
+    """Every entry point of a detached peer refuses at once, with the
+    error that names the peer, before it mints an id or arms a timer."""
+
+    @pytest.mark.parametrize("issue", [
+        "retrieve", "update", "update_many", "range_query", "read_many",
+        "retrieve_many"])
+    def test_an_operation_on_a_detached_peer_raises(self, issue):
+        peer = PGridPeer("p", Key("0"))
+        key = Key("01")
+        issuers = {
+            "retrieve": lambda: peer.retrieve(key),
+            "update": lambda: peer.update(key, ("v",)),
+            "update_many": lambda: peer.update_many({key: ("v",)}),
+            "range_query": lambda: peer.range_query(Key("")),
+            "read_many": lambda: peer.read_many(
+                "retrieve", {key: None}, lambda _key, _values: None),
+            "retrieve_many": lambda: peer.retrieve_many([key]),
+        }
+        with pytest.raises(SimulationError, match="node p is not attached"):
+            issuers[issue]()
+        assert peer._op_ids == 0
 
 
 class TestOpResults:

@@ -50,10 +50,14 @@ schema as it is, not in a wrapper record, and the peer's triple
 database counts the copies its store holds instead of walking every
 bucket to find out whether one is left.
 
-An upload is one write.  Triples are grouped by key, and the groups
-travel as one fan-out that splits where the keys diverge; no per-key
-op starts unless the write's ledger times out before confirming a key,
-and no per-triple path survives beside it.
+An upload is one write, and a write is one machine.  Triples are
+grouped by key, and the groups travel as one split op that divides
+where the keys diverge; a lost share is re-issued by the op's own
+ledger, never key by key, and no per-triple path survives beside it.
+A one-key ``update`` is the same split op and routes like a single
+op.  The pending-op machine (``_start_op``) is left to the two
+single-key reads, and the id-rule ledger to the two fan-outs whose
+origin cannot list their answerers.
 
 A reformulation is computed in one place.  The planner, the iterative
 operator and the recursive handler all take their translations from
@@ -303,14 +307,54 @@ def test_a_stored_value_is_the_value():
         + "\n  ".join(offenders))
 
 
+#: virtual seconds of route and reply loss in the lossy legs: the first
+#: attempt of a split op falls inside, its ledger's retry (at the 15 s
+#: timeout) past it
+LOSSY_WINDOW = 10.0
+
+
+def _lossy(transport, seed: int) -> None:
+    """Drop half the routes and replies for :data:`LOSSY_WINDOW`
+    virtual seconds."""
+    from repro.faultlab import FaultPlan, MessageDrop
+    from repro.faultlab.injector import install_plan
+
+    install_plan(transport, FaultPlan(seed=seed, faults=(
+        MessageDrop(kinds=("route", "reply"), probability=0.5,
+                    until=LOSSY_WINDOW),)))
+
+
+def _count_split_ops(monkeypatch):
+    """``(started, tasks)``: the ``_start_op`` calls and the split ops
+    (by op) started from here on."""
+    from repro.pgrid.peer import PGridPeer, SplitTask
+
+    started, tasks = [], []
+    real_start_op, real_start = PGridPeer._start_op, SplitTask.start
+
+    def counting_start_op(self, op, key, value, cancel=None):
+        started.append((op, key))
+        return real_start_op(self, op, key, value, cancel=cancel)
+
+    def counting_start(self):
+        tasks.append(self.op)
+        return real_start(self)
+
+    monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
+    monkeypatch.setattr(SplitTask, "start", counting_start)
+    return started, tasks
+
+
 def test_an_upload_is_one_split_write(monkeypatch):
-    """Five triples from one origin are one fan-out ledger and no
-    per-key op (the per-key gather started 2N + 1), and the write costs
-    the same attributed messages on the single loop and on two inline
-    shards."""
+    """Five triples from one origin are one split write and no per-key
+    op (the per-key gather started 2N + 1), and the write costs the
+    same attributed messages on the single loop and on two inline
+    shards.  When routes and replies are lost during its first attempt,
+    the write's own ledger re-issues what it lost — still one ledger
+    and no per-key op — and every peer holds the per-triple oracle."""
     from types import SimpleNamespace
 
-    from repro.pgrid.peer import FanoutTask, PGridPeer
+    from repro.mediation.keys import triple_keys
     from repro.rdf.terms import Literal, URI
     from repro.rdf.triples import Triple
     from repro.simnet.shard import ShardedTransport, SingleLoopEngine
@@ -321,31 +365,99 @@ def test_an_upload_is_one_split_write(monkeypatch):
     predicate = URI("S#shared")
     batch = [Triple(URI(f"S:e{i}"), predicate, Literal(f"v{i}"))
              for i in range(5)]
-    started, tasks = [], []
-    real_start_op, real_start = PGridPeer._start_op, FanoutTask.start
-
-    def counting_start_op(self, op, key, value, cancel=None):
-        started.append((op, key))
-        return real_start_op(self, op, key, value, cancel=cancel)
-
-    def counting_start(self, op, key, value, timeout):
-        tasks.append(op)
-        return real_start(self, op, key, value, timeout)
-
-    monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
-    monkeypatch.setattr(FanoutTask, "start", counting_start)
+    started, tasks = _count_split_ops(monkeypatch)
     attributed = []
-    for engine in (SingleLoopEngine(seed=3), ShardedTransport(2, seed=3)):
+    for lossy in (False, True):
+        for engine in (SingleLoopEngine(seed=3), ShardedTransport(2, seed=3)):
+            with engine:
+                net = deploy_upload_case(overlay, engine)
+                if lossy:
+                    _lossy(engine, overlay.seed)
+                origin = net.peer_ids()[0]
+                results, messages = net.call("insert_triples", batch,
+                                             origin=origin)
+                net.settle()
+            assert len(results) == 2 * len(batch) + 1
+            assert all(result.success for result in results)
+            assert (started, tasks) == ([], ["write"])
+            tasks.clear()
+            if not lossy:
+                attributed.append(messages)
+                continue
+            assert net.peer(origin).failover_stats.retries >= 1
+            for peer in net.peers.values():
+                assert {(bits, value) for bits, values in peer.store.items()
+                        for value in values} == {
+                    (key.bits, triple) for triple in batch
+                    for key in triple_keys(triple)
+                    if peer.is_responsible_for(key)}
+    assert attributed[0] == attributed[1] > 0
+
+
+def test_a_one_key_write_routes_like_an_op(monkeypatch):
+    """One ``update`` is one ``write`` split op and no ``_start_op``.
+    It costs what a routed op costs: the route's hops, one
+    ``replicate`` per replica and one report — no report when the
+    origin answers it itself — on the single loop and on two inline
+    shards."""
+    from types import SimpleNamespace
+
+    from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+    from repro.util.hashing import uniform_hash
+    from strategies import deploy_upload_case
+
+    overlay = SimpleNamespace(num_peers=12, replication=2,
+                              refs_per_level=2, seed=4)
+    key = uniform_hash("one key")
+    started, tasks = _count_split_ops(monkeypatch)
+    for engine in (SingleLoopEngine(seed=4), ShardedTransport(2, seed=4)):
         with engine:
             net = deploy_upload_case(overlay, engine)
-            results, messages = net.call("insert_triples", batch,
-                                         origin=net.peer_ids()[0])
-        assert len(results) == 2 * len(batch) + 1
-        assert all(result.success for result in results)
-        assert (started, tasks) == ([], ["write"])
-        attributed.append(messages)
-        tasks.clear()
-    assert attributed[0] == attributed[1] > 0
+            owners = [peer for peer in net.peers.values()
+                      if peer.is_responsible_for(key)]
+            remote = next(node_id for node_id in net.peer_ids()
+                          if not net.peer(node_id).is_responsible_for(key))
+            for origin in (remote, owners[0].node_id):
+                del started[:], tasks[:]
+                result, messages = net.call("update", key, ("v",),
+                                            origin=origin)
+                assert result.success
+                assert (started, tasks) == ([], ["write"])
+                replicas = len(owners[0].replicas)
+                if origin == remote:
+                    assert result.hops >= 1
+                    assert messages == result.hops + replicas + 1
+                else:
+                    assert (result.hops, messages) == (0, replicas)
+
+
+def _methods(module: str):
+    """Every function defined at module level or in a class body of
+    ``module``, with nested closures inside it."""
+    for node in ast.parse((SRC / module).read_text()).body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (function for function in body
+                    if isinstance(function, ast.FunctionDef))
+
+
+def test_one_pending_op_machine_and_one_id_rule_user_pair():
+    """``_start_op`` serves exactly the two single-key reads, and the
+    id rule's ledger (a bare ``FanoutTask``) exactly the two fan-outs
+    whose origin cannot list their answerers; every write and every
+    many-key read is a ``SplitTask``."""
+    calls: dict = {"_start_op": [], "FanoutTask": [], "SplitTask": []}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for function in _methods(module):
+            for name in calls.keys() & _called_names(function):
+                calls[name].append(f"{module}:{function.name}")
+    assert calls == {
+        "_start_op": ["mediation/peer.py:_search_pattern",
+                      "pgrid/peer.py:retrieve"],
+        "FanoutTask": ["mediation/peer.py:recursive_query",
+                       "pgrid/peer.py:range_query"],
+        "SplitTask": ["pgrid/peer.py:update_many", "pgrid/peer.py:read_many"],
+    }
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
@@ -413,8 +525,11 @@ def test_one_reformulation_step():
 
 def test_a_batch_wave_is_one_split_read(monkeypatch):
     """An engine batch starts each wave's scans as one split read and
-    no per-key op, on the single loop and on two inline shards alike,
-    and the read splits its keys by the write's rule."""
+    no per-key op, on the single loop and on two inline shards alike.
+    When routes and replies are lost during its first attempt, the
+    read's own ledger re-issues what it lost — still one read and no
+    per-key op — and the query returns the fault-free rows.  Reads and
+    writes split by one body, toward their keys' common prefix."""
     import random
     from types import SimpleNamespace
 
@@ -433,9 +548,9 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
                      Literal(f"Asp-{i}-{j}"))
               for i in range(3) for j in range(4)]
     query = "SearchFor(x? : (x?, S0#org, %Asp%))"
-    waves, reads, started = [], [], []
+    waves, reads = [], []
     real_start_next = _WaveScheduler.start_next
-    real_read_many, real_start_op = PGridPeer.read_many, PGridPeer._start_op
+    real_read_many = PGridPeer.read_many
 
     def counting_start_next(self):
         if self.waves and not (self.satisfied and all(self.satisfied)):
@@ -446,13 +561,9 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
         reads.append(op)
         return real_read_many(self, op, groups, on_rows, cancel)
 
-    def counting_start_op(self, op, key, value, cancel=None):
-        started.append(op)
-        return real_start_op(self, op, key, value, cancel=cancel)
-
+    started, _tasks = _count_split_ops(monkeypatch)
     monkeypatch.setattr(_WaveScheduler, "start_next", counting_start_next)
     monkeypatch.setattr(PGridPeer, "read_many", counting_read_many)
-    monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
     attributed = []
     for transport in (SingleLoopEngine(seed=5), ShardedTransport(2, seed=5)):
         with transport:
@@ -472,12 +583,21 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
             del waves[:], reads[:]
             limited = engine.search_for(query, origin=origin, limit=6)
             assert (waves, reads, started) == ([1, 1], ["search"] * 2, [])
+            del waves[:], reads[:]
+            retries = net.peer(origin).failover_stats.retries
+            _lossy(transport, overlay.seed)
+            repaired = engine.search_for(query, origin=origin)
+            assert (waves, reads, started) == ([3], ["search"], [])
+            assert net.peer(origin).failover_stats.retries > retries
         assert unlimited.result_count == 12 and limited.limit_hit
+        assert repaired.results == unlimited.results
         attributed.append((unlimited.messages, limited.messages))
     assert attributed[0] == attributed[1]
-    for handler in ("_handle_read", "_handle_write"):
-        assert "_split_keys" in _called_names(
-            _function("pgrid/peer.py", handler)), handler
+    assert {"_split_keys", "common_prefix_key"} <= _called_names(
+        _function("pgrid/peer.py", "_handle_split"))
+    for retired in ("_handle_read", "_handle_write"):
+        assert retired not in re.findall(
+            r"\w+", (SRC / "pgrid" / "peer.py").read_text()), retired
 
 
 def test_a_controller_round_reads_set_at_a_time(record_calls):
