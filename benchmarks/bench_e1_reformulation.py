@@ -75,7 +75,7 @@ def test_e1_figure2_reformulation(benchmark, scale):
     assert x2 == expected_x2
 
 
-def test_e1_strategies_agree(benchmark):
+def test_e1_strategies_agree(benchmark, scale):
     net = build_figure2_network()
 
     def run():
@@ -89,6 +89,13 @@ def test_e1_strategies_agree(benchmark):
     for strategy, outcome in outcomes.items():
         report("E1", f"  {strategy:<10} results={outcome.result_count} "
                      f"latency={outcome.latency:.2f}s(sim)")
+    record("E1-strategies", scale=scale, runs=[
+        {"strategy": strategy, "results": outcome.result_count,
+         "rows": sorted(str(row[0]) for row in outcome.results),
+         "reformulations": outcome.reformulations_explored,
+         "messages": outcome.messages,
+         "latency_s": round(outcome.latency, 4)}
+        for strategy, outcome in outcomes.items()])
     assert outcomes["local"].result_count == 2
     assert (outcomes["iterative"].results
             == outcomes["recursive"].results)

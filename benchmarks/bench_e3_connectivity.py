@@ -80,7 +80,7 @@ def test_e3_indicator_tracks_giant_component(benchmark, scale):
     assert all(ci > 0 and giant > 0.25 for _d, ci, giant in dense)
 
 
-def test_e3_indicator_from_published_records(benchmark):
+def test_e3_indicator_from_published_records(benchmark, scale):
     """Same check, but through the full system: degree records
     published by schema peers and aggregated via ``Hash(Domain)``."""
     from repro.datagen import BioDatasetGenerator
@@ -117,6 +117,10 @@ def test_e3_indicator_from_published_records(benchmark):
     for count, ci, giant in series:
         report("E3", f"  {count:>2} mappings: ci={ci:+.3f} "
                      f"giant={giant:.1%}")
+    record("E3-live", scale=scale, runs=[
+        {"mappings": count, "ci": round(ci, 4), "giant": round(giant, 4)}
+        for count, ci, giant in series],
+        totals={"messages": net.metrics_snapshot()["messages_sent"]})
     # Before the ring closes the graph is a path: fragmented, ci < 0.
     assert all(ci < 0 for _c, ci, _g in series[:-1])
     # Closing the ring makes every schema reachable: ci hits 0, and

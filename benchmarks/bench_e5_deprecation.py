@@ -125,7 +125,7 @@ def test_e5_deprecation_precision_recall(benchmark, scale):
     assert mean_good > mean_bad + 0.3
 
 
-def test_e5_replacement_after_deprecation(benchmark):
+def test_e5_replacement_after_deprecation(benchmark, scale):
     from repro.datagen import BioDatasetGenerator
     from repro.mediation.network import GridVineNetwork
     from repro.selforg import CreationPolicy, SelfOrganizationController
@@ -168,4 +168,8 @@ def test_e5_replacement_after_deprecation(benchmark):
     report("E5", f"removed {removed} mappings -> ci {ci_broken:+.3f}; "
                  f"recovered to ci {ci_final:+.3f} "
                  f"in {rounds} round(s)")
+    record("E5-replacement", scale=scale, runs=[
+        {"removed": removed, "ci_after_removal": round(ci_broken, 4),
+         "rounds_to_recover": rounds, "ci_final": round(ci_final, 4)}],
+        totals={"messages": net.metrics_snapshot()["messages_sent"]})
     assert ci_final >= 0

@@ -102,7 +102,7 @@ def test_e6_hops_scale_logarithmically(benchmark, scale):
     assert growth <= 1.5               # ... but only logarithmically
 
 
-def test_e6_unbalanced_trie_correctness(benchmark):
+def test_e6_unbalanced_trie_correctness(benchmark, scale):
     """Every retrieve in a deliberately unbalanced trie still resolves
     (the paper's 'for both balanced and unbalanced trees')."""
     rng = random.Random(99)
@@ -130,5 +130,8 @@ def test_e6_unbalanced_trie_correctness(benchmark):
                  f"{min(depths)}..{max(depths)}, "
                  f"retrieve failures {failures}/100, "
                  f"mean hops {mean(hops):.2f}")
+    record("E6-unbalanced", scale=scale, runs=[
+        {"depth_min": min(depths), "depth_max": max(depths),
+         "failures": failures, "hops": hops}])
     assert failures == 0
     assert max(depths) - min(depths) >= 2  # genuinely unbalanced

@@ -35,7 +35,7 @@ def build(num_triples=60):
     return net, triples
 
 
-def test_e7_insertion_fanout_is_three(benchmark):
+def test_e7_insertion_fanout_is_three(benchmark, scale):
     net, _ = build(num_triples=1)
     origin = net.peer_ids()[0]
     triple = Triple(URI("S:extra"), URI("S#organism"),
@@ -48,7 +48,7 @@ def test_e7_insertion_fanout_is_three(benchmark):
         after = net.metrics_snapshot()["messages_by_kind"]
         return before, after
 
-    _before, _after = run_once(benchmark, run)
+    before, after = run_once(benchmark, run)
     copies = sum(
         1 for peer in net.peers.values()
         for bucket in peer.store.values()
@@ -57,6 +57,11 @@ def test_e7_insertion_fanout_is_three(benchmark):
     )
     report("E7", f"one mediation-layer insert -> {copies} stored copies "
                  f"(paper: 3 Update() operations, one per position key)")
+    record("E7-fanout", scale=scale, runs=[
+        {"copies": copies,
+         "messages_by_kind": {kind: count - before.get(kind, 0)
+                              for kind, count in sorted(after.items())
+                              if count != before.get(kind, 0)}}])
     assert copies == 3
 
 
@@ -94,7 +99,7 @@ def test_e7_every_position_is_searchable(benchmark, scale):
                for outcome in results.values())
 
 
-def test_e7_routing_key_ablation(benchmark):
+def test_e7_routing_key_ablation(benchmark, scale):
     """Route by the LIKE object instead of the rule's choice: the
     lookup lands on Hash('%strain 7%'), where nothing is stored."""
     net, triples = build()
@@ -120,5 +125,8 @@ def test_e7_routing_key_ablation(benchmark):
                  f"triples at destination")
     report("E7", f"routing by LIKE-object key: {bad_hits} values "
                  f"(wildcard hashes route nowhere useful)")
+    record("E7-ablation", scale=scale, runs=[
+        {"routed_by": "predicate", "hits": good_hits, "hops": good.hops},
+        {"routed_by": "like-object", "hits": bad_hits, "hops": bad.hops}])
     assert good_hits >= len(triples)
     assert bad_hits == 0
