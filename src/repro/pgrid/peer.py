@@ -321,10 +321,12 @@ class PGridPeer(Node):
         """Whether ``key`` falls in this peer's key-space partition."""
         return self.path.is_prefix_of(key)
 
-    def local_insert(self, key: Key, value: Any) -> None:
-        """Append a value under ``key`` in the local store."""
-        self.store.setdefault(key._bits, []).append(value)
-        self._sync_snapshot = None
+    def local_insert(self, key: Key, *values: Any) -> None:
+        """Append ``values`` under ``key`` in the local store, in order:
+        a write's whole key group at once, or one value."""
+        if values:
+            self.store.setdefault(key._bits, []).extend(values)
+            self._sync_snapshot = None
 
     def local_remove(self, key: Key, value: Any) -> int:
         """Remove all copies of ``value`` under ``key``; return count."""
@@ -1154,12 +1156,18 @@ class PGridPeer(Node):
 
     def _write_local(self, action: str, groups: dict) -> None:
         """Apply a write here: every key's values tuple of ``groups``
-        (``{key bits: values}``), in order, by ``action``."""
-        apply = self.local_insert if action == "insert" else self.local_remove
+        (``{key bits: values}``), in order, by ``action`` — an insert
+        hands each key's tuple to one :meth:`local_insert`."""
+        if action == "insert":
+            insert = self.local_insert
+            for bits, values in groups.items():
+                insert(Key.of(bits), *values)
+            return
+        remove = self.local_remove
         for bits, values in groups.items():
             key = Key.of(bits)
             for value in values:
-                apply(key, value)
+                remove(key, value)
 
     def _propagate_to_replicas(self, op: str, groups: dict) -> None:
         """One ``replicate`` message per replica, carrying every key

@@ -1,9 +1,11 @@
 """Terms of the triple data model: URIs, literals and variables.
 
-All terms are immutable, hashable and totally ordered (URIs before
-literals before variables, then by value), so they can live in sets,
-serve as dict keys in store indexes, and sort deterministically in
-test output.
+A term exists once per value: constructing an equal term returns the
+existing object from a per-class table, so equality and hashing are
+``object``'s identity slots — the store's index probes, copy counts
+and dedup sets hash terms in C.  Terms are immutable and totally
+ordered (URIs before literals before variables, then by value), so
+they sort deterministically in test output.
 """
 
 from __future__ import annotations
@@ -14,49 +16,47 @@ from typing import Union
 class _BaseTerm:
     """Common plumbing for the three term kinds.
 
-    Terms are the atoms of every hot data structure (index keys, batch
-    tuples, binding sets), so their hash is computed once and cached in
-    a slot — the cache fills lazily on first use, keeping construction
-    as cheap as before.
+    ``__new__`` interns: each subclass keeps a process-lifetime table
+    from value to term.  The table holds strong references — identity
+    equality forbids dropping a term somebody still holds, since a
+    later equal term would be a different object — so its size is the
+    data's vocabulary.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
     _order = 0  # subclass-specific sort rank
+    _table: dict[str, "_BaseTerm"]
 
-    def __init__(self, value: str) -> None:
-        if not isinstance(value, str):
-            raise TypeError(f"term value must be str, got {type(value).__name__}")
-        if not value:
-            raise ValueError("term value must be non-empty")
-        object.__setattr__(self, "value", value)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    def __new__(cls, value: str):
+        term = cls._table.get(value)
+        if term is None:
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"term value must be str, got {type(value).__name__}")
+            if not value:
+                raise ValueError("term value must be non-empty")
+            term = object.__new__(cls)
+            object.__setattr__(term, "value", value)
+            cls._table[value] = term
+        return term
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # Constructor round-trip: immutability blocks slot-state
-        # unpickling, and the cached hash / pattern kind are caches —
-        # terms must pickle cleanly (sharded worker pipes carry them
-        # inside queries, plans and outcomes).
+        # Constructor round-trip: unpickling and copying re-intern, so
+        # a term crossing a sharded worker pipe arrives as the
+        # receiving process's own object for its value.
         return (type(self), (self.value,))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.value == other.value
 
     def __lt__(self, other: "_BaseTerm") -> bool:
         if not isinstance(other, _BaseTerm):
             return NotImplemented
         return (self._order, self.value) < (other._order, other.value)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__, self.value))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.value!r})"

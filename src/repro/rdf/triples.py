@@ -38,33 +38,47 @@ ALL_POSITIONS = (Position.SUBJECT, Position.PREDICATE, Position.OBJECT)
 
 
 class Triple:
-    """An immutable ground triple.
+    """An immutable ground triple, one object per value.
+
+    Like terms, triples are interned: an equal triple is the identical
+    object, so equality and hashing are identity.
 
     >>> t = Triple(URI("EMBL:A78712"), URI("EMBL#Organism"),
     ...            Literal("Aspergillus niger"))
     >>> t.at(Position.PREDICATE)
     URI('EMBL#Organism')
+    >>> t is Triple(URI("EMBL:A78712"), URI("EMBL#Organism"),
+    ...             Literal("Aspergillus niger"))
+    True
     """
 
-    __slots__ = ("subject", "predicate", "object", "_hash")
+    __slots__ = ("subject", "predicate", "object")
+    #: process-lifetime table: (subject, predicate, object) -> triple
+    _table: dict[tuple, "Triple"] = {}
 
-    def __init__(self, subject: URI, predicate: URI, obj: GroundTerm) -> None:
-        if not isinstance(subject, URI):
-            raise TypeError("triple subject must be a URI")
-        if not isinstance(predicate, URI):
-            raise TypeError("triple predicate must be a URI")
-        if not isinstance(obj, (URI, Literal)):
-            raise TypeError("triple object must be a URI or Literal")
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "object", obj)
+    def __new__(cls, subject: URI, predicate: URI, obj: GroundTerm):
+        key = (subject, predicate, obj)
+        triple = cls._table.get(key)
+        if triple is None:
+            if not isinstance(subject, URI):
+                raise TypeError("triple subject must be a URI")
+            if not isinstance(predicate, URI):
+                raise TypeError("triple predicate must be a URI")
+            if not isinstance(obj, (URI, Literal)):
+                raise TypeError("triple object must be a URI or Literal")
+            triple = object.__new__(cls)
+            object.__setattr__(triple, "subject", subject)
+            object.__setattr__(triple, "predicate", predicate)
+            object.__setattr__(triple, "object", obj)
+            cls._table[key] = triple
+        return triple
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Triple is immutable")
 
     def __reduce__(self):
-        # Constructor round-trip (drops the cached hash): triples
-        # cross sharded worker pipes inside overlay messages.
+        # Constructor round-trip: unpickling and copying re-intern
+        # (triples cross sharded worker pipes inside overlay messages).
         return (Triple, (self.subject, self.predicate, self.object))
 
     def at(self, position: Position) -> GroundTerm:
@@ -79,34 +93,8 @@ class Triple:
         """``(subject, predicate, object)`` as a plain tuple."""
         return (self.subject, self.predicate, self.object)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Triple):
-            return NotImplemented
-        # Slot by slot, identical terms first — what the tuple
-        # comparison did, minus the two ``as_tuple()`` allocations:
-        # replica merge and ``local_remove`` compare stored triples in
-        # linear scans.
-        a, b = self.subject, other.subject
-        if a is not b and not a == b:
-            return False
-        a, b = self.predicate, other.predicate
-        if a is not b and not a == b:
-            return False
-        a, b = self.object, other.object
-        return a is b or a == b
-
     def __lt__(self, other: "Triple") -> bool:
         return self.as_tuple() < other.as_tuple()
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.subject, self.predicate, self.object))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self) -> str:
         return f"Triple({self.subject!r}, {self.predicate!r}, {self.object!r})"

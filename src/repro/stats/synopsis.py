@@ -134,7 +134,10 @@ class StoreSynopsis:
     :meth:`add` and :meth:`remove` are exact inverses: removing a
     previously added triple restores the prior digest bit for bit
     (the version counter still advances — versions record mutation
-    *history*, not state).
+    *history*, not state).  :meth:`add` takes a group of triples, so a
+    store updates its synopsis once per applied key group; the group
+    leaves the same state and version as its triples added one by
+    one.
 
     >>> from repro.rdf.terms import URI, Literal
     >>> s = StoreSynopsis()
@@ -151,24 +154,28 @@ class StoreSynopsis:
 
     # -- mutation ------------------------------------------------------
 
-    def add(self, triple: Triple) -> None:
-        """Account for one inserted triple."""
-        self.version += 1
-        self._triples += 1
-        predicate = triple.predicate.value
-        acc = self._by_predicate.get(predicate)
-        if acc is None:
-            acc = _PredicateAccumulator()
-            self._by_predicate[predicate] = acc
-        # Inlined ``acc.add(...)``: this runs once per stored triple
-        # per replica on every deployment build.
-        acc.triples += 1
-        subject = triple.subject.value
-        subjects = acc.subjects
-        subjects[subject] = subjects.get(subject, 0) + 1
-        obj = triple.object.value
-        objects = acc.objects
-        objects[obj] = objects.get(obj, 0) + 1
+    def add(self, *triples: Triple) -> None:
+        """Account for inserted triples — a store's first copies from
+        one key group, in one call; ``add(t)`` is the one-element
+        group.  The version advances once per triple, as it would
+        one triple at a time."""
+        self.version += len(triples)
+        self._triples += len(triples)
+        by_predicate = self._by_predicate
+        for triple in triples:
+            predicate = triple.predicate.value
+            acc = by_predicate.get(predicate)
+            if acc is None:
+                acc = by_predicate[predicate] = _PredicateAccumulator()
+            # Inlined ``acc.add(...)``: this runs once per stored
+            # triple per replica on every deployment build.
+            acc.triples += 1
+            subject = triple.subject.value
+            subjects = acc.subjects
+            subjects[subject] = subjects.get(subject, 0) + 1
+            obj = triple.object.value
+            objects = acc.objects
+            objects[obj] = objects.get(obj, 0) + 1
 
     def remove(self, triple: Triple) -> None:
         """Account for one deleted triple (inverse of :meth:`add`)."""

@@ -30,7 +30,12 @@ class TripleStore:
     which holds a triple once per key it lands under (and again if it
     is published again): :meth:`add` and :meth:`remove` count those
     copies, and a triple is indexed (and counted by the synopsis) from
-    its first copy to its last.
+    its first copy to its last.  :meth:`add` takes a whole key group of
+    a write — the triples one peer stores under one key — and updates
+    the synopsis once for it; applied as groups or one triple at a
+    time, the same triples leave the same copies, bucket order and
+    synopsis.  Triples are interned, so every probe and copy count
+    hashes by identity.
 
     Index buckets are list-backed and served in *sorted order*:
     pattern matching iterates buckets directly, and with limit
@@ -67,27 +72,54 @@ class TripleStore:
 
     # -- mutation ------------------------------------------------------
 
-    def add(self, triple: Triple) -> bool:
-        """Record one stored copy of a triple; True for its first copy,
-        the only one that enters the indexes and the synopsis."""
+    def add(self, *triples: Triple) -> bool:
+        """Record one stored copy of each of ``triples`` — a key group,
+        in order; True when some triple got its first copy.
+
+        First copies enter the indexes and, in one call for the whole
+        group, the synopsis; a triple's later copies (within the group
+        too) only count.  ``add(t)`` is the one-element group.
+        """
         copies = self._copies
-        held = copies.get(triple)
-        if held is not None:
-            copies[triple] = held + 1
+        fresh = []
+        for triple in triples:
+            held = copies.get(triple)
+            if held is None:
+                copies[triple] = 1
+                fresh.append(triple)
+            else:
+                copies[triple] = held + 1
+        if not fresh:
             return False
-        copies[triple] = 1
-        self.synopsis.add(triple)
-        unsorted_ = self._unsorted
-        index = self._index
-        for pos, term in ((Position.SUBJECT, triple.subject),
-                          (Position.PREDICATE, triple.predicate),
-                          (Position.OBJECT, triple.object)):
-            bucket = index[pos].get(term)
+        self.synopsis.add(*fresh)
+        by_subject, by_predicate, by_object = (
+            self._index[pos] for pos in ALL_POSITIONS)
+        unsorted_subjects, unsorted_predicates, unsorted_objects = (
+            self._unsorted[pos] for pos in ALL_POSITIONS)
+        # Unrolled over the three positions: this runs once per first
+        # copy per replica on every deployment build.
+        for triple in fresh:
+            term = triple.subject
+            bucket = by_subject.get(term)
             if bucket is None:
-                index[pos][term] = [triple]
+                by_subject[term] = [triple]
             else:
                 bucket.append(triple)
-                unsorted_[pos].add(term)
+                unsorted_subjects.add(term)
+            term = triple.predicate
+            bucket = by_predicate.get(term)
+            if bucket is None:
+                by_predicate[term] = [triple]
+            else:
+                bucket.append(triple)
+                unsorted_predicates.add(term)
+            term = triple.object
+            bucket = by_object.get(term)
+            if bucket is None:
+                by_object[term] = [triple]
+            else:
+                bucket.append(triple)
+                unsorted_objects.add(term)
         return True
 
     def remove(self, triple: Triple) -> bool:

@@ -36,6 +36,7 @@ from strategies.uploads import (
     UploadCase,
     corpora,
     deploy_upload_case,
+    key_group_scripts,
     upload_cases,
 )
 
@@ -54,6 +55,7 @@ __all__ = [
     "deploy_read_case",
     "deploy_upload_case",
     "fanout_schedules",
+    "key_group_scripts",
     "mapping_forests",
     "mapping_graphs",
     "patterns",

@@ -8,7 +8,8 @@ upload groups by.  An :class:`UploadCase` spreads such a corpus over a
 few uploads from drawn origins on an overlay of drawn size,
 replication and routing redundancy, then removes a few of the uploaded
 triples.  :func:`deploy_upload_case` attaches a case's overlay to an
-engine.
+engine.  :func:`key_group_scripts` is the same repeats at one peer:
+the key groups a write applies there, with removes between them.
 """
 
 import random
@@ -79,6 +80,23 @@ def upload_cases(draw, max_peers: int = 10):
         uploads=uploads,
         removals=removals,
     )
+
+
+@st.composite
+def key_group_scripts(draw, max_steps: int = 8):
+    """A peer's store mutations: ``("add", group)`` steps, each the
+    values tuple of one key group, and ``("remove", triple)`` steps.
+
+    Groups draw from one corpus, so a triple repeats inside a group and
+    across groups; removes name corpus triples, stored or not.
+    """
+    corpus = draw(corpora(max_size=10).filter(bool))
+    members = st.sampled_from(corpus)
+    steps = st.one_of(
+        st.tuples(st.just("add"),
+                  st.lists(members, max_size=6).map(tuple)),
+        st.tuples(st.just("remove"), members))
+    return tuple(draw(st.lists(steps, max_size=max_steps)))
 
 
 def deploy_upload_case(case, engine) -> GridVineNetwork:

@@ -20,7 +20,12 @@ from repro.stats.synopsis import (
     StoreSynopsis,
     SynopsisRegistry,
 )
-from strategies import STANDARD_SETTINGS, peer_synopses, triples
+from strategies import (
+    STANDARD_SETTINGS,
+    key_group_scripts,
+    peer_synopses,
+    triples,
+)
 
 
 def _registry_with(digests):
@@ -103,6 +108,27 @@ class TestStoreSynopsisInverse:
                 {t.subject.value for t in bucket})
             assert entry.distinct_objects == len(
                 {t.object.value for t in bucket})
+
+    @given(script=key_group_scripts())
+    @STANDARD_SETTINGS
+    def test_group_add_equals_one_at_a_time(self, script):
+        """A key group accounted in one ``add(*group)`` call leaves the
+        same version and digest as its triples added one by one, with
+        removes (of triples accounted and not yet removed) between."""
+        grouped, single = StoreSynopsis(), StoreSynopsis()
+        held = []
+        for action, arg in script:
+            if action == "add":
+                grouped.add(*arg)
+                for t in arg:
+                    single.add(t)
+                held += arg
+            elif arg in held:
+                held.remove(arg)
+                grouped.remove(arg)
+                single.remove(arg)
+            assert grouped.version == single.version
+            assert grouped.digest("n0") == single.digest("n0")
 
     def test_version_monotone(self):
         from repro.rdf.triples import Triple

@@ -1,4 +1,5 @@
-"""Property tests for :class:`TripleStore.match` row dedup.
+"""Property tests for :class:`TripleStore`: ``match`` row dedup and
+group apply.
 
 ``match`` deduplicates equal rows (the same row can be produced by
 several LIKE matches) with the row tuple itself as the key.  The
@@ -7,19 +8,27 @@ views: deduplication may only merge *equal* bindings — it must never
 drop a distinct one, and the surviving list must be duplicate-free.
 The reference semantics is the brute-force evaluation over every
 stored triple.
+
+A peer applies each key group of a write with one ``add(*group)``;
+applied as groups, a script of groups and removes must leave the store
+exactly as the same triples added one at a time.
 """
 
 from hypothesis import given
 from strategies import (
     QUICK_SETTINGS,
     STANDARD_SETTINGS,
+    key_group_scripts,
     patterns,
     triple_sets,
 )
 
+from repro.mediation.peer import GridVinePeer
 from repro.rdf.patterns import TriplePattern
 from repro.rdf.terms import Variable
+from repro.rdf.triples import ALL_POSITIONS
 from repro.storage.triplestore import TripleStore
+from repro.util.keys import Key
 
 
 def brute_force_bindings(store, pattern):
@@ -68,3 +77,71 @@ class TestMatchDedupProperty:
                                 Variable("z"))
         got = store.match(pattern)
         assert len(got) == len(brute_force_bindings(store, pattern))
+
+
+def apply_script(store, script, grouped):
+    """Run a key-group script on ``store``; returns what each step
+    returned (a group's result is whether any of its triples was new).
+    """
+    returned = []
+    for action, arg in script:
+        if action == "remove":
+            returned.append(store.remove(arg))
+        elif grouped:
+            returned.append(store.add(*arg))
+        else:
+            returned.append(any([store.add(t) for t in arg]))
+    return returned
+
+
+def store_state(store):
+    """Everything group apply must reproduce, orders included."""
+    return (list(store._copies.items()),
+            [list(store._index[pos].items()) for pos in ALL_POSITIONS],
+            [store._unsorted[pos] for pos in ALL_POSITIONS],
+            store.synopsis.version,
+            store.synopsis.digest("n0"))
+
+
+def probe_patterns(store):
+    """The full wildcard plus one pattern per stored term and position."""
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    found = [TriplePattern(x, y, z)]
+    for triple in store.all_triples():
+        found += [TriplePattern(triple.subject, y, z),
+                  TriplePattern(x, triple.predicate, z),
+                  TriplePattern(x, y, triple.object)]
+    return found
+
+
+class TestGroupApplyProperty:
+    @STANDARD_SETTINGS
+    @given(key_group_scripts())
+    def test_groups_equal_one_at_a_time(self, script):
+        grouped, single = TripleStore(), TripleStore()
+        assert (apply_script(grouped, script, grouped=True)
+                == apply_script(single, script, grouped=False))
+        assert store_state(grouped) == store_state(single)
+        for pattern in probe_patterns(single):
+            assert grouped.match(pattern) == single.match(pattern)
+        # Matching sorted the probed buckets alike on both sides.
+        assert store_state(grouped) == store_state(single)
+
+    @STANDARD_SETTINGS
+    @given(key_group_scripts())
+    def test_peer_group_insert_equals_one_at_a_time(self, script):
+        """``local_insert(key, *group)`` at a mediation peer: the same
+        bucket and database as one ``local_insert`` per triple."""
+        grouped = GridVinePeer("g", Key("0"))
+        single = GridVinePeer("s", Key("0"))
+        key = Key("01")
+        for action, arg in script:
+            if action == "remove":
+                assert (grouped.local_remove(key, arg)
+                        == single.local_remove(key, arg))
+                continue
+            grouped.local_insert(key, *arg)
+            for triple in arg:
+                single.local_insert(key, triple)
+        assert grouped.store == single.store
+        assert store_state(grouped.db) == store_state(single.db)
