@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 from repro.engine.cache import PlanCache, PlanCacheStats
 from repro.engine.executor import BatchFetchStats
 from repro.engine.versioning import MappingVersionClock
+from repro.exec.plans import check_limit
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import SchemaMapping
 from repro.mediation.query import QueryOutcome
@@ -235,6 +236,7 @@ class QueryEngine:
         attribution meaningless, so individual outcomes carry a
         message count only for single-query batches.
         """
+        check_limit(limit)
         parsed = [
             parse_search_for(q) if isinstance(q, str) else q
             for q in queries

@@ -13,9 +13,9 @@ batch:
   :func:`~repro.engine.signature.canonicalize_pattern`) becomes **one
   shared** :class:`~repro.exec.operators.PatternScan`, whose edges
   re-express the fetched bindings in each consumer's own variables;
-* each (query, reformulation) pair gets a
-  :class:`~repro.exec.operators.HashJoin` over its scans followed by
-  ``Project -> Dedup``, all feeding the query's
+* each (query, reformulation) pair gets one
+  :class:`~repro.exec.operators.Answer` over its scans (join, project,
+  dedup), all feeding the query's
   ``Union -> Limit -> Collect`` tail — the paper's parallel join mode
   ("iteratively resolving each triple pattern contained in the query
   and aggregating the sets of results retrieved", §2.3) with
@@ -41,15 +41,7 @@ own range shower.
 from __future__ import annotations
 
 from repro.engine.signature import canonicalize_pattern
-from repro.exec.operators import (
-    Collect,
-    Dedup,
-    HashJoin,
-    Limit,
-    PatternScan,
-    Project,
-    Union,
-)
+from repro.exec.operators import Answer, Collect, Limit, PatternScan, Union
 from repro.exec.stream import PipelineContext
 from repro.mediation.keys import term_key
 from repro.mediation.peer import GridVinePeer
@@ -171,8 +163,8 @@ def execute_batch(
     passed by engines running with ``optimize=True``) orders each
     reformulation's *join inputs* by estimated cardinality — the
     shared scans still fetch the same pattern set (message count is
-    unchanged), but the hash join folds most-selective-first, keeping
-    intermediate binding sets small.  Without one the historical
+    unchanged), but each answer folds its join most-selective-first,
+    keeping intermediate binding sets small.  Without one the historical
     pattern order applies.
     """
     if len(queries) != len(plans):
@@ -253,26 +245,22 @@ def execute_batch(
         limit_ops.append(limit_op)
         collects.append(collect)
 
-    # -- per-reformulation join pipelines over shared scans ------------
+    # -- one answer per reformulation over shared scans ----------------
     for query_index, reformulation, per_pattern in uses:
-        join = HashJoin()
+        answer = Answer(reformulation.query)
         for scan_index, inverse in per_pattern:
             scheduler.consumers.setdefault(
                 id(scans[scan_index]), set()).add(query_index)
             scans[scan_index].connect(
-                join,
+                answer,
                 transform=(None if not inverse else (
                     # One schema remap per batch; the rows are
                     # shared, not copied.
                     lambda batch, inverse=inverse: batch.renamed(inverse)
                 )),
             )
-        project = Project(reformulation.query)
-        dedup = Dedup()
-        join.connect(project)
-        project.connect(dedup)
-        dedup.connect(unions[query_index])
-        ctx.register(join, project, dedup)
+        answer.connect(unions[query_index])
+        ctx.register(answer)
 
     # -- wave-staged scan scheduling -----------------------------------
     if limit is None:

@@ -13,8 +13,9 @@ of the historical collect-everything-then-return callback chains:
 
 :mod:`repro.exec.operators`
     The algebra: ``PatternScan``, ``Reformulate``,
-    ``RecursiveFanout``, ``HashJoin``, ``BoundJoin``, ``Union``,
-    ``Dedup``, ``Project``, ``Limit``, ``Collect``.
+    ``RecursiveFanout``, ``BoundJoin``, ``Answer`` (one per
+    reformulation: join, project, dedup), ``Union``, ``Limit``,
+    ``Collect``.
 
 :mod:`repro.exec.plans`
     Plan builders mapping the paper's three ``SearchFor`` strategies
@@ -37,13 +38,11 @@ reports exactly how much work the early stop skipped.
 
 from repro.exec.bindings import join_batches
 from repro.exec.operators import (
+    Answer,
     BoundJoin,
     Collect,
-    Dedup,
-    HashJoin,
     Limit,
     PatternScan,
-    Project,
     RecursiveFanout,
     Reformulate,
     Union,
@@ -57,17 +56,15 @@ from repro.exec.plans import (
 from repro.exec.stream import Batch, Operator, OperatorStats, PipelineContext
 
 __all__ = [
+    "Answer",
     "Batch",
     "BoundJoin",
     "Collect",
-    "Dedup",
-    "HashJoin",
     "Limit",
     "Operator",
     "OperatorStats",
     "PatternScan",
     "PipelineContext",
-    "Project",
     "RecursiveFanout",
     "Reformulate",
     "Union",

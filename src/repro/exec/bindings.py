@@ -4,7 +4,7 @@ Rows move through the operator runtime as
 :class:`~repro.exec.stream.Batch` objects (a variable schema plus row
 tuples); a scan of a triple pattern produces the pattern's own
 :attr:`~repro.rdf.patterns.TriplePattern.schema`.
-:func:`join_batches` is the one natural join — ``HashJoin`` folds its
+:func:`join_batches` is the one natural join — ``Answer`` folds its
 inputs with it and ``BoundJoin`` joins each fetched step with it.  The
 Hypothesis property suite in ``tests/strategies/`` checks it against a
 naive nested-loop join over :meth:`Batch.to_bindings`.

@@ -11,8 +11,9 @@ Each class is one node type of the execution DAG (see
   subplan per reformulation) and :class:`RecursiveFanout` (the
   algebra's adapter over the peer's recursive-strategy protocol, which
   keeps its own termination ledger);
-* relational operators — :class:`HashJoin`, :class:`Project`,
-  :class:`Dedup`, :class:`Union`;
+* relational operators — :class:`Answer` (one reformulation's
+  join, projection and dedup, emitting its attributable rows) and
+  :class:`Union`;
 * control — :class:`Limit` (limit pushdown: fires the pipeline's
   cancel token the moment enough distinct rows have passed) and
   :class:`Collect` (the sink resolving a future with a
@@ -107,19 +108,26 @@ def _concat_batches(batches: list[Batch]) -> Batch:
     return Batch(schema, tuples=tuples)
 
 
-class HashJoin(Operator):
-    """N-ary natural join at the origin (the paper's parallel mode).
+class Answer(Operator):
+    """One reformulation's answer: join, project, dedup.
 
     Buffers each input slot's batches and, once every input has
     closed, folds them left to right with
     :func:`~repro.exec.bindings.join_batches` — slot order is connect
-    order, i.e. the query's pattern order.  The fold seeds with the
-    unit relation, keying each step on precomputed row positions of
-    the shared variables.
+    order, i.e. the query's pattern order (the paper's parallel mode:
+    scan each pattern, join at the origin).  A lone slot's rows are
+    taken as they are: joining them with the unit relation would only
+    copy each row.  The fold's rows are then reduced to the query's
+    distinguished variables (position selection, looked up once; a
+    missing variable leaves no row) and repeated rows dropped, the
+    first of each kept, in one batch tagged with the query — the
+    provenance :class:`Collect` uses for per-reformulation result
+    attribution.
     """
 
-    def __init__(self, name: str = "hash-join") -> None:
-        super().__init__(name)
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        super().__init__("answer")
+        self.query = query
         self._batches_by_slot: dict[int, list[Batch]] = {}
 
     def on_batch(self, batch: Batch, slot: int) -> None:
@@ -136,16 +144,33 @@ class HashJoin(Operator):
             span = tracer.begin(f"join:{self.name}",
                                 peer=ctx.peer.node_id, kind="join",
                                 start=ctx.now)
-        joined = Batch((), tuples=[()])  # the join identity
-        for slot in range(self._input_slots):
-            joined = join_batches(
-                joined, _concat_batches(self._batches_by_slot.get(slot, [])))
+        by_slot = self._batches_by_slot
+        joined = _concat_batches(by_slot.get(0, []))
+        for slot in range(1, self._input_slots):
             if not joined.count:
                 break
+            joined = join_batches(joined,
+                                  _concat_batches(by_slot.get(slot, [])))
         if span is not None:
             tracer.finish(span, ctx.now, rows=joined.count,
                           inputs=self._input_slots)
-        self.emit(joined)
+        query = self.query
+        distinguished = query.distinguished
+        schema = joined.schema
+        rows: list = []
+        if joined.count and all(v in schema for v in distinguished):
+            tuples = joined.tuples()
+            if schema != distinguished:
+                positions = [schema.index(v) for v in distinguished]
+                if len(positions) == 1:
+                    # ``itemgetter(i)`` yields the bare value, not a row.
+                    only = positions[0]
+                    tuples = [(row[only],) for row in tuples]
+                else:
+                    tuples = map(itemgetter(*positions), tuples)
+            # Insertion-ordered: the first of each row, in row order.
+            rows = list(dict.fromkeys(tuples))
+        self.emit(Batch(distinguished, tuples=rows, source=query))
 
 
 class BoundJoin(Operator):
@@ -252,55 +277,6 @@ class Union(Operator):
 
     def __init__(self, name: str = "union") -> None:
         super().__init__(name)
-
-
-class Project(Operator):
-    """Select the query's distinguished variables out of each row.
-
-    Position selection, not per-row dict rebuilds: the batch's schema
-    is checked once, the distinguished variables' positions are looked
-    up once, and every row is re-bundled in projection order (rows of
-    a batch missing a distinguished variable all miss it — schemas are
-    batch-level).  Emitted batches are tagged with the producing query
-    — the provenance :class:`Collect` uses for per-reformulation
-    result attribution.
-    """
-
-    def __init__(self, query: ConjunctiveQuery) -> None:
-        super().__init__("project")
-        self.query = query
-
-    def on_batch(self, batch: Batch, slot: int) -> None:
-        query = self.query
-        distinguished = query.distinguished
-        schema = batch.schema
-        rows: list = []
-        if batch.count and all(v in schema for v in distinguished):
-            positions = [schema.index(v) for v in distinguished]
-            if len(positions) == 1:
-                # ``itemgetter(i)`` yields the bare value, not a row.
-                only = positions[0]
-                rows = [(row[only],) for row in batch.tuples()]
-            else:
-                rows = list(map(itemgetter(*positions), batch.tuples()))
-        self.emit(Batch(distinguished, tuples=rows, source=query))
-
-
-class Dedup(Operator):
-    """Drop rows already seen on this stream (order-preserving)."""
-
-    def __init__(self, name: str = "dedup") -> None:
-        super().__init__(name)
-        self.seen: set = set()
-
-    def on_batch(self, batch: Batch, slot: int) -> None:
-        seen = self.seen
-        fresh = []
-        for row in batch.tuples():
-            if row not in seen:
-                seen.add(row)
-                fresh.append(row)
-        self.emit(Batch(batch.schema, tuples=fresh, source=batch.source))
 
 
 class Limit(Operator):

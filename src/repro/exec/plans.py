@@ -5,7 +5,7 @@ The three ``SearchFor`` strategies of §4 are expressed as different
 
 ``local``
     one execution subplan for the original query —
-    ``PatternScan*/BoundJoin -> HashJoin -> Project -> Dedup`` —
+    ``PatternScan* -> Answer`` (or ``BoundJoin -> Answer``) —
     feeding ``Union -> Limit -> Collect``;
 
 ``iterative``
@@ -31,13 +31,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.operators import (
+    Answer,
     BoundJoin,
     Collect,
-    Dedup,
-    HashJoin,
     Limit,
     PatternScan,
-    Project,
     RecursiveFanout,
     Reformulate,
     Union,
@@ -54,6 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
 STRATEGIES = ("local", "iterative", "recursive", "auto")
 
 
+def check_limit(limit: int | None) -> None:
+    """Reject a result cap that admits no row (``None``: no cap).
+
+    Every query entry point calls this before it sends anything, the
+    rule :class:`~repro.resilience.scenario.ScenarioSpec` applies.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be None or >= 1, got {limit!r}")
+
+
 def attach_execution_subplan(ctx: PipelineContext,
                              query: ConjunctiveQuery,
                              downstream: Operator) -> None:
@@ -62,10 +70,10 @@ def attach_execution_subplan(ctx: PipelineContext,
 
     Honours the peer's :attr:`~repro.mediation.peer.GridVinePeer.
     join_mode`: parallel mode scans every pattern independently and
-    hash-joins at the origin; bound mode runs the sequential
-    substituting join.  Either way the subplan ends in
-    ``Project -> Dedup`` so exactly one attributable row stream per
-    reformulation reaches ``downstream``.
+    joins at the origin; bound mode runs the sequential substituting
+    join.  Either way the subplan ends in one
+    :class:`~repro.exec.operators.Answer`, so exactly one attributable
+    row stream per reformulation reaches ``downstream``.
 
     When the pipeline carries an optimizer decision (``ctx.decision``,
     set by ``strategy="auto"``), the join mode may be overridden per
@@ -83,26 +91,18 @@ def attach_execution_subplan(ctx: PipelineContext,
         optimizer = getattr(peer, "optimizer", None)
         if optimizer is not None:
             ordered = optimizer.scan_order(query)
-    sources: list[Operator] = []
-    tail: Operator
+    sources: list[Operator]
     if join_mode == "bound" and len(query.patterns) > 1:
-        tail = BoundJoin(query, peer.bound_join_fanout_cap,
-                         ordered=ordered)
-        sources.append(tail)
+        sources = [BoundJoin(query, peer.bound_join_fanout_cap,
+                             ordered=ordered)]
     else:
-        join = HashJoin()
-        for pattern in (ordered if ordered is not None
-                        else query.patterns):
-            scan = PatternScan(pattern)
-            scan.connect(join)
-            sources.append(scan)
-        tail = join
-    project = Project(query)
-    dedup = Dedup()
-    tail.connect(project)
-    project.connect(dedup)
-    dedup.connect(downstream)
-    ctx.register(tail, project, dedup)
+        sources = [PatternScan(pattern) for pattern in (
+            ordered if ordered is not None else query.patterns)]
+    answer = Answer(query)
+    for source in sources:
+        source.connect(answer)
+    answer.connect(downstream)
+    ctx.register(answer)
     # Start only after the chain is fully wired: a scan whose key the
     # origin owns completes synchronously.
     for source in sources:
@@ -150,6 +150,7 @@ def run_query_plan(peer: "GridVinePeer", query: ConjunctiveQuery,
 
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    check_limit(limit)
     ctx = PipelineContext(peer)
     outcome = QueryOutcome(query=query, strategy=strategy,
                            issued_at=peer.loop.now, limit=limit)

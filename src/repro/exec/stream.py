@@ -73,8 +73,8 @@ class Batch:
 
     A batch carries its variable schema *once* — ``schema`` is a tuple
     of :class:`~repro.rdf.terms.Variable` — and each row as one value
-    tuple in schema position order.  Rows are hashable, so a ``Dedup``
-    is tuple-set membership, a ``Project`` is position selection, and
+    tuple in schema position order.  Rows are hashable, so dropping
+    repeats is keying on the row, projecting is position selection, and
     renaming an edge's variables (:meth:`renamed`) is one schema remap
     per batch instead of a dict copy per row.
 

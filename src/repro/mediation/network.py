@@ -25,6 +25,7 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.connectivity.indicator import indicator_from_degrees
+from repro.exec.plans import check_limit
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import (
     MappingKind,
@@ -309,6 +310,7 @@ class GridVineNetwork(PGridOverlay):
         :meth:`create_engine`: it caches reformulation plans across
         calls and dedupes pattern lookups within a batch.
         """
+        check_limit(limit)
         if isinstance(query, str):
             query = parse_search_for(query)
         outcome, messages = self.call("search_for", query, strategy,

@@ -11,9 +11,10 @@ triple table with hash indexes on all three positions.  It answers a
 triple pattern with exactly the paper's
 ``pi_pos(x) sigma_pos(const)=const (DB)`` plan
 (:meth:`~repro.storage.triplestore.TripleStore.match`); projection and
-join over the matched rows are the operator plane's
-(:class:`~repro.exec.operators.Project`,
-:func:`~repro.exec.bindings.join_batches`).
+join over the matched rows are the operator plane's: one
+:class:`~repro.exec.operators.Answer` per reformulation folds them
+with :func:`~repro.exec.bindings.join_batches` and projects the
+query's distinguished variables.
 """
 
 from repro.storage.triplestore import TripleStore

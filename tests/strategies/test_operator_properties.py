@@ -4,17 +4,17 @@ The row-tuple :class:`~repro.exec.stream.Batch` plane is the only
 implementation of the operator algebra — every operator must produce
 *exactly* the rows (and row order) that the obvious dict-row
 implementation produces.  Each property here drives one operator
-(join, dedup, project, union, limit) with generated batches over
-small colliding value pools and compares against an independent naive
-reference computed on binding dicts (read through
-:meth:`Batch.to_bindings`).
+(the join, a reformulation's answer — join, project, dedup — union,
+limit) with generated batches over small colliding value pools and
+compares against an independent naive reference computed on binding
+dicts (read through :meth:`Batch.to_bindings`).
 """
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.exec.bindings import join_batches
-from repro.exec.operators import Dedup, Limit, Project, Union
+from repro.exec.operators import Answer, Limit, Union
 from repro.exec.stream import Batch, Operator
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
@@ -98,21 +98,114 @@ class TestJoinProperty:
             v for v in right.schema if v not in lset)
 
 
+def query_over(distinguished):
+    """A query whose patterns cover every pool variable, so any
+    distinguished tuple drawn from the pool is a valid head."""
+    return ConjunctiveQuery(
+        [TriplePattern(VARIABLES[0], URI("S#p"), VARIABLES[1]),
+         TriplePattern(VARIABLES[2], URI("S#q"), VARIABLES[3])],
+        distinguished=distinguished)
+
+
+def run_answer(query, streams, slots):
+    """Drive an :class:`Answer`: ``streams[i]`` is the batches source
+    ``i`` emits, ``slots`` the source feeding each input slot (one
+    source may feed several).  Returns the sink."""
+    sources = [Operator(f"source{i}") for i in range(len(streams))]
+    answer, sink = Answer(query), _Sink()
+    for index in slots:
+        sources[index].connect(answer)
+    answer.connect(sink)
+    for source, stream in zip(sources, streams):
+        for batch in stream:
+            source.emit(batch)
+        source.close()
+    return sink
+
+
+def first_occurrences(rows):
+    seen, out = set(), []
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            out.append(row)
+    return out
+
+
+def naive_answer(query, streams, slots):
+    """Nested-loop join of the slots' binding dicts (seeded with the
+    unit relation), projection, first-occurrence dedup."""
+    joined = [{}]
+    for index in slots:
+        joined = naive_join(joined, [binding for batch in streams[index]
+                                     for binding in batch.to_bindings()])
+    distinguished = query.distinguished
+    if not joined or not all(v in joined[0] for v in distinguished):
+        return []
+    return first_occurrences(
+        [tuple(b[v] for v in distinguished) for b in joined])
+
+
+#: a unit-relation source and an empty source, mixed into generated
+#: inputs
+UNIT = [Batch((), tuples=[()])]
+EMPTY: list = []
+
+
+@st.composite
+def answer_inputs(draw):
+    """``(query, streams, slots)``: up to three sources, each an empty
+    stream, the unit relation or several batches of one schema, wired
+    into one to three slots (a source may be wired twice)."""
+    streams = draw(st.lists(st.one_of(
+        st.just(EMPTY), st.just(UNIT), batch_sequences()),
+        min_size=1, max_size=3))
+    slots = draw(st.lists(
+        st.integers(min_value=0, max_value=len(streams) - 1),
+        min_size=1, max_size=3))
+    distinguished = draw(st.lists(st.sampled_from(VARIABLES), unique=True,
+                                  min_size=1, max_size=3).map(tuple))
+    return query_over(distinguished), streams, slots
+
+
+class TestAnswerProperty:
+    @STANDARD_SETTINGS
+    @given(answer_inputs())
+    # An empty slot; the unit relation; a missing distinguished
+    # variable; one scan wired twice, each fed by several batches that
+    # repeat rows within and across batches.
+    @example((query_over((VARIABLES[0],)),
+              [EMPTY, [Batch((VARIABLES[0],), tuples=[VALUES[:1]])]],
+              [1, 0]))
+    @example((query_over((VARIABLES[0],)),
+              [UNIT, [Batch((VARIABLES[0],), tuples=[VALUES[:1]] * 2)]],
+              [0, 1]))
+    @example((query_over((VARIABLES[3],)),
+              [[Batch(VARIABLES[:2], tuples=[VALUES[:2]])]], [0]))
+    @example((query_over((VARIABLES[1], VARIABLES[0])),
+              [[Batch(VARIABLES[:2], tuples=[VALUES[:2], VALUES[1:3]]),
+                Batch(VARIABLES[:2], tuples=[VALUES[:2]])]],
+              [0, 0]))
+    def test_answer_matches_join_project_dedup_reference(self, inputs):
+        query, streams, slots = inputs
+        sink = run_answer(query, streams, slots)
+        assert [tuple(b[v] for v in query.distinguished)
+                for b in sink.rows] == naive_answer(query, streams, slots)
+        # One batch, in the query's head, whatever arrived.
+        assert sink.schemas == [query.distinguished]
+
+
 class TestDedupProperty:
     @STANDARD_SETTINGS
     @given(batch_sequences())
     def test_dedup_matches_first_occurrence_reference(self, stream):
-        dedup, sink = Dedup(), _Sink()
-        dedup.connect(sink)
-        for batch in stream:
-            dedup.on_batch(batch, 0)
-        seen, expected = set(), []
-        for batch in stream:
-            for row in batch.tuples():
-                if row not in seen:
-                    seen.add(row)
-                    expected.append(dict(zip(batch.schema, row)))
-        assert sink.rows == expected
+        # One slot fed by several batches; the head is the stream's
+        # schema, so the answer only drops repeats.
+        sink = run_answer(query_over(stream[0].schema), [stream], [0])
+        expected = first_occurrences(
+            [row for batch in stream for row in batch.tuples()])
+        assert sink.rows == [dict(zip(stream[0].schema, row))
+                             for row in expected]
 
 
 #: a fixed three-variable batch with a repeated row, for the pinned
@@ -128,23 +221,18 @@ class TestProjectProperty:
     @example(_ABC, (VARIABLES[2],))
     @example(_ABC, (VARIABLES[2], VARIABLES[0]))
     def test_project_matches_column_selection(self, batch, distinguished):
-        # Patterns covering every pool variable, so any drawn
-        # distinguished tuple is a valid query head.
-        query = ConjunctiveQuery(
-            [TriplePattern(VARIABLES[0], URI("S#p"), VARIABLES[1]),
-             TriplePattern(VARIABLES[2], URI("S#q"), VARIABLES[3])],
-            distinguished=distinguished)
-        project = Project(query)
-        sink = _Sink()
-        project.connect(sink)
-        project.on_batch(batch, 0)
+        # One slot, one batch: the answer is the selected columns,
+        # repeats dropped.
+        sink = run_answer(query_over(distinguished), [[batch]], [0])
         if batch.count and all(v in batch.schema for v in distinguished):
-            expected = [{v: row[v] for v in distinguished}
-                        for row in batch.to_bindings()]
+            expected = first_occurrences(
+                [tuple(row[v] for v in distinguished)
+                 for row in batch.to_bindings()])
         else:
             expected = []
-        assert sink.rows == expected
-        assert all(schema == distinguished for schema in sink.schemas)
+        assert [tuple(b[v] for v in distinguished)
+                for b in sink.rows] == expected
+        assert sink.schemas == [distinguished]
 
 
 class TestUnionProperty:

@@ -1,9 +1,11 @@
 """Regression pin: OperatorStats counters on the E13 workload.
 
 The E13 corpus (a chain of four mapped schemas, engine execution with
-wave-staged shared scans) exercises every operator of the columnar
-runtime.  This test pins the *exact* per-operator counter snapshots —
-rows in/out, batches, fetches issued/skipped, rows dropped — for the
+wave-staged shared scans) exercises every operator of an engine
+batch: shared scans, one ``answer`` per reformulation (its join,
+projection and dedup) and each query's union, limit and collect.
+This test pins the *exact* per-operator counter snapshots — rows
+in/out, batches, fetches issued/skipped, rows dropped — for the
 unlimited query and the ``limit=6`` variant.  The counters are the
 raw material of the fetches-saved accounting (E15) and the count
 baselines; any change to operator wiring, batch granularity or
@@ -52,14 +54,11 @@ def snap(name, rows_in, rows_out, batches_out, fetches_issued,
     }
 
 
-def _per_reformulation_tail(joins):
-    """hash-join -> project -> dedup triples, one per reformulation."""
-    out = []
-    for rows, batches in joins:
-        out.append(snap("hash-join", rows, rows, batches, 0, 0, 0))
-        out.append(snap("project", rows, rows, batches, 0, 0, 0))
-        out.append(snap("dedup", rows, rows, batches, 0, 0, 0))
-    return out
+def _per_reformulation_tail(answers):
+    """One ``answer`` snapshot per reformulation: the rows it received
+    from its scans, the rows left after dedup, its one batch."""
+    return [snap("answer", rows_in, rows_out, 1, 0, 0, 0)
+            for rows_in, rows_out in answers]
 
 
 def test_unlimited_operator_stats_pinned():
@@ -75,7 +74,7 @@ def test_unlimited_operator_stats_pinned():
         snap("union[q0]", 16, 16, 4, 0, 0, 0),
         snap("limit", 16, 16, 4, 0, 0, 0),
         snap("collect", 16, 0, 0, 0, 0, 0),
-    ] + _per_reformulation_tail([(4, 1)] * 4)
+    ] + _per_reformulation_tail([(4, 4)] * 4)
 
 
 def test_limited_operator_stats_pinned():
@@ -95,4 +94,4 @@ def test_limited_operator_stats_pinned():
         snap("union[q0]", 8, 8, 4, 0, 0, 0),
         snap("limit[6]", 8, 6, 2, 0, 0, 2),
         snap("collect", 6, 0, 0, 0, 0, 0),
-    ] + _per_reformulation_tail([(4, 1), (4, 1), (0, 1), (0, 1)])
+    ] + _per_reformulation_tail([(4, 4), (4, 4), (0, 0), (0, 0)])

@@ -5,13 +5,13 @@ from contextlib import nullcontext
 import pytest
 
 from repro.exec.operators import (
-    Dedup,
+    Answer,
     Limit,
     PatternScan,
-    Project,
     Reformulate,
     Union,
 )
+from repro.exec.plans import run_query_plan
 from repro.exec.stream import Batch, Operator, PipelineContext
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import PredicateCorrespondence, SchemaMapping
@@ -156,30 +156,53 @@ class TestRowsFromStoreToScan:
         assert remote  # some origin does not own the key space
 
 
+def answer_of(*streams):
+    """Feed an ``Answer(QUERY)`` one slot per stream of batches, close
+    every slot; returns ``(answer, sink)``."""
+    answer, sink = Answer(QUERY), _Sink()
+    sources = [Operator(f"source{i}") for i in range(len(streams))]
+    for source in sources:
+        source.connect(answer)
+    answer.connect(sink)
+    for source, stream in zip(sources, streams):
+        for batch in stream:
+            source.emit(batch)
+        source.close()
+    return answer, sink
+
+
 class TestProjectDedupLimit:
     def test_project_slices_columns_and_tags_source(self):
-        project, sink = chain(Project(QUERY), _Sink())
-        project._receive(Batch((X, Y), tuples=[
-            (URI("a"), Literal("v")), (URI("b"), Literal("w"))]), 0)
+        answer, sink = answer_of([Batch((X, Y), tuples=[
+            (URI("a"), Literal("v")), (URI("b"), Literal("w"))])])
         rows, source = sink.batches[0]
         assert rows == [(URI("a"),), (URI("b"),)]
         assert source == QUERY
 
     def test_project_missing_variable_emits_empty(self):
-        project, sink = chain(Project(QUERY), _Sink())
-        project._receive(Batch((Y,), tuples=[(Literal("w"),)]), 0)
+        answer, sink = answer_of([Batch((Y,), tuples=[(Literal("w"),)])])
         rows, source = sink.batches[0]
         assert rows == []
         assert source == QUERY
-        assert project.stats.rows_out == 0
-        assert project.stats.batches_out == 1
+        assert answer.stats.rows_in == 1
+        assert answer.stats.rows_out == 0
+        assert answer.stats.batches_out == 1
 
     def test_dedup_across_batches(self):
-        dedup, sink = chain(Dedup(), _Sink())
-        dedup._receive(_ints(1, 2, 1), 0)
-        dedup._receive(_ints(2, 3), 0)
-        assert [rows for rows, _ in sink.batches] == \
-            [[(1,), (2,)], [(3,)]]
+        # The answer emits once, at close: repeats within and across
+        # the slot's batches leave the first of each, in row order.
+        answer, sink = answer_of([_ints(1, 2, 1), _ints(2, 3)])
+        assert [rows for rows, _ in sink.batches] == [[(1,), (2,), (3,)]]
+        assert (answer.stats.rows_in, answer.stats.rows_out) == (5, 3)
+
+    def test_answer_joins_slots_in_connect_order(self):
+        answer, sink = answer_of(
+            [Batch((Y, X), tuples=[(1, 10), (2, 20), (3, 10)])],
+            [Batch((Y,), tuples=[(3,), (1,)])])
+        assert sink.batches == [([(10,)], QUERY)]
+        # An empty slot empties the answer, however full the others.
+        _answer, sink = answer_of([_ints(1, 2)], [])
+        assert sink.batches == [([], QUERY)]
 
     def test_limit_truncates_and_fires_once(self):
         fired = []
@@ -350,3 +373,28 @@ class TestPeerSearchForValidation:
                 ConjunctiveQuery([TriplePattern(X, URI("S#p"),
                                                 Literal("%v%"))], [X]),
                 strategy="telepathic")
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_raises_before_any_message(self,
+                                                          fig2_network,
+                                                          limit):
+        net, _embl, _emp = fig2_network
+        text = "SearchFor(x? : (x?, EMBL#Organism, %Aspergillus%))"
+        query = parse_search_for(text)
+        peer = net.peer(net.peer_ids()[0])
+        engine = net.create_engine(domain="bio")
+        net.settle()
+        sent = net.metrics_snapshot()["messages_sent"]
+        entry_points = [
+            lambda: net.search_for(text, limit=limit),
+            lambda: peer.search_for(query, limit=limit),
+            lambda: run_query_plan(peer, query, "iterative", 5,
+                                   limit=limit),
+            lambda: engine.search_for(text, limit=limit),
+            lambda: engine.execute_batch([text, query], limit=limit),
+        ]
+        for entry_point in entry_points:
+            with pytest.raises(ValueError, match="limit"):
+                entry_point()
+        net.settle()
+        assert net.metrics_snapshot()["messages_sent"] == sent

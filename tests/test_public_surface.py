@@ -64,6 +64,10 @@ operator and the recursive handler all take their translations from
 ``reformulation.planner.translations``; nothing outside
 ``reformulation/`` calls ``translate_query`` itself, and the plan has no
 option to leave the original query out.
+
+A reformulation's answer is one operator.  Its join, projection and
+dedup are one ``Answer``, on every plan shape; the three operators it
+replaced stay gone.
 """
 
 import ast
@@ -650,3 +654,51 @@ def test_a_controller_round_reads_set_at_a_time(record_calls):
             assert len(reads) <= 6, reads
             rounds.append(reads)
     assert all(reads == rounds[0] for reads in rounds), rounds
+
+
+def test_one_operator_per_reformulation():
+    """A reformulation's join, projection and dedup are one operator.
+
+    ``repro.exec`` has no ``HashJoin``, ``Project`` or ``Dedup``; a
+    singleton engine batch, a ``local`` search and an ``iterative``
+    search each register, besides their scans and the query's
+    ``union``/``limit``/``collect`` tail (and the iterative strategy's
+    ``reformulate`` source), exactly one operator per reformulation:
+    its ``answer``."""
+    import repro.exec
+    from repro import GridVineNetwork, Literal, Schema, Triple, URI
+
+    for retired in ("HashJoin", "Project", "Dedup"):
+        assert not hasattr(repro.exec, retired), retired
+        assert retired not in repro.exec.__all__, retired
+        assert not hasattr(repro.exec.operators, retired), retired
+
+    net = GridVineNetwork.build(num_peers=16, seed=7)
+    schemas = [Schema(f"S{i}", ["org", "len"], domain="w")
+               for i in range(3)]
+    for schema in schemas:
+        net.insert_schema(schema)
+    net.insert_triples([
+        triple for i in range(3) for j in range(4) for triple in (
+            Triple(URI(f"S{i}:e{j}"), URI(f"S{i}#org"),
+                   Literal(f"Asp-{i}-{j}")),
+            Triple(URI(f"S{i}:e{j}"), URI(f"S{i}#len"),
+                   Literal(str(100 + j))))])
+    for a, b in zip(schemas, schemas[1:]):
+        net.create_mapping(a, b, [("org", "org"), ("len", "len")])
+    net.settle()
+    engine = net.create_engine(domain="w")
+    query = ("SearchFor(x?, y? : (x?, S0#org, %Asp%) "
+             "AND (x?, S0#len, y?))")
+    outcomes = {"engine": engine.search_for(query)}
+    for strategy in ("local", "iterative"):
+        outcomes[strategy] = net.search_for(query, strategy=strategy)
+    for strategy, outcome in outcomes.items():
+        reformulations = outcome.reformulations_explored + 1
+        assert reformulations == (1 if strategy == "local" else 3)
+        assert outcome.result_count == 4 * reformulations, strategy
+        per_reformulation = [
+            stats["name"] for stats in outcome.operator_stats
+            if not stats["name"].startswith(("scan", "union", "limit"))
+            and stats["name"] not in ("collect", "reformulate")]
+        assert per_reformulation == ["answer"] * reformulations, strategy
