@@ -24,12 +24,13 @@ GridVine Peer Data Management System* (Cudré-Mauroux et al., VLDB
 
 ``repro.exec``
     The *streaming operator runtime*: every query executes as a DAG
-    of small operators (scans, hash/bound joins, reformulation
-    fan-out, project/dedup/union, limit) through which binding
-    batches stream as they arrive.  Result limits are pushed into
-    distributed execution — a satisfied ``Limit`` cooperatively
-    cancels all remaining fetches and fan-out, so selective queries
-    stop spending messages the moment they have enough answers.
+    of small operators (scans, bound joins, reformulation fan-out,
+    one answer per reformulation — join, project, dedup — and a
+    collecting tail with the limit) through which row batches stream
+    as they arrive.  Result limits are pushed into distributed
+    execution — a satisfied limit cooperatively cancels all remaining
+    fetches and fan-out, so selective queries stop spending messages
+    the moment they have enough answers.
 
 ``repro.engine``
     The *query engine* on top of the mediation layer: an

@@ -15,16 +15,17 @@ batch:
   re-express the fetched bindings in each consumer's own variables;
 * each (query, reformulation) pair gets one
   :class:`~repro.exec.operators.Answer` over its scans (join, project,
-  dedup), all feeding the query's
-  ``Union -> Limit -> Collect`` tail — the paper's parallel join mode
-  ("iteratively resolving each triple pattern contained in the query
-  and aggregating the sets of results retrieved", §2.3) with
+  dedup), all feeding the query's one
+  :class:`~repro.exec.operators.Collect` (union, limit, sink): shared
+  ``PatternScan -> Answer -> Collect``, the paper's parallel join
+  mode ("iteratively resolving each triple pattern contained in the
+  query and aggregating the sets of results retrieved", §2.3) with
   per-reformulation result attribution.
 
 With a result ``limit``, scans start in **waves** by reformulation
 hop count (:func:`~repro.reformulation.planner.reformulation_waves`):
 wave ``h`` only starts once wave ``h-1``'s scans finished and some
-query is still unsatisfied.  Each satisfied ``Limit`` resolves its
+query is still unsatisfied.  Each satisfied limit resolves its
 query early; once every query is satisfied the pipeline's cancel
 token fires, in-flight scans stop retrying, and all never-started
 scans are skipped — the batch-level form of limit pushdown.  Without
@@ -41,7 +42,7 @@ own range shower.
 from __future__ import annotations
 
 from repro.engine.signature import canonicalize_pattern
-from repro.exec.operators import Answer, Collect, Limit, PatternScan, Union
+from repro.exec.operators import Answer, Collect, PatternScan
 from repro.exec.stream import PipelineContext
 from repro.mediation.keys import term_key
 from repro.mediation.peer import GridVinePeer
@@ -213,21 +214,15 @@ def execute_batch(
         for query in queries
     ]
 
-    # -- per-query tails: Union -> Limit -> Collect --------------------
+    # -- per-query tails: one Collect each ----------------------------
     satisfied = [False] * len(queries)
     scheduler = _WaveScheduler(ctx, satisfied)
-    unions: list[Union] = []
-    limit_ops: list[Limit] = []
     collects: list[Collect] = []
-    for query_index in range(len(queries)):
-        union = Union(name=f"union[q{query_index}]")
-        limit_op = Limit(limit)
-        collect = Collect(ctx, outcome=outcomes[query_index])
-        union.connect(limit_op)
-        limit_op.connect(collect)
-        ctx.register(union, limit_op, collect)
+    for outcome in outcomes:
+        collect = Collect(ctx, outcome=outcome, limit=limit)
+        ctx.register(collect)
 
-        def _on_satisfied(query_index: int = query_index,
+        def _on_satisfied(query_index: int = len(collects),
                           collect: Collect = collect) -> None:
             satisfied[query_index] = True
             if all(satisfied):
@@ -240,9 +235,7 @@ def execute_batch(
                 ctx.cancel.cancel()
             collect.resolve()
 
-        limit_op.on_satisfied = _on_satisfied
-        unions.append(union)
-        limit_ops.append(limit_op)
+        collect.on_satisfied = _on_satisfied
         collects.append(collect)
 
     # -- one answer per reformulation over shared scans ----------------
@@ -259,7 +252,7 @@ def execute_batch(
                     lambda batch, inverse=inverse: batch.renamed(inverse)
                 )),
             )
-        answer.connect(unions[query_index])
+        answer.connect(collects[query_index])
         ctx.register(answer)
 
     # -- wave-staged scan scheduling -----------------------------------
@@ -286,24 +279,23 @@ def execute_batch(
         scheduler.skip_pending()
         now = peer.loop.now
         stats.scans_issued = sum(s.stats.fetches_issued for s in scans)
-        stats.scans_skipped = ctx.fetches_skipped()
-        stats.limits_hit = sum(1 for op in limit_ops if op.satisfied)
-        for outcome, plan, limit_op, collect in zip(
-                outcomes, plans, limit_ops, collects):
+        stats.scans_skipped = sum(s.stats.fetches_skipped for s in scans)
+        stats.limits_hit = sum(1 for c in collects if c.satisfied)
+        for outcome, plan, collect in zip(outcomes, plans, collects):
             outcome.latency = now - issued_at
             outcome.reformulations_explored = max(0, len(plan) - 1)
-            outcome.limit_hit = limit_op.satisfied
+            outcome.limit_hit = collect.satisfied
             if collect.first_rows_at is not None:
                 outcome.first_result_latency = (collect.first_rows_at
                                                 - issued_at)
-            outcome.rows_after_cancel = (limit_op.late_rows
-                                         + collect.stats.rows_dropped)
+            outcome.rows_after_cancel = collect.late_rows
         if len(outcomes) == 1:
             # Shared scans make per-query fetch attribution meaningless
-            # for larger batches; a singleton batch is unambiguous.
-            outcomes[0].fetches_issued = stats.scans_issued
-            outcomes[0].fetches_skipped = stats.scans_skipped
-            outcomes[0].operator_stats = ctx.operator_snapshots()
+            # for larger batches; a singleton batch is unambiguous
+            # (only its scans fetch, so the totals are the stats').
+            outcome = outcomes[0]
+            (outcome.fetches_issued, outcome.fetches_skipped,
+             outcome.operator_stats) = ctx.totals()
         out.set_result((outcomes, stats))
 
     gather([collect.future for collect in collects]

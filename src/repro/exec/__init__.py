@@ -12,10 +12,13 @@ of the historical collect-everything-then-return callback chains:
     cancel token and stats registry).
 
 :mod:`repro.exec.operators`
-    The algebra: ``PatternScan``, ``Reformulate``,
-    ``RecursiveFanout``, ``BoundJoin``, ``Answer`` (one per
-    reformulation: join, project, dedup), ``Union``, ``Limit``,
-    ``Collect``.
+    The algebra: ``PatternScan`` (an engine batch's shared scan),
+    ``Reformulate``, ``RecursiveFanout``, ``BoundJoin``, ``Answer``
+    (one per reformulation: join, project, dedup; in a strategy plan
+    it fetches its own patterns) and ``Collect`` (each query's one
+    tail: union, limit, sink).  A one-pattern local query is ``Answer
+    -> Collect``; an engine batch is shared ``PatternScan -> Answer ->
+    Collect``.
 
 :mod:`repro.exec.plans`
     Plan builders mapping the paper's three ``SearchFor`` strategies
@@ -28,12 +31,13 @@ of the historical collect-everything-then-return callback chains:
     in :mod:`repro.rdf.patterns`, where the scan itself is prepared.
 
 The headline capability is **limit pushdown with cooperative
-cancellation**: a satisfied ``Limit`` fires the pipeline's
-:class:`~repro.simnet.events.CancelToken`; in-flight overlay
-operations stop retrying and resolve immediately, and operators check
-the token before issuing anything new — so a selective query stops
-spending messages the moment it has enough answers, and the outcome
-reports exactly how much work the early stop skipped.
+cancellation**: a ``Collect`` whose limit is satisfied fires the
+pipeline's :class:`~repro.simnet.events.CancelToken`; in-flight
+overlay operations stop retrying and resolve immediately, and
+operators check the token before issuing anything new — so a
+selective query stops spending messages the moment it has enough
+answers, and the outcome reports exactly how much work the early stop
+skipped.
 """
 
 from repro.exec.bindings import join_batches
@@ -41,11 +45,9 @@ from repro.exec.operators import (
     Answer,
     BoundJoin,
     Collect,
-    Limit,
     PatternScan,
     RecursiveFanout,
     Reformulate,
-    Union,
     selectivity_rank,
 )
 from repro.exec.plans import (
@@ -60,14 +62,12 @@ __all__ = [
     "Batch",
     "BoundJoin",
     "Collect",
-    "Limit",
     "Operator",
     "OperatorStats",
     "PatternScan",
     "PipelineContext",
     "RecursiveFanout",
     "Reformulate",
-    "Union",
     "attach_execution_subplan",
     "execute_query_rows",
     "join_batches",

@@ -1,27 +1,29 @@
-"""The operator algebra: sources, joins, and streaming modifiers.
+"""The operator algebra: sources, answers and the sink.
 
 Each class is one node type of the execution DAG (see
 :mod:`repro.exec.stream` for the streaming mechanics and
 :mod:`repro.exec.plans` for how strategies assemble them):
 
-* sources — :class:`PatternScan` (one overlay pattern fetch),
-  :class:`BoundJoin` (the sequential substituting join, which issues
-  its own fetches step by step), :class:`Reformulate` (the iterative
-  strategy's overlay-driven BFS over mapping paths, spawning one
-  subplan per reformulation) and :class:`RecursiveFanout` (the
-  algebra's adapter over the peer's recursive-strategy protocol, which
-  keeps its own termination ledger);
-* relational operators — :class:`Answer` (one reformulation's
-  join, projection and dedup, emitting its attributable rows) and
-  :class:`Union`;
-* control — :class:`Limit` (limit pushdown: fires the pipeline's
-  cancel token the moment enough distinct rows have passed) and
-  :class:`Collect` (the sink resolving a future with a
-  :class:`~repro.mediation.query.QueryOutcome` or a bare row set).
+* sources — :class:`PatternScan` (one shared overlay pattern fetch of
+  an engine batch), :class:`BoundJoin` (the sequential substituting
+  join, which issues its own fetches step by step),
+  :class:`Reformulate` (the iterative strategy's overlay-driven BFS
+  over mapping paths, spawning one subplan per reformulation) and
+  :class:`RecursiveFanout` (the algebra's adapter over the peer's
+  recursive-strategy protocol, which keeps its own termination
+  ledger);
+* :class:`Answer` — one reformulation's join, projection and dedup,
+  emitting its attributable rows; in a strategy plan it fetches its
+  own patterns;
+* :class:`Collect` — the one tail: the union of its inputs, limit
+  pushdown (it fires ``on_satisfied`` the moment enough distinct rows
+  have arrived) and the sink resolving a future with a
+  :class:`~repro.mediation.query.QueryOutcome` or a bare row set.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -54,7 +56,8 @@ def selectivity_rank(pattern: TriplePattern) -> tuple:
 
 
 class PatternScan(Operator):
-    """Fetch one triple pattern's rows from the overlay.
+    """Fetch one triple pattern's rows from the overlay — an engine
+    batch's shared scan, feeding every answer that uses the pattern.
 
     Emits a single batch when the fetch resolves, then closes.  A scan
     started after the pipeline was cancelled skips the fetch entirely
@@ -62,17 +65,13 @@ class PatternScan(Operator):
     close a never-started scan explicitly.
     """
 
-    def __init__(self, pattern: TriplePattern, name: str | None = None
-                 ) -> None:
-        super().__init__(name if name is not None else f"scan{pattern}")
+    def __init__(self, pattern: TriplePattern) -> None:
+        super().__init__(f"scan{pattern}")
         self.pattern = pattern
 
     def start(self, ctx: PipelineContext) -> None:
         ctx.fetch_pattern(self, self.pattern).add_done_callback(
-            self._on_rows)
-
-    def _on_rows(self, future: Future) -> None:
-        self.deliver(future.result())
+            lambda future: self.deliver(future.result()))
 
     def deliver(self, rows: list) -> None:
         """Emit the fetched rows as one batch, then close."""
@@ -123,12 +122,36 @@ class Answer(Operator):
     first of each kept, in one batch tagged with the query — the
     provenance :class:`Collect` uses for per-reformulation result
     attribution.
+
+    Its inputs are upstream edges (an engine batch's shared scans, a
+    :class:`BoundJoin`) or its own fetches (:meth:`fetch`).
     """
 
     def __init__(self, query: ConjunctiveQuery) -> None:
         super().__init__("answer")
         self.query = query
         self._batches_by_slot: dict[int, list[Batch]] = {}
+
+    def fetch(self, ctx: PipelineContext,
+              patterns: list[TriplePattern]) -> None:
+        """Fetch each of ``patterns`` into an input slot of its own,
+        in order: one :meth:`~repro.exec.stream.PipelineContext.
+        fetch_pattern` each, counted on this operator.
+
+        Every slot exists before the first fetch is issued — a fetch
+        whose key the origin owns resolves synchronously, and the
+        answer must not close while later patterns are still unasked.
+        """
+        slots = [self._add_input() for _ in patterns]
+        for slot, pattern in zip(slots, patterns):
+            ctx.fetch_pattern(self, pattern).add_done_callback(
+                partial(self._fetched, slot, pattern.schema))
+
+    def _fetched(self, slot: int, schema: tuple, future: Future) -> None:
+        # The reply carries the store's row tuples in the pattern's
+        # schema order: the fetched list is the slot's one batch.
+        self._receive(Batch(schema, tuples=future.result()), slot)
+        self._input_closed(slot)
 
     def on_batch(self, batch: Batch, slot: int) -> None:
         self._batches_by_slot.setdefault(slot, []).append(batch)
@@ -268,101 +291,81 @@ class BoundJoin(Operator):
             self._step(index + 1, join_batches(
                 joined, Batch(fetch_schema, tuples=fetched)))
 
-        gather([ctx.fetch_pattern(self, v) for v in variants]
-               ).add_done_callback(_on_fetched)
-
-
-class Union(Operator):
-    """Merge several streams (pass-through; closes when all inputs do)."""
-
-    def __init__(self, name: str = "union") -> None:
-        super().__init__(name)
-
-
-class Limit(Operator):
-    """Stop the stream after ``limit`` distinct rows (limit pushdown).
-
-    Rows count toward the limit once each (duplicates pass through
-    without counting, keeping per-reformulation attribution intact).
-    The moment the limit is reached the operator truncates the
-    current batch, stops accepting further input, and calls
-    ``on_satisfied`` — which in a single-query plan fires the
-    pipeline's cancel token, cooperatively stopping every upstream
-    fetch still pending.  ``limit=None`` is a pure pass-through.
-    """
-
-    def __init__(self, limit: int | None,
-                 on_satisfied: Callable[[], None] | None = None) -> None:
-        super().__init__("limit" if limit is None else f"limit[{limit}]")
-        self.limit = limit
-        self.on_satisfied = on_satisfied
-        self.satisfied = False
-        self.seen: set = set()
-        #: rows from batches arriving *after* satisfaction — true late
-        #: arrivals, as opposed to the same-batch overshoot that
-        #: triggered the limit (both count in ``stats.rows_dropped``)
-        self.late_rows = 0
-
-    def on_batch(self, batch: Batch, slot: int) -> None:
-        if self.limit is None:
-            self.emit(batch)
-            return
-        if self.satisfied:
-            self.stats.rows_dropped += batch.count
-            self.late_rows += batch.count
-            return
-        allowed: list = []
-        rows = batch.tuples()
-        for position, row in enumerate(rows):
-            if row in self.seen:
-                allowed.append(row)
-                continue
-            if len(self.seen) >= self.limit:
-                self.stats.rows_dropped += len(rows) - position
-                break
-            self.seen.add(row)
-            allowed.append(row)
-        self.emit(Batch(batch.schema, tuples=allowed, source=batch.source))
-        if len(self.seen) >= self.limit and not self.satisfied:
-            self.satisfied = True
-            if self.on_satisfied is not None:
-                self.on_satisfied()
+        gather([ctx.fetch_pattern(self, v, label=self.name)
+                for v in variants]).add_done_callback(_on_fetched)
 
 
 class Collect(Operator):
-    """Sink: resolve a future with the stream's aggregated contents.
+    """The tail of every query: union, limit and sink in one node.
 
-    With an ``outcome``, every batch is recorded into it (per-source
-    attribution, first-result timestamp); without one, the future
-    resolves to the bare set of rows.  ``finalize`` (when set) runs
-    once, immediately before resolution — plans use it to stamp
-    latency and streaming statistics onto the outcome.
+    It takes any number of inputs and closes once the last of them has
+    (all a union ever did).  With an ``outcome``, every batch is
+    recorded into it (per-source attribution, first-result
+    timestamp); without one, the future resolves to the bare set of
+    rows.  ``finalize`` (when set) runs once, immediately before
+    resolution — plans use it to stamp latency and streaming
+    statistics onto the outcome.
+
+    ``limit`` caps the distinct rows (limit pushdown).  A row counts
+    once (a repeated row is kept without counting, so
+    per-reformulation attribution stays intact); the batch that
+    reaches the limit is truncated there, and the moment it is reached
+    ``on_satisfied`` fires, once — in a single-query plan it fires the
+    pipeline's cancel token, cooperatively stopping every upstream
+    fetch still pending.  Rows cut off count in ``stats.rows_dropped``;
+    whole batches arriving after that (or after an early resolution)
+    count there too and in :attr:`late_rows`, the true late arrivals.
     """
 
     def __init__(self, ctx: PipelineContext,
-                 outcome: "QueryOutcome | None" = None) -> None:
+                 outcome: "QueryOutcome | None" = None,
+                 limit: int | None = None) -> None:
         super().__init__("collect")
         self.ctx = ctx
         self.outcome = outcome
+        self.limit = limit
         self.future: Future = Future()
-        self.rows: set = set()
+        #: the distinct rows kept so far (the outcome's own result set
+        #: when there is one) — what the limit counts
+        self.rows: set = outcome.results if outcome is not None else set()
         self.first_rows_at: float | None = None
         self.finalize: Callable[[], None] | None = None
+        self.on_satisfied: Callable[[], None] | None = None
+        self.satisfied = False
+        #: rows of batches arriving once the limit was satisfied or the
+        #: future resolved (the overshoot that reached the limit is
+        #: only in ``stats.rows_dropped``)
+        self.late_rows = 0
 
     def on_batch(self, batch: Batch, slot: int) -> None:
-        if self.future.done:
-            # Late arrivals after an early (limit-driven) resolution.
+        if self.satisfied or self.future.done:
             self.stats.rows_dropped += batch.count
-            if self.outcome is not None:
-                self.outcome.rows_after_cancel += batch.count
+            self.late_rows += batch.count
             return
-        if batch.count and self.first_rows_at is None:
+        tuples = batch.tuples()
+        limit = self.limit
+        seen = self.rows
+        if limit is not None:
+            kept: list = []
+            for position, row in enumerate(tuples):
+                if row not in seen:
+                    if len(seen) >= limit:
+                        self.stats.rows_dropped += len(tuples) - position
+                        break
+                    seen.add(row)
+                kept.append(row)
+            tuples = kept
+        if tuples and self.first_rows_at is None:
             self.first_rows_at = self.ctx.now
         if self.outcome is not None:
             self.outcome.record(batch.source or self.outcome.query,
-                                set(batch.tuples()))
+                                set(tuples))
         else:
-            self.rows |= set(batch.tuples())
+            seen.update(tuples)
+        if limit is not None and len(seen) >= limit:
+            self.satisfied = True
+            if self.on_satisfied is not None:
+                self.on_satisfied()
 
     def on_finish(self) -> None:
         self.resolve()
@@ -371,9 +374,11 @@ class Collect(Operator):
         """Resolve the future now (idempotent; used for early stop)."""
         if self.future.done:
             return
-        # Taken, not just called: plans close ``finalize`` over this
-        # operator, and a resolved sink must not stay a reference cycle.
+        # Taken, not just called: plans close ``finalize`` and
+        # ``on_satisfied`` over this operator, and a resolved sink must
+        # not stay a reference cycle.
         finalize, self.finalize = self.finalize, None
+        self.on_satisfied = None
         if finalize is not None:
             finalize()
         self.future.set_result(
@@ -390,7 +395,7 @@ class Reformulate(Operator):
     provides), and newly derived queries recurse up to ``max_hops``.
 
     The operator emits no batches itself — the spawned subplans feed
-    the downstream union directly — but it holds its union input open
+    the downstream collect directly — but it holds its input there open
     until the BFS settles, and its fetch counters carry the schema-
     space lookups.  Cancellation stops new schema fetches; subplans
     spawned after cancellation skip their scans (each skip is counted
@@ -525,7 +530,7 @@ class RecursiveFanout(Operator):
 
     def _on_rows(self, query: ConjunctiveQuery, rows: set) -> None:
         # Sorted for determinism: set iteration order is not stable
-        # across processes, and a downstream Limit truncates batches.
+        # across processes, and a limited Collect truncates batches.
         self.emit(Batch.from_tuples(query.distinguished, sorted(rows),
                                     source=query))
 

@@ -4,26 +4,27 @@ The three ``SearchFor`` strategies of §4 are expressed as different
 *shapes* of the same operator algebra:
 
 ``local``
-    one execution subplan for the original query —
-    ``PatternScan* -> Answer`` (or ``BoundJoin -> Answer``) —
-    feeding ``Union -> Limit -> Collect``;
+    one execution subplan for the original query — an ``Answer``
+    fetching its own patterns (or ``BoundJoin -> Answer``) — feeding
+    the query's ``Collect``: a one-pattern query is ``Answer ->
+    Collect``, two operators;
 
 ``iterative``
     a :class:`~repro.exec.operators.Reformulate` source that walks
     mapping paths through the overlay and spawns one such subplan per
-    distinct reformulation, all feeding the same
-    ``Union -> Limit -> Collect`` tail;
+    distinct reformulation, all feeding the same ``Collect``;
 
 ``recursive``
     a :class:`~repro.exec.operators.RecursiveFanout` source streaming
     already-projected rows back from the schema peers into the same
-    tail.
+    ``Collect``.
 
-The shared tail is where limit pushdown lives: a satisfied ``Limit``
+The ``Collect`` tail is where limit pushdown lives: a satisfied limit
 fires the pipeline's cancel token, upstream operators stop issuing
 fetches, and the outcome records what that saved.  The batched engine
 executor (:mod:`repro.engine.executor`) builds its own multi-query DAG
-with shared scan operators but reuses the same operator classes.
+— shared ``PatternScan -> Answer -> Collect`` — from the same operator
+classes.
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from repro.exec.operators import (
     Answer,
     BoundJoin,
     Collect,
-    Limit,
-    PatternScan,
     RecursiveFanout,
     Reformulate,
-    Union,
 )
 from repro.exec.stream import Operator, PipelineContext
 from repro.rdf.patterns import ConjunctiveQuery
@@ -69,17 +67,17 @@ def attach_execution_subplan(ctx: PipelineContext,
     query, feeding ``downstream``.
 
     Honours the peer's :attr:`~repro.mediation.peer.GridVinePeer.
-    join_mode`: parallel mode scans every pattern independently and
-    joins at the origin; bound mode runs the sequential substituting
-    join.  Either way the subplan ends in one
-    :class:`~repro.exec.operators.Answer`, so exactly one attributable
-    row stream per reformulation reaches ``downstream``.
+    join_mode`: in parallel mode the query's
+    :class:`~repro.exec.operators.Answer` fetches every pattern
+    independently and joins at the origin; bound mode feeds it from
+    the sequential substituting join.  Either way exactly one
+    attributable row stream per reformulation reaches ``downstream``.
 
     When the pipeline carries an optimizer decision (``ctx.decision``,
     set by ``strategy="auto"``), the join mode may be overridden per
-    query and pattern scans / bound-join steps run in the optimizer's
-    estimated-cardinality order; otherwise the historical static
-    behaviour applies unchanged.
+    query and pattern fetches / bound-join steps run in the
+    optimizer's estimated-cardinality order; otherwise the historical
+    static behaviour applies unchanged.
     """
     peer = ctx.peer
     decision = ctx.decision
@@ -91,22 +89,19 @@ def attach_execution_subplan(ctx: PipelineContext,
         optimizer = getattr(peer, "optimizer", None)
         if optimizer is not None:
             ordered = optimizer.scan_order(query)
-    sources: list[Operator]
-    if join_mode == "bound" and len(query.patterns) > 1:
-        sources = [BoundJoin(query, peer.bound_join_fanout_cap,
-                             ordered=ordered)]
-    else:
-        sources = [PatternScan(pattern) for pattern in (
-            ordered if ordered is not None else query.patterns)]
     answer = Answer(query)
-    for source in sources:
-        source.connect(answer)
     answer.connect(downstream)
     ctx.register(answer)
-    # Start only after the chain is fully wired: a scan whose key the
+    # Fetch only after the chain is fully wired: a fetch whose key the
     # origin owns completes synchronously.
-    for source in sources:
-        ctx.start_source(source)
+    if join_mode == "bound" and len(query.patterns) > 1:
+        join = BoundJoin(query, peer.bound_join_fanout_cap,
+                         ordered=ordered)
+        join.connect(answer)
+        ctx.start_source(join)
+    else:
+        answer.fetch(ctx, ordered if ordered is not None
+                     else query.patterns)
 
 
 def execute_query_rows(peer: "GridVinePeer", query: ConjunctiveQuery,
@@ -119,11 +114,9 @@ def execute_query_rows(peer: "GridVinePeer", query: ConjunctiveQuery,
     path.
     """
     ctx = PipelineContext(peer, cancel=cancel)
-    union = Union()
     collect = Collect(ctx)
-    union.connect(collect)
-    ctx.register(union, collect)
-    attach_execution_subplan(ctx, query, union)
+    ctx.register(collect)
+    attach_execution_subplan(ctx, query, collect)
     return collect.future
 
 
@@ -161,12 +154,8 @@ def run_query_plan(peer: "GridVinePeer", query: ConjunctiveQuery,
         strategy = decision.strategy
         if not decision.fallback:
             ctx.decision = decision
-    union = Union()
-    limit_op = Limit(limit)
-    collect = Collect(ctx, outcome=outcome)
-    union.connect(limit_op)
-    limit_op.connect(collect)
-    ctx.register(union, limit_op, collect)
+    collect = Collect(ctx, outcome=outcome, limit=limit)
+    ctx.register(collect)
 
     reformulate: Reformulate | None = None
     fanout: RecursiveFanout | None = None
@@ -176,12 +165,10 @@ def run_query_plan(peer: "GridVinePeer", query: ConjunctiveQuery,
         if collect.first_rows_at is not None:
             outcome.first_result_latency = (collect.first_rows_at
                                             - outcome.issued_at)
-        outcome.limit_hit = limit_op.satisfied
-        outcome.fetches_issued = ctx.fetches_issued()
-        outcome.fetches_skipped = ctx.fetches_skipped()
-        outcome.rows_after_cancel = (limit_op.late_rows
-                                     + collect.stats.rows_dropped)
-        outcome.operator_stats = ctx.operator_snapshots()
+        outcome.limit_hit = collect.satisfied
+        (outcome.fetches_issued, outcome.fetches_skipped,
+         outcome.operator_stats) = ctx.totals()
+        outcome.rows_after_cancel = collect.late_rows
         if reformulate is not None:
             # Pruned translations were derived but never executed —
             # they count as pruned, not as explored.
@@ -203,22 +190,22 @@ def run_query_plan(peer: "GridVinePeer", query: ConjunctiveQuery,
         ctx.cancel.cancel()
         collect.resolve()
 
-    limit_op.on_satisfied = _on_satisfied
+    collect.on_satisfied = _on_satisfied
 
     if strategy == "local":
-        attach_execution_subplan(ctx, query, union)
+        attach_execution_subplan(ctx, query, collect)
     elif strategy == "iterative":
         prune = None
         if ctx.decision is not None:
             prune = peer.optimizer.keep_reformulation
         reformulate = Reformulate(
             query, max_hops,
-            lambda c, q: attach_execution_subplan(c, q, union),
+            lambda c, q: attach_execution_subplan(c, q, collect),
             prune=prune)
-        reformulate.connect(union)
+        reformulate.connect(collect)
         ctx.start_source(reformulate)
     else:  # "recursive"
         fanout = RecursiveFanout(query, max_hops)
-        fanout.connect(union)
+        fanout.connect(collect)
         ctx.start_source(fanout)
     return collect.future

@@ -4,8 +4,8 @@ pipeline context.
 Execution is organized as a DAG of :class:`Operator` nodes through
 which :class:`Batch` es of rows are *pushed* as soon as they exist —
 there is no materialize-everything-then-return step.  The push
-discipline is what makes limit pushdown work: the moment a downstream
-``Limit`` has enough rows it fires the pipeline's
+discipline is what makes limit pushdown work: the moment a query's
+``Collect`` has enough rows it fires the pipeline's
 :class:`~repro.simnet.events.CancelToken`, and every upstream operator
 checks that token before issuing new overlay fetches or reformulation
 fan-out.
@@ -248,7 +248,6 @@ class PipelineContext:
         #: ``id`` of every entry of :attr:`stats` (which keeps them
         #: alive, so the ids stay unique)
         self._registered: set[int] = set()
-        self.issued_at = peer.loop.now
         #: the optimizer's :class:`~repro.optimizer.core.PlanDecision`
         #: steering this pipeline (``None`` on static strategies);
         #: subplans spawned per reformulation inherit it via the
@@ -279,22 +278,25 @@ class PipelineContext:
         self.register(op)
         op.start(self)
 
-    def fetch_pattern(self, op: Operator,
-                      pattern: "TriplePattern") -> Future:
+    def fetch_pattern(self, op: Operator, pattern: "TriplePattern",
+                      label: str | None = None) -> Future:
         """Issue one pattern fetch on behalf of ``op``.
 
         When the pipeline is already cancelled the fetch is skipped
         (counted on the operator) and an empty row list resolves
-        immediately — zero messages spent.
+        immediately — zero messages spent.  A traced fetch's span is
+        ``scan:<label>``, the label defaulting to the pattern's scan
+        name ``scan<pattern>``.
         """
         if not self._count_fetch(op):
             future: Future = Future()
             future.set_result([])
             return future
-        # A shared-scan span covers the whole overlay search this
-        # operator kicked off and closes when the search resolves.
+        # A scan span covers the whole overlay search this fetch kicked
+        # off and closes when the search resolves.
         span, issuing = self._open_span("scan", lambda: (
-            f"scan:{op.name}", {"pattern": repr(pattern)}))
+            f"scan:{label if label is not None else f'scan{pattern}'}",
+            {"pattern": repr(pattern)}))
         with issuing:
             future = self.peer._search_pattern(pattern, cancel=self.cancel)
         if span is not None:
@@ -371,14 +373,15 @@ class PipelineContext:
 
     # -- aggregation ----------------------------------------------------
 
-    def fetches_issued(self) -> int:
-        """Total overlay fetches issued across all operators."""
-        return sum(stats.fetches_issued for stats in self.stats)
-
-    def fetches_skipped(self) -> int:
-        """Total overlay fetches skipped due to cancellation."""
-        return sum(stats.fetches_skipped for stats in self.stats)
-
-    def operator_snapshots(self) -> list[dict]:
-        """Per-operator stats in registration order."""
-        return [stats.snapshot() for stats in self.stats]
+    def totals(self) -> tuple[int, int, list[dict]]:
+        """``(fetches issued, fetches skipped, per-operator stats)``
+        over every registered operator, read in one pass: the overlay
+        fetches started, the ones a cancellation skipped, and each
+        operator's counter snapshot in registration order."""
+        issued = skipped = 0
+        snapshots = []
+        for stats in self.stats:
+            issued += stats.fetches_issued
+            skipped += stats.fetches_skipped
+            snapshots.append(stats.snapshot())
+        return issued, skipped, snapshots

@@ -356,13 +356,6 @@ class GridVineNetwork(PGridOverlay):
         records = self.connectivity_records(domain, origin)
         return indicator_from_degrees([r.degree_pair for r in records])
 
-    def fetch_mappings(self, schema_name: str,
-                       include_deprecated: bool = False,
-                       origin: str | None = None) -> list[SchemaMapping]:
-        """Active outgoing mappings of a schema, via the overlay."""
-        return self.call("fetch_mappings", schema_name, include_deprecated,
-                         origin=origin)[0]
-
     def schema_spaces(self, schema_names: Iterable[str],
                       origin: str | None = None) -> dict[str, list]:
         """Every record at each schema's key space — its definition,

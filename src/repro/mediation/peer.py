@@ -450,7 +450,7 @@ class GridVinePeer(PGridPeer):
         ``on_rows(query, rows)`` receives each reformulation's results
         as they stream back; ``on_finish(complete)`` runs once: when
         every delegate has settled or ``cancel`` fires (a satisfied
-        ``Limit`` — still complete), or incomplete when
+        limit — still complete), or incomplete when
         :attr:`query_timeout` expires first.
         """
         task = FanoutTask(self, on_finish, on_results=on_rows)

@@ -94,7 +94,8 @@ class TriplePattern:
     <Position.PREDICATE: 'predicate'>
     """
 
-    __slots__ = ("subject", "predicate", "object", "_hash", "_prepared")
+    __slots__ = ("subject", "predicate", "object", "_hash", "_prepared",
+                 "_route")
 
     def __init__(self, subject: Term, predicate: Term, obj: Term) -> None:
         if isinstance(subject, Literal):
@@ -109,8 +110,8 @@ class TriplePattern:
         raise AttributeError("TriplePattern is immutable")
 
     def __reduce__(self):
-        # Rebuild through the constructor: the lazily-cached hash and
-        # prepared scan are caches, not state, and closures cannot
+        # Rebuild through the constructor: the lazily-cached hash, route
+        # and prepared scan are caches, not state, and closures cannot
         # cross process boundaries (sharded worker pipes).
         return (TriplePattern, (self.subject, self.predicate, self.object))
 
@@ -182,8 +183,12 @@ class TriplePattern:
         through a range query but less specific than any exact
         constant, so it is only chosen when nothing exact exists.
         Raises :class:`ValueError` for patterns with no routable
-        constant.
+        constant.  Computed once per pattern (a failure is not cached).
         """
+        try:
+            return self._route
+        except AttributeError:
+            pass
         exact: list[Position] = []
         prefix: list[Position] = []
         for pos in _SPECIFICITY_ORDER:
@@ -196,11 +201,11 @@ class TriplePattern:
                 prefix.append(pos)
                 continue
             exact.append(pos)
-        if exact:
-            return exact[0]
-        if prefix:
-            return prefix[0]
-        raise ValueError(f"pattern {self} has no routable constant")
+        if not (exact or prefix):
+            raise ValueError(f"pattern {self} has no routable constant")
+        route = exact[0] if exact else prefix[0]
+        object.__setattr__(self, "_route", route)
+        return route
 
     def routing_constant(self) -> GroundTerm:
         """The constant at :meth:`routing_position`."""

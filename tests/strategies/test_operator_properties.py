@@ -4,17 +4,21 @@ The row-tuple :class:`~repro.exec.stream.Batch` plane is the only
 implementation of the operator algebra — every operator must produce
 *exactly* the rows (and row order) that the obvious dict-row
 implementation produces.  Each property here drives one operator
-(the join, a reformulation's answer — join, project, dedup — union,
-limit) with generated batches over small colliding value pools and
-compares against an independent naive reference computed on binding
-dicts (read through :meth:`Batch.to_bindings`).
+(the join, a reformulation's answer — join, project, dedup — and the
+collecting tail — union, limit) with generated batches over small
+colliding value pools and compares against an independent naive
+reference computed on binding dicts (read through
+:meth:`Batch.to_bindings`) or, for the tail, a small model of its
+counting rules.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.exec.bindings import join_batches
-from repro.exec.operators import Answer, Limit, Union
+from repro.exec.operators import Answer, Collect
 from repro.exec.stream import Batch, Operator
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
@@ -235,65 +239,127 @@ class TestProjectProperty:
         assert sink.schemas == [distinguished]
 
 
+#: attribution keys a collected batch may carry (``None``: the query)
+SOURCES = (None, "q1", "q2")
+
+
+@st.composite
+def tail_traffic(draw):
+    """``(inputs, events)``: a tail's input count and the batches
+    arriving on it in order, as ``(slot, batch)`` — every input's
+    batches share one schema, and each batch carries a source."""
+    inputs = draw(st.integers(min_value=1, max_value=3))
+    streams = [draw(batch_sequences()) for _ in range(inputs)]
+    for stream in streams:
+        for batch in stream:
+            batch.source = draw(st.sampled_from(SOURCES))
+    order = draw(st.permutations(
+        [slot for slot, stream in enumerate(streams) for _ in stream]))
+    cursors = [iter(stream) for stream in streams]
+    return inputs, [(slot, next(cursors[slot])) for slot in order]
+
+
+class _Outcome:
+    """What a :class:`Collect` writes into a query outcome, in
+    arrival order: one ``(source, rows)`` per recorded batch."""
+
+    query = "q0"
+
+    def __init__(self):
+        self.results = set()
+        self.recorded = []
+
+    def record(self, source, rows):
+        self.results |= rows
+        self.recorded.append((source, rows))
+
+
+def run_tail(inputs, events, limit):
+    """Drive a ``Collect(limit)`` with ``inputs`` inputs through
+    ``events``, then close every input.  Returns ``(collect,
+    outcome, times on_satisfied fired)``."""
+    outcome = _Outcome()
+    collect = Collect(SimpleNamespace(now=0.0), outcome=outcome,
+                      limit=limit)
+    fired = []
+    collect.on_satisfied = lambda: fired.append(1)
+    sources = [Operator(f"source{i}") for i in range(inputs)]
+    for source in sources:
+        source.connect(collect)
+    for slot, batch in events:
+        sources[slot].emit(batch)
+    for source in sources:
+        assert not collect.future.done
+        source.close()
+    assert collect.future.result() is outcome
+    return collect, outcome, len(fired)
+
+
+def reference_tail(events, limit):
+    """The tail's counting rules, stated plainly: a row counts once,
+    a repeated row is kept without counting, the batch reaching the
+    limit is cut there, and every later batch arrives late.  Returns
+    ``(recorded, kept, limit hit, rows dropped, late rows)``."""
+    recorded, kept = [], set()
+    dropped = late = 0
+    hit = False
+    for _slot, batch in events:
+        rows = batch.tuples()
+        if hit:
+            dropped += len(rows)
+            late += len(rows)
+            continue
+        taken = set()
+        for position, row in enumerate(rows):
+            if (row not in kept and limit is not None
+                    and len(kept) >= limit):
+                dropped += len(rows) - position
+                break
+            kept.add(row)
+            taken.add(row)
+        recorded.append((batch.source or "q0", taken))
+        hit = limit is not None and len(kept) >= limit
+    return recorded, kept, hit, dropped, late
+
+
 class TestUnionProperty:
     @STANDARD_SETTINGS
-    @given(batch_sequences(), batch_sequences())
-    def test_union_concatenates_in_arrival_order(self, first, second):
-        union, sink = Union(), _Sink()
-        union.connect(sink)
-        arrival = []
-        for batch in first:
-            union.on_batch(batch, 0)
-            arrival.extend(batch.to_bindings())
-        for batch in second:
-            union.on_batch(batch, 1)
-            arrival.extend(batch.to_bindings())
-        assert sink.rows == arrival
+    @given(tail_traffic())
+    def test_union_concatenates_in_arrival_order(self, traffic):
+        # Without a limit the tail is a union: every batch recorded as
+        # it arrives, whichever input it came on, closed by the last.
+        inputs, events = traffic
+        collect, outcome, fired = run_tail(inputs, events, None)
+        assert outcome.recorded == [
+            (batch.source or "q0", set(batch.tuples()))
+            for _slot, batch in events]
+        assert (collect.satisfied, fired, collect.late_rows) == (
+            False, 0, 0)
 
 
 class TestLimitProperty:
     @STANDARD_SETTINGS
-    @given(batch_sequences(max_batches=5),
-           st.integers(min_value=1, max_value=6))
-    def test_limit_matches_distinct_counting_reference(self, stream,
+    @given(tail_traffic(), st.integers(min_value=1, max_value=8))
+    def test_limit_matches_distinct_counting_reference(self, traffic,
                                                        limit):
-        op, sink = Limit(limit), _Sink()
-        op.connect(sink)
-        for batch in stream:
-            op.on_batch(batch, 0)
-        # Reference semantics: duplicates pass without counting; the
-        # batch that fills the cap is truncated right there; later
-        # batches are dropped entirely.
-        seen: set = set()
-        expected = []
-        accepting = True
-        for batch in stream:
-            if not accepting:
-                break
-            emitted = []
-            for row in batch.tuples():
-                if row in seen:
-                    emitted.append(row)
-                    continue
-                if len(seen) >= limit:
-                    break
-                seen.add(row)
-                emitted.append(row)
-            expected.extend(dict(zip(batch.schema, row))
-                            for row in emitted)
-            if len(seen) >= limit:
-                accepting = False
-        assert sink.rows == expected
-        assert len({tuple(sorted((v.value, str(t)) for v, t in r.items()))
-                    for r in sink.rows}) <= limit
+        inputs, events = traffic
+        collect, outcome, fired = run_tail(inputs, events, limit)
+        recorded, kept, hit, dropped, late = reference_tail(events,
+                                                            limit)
+        assert outcome.recorded == recorded
+        assert collect.rows == outcome.results == kept
+        assert len(kept) <= limit
+        assert collect.satisfied == hit
+        assert fired == (1 if hit else 0)
+        assert (collect.stats.rows_dropped, collect.late_rows) == (
+            dropped, late)
 
     @STANDARD_SETTINGS
-    @given(batch_sequences())
-    def test_limit_none_is_pass_through(self, stream):
-        op, sink = Limit(None), _Sink()
-        op.connect(sink)
-        everything = []
-        for batch in stream:
-            op.on_batch(batch, 0)
-            everything.extend(batch.to_bindings())
-        assert sink.rows == everything
+    @given(tail_traffic())
+    def test_limit_none_is_pass_through(self, traffic):
+        inputs, events = traffic
+        collect, outcome, fired = run_tail(inputs, events, None)
+        assert (outcome.recorded, collect.rows) == reference_tail(
+            events, None)[:2]
+        assert collect.stats.rows_in == sum(b.count for _s, b in events)
+        assert collect.stats.rows_dropped == 0

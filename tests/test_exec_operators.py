@@ -1,15 +1,15 @@
 """Unit tests for the streaming operator runtime (repro.exec)."""
 
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exec.operators import (
     Answer,
-    Limit,
+    Collect,
     PatternScan,
     Reformulate,
-    Union,
 )
 from repro.exec.plans import run_query_plan
 from repro.exec.stream import Batch, Operator, PipelineContext
@@ -87,14 +87,14 @@ class TestBatch:
 
 class TestStreamMechanics:
     def test_passthrough_and_close_propagation(self):
-        src, sink = chain(Union("src"), _Sink())
+        src, sink = chain(Operator("src"), _Sink())
         src.emit(_ints(1, 2))
         src.close()
         assert sink.batches == [([(1,), (2,)], None)]
         assert sink.closes == 1 and sink._closed
 
     def test_multi_input_close_barrier(self):
-        a, b, sink = Union("a"), Union("b"), _Sink()
+        a, b, sink = Operator("a"), Operator("b"), _Sink()
         a.connect(sink)
         b.connect(sink)
         a.close()
@@ -103,7 +103,7 @@ class TestStreamMechanics:
         assert sink._closed
 
     def test_rows_after_close_are_dropped_and_counted(self):
-        a, b, sink = Union("a"), Union("b"), _Sink()
+        a, b, sink = Operator("a"), Operator("b"), _Sink()
         a.connect(sink)
         sink._input_closed(0)  # force-close via the only input
         b.connect(sink)
@@ -112,7 +112,7 @@ class TestStreamMechanics:
         assert sink.stats.rows_dropped == 3
 
     def test_stats_count_rows(self):
-        src, sink = chain(Union("src"), _Sink())
+        src, sink = chain(Operator("src"), _Sink())
         src.emit(_ints(1, 2, 3))
         assert src.stats.rows_out == 3
         assert sink.stats.rows_in == 3
@@ -136,6 +136,38 @@ class TestRowsFromStoreToScan:
         # Not a copy, not a per-row conversion: the very list.
         assert sink.batches[0][0] is rows
         assert scan.stats.rows_out == 2 and scan._closed
+
+    def test_an_answer_fetches_its_own_patterns(self, small_network,
+                                                monkeypatch):
+        # Replies resolve synchronously, as when the origin owns the
+        # key: every slot must exist before the first fetch, or the
+        # answer would close on the first reply alone.
+        peer = next(iter(small_network.peers.values()))
+        length = TriplePattern(X, URI("S#len"), Z)
+        replies = {PATTERN: [(URI("a"), Literal("v")),
+                             (URI("b"), Literal("w"))],
+                   length: [(URI("a"), Literal("9"))]}
+
+        def search(pattern, cancel=None):
+            reply = Future()
+            reply.set_result(replies[pattern])
+            return reply
+
+        monkeypatch.setattr(peer, "_search_pattern", search)
+        query = ConjunctiveQuery([PATTERN, length], [X, Z])
+        for cancelled, rows in ((False, [(URI("a"), Literal("9"))]),
+                                (True, [])):
+            ctx = PipelineContext(peer)
+            if cancelled:
+                ctx.cancel.cancel()
+            answer, sink = chain(Answer(query), _Sink())
+            ctx.register(answer)
+            answer.fetch(ctx, [PATTERN, length])
+            assert sink.batches == [(rows, query)] and answer._closed
+            stats = answer.stats
+            assert (stats.fetches_issued, stats.fetches_skipped,
+                    stats.rows_in) == ((0, 2, 0) if cancelled
+                                       else (2, 0, 3))
 
     def test_search_reply_ships_one_value_per_row(self, fig2_network):
         net, _embl, _emp = fig2_network
@@ -169,6 +201,16 @@ def answer_of(*streams):
             source.emit(batch)
         source.close()
     return answer, sink
+
+
+def collect_of(limit, inputs=1):
+    """A ``Collect(limit)`` fed by ``inputs`` upstream operators;
+    returns ``(collect, sources)``."""
+    collect = Collect(SimpleNamespace(now=0.0), limit=limit)
+    sources = [Operator(f"source{i}") for i in range(inputs)]
+    for source in sources:
+        source.connect(collect)
+    return collect, sources
 
 
 class TestProjectDedupLimit:
@@ -206,40 +248,44 @@ class TestProjectDedupLimit:
 
     def test_limit_truncates_and_fires_once(self):
         fired = []
-        limit = Limit(3, on_satisfied=lambda: fired.append(1))
-        sink = _Sink()
-        limit.connect(sink)
-        limit._receive(_ints(1, 2), 0)
-        limit._receive(_ints(3, 4, 5), 0)
-        limit._receive(_ints(6), 0)
-        emitted = [row for rows, _ in sink.batches for row in rows]
-        assert emitted == [(1,), (2,), (3,)]
+        collect, (a, b) = collect_of(3, inputs=2)
+        collect.on_satisfied = lambda: fired.append(1)
+        a.emit(_ints(1, 2))
+        b.emit(_ints(3, 4, 5))
+        a.emit(_ints(6))
+        assert collect.rows == {(1,), (2,), (3,)}
         assert fired == [1]
-        assert limit.satisfied
-        assert limit.stats.rows_dropped == 3  # 4, 5 truncated + 6 late
+        assert collect.satisfied
+        assert collect.stats.rows_dropped == 3  # 4, 5 truncated + 6 late
+        assert not collect.future.done         # open until both close
+        a.close()
+        b.close()
+        assert collect.future.result() == {(1,), (2,), (3,)}
+        assert fired == [1]
 
     def test_limit_separates_overshoot_from_late_rows(self):
-        limit, sink = chain(Limit(2), _Sink())
-        limit._receive(_ints(1, 2, 3), 0)     # overshoot: 3 truncated
-        assert limit.satisfied
-        assert limit.stats.rows_dropped == 1
-        assert limit.late_rows == 0           # nothing arrived late yet
-        limit._receive(_ints(4, 5), 0)        # true late arrivals
-        assert limit.late_rows == 2
-        assert limit.stats.rows_dropped == 3
+        collect, (src,) = collect_of(2)
+        src.emit(_ints(1, 2, 3))              # overshoot: 3 truncated
+        assert collect.satisfied
+        assert collect.stats.rows_dropped == 1
+        assert collect.late_rows == 0         # nothing arrived late yet
+        src.emit(_ints(4, 5))                 # true late arrivals
+        assert collect.late_rows == 2
+        assert collect.stats.rows_dropped == 3
 
     def test_limit_duplicates_do_not_count(self):
-        limit, sink = chain(Limit(2), _Sink())
-        limit._receive(_ints(1, 1, 1), 0)
-        assert not limit.satisfied
-        limit._receive(_ints(2), 0)
-        assert limit.satisfied
+        collect, (src,) = collect_of(2)
+        src.emit(_ints(1, 1, 1))
+        assert not collect.satisfied
+        src.emit(_ints(2))
+        assert collect.satisfied
 
     def test_limit_none_passes_through(self):
-        limit, sink = chain(Limit(None), _Sink())
-        limit._receive(_ints(*range(100)), 0)
-        assert not limit.satisfied
-        assert sink.stats.rows_in == 100
+        collect, (src,) = collect_of(None)
+        src.emit(_ints(*range(100)))
+        assert not collect.satisfied
+        assert collect.stats.rows_in == 100
+        assert len(collect.rows) == 100
 
 
 class TestCancelToken:

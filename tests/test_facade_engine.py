@@ -89,7 +89,6 @@ def write_read_script(net):
     net.insert_mapping(short_lived)
     net.remove_mapping(short_lived)
     records = net.connectivity_records("d")
-    mappings = net.fetch_mappings("EMP", include_deprecated=True)
     graph = net.mapping_graph("d", include_deprecated=True)
     controller = SelfOrganizationController(
         net, domain="d", policy=CreationPolicy(mappings_per_round=1))
@@ -97,7 +96,8 @@ def write_read_script(net):
     net.settle()
     return (
         [(r.schema_name, r.degree_pair) for r in records],
-        [(m.mapping_id, m.deprecated) for m in mappings],
+        [(m.mapping_id, m.deprecated)
+         for m in graph.outgoing("EMP", include_deprecated=True)],
         sorted(m.mapping_id for m in graph.mappings()),
         (report.ci_before, report.ci_after, report.created,
          report.deprecated, report.posteriors),

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datagen import BioDatasetGenerator
-from repro.exec.operators import Collect, Limit, Union
+from repro.exec.operators import Collect
 from repro.exec.stream import Batch, PipelineContext
 from repro.mediation.keys import triple_keys
 from repro.mediation.network import GridVineNetwork
@@ -166,25 +166,29 @@ def test_resolved_pipeline_still_counts_late_batches(small_network):
     query = parse_search_for("SearchFor(x? : (x?, S#a, v))")
     outcome = QueryOutcome(query=query, strategy="local", issued_at=0.0,
                            limit=2)
-    union, limit_op = Union(), Limit(2)
-    collect = Collect(ctx, outcome=outcome)
-    union.connect(limit_op).connect(collect)
-    ctx.register(union, limit_op, collect)
-    limit_op.on_satisfied = collect.resolve
+    collect = Collect(ctx, outcome=outcome, limit=2)
+    ctx.register(collect)
+
+    def _finalize():
+        outcome.rows_after_cancel = collect.late_rows
+
+    collect.finalize = _finalize
+    collect.on_satisfied = collect.resolve
 
     def rows(*values):
         return Batch.from_tuples((x,), [(URI(v),) for v in values])
 
-    union._receive(rows("a", "b", "c"), 0)    # overshoot: c truncated
-    assert collect.future.done and collect.finalize is None
-    union._receive(rows("d", "e"), 0)         # late, after resolution
-    assert (limit_op.late_rows, limit_op.stats.rows_dropped) == (2, 3)
-    collect._receive(rows("f"), 0)            # past the limit operator
-    assert outcome.rows_after_cancel == 1
-    assert collect.stats.rows_dropped == 1
-    assert [s["name"] for s in ctx.operator_snapshots()] == [
-        "union", "limit[2]", "collect"]
-    assert ctx.operator_snapshots()[1]["rows_dropped"] == 3
+    collect._receive(rows("a", "b", "c"), 0)  # overshoot: c truncated
+    assert collect.future.done
+    assert collect.finalize is None and collect.on_satisfied is None
+    assert outcome.rows_after_cancel == 0     # stamped at resolution
+    collect._receive(rows("d", "e"), 0)       # late, after resolution
+    collect._receive(rows("f"), 0)
+    assert (collect.late_rows, collect.stats.rows_dropped) == (3, 4)
+    assert outcome.result_count == 2
+    _issued, _skipped, snapshots = ctx.totals()
+    assert [s["name"] for s in snapshots] == ["collect"]
+    assert snapshots[0]["rows_dropped"] == 4
 
 
 class TestPeerBudget:

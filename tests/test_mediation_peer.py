@@ -152,20 +152,20 @@ class TestSchemaAndMappingPlacement:
         net.loop.run_until_complete(
             origin.insert_mapping(mapping.reversed(), bidirectional=False))
         net.settle()
-        mappings = net.fetch_mappings("EMP")
+        mappings = net.mapping_graph("bio").outgoing("EMP")
         assert any(m.source_schema == "EMP" for m in mappings)
 
-    def test_fetch_mappings_filters_deprecated(self, fig2_network):
+    def test_mapping_graph_filters_deprecated(self, fig2_network):
         net, embl, emp = fig2_network
         mapping = net.create_mapping(embl, emp,
                                      [("Organism", "SystematicName")])
         net.settle()
-        assert len(net.fetch_mappings("EMBL")) == 1
+        assert len(net.mapping_graph("bio").outgoing("EMBL")) == 1
         net.deprecate_mapping(mapping)
         net.settle()
-        assert net.fetch_mappings("EMBL") == []
-        assert len(net.fetch_mappings(
-            "EMBL", include_deprecated=True)) == 1
+        assert net.mapping_graph("bio").outgoing("EMBL") == []
+        assert len(net.mapping_graph("bio", include_deprecated=True)
+                   .outgoing("EMBL", include_deprecated=True)) == 1
 
 
 class TestConnectivityRecords:

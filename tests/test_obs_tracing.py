@@ -105,7 +105,7 @@ class TestQueryTraces:
     def test_every_write_read_and_controller_fetch_is_one_exact_trace(
             self, record_calls):
         net = build_corpus()
-        mapping, = net.fetch_mappings("S0")
+        mapping, = net.mapping_graph("e13").outgoing("S0")
         net.insert_schema(Schema("S2", ["org", "len"], domain="e13"))
         net.insert_triples([Triple(URI("S2:e0"), URI("S2#org"),
                                    Literal("Aspergillus-0"))])

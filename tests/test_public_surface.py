@@ -656,22 +656,10 @@ def test_a_controller_round_reads_set_at_a_time(record_calls):
     assert all(reads == rounds[0] for reads in rounds), rounds
 
 
-def test_one_operator_per_reformulation():
-    """A reformulation's join, projection and dedup are one operator.
-
-    ``repro.exec`` has no ``HashJoin``, ``Project`` or ``Dedup``; a
-    singleton engine batch, a ``local`` search and an ``iterative``
-    search each register, besides their scans and the query's
-    ``union``/``limit``/``collect`` tail (and the iterative strategy's
-    ``reformulate`` source), exactly one operator per reformulation:
-    its ``answer``."""
-    import repro.exec
+def _three_schema_chain():
+    """Three mapped schemas of four entities each, on 16 peers;
+    returns ``(net, engine)``."""
     from repro import GridVineNetwork, Literal, Schema, Triple, URI
-
-    for retired in ("HashJoin", "Project", "Dedup"):
-        assert not hasattr(repro.exec, retired), retired
-        assert retired not in repro.exec.__all__, retired
-        assert not hasattr(repro.exec.operators, retired), retired
 
     net = GridVineNetwork.build(num_peers=16, seed=7)
     schemas = [Schema(f"S{i}", ["org", "len"], domain="w")
@@ -687,7 +675,25 @@ def test_one_operator_per_reformulation():
     for a, b in zip(schemas, schemas[1:]):
         net.create_mapping(a, b, [("org", "org"), ("len", "len")])
     net.settle()
-    engine = net.create_engine(domain="w")
+    return net, net.create_engine(domain="w")
+
+
+def test_one_operator_per_reformulation():
+    """A reformulation's join, projection and dedup are one operator.
+
+    ``repro.exec`` has no ``HashJoin``, ``Project`` or ``Dedup``; a
+    singleton engine batch, a ``local`` search and an ``iterative``
+    search each register, besides their shared scans, the query's
+    ``collect`` tail (and the iterative strategy's ``reformulate``
+    source), exactly one operator per reformulation: its ``answer``."""
+    import repro.exec
+
+    for retired in ("HashJoin", "Project", "Dedup"):
+        assert not hasattr(repro.exec, retired), retired
+        assert retired not in repro.exec.__all__, retired
+        assert not hasattr(repro.exec.operators, retired), retired
+
+    net, engine = _three_schema_chain()
     query = ("SearchFor(x?, y? : (x?, S0#org, %Asp%) "
              "AND (x?, S0#len, y?))")
     outcomes = {"engine": engine.search_for(query)}
@@ -699,6 +705,50 @@ def test_one_operator_per_reformulation():
         assert outcome.result_count == 4 * reformulations, strategy
         per_reformulation = [
             stats["name"] for stats in outcome.operator_stats
-            if not stats["name"].startswith(("scan", "union", "limit"))
+            if not stats["name"].startswith("scan")
             and stats["name"] not in ("collect", "reformulate")]
         assert per_reformulation == ["answer"] * reformulations, strategy
+
+
+def test_a_local_query_is_two_operators(monkeypatch):
+    """A one-pattern ``local`` query is ``Answer -> Collect``.
+
+    ``repro.exec`` has no ``Union`` or ``Limit``: a query's one
+    ``Collect`` unions its inputs and applies the limit.  A one-pattern
+    local query, limited or not, builds one ``answer`` — which fetches
+    the pattern itself, one fetch — and one ``collect``; an engine
+    batch builds one ``Collect`` per query beside its shared scans."""
+    import repro.exec
+    from repro.exec.stream import Operator
+
+    for retired in ("Union", "Limit"):
+        assert not hasattr(repro.exec, retired), retired
+        assert retired not in repro.exec.__all__, retired
+        assert not hasattr(repro.exec.operators, retired), retired
+
+    net, engine = _three_schema_chain()
+    built = Counter()
+    real_init = Operator.__init__
+
+    def counting_init(self, name):
+        built[type(self).__name__] += 1
+        real_init(self, name)
+
+    monkeypatch.setattr(Operator, "__init__", counting_init)
+    query = "SearchFor(x? : (x?, S0#org, %Asp%))"
+    for limit in (None, 2):
+        built.clear()
+        outcome = net.search_for(query, strategy="local", limit=limit)
+        assert built == {"Answer": 1, "Collect": 1}, limit
+        # Registration order: the tail first, then the subplan.
+        assert [stats["name"] for stats in outcome.operator_stats] == [
+            "collect", "answer"]
+        assert (outcome.fetches_issued, outcome.fetches_skipped) == (1, 0)
+        assert outcome.result_count == (4 if limit is None else 2)
+    built.clear()
+    result = engine.execute_batch([
+        query, "SearchFor(x? : (x?, S1#org, %Asp%))",
+        "SearchFor(y? : (x?, S0#len, y?))"])
+    assert len(result.outcomes) == 3
+    assert built["Collect"] == 3
+    assert set(built) == {"PatternScan", "Answer", "Collect"}

@@ -1,6 +1,11 @@
 """Tests for triple patterns and conjunctive queries."""
 
+import copy
+import pickle
+
 import pytest
+
+import repro.rdf.patterns as patterns_module
 
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
@@ -57,6 +62,88 @@ class TestRoutingPosition:
     def test_only_like_constant_unroutable(self):
         with pytest.raises(ValueError):
             TriplePattern(X, Y, Literal("%v%")).routing_position()
+
+
+#: one pattern per routing shape: an exact constant, a ``prefix%``
+#: literal with nothing exact beside it, and a ``%like%`` literal
+#: beside an exact predicate
+ROUTING_SHAPES = {
+    "exact": ((X, URI("p"), Literal("o")), Position.OBJECT, "exact"),
+    "prefix": ((X, Y, Literal("Asp%")), Position.OBJECT, "prefix"),
+    "like": ((X, URI("p"), Literal("%Asp%")), Position.PREDICATE,
+             "exact"),
+}
+
+
+def _counting_is_ground(monkeypatch):
+    """Count the routing analysis' term checks: three per computation
+    (one per position)."""
+    calls = []
+    real = patterns_module.is_ground
+
+    def counting(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(patterns_module, "is_ground", counting)
+    return calls
+
+
+class TestRouteCache:
+    @pytest.mark.parametrize("shape", sorted(ROUTING_SHAPES))
+    def test_cached_route_equals_a_fresh_patterns(self, shape):
+        terms, position, mode = ROUTING_SHAPES[shape]
+        p = TriplePattern(*terms)
+        for _ in range(3):
+            assert p.routing_position() is position
+            assert p.routing_mode() == mode
+            assert p.routing_constant() is p.at(position)
+        fresh = TriplePattern(*terms)
+        assert fresh.routing_position() is p.routing_position()
+        assert fresh.routing_mode() == p.routing_mode()
+        assert fresh.routing_constant() is p.routing_constant()
+
+    @pytest.mark.parametrize("shape", sorted(ROUTING_SHAPES))
+    def test_each_pattern_computes_its_route_once(self, shape,
+                                                  monkeypatch):
+        calls = _counting_is_ground(monkeypatch)
+        p = TriplePattern(*ROUTING_SHAPES[shape][0])
+        for _ in range(4):
+            p.routing_position()
+            p.routing_mode()
+            p.routing_constant()
+        assert len(calls) == 3
+
+    def test_a_local_query_routes_each_pattern_once(self, fig2_network,
+                                                    monkeypatch):
+        net, _embl, _emp = fig2_network
+        query = ConjunctiveQuery(
+            [TriplePattern(X, URI("EMBL#Organism"), Literal("%Asp%"))],
+            [X])
+        peer = net.peer(net.peer_ids()[0])
+        calls = _counting_is_ground(monkeypatch)
+        future = peer.search_for(query, strategy="local")
+        net.settle()
+        assert future.result().result_count == 2
+        assert len(calls) == 3
+
+    def test_an_unroutable_pattern_raises_on_every_call(self):
+        p = TriplePattern(X, Y, Literal("%v%"))
+        for method in (p.routing_position, p.routing_mode,
+                       p.routing_position, p.routing_constant):
+            with pytest.raises(ValueError, match="no routable constant"):
+                method()
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_drop_the_cache(self, clone):
+        p = TriplePattern(X, URI("p"), Literal("o"))
+        p.routing_position()
+        twin = clone(p)
+        assert twin == p and twin is not p
+        assert not hasattr(twin, "_route")
+        assert twin.routing_position() is p.routing_position()
 
 
 class TestPatternMatching:
