@@ -327,9 +327,10 @@ class PipelineContext:
             "read", {"keys": len(by_key)}))
         unread = len(by_key)
 
-        def on_rows(key, answer) -> None:
+        def on_rows(result) -> None:
             nonlocal unread
-            for index, scan in enumerate(by_key.pop(key)):
+            answer = result.values
+            for index, scan in enumerate(by_key.pop(result.key)):
                 scan.deliver(answer[index] if answer else [])
             unread -= 1
             if not unread:

@@ -375,12 +375,12 @@ class GridVinePeer(PGridPeer):
         Rows are value tuples in ``pattern.schema`` order, exactly as
         the destination's :meth:`TripleStore.match` produced them.
 
-        Exact routing constants resolve with a single ``search`` op at
+        Exact routing constants resolve with a one-key split read
+        (:meth:`~repro.pgrid.peer.PGridPeer.read_many`) of ``search`` at
         the constant's key space, carrying the pattern as a 1-tuple (a
         ``search`` carries a tuple of patterns and is answered with one
-        row list per pattern — the shape a query batch's split read
-        uses, :meth:`~repro.pgrid.peer.PGridPeer.read_many`).  A
-        ``prefix%`` routing constant has
+        row list per pattern — a query batch's wave reads many keys of
+        them at once).  A ``prefix%`` routing constant has
         no single key; its matches occupy a contiguous key *interval*
         (order-preserving hash), which is fetched with overlay range
         queries over the interval's covering prefixes and matched
@@ -390,15 +390,13 @@ class GridVinePeer(PGridPeer):
         """
         if pattern.routing_mode() == "prefix":
             return self._search_pattern_by_prefix(pattern, cancel=cancel)
-        key = term_key(pattern.routing_constant())
         out: Future = Future()
 
-        def _on_result(f: Future) -> None:
-            values = f.result().values
-            out.set_result(values[0] if values else [])
+        def _on_result(result) -> None:
+            out.set_result(result.values[0] if result.values else [])
 
-        self._start_op("search", key, (pattern,),
-                       cancel=cancel).add_done_callback(_on_result)
+        self.read_many("search", {term_key(pattern.routing_constant()):
+                                  (pattern,)}, _on_result, cancel)
         return out
 
     #: decomposition depth for prefix-pattern range queries; bounds the

@@ -18,19 +18,20 @@ Protocol overview (all messages flow through ``repro.simnet``):
     ``sigma(p)``; replicas apply it without replying.  One message
     carries every key the write applied at that peer.
 
-Every write and every many-key read is a *split op*, by one rule
+Every write and every read is a *split op*, by one rule
 (:meth:`PGridPeer._handle_split`): each peer a sub-request reaches
 answers the keys under its own path and sends the rest on, one
 sub-request per trie level where they leave its path, toward their
 longest common prefix.  So an upload or a query batch routes one
-sub-request per subtree its keys reach, and a one-key write routes like
-a single op.  The origin's ledger (:class:`SplitTask`) counts answered
-keys, so a relay reports nothing, and on timeout it re-issues the
-unanswered keys as one split op.  Single-key reads keep a
-pending-operation table instead.  Both retry by one budget
-(:meth:`PGridPeer._may_retry`), avoiding first hops already tried,
-before resolving as failed — P-Grid's "probabilistic guarantees ...
-even in highly unreliable, dynamic environments".
+sub-request per subtree its keys reach, and a one-key op — a
+``Retrieve(key)``, a pattern search, a single write — routes like a
+single op: the hops and one report.  The origin's ledger
+(:class:`SplitTask`) counts answered keys, so a relay reports nothing,
+and on timeout it re-issues the unanswered keys as one split op, by
+one retry budget (:meth:`PGridPeer._may_retry`), avoiding first hops
+already tried, before resolving them as failed — P-Grid's
+"probabilistic guarantees ... even in highly unreliable, dynamic
+environments".
 
 The range shower and recursive reformulation (in
 :mod:`repro.mediation.peer`), whose origin cannot list their answerers,
@@ -51,7 +52,7 @@ from repro.simnet.events import Future, SimulationError
 from repro.simnet.network import Message, Node
 from repro.stats.gossip import PIGGYBACK_BUDGET, PULL_BUDGET
 from repro.stats.synopsis import PeerSynopsis, SynopsisRegistry
-from repro.util.keys import Key, common_prefix_key, common_prefix_length
+from repro.util.keys import Key, common_prefix_bits, common_prefix_length
 
 #: shared empty avoid-set for forwarded routes (never mutated); saves
 #: one set allocation per forwarding hop on the hottest handler
@@ -65,13 +66,12 @@ _DIGEST_MASK = (1 << 64) - 1
 class OpResult:
     """Outcome of a Retrieve or Update operation.
 
-    ``hops`` counts forwarding steps of the winning attempt (0 when the
-    origin itself was responsible; for a key of a split write, the
-    steps of the sub-request that reached its peer — the whole route
-    for a one-key write, see :meth:`PGridPeer.update_many`);
+    ``hops`` counts the forwarding steps of the sub-request that
+    reached the key's peer (0 when the origin itself was responsible;
+    the whole route for a one-key op, see :class:`SplitTask`);
     ``latency`` is virtual seconds from issue to completion, including
-    failed attempts; ``values`` is the retrieved list for retrieves and
-    ``None`` for updates.
+    failed attempts; ``values`` is the read's answer (the retrieved
+    list for retrieves) and ``None`` for updates and failed keys.
     """
 
     key: Key
@@ -80,48 +80,6 @@ class OpResult:
     hops: int = 0
     latency: float = 0.0
     attempts: int = 1
-
-
-class _Pending:
-    """Origin-side state of one in-flight single-key read.
-
-    A slot class with a hand-written ``__init__`` — one instance per
-    issued read makes the dataclass machinery (default factories,
-    keyword processing) measurable on read-heavy workloads.
-    """
-
-    __slots__ = ("future", "key", "op", "value", "issued_at", "attempts",
-                 "timeout_handle", "scope", "tried_hops",
-                 "cancel", "span", "attempt_span")
-
-    def __init__(self, future: Future, key: Key, op: str, value: Any,
-                 issued_at: float, scope: tuple | None = None,
-                 cancel: Any = None) -> None:
-        self.future = future
-        self.key = key
-        self.op = op
-        self.value = value
-        self.issued_at = issued_at
-        self.attempts = 1
-        self.timeout_handle: Any = None
-        #: causal scope captured at issue time (under the op span when
-        #: traced), so timeout-driven retries and resolution callbacks,
-        #: which run outside any delivery scope, keep billing and
-        #: parenting their messages to the originating operation
-        self.scope = scope
-        #: first-hop references already tried; replica-aware failover
-        #: steers retries away from these toward alternate replicas
-        self.tried_hops: set[str] = set()
-        #: cooperative-cancellation token of the issuing computation
-        #: (see :class:`~repro.simnet.events.CancelToken`); a fired
-        #: token stops timeout retries and resolves the operation
-        #: immediately
-        self.cancel = cancel
-        #: open span records (see :class:`repro.obs.tracer.Tracer`),
-        #: ``None`` when the op was issued with no trace active: the op
-        #: umbrella and the current routing attempt under it
-        self.span: Any = None
-        self.attempt_span: Any = None
 
 
 class PGridPeer(Node):
@@ -190,7 +148,11 @@ class PGridPeer(Node):
         self._sync_snapshot: tuple | None = None
         #: next operation / task / sub-request number minted here
         self._op_ids = 0
-        self._pending: dict[str, _Pending] = {}
+        #: origin-side ledgers of the operations issued here, by task
+        #: id (created here, not on first use: almost every peer of a
+        #: deployment issues something, and a late attribute would
+        #: unshare its instance dict)
+        self._tasks: dict[str, SplitTask | FanoutTask] = {}
         #: failure-detector quarantine: refs recently observed dead are
         #: not re-adopted until their expiry time (node id -> time)
         self.ref_blacklist: dict[str, float] = {}
@@ -245,11 +207,6 @@ class PGridPeer(Node):
         """Synopsis digests known about other peers (merged from
         piggybacked maintenance traffic and anti-entropy pulls)."""
         return SynopsisRegistry()
-
-    @cached_property
-    def _tasks(self) -> "dict[str, FanoutTask]":
-        """Origin-side ledgers of multi-peer operations, by task id."""
-        return {}
 
     @cached_property
     def _probe_pending(self) -> dict[str, tuple[int, str]]:
@@ -431,11 +388,14 @@ class PGridPeer(Node):
     def retrieve(self, key: Key, cancel: Any = None) -> Future:
         """Start a ``Retrieve(key)``; resolves to an :class:`OpResult`.
 
+        A one-key :meth:`read_many`: the route's hops and one report.
         ``cancel`` is an optional
         :class:`~repro.simnet.events.CancelToken`: when it fires the
         operation stops retrying and resolves as failed immediately.
         """
-        return self._start_op("retrieve", key, None, cancel=cancel)
+        future: Future = Future()
+        self.read_many("retrieve", {key: None}, future.set_result, cancel)
+        return future
 
     def retrieve_many(self, keys: list) -> Future:
         """Start one ``Retrieve`` of many keys: resolves to ``{key:
@@ -452,14 +412,14 @@ class PGridPeer(Node):
             future.set_result(answers)
             return future
 
-        def _on_values(key: Key, values: Any) -> None:
+        def _on_result(result: OpResult) -> None:
             nonlocal waiting
-            answers[key] = values or []
+            answers[result.key] = result.values or []
             waiting -= 1
             if not waiting:
                 future.set_result(answers)
 
-        self.read_many("retrieve", dict.fromkeys(answers), _on_values)
+        self.read_many("retrieve", dict.fromkeys(answers), _on_result)
         return future
 
     def update(self, key: Key, values: tuple, action: str = "insert") -> Future:
@@ -492,258 +452,88 @@ class PGridPeer(Node):
         if action not in ("insert", "remove"):
             raise ValueError(f"unknown update action {action!r}")
         future: Future = Future()
-        if not groups:
+        results: dict = dict.fromkeys(groups)
+        waiting = len(results)
+        if not waiting:
             future.set_result([])
             return future
-        issued_at = self.loop.now
-        confirmed: dict = {}
 
-        def _on_applied(key: Key, _answer: Any, hops: int) -> None:
-            confirmed[key] = OpResult(key, True, hops=hops,
-                                      latency=self.loop.now - issued_at,
-                                      attempts=task.attempts)
+        def _on_result(result: OpResult) -> None:
+            nonlocal waiting
+            results[result.key] = result
+            waiting -= 1
+            if not waiting:
+                future.set_result(list(results.values()))
 
-        def _finish(complete: bool) -> None:
-            latency = self.loop.now - issued_at
-            future.set_result([
-                confirmed.get(key) or OpResult(key, False, latency=latency,
-                                               attempts=task.attempts)
-                for key in groups])
-
-        task = SplitTask(self, "write", action, groups, _on_applied, _finish)
-        task.start()
+        SplitTask(self, "write", action, groups, _on_result).start()
         return future
 
-    def read_many(self, op: str, groups: dict, on_rows: Any,
+    def read_many(self, op: str, groups: dict, on_result: Any,
                   cancel: Any = None) -> None:
         """Start one read of many keys: ``op`` with each key's argument
         of ``groups`` (a non-empty ``{key: arg}``) at a peer responsible
-        for that key.  ``on_rows(key, values)`` runs once per key, the
-        moment its answer arrives; ``values`` is ``None`` for a key
-        that failed or was cancelled.
+        for that key.  ``on_result`` gets one :class:`OpResult` per
+        key, the moment its answer arrives; a key that failed or was
+        cancelled gets one with ``success`` false and no values.
 
         One read that splits where its keys diverge (a
         :class:`SplitTask`, op ``"read"``; see :meth:`_handle_split`),
         so a one-key read costs the hops plus one report.  Its ledger
         re-issues keys no report answered within :attr:`timeout`.
-        ``cancel`` finishes the read: every key not answered yet gets
-        ``None`` at once.
+        ``cancel`` finishes the read: every key not answered yet fails
+        at once.
 
-        Its ops are ``search`` (a query batch's wave,
-        :meth:`~repro.exec.stream.PipelineContext.read_scans`) and
-        ``retrieve`` (:meth:`retrieve_many`), each checked against a
-        per-key oracle in ``tests/strategies/test_split_reads.py``: a
-        new op needs its case there first.
+        Its ops are ``retrieve`` (:meth:`retrieve`,
+        :meth:`retrieve_many`) and ``search`` (a pattern fetch,
+        :meth:`~repro.mediation.peer.GridVinePeer._search_pattern`, and
+        a query batch's wave,
+        :meth:`~repro.exec.stream.PipelineContext.read_scans`), each
+        checked against a per-key oracle in
+        ``tests/strategies/test_split_reads.py``: a new op needs its
+        case there first.
         """
+        if not groups:
+            raise ValueError("a read needs at least one key")
         if cancel is not None and cancel.cancelled:
             # Cancelled before issue: spend zero messages.
             for key in groups:
-                on_rows(key, None)
+                on_result(OpResult(key, False, attempts=0))
             return
-
-        def _finish(complete: bool) -> None:
-            # Emptied first: an answer's consumer may fire the cancel
-            # token mid-report, and no key may be answered twice.
-            missing, task.unanswered = task.unanswered, {}
-            if cancel is not None and cancel.cancelled:
-                self._failover.cancelled += len(missing)
-            for key in missing.values():
-                on_rows(key, None)
-
-        task = SplitTask(self, "read", op, groups,
-                         lambda key, values, _hops: on_rows(key, values),
-                         _finish)
+        task = SplitTask(self, "read", op, groups, on_result)
         task.start()
         if cancel is not None:
-            cancel.on_cancel(lambda: task.finish(False))
-
-    def _start_op(self, op: str, key: Key, value: Any,
-                  cancel: Any = None) -> Future:
-        future: Future = Future()
-        if cancel is not None and cancel.cancelled:
-            # Cancelled before issue: spend zero messages.
-            future.set_result(OpResult(key=key, success=False, attempts=0))
-            return future
-        # Direct transport access (vs the ``loop`` property): reads are
-        # issued in bulk, where the extra frames are measurable.
-        network = self.network
-        if network is None:
-            raise SimulationError(f"node {self.node_id} is not attached")
-        op_id = f"{self.node_id}:{self._op_ids}"
-        self._op_ids += 1
-        pending = _Pending(
-            future=future,
-            key=key,
-            op=op,
-            value=value,
-            issued_at=network.loop._now,
-            scope=network.scope(),
-            cancel=cancel,
-        )
-        tracer = network.tracer
-        if tracer is not None and tracer.current() is not None:
-            # Pending-op span: the origin-side umbrella every routing
-            # attempt parents under.  Opened only when a trace is
-            # already active, so untraced issues pay one attribute load
-            # and a check.
-            span = tracer.begin(f"op:{op}", peer=self.node_id, kind="op",
-                                start=network.loop._now)
-            pending.span = span
-            pending.scope = (pending.scope[0], tracer.context_of(span))
-        self._pending[op_id] = pending
-        if cancel is not None:
-            cancel.on_cancel(lambda: self._cancel_op(op_id))
-        self._attempt(op_id)
-        return future
-
-    def _cancel_op(self, op_id: str) -> None:
-        """Tear down one pending op on cooperative cancellation.
-
-        The in-flight message (if any) is already on the wire and may
-        still arrive — :meth:`_complete` tolerates the missing pending
-        entry — but no retry timer fires and the future resolves now,
-        so callers stop waiting (and stop spending messages)
-        immediately.
-        """
-        if op_id in self._pending:  # else completed (or timed out) normally
-            self._failover.cancelled += 1
-            self._fail_op(op_id, "cancelled")
+            cancel.on_cancel(task.cancel)
 
     def abandon_pending(self) -> None:
         """Fail everything this peer still has in flight, now (it is
         leaving: every retry, resolution or fan-out completion needs
-        the transport, so none may outlive the detach).  Follow-up
+        the transport, so none may outlive the detach).  Every ledger
+        finishes incomplete and counts no give-up; follow-up
         operations the failure callbacks issue are failed in turn."""
-        while self._pending or self._tasks:
-            if self._pending:
-                self._failover.gave_up += 1
-                self._fail_op(next(iter(self._pending)), "gave_up")
-            else:
-                next(iter(self._tasks.values())).finish(False)
+        tasks = self._tasks
+        while tasks:
+            next(iter(tasks.values())).finish(False)
 
-    def _finish_op_spans(self, pending: _Pending, status: str) -> None:
-        """Close the op span (and any open attempt span) of ``pending``.
-
-        The attempt inherits the op's terminal status; one the timeout
-        handler already closed keeps its ``timeout``
-        (``Tracer.finish`` is idempotent).
-        """
-        if pending.span is None:
-            return
-        network = self.network
-        tracer = network.tracer
-        now = network.loop._now
-        if pending.attempt_span is not None:
-            tracer.finish(pending.attempt_span, now, status=status)
-        tracer.finish(pending.span, now, status=status,
-                      attempts=pending.attempts)
-
-    def _fail_op(self, op_id: str, status: str) -> None:
-        """Resolve pending op ``op_id`` as failed, inside its scope.
-
-        Giving up and cancellation happen outside any delivery scope,
-        but the future's callbacks may still send attributable traffic
-        (e.g. the next pattern of a bound join) — re-enter the op's
-        scope so that traffic is billed and parented to the operation.
-        """
-        pending = self._pending.pop(op_id)
-        if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
-        self._finish_op_spans(pending, status)
-        network = self.network
-        result = OpResult(
-            key=pending.key,
-            success=False,
-            hops=0,
-            latency=network.loop._now - pending.issued_at,
-            attempts=pending.attempts,
-        )
-        with network.resume(pending.scope):
-            pending.future.set_result(result)
-
-    def _attempt(self, op_id: str) -> None:
-        """(Re)issue the routing step for a pending operation."""
-        pending = self._pending.get(op_id)
-        if pending is None:
-            return
-        # Direct loop access (one ``loop``-property frame per issued
-        # op adds up at deployment-build volume).
-        network = self.network
-        pending.timeout_handle = network.loop.schedule(
-            self.timeout, self._on_timeout, op_id
-        )
-        message = Message(
-            kind="route",
-            src=self.node_id,
-            dst=self.node_id,
-            payload={
-                "op": pending.op,
-                "op_id": op_id,
-                "key": pending.key._bits,
-                "origin": self.node_id,
-                "value": pending.value,
-            },
-            hops=0,
-        )
-        scope = pending.scope
-        if pending.span is not None:
-            # One span per routing attempt: a retry shows up as a
-            # sibling of the failed attempt under the same op span, the
-            # failed one keeping its ``timeout`` status next to the
-            # retry that superseded it.
-            tracer = network.tracer
-            attempt = tracer.begin(
-                f"attempt:{pending.attempts}", peer=self.node_id,
-                kind="attempt", start=network.loop._now,
-                context=scope[1])
-            pending.attempt_span = attempt
-            scope = (scope[0], tracer.context_of(attempt))
-        # Timeout-driven retries fire outside any delivery scope;
-        # re-enter the operation's scope (under the attempt span when
-        # traced) so the retry's messages are attributed to it.
-        with network.resume(scope):
-            self._handle_route(message, pending.tried_hops)
-
-    def _may_retry(self, attempts: int, keys: Any, tried: set) -> bool:
-        """Whether an op on ``keys`` that has made ``attempts`` attempts
-        gets another — the one retry budget of every op issued here:
-        ``max_retries`` retries, plus ``failover_retries`` while (with
-        failover on) a key has a first hop outside ``tried``, those
-        its attempts took."""
+    def _may_retry(self, attempts: int, keys: Any, tried: Any) -> bool:
+        """Whether an op on ``keys`` (key bit strings) that has made
+        ``attempts`` attempts gets another — the one retry budget of
+        every op issued here: ``max_retries`` retries, plus
+        ``failover_retries`` while (with failover on) a key has a first
+        hop outside ``tried``, those its attempts took."""
         if attempts <= self.max_retries:
             return True
         if (not self.failover
                 or attempts > self.max_retries + self.failover_retries):
             return False
         path = self.path._bits
-        for key in keys:
-            level = common_prefix_length(path, key._bits)
+        for bits in keys:
+            level = common_prefix_length(path, bits)
             # A key under our path, or a prefix of it, has no first hop.
-            if (level < len(path) and level < len(key)
+            if (level < len(path) and level < len(bits)
                     and any(ref not in tried
                             for ref in self.routing_table[level])):
                 return True
         return False
-
-    def _on_timeout(self, op_id: str) -> None:
-        pending = self._pending.get(op_id)
-        if pending is None:
-            return
-        if pending.attempt_span is not None:
-            # The attempt that just expired: closed here so a dropped-
-            # then-retried route reads as ``attempt:1 timeout`` next to
-            # its sibling ``attempt:2``.
-            self.network.tracer.finish(
-                pending.attempt_span, self.network.loop._now,
-                status="timeout")
-        if self._may_retry(pending.attempts, (pending.key,),
-                           pending.tried_hops):
-            pending.attempts += 1
-            self._failover.retries += 1
-            self._attempt(op_id)
-            return
-        self._failover.gave_up += 1
-        self._fail_op(op_id, "gave_up")
 
     # ------------------------------------------------------------------
     # Message handling
@@ -772,10 +562,11 @@ class PGridPeer(Node):
         self.receive_synopses(message.payload.get("synopses") or ())
 
     def _handle_route(self, message: Message,
-                      tried: "set[str] | None" = None) -> None:
+                      tried: "dict[str, None] | None" = None) -> None:
         """Answer a route here or forward it one step.  An origin
         issuing its own op passes ``tried``, the first hops the op took
-        so far: this hop avoids them (with failover on) and joins them."""
+        so far (a dict used as an ordered set): this hop avoids them
+        (with failover on) and joins them."""
         # Hottest handler in the system: work on the payload's raw bit
         # string and only materialize a (shared, interned) Key object
         # when this peer actually answers.  Forwarding a message costs
@@ -804,12 +595,12 @@ class PGridPeer(Node):
             # replica of the first hop).
             return
         if tried is not None:
-            tried.add(next_hop)
+            tried[next_hop] = None
         self.network.send(Message("route", self.node_id, next_hop,
                                   payload, message.hops + 1))
 
     def _next_hop_with_failover(self, level: int,
-                                avoid: set[str]) -> str | None:
+                                avoid: Any) -> str | None:
         """Pick the forwarding reference, skipping crashed ones.
 
         With failover enabled this models the one liveness signal a
@@ -851,7 +642,7 @@ class PGridPeer(Node):
                 return next_hop
 
     def _pick_reference(self, level: int,
-                        avoid: "frozenset | set" = frozenset()) -> str | None:
+                        avoid: Any = _NO_AVOID) -> str | None:
         """A uniformly random reference at ``level``.
 
         The peer has no oracle for remote liveness: it only knows what
@@ -887,14 +678,12 @@ class PGridPeer(Node):
     def _execute_op(self, op: str, key: Key, value: Any) -> Any:
         """Answer one operation from local state.
 
-        Returns what the reply carries, or ``None`` when there is
-        nothing to reply (a split op's relay).  Subclasses extend this
-        to add mediation-layer operations.
+        Returns what the reply carries.  A split op answers each of its
+        keys through this (see :meth:`_handle_split`).  Subclasses
+        extend this to add mediation-layer operations.
         """
         if op == "retrieve":
             return self.local_retrieve(key)
-        if op == "write" or op == "read":
-            return self._handle_split(op, value)
         if op == "range":
             return self._handle_range(key, value)
         if op == "refs_lookup":
@@ -955,14 +744,12 @@ class PGridPeer(Node):
         return future
 
     def _send_subrequest(self, op: str, task_id: str, key: Key,
-                         value: dict, tried: "set[str] | None" = None
-                         ) -> str:
+                         value: dict) -> str:
         """Route one sub-request of fan-out ``task_id`` toward ``key``.
 
         Returns its id ``<op>!<task>!<n>``, which doubles as the route
         op id: the reply carries it back to the task's origin as that
-        request's report (see :class:`FanoutTask`).  ``tried``: see
-        :meth:`_handle_route`.
+        request's report (see :class:`FanoutTask`).
         """
         request_id = f"{op}!{task_id}!{self.node_id}:{self._op_ids}"
         self._op_ids += 1
@@ -972,8 +759,28 @@ class PGridPeer(Node):
             "key": key.bits,
             "origin": task_origin(task_id),
             "value": {**value, "task_id": task_id, "request_id": request_id},
-        }), tried)
+        }))
         return request_id
+
+    def _send_split(self, kind: str, task_id: str, origin: str,
+                    action: str, groups: dict,
+                    tried: "dict[str, None] | None" = None) -> None:
+        """Route one sub-request of split op ``task_id`` (``kind``
+        ``"write"`` or ``"read"``, of ``action`` on every key of
+        ``groups``) toward their longest common prefix.
+
+        Its op id is the ledger's own id, so a report finds the ledger
+        at ``origin`` with one lookup.  ``tried``: see
+        :meth:`_handle_route`.
+        """
+        self._handle_route(Message("route", self.node_id, self.node_id, {
+            "op": kind,
+            "op_id": task_id,
+            "key": common_prefix_bits(groups),
+            "origin": origin,
+            "action": action,
+            "groups": groups,
+        }), tried)
 
     def _handle_range(self, prefix: Key, value: dict) -> dict:
         """Answer for this leaf and delegate sibling subtrees.
@@ -1006,8 +813,11 @@ class PGridPeer(Node):
         other key leaves the path at some trie level, and the keys
         leaving at one level travel on together.  Keys keep their
         first-occurrence order throughout, so the split depends on no
-        set or hash order.
+        set or hash order.  A lone key was routed to itself, so it
+        belongs here.
         """
+        if len(groups) == 1:
+            return groups, {}
         path = self.path._bits
         applied: dict[str, Any] = {}
         onward: dict[int, dict[str, Any]] = {}
@@ -1019,7 +829,7 @@ class PGridPeer(Node):
                 onward.setdefault(level, {})[bits] = arg
         return applied, onward
 
-    def _handle_split(self, kind: str, value: dict) -> dict | None:
+    def _handle_split(self, kind: str, payload: dict) -> dict | None:
         """Apply the keys under this path and send the rest on — the
         one body of a split op, ``kind`` ``"write"`` or ``"read"``.
 
@@ -1027,37 +837,36 @@ class PGridPeer(Node):
         toward the longest common prefix of its own keys, where the
         first peer inside their subtree splits them again.  A write
         applies each key's values tuple and sends each replica one
-        ``replicate`` carrying all of them; a read answers each key
-        with ``_execute_op(op, key, arg)``.  The report answers the keys
-        applied here and declares what the answers carry; a peer that
-        applied none reports nothing (``None``).  At the origin, onward
-        sub-requests are first hops of the op (see :class:`SplitTask`).
+        ``replicate`` carrying all of them (its answers are ``None``);
+        a read answers each key with ``_execute_op(action, key, arg)``.
+        The report answers the keys applied here and declares what the
+        answers carry; a peer that applied none reports nothing
+        (``None``).  At the origin, onward sub-requests are first hops
+        of the op (see :class:`SplitTask`).
         """
-        op = value["op"]
-        applied, onward = self._split_keys(value["groups"])
+        action = payload["action"]
+        applied, onward = self._split_keys(payload["groups"])
+        carried = 0
         if kind == "write":
             if applied:
-                self._write_local(op, applied)
-                self._propagate_to_replicas(op, applied)
-            answers = dict.fromkeys(applied, ())
+                self._write_local(action, applied)
+                self._propagate_to_replicas(action, applied)
+            answers = dict.fromkeys(applied)
         else:
-            execute = self._execute_op
-            answers = {bits: execute(op, Key.of(bits), arg)
-                       for bits, arg in applied.items()}
+            execute, count = self._execute_op, self._carried
+            answers = {}
+            for bits, arg in applied.items():
+                answer = answers[bits] = execute(action, Key.of(bits), arg)
+                carried += count(action, answer)
         if onward:
-            task_id = value["task_id"]
-            task = (self._tasks.get(task_id)
-                    if task_origin(task_id) == self.node_id else None)
+            task_id, origin = payload["op_id"], payload["origin"]
+            task = self._tasks.get(task_id) if origin == self.node_id else None
             tried = None if task is None else task.tried_hops
             for groups in onward.values():
-                self._send_subrequest(kind, task_id, common_prefix_key(groups),
-                                      {"op": op, "groups": groups}, tried)
+                self._send_split(kind, task_id, origin, action, groups, tried)
         if not answers:
             return None
-        carried = self._carried
-        return {"answers": answers,
-                "carried": sum(carried(op, answer)
-                               for answer in answers.values())}
+        return {"answers": answers, "carried": carried}
 
     def _adopt_references(self, level: int, candidates) -> None:
         """Add the candidates this peer does not know yet to its
@@ -1128,9 +937,14 @@ class PGridPeer(Node):
         with nothing to report — a split op's relay — replies not)."""
         payload = message.payload
         op = payload["op"]
-        values = self._execute_op(op, key, payload.get("value"))
-        if values is None:
-            return
+        if op == "read" or op == "write":
+            values = self._handle_split(op, payload)
+            if values is None:
+                return
+            carried = values["carried"]
+        else:
+            values = self._execute_op(op, key, payload.get("value"))
+            carried = self._carried(op, values)
         origin = payload["origin"]
         reply_payload = {
             "op_id": payload["op_id"],
@@ -1142,16 +956,14 @@ class PGridPeer(Node):
         else:
             self.network.send(Message("reply", self.node_id, origin,
                                       reply_payload, message.hops + 1,
-                                      carried=self._carried(op, values)))
+                                      carried=carried))
 
     def _carried(self, op: str, values: Any) -> int:
-        """The result values a reply to ``op`` carries: a retrieved
-        list's length, what a split op's report declares (nothing for a
-        write), and nothing for a range or reformulation report."""
+        """The result values an answer to ``op`` carries: a retrieved
+        list's length, and nothing for a range or reformulation report
+        (a split op's report declares the sum over its answers)."""
         if type(values) is list:
             return len(values)
-        if op == "read" or op == "write":
-            return values["carried"]
         return 0
 
     def _write_local(self, action: str, groups: dict) -> None:
@@ -1189,35 +1001,24 @@ class PGridPeer(Node):
 
     def _complete(self, payload: dict) -> None:
         op_id = payload["op_id"]
-        pending = self._pending.pop(op_id, None)
-        if pending is None:
-            # Not a pending operation: a late duplicate after a retry
-            # already answered, or one of the two tagged id shapes —
-            # ``<op>!<task>!<n>``, a fan-out delegate's report, and
-            # ``refslkp!<level>!<n>``, a routed reference discovery
-            # (see pgrid.maintenance) whose answering peer vouches for
-            # itself and its replicas.
-            tag, _, rest = op_id.partition("!")
-            owner = rest.partition("!")[0]
-            values = payload.get("values")
-            if owner in self._tasks:
-                self._tasks[owner].on_report(op_id, values or {},
-                                             payload["hops"])
-            elif (tag == "refslkp" and owner.isdigit()
-                    and int(owner) < len(self.routing_table)):
-                self._adopt_references(int(owner), values or ())
+        task = self._tasks.get(op_id)
+        if task is not None:
+            # A split op's report: its id is the ledger's own.
+            task.on_report(payload["values"], payload["hops"])
             return
-        if pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
-        self._finish_op_spans(pending, "ok")
-        pending.future.set_result(OpResult(
-            key=pending.key,
-            success=True,
-            values=payload.get("values"),
-            hops=payload["hops"],
-            latency=self.network.loop._now - pending.issued_at,
-            attempts=pending.attempts,
-        ))
+        # A late or duplicate report of a finished op, or one of the two
+        # tagged id shapes — ``<op>!<task>!<n>``, a fan-out delegate's
+        # report, and ``refslkp!<level>!<n>``, a routed reference
+        # discovery (see pgrid.maintenance) whose answering peer vouches
+        # for itself and its replicas.
+        tag, _, rest = op_id.partition("!")
+        owner = rest.partition("!")[0]
+        values = payload.get("values")
+        if owner in self._tasks:
+            self._tasks[owner].on_report(op_id, values or {}, payload["hops"])
+        elif (tag == "refslkp" and owner.isdigit()
+                and int(owner) < len(self.routing_table)):
+            self._adopt_references(int(owner), values or ())
 
 
 def task_origin(task_id: str) -> str:
@@ -1242,7 +1043,7 @@ class FanoutTask:
 
     That is the *id* rule, for operations whose origin cannot list
     their answerers: the range shower and recursive reformulation.
-    :class:`SplitTask` keeps the rest of this class and terminates by
+    Every other operation is a :class:`SplitTask`, which terminates by
     a second rule, counting keys.
     """
 
@@ -1311,75 +1112,164 @@ class FanoutTask:
             on_finish(complete)
 
 
-class SplitTask(FanoutTask):
-    """The ledger of one split op (``op`` ``"write"`` or ``"read"``) of
-    ``action`` on every key of ``groups`` (``{key: arg}``).
+class SplitTask:
+    """The ledger of one split op (``kind`` ``"write"`` or ``"read"``)
+    of ``action`` on every key of ``groups`` (``{key: arg}``): every
+    write and every read issued at a peer, a one-key ``retrieve`` too.
 
     The origin knows every key it asked for, so this ledger counts
     *keys*, not request ids (the *key* rule, beside
-    :class:`FanoutTask`'s id rule): each answer goes to
-    ``on_results(key, answer, hops)`` the moment it arrives, and the
-    task finishes complete once every key has its answer.  A peer that
+    :class:`FanoutTask`'s id rule).  Every key resolves to exactly one
+    :class:`OpResult`, handed to ``on_result``: the moment its answer
+    arrives, or failed when the ledger finishes first.  A peer that
     answered no key owes no report; duplicated or late answers find
-    their key gone.  When the timeout expires first, the ledger
-    re-issues the unanswered keys from the origin as one split op,
-    avoiding the first hops already tried, while
+    their key gone.  When the timeout expires before every key has its
+    answer, the ledger re-issues the unanswered keys from the origin as
+    one split op, avoiding the first hops already tried, while
     :meth:`PGridPeer._may_retry` grants it; then it finishes
     incomplete.  An answer to any attempt counts.
+
+    The task is its own timeout callback (:meth:`__call__`), and its
+    tried first hops are a dict the cyclic collector does not track:
+    an in-flight one-key read holds no bound method and no set.  When
+    issued under an active trace it opens an ``op:<action>`` span and,
+    under it, one ``attempt:<n>`` span per attempt.
     """
 
-    def __init__(self, peer: PGridPeer, op: str, action: str, groups: dict,
-                 on_results: Any, on_finish: Any) -> None:
-        super().__init__(peer, on_finish, on_results)
-        self.op = op
+    __slots__ = ("peer", "task_id", "scope", "kind", "action",
+                 "unanswered", "on_result", "issued_at", "attempts",
+                 "tried_hops", "timeout_handle", "span", "attempt_span")
+
+    def __init__(self, peer: PGridPeer, kind: str, action: str,
+                 groups: dict, on_result: Any) -> None:
+        network = peer.network
+        if network is None:
+            raise SimulationError(f"node {peer.node_id} is not attached")
+        self.peer = peer
+        self.task_id = f"{peer.node_id}:{peer._op_ids}"
+        peer._op_ids += 1
+        #: timeout-driven retries and failures run outside any delivery
+        #: scope, and ``on_result`` may still send attributable traffic
+        self.scope = network.scope()
+        self.kind = kind
         self.action = action
-        #: key bits -> argument, for every key asked for
-        self.groups = {key._bits: arg for key, arg in groups.items()}
-        #: key bits -> key, for every key no report has answered yet
-        self.unanswered: dict[str, Key] = {key._bits: key for key in groups}
+        #: key bits -> argument, for every key no report has answered yet
+        self.unanswered = {key._bits: arg for key, arg in groups.items()}
+        self.on_result = on_result
+        self.issued_at = network.loop._now
         self.attempts = 0
         #: first hops the attempts' sub-requests took from the origin
-        self.tried_hops: set[str] = set()
+        self.tried_hops: dict[str, None] = {}
+        self.timeout_handle: Any = None
+        #: open span records (see :class:`repro.obs.tracer.Tracer`),
+        #: ``None`` when issued with no trace active: the op umbrella
+        #: and the current attempt under it
+        self.span: Any = None
+        self.attempt_span: Any = None
 
-    def start(self) -> None:  # type: ignore[override]
+    def start(self) -> None:
         """Register and make the first attempt."""
-        self.peer._tasks[self.task_id] = self
+        peer = self.peer
+        network = peer.network
+        tracer = network.tracer
+        if tracer is not None and tracer.current() is not None:
+            # Opened only when a trace is already active, so untraced
+            # issues pay one attribute load and a check.
+            self.span = tracer.begin(f"op:{self.action}", peer=peer.node_id,
+                                     kind="op", start=network.loop._now)
+            self.scope = (self.scope[0], tracer.context_of(self.span))
+        peer._tasks[self.task_id] = self
         self._attempt()
 
     def _attempt(self) -> None:
-        """Arm the timeout (first, as in :meth:`FanoutTask.start`),
-        then route the unanswered keys as one sub-request."""
+        """Arm the timeout (first: the loop breaks same-time ties by
+        scheduling order, and the root may be answered before this
+        returns), then route the unanswered keys as one sub-request,
+        inside the op's scope."""
         peer = self.peer
+        network = peer.network
         self.attempts += 1
-        self.timeout_handle = peer.loop.schedule(peer.timeout,
-                                                 self._on_timeout)
-        groups = self.groups
-        if len(self.unanswered) < len(groups):
-            groups = {bits: groups[bits] for bits in self.unanswered}
-        peer._send_subrequest(self.op, self.task_id, common_prefix_key(groups),
-                              {"op": self.action, "groups": groups},
-                              self.tried_hops)
+        self.timeout_handle = network.loop.schedule(peer.timeout, self)
+        scope = self.scope
+        if self.span is not None:
+            # One span per attempt: a retry shows up as a sibling of
+            # the failed attempt, which keeps its ``timeout`` status.
+            tracer = network.tracer
+            self.attempt_span = tracer.begin(
+                f"attempt:{self.attempts}", peer=peer.node_id,
+                kind="attempt", start=network.loop._now, context=scope[1])
+            scope = (scope[0], tracer.context_of(self.attempt_span))
+        groups = dict(self.unanswered)  # the ledger's copy keeps shrinking
+        with network.resume(scope):
+            peer._send_split(self.kind, self.task_id, peer.node_id,
+                             self.action, groups, self.tried_hops)
 
-    def _on_timeout(self) -> None:
+    def __call__(self) -> None:
+        """The timeout: retry the unanswered keys, or give up."""
         peer = self.peer
-        if peer._may_retry(self.attempts, self.unanswered.values(),
-                           self.tried_hops):
+        if self.attempt_span is not None:
+            peer.network.tracer.finish(self.attempt_span,
+                                       peer.network.loop._now,
+                                       status="timeout")
+        if peer._may_retry(self.attempts, self.unanswered, self.tried_hops):
             peer._failover.retries += 1
-            # Outside any delivery scope: re-enter the op's, so the
-            # retry's messages are attributed to it.
-            with peer.network.resume(self.scope):
-                self._attempt()
+            self._attempt()
             return
         peer._failover.gave_up += 1
         self.finish(False)
 
-    def on_report(self, request_id: str, report: dict, hops: int) -> None:
-        """A peer's answers arrived."""
+    def on_report(self, report: dict, hops: int) -> None:
+        """A peer's answers arrived (``hops``: the forwarding steps its
+        sub-request took)."""
+        now = self.peer.network.loop._now
         for bits, answer in report["answers"].items():
             # Re-read per answer: one answer's consumer may cancel the
             # op, which empties the ledger.
-            key = self.unanswered.pop(bits, None)
-            if key is not None:
-                self.on_results(key, answer, hops)
+            unanswered = self.unanswered
+            if bits in unanswered:
+                del unanswered[bits]
+                if not unanswered and self.span is not None:
+                    self._close_spans("ok")
+                self.on_result(OpResult(Key.of(bits), True, answer, hops,
+                                        now - self.issued_at, self.attempts))
         if not self.unanswered:
             self.finish(True)
+
+    def cancel(self) -> None:
+        """The issuing computation's cancel token fired: every key not
+        answered yet fails now, and counts as cancelled."""
+        if self.task_id in self.peer._tasks:  # else finished already
+            self.peer._failover.cancelled += len(self.unanswered)
+            self.finish(False, "cancelled")
+
+    def finish(self, complete: bool, status: str = "gave_up") -> None:
+        """Close the task (idempotent): every key still unanswered gets
+        a failed result, inside the scope captured at issue time."""
+        peer = self.peer
+        if peer._tasks.pop(self.task_id, None) is None:
+            return
+        self.timeout_handle.cancel()
+        # Taken, not just called: whatever waits on this task may hold
+        # it too (a cancel token's callback list does).
+        on_result, self.on_result = self.on_result, None
+        if complete:
+            return
+        missing, self.unanswered = self.unanswered, {}
+        self._close_spans(status)
+        if missing:
+            latency = peer.network.loop._now - self.issued_at
+            with peer.network.resume(self.scope):
+                for bits in missing:
+                    on_result(OpResult(Key.of(bits), False, latency=latency,
+                                       attempts=self.attempts))
+
+    def _close_spans(self, status: str) -> None:
+        """Close the op span and any open attempt span with ``status``
+        (an attempt the timeout closed keeps its ``timeout``)."""
+        if self.span is None:
+            return
+        tracer = self.peer.network.tracer
+        now = self.peer.network.loop._now
+        if self.attempt_span is not None:
+            tracer.finish(self.attempt_span, now, status=status)
+        tracer.finish(self.span, now, status=status, attempts=self.attempts)

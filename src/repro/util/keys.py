@@ -297,7 +297,7 @@ def common_prefix_length(a: "str | Key", b: "str | Key") -> int:
     prefix routing forwards a query to a reference whose common prefix
     with the target key is strictly longer than the current peer's.
     The one place keys are compared bit by bit: routing, the split of
-    a many-key operation and :func:`common_prefix_key` count here, on
+    a many-key operation and :func:`common_prefix_bits` count here, on
     raw bit strings.
 
     >>> common_prefix_length("0011", "0010")
@@ -313,16 +313,16 @@ def common_prefix_length(a: "str | Key", b: "str | Key") -> int:
     return n
 
 
-def common_prefix_key(bits: "dict[str, Any] | list[str]") -> Key:
+def common_prefix_bits(bits: "dict[str, Any] | list[str]") -> str:
     """The longest common prefix of the bit strings ``bits`` (a
-    non-empty list or dict of them) as a key — where a many-key
-    operation sends them.  A lone key is itself, with no comparison;
-    more share the prefix of their least and greatest.
+    non-empty list or dict of them) — where a many-key operation sends
+    them.  A lone key is itself, with no comparison; more share the
+    prefix of their least and greatest.
 
-    >>> common_prefix_key(["0110", "0100", "0111"]), common_prefix_key(["01"])
-    (Key('01'), Key('01'))
+    >>> common_prefix_bits(["0110", "0100", "0111"]), common_prefix_bits(["01"])
+    ('01', '01')
     """
     if len(bits) == 1:
-        return Key.of(next(iter(bits)))
+        return next(iter(bits))
     low, high = min(bits), max(bits)
-    return Key.of(low[:common_prefix_length(low, high)])
+    return low[:common_prefix_length(low, high)]

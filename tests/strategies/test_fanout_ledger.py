@@ -16,7 +16,8 @@ no key — never report.
 
 The peer under test routes nothing: the test plays the delegates,
 delivering reports through ``PGridPeer._complete`` (so the
-``<op>!<task>!<n>`` id dispatch is covered too) and results through
+``<op>!<task>!<n>`` id dispatch is covered too, and a split op's
+reports carry its ledger's own id) and results through
 ``FanoutTask.on_result``.
 """
 
@@ -40,8 +41,11 @@ def request_id(task_id, index):
 class _Origin(PGridPeer):
     """Sub-requests go nowhere; the root's id is request 0's."""
 
-    def _send_subrequest(self, op, task_id, key, value, tried=None):
+    def _send_subrequest(self, op, task_id, key, value):
         return request_id(task_id, 0)
+
+    def _send_split(self, *request):
+        pass
 
 
 class _Fanout:
@@ -138,9 +142,9 @@ def test_a_split_write_finishes_complete_though_its_relays_never_report(case):
     for index in schedule:
         assert not future.done and index not in silent
         peer._complete({
-            "op_id": request_id(task.task_id, index),
+            "op_id": task.task_id,
             "hops": 0,
-            "values": {"answers": {key.bits: () for key, by
+            "values": {"answers": {key.bits: None for key, by
                                    in zip(keys, answered_by) if by == index},
                        "carried": 0},
         })
@@ -153,7 +157,7 @@ def test_a_split_write_finishes_complete_though_its_relays_never_report(case):
     assert all(result.success for result in future.result())
     # Replays after the finish are dropped, and no retry fires.
     for index in schedule:
-        peer._complete({"op_id": request_id(task.task_id, index), "hops": 0,
+        peer._complete({"op_id": task.task_id, "hops": 0,
                         "values": {"answers": {}, "carried": 0}})
     peer.loop.run_until(2 * TIMEOUT)
     assert peer.failover_stats.retries == 0

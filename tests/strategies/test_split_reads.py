@@ -8,9 +8,11 @@ the same at every responsible peer here), once, and the batch's fetch
 statistics are those of one scan per distinct pattern.  A
 ``retrieve_many`` (``retrieve``) answers every key, once and in the
 order asked, with the values a responsible peer's ``local_retrieve``
-holds.  When routes and replies are lost for a while, every scan and
-every key still gets its answer: a key no report answered is re-sent
-on its own.  Checked on the single loop and on two inline shards.
+holds, and so does a one-key ``retrieve`` per key — the same split
+read with one key.  When routes and replies are lost for a while,
+every scan and every key still gets its answer: a key no report
+answered is re-sent on its own.  Checked on the single loop and on two
+inline shards.
 """
 
 from unittest import mock
@@ -120,10 +122,25 @@ def retrieve_keys(case) -> list:
             + [key for triple in case.corpus for key in triple_keys(triple)])
 
 
-def assert_per_key_oracle(net, case) -> None:
+def read_many_at_once(net, origin, keys) -> dict:
+    """Every key in one ``retrieve_many``."""
+    values, _messages = net.call("retrieve_many", keys, origin=origin)
+    return values
+
+
+def read_one_by_one(net, origin, keys) -> dict:
+    """Every key in a one-key ``retrieve`` of its own, repeats too."""
+    values: dict = {}
+    for key in keys:
+        result, _messages = net.call("retrieve", key, origin=origin)
+        assert result.success and result.key == key
+        assert values.setdefault(key, result.values) == result.values
+    return values
+
+
+def assert_per_key_oracle(net, case, read=read_many_at_once) -> None:
     keys = retrieve_keys(case)
-    values, _messages = net.call("retrieve_many", keys,
-                                 origin=net.peer_ids()[case.origin])
+    values = read(net, net.peer_ids()[case.origin], keys)
     assert list(values) == list(dict.fromkeys(keys))
     for key, answer in values.items():
         holder = next(peer for peer in net.peers.values()
@@ -148,3 +165,24 @@ def test_lossy_retrieve_many_is_repaired_to_the_oracle(engine, case, loss):
         net = deploy_read_case(case, transport)
         lossy(transport, case, loss)
         assert_per_key_oracle(net, case)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases())
+def test_one_key_retrieves_equal_the_per_key_oracle(engine, case):
+    with ENGINES[engine](case.trie.seed) as transport:
+        assert_per_key_oracle(deploy_read_case(case, transport), case,
+                              read_one_by_one)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@SLOW_SETTINGS
+@given(case=read_cases(),
+       loss=st.floats(min_value=0.2, max_value=0.6))
+def test_lossy_one_key_retrieves_are_repaired_to_the_oracle(engine, case,
+                                                           loss):
+    with ENGINES[engine](case.trie.seed) as transport:
+        net = deploy_read_case(case, transport)
+        lossy(transport, case, loss)
+        assert_per_key_oracle(net, case, read_one_by_one)

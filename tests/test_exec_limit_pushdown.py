@@ -262,7 +262,7 @@ class TestCancellationStopsInFlightRetries:
         assert net.network.metrics.messages_sent == sent_at_cancel
         assert origin.failover_stats.retries == 0
         assert origin.failover_stats.cancelled == 1
-        assert not origin._pending
+        assert not origin._tasks
 
 
 class TestCancellationUnderChurn:

@@ -11,7 +11,7 @@ registry and the maintenance ledgers appear on first use, which is
 pinned as a per-peer budget of GC-tracked objects rather than as a
 list of attribute names.  *A write holds only what it routes*: budgets
 of tracked objects per in-flight overlay update and per stored triple
-copy.
+copy; and so does a one-key read.
 """
 
 import gc
@@ -321,7 +321,7 @@ class TestWritePath:
             lambda: futures.append(origin.insert_triples(batch)))
         # Seven predicates: 300 subject, 7 predicate and 300 object keys.
         assert len(keys) == 2 * self.TRIPLES + 7
-        assert not origin._pending and len(origin._tasks) == 1
+        assert len(origin._tasks) == 1
         assert growth / len(keys) <= 1.5
         net.settle()
         results = futures[0].result()
@@ -349,6 +349,42 @@ class TestWritePath:
         stored = copies() - held
         assert stored >= 3 * self.TRIPLES
         assert growth / stored <= 2.2
+
+
+class TestReadPath:
+    """A one-key read holds only what it routes.
+
+    In flight, before its answer has arrived, a ``retrieve`` is its
+    future and the future's bound ``set_result`` (the ledger's one
+    result callback), the ledger with its timeout event and heap entry
+    (the ledger is its own timeout callback, and its tried first hops
+    are a dict the collector does not track), and one route — payload,
+    message, delivery event, heap entry and argument tuple: 10.0
+    objects per read (CPython 3.11).  The budget of 11 is what the
+    pending-op table it replaced held; it has no room for a bound
+    timeout method or a tried-hops set per read, nor for a closure.
+    """
+
+    READS = 200
+
+    def test_in_flight_budget_per_one_key_read(self):
+        from repro.util.hashing import uniform_hash
+
+        net = GridVineNetwork.build(num_peers=64, seed=5)
+        origin = net.peer(net.peer_ids()[0])
+        keys = [key for key in (uniform_hash(f"read {i}")
+                                for i in range(self.READS))
+                if not origin.is_responsible_for(key)]
+        for key in keys:  # warm the shared key cache
+            Key.of(key.bits)
+        futures = []
+        growth = tracked_growth(
+            lambda: futures.extend(origin.retrieve(key) for key in keys))
+        assert len(origin._tasks) == len(keys) > self.READS // 2
+        assert growth / len(keys) <= 11
+        net.settle()
+        assert all(future.result().success for future in futures)
+        assert not origin._tasks
 
 
 @DETERMINISM_SETTINGS

@@ -143,6 +143,22 @@ class TestDetachedPeer:
         assert peer._op_ids == 0
 
 
+class TestEmptyRead:
+    def test_an_empty_read_is_rejected_before_a_ledger_exists(self):
+        """A read of no key raises at once: no ledger is registered and
+        no timer armed, so the loop runs on clean."""
+        from repro.mediation.network import GridVineNetwork
+
+        net = GridVineNetwork.build(num_peers=8, seed=1, replication=2)
+        peer = net.peer(net.peer_ids()[0])
+        ids, answered = peer._op_ids, []
+        with pytest.raises(ValueError, match="at least one key"):
+            peer.read_many("retrieve", {}, answered.append)
+        assert (peer._tasks, peer._op_ids, answered) == ({}, ids, [])
+        net.settle()
+        assert peer.retrieve_many([]).result() == {}
+
+
 class TestOpResults:
     def test_failure_reports_attempts_and_latency(self):
         overlay = PGridOverlay.build(8, seed=20, timeout=2.0,

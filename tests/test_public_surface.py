@@ -50,14 +50,15 @@ schema as it is, not in a wrapper record, and the peer's triple
 database counts the copies its store holds instead of walking every
 bucket to find out whether one is left.
 
-An upload is one write, and a write is one machine.  Triples are
-grouped by key, and the groups travel as one split op that divides
-where the keys diverge; a lost share is re-issued by the op's own
-ledger, never key by key, and no per-triple path survives beside it.
-A one-key ``update`` is the same split op and routes like a single
-op.  The pending-op machine (``_start_op``) is left to the two
-single-key reads, and the id-rule ledger to the two fan-outs whose
-origin cannot list their answerers.
+An upload is one write, and writes and reads are one machine.
+Triples are grouped by key, and the groups travel as one split op that
+divides where the keys diverge; a lost share is re-issued by the op's
+own ledger, never key by key, and no per-triple path survives beside
+it.  A one-key ``update`` is the same split op and routes like a
+single op.  Reads are the same machine: a one-key ``retrieve`` or
+pattern search is a one-key split read, so there is no pending-op
+table beside the ledgers, and the id-rule ledger is left to the two
+fan-outs whose origin cannot list their answerers.
 
 A reformulation is computed in one place.  The planner, the iterative
 operator and the recursive handler all take their translations from
@@ -329,24 +330,18 @@ def _lossy(transport, seed: int) -> None:
 
 
 def _count_split_ops(monkeypatch):
-    """``(started, tasks)``: the ``_start_op`` calls and the split ops
-    (by op) started from here on."""
-    from repro.pgrid.peer import PGridPeer, SplitTask
+    """The split ops (by op) started from here on."""
+    from repro.pgrid.peer import SplitTask
 
-    started, tasks = [], []
-    real_start_op, real_start = PGridPeer._start_op, SplitTask.start
-
-    def counting_start_op(self, op, key, value, cancel=None):
-        started.append((op, key))
-        return real_start_op(self, op, key, value, cancel=cancel)
+    tasks = []
+    real_start = SplitTask.start
 
     def counting_start(self):
-        tasks.append(self.op)
+        tasks.append(self.kind)
         return real_start(self)
 
-    monkeypatch.setattr(PGridPeer, "_start_op", counting_start_op)
     monkeypatch.setattr(SplitTask, "start", counting_start)
-    return started, tasks
+    return tasks
 
 
 def test_an_upload_is_one_split_write(monkeypatch):
@@ -369,7 +364,7 @@ def test_an_upload_is_one_split_write(monkeypatch):
     predicate = URI("S#shared")
     batch = [Triple(URI(f"S:e{i}"), predicate, Literal(f"v{i}"))
              for i in range(5)]
-    started, tasks = _count_split_ops(monkeypatch)
+    tasks = _count_split_ops(monkeypatch)
     attributed = []
     for lossy in (False, True):
         for engine in (SingleLoopEngine(seed=3), ShardedTransport(2, seed=3)):
@@ -383,7 +378,7 @@ def test_an_upload_is_one_split_write(monkeypatch):
                 net.settle()
             assert len(results) == 2 * len(batch) + 1
             assert all(result.success for result in results)
-            assert (started, tasks) == ([], ["write"])
+            assert tasks == ["write"]
             tasks.clear()
             if not lossy:
                 attributed.append(messages)
@@ -413,7 +408,7 @@ def test_a_one_key_write_routes_like_an_op(monkeypatch):
     overlay = SimpleNamespace(num_peers=12, replication=2,
                               refs_per_level=2, seed=4)
     key = uniform_hash("one key")
-    started, tasks = _count_split_ops(monkeypatch)
+    tasks = _count_split_ops(monkeypatch)
     for engine in (SingleLoopEngine(seed=4), ShardedTransport(2, seed=4)):
         with engine:
             net = deploy_upload_case(overlay, engine)
@@ -422,11 +417,11 @@ def test_a_one_key_write_routes_like_an_op(monkeypatch):
             remote = next(node_id for node_id in net.peer_ids()
                           if not net.peer(node_id).is_responsible_for(key))
             for origin in (remote, owners[0].node_id):
-                del started[:], tasks[:]
+                del tasks[:]
                 result, messages = net.call("update", key, ("v",),
                                             origin=origin)
                 assert result.success
-                assert (started, tasks) == ([], ["write"])
+                assert tasks == ["write"]
                 replicas = len(owners[0].replicas)
                 if origin == remote:
                     assert result.hops >= 1
@@ -444,24 +439,39 @@ def _methods(module: str):
                     if isinstance(function, ast.FunctionDef))
 
 
-def test_one_pending_op_machine_and_one_id_rule_user_pair():
-    """``_start_op`` serves exactly the two single-key reads, and the
-    id rule's ledger (a bare ``FanoutTask``) exactly the two fan-outs
-    whose origin cannot list their answerers; every write and every
-    many-key read is a ``SplitTask``."""
-    calls: dict = {"_start_op": [], "FanoutTask": [], "SplitTask": []}
+#: the retired single-key read machine: its state class, its issuer
+#: and the table it kept beside the ledgers
+RETIRED_PENDING = ("_Pending", "_start_op", "_pending", "_cancel_op",
+                   "_fail_op", "_finish_op_spans")
+
+
+def test_one_op_machine_and_one_id_rule_user_pair():
+    """Every operation a peer issues is a ledger: the pending-op
+    machine is gone from ``src/``; the key rule's ledger
+    (``SplitTask``) is built only by the two split entry points, which
+    every write and every read — a one-key ``retrieve`` or pattern
+    search too — goes through; and the id rule's ledger
+    (``FanoutTask``) only by the two fan-outs whose origin cannot list
+    their answerers."""
+    retired = [f"{path.relative_to(SRC).as_posix()}: {name}"
+               for path in sorted(SRC.rglob("*.py"))
+               for name in RETIRED_PENDING
+               if name in re.findall(r"\w+", path.read_text())]
+    assert not retired, retired
+    calls: dict = {"FanoutTask": [], "SplitTask": []}
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         for function in _methods(module):
             for name in calls.keys() & _called_names(function):
                 calls[name].append(f"{module}:{function.name}")
     assert calls == {
-        "_start_op": ["mediation/peer.py:_search_pattern",
-                      "pgrid/peer.py:retrieve"],
         "FanoutTask": ["mediation/peer.py:recursive_query",
                        "pgrid/peer.py:range_query"],
         "SplitTask": ["pgrid/peer.py:update_many", "pgrid/peer.py:read_many"],
     }
+    for module, name in (("pgrid/peer.py", "retrieve"),
+                         ("mediation/peer.py", "_search_pattern")):
+        assert "read_many" in _called_names(_function(module, name))
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:
@@ -529,10 +539,10 @@ def test_one_reformulation_step():
 
 def test_a_batch_wave_is_one_split_read(monkeypatch):
     """An engine batch starts each wave's scans as one split read and
-    no per-key op, on the single loop and on two inline shards alike.
+    no other op, on the single loop and on two inline shards alike.
     When routes and replies are lost during its first attempt, the
     read's own ledger re-issues what it lost — still one read and no
-    per-key op — and the query returns the fault-free rows.  Reads and
+    other op — and the query returns the fault-free rows.  Reads and
     writes split by one body, toward their keys' common prefix."""
     import random
     from types import SimpleNamespace
@@ -565,7 +575,7 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
         reads.append(op)
         return real_read_many(self, op, groups, on_rows, cancel)
 
-    started, _tasks = _count_split_ops(monkeypatch)
+    tasks = _count_split_ops(monkeypatch)
     monkeypatch.setattr(_WaveScheduler, "start_next", counting_start_next)
     monkeypatch.setattr(PGridPeer, "read_many", counting_read_many)
     attributed = []
@@ -581,24 +591,27 @@ def test_a_batch_wave_is_one_split_read(monkeypatch):
                 net.create_mapping(a, b, [("org", "org")], origin=origin)
             net.settle()
             engine = net.create_engine(domain="w", max_hops=4)
-            del waves[:], reads[:], started[:]
+            del waves[:], reads[:], tasks[:]
             unlimited = engine.search_for(query, origin=origin)
-            assert (waves, reads, started) == ([3], ["search"], [])
-            del waves[:], reads[:]
+            assert (waves, reads, tasks) == ([3], ["search"], ["read"])
+            del waves[:], reads[:], tasks[:]
             limited = engine.search_for(query, origin=origin, limit=6)
-            assert (waves, reads, started) == ([1, 1], ["search"] * 2, [])
-            del waves[:], reads[:]
+            assert (waves, reads, tasks) == ([1, 1], ["search"] * 2,
+                                             ["read"] * 2)
+            del waves[:], reads[:], tasks[:]
             retries = net.peer(origin).failover_stats.retries
             _lossy(transport, overlay.seed)
             repaired = engine.search_for(query, origin=origin)
-            assert (waves, reads, started) == ([3], ["search"], [])
+            assert (waves, reads, tasks) == ([3], ["search"], ["read"])
             assert net.peer(origin).failover_stats.retries > retries
         assert unlimited.result_count == 12 and limited.limit_hit
         assert repaired.results == unlimited.results
         attributed.append((unlimited.messages, limited.messages))
     assert attributed[0] == attributed[1]
-    assert {"_split_keys", "common_prefix_key"} <= _called_names(
+    assert {"_split_keys", "_send_split"} <= _called_names(
         _function("pgrid/peer.py", "_handle_split"))
+    assert "common_prefix_bits" in _called_names(
+        _function("pgrid/peer.py", "_send_split"))
     for retired in ("_handle_read", "_handle_write"):
         assert retired not in re.findall(
             r"\w+", (SRC / "pgrid" / "peer.py").read_text()), retired
