@@ -241,34 +241,21 @@ class PGridPeer(Node):
         round-robin slice of the registry so repeated exchanges cycle
         through everything this peer knows.
         """
-        batch: list[PeerSynopsis] = []
         own = self.synopsis_digest()
         if own is not None:
-            batch.append(own)
-        registry = self.synopses
-        order = registry.peer_order()
-        if self.node_id in registry:
-            # Only a digest registered by hand puts this peer in its
-            # own registry (``receive_synopses`` filters it out).
-            order = [p for p in order if p != self.node_id]
-        known = len(order)
-        if known and len(batch) < budget:
-            take = min(budget - len(batch), known)
-            start = self._gossip_cursor % known
-            self._gossip_cursor += take
-            # ``take`` entries by index, wrapping around: O(budget) per
-            # message however many peers the registry knows.
-            batch.extend(registry.get(order[(start + i) % known])
-                         for i in range(take))
-        return batch
+            budget -= 1
+        # At most two slices of the registry's sorted order: O(budget)
+        # per message however many peers the registry knows.
+        window = self.synopses.window(self._gossip_cursor, budget,
+                                      self.node_id)
+        self._gossip_cursor += len(window)
+        return window if own is None else [own, *window]
 
     def receive_synopses(self, digests) -> int:
         """Merge piggybacked/pulled digests; returns accepted count."""
         if not digests:
             return 0
-        return self.synopses.merge(
-            d for d in digests if d.peer_id != self.node_id
-        )
+        return self.synopses.merge(digests, self.node_id)
 
     # ------------------------------------------------------------------
     # Local storage

@@ -6,7 +6,12 @@ probe acks, replica sync pushes — see
 :mod:`repro.pgrid.maintenance`) carries a bounded batch of synopsis
 digests in its payload.  Each peer forwards its own fresh digest plus
 a deterministic round-robin slice of the digests it has collected, so
-knowledge spreads epidemically across maintenance rounds.
+knowledge spreads epidemically across maintenance rounds.  The slice
+is at most two list slices of the registry's sorted peer order
+(:meth:`~repro.stats.synopsis.SynopsisRegistry.window`), and a
+received batch is merged in one identity-first loop
+(:meth:`~repro.stats.synopsis.SynopsisRegistry.merge`) that inserts a
+newly learned peer into that order in place rather than re-sorting.
 
 Under churn the piggyback channel alone converges slowly (offline
 peers neither probe nor get probed), so resilience scenarios add an

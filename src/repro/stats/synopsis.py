@@ -14,12 +14,13 @@ Two layers:
 
 Digests are merged per peer with a last-writer-wins rule keyed on the
 version counter (ties broken by total field order), which makes
-:meth:`SynopsisRegistry.register` **commutative, idempotent and
+:meth:`SynopsisRegistry.merge` **commutative, idempotent and
 associative** — any gossip schedule converges to the same registry.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -248,8 +249,12 @@ class SynopsisRegistry:
 
     def __init__(self) -> None:
         self._by_peer: dict[str, PeerSynopsis] = {}
-        #: sorted peer ids, cached until a new peer id registers
-        self._order: list[str] | None = None
+        #: known peer ids, sorted.  A merge that learns a new peer
+        #: inserts it in place and nothing ever re-sorts, so no reader
+        #: may hold this list across a merge; a replaced digest, or the
+        #: identical object re-delivered, leaves it as it is.  Gossip
+        #: reads it as at most two slices (:meth:`window`).
+        self._order: list[str] = []
         #: bumped whenever a digest is accepted (estimator cache key)
         self.updates = 0
 
@@ -263,26 +268,40 @@ class SynopsisRegistry:
         """The newest known digest of ``peer_id``, if any."""
         return self._by_peer.get(peer_id)
 
-    def peer_order(self) -> list[str]:
-        """Known peers, sorted — the registry's own cached list, which
-        callers must not mutate (:meth:`peer_ids` returns a copy).
-
-        Replacing a known peer's digest keeps the order, so gossip
-        (one call per maintenance message) sorts only when the
-        registry learns of a new peer.
-        """
-        order = self._order
-        if order is None:
-            order = self._order = sorted(self._by_peer)
-        return order
-
     def peer_ids(self) -> list[str]:
-        """Known peers, sorted."""
-        return list(self.peer_order())
+        """Known peers, sorted (a copy: the registry's own order is
+        updated in place by every merge that learns a new peer)."""
+        return list(self._order)
 
     def digests(self) -> list[PeerSynopsis]:
         """All known digests in sorted peer order."""
-        return [self._by_peer[p] for p in self.peer_order()]
+        by_peer = self._by_peer
+        return [by_peer[p] for p in self._order]
+
+    def window(self, cursor: int, size: int,
+               skip: str) -> list[PeerSynopsis]:
+        """``min(size, known)`` digests in sorted peer order, starting
+        at position ``cursor % known`` and wrapping around — at most
+        two slices of the order, so O(size) however many peers the
+        registry knows.  ``skip`` (the gossiping peer's own id) is left
+        out of the order first, if present.
+        """
+        by_peer = self._by_peer
+        order = self._order
+        if skip in by_peer:
+            # Only a digest registered by hand puts a peer in its own
+            # registry (``merge`` callers pass their id as ``skip``).
+            order = [p for p in order if p != skip]
+        known = len(order)
+        take = min(size, known)
+        if take <= 0:
+            return []
+        start = cursor % known
+        end = start + take
+        if end <= known:
+            return [by_peer[p] for p in order[start:end]]
+        return ([by_peer[p] for p in order[start:]]
+                + [by_peer[p] for p in order[:end - known]])
 
     def register(self, digest: PeerSynopsis) -> bool:
         """Merge one digest; returns True if it replaced older state.
@@ -293,24 +312,36 @@ class SynopsisRegistry:
         >>> r.register(PeerSynopsis("n0", version=1, triples=3))
         False
         """
-        current = self._by_peer.get(digest.peer_id)
-        if current is not None:
-            # Total order on (version, payload): deterministic winner
-            # for any merge order, idempotent on equal digests.  The
-            # version compare decides almost every gossip re-merge in
-            # O(1); only a genuine version tie between distinct digest
-            # objects pays for the payload comparison.
-            if current.version > digest.version:
-                return False
-            if current.version == digest.version and (
-                    current is digest or current >= digest):
-                return False
-        else:
-            self._order = None
-        self._by_peer[digest.peer_id] = digest
-        self.updates += 1
-        return True
+        return self.merge((digest,)) == 1
 
-    def merge(self, digests: Iterable[PeerSynopsis]) -> int:
-        """Merge many digests; returns how many were accepted."""
-        return sum(1 for d in digests if self.register(d))
+    def merge(self, digests: Iterable[PeerSynopsis],
+              skip: str | None = None) -> int:
+        """Merge many digests, leaving out any of peer ``skip``;
+        returns how many were accepted.
+
+        Most gossip re-delivers the very object already held, so that
+        is checked first.  Otherwise the total order on ``(version,
+        payload)`` picks a deterministic winner for any merge order,
+        idempotent on equal digests: the version compare decides
+        almost every case, and only a version tie between distinct
+        objects pays for the payload comparison.
+        """
+        by_peer = self._by_peer
+        accepted = 0
+        for digest in digests:
+            peer_id = digest.peer_id
+            if peer_id == skip:
+                continue
+            current = by_peer.get(peer_id)
+            if current is digest:
+                continue
+            if current is None:
+                insort(self._order, peer_id)
+            elif current.version > digest.version or (
+                    current.version == digest.version
+                    and current >= digest):
+                continue
+            by_peer[peer_id] = digest
+            accepted += 1
+        self.updates += accepted
+        return accepted

@@ -30,7 +30,13 @@ from strategies.settings import (
     STATE_MACHINE_SETTINGS,
 )
 from strategies.stat_bags import SampleBag, stat_bags
-from strategies.synopses import peer_synopses, triples
+from strategies.synopses import (
+    OWN_ID,
+    gossip_digests,
+    gossip_histories,
+    peer_synopses,
+    triples,
+)
 from strategies.tries import TrieCase, trie_cases
 from strategies.uploads import (
     UploadCase,
@@ -42,6 +48,7 @@ from strategies.uploads import (
 
 __all__ = [
     "DETERMINISM_SETTINGS",
+    "OWN_ID",
     "QUICK_SETTINGS",
     "ReadCase",
     "ReformulationCase",
@@ -55,6 +62,8 @@ __all__ = [
     "deploy_read_case",
     "deploy_upload_case",
     "fanout_schedules",
+    "gossip_digests",
+    "gossip_histories",
     "key_group_scripts",
     "mapping_forests",
     "mapping_graphs",

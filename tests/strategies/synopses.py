@@ -51,3 +51,37 @@ peer_synopses = st.builds(
     predicates=st.lists(predicate_digests, max_size=3).map(tuple),
     mappings=st.lists(mapping_edges, max_size=2).map(tuple),
 )
+
+#: the receiving peer's own id in a gossip history
+OWN_ID = "me"
+
+#: digests over more peers than one gossip batch holds, so round-robin
+#: windows wrap; tiny payloads, so distinct objects tie on version
+gossip_digests = st.builds(
+    PeerSynopsis,
+    peer_id=st.sampled_from([f"n{i}" for i in range(7)] + [OWN_ID]),
+    version=st.integers(min_value=0, max_value=3),
+    triples=st.integers(min_value=0, max_value=2),
+)
+
+
+@st.composite
+def gossip_histories(draw, max_steps=8):
+    """A list of registry steps, each one of
+
+    * ``("merge", digests, skip)`` — ``skip`` is ``None``, the own id
+      (what a peer's own ``receive_synopses`` passes) or another peer;
+    * ``("register", digest)`` — may register the own id by hand;
+    * ``("replay", index, skip)`` — merge an earlier step's digest
+      objects again (``index`` modulo the steps so far), which is how
+      gossip re-delivers the very object a registry already holds.
+    """
+    skips = st.sampled_from([None, OWN_ID, "n0"])
+    step = st.one_of(
+        st.tuples(st.just("merge"),
+                  st.lists(gossip_digests, max_size=6), skips),
+        st.tuples(st.just("register"), gossip_digests),
+        st.tuples(st.just("replay"), st.integers(min_value=0, max_value=9),
+                  skips),
+    )
+    return draw(st.lists(step, max_size=max_steps))

@@ -324,10 +324,11 @@ class TestBackgroundWorkIsConstant:
         order = [f"n{i}" for i in range(9)]
         start = order.index(seen[0])
         assert seen == [order[(start + i) % 9] for i in range(24)]
+        # learning a new peer inserts it into the order: no sort at all
         peer.synopses.register(PeerSynopsis("n9", 1, 0))
         assert "n9" in {d.peer_id for _ in range(3)
                         for d in peer.gossip_synopses(budget=4)}
-        assert sorts[0] == 1 and peer_sorts[0] == 0
+        assert sorts[0] == 0 and peer_sorts[0] == 0
 
 
 # -- digest-gated sync == the ungated merge loop ------------------------

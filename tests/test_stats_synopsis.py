@@ -4,13 +4,18 @@ The synopsis registry is a state-based CRDT: whatever order gossip
 delivers digests in, every peer must converge to the same registry.
 The Hypothesis properties pin down exactly that (commutative,
 idempotent, associative merge) plus the builder's insert/delete
-inverse, and the unit tests cover the cardinality estimator's
-sketch arithmetic.
+inverse.  Gossip's fast paths (the identity-first merge loop, the
+sorted order kept in place, a batch taken as at most two slices) are
+checked against the digest-by-digest definitions they replace, and
+the unit tests cover the cardinality estimator's sketch arithmetic.
 """
+
+from itertools import cycle
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.pgrid.peer import PGridPeer
 from repro.rdf.patterns import TriplePattern
 from repro.rdf.terms import URI, Literal, Variable
 from repro.stats.estimator import CardinalityEstimator
@@ -20,8 +25,12 @@ from repro.stats.synopsis import (
     StoreSynopsis,
     SynopsisRegistry,
 )
+from repro.util.keys import Key
 from strategies import (
+    OWN_ID,
     STANDARD_SETTINGS,
+    gossip_digests,
+    gossip_histories,
     key_group_scripts,
     peer_synopses,
     triples,
@@ -76,6 +85,122 @@ class TestRegistryMergeProperties:
         # the stale digest can never regress the registry
         assert not registry.register(digest)
         assert registry.get(digest.peer_id) == newer
+
+
+class _Reference:
+    """The registry as defined digest by digest: the per-digest
+    ``(version, payload)`` rule folded over each merge, the known ids
+    sorted afresh for every batch, and a batch taken by index."""
+
+    def __init__(self):
+        self.by_peer = {}
+        self.updates = 0
+
+    def merge(self, digests, skip=None):
+        accepted = 0
+        for digest in digests:
+            if digest.peer_id == skip:
+                continue
+            current = self.by_peer.get(digest.peer_id)
+            if current is None or ((digest.version, digest)
+                                   > (current.version, current)):
+                self.by_peer[digest.peer_id] = digest
+                accepted += 1
+        self.updates += accepted
+        return accepted
+
+    def digests(self):
+        return [self.by_peer[p] for p in sorted(self.by_peer)]
+
+    def gossip(self, own, cursor, budget):
+        """``PGridPeer.gossip_synopses``'s batch and next cursor."""
+        batch = [] if own is None else [own]
+        order = sorted(p for p in self.by_peer if p != OWN_ID)
+        known = len(order)
+        take = 0
+        if known and len(batch) < budget:
+            take = min(budget - len(batch), known)
+            start = cursor % known
+            batch += [self.by_peer[order[(start + i) % known]]
+                      for i in range(take)]
+        return batch, cursor + take
+
+
+def _steps(history):
+    """``(kind, digests, skip)`` per history step; a replay resolves to
+    the very digest objects an earlier step delivered."""
+    delivered = []
+    for step in history:
+        if step[0] == "merge":
+            _kind, digests, skip = step
+        elif step[0] == "register":
+            digests, skip = [step[1]], None
+        else:
+            _kind, index, skip = step
+            digests = delivered[index % len(delivered)] if delivered else []
+        delivered.append(digests)
+        yield step[0], digests, skip
+
+
+def _apply(registry, kind, digests, skip):
+    if kind == "register":
+        return int(registry.register(digests[0]))
+    return registry.merge(digests, skip)
+
+
+def _same_objects(xs, ys):
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+class TestGossipEqualsReference:
+    @given(history=gossip_histories())
+    @STANDARD_SETTINGS
+    def test_merge_equals_the_per_digest_fold(self, history):
+        registry, reference = SynopsisRegistry(), _Reference()
+        for kind, digests, skip in _steps(history):
+            assert (_apply(registry, kind, digests, skip)
+                    == reference.merge(digests, skip))
+            assert registry.updates == reference.updates
+            assert _same_objects(registry.digests(), reference.digests())
+
+    @given(history=gossip_histories())
+    @STANDARD_SETTINGS
+    def test_peer_order_is_the_sorted_ids_after_every_step(self, history):
+        registry, ids = SynopsisRegistry(), set()
+        for kind, digests, skip in _steps(history):
+            _apply(registry, kind, digests, skip)
+            ids |= {d.peer_id for d in digests if d.peer_id != skip}
+            assert registry.peer_ids() == sorted(ids)
+            assert [d.peer_id for d in registry.digests()] == sorted(ids)
+
+    @given(history=gossip_histories(),
+           cursor=st.integers(min_value=0, max_value=40),
+           budgets=st.lists(st.integers(min_value=0, max_value=10),
+                            min_size=1, max_size=4),
+           own=st.none() | gossip_digests.map(
+               lambda d: PeerSynopsis(OWN_ID, d.version, d.triples)),
+           hand_registered=st.booleans())
+    @STANDARD_SETTINGS
+    def test_batch_equals_the_indexed_definition(
+            self, history, cursor, budgets, own, hand_registered):
+        """Gossip after every step of any history, with or without a
+        fresh own digest and a hand-registered one, sends the same
+        objects in the same order and moves the cursor as far as
+        ``[get(order[(start + i) % known]) for i in range(take)]``."""
+        peer = PGridPeer(OWN_ID, Key("0"))
+        if own is not None:
+            peer.synopsis_digest = lambda: own
+        peer._gossip_cursor = cursor
+        reference = _Reference()
+        steps = [*_steps(history), ("merge", [], None)]
+        if hand_registered:
+            steps.append(("register", [PeerSynopsis(OWN_ID, 9, 0)], None))
+        for (kind, digests, skip), budget in zip(steps, cycle(budgets)):
+            _apply(peer.synopses, kind, digests, skip)
+            reference.merge(digests, skip)
+            expected, cursor = reference.gossip(own, cursor, budget)
+            assert _same_objects(peer.gossip_synopses(budget), expected)
+            assert peer._gossip_cursor == cursor
 
 
 class TestStoreSynopsisInverse:
