@@ -22,17 +22,19 @@ from repro.mapping.graph import MappingGraph
 ReferenceSets = Mapping[str, set[str]]
 
 
-def shared_reference_count(refs_a: set[str], refs_b: set[str]) -> int:
-    """How many references two schemas have in common."""
-    return len(refs_a & refs_b)
-
-
 def rank_candidate_pairs(
     references: ReferenceSets,
     graph: MappingGraph | None = None,
     min_shared: int = 1,
 ) -> list[tuple[str, str, int]]:
     """Rank schema pairs by shared references, best first.
+
+    The count is pair *support* on a vertical bit representation: each
+    distinct reference value gets one bit, each schema one ``int`` mask
+    of its values' bits, and a pair shares ``(mask_a & mask_b)
+    .bit_count()`` references.  Bits follow set iteration order, which
+    may differ between processes; the count, the ``min_shared`` filter
+    and the sort key do not depend on it, so neither does the result.
 
     Parameters
     ----------
@@ -48,22 +50,30 @@ def rank_candidate_pairs(
     Returns ``(schema_a, schema_b, shared_count)`` triples sorted by
     descending count then names.
     """
-    connected: set[frozenset[str]] = set()
+    # Active mappings' endpoints, as name-sorted pairs.
+    connected: set[tuple[str, str]] = set()
     if graph is not None:
         for mapping in graph.mappings():
-            connected.add(frozenset(
-                (mapping.source_schema, mapping.target_schema)
-            ))
+            ends = (mapping.source_schema, mapping.target_schema)
+            connected.add(ends if ends[0] <= ends[1] else ends[::-1])
     schemas = sorted(references)
+    bits: dict[str, int] = {}
+    masks: list[int] = []
+    for schema in schemas:
+        mask = 0
+        for value in references[schema]:
+            bit = bits.get(value)
+            if bit is None:
+                bit = bits[value] = 1 << len(bits)
+            mask |= bit
+        masks.append(mask)
     ranked: list[tuple[str, str, int]] = []
     for i, schema_a in enumerate(schemas):
-        for schema_b in schemas[i + 1:]:
-            if frozenset((schema_a, schema_b)) in connected:
-                continue
-            shared = shared_reference_count(
-                references[schema_a], references[schema_b]
-            )
-            if shared >= min_shared:
-                ranked.append((schema_a, schema_b, shared))
+        mask_a = masks[i]
+        for j in range(i + 1, len(schemas)):
+            shared = (mask_a & masks[j]).bit_count()
+            if (shared >= min_shared
+                    and (schema_a, schemas[j]) not in connected):
+                ranked.append((schema_a, schemas[j], shared))
     ranked.sort(key=lambda t: (-t[2], t[0], t[1]))
     return ranked

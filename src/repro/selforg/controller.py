@@ -35,6 +35,7 @@ from repro.mapping.model import MappingKind
 from repro.mediation.keys import term_key
 from repro.mediation.network import GridVineNetwork, graph_of_spaces
 from repro.mediation.records import ConnectivityRecord
+from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
 from repro.selforg.creator import CreationPolicy, propose_mappings
@@ -43,6 +44,7 @@ from repro.selforg.deprecation import (
     assess_mapping_quality,
     mappings_to_deprecate,
 )
+from repro.util.keys import Key
 
 
 @dataclass
@@ -117,26 +119,39 @@ class SelfOrganizationController:
         self, schemas: dict[str, Schema],
     ) -> tuple[dict[str, dict[str, set[str]]], dict[str, set[str]]]:
         """Per-schema value sets and reference sets, from one read of
-        every predicate's key space."""
+        every predicate's key space.
+
+        Predicates may share a key, and a key space also holds triples
+        indexed there by subject or object: each key space is walked
+        once, and a triple's object value counts for its predicate only
+        when that predicate was read under that key.
+        """
+        predicates = {name: schema.predicates()
+                      for name, schema in schemas.items()}
         keys = {predicate: term_key(predicate)
-                for schema in schemas.values()
-                for predicate in map(schema.predicate, schema.attributes)}
+                for names in predicates.values() for predicate in names}
         spaces, _ = self.network.call("retrieve_many", list(keys.values()))
+        read_under: dict[Key, set[URI]] = {}
+        for predicate, key in keys.items():
+            read_under.setdefault(key, set()).add(predicate)
+        values_of: dict[URI, set[str]] = {predicate: set()
+                                          for predicate in keys}
+        for key, wanted in read_under.items():
+            for item in spaces[key]:
+                if isinstance(item, Triple) and item.predicate in wanted:
+                    values_of[item.predicate].add(item.object.value)
         value_sets: dict[str, dict[str, set[str]]] = {}
         references: dict[str, set[str]] = {}
-        hint = self.reference_attribute_hint
+        hint = (self.reference_attribute_hint.lower()
+                if self.reference_attribute_hint is not None else None)
         for name, schema in schemas.items():
             per_attr: dict[str, set[str]] = {}
             refs: set[str] = set()
-            for attribute in schema.attributes:
-                predicate = schema.predicate(attribute)
-                # Predicates may share a key: keep this one's triples.
-                values = {item.object.value
-                          for item in spaces[keys[predicate]]
-                          if isinstance(item, Triple)
-                          and item.predicate == predicate}
+            for attribute, predicate in zip(schema.attributes,
+                                            predicates[name]):
+                values = values_of[predicate]
                 per_attr[attribute] = values
-                if hint is None or hint.lower() in attribute.lower():
+                if hint is None or hint in attribute.lower():
                     refs |= values
             value_sets[name] = per_attr
             references[name] = refs

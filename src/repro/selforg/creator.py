@@ -38,6 +38,15 @@ class CreationPolicy:
     bidirectional: bool = True
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
 
+    def __post_init__(self) -> None:
+        if self.mappings_per_round < 1:
+            raise ValueError("mappings_per_round must be at least 1")
+        # A mapping needs at least one correspondence.
+        if self.min_correspondences < 1:
+            raise ValueError("min_correspondences must be at least 1")
+        if not 0 <= self.initial_confidence <= 1:
+            raise ValueError("initial_confidence must be in [0, 1]")
+
 
 def propose_mappings(
     schemas: dict[str, Schema],

@@ -64,6 +64,18 @@ class DeprecationConfig:
     #: damping factor for belief updates (0 = no damping)
     damping: float = 0.3
 
+    def __post_init__(self) -> None:
+        # The prior enters the analysis as log(prior / (1 - prior)).
+        if not 0 < self.prior < 1:
+            raise ValueError("prior must be in (0, 1)")
+        for name in ("epsilon", "delta", "threshold", "damping"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
+        if self.max_cycle_length < 2:
+            raise ValueError("max_cycle_length must be at least 2")
+
 
 def cycle_is_consistent(cycle: list[SchemaMapping]) -> bool | None:
     """Check one cycle by composing its correspondences.

@@ -29,6 +29,7 @@ from repro.mapping.model import (
     PredicateCorrespondence,
 )
 from repro.schema.model import Schema
+from repro.util.keys import MemoCache
 from repro.util.similarity import (
     jaccard_similarity,
     jaro_winkler,
@@ -37,6 +38,12 @@ from repro.util.similarity import (
 
 #: value sets keyed by attribute name
 ValueSets = dict[str, set[str]]
+
+#: memo for :func:`lexical_similarity` — ordered name pair -> score.
+#: A round scores every attribute pair of its top candidate schema
+#: pairs, and the same names meet again in later pairs and rounds;
+#: the entries are bounded by the schemas' attribute vocabulary.
+LEXICAL_CACHE = MemoCache(maxsize=1 << 16)
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,17 @@ class MatcherConfig:
 
 
 def lexical_similarity(a: str, b: str) -> float:
-    """Name similarity: max of Jaro–Winkler and bigram Dice."""
-    return max(jaro_winkler(a.lower(), b.lower()), ngram_similarity(a, b))
+    """Name similarity: max of Jaro–Winkler and bigram Dice.
+
+    Memoized per ordered pair (:data:`LEXICAL_CACHE`); a score is a
+    float, so the shared cached value is safe to return.
+    """
+    key = (a, b)
+    score = LEXICAL_CACHE.get(key)
+    if score is None:
+        score = max(jaro_winkler(a.lower(), b.lower()), ngram_similarity(a, b))
+        LEXICAL_CACHE.put(key, score)
+    return score
 
 
 def _containment(a: set[str], b: set[str]) -> float:

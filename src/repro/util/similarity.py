@@ -20,6 +20,7 @@ identical.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Set
 
 
@@ -88,7 +89,6 @@ def ngram_similarity(a: str, b: str, n: int = 2) -> float:
     grams_b = _ngrams(b.lower(), n)
     if not grams_a or not grams_b:
         return 0.0
-    from collections import Counter
     counts_a = Counter(grams_a)
     counts_b = Counter(grams_b)
     overlap = sum((counts_a & counts_b).values())

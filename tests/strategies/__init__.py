@@ -22,6 +22,12 @@ from strategies.mapping_graphs import (
 )
 from strategies.patterns import patterns, triple_sets
 from strategies.reads import ReadCase, deploy_read_case, read_cases
+from strategies.selforg import (
+    InstanceCase,
+    RankingCase,
+    instance_cases,
+    ranking_cases,
+)
 from strategies.settings import (
     DETERMINISM_SETTINGS,
     QUICK_SETTINGS,
@@ -48,8 +54,10 @@ from strategies.uploads import (
 
 __all__ = [
     "DETERMINISM_SETTINGS",
+    "InstanceCase",
     "OWN_ID",
     "QUICK_SETTINGS",
+    "RankingCase",
     "ReadCase",
     "ReformulationCase",
     "SLOW_SETTINGS",
@@ -64,11 +72,13 @@ __all__ = [
     "fanout_schedules",
     "gossip_digests",
     "gossip_histories",
+    "instance_cases",
     "key_group_scripts",
     "mapping_forests",
     "mapping_graphs",
     "patterns",
     "peer_synopses",
+    "ranking_cases",
     "read_cases",
     "reformulation_cases",
     "request_trees",

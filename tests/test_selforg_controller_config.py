@@ -55,6 +55,25 @@ class TestReferenceHint:
         assert reports[-1].ci_after >= 0
 
 
+class TestCreationPolicyValidation:
+    """A policy that would fail or silently stall mid-round is refused
+    at construction."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("mappings_per_round", 0), ("mappings_per_round", -1),
+        ("min_correspondences", 0), ("min_correspondences", -1),
+        ("initial_confidence", -0.1), ("initial_confidence", 2.0),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CreationPolicy(**{field: value})
+
+    def test_accepts_the_edges(self):
+        CreationPolicy(mappings_per_round=1, min_correspondences=1,
+                       initial_confidence=0.0)
+        CreationPolicy(initial_confidence=1.0)
+
+
 class TestProposeMappingsEdges:
     def test_no_candidates_proposes_nothing(self):
         proposals = propose_mappings(

@@ -126,6 +126,42 @@ class TestDeprecationSelection:
                 <= len(mappings_to_deprecate(graph, strict)))
 
 
+class TestConfigValidation:
+    """A config the analysis cannot run on is refused at construction,
+    not once a cycle is observed inside a round."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("prior", 0.0), ("prior", 1.0), ("prior", -0.1), ("prior", 1.5),
+        ("epsilon", -0.01), ("epsilon", 1.01),
+        ("delta", -0.01), ("delta", 1.01),
+        ("threshold", -0.01), ("threshold", 1.01),
+        ("damping", -0.01), ("damping", 1.01),
+        ("iterations", -1),
+        ("max_cycle_length", 1), ("max_cycle_length", 0),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DeprecationConfig(**{field: value})
+
+    def test_edge_values_assess_a_cycle(self):
+        # Three mappings on one inconsistent cycle: the shape on which
+        # a prior of 0 or 1 used to fail inside the analysis.
+        graph = MappingGraph([
+            edge("a1", "A", "B", [("x", "x")]),
+            edge("a2", "B", "C", [("x", "x")]),
+            edge("a3", "C", "A", [("x", "w")]),
+        ])
+        for config in (
+            DeprecationConfig(prior=1e-6, epsilon=0.0, delta=1.0,
+                              threshold=0.0, damping=1.0),
+            DeprecationConfig(prior=1 - 1e-6, epsilon=1.0, delta=0.0,
+                              threshold=1.0, damping=0.0,
+                              iterations=0, max_cycle_length=2),
+        ):
+            beliefs = assess_mapping_quality(graph, config)
+            assert all(0.0 <= b <= 1.0 for b in beliefs.values())
+
+
 class TestEndToEndWithDataset(object):
     def test_corrupted_mapping_detected(self, bio_dataset):
         ds = bio_dataset

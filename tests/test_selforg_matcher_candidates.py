@@ -10,10 +10,7 @@ from repro.mapping.model import (
 )
 from repro.rdf.terms import URI
 from repro.schema.model import Schema
-from repro.selforg.candidates import (
-    rank_candidate_pairs,
-    shared_reference_count,
-)
+from repro.selforg.candidates import rank_candidate_pairs
 from repro.selforg.matcher import (
     MatcherConfig,
     lexical_similarity,
@@ -119,7 +116,8 @@ class TestMatchAttributes:
 
 class TestCandidates:
     def test_shared_reference_count(self):
-        assert shared_reference_count({"a", "b"}, {"b", "c"}) == 1
+        assert rank_candidate_pairs({"A": {"a", "b"}, "B": {"b", "c"}}) == [
+            ("A", "B", 1)]
 
     def test_ranking_by_shared_refs(self):
         refs = {

@@ -7,7 +7,10 @@ actually served hits on the repeat calls.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.selforg.matcher import LEXICAL_CACHE, lexical_similarity
 from repro.util.hashing import (
     HASH_CACHE,
     PREFIX_INTERVAL_CACHE,
@@ -16,6 +19,9 @@ from repro.util.hashing import (
     prefix_interval,
 )
 from repro.util.keys import _COVER_CACHE, Key, MemoCache, covering_prefixes
+from repro.util.similarity import jaro_winkler, ngram_similarity
+
+from strategies import STANDARD_SETTINGS
 
 
 @pytest.fixture(autouse=True)
@@ -127,3 +133,29 @@ class TestCoveringPrefixesMemo:
         capped = covering_prefixes(low, high, max_length=1)
         assert full != capped
         assert covering_prefixes(low, high, max_length=1) == capped
+
+
+#: attribute-like names: real synonyms, case variants, the empty name
+_NAMES = st.one_of(
+    st.sampled_from(("Organism", "OrganismName", "OS", "SystematicName",
+                     "SeqLength", "LengthSeq", "organism", "")),
+    st.text(alphabet="AaBbcOs#", max_size=8),
+)
+
+
+class TestLexicalSimilarityMemo:
+    @STANDARD_SETTINGS
+    @given(st.lists(st.tuples(_NAMES, _NAMES), min_size=1, max_size=8))
+    def test_hits_counted_and_results_identical(self, pairs):
+        LEXICAL_CACHE.clear()
+        calls = pairs + [(b, a) for a, b in pairs]
+        cold = [max(jaro_winkler(a.lower(), b.lower()), ngram_similarity(a, b))
+                for a, b in calls]
+        first = [lexical_similarity(a, b) for a, b in calls]
+        distinct = len(set(calls))
+        assert LEXICAL_CACHE.misses == distinct
+        assert LEXICAL_CACHE.hits == len(calls) - distinct
+        warm = [lexical_similarity(a, b) for a, b in calls]
+        assert LEXICAL_CACHE.hits == 2 * len(calls) - distinct
+        assert first == warm == cold
+        LEXICAL_CACHE.clear()
