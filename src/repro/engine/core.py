@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from repro.engine.cache import PlanCache, PlanCacheStats
 from repro.engine.executor import BatchFetchStats
 from repro.engine.versioning import MappingVersionClock
-from repro.exec.plans import check_limit
+from repro.exec.plans import check_limit, check_max_hops
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import SchemaMapping
 from repro.mediation.query import QueryOutcome
@@ -142,6 +142,7 @@ class QueryEngine:
                  max_hops: int = 5,
                  cache_capacity: int = 256,
                  optimize: bool = False) -> None:
+        check_max_hops(max_hops)
         self.network = network
         self.max_hops = max_hops
         self.optimize = optimize
@@ -185,6 +186,7 @@ class QueryEngine:
              max_hops: int | None = None) -> list[Reformulation]:
         """The reformulation plan for ``query``, cached when possible."""
         hops = self.max_hops if max_hops is None else max_hops
+        check_max_hops(hops)
         cached = self.cache.lookup(query, hops)
         if cached is not None:
             return cached
@@ -237,6 +239,8 @@ class QueryEngine:
         message count only for single-query batches.
         """
         check_limit(limit)
+        if max_hops is not None:
+            check_max_hops(max_hops)
         parsed = [
             parse_search_for(q) if isinstance(q, str) else q
             for q in queries

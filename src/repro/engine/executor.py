@@ -13,19 +13,26 @@ batch:
   :func:`~repro.engine.signature.canonicalize_pattern`) becomes **one
   shared** :class:`~repro.exec.operators.PatternScan`, whose edges
   re-express the fetched bindings in each consumer's own variables;
-* each (query, reformulation) pair gets one
+* each distinct reformulation gets one
   :class:`~repro.exec.operators.Answer` over its scans (join, project,
-  dedup), all feeding the query's one
-  :class:`~repro.exec.operators.Collect` (union, limit, sink): shared
+  dedup), feeding the one :class:`~repro.exec.operators.Collect`
+  (union, limit, sink) of every query whose plan holds it — a repeated
+  query, or one that is itself another query's reformulation, reuses
+  the answer instead of joining the same scan rows again: shared
   ``PatternScan -> Answer -> Collect``, the paper's parallel join
   mode ("iteratively resolving each triple pattern contained in the
   query and aggregating the sets of results retrieved", §2.3) with
-  per-reformulation result attribution.
+  per-reformulation result attribution.  A use reuses an answer only
+  while that answer's edges are the last on every scan it reads, so
+  every collect sees rows and closes in the order one answer per
+  (query, reformulation) use would give it — the order a limit
+  truncates in.
 
-With a result ``limit``, scans start in **waves** by reformulation
-hop count (:func:`~repro.reformulation.planner.reformulation_waves`):
-wave ``h`` only starts once wave ``h-1``'s scans finished and some
-query is still unsatisfied.  Each satisfied limit resolves its
+The DAG is built in one pass over the plans.  With a result
+``limit``, scans start in **waves** by reformulation hop count (a plan
+is in BFS order, so its waves are its runs of equal ``hops``): wave
+``h`` only starts once wave ``h-1``'s scans finished and some query is
+still unsatisfied.  Each satisfied limit resolves its
 query early; once every query is satisfied the pipeline's cancel
 token fires, in-flight scans stop retrying, and all never-started
 scans are skipped — the batch-level form of limit pushdown.  Without
@@ -49,7 +56,7 @@ from repro.mediation.peer import GridVinePeer
 from repro.mediation.query import QueryOutcome
 from repro.obs.registry import CounterGroup
 from repro.rdf.patterns import ConjunctiveQuery
-from repro.reformulation.planner import Reformulation, reformulation_waves
+from repro.reformulation.planner import Reformulation
 from repro.simnet.events import Future, gather
 
 
@@ -72,7 +79,9 @@ class _WaveScheduler:
         self.satisfied = satisfied
         #: the waves not started yet, next first
         self.waves: list[list[PatternScan]] = []
-        #: id(scan) -> indices of the queries consuming that scan
+        #: id(scan) -> indices of the queries consuming that scan,
+        #: filled under a limit only (without one no query is
+        #: satisfied early, so no scan is ever useless)
         self.consumers: dict[int, set[int]] = {}
         self._open_in_wave = 0
 
@@ -98,9 +107,11 @@ class _WaveScheduler:
             self.skip_pending()
             return
         wave = self.waves.pop(0)
-        self._open_in_wave = len(wave)
-        for scan in wave:
-            scan.on_closed(self._scan_closed)
+        if self.waves:
+            # Only a wave with a successor needs to hear it closed.
+            self._open_in_wave = len(wave)
+            for scan in wave:
+                scan.on_closed(self._scan_closed)
         by_key: dict = {}
         for scan in wave:
             if self._useless(scan):
@@ -117,6 +128,13 @@ class _WaveScheduler:
         self._open_in_wave -= 1
         if self._open_in_wave == 0:
             self.start_next()
+
+
+def _answer_key(query: ConjunctiveQuery, wiring: tuple) -> tuple:
+    """What makes two uses of a reformulation one :class:`Answer`: the
+    same query over the same scan wiring (``(scan index, inverse
+    renaming items)`` per input slot) computes the same rows."""
+    return query, wiring
 
 
 class BatchFetchStats(CounterGroup):
@@ -173,41 +191,6 @@ def execute_batch(
     issued_at = peer.loop.now
     stats = BatchFetchStats()
     ctx = PipelineContext(peer)
-    #: canonical pattern -> index into the scan list
-    fetch_index: dict = {}
-    scans: list[PatternScan] = []
-    #: per scan: the earliest reformulation wave needing it
-    scan_wave: list[int] = []
-    #: (query index, reformulation, [(scan idx, inverse renaming)])
-    uses: list[tuple[int, Reformulation, list[tuple[int, dict]]]] = []
-    for query_index, plan in enumerate(plans):
-        # BFS order is preserved: the planner emits reformulations
-        # wave by wave, so flattening the waves re-yields plan order.
-        for wave_index, wave in enumerate(reformulation_waves(plan)):
-            for reformulation in wave:
-                patterns = list(reformulation.query.patterns)
-                if optimizer is not None:
-                    ordered = optimizer.scan_order(reformulation.query)
-                    if ordered is not None:
-                        patterns = ordered
-                per_pattern: list[tuple[int, dict]] = []
-                for pattern in patterns:
-                    stats.patterns_total += 1
-                    canonical, inverse = canonicalize_pattern(pattern)
-                    index = fetch_index.get(canonical)
-                    if index is None:
-                        index = len(scans)
-                        fetch_index[canonical] = index
-                        scans.append(PatternScan(canonical))
-                        scan_wave.append(wave_index)
-                    else:
-                        scan_wave[index] = min(scan_wave[index],
-                                               wave_index)
-                    per_pattern.append((index, inverse))
-                uses.append((query_index, reformulation, per_pattern))
-    stats.patterns_fetched = len(scans)
-    ctx.register(*scans)
-
     outcomes = [
         QueryOutcome(query=query, strategy="engine", issued_at=issued_at,
                      limit=limit)
@@ -220,7 +203,6 @@ def execute_batch(
     collects: list[Collect] = []
     for outcome in outcomes:
         collect = Collect(ctx, outcome=outcome, limit=limit)
-        ctx.register(collect)
 
         def _on_satisfied(query_index: int = len(collects),
                           collect: Collect = collect) -> None:
@@ -238,29 +220,87 @@ def execute_batch(
         collect.on_satisfied = _on_satisfied
         collects.append(collect)
 
-    # -- one answer per reformulation over shared scans ----------------
-    for query_index, reformulation, per_pattern in uses:
-        answer = Answer(reformulation.query)
-        for scan_index, inverse in per_pattern:
-            scheduler.consumers.setdefault(
-                id(scans[scan_index]), set()).add(query_index)
-            scans[scan_index].connect(
-                answer,
-                transform=(None if not inverse else (
-                    # One schema remap per batch; the rows are
-                    # shared, not copied.
-                    lambda batch, inverse=inverse: batch.renamed(inverse)
-                )),
-            )
-        answer.connect(collects[query_index])
-        ctx.register(answer)
+    # -- one pass over the plans: shared scans, one answer per distinct
+    # reformulation, each wired to the collect of every query using it
+    #: canonical pattern -> index into the scan list
+    fetch_index: dict = {}
+    scans: list[PatternScan] = []
+    #: per scan: the earliest wave needing it
+    scan_wave: list[int] = []
+    #: reformulation query -> its wiring, one ``(scan index, inverse
+    #: renaming items)`` per input slot
+    wirings: dict = {}
+    #: :func:`_answer_key` -> the batch's latest answer for it
+    answers: dict = {}
+    #: every answer built, in wiring order
+    built: list[Answer] = []
+    #: per scan: the answer whose edges are its last ones
+    tails: list = []
+    for query_index, plan in enumerate(plans):
+        collect = collects[query_index]
+        # A plan is in BFS order, so its waves are its runs of equal
+        # ``hops`` (a pruned plan may skip a hop count: waves count
+        # the runs, not the hops).
+        wave, hops = -1, None
+        for reformulation in plan:
+            if reformulation.hops != hops:
+                wave, hops = wave + 1, reformulation.hops
+            query = reformulation.query
+            wiring = wirings.get(query)
+            if wiring is None:
+                patterns = query.patterns
+                if optimizer is not None:
+                    ordered = optimizer.scan_order(query)
+                    if ordered is not None:
+                        patterns = ordered
+                slots = []
+                for pattern in patterns:
+                    canonical, inverse = canonicalize_pattern(pattern)
+                    index = fetch_index.get(canonical)
+                    if index is None:
+                        index = fetch_index[canonical] = len(scans)
+                        scans.append(PatternScan(canonical))
+                        scan_wave.append(wave)
+                        tails.append(None)
+                    slots.append((index, tuple(inverse.items())))
+                wiring = wirings[query] = tuple(slots)
+            stats.patterns_total += len(wiring)
+            key = _answer_key(query, wiring)
+            answer = answers.get(key)
+            # A use shares its answer only where that answer's edges
+            # are the last on every scan it reads: then the shared
+            # answer closes where this use's own would have, and every
+            # collect sees its rows and close in the same order.
+            if answer is None or any(tails[index] is not answer
+                                     for index, _inverse in wiring):
+                answer = answers[key] = Answer(query)
+                built.append(answer)
+                for index, inverse in wiring:
+                    tails[index] = answer
+                    scans[index].connect(answer, transform=(
+                        None if not inverse else (
+                            # One schema remap per batch; the rows are
+                            # shared, not copied.
+                            lambda batch, inverse=dict(inverse):
+                            batch.renamed(inverse))))
+            answer.connect(collect)
+            if limit is not None:
+                # Only a limit can satisfy a query early, so only then
+                # do waves and per-scan consumers matter.
+                for index, _inverse in wiring:
+                    scan_wave[index] = min(scan_wave[index], wave)
+                    scheduler.consumers.setdefault(
+                        id(scans[index]), set()).add(query_index)
+    stats.patterns_fetched = len(scans)
+    ctx.register(*scans)
+    ctx.register(*collects)
+    ctx.register(*built)
 
     # -- wave-staged scan scheduling -----------------------------------
     if limit is None:
         scheduler.waves = [scans] if scans else []
     else:
-        # Group by the earliest plan wave needing each scan; the wave
-        # structure mirrors :func:`reformulation_waves` of the plans.
+        # Group by the earliest plan wave needing each scan.
         by_wave: dict[int, list[PatternScan]] = {}
         for scan, wave in zip(scans, scan_wave):
             by_wave.setdefault(wave, []).append(scan)

@@ -121,7 +121,9 @@ class Answer(Operator):
     missing variable leaves no row) and repeated rows dropped, the
     first of each kept, in one batch tagged with the query — the
     provenance :class:`Collect` uses for per-reformulation result
-    attribution.
+    attribution.  Each downstream gets that batch and then its close,
+    one downstream after the other, so an answer feeding several
+    collects acts as one answer per collect.
 
     Its inputs are upstream edges (an engine batch's shared scans, a
     :class:`BoundJoin`) or its own fetches (:meth:`fetch`).
@@ -193,7 +195,16 @@ class Answer(Operator):
                     tuples = map(itemgetter(*positions), tuples)
             # Insertion-ordered: the first of each row, in row order.
             rows = list(dict.fromkeys(tuples))
-        self.emit(Batch(distinguished, tuples=rows, source=query))
+        batch = Batch(distinguished, tuples=rows, source=query)
+        self.stats.rows_out += batch.count
+        self.stats.batches_out += 1
+        # Emit and close edge by edge; the edges are taken, so close()
+        # finds none left to close.
+        edges, self._edges = self._edges, []
+        for downstream, transform, slot in edges:
+            downstream._receive(
+                batch if transform is None else transform(batch), slot)
+            downstream._input_closed(slot)
 
 
 class BoundJoin(Operator):

@@ -60,6 +60,17 @@ def check_limit(limit: int | None) -> None:
         raise ValueError(f"limit must be None or >= 1, got {limit!r}")
 
 
+def check_max_hops(max_hops: int) -> None:
+    """Reject a negative reformulation depth (``0``: the query alone).
+
+    Called wherever :func:`check_limit` is, before anything is sent or
+    planned, the rule :class:`~repro.resilience.scenario.ScenarioSpec`
+    applies.
+    """
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops!r}")
+
+
 def attach_execution_subplan(ctx: PipelineContext,
                              query: ConjunctiveQuery,
                              downstream: Operator) -> None:
@@ -144,6 +155,7 @@ def run_query_plan(peer: "GridVinePeer", query: ConjunctiveQuery,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     check_limit(limit)
+    check_max_hops(max_hops)
     ctx = PipelineContext(peer)
     outcome = QueryOutcome(query=query, strategy=strategy,
                            issued_at=peer.loop.now, limit=limit)

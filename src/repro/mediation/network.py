@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.connectivity.indicator import indicator_from_degrees
-from repro.exec.plans import check_limit
+from repro.exec.plans import check_limit, check_max_hops
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import (
     MappingKind,
@@ -311,6 +311,7 @@ class GridVineNetwork(PGridOverlay):
         calls and dedupes pattern lookups within a batch.
         """
         check_limit(limit)
+        check_max_hops(max_hops)
         if isinstance(query, str):
             query = parse_search_for(query)
         outcome, messages = self.call("search_for", query, strategy,

@@ -15,10 +15,6 @@ at each schema's peer (:mod:`repro.mediation.peer`, under a
 calls :func:`~repro.mapping.unfolding.translate_query`.
 """
 
-from repro.reformulation.planner import (
-    Reformulation,
-    plan_reformulations,
-    reformulation_waves,
-)
+from repro.reformulation.planner import Reformulation, plan_reformulations
 
-__all__ = ["Reformulation", "plan_reformulations", "reformulation_waves"]
+__all__ = ["Reformulation", "plan_reformulations"]

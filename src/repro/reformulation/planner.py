@@ -12,8 +12,8 @@ _handle_reformulate`` at each schema's peer (recursive).
 
 A plan is the *logical* half of execution: the engine's batch executor
 (:mod:`repro.engine.executor`) turns it into a physical operator DAG
-(see :mod:`repro.exec`), and :func:`reformulation_waves` groups it by
-hop count so the executor can fetch wave by wave under a limit.
+(see :mod:`repro.exec`).  A plan is in BFS order, so under a limit the
+executor reads its fetch waves off the plan's ``hops`` in one pass.
 """
 
 from __future__ import annotations
@@ -114,32 +114,6 @@ def plan_reformulations(
                 current.query, graph.outgoing(schema), seen)]
         planned += frontier
     return planned
-
-
-def reformulation_waves(
-    plan: list[Reformulation],
-) -> list[list[Reformulation]]:
-    """Group a plan into execution waves by hop count.
-
-    Wave ``h`` holds the reformulations exactly ``h`` mappings away
-    from the original query (wave 0 is the original itself).  BFS
-    order within each wave is preserved.  Streaming executors fetch
-    wave by wave under a result limit: nearer reformulations tend to
-    answer first, and every wave not started is fan-out saved.
-
-    >>> from repro.mapping.graph import MappingGraph
-    >>> from repro.rdf.parser import parse_search_for
-    >>> q = parse_search_for("SearchFor(x? : (x?, A#p, v))")
-    >>> [len(w) for w in reformulation_waves(
-    ...     plan_reformulations(q, MappingGraph()))]
-    [1]
-    """
-    waves: list[list[Reformulation]] = []
-    for reformulation in plan:
-        while reformulation.hops >= len(waves):
-            waves.append([])
-        waves[reformulation.hops].append(reformulation)
-    return [wave for wave in waves if wave]
 
 
 def prune_reformulations(

@@ -8,6 +8,7 @@ Import the tiered settings from here::
 benchmarks' ``from conftest import ...``).
 """
 
+from strategies.batches import SharingCase, run_sharing_case, sharing_cases
 from strategies.fanouts import (
     fanout_schedules,
     request_trees,
@@ -64,6 +65,7 @@ __all__ = [
     "STANDARD_SETTINGS",
     "STATE_MACHINE_SETTINGS",
     "SampleBag",
+    "SharingCase",
     "TrieCase",
     "UploadCase",
     "corpora",
@@ -83,6 +85,8 @@ __all__ = [
     "reformulation_cases",
     "request_trees",
     "required_events",
+    "run_sharing_case",
+    "sharing_cases",
     "split_write_schedules",
     "stat_bags",
     "trie_cases",

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.exec.operators import Answer
 from repro.rdf.parser import parse_search_for
 from repro.rdf.terms import URI
 
 ORGANISM_QUERY = "SearchFor(x? : (x?, EMBL#Organism, %Aspergillus%))"
 ALPHA_VARIANT = "SearchFor(y? : (y?, EMBL#Organism, %Aspergillus%))"
+#: ORGANISM_QUERY's reformulation through the EMBL -> EMP mapping
+EMP_QUERY = "SearchFor(x? : (x?, EMP#SystematicName, %Aspergillus%))"
 
 
 @pytest.fixture
@@ -62,6 +65,58 @@ class TestEngineSearchFor:
         outcome = engine.search_for(ORGANISM_QUERY, origin="peer-0")
         assert outcome.messages > 0
         assert outcome.latency > 0.0
+
+
+def answers_built(engine, batch, monkeypatch) -> list:
+    """The query of every :class:`Answer` one batch builds."""
+    built = []
+    real_init = Answer.__init__
+
+    def counting(answer, query):
+        built.append(query)
+        real_init(answer, query)
+
+    monkeypatch.setattr(Answer, "__init__", counting)
+    engine.execute_batch(batch)
+    monkeypatch.undo()
+    return built
+
+
+class TestSharedAnswers:
+    def test_one_answer_per_distinct_reformulation(self, mapped_engine,
+                                                   monkeypatch):
+        _net, engine = mapped_engine
+        batch = [ORGANISM_QUERY, ORGANISM_QUERY, EMP_QUERY, ALPHA_VARIANT]
+        built = answers_built(engine, batch, monkeypatch)
+        uses = [reformulation.query for query in batch
+                for reformulation in engine.plan(parse_search_for(query))]
+        assert len(uses) == 7
+        assert sorted(built, key=repr) == sorted(set(uses), key=repr)
+
+    def test_an_answer_between_two_uses_ends_the_sharing(
+            self, mapped_engine, monkeypatch):
+        # ALPHA_VARIANT's answers read the same two scans as
+        # ORGANISM_QUERY's.  Sharing the EMP answer with the last query
+        # would close it ahead of ALPHA_VARIANT's EMP answer on their
+        # shared scan, which one answer per use would not: the last
+        # query gets an EMP answer of its own.
+        _net, engine = mapped_engine
+        batch = [ORGANISM_QUERY, ORGANISM_QUERY, ALPHA_VARIANT, EMP_QUERY]
+        built = answers_built(engine, batch, monkeypatch)
+        emp = parse_search_for(EMP_QUERY)
+        assert len(built) == 5
+        assert built.count(emp) == 2
+
+    def test_a_shared_answer_feeds_every_query_using_it(self,
+                                                        mapped_engine):
+        _net, engine = mapped_engine
+        result = engine.execute_batch(
+            [ORGANISM_QUERY, ORGANISM_QUERY, EMP_QUERY])
+        first, second, emp = result.outcomes
+        assert first.results_by_query == second.results_by_query
+        emp_query = parse_search_for(EMP_QUERY)
+        assert emp.results_by_query == {
+            emp_query: first.results_by_query[emp_query]}
 
 
 class TestBatchExecution:

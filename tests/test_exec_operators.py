@@ -18,12 +18,11 @@ from repro.mapping.model import PredicateCorrespondence, SchemaMapping
 from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
-from repro.reformulation.planner import (
-    Reformulation,
-    plan_reformulations,
-    reformulation_waves,
-)
+from repro.engine import executor
+from repro.reformulation.planner import Reformulation, plan_reformulations
 from repro.simnet.events import CancelToken, EventLoop, Future
+
+from test_exec_limit_pushdown import deploy_chain
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -316,23 +315,84 @@ class TestCancelToken:
         assert fired == []
 
 
-def _reformulation(hops):
+class TestEngineWaves:
+    def test_limited_batch_starts_its_scans_in_hops_order(self,
+                                                          monkeypatch):
+        """Under a limit a scan starts in the wave of the nearest
+        reformulation using it, one wave after the other."""
+        net = deploy_chain()  # S0 -> S1 -> S2 -> S3
+        engine = net.create_engine(domain="lp", max_hops=8)
+        started: list[list[str]] = []
+        real_read_scans = PipelineContext.read_scans
+
+        def recording(ctx, by_key):
+            started.append(sorted(scan.pattern.predicate.namespace
+                                  for group in by_key.values()
+                                  for scan in group))
+            real_read_scans(ctx, by_key)
+
+        monkeypatch.setattr(PipelineContext, "read_scans", recording)
+        # S1's organism query is 0 hops from S1 and 1 hop from S0, so
+        # its scan joins wave 0; every other scan is as far as S1's
+        # plan says.  The limit is never reached: every wave runs.
+        engine.execute_batch(
+            ["SearchFor(x? : (x?, S1#org, %Aspergillus%))",
+             "SearchFor(x? : (x?, S0#org, %Aspergillus%))"],
+            origin=net.peer_ids()[0], limit=1000)
+        assert started == [["S0", "S1"], ["S2"], ["S3"]]
+
+
+def _reformulation(schema, hops):
     query = ConjunctiveQuery(
-        [TriplePattern(X, URI(f"S{hops}#p"), Y)], [X])
+        [TriplePattern(X, URI(f"{schema}#org"), Literal("%Aspergillus%"))],
+        [X])
     return Reformulation(query, tuple([None] * hops))  # type: ignore[list-item]
 
 
-class TestReformulationWaves:
-    def test_groups_by_hops(self):
-        plan = [_reformulation(0), _reformulation(1),
-                _reformulation(1), _reformulation(2)]
-        waves = reformulation_waves(plan)
-        assert [len(w) for w in waves] == [1, 2, 1]
-        assert all(r.hops == i for i, wave in enumerate(waves)
-                   for r in wave)
+def _record_reads(monkeypatch) -> list[list[str]]:
+    """Record each wave's read as the sorted schemas of its scans."""
+    started: list[list[str]] = []
+    real_read_scans = PipelineContext.read_scans
 
-    def test_empty_plan(self):
-        assert reformulation_waves([]) == []
+    def recording(ctx, by_key):
+        started.append(sorted(scan.pattern.predicate.namespace
+                              for group in by_key.values()
+                              for scan in group))
+        real_read_scans(ctx, by_key)
+
+    monkeypatch.setattr(PipelineContext, "read_scans", recording)
+    return started
+
+
+class TestReformulationWaves:
+    """The executor groups a plan into waves by ``hops``."""
+
+    def test_groups_by_hops(self, monkeypatch):
+        net = deploy_chain()
+        plan = [_reformulation("S0", 0), _reformulation("S1", 1),
+                _reformulation("S2", 1), _reformulation("S3", 2)]
+        started = _record_reads(monkeypatch)
+        future = executor.execute_batch(net.peer(net.peer_ids()[0]),
+                                        [plan[0].query], [plan],
+                                        limit=1000)
+        net.settle()
+        outcomes, stats = future.result()
+        assert started == [["S0"], ["S1", "S2"], ["S3"]]
+        assert stats.patterns_fetched == 4
+        assert outcomes[0].result_count == 24
+
+    def test_empty_plan(self, monkeypatch):
+        """A batch with no plans has no wave: it reads nothing and
+        resolves at once."""
+        net = deploy_chain()
+        started = _record_reads(monkeypatch)
+        future = executor.execute_batch(net.peer(net.peer_ids()[0]),
+                                        [], [], limit=1)
+        outcomes, stats = future.result()
+        assert started == []
+        assert outcomes == []
+        assert stats.patterns_fetched == 0
+        assert stats.scans_issued == stats.scans_skipped == 0
 
 
 class _SchemaSpacePeer:
@@ -444,3 +504,33 @@ class TestPeerSearchForValidation:
                 entry_point()
         net.settle()
         assert net.metrics_snapshot()["messages_sent"] == sent
+
+    @pytest.mark.parametrize("max_hops", [-1, -5])
+    def test_negative_max_hops_raises_before_any_message(self,
+                                                         fig2_network,
+                                                         max_hops):
+        net, _embl, _emp = fig2_network
+        text = "SearchFor(x? : (x?, EMBL#Organism, %Aspergillus%))"
+        query = parse_search_for(text)
+        peer = net.peer(net.peer_ids()[0])
+        engine = net.create_engine(domain="bio")
+        net.settle()
+        sent = net.metrics_snapshot()["messages_sent"]
+        entry_points = [
+            lambda strategy=strategy: net.search_for(
+                text, strategy=strategy, max_hops=max_hops)
+            for strategy in ("local", "iterative", "recursive", "auto")
+        ] + [
+            lambda: peer.search_for(query, max_hops=max_hops),
+            lambda: run_query_plan(peer, query, "iterative", max_hops),
+            lambda: engine.search_for(text, max_hops=max_hops),
+            lambda: engine.execute_batch([text, query], max_hops=max_hops),
+            lambda: engine.plan(query, max_hops=max_hops),
+            lambda: net.create_engine(max_hops=max_hops),
+        ]
+        for entry_point in entry_points:
+            with pytest.raises(ValueError, match="max_hops"):
+                entry_point()
+        net.settle()
+        assert net.metrics_snapshot()["messages_sent"] == sent
+        assert len(engine.cache) == 0
