@@ -12,6 +12,8 @@ naive nested-loop join over :meth:`Batch.to_bindings`.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.exec.stream import Batch
 
 
@@ -40,17 +42,29 @@ def join_batches(left: Batch, right: Batch) -> Batch:
         # Cross product, left-outer order.
         out = [lt + rt for lt in ltuples for rt in rtuples]
         return Batch(out_schema, tuples=out)
-    l_idx = [lschema.index(v) for v in shared]
-    r_idx = [rschema.index(v) for v in shared]
+    # ``itemgetter`` of one index yields the bare value: with one shared
+    # variable the value itself is the key, no tuple per row.
+    lkey = itemgetter(*[lschema.index(v) for v in shared])
+    rkey = itemgetter(*[rschema.index(v) for v in shared])
     r_keep = [i for i, v in enumerate(rschema) if v not in lset]
-    buckets: dict[tuple, list] = {}
-    for rt in rtuples:
-        buckets.setdefault(tuple(rt[i] for i in r_idx), []).append(
-            tuple(rt[i] for i in r_keep))
+    if not r_keep:
+        tails: list = [()] * len(rtuples)
+    elif len(r_keep) == 1:
+        only = r_keep[0]
+        tails = [(rt[only],) for rt in rtuples]
+    else:
+        tails = list(map(itemgetter(*r_keep), rtuples))
+    buckets: dict = {}
+    for key, tail in zip(map(rkey, rtuples), tails):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [tail]
+        else:
+            bucket.append(tail)
     out = []
     get = buckets.get
-    for lt in ltuples:
-        bucket = get(tuple(lt[i] for i in l_idx))
+    for key, lt in zip(map(lkey, ltuples), ltuples):
+        bucket = get(key)
         if bucket:
             for tail in bucket:
                 out.append(lt + tail)

@@ -8,7 +8,8 @@ Each class is one node type of the execution DAG (see
   an engine batch), :class:`BoundJoin` (the sequential substituting
   join, which issues its own fetches step by step),
   :class:`Reformulate` (the iterative strategy's overlay-driven BFS
-  over mapping paths, spawning one subplan per reformulation) and
+  over mapping paths, one level per read, spawning one subplan per
+  reformulation) and
   :class:`RecursiveFanout` (the algebra's adapter over the peer's
   recursive-strategy protocol, which keeps its own termination
   ledger);
@@ -23,13 +24,14 @@ Each class is one node type of the execution DAG (see
 
 from __future__ import annotations
 
-from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.exec.bindings import join_batches
 from repro.exec.stream import Batch, Operator, PipelineContext
 from repro.mapping.unfolding import query_schemas
+from repro.mediation.keys import schema_key, term_key
+from repro.mediation.records import mappings_in
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.triples import Position
 from repro.reformulation.planner import translations
@@ -107,6 +109,29 @@ def _concat_batches(batches: list[Batch]) -> Batch:
     return Batch(schema, tuples=tuples)
 
 
+class _SlotFetch:
+    """One pattern an :class:`Answer` fetches into one of its input
+    slots — a scan as :meth:`~repro.exec.stream.PipelineContext.
+    read_scans` reads it, counted on the answer."""
+
+    __slots__ = ("answer", "slot", "pattern", "stats")
+
+    def __init__(self, answer: "Answer", slot: int,
+                 pattern: TriplePattern) -> None:
+        self.answer = answer
+        self.slot = slot
+        self.pattern = pattern
+        self.stats = answer.stats
+
+    def deliver(self, rows: list) -> None:
+        """The slot's one batch, then its close.  The reply carries the
+        store's row tuples in the pattern's schema order: the fetched
+        list is the batch."""
+        answer, slot = self.answer, self.slot
+        answer._receive(Batch(self.pattern.schema, tuples=rows), slot)
+        answer._input_closed(slot)
+
+
 class Answer(Operator):
     """One reformulation's answer: join, project, dedup.
 
@@ -137,23 +162,31 @@ class Answer(Operator):
     def fetch(self, ctx: PipelineContext,
               patterns: list[TriplePattern]) -> None:
         """Fetch each of ``patterns`` into an input slot of its own,
-        in order: one :meth:`~repro.exec.stream.PipelineContext.
-        fetch_pattern` each, counted on this operator.
+        in order, each counted as one fetch of this operator: a
+        ``prefix%`` pattern by its own range shower
+        (:meth:`~repro.exec.stream.PipelineContext.fetch_pattern`), the
+        exact-routed rest as one split read
+        (:meth:`~repro.exec.stream.PipelineContext.read_scans`, so
+        inside a held read they join it).
 
         Every slot exists before the first fetch is issued — a fetch
         whose key the origin owns resolves synchronously, and the
         answer must not close while later patterns are still unasked.
         """
-        slots = [self._add_input() for _ in patterns]
-        for slot, pattern in zip(slots, patterns):
-            ctx.fetch_pattern(self, pattern).add_done_callback(
-                partial(self._fetched, slot, pattern.schema))
-
-    def _fetched(self, slot: int, schema: tuple, future: Future) -> None:
-        # The reply carries the store's row tuples in the pattern's
-        # schema order: the fetched list is the slot's one batch.
-        self._receive(Batch(schema, tuples=future.result()), slot)
-        self._input_closed(slot)
+        fetches = [_SlotFetch(self, self._add_input(), pattern)
+                   for pattern in patterns]
+        by_key: dict = {}
+        for fetch in fetches:
+            pattern = fetch.pattern
+            if pattern.routing_mode() == "prefix":
+                ctx.fetch_pattern(self, pattern).add_done_callback(
+                    lambda future, fetch=fetch: fetch.deliver(
+                        future.result()))
+            else:
+                by_key.setdefault(term_key(pattern.routing_constant()),
+                                  []).append(fetch)
+        if by_key:
+            ctx.read_scans(by_key)
 
     def on_batch(self, batch: Batch, slot: int) -> None:
         self._batches_by_slot.setdefault(slot, []).append(batch)
@@ -397,20 +430,34 @@ class Collect(Operator):
 
 
 class Reformulate(Operator):
-    """The iterative strategy's overlay-driven reformulation fan-out.
+    """The iterative strategy's overlay-driven reformulation BFS.
 
     The origin "iteratively looks for paths of mappings and
-    reformulates the query by itself" (§4): schema key spaces are
-    fetched to learn mappings, every distinct translation spawns one
-    execution subplan (via the ``spawn`` callback the plan builder
-    provides), and newly derived queries recurse up to ``max_hops``.
+    reformulates the query by itself" (§4), one BFS level at a time:
+    every query of level *h* is known before any is translated.  The
+    level reads the schema key spaces it has not read yet with one
+    ``retrieve_many`` and, once every key has answered (a failed key
+    holds no mappings), translates its queries in order, each through
+    the active mappings of its schemas in name order.  Every distinct
+    translation spawns one execution subplan (via the ``spawn``
+    callback the plan builder provides) and joins level *h+1*, up to
+    ``max_hops``; the subplans a level spawns send their exact-routed
+    pattern fetches as one split read
+    (:meth:`~repro.exec.stream.PipelineContext.hold_reads`).  A query
+    is thus reached at its shortest hop count, the operator spawns
+    what :func:`~repro.reformulation.planner.plan_reformulations`
+    plans over the same mappings, and a query costs at most
+    ``2 * (max_hops + 1)`` reads besides its ``prefix%`` range
+    showers; the price is that a level waits for its slowest key.
 
     The operator emits no batches itself — the spawned subplans feed
     the downstream collect directly — but it holds its input there open
     until the BFS settles, and its fetch counters carry the schema-
-    space lookups.  Cancellation stops new schema fetches; subplans
-    spawned after cancellation skip their scans (each skip is counted
-    where it happens, so the messages-saved accounting stays exact).
+    space reads, one per key.  Cancellation stops the BFS at its next
+    level (the schema keys it would have read count as skipped); a
+    level whose read was in flight is still translated, and its
+    subplans skip their scans (each skip is counted where it happens,
+    so the messages-saved accounting stays exact).
     """
 
     def __init__(self, query: ConjunctiveQuery, max_hops: int,
@@ -428,14 +475,8 @@ class Reformulate(Operator):
         #: translations dropped by the prune predicate
         self.pruned = 0
         self.seen: set[ConjunctiveQuery] = {query}
-        #: schema -> fetched active mappings (present once fetched)
-        self._mappings_cache: dict[str, list] = {}
-        #: schema -> (query, hops) posed against it while its fetch is
-        #: in flight; the BFS has settled when this is empty
-        self._waiting: dict[str, list[tuple[ConjunctiveQuery, int]]] = {}
-        #: guards against closing mid-start (a fetch can complete
-        #: synchronously when the origin owns the key)
-        self._starting = False
+        #: schema -> its active mappings (present once read)
+        self._mappings: dict[str, list] = {}
         self._ctx: PipelineContext | None = None
         #: open reformulation span (traced runs only)
         self._span = None
@@ -447,18 +488,16 @@ class Reformulate(Operator):
         scope = network.scope()
         if tracer is not None and tracer.current() is not None:
             # The reformulation span covers the whole BFS: schema-space
-            # fetches issued from here carry its context, so translated
+            # reads issued from here carry its context, so translated
             # subplans hang under it in the waterfall.
             self._span = tracer.begin("reformulate",
                                       peer=ctx.peer.node_id,
                                       kind="reformulate", start=ctx.now)
             scope = (scope[0], tracer.context_of(self._span))
         with network.resume(scope):
-            self._starting = True
-            self._spawn_subplan(ctx, self.query)
-            self._register(self.query, 0)
-            self._starting = False
-        self._maybe_close()
+            with ctx.hold_reads():
+                self._spawn_subplan(ctx, self.query)
+            self._read_level([self.query], 0)
 
     def on_finish(self) -> None:
         if self._span is not None:
@@ -467,53 +506,54 @@ class Reformulate(Operator):
                 self._span, ctx.now, translations=len(self.seen) - 1,
                 pruned=self.pruned)
 
-    def _register(self, query: ConjunctiveQuery, hops: int) -> None:
-        if hops >= self.max_hops:
+    def _read_level(self, level: list[ConjunctiveQuery], hops: int) -> None:
+        """Read the schema spaces level ``hops`` has not read yet, then
+        translate it; the BFS settles at ``max_hops`` or on an empty
+        level."""
+        if hops >= self.max_hops or not level:
+            self.close()
             return
-        for schema in sorted(query_schemas(query)):
-            if schema in self._mappings_cache:
-                self._translate(query, hops, schema)
-            elif schema in self._waiting:
-                self._waiting[schema].append((query, hops))
-            else:
-                self._fetch_schema(schema, query, hops)
-
-    def _fetch_schema(self, schema: str, query: ConjunctiveQuery,
-                      hops: int) -> None:
         ctx = self._ctx
         assert ctx is not None
+        unread = sorted({schema for query in level
+                         for schema in query_schemas(query)}
+                        - self._mappings.keys())
         if ctx.cancelled:
-            self.stats.fetches_skipped += 1
-            return
-        self._waiting[schema] = [(query, hops)]
-        self.stats.fetches_issued += 1
-
-        def _on_mappings(future: Future) -> None:
-            # Cached first, so a query registered against ``schema``
-            # from here on is translated at once, not appended.
-            self._mappings_cache[schema] = future.result()
-            for waiting, waiting_hops in self._waiting[schema]:
-                self._translate(waiting, waiting_hops, schema)
-            del self._waiting[schema]
-            self._maybe_close()
-
-        ctx.peer.fetch_mappings(schema, cancel=ctx.cancel
-                                ).add_done_callback(_on_mappings)
-
-    def _translate(self, query: ConjunctiveQuery, hops: int,
-                   schema: str) -> None:
-        for mapping, translated in translations(
-                query, self._mappings_cache[schema], self.seen):
-            if (self._prune is not None
-                    and not self._prune(translated, mapping.confidence)):
-                self.pruned += 1
-                continue
-            self._spawn_subplan(self._ctx, translated)
-            self._register(translated, hops + 1)
-
-    def _maybe_close(self) -> None:
-        if not self._waiting and not self._starting:
+            self.stats.fetches_skipped += len(unread)
             self.close()
+            return
+        if not unread:
+            self._translate_level(level, hops)
+            return
+        self.stats.fetches_issued += len(unread)
+        keys = {schema: schema_key(schema) for schema in unread}
+
+        def _on_read(read: Future) -> None:
+            records = read.result()
+            for schema, key in keys.items():
+                self._mappings[schema] = mappings_in(records[key])
+            self._translate_level(level, hops)
+
+        ctx.peer.retrieve_many(list(keys.values()), cancel=ctx.cancel
+                               ).add_done_callback(_on_read)
+
+    def _translate_level(self, level: list[ConjunctiveQuery],
+                         hops: int) -> None:
+        ctx = self._ctx
+        mappings = self._mappings
+        following: list[ConjunctiveQuery] = []
+        with ctx.hold_reads():
+            for query in level:
+                for schema in sorted(query_schemas(query)):
+                    for mapping, translated in translations(
+                            query, mappings[schema], self.seen):
+                        if (self._prune is not None and not self._prune(
+                                translated, mapping.confidence)):
+                            self.pruned += 1
+                            continue
+                        self._spawn_subplan(ctx, translated)
+                        following.append(translated)
+        self._read_level(following, hops + 1)
 
 
 class RecursiveFanout(Operator):

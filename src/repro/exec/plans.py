@@ -5,14 +5,17 @@ The three ``SearchFor`` strategies of §4 are expressed as different
 
 ``local``
     one execution subplan for the original query — an ``Answer``
-    fetching its own patterns (or ``BoundJoin -> Answer``) — feeding
-    the query's ``Collect``: a one-pattern query is ``Answer ->
-    Collect``, two operators;
+    fetching its own patterns, the exact-routed ones as one split read
+    (or ``BoundJoin -> Answer``) — feeding the query's ``Collect``: a
+    one-pattern query is ``Answer -> Collect``, two operators;
 
 ``iterative``
     a :class:`~repro.exec.operators.Reformulate` source that walks
-    mapping paths through the overlay and spawns one such subplan per
-    distinct reformulation, all feeding the same ``Collect``;
+    mapping paths through the overlay one BFS level at a time and
+    spawns one such subplan per distinct reformulation, at its
+    shortest hop count, all feeding the same ``Collect``; a level's
+    schema spaces are one read, and so are the patterns of every
+    subplan it spawns;
 
 ``recursive``
     a :class:`~repro.exec.operators.RecursiveFanout` source streaming

@@ -35,7 +35,8 @@ measurement) is deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.registry import CounterGroup
@@ -253,6 +254,9 @@ class PipelineContext:
         #: subplans spawned per reformulation inherit it via the
         #: shared context
         self.decision = None
+        #: the scans :meth:`hold_reads` is holding, by key (``None``:
+        #: no hold open, reads are sent at once)
+        self._held: dict | None = None
 
     @property
     def cancelled(self) -> bool:
@@ -306,15 +310,26 @@ class PipelineContext:
     def read_scans(self, by_key: dict) -> None:
         """Issue exact-routed scans, grouped by key (``{key: [scan,
         ...]}``), as one split read
-        (:meth:`~repro.pgrid.peer.PGridPeer.read_many`).
+        (:meth:`~repro.pgrid.peer.PGridPeer.read_many`) — the one
+        batching path: an engine batch's wave of shared
+        :class:`~repro.exec.operators.PatternScan` s, and the patterns
+        an :class:`~repro.exec.operators.Answer` fetches itself.  A
+        scan is anything with a ``pattern``, the ``stats`` its fetch
+        counts on and ``deliver(rows)``.
 
         Each key carries the tuple of its scans' patterns, and each
         scan gets its rows the moment its key's answer arrives, so a
         satisfied limit still stops the rest.  Every scan counts as
         one fetch, issued or skipped as in :meth:`fetch_pattern`; a
         skipped read is never sent.  A scan whose key failed or was
-        cancelled closes empty.
+        cancelled closes empty.  Inside :meth:`hold_reads` nothing is
+        sent: the scans join the held read.
         """
+        held = self._held
+        if held is not None:
+            for key, group in by_key.items():
+                held.setdefault(key, []).extend(group)
+            return
         scans = [scan for group in by_key.values() for scan in group]
         # One cancel check decides for every scan: all issued or none.
         if not all([self._count_fetch(scan) for scan in scans]):
@@ -336,10 +351,23 @@ class PipelineContext:
             if not unread:
                 self._close_span(span)
 
-        groups = {key: tuple(scan.pattern for scan in group)
+        groups = {key: tuple([scan.pattern for scan in group])
                   for key, group in by_key.items()}
         with issuing:
             self.peer.read_many("search", groups, on_rows, self.cancel)
+
+    @contextmanager
+    def hold_reads(self) -> Iterator[None]:
+        """Hold every :meth:`read_scans` issued inside the block and
+        send them together, as one split read, when it ends — the
+        reads of every subplan one reformulation level spawns."""
+        held = self._held = {}
+        try:
+            yield
+        finally:
+            self._held = None
+        if held:
+            self.read_scans(held)
 
     def _count_fetch(self, op: Operator) -> bool:
         """Count one fetch of ``op``: issued, or skipped when the

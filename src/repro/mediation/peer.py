@@ -74,7 +74,6 @@ from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
     MappingRecord,
-    mappings_in,
 )
 from repro.pgrid.peer import FanoutTask, PGridPeer, task_origin
 from repro.optimizer.core import QueryOptimizer
@@ -278,31 +277,6 @@ class GridVinePeer(PGridPeer):
     # Mediation-layer reads
     # ------------------------------------------------------------------
 
-    def fetch_schema_space(self, schema_name: str,
-                           cancel: CancelToken | None = None) -> Future:
-        """Retrieve every record at ``Hash(schema_name)``.
-
-        Resolves to the raw record list (schema definition, outgoing
-        mapping records and incoming markers).  ``cancel`` propagates
-        cooperative cancellation into the underlying retrieve.
-        """
-        out: Future = Future()
-        fut = self.retrieve(schema_key(schema_name), cancel=cancel)
-        fut.add_done_callback(
-            lambda f: out.set_result(list(f.result().values or []))
-        )
-        return out
-
-    def fetch_mappings(self, schema_name: str,
-                       include_deprecated: bool = False,
-                       cancel: CancelToken | None = None) -> Future:
-        """Active outgoing mappings of a schema, via the overlay."""
-        out: Future = Future()
-        self.fetch_schema_space(schema_name, cancel=cancel).add_done_callback(
-            lambda f: out.set_result(mappings_in(f.result(),
-                                                 include_deprecated)))
-        return out
-
     def fetch_connectivity(self, domain: str) -> Future:
         """All :class:`ConnectivityRecord`s of a domain."""
         out: Future = Future()
@@ -379,8 +353,9 @@ class GridVinePeer(PGridPeer):
         (:meth:`~repro.pgrid.peer.PGridPeer.read_many`) of ``search`` at
         the constant's key space, carrying the pattern as a 1-tuple (a
         ``search`` carries a tuple of patterns and is answered with one
-        row list per pattern — a query batch's wave reads many keys of
-        them at once).  A ``prefix%`` routing constant has
+        row list per pattern — the batched reads of
+        :meth:`~repro.exec.stream.PipelineContext.read_scans` read many
+        keys of them at once).  A ``prefix%`` routing constant has
         no single key; its matches occupy a contiguous key *interval*
         (order-preserving hash), which is fetched with overlay range
         queries over the interval's covering prefixes and matched

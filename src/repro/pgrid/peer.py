@@ -384,13 +384,15 @@ class PGridPeer(Node):
         self.read_many("retrieve", {key: None}, future.set_result, cancel)
         return future
 
-    def retrieve_many(self, keys: list) -> Future:
+    def retrieve_many(self, keys: list, cancel: Any = None) -> Future:
         """Start one ``Retrieve`` of many keys: resolves to ``{key:
         values}``, keys in first-occurrence order.
 
         One :meth:`read_many` of ``"retrieve"``: it splits where the
         keys diverge, and its ledger re-issues the keys no report
-        answered.  A key that still fails reads as empty (``[]``).
+        answered.  A key that still fails reads as empty (``[]``), and
+        so does every key not answered when ``cancel`` fires — all of
+        them, with zero messages sent, when it fired before the read.
         """
         future: Future = Future()
         answers: dict = dict.fromkeys(keys)
@@ -406,7 +408,8 @@ class PGridPeer(Node):
             if not waiting:
                 future.set_result(answers)
 
-        self.read_many("retrieve", dict.fromkeys(answers), _on_result)
+        self.read_many("retrieve", dict.fromkeys(answers), _on_result,
+                       cancel)
         return future
 
     def update(self, key: Key, values: tuple, action: str = "insert") -> Future:
@@ -473,7 +476,7 @@ class PGridPeer(Node):
         Its ops are ``retrieve`` (:meth:`retrieve`,
         :meth:`retrieve_many`) and ``search`` (a pattern fetch,
         :meth:`~repro.mediation.peer.GridVinePeer._search_pattern`, and
-        a query batch's wave,
+        the batched pattern reads of
         :meth:`~repro.exec.stream.PipelineContext.read_scans`), each
         checked against a per-key oracle in
         ``tests/strategies/test_split_reads.py``: a new op needs its

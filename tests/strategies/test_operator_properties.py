@@ -79,6 +79,14 @@ def naive_join(left_rows, right_rows):
 class TestJoinProperty:
     @STANDARD_SETTINGS
     @given(batches(), batches())
+    # One shared variable (``a``) whose values repeat on both sides: the
+    # bare-value key path, buckets of several rows, output order exact.
+    @example(Batch(VARIABLES[:2], tuples=[
+        (VALUES[0], VALUES[3]), (VALUES[1], VALUES[3]),
+        (VALUES[0], VALUES[4]), (VALUES[2], VALUES[3])]),
+             Batch((VARIABLES[0], VARIABLES[2]), tuples=[
+        (VALUES[0], VALUES[1]), (VALUES[1], VALUES[0]),
+        (VALUES[0], VALUES[2]), (VALUES[0], VALUES[1])]))
     def test_join_matches_naive_reference(self, left, right):
         joined = join_batches(left, right)
         expected = naive_join(left.to_bindings(), right.to_bindings())

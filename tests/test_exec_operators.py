@@ -19,6 +19,9 @@ from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import Literal, URI, Variable
 from repro.engine import executor
+from repro.mediation.keys import schema_key
+from repro.mediation.records import MappingRecord
+from repro.pgrid.peer import OpResult
 from repro.reformulation.planner import Reformulation, plan_reformulations
 from repro.simnet.events import CancelToken, EventLoop, Future
 
@@ -139,20 +142,23 @@ class TestRowsFromStoreToScan:
     def test_an_answer_fetches_its_own_patterns(self, small_network,
                                                 monkeypatch):
         # Replies resolve synchronously, as when the origin owns the
-        # key: every slot must exist before the first fetch, or the
-        # answer would close on the first reply alone.
+        # keys: every slot must exist before the first fetch, or the
+        # answer would close on the first reply alone.  Both patterns
+        # go out as one split read, one key each.
         peer = next(iter(small_network.peers.values()))
         length = TriplePattern(X, URI("S#len"), Z)
         replies = {PATTERN: [(URI("a"), Literal("v")),
                              (URI("b"), Literal("w"))],
                    length: [(URI("a"), Literal("9"))]}
+        reads = []
 
-        def search(pattern, cancel=None):
-            reply = Future()
-            reply.set_result(replies[pattern])
-            return reply
+        def read_many(op, groups, on_result, cancel=None):
+            reads.append((op, list(groups.values())))
+            for key, patterns in groups.items():
+                on_result(OpResult(key, True, values=[
+                    replies[pattern] for pattern in patterns]))
 
-        monkeypatch.setattr(peer, "_search_pattern", search)
+        monkeypatch.setattr(peer, "read_many", read_many)
         query = ConjunctiveQuery([PATTERN, length], [X, Z])
         for cancelled, rows in ((False, [(URI("a"), Literal("9"))]),
                                 (True, [])):
@@ -167,6 +173,7 @@ class TestRowsFromStoreToScan:
             assert (stats.fetches_issued, stats.fetches_skipped,
                     stats.rows_in) == ((0, 2, 0) if cancelled
                                        else (2, 0, 3))
+        assert reads == [("search", [(PATTERN,), (length,)])]
 
     def test_search_reply_ships_one_value_per_row(self, fig2_network):
         net, _embl, _emp = fig2_network
@@ -396,17 +403,23 @@ class TestReformulationWaves:
 
 
 class _SchemaSpacePeer:
-    """A peer whose schema-space reads stay pending until the test
-    resolves them, in the order it chooses; it is its own (untraced,
-    unscoped) network."""
+    """A peer whose schema-space reads (``retrieve_many``) stay pending
+    until the test answers their keys, in the order it chooses; a read
+    resolves once its last key has answered.  Pattern reads answer at
+    once, with no rows.  It counts every read and is its own
+    (untraced, unscoped) network."""
 
     tracer = None
+    join_mode = "parallel"
 
     def __init__(self, mappings):
         self.loop = EventLoop()
         self.network = self
         self.mappings = mappings
+        #: schema key -> the callback answering it
         self.pending = {}
+        #: ``(op, keys)`` of every read, in issue order
+        self.reads = []
 
     def scope(self):
         return None
@@ -414,16 +427,34 @@ class _SchemaSpacePeer:
     def resume(self, scope):
         return nullcontext()
 
-    def fetch_mappings(self, schema, cancel=None):
-        self.pending[schema] = future = Future()
-        return future
+    def retrieve_many(self, keys, cancel=None):
+        self.reads.append(("retrieve", list(keys)))
+        read, answers = Future(), dict.fromkeys(keys)
+        unanswered = set(answers)
+
+        def answer(key):
+            answers[key] = [MappingRecord(m) for m in self.mappings
+                            if schema_key(m.source_schema) == key]
+            unanswered.discard(key)
+            if not unanswered:
+                read.set_result(answers)
+
+        for key in answers:
+            self.pending[key] = answer
+        return read
+
+    def read_many(self, op, groups, on_result, cancel=None):
+        self.reads.append((op, list(groups)))
+        for key, patterns in groups.items():
+            on_result(OpResult(key, True, values=[[] for _ in patterns]))
 
     def resolve_in(self, order):
-        """Answer pending reads, always the earliest in ``order`` next."""
+        """Answer pending keys, always the earliest schema of ``order``
+        (every schema the mappings name) next."""
         while self.pending:
-            schema = next(s for s in order if s in self.pending)
-            self.pending.pop(schema).set_result(
-                [m for m in self.mappings if m.source_schema == schema])
+            key = next(schema_key(s) for s in order
+                       if schema_key(s) in self.pending)
+            self.pending.pop(key)(key)
 
 
 class TestReformulateFirstArrival:
@@ -460,12 +491,9 @@ class TestReformulateFirstArrival:
         assert self.schemas(self.planned()) == list("ABCDEF")
         assert self.schemas(self.spawned("ABCDEF")) == list("ABCDEF")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "an online query keeps the hop count of its first-arriving path: "
-        "D#p arrives three hops out through C and E, the shorter path "
-        "through B is dropped as seen, and D is never extended to F "
-        "(ROADMAP item 11)"))
     def test_a_later_shorter_path_still_reaches_the_plan(self):
+        """C answering before B no longer matters: D is reached at
+        level two, through B, whatever the order keys answer in."""
         assert (self.schemas(self.spawned("ACEBDF"))
                 == self.schemas(self.planned()))
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.pgrid.overlay import PGridOverlay
 from repro.pgrid.peer import PGridPeer
-from repro.simnet.events import SimulationError
+from repro.simnet.events import CancelToken, SimulationError
 from repro.simnet.network import Message, SimNetwork
 from repro.util.hashing import uniform_hash
 from repro.util.keys import Key
@@ -157,6 +157,32 @@ class TestEmptyRead:
         assert (peer._tasks, peer._op_ids, answered) == ({}, ids, [])
         net.settle()
         assert peer.retrieve_many([]).result() == {}
+
+
+class TestCancelledRead:
+    def test_a_read_cancelled_before_it_is_sent_fails_every_key(self):
+        """A ``retrieve_many`` whose token fired first sends nothing,
+        registers no ledger and reads every key as failed (empty),
+        though each holds a value."""
+        overlay = PGridOverlay.build(8, seed=3)
+        origin = overlay.peer_ids()[0]
+        keys = [uniform_hash(f"cancelled-{i}") for i in range(4)]
+        for key in keys:
+            assert overlay.update_sync(origin, key, f"v-{key}").success
+        peer = overlay.peer(origin)
+        token = CancelToken()
+        token.cancel()
+        sent, ids = overlay.network.metrics.messages_sent, peer._op_ids
+        read = peer.retrieve_many(keys, cancel=token)
+        assert read.done
+        assert read.result() == {key: [] for key in keys}
+        assert (peer._tasks, peer._op_ids) == ({}, ids)
+        overlay.loop.run_until_idle()
+        assert overlay.network.metrics.messages_sent == sent
+        answered, messages = overlay.call("retrieve_many", keys,
+                                          origin=origin)
+        assert answered == {key: [f"v-{key}"] for key in keys}
+        assert messages > 0
 
 
 class TestOpResults:
