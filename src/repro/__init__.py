@@ -42,8 +42,8 @@ GridVine Peer Data Management System* (Cudré-Mauroux et al., VLDB
     multi-user query traffic.
 
 ``repro.stats`` / ``repro.optimizer``
-    The *statistics and optimizer layer*: every peer incrementally
-    summarizes its triple database into a compact versioned synopsis
+    The *statistics and optimizer layer*: every peer summarizes its
+    triple database on demand into a compact versioned synopsis
     (per-predicate counts, distinct values, a top-k value sketch,
     known mapping edges), disseminated for free by piggybacking on
     overlay maintenance traffic and merged with CRDT semantics.  A

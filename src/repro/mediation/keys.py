@@ -37,12 +37,22 @@ def triple_keys(triple: Triple, bits: int = DEFAULT_KEY_BITS) -> list[Key]:
 
 def group_by_key(triples: Iterable[Triple],
                  bits: int = DEFAULT_KEY_BITS) -> dict[Key, tuple[Triple, ...]]:
-    """Every triple under each of its keys, keys in first-occurrence
-    order: what one upload writes, as one split write."""
+    """Every triple under each of its keys (``triple_keys`` order),
+    keys in first-occurrence order: what one upload writes, as one
+    split write.  Each distinct term is hashed once per call; a triple
+    two of whose terms share a key lands under it twice."""
+    keys: dict[GroundTerm, Key] = {}
     groups: dict[Key, list[Triple]] = {}
     for triple in triples:
-        for key in triple_keys(triple, bits):
-            groups.setdefault(key, []).append(triple)
+        for term in (triple.subject, triple.predicate, triple.object):
+            key = keys.get(term)
+            if key is None:
+                key = keys[term] = term_key(term, bits)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [triple]
+            else:
+                group.append(triple)
     return {key: tuple(group) for key, group in groups.items()}
 
 

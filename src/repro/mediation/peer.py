@@ -161,16 +161,17 @@ class GridVinePeer(PGridPeer):
     def synopsis_digest(self) -> PeerSynopsis:
         """This peer's current statistics digest.
 
-        Combines the triple database's incrementally maintained
-        synopsis with the active mapping edges stored here; the
-        version is the sum of both monotone change counters, so any
-        local mutation makes the next digest win merges.
+        Counts the triple database's statistics in one pass over its
+        copy table (no index is built) and adds the active mapping
+        edges stored here; the version is the sum of both monotone
+        change counters, so any local mutation makes the next digest
+        win merges, and an unchanged version reuses the last digest.
         """
-        version = self.db.synopsis.version + self._mapping_stats_version
+        version = self.db.version + self._mapping_stats_version
         if (self._digest_cache is not None
                 and self._digest_cache[0] == version):
             return self._digest_cache[1]
-        digest = self.db.synopsis.digest(
+        digest = self.db.digest(
             self.node_id, version=version,
             mappings=mapping_edges(self.local_mappings.values()),
             path=self.path.bits,

@@ -3,8 +3,11 @@
 Every peer summarizes its local triple database into a compact
 :class:`~repro.stats.synopsis.PeerSynopsis` — per-predicate triple
 counts, distinct subject/object counts, a small top-k object-value
-sketch, plus the active mapping edges it stores.  Digests are
-versioned and merged with last-writer-wins-per-peer semantics
+sketch, plus the active mapping edges it stores.  A digest is counted
+on demand from the store's copy table
+(:func:`~repro.stats.synopsis.digest_triples`) and cached by the peer
+until its version moves; nothing is maintained per insert.  Digests
+are versioned and merged with last-writer-wins-per-peer semantics
 (commutative, idempotent, associative), so they can be disseminated by
 *piggybacking* on traffic the overlay sends anyway (maintenance probes
 and replica anti-entropy pushes — zero extra messages) and, under
@@ -21,7 +24,6 @@ from repro.stats.synopsis import (
     MappingEdge,
     PeerSynopsis,
     PredicateDigest,
-    StoreSynopsis,
     SynopsisRegistry,
 )
 
@@ -31,6 +33,5 @@ __all__ = [
     "PeerSynopsis",
     "PredicateDigest",
     "StatsAntiEntropy",
-    "StoreSynopsis",
     "SynopsisRegistry",
 ]

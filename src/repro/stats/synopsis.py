@@ -1,16 +1,13 @@
 """Per-peer data synopses and their merge semantics.
 
-Two layers:
-
-* :class:`StoreSynopsis` — the *builder* a
-  :class:`~repro.storage.triplestore.TripleStore` maintains
-  incrementally on every insert/delete.  It keeps exact per-predicate
-  value multisets (cheap at simulation scale) so deletions are the
-  precise inverse of insertions, and a monotone version counter.
-* :class:`PeerSynopsis` — the frozen, compact *digest* a peer
-  disseminates: per-predicate counts, distinct-value counts, a top-k
-  object-value sketch, and the active mapping edges stored at the
-  peer.
+A :class:`PeerSynopsis` is the frozen, compact *digest* a peer
+disseminates: per-predicate counts, distinct-value counts, a top-k
+object-value sketch, and the active mapping edges stored at the peer.
+:func:`digest_triples` counts it from a store's triples in one
+grouping pass, on demand — nothing is maintained on insert or delete,
+so a digest is a function of the stored set and a monotone version
+counter alone (``TripleStore.version`` plus the peer's mapping
+changes).
 
 Digests are merged per peer with a last-writer-wins rule keyed on the
 version counter (ties broken by total field order), which makes
@@ -21,7 +18,7 @@ associative** — any gossip schedule converges to the same registry.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 from repro.rdf.terms import URI
@@ -91,138 +88,55 @@ class PeerSynopsis:
         return None
 
 
-class _PredicateAccumulator:
-    """Exact per-predicate counters (builder side)."""
+def digest_triples(triples: Collection[Triple], peer_id: str, version: int,
+                   mappings: Iterable[MappingEdge] = (),
+                   path: str = "") -> PeerSynopsis:
+    """The digest of a store holding ``triples`` (distinct), in one
+    grouping pass: per predicate its triple count, distinct subject
+    and object values, and the :data:`DEFAULT_TOP_K` most common
+    object values.
 
-    __slots__ = ("triples", "subjects", "objects")
-
-    def __init__(self) -> None:
-        self.triples = 0
-        #: value string -> multiplicity
-        self.subjects: dict[str, int] = {}
-        self.objects: dict[str, int] = {}
-
-    def add(self, subject: str, obj: str) -> None:
-        self.triples += 1
-        self.subjects[subject] = self.subjects.get(subject, 0) + 1
-        self.objects[obj] = self.objects.get(obj, 0) + 1
-
-    def remove(self, subject: str, obj: str) -> None:
-        self.triples -= 1
-        for counter, value in ((self.subjects, subject),
-                               (self.objects, obj)):
-            left = counter.get(value, 0) - 1
-            if left > 0:
-                counter[value] = left
-            else:
-                counter.pop(value, None)
-
-    def digest(self, predicate: str, top_k: int) -> PredicateDigest:
-        ranked = sorted(self.objects.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return PredicateDigest(
-            predicate=predicate,
-            triples=self.triples,
-            distinct_subjects=len(self.subjects),
-            distinct_objects=len(self.objects),
-            top_objects=tuple(ranked[:top_k]),
-        )
-
-
-class StoreSynopsis:
-    """Incrementally maintained statistics of one triple store.
-
-    :meth:`add` and :meth:`remove` are exact inverses: removing a
-    previously added triple restores the prior digest bit for bit
-    (the version counter still advances — versions record mutation
-    *history*, not state).  :meth:`add` takes a group of triples, so a
-    store updates its synopsis once per applied key group; the group
-    leaves the same state and version as its triples added one by
-    one.
+    Values are counted by their strings, so a URI and a literal with
+    the same text count as one value.  The digest depends on the set
+    of triples only, not on their order.
 
     >>> from repro.rdf.terms import URI, Literal
-    >>> s = StoreSynopsis()
-    >>> s.add(Triple(URI("a"), URI("S#p"), Literal("x")))
-    >>> s.digest(peer_id="n0").predicate("S#p").triples
+    >>> t = Triple(URI("a"), URI("S#p"), Literal("x"))
+    >>> digest_triples([t], "n0", version=1).predicate("S#p").triples
     1
     """
-
-    def __init__(self) -> None:
-        #: bumped on every mutation; feeds the digest version
-        self.version = 0
-        self._by_predicate: dict[str, _PredicateAccumulator] = {}
-        self._triples = 0
-
-    # -- mutation ------------------------------------------------------
-
-    def add(self, *triples: Triple) -> None:
-        """Account for inserted triples — a store's first copies from
-        one key group, in one call; ``add(t)`` is the one-element
-        group.  The version advances once per triple, as it would
-        one triple at a time."""
-        self.version += len(triples)
-        self._triples += len(triples)
-        by_predicate = self._by_predicate
-        for triple in triples:
-            predicate = triple.predicate.value
-            acc = by_predicate.get(predicate)
-            if acc is None:
-                acc = by_predicate[predicate] = _PredicateAccumulator()
-            # Inlined ``acc.add(...)``: this runs once per stored
-            # triple per replica on every deployment build.
-            acc.triples += 1
-            subject = triple.subject.value
-            subjects = acc.subjects
-            subjects[subject] = subjects.get(subject, 0) + 1
-            obj = triple.object.value
-            objects = acc.objects
-            objects[obj] = objects.get(obj, 0) + 1
-
-    def remove(self, triple: Triple) -> None:
-        """Account for one deleted triple (inverse of :meth:`add`)."""
-        self.version += 1
-        self._triples -= 1
-        predicate = triple.predicate.value
-        acc = self._by_predicate.get(predicate)
-        if acc is None:
-            return
-        acc.remove(triple.subject.value, triple.object.value)
-        if acc.triples <= 0:
-            del self._by_predicate[predicate]
-
-    def clear(self) -> None:
-        """Forget everything (store was cleared)."""
-        self.version += 1
-        self._triples = 0
-        self._by_predicate.clear()
-
-    # -- digesting -----------------------------------------------------
-
-    def count(self) -> int:
-        """Number of accounted triples."""
-        return self._triples
-
-    def digest(self, peer_id: str, version: int | None = None,
-               mappings: Iterable[MappingEdge] = (),
-               top_k: int = DEFAULT_TOP_K,
-               path: str = "") -> PeerSynopsis:
-        """Freeze the current state into a disseminable digest.
-
-        ``version`` defaults to the builder's own counter; peers that
-        fold additional state into the digest (mapping edges, their
-        trie ``path``) pass a combined monotone version instead.
-        """
-        return PeerSynopsis(
-            peer_id=peer_id,
-            version=self.version if version is None else version,
-            triples=self._triples,
-            predicates=tuple(
-                acc.digest(predicate, top_k)
-                for predicate, acc in sorted(self._by_predicate.items())
-            ),
-            mappings=tuple(sorted(mappings)),
-            path=path,
-        )
+    # Predicates are interned URIs, one per value: grouping by the
+    # term groups by its value.  Per predicate: its subject values and
+    # a count per object value.
+    by_predicate: dict[URI, tuple[set[str], dict[str, int]]] = {}
+    for triple in triples:
+        predicate = triple.predicate
+        entry = by_predicate.get(predicate)
+        if entry is None:
+            entry = by_predicate[predicate] = (set(), {})
+        entry[0].add(triple.subject.value)
+        objects = entry[1]
+        value = triple.object.value
+        objects[value] = objects.get(value, 0) + 1
+    predicates = []
+    for predicate, (subjects, objects) in sorted(
+            by_predicate.items(), key=lambda item: item[0].value):
+        ranked = sorted(objects.items(), key=lambda item: (-item[1], item[0]))
+        predicates.append(PredicateDigest(
+            predicate=predicate.value,
+            triples=sum(objects.values()),
+            distinct_subjects=len(subjects),
+            distinct_objects=len(objects),
+            top_objects=tuple(ranked[:DEFAULT_TOP_K]),
+        ))
+    return PeerSynopsis(
+        peer_id=peer_id,
+        version=version,
+        triples=len(triples),
+        predicates=tuple(predicates),
+        mappings=tuple(sorted(mappings)),
+        path=path,
+    )
 
 
 def mapping_edges(mappings: Iterable) -> list[MappingEdge]:

@@ -3,9 +3,17 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mapping.model import PredicateCorrespondence, SchemaMapping
-from repro.mediation.keys import domain_key, schema_key, term_key, triple_keys
+from repro.mediation.keys import (
+    domain_key,
+    group_by_key,
+    schema_key,
+    term_key,
+    triple_keys,
+)
 from repro.mediation.records import (
     ConnectivityRecord,
     IncomingMappingRecord,
@@ -13,7 +21,8 @@ from repro.mediation.records import (
 )
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.util.hashing import order_preserving_hash
+from repro.util.hashing import DEFAULT_KEY_BITS, order_preserving_hash
+from strategies import STANDARD_SETTINGS, corpora
 
 
 def sample_mapping():
@@ -74,6 +83,22 @@ class TestKeys:
 
     def test_domain_key(self):
         assert domain_key("bio") == order_preserving_hash("bio")
+
+    @given(triples=corpora(), bits=st.sampled_from([2, 6, DEFAULT_KEY_BITS]))
+    @STANDARD_SETTINGS
+    def test_group_by_key_equals_per_triple_keys(self, triples, bits):
+        """Hashing each distinct term once changes nothing: the same
+        keys in the same order, each with the same triples in the same
+        order.  Narrow keys make distinct terms collide, so a triple
+        lands twice (or three times) under one key."""
+        reference = {}
+        for triple in triples:
+            for key in triple_keys(triple, bits):
+                reference.setdefault(key, []).append(triple)
+        grouped = group_by_key(triples, bits)
+        assert list(grouped) == list(reference)
+        assert [list(group) for group in grouped.values()] == list(
+            reference.values())
 
     def test_key_width_parameter(self):
         assert len(schema_key("EMBL", bits=16)) == 16

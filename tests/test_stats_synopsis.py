@@ -10,6 +10,7 @@ checked against the digest-by-digest definitions they replace, and
 the unit tests cover the cardinality estimator's sketch arithmetic.
 """
 
+from collections import Counter
 from itertools import cycle
 
 from hypothesis import given
@@ -22,9 +23,9 @@ from repro.stats.estimator import CardinalityEstimator
 from repro.stats.synopsis import (
     PeerSynopsis,
     PredicateDigest,
-    StoreSynopsis,
     SynopsisRegistry,
 )
+from repro.storage.triplestore import TripleStore
 from repro.util.keys import Key
 from strategies import (
     OWN_ID,
@@ -204,27 +205,34 @@ class TestGossipEqualsReference:
 
 
 class TestStoreSynopsisInverse:
+    """A :class:`TripleStore`'s digest, counted from its copy table:
+    a removal restores the prior digest, the digest is the recount of
+    the stored triples, and the version rises as the store is written.
+    """
+
     @given(ts=st.lists(triples, max_size=12), extra=triples)
     @STANDARD_SETTINGS
     def test_insert_delete_inverse(self, ts, extra):
-        synopsis = StoreSynopsis()
+        store = TripleStore()
         for t in ts:
-            synopsis.add(t)
-        before = synopsis.digest("n0", version=0)
-        synopsis.add(extra)
-        synopsis.remove(extra)
-        assert synopsis.digest("n0", version=0) == before
+            store.add(t)
+        before = store.digest("n0", version=0)
+        store.add(extra)
+        store.remove(extra)
+        # ``extra`` may have been stored already: then it keeps a copy
+        assert store.digest("n0", version=0) == before
 
     @given(ts=st.lists(triples, max_size=12))
     @STANDARD_SETTINGS
     def test_digest_matches_recount(self, ts):
-        synopsis = StoreSynopsis()
+        store = TripleStore()
         for t in ts:
-            synopsis.add(t)
-        digest = synopsis.digest("n0", version=0)
+            store.add(t)
+        digest = store.digest("n0", version=0)
         by_predicate = {}
-        for t in ts:
+        for t in set(ts):
             by_predicate.setdefault(t.predicate.value, []).append(t)
+        assert digest.triples == len(set(ts))
         assert len(digest.predicates) == len(by_predicate)
         for entry in digest.predicates:
             bucket = by_predicate[entry.predicate]
@@ -233,38 +241,43 @@ class TestStoreSynopsisInverse:
                 {t.subject.value for t in bucket})
             assert entry.distinct_objects == len(
                 {t.object.value for t in bucket})
+            counts = Counter(t.object.value for t in bucket)
+            assert list(entry.top_objects) == sorted(
+                counts.items(), key=lambda item: (-item[1], item[0]))[:4]
 
     @given(script=key_group_scripts())
     @STANDARD_SETTINGS
     def test_group_add_equals_one_at_a_time(self, script):
-        """A key group accounted in one ``add(*group)`` call leaves the
+        """A key group stored in one ``add(*group)`` call leaves the
         same version and digest as its triples added one by one, with
-        removes (of triples accounted and not yet removed) between."""
-        grouped, single = StoreSynopsis(), StoreSynopsis()
-        held = []
+        removes (stored or not) between."""
+        grouped, single = TripleStore(), TripleStore()
         for action, arg in script:
             if action == "add":
                 grouped.add(*arg)
                 for t in arg:
                     single.add(t)
-                held += arg
-            elif arg in held:
-                held.remove(arg)
-                grouped.remove(arg)
-                single.remove(arg)
+            else:
+                assert grouped.remove(arg) == single.remove(arg)
             assert grouped.version == single.version
             assert grouped.digest("n0") == single.digest("n0")
 
     def test_version_monotone(self):
         from repro.rdf.triples import Triple
 
-        synopsis = StoreSynopsis()
+        store = TripleStore()
         t = Triple(URI("a"), URI("S#p"), Literal("v"))
-        v0 = synopsis.version
-        synopsis.add(t)
-        v1 = synopsis.version
-        synopsis.remove(t)
-        assert v0 < v1 < synopsis.version
+        v0 = store.version
+        store.add(t)
+        v1 = store.version
+        store.add(t)  # a second copy changes nothing stored
+        assert store.version == v1
+        store.remove(t)
+        assert store.version == v1
+        store.remove(t)
+        v2 = store.version
+        store.clear()
+        assert v0 < v1 < v2 < store.version
 
 
 def _estimator(*digests):

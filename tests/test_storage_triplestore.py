@@ -54,7 +54,7 @@ class TestMutation:
         assert store.count() == 2
         assert store.match(TriplePattern(URI("s"), URI("p"),
                                          Variable("z"))) == [(Literal("o"),)]
-        assert store.synopsis.version == 2  # untouched by the extra copy
+        assert store.version == 2  # untouched by the extra copy
         assert store.remove(t("s", "p", "o")) is True
         assert t("s", "p", "o") not in store
         assert store.by_position(Position.PREDICATE, URI("p")) == set()
@@ -86,6 +86,29 @@ class TestIndexes:
         assert len(s.by_position(Position.SUBJECT, URI("s1"))) == 1
         assert s.by_position(Position.OBJECT, Literal("o1")) == {
             t("s1", "p", "o1")}
+
+    def test_a_store_never_probed_builds_no_index(self):
+        # Writes, removals and digests only count: no positional index
+        # exists until a probe needs its position.
+        s = make_store(t("s1", "p", "o1"), t("s2", "p", "o2"))
+        s.add(t("s1", "p", "o1"), t("s3", "q", "o1"))
+        s.remove(t("s2", "p", "o2"))
+        assert s.digest("n0").triples == 2
+        assert s.count() == 2 and s.all_triples()
+        assert s._index == {}
+
+    def test_a_probe_builds_only_the_positions_it_needs(self):
+        s = make_store(t("s1", "p", "o1"), t("s2", "p", "o2"))
+        s.match(TriplePattern(Variable("x"), URI("p"), Variable("z")))
+        assert list(s._index) == [Position.PREDICATE]
+        # A write after the build keeps the built position up to date.
+        s.add(t("s3", "p", "o3"))
+        assert s.match(TriplePattern(Variable("x"), URI("p"),
+                                     Variable("z"))) == [
+            (URI("s1"), Literal("o1")), (URI("s2"), Literal("o2")),
+            (URI("s3"), Literal("o3"))]
+        s.by_position(Position.OBJECT, Literal("o1"))
+        assert list(s._index) == [Position.PREDICATE, Position.OBJECT]
 
 
 def match_views(store, pattern):
