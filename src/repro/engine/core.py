@@ -18,7 +18,9 @@ pieces of state:
 ``search_for`` / ``execute_batch`` then answer queries without ever
 re-fetching mapping records or re-running BFS planning for a query
 shape the engine has seen before, and a batch dedupes its overlay
-pattern lookups across all member queries.
+pattern lookups across all member queries.  A batch runs exactly the
+plans the cache holds: the engine consults no statistics (cost-based
+decisions belong to ``strategy="auto"``).
 
 The mirror reflects *issued* operations immediately (the simulator's
 issuing order is deterministic), so a freshly inserted mapping is
@@ -39,14 +41,9 @@ from repro.exec.plans import check_limit, check_max_hops
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import SchemaMapping
 from repro.mediation.query import QueryOutcome
-from repro.optimizer.core import PlanDecision
 from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery
-from repro.reformulation.planner import (
-    Reformulation,
-    plan_reformulations,
-    prune_reformulations,
-)
+from repro.reformulation.planner import Reformulation, plan_reformulations
 from repro.util.stats import ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -59,15 +56,13 @@ class EngineStats(BatchFetchStats):
     Every batch's :class:`~repro.engine.executor.BatchFetchStats`
     summed (``stats.add(fetch_stats)``), plus: ``planner_invocations``
     (times the BFS planner actually ran, i.e. plan-cache misses),
-    ``queries_executed`` / ``batches_executed``, ``messages`` (network
-    messages attributed to engine execution) and
-    ``reformulations_pruned`` (dropped by cost-based pruning,
-    ``optimize=True``).  ``cache`` is the plan cache's own bag,
-    reported nested.
+    ``queries_executed`` / ``batches_executed`` and ``messages``
+    (network messages attributed to engine execution).  ``cache`` is
+    the plan cache's own bag, reported nested.
     """
 
     _lifetime = ("planner_invocations", "queries_executed",
-                 "batches_executed", "messages", "reformulations_pruned")
+                 "batches_executed", "messages")
     _fields = BatchFetchStats._fields + _lifetime
     _derived = ("lookups_saved", "dedup_rate")
     #: an attribute only: committed reports pin the snapshot's key set
@@ -125,27 +120,15 @@ class QueryEngine:
         ``GridVineNetwork.search_for``).
     cache_capacity:
         Plan-cache size; ``0`` disables caching (cold baseline).
-    optimize:
-        When True, plans are pruned by the origin peer's cost-based
-        optimizer at execution time (reformulations with zero expected
-        yield are never fetched — the message saving) and each
-        reformulation's hash join folds its inputs in
-        estimated-cardinality order (an intermediate-result-size
-        saving; the shared-scan fetch set is unchanged).  Cached plans
-        stay unpruned, so statistics arriving later sharpen execution
-        without re-planning.  Defaults to False (bit-identical to the
-        historical executor).
     """
 
     def __init__(self, network: "GridVineNetwork",
                  domain: str | None = None,
                  max_hops: int = 5,
-                 cache_capacity: int = 256,
-                 optimize: bool = False) -> None:
+                 cache_capacity: int = 256) -> None:
         check_max_hops(max_hops)
         self.network = network
         self.max_hops = max_hops
-        self.optimize = optimize
         self.clock = MappingVersionClock()
         self.cache = PlanCache(self.clock, capacity=cache_capacity)
         self.graph = MappingGraph()
@@ -247,38 +230,13 @@ class QueryEngine:
         ]
         plans = [self.plan(q, max_hops) for q in parsed]
         peer = self.network._origin(origin)
-        optimizer = peer.optimizer if self.optimize else None
-        pruned_counts = [0] * len(plans)
-        if optimizer is not None:
-            executable: list[list[Reformulation]] = []
-            for index, plan in enumerate(plans):
-                kept, pruned = prune_reformulations(
-                    plan, optimizer.reformulation_yield,
-                    optimizer.min_expected_yield,
-                )
-                executable.append(kept)
-                pruned_counts[index] = pruned
-            plans = executable
         # The transport-coupled half (operation tagging, tracing,
         # driving the loop) is the network's ``run_batch``: one
         # attributed submission on whichever engine it runs on.
         outcomes, fetch_stats, messages = self.network.run_batch(
-            peer, parsed, plans, limit=limit, optimizer=optimizer,
-        )
+            peer, parsed, plans, limit=limit)
         if len(outcomes) == 1:
             outcomes[0].messages = messages
-        if optimizer is not None:
-            for outcome, parsed_query, pruned in zip(outcomes, parsed,
-                                                     pruned_counts):
-                outcome.decision = PlanDecision(
-                    requested="engine", strategy="engine",
-                    fallback=not optimizer.has_statistics(parsed_query),
-                    known_peers=optimizer.estimator.known_peers(),
-                    reformulations_pruned=pruned,
-                    estimated_rows=optimizer.estimator.query_cardinality(
-                        parsed_query),
-                )
-            self.stats.reformulations_pruned += sum(pruned_counts)
         self.stats.batches_executed += 1
         self.stats.queries_executed += len(parsed)
         self.stats.messages += messages

@@ -166,7 +166,6 @@ def execute_batch(
     queries: list[ConjunctiveQuery],
     plans: list[list[Reformulation]],
     limit: int | None = None,
-    optimizer=None,
 ) -> Future:
     """Run a batch of planned queries from ``peer``.
 
@@ -177,14 +176,6 @@ def execute_batch(
     as the iterative strategy would have produced.  ``limit`` (when
     given) caps every query's distinct result rows and enables
     wave-staged fetching with cooperative early stop.
-
-    ``optimizer`` (a :class:`~repro.optimizer.core.QueryOptimizer`,
-    passed by engines running with ``optimize=True``) orders each
-    reformulation's *join inputs* by estimated cardinality — the
-    shared scans still fetch the same pattern set (message count is
-    unchanged), but each answer folds its join most-selective-first,
-    keeping intermediate binding sets small.  Without one the historical
-    pattern order applies.
     """
     if len(queries) != len(plans):
         raise ValueError("one plan per query required")
@@ -238,23 +229,14 @@ def execute_batch(
     tails: list = []
     for query_index, plan in enumerate(plans):
         collect = collects[query_index]
-        # A plan is in BFS order, so its waves are its runs of equal
-        # ``hops`` (a pruned plan may skip a hop count: waves count
-        # the runs, not the hops).
-        wave, hops = -1, None
         for reformulation in plan:
-            if reformulation.hops != hops:
-                wave, hops = wave + 1, reformulation.hops
+            # A plan is in BFS order: its waves are its hop counts.
+            wave = reformulation.hops
             query = reformulation.query
             wiring = wirings.get(query)
             if wiring is None:
-                patterns = query.patterns
-                if optimizer is not None:
-                    ordered = optimizer.scan_order(query)
-                    if ordered is not None:
-                        patterns = ordered
                 slots = []
-                for pattern in patterns:
+                for pattern in query.patterns:
                     canonical, inverse = canonicalize_pattern(pattern)
                     index = fetch_index.get(canonical)
                     if index is None:

@@ -42,7 +42,6 @@ from repro.rdf.parser import parse_search_for
 from repro.rdf.patterns import ConjunctiveQuery
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
-from repro.simnet.events import SimulationError
 from repro.simnet.latency import LatencyModel
 from repro.util.keys import Key
 
@@ -81,8 +80,7 @@ class GridVineNetwork(PGridOverlay):
     but the engine surface and work on every engine.  One caveat
     survives: under ``mode="process"`` the controller's peers are
     pre-fork copies, so mapping-event hooks fire in the worker and
-    peer state read here (diagnostics, ``optimize=True`` engines) is
-    the pre-fork state.
+    peer state read here (diagnostics) is the pre-fork state.
     """
 
     def __init__(self, engine: Any,
@@ -120,7 +118,6 @@ class GridVineNetwork(PGridOverlay):
         key_sample: Sequence[Key] | None = None,
         replication: int = 1,
         refs_per_level: int = 2,
-        key_bits: int = 128,
         latency: LatencyModel | None = None,
         seed: int = 0,
         timeout: float = 15.0,
@@ -139,8 +136,7 @@ class GridVineNetwork(PGridOverlay):
                 max_retries=max_retries, query_timeout=query_timeout,
                 failover=failover),
             key_sample=key_sample, replication=replication,
-            refs_per_level=refs_per_level, key_bits=key_bits,
-            latency=latency, seed=seed,
+            refs_per_level=refs_per_level, latency=latency, seed=seed,
         )
         return cls(engine, peers, rng,
                    failover=failover, refs_per_level=refs_per_level)
@@ -187,21 +183,17 @@ class GridVineNetwork(PGridOverlay):
 
     def create_engine(self, domain: str | None = None,
                       max_hops: int = 5,
-                      cache_capacity: int = 256,
-                      optimize: bool = False):
+                      cache_capacity: int = 256):
         """A new :class:`~repro.engine.core.QueryEngine` bound to this
         deployment (plan caching + batched execution).
 
         Pass ``domain`` to backfill the engine's mapping-graph mirror
         from the overlay when mappings were already inserted; engines
         created before any mapping stay in sync automatically.
-        ``optimize=True`` enables cost-based reformulation pruning and
-        scan ordering from propagated statistics.
         """
         from repro.engine.core import QueryEngine
         engine = QueryEngine(self, domain=domain, max_hops=max_hops,
-                             cache_capacity=cache_capacity,
-                             optimize=optimize)
+                             cache_capacity=cache_capacity)
         registry = self.registry
         name = "engine"
         if name in registry.view_names():
@@ -319,25 +311,20 @@ class GridVineNetwork(PGridOverlay):
         outcome.messages = messages
         return outcome
 
-    def run_batch(self, peer, queries, plans, limit: int | None = None,
-                  optimizer=None):
+    def run_batch(self, peer, queries, plans, limit: int | None = None):
         """Run a pre-planned engine batch where ``peer`` lives.
 
         The transport seam under
         :meth:`repro.engine.core.QueryEngine.execute_batch`: the
-        engine owns planning (its mapping-graph mirror, plan cache and
-        pruning); the planned batch crosses into the deployment as one
+        engine owns planning (its mapping-graph mirror and plan
+        cache); the planned batch crosses into the deployment as one
         attributed ``execute_planned_batch`` submission, concurrent
         with whatever else is already submitted.
 
         Returns ``(outcomes, fetch_stats, messages)``.
         """
-        if optimizer is not None and self.engine.mode == "process":
-            raise SimulationError(
-                "cost-based optimization needs peer-side state and is "
-                "not available across a process boundary")
         (outcomes, fetch_stats), messages = self.call(
-            "execute_planned_batch", queries, plans, limit, optimizer,
+            "execute_planned_batch", queries, plans, limit,
             origin=peer.node_id)
         return outcomes, fetch_stats, messages
 

@@ -149,9 +149,8 @@ class GridVinePeer(PGridPeer):
     def optimizer(self) -> QueryOptimizer:
         """Cost-based query optimizer over the peer's synopsis
         registry (built, like it, on first use); consulted by
-        ``strategy="auto"`` and by engines executing with
-        ``optimize=True`` (static strategies keep their historical
-        behaviour bit for bit)."""
+        ``strategy="auto"`` only (static strategies and engine batches
+        keep their historical behaviour bit for bit)."""
         return QueryOptimizer(self)
 
     # ------------------------------------------------------------------
@@ -321,8 +320,7 @@ class GridVinePeer(PGridPeer):
 
     def execute_planned_batch(self, queries: list[ConjunctiveQuery],
                               plans: list[list[Any]],
-                              limit: int | None = None,
-                              optimizer: Any = None) -> Future:
+                              limit: int | None = None) -> Future:
         """Run a pre-planned query batch from this peer.
 
         The transport-boundary twin of
@@ -338,8 +336,7 @@ class GridVinePeer(PGridPeer):
         """
         from repro.engine.executor import execute_batch
 
-        return execute_batch(self, queries, plans, limit=limit,
-                             optimizer=optimizer)
+        return execute_batch(self, queries, plans, limit=limit)
 
     # -- data-layer execution ------------------------------------------
 

@@ -52,11 +52,12 @@ class QueryOutcome:
     fetches_skipped: int = 0
     #: per-operator row/fetch counters, in plan order
     operator_stats: list = field(default_factory=list)
-    # -- optimizer record (strategy="auto" / optimizing engines) -------
+    # -- optimizer record (strategy="auto") ----------------------------
     #: the :class:`~repro.optimizer.core.PlanDecision` behind this
     #: execution — chosen strategy, join mode, scan order, pruning and
     #: the estimated rows/messages to compare against the measured
-    #: ``result_count`` / ``messages`` (``None`` on static paths)
+    #: ``result_count`` / ``messages`` (``None`` on static strategies
+    #: and engine batches)
     decision: object | None = None
 
     def record(self, produced_by: ConjunctiveQuery,

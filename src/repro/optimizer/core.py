@@ -4,20 +4,16 @@
 :class:`~repro.mediation.peer.GridVinePeer` and reads the peer's
 synopsis registry (filled by piggybacked gossip, see
 :mod:`repro.stats.gossip`) plus the peer's own fresh digest.  It is
-consulted on two paths:
+consulted on one path, ``strategy="auto"`` queries:
+:meth:`choose_strategy` picks the execution strategy, join mode and
+scan order, and the resulting :class:`PlanDecision` rides on the
+pipeline context so the plan builders (:mod:`repro.exec.plans`) apply
+it, live reformulation pruning (:meth:`keep_reformulation`) included.
 
-* ``strategy="auto"`` queries — :meth:`choose_strategy` picks the
-  execution strategy, join mode and scan order, and the resulting
-  :class:`PlanDecision` rides on the pipeline context so the plan
-  builders (:mod:`repro.exec.plans`) apply it;
-* engines running with ``optimize=True`` — reformulation plans are
-  pruned by expected yield and per-reformulation scan order is
-  cost-based (:mod:`repro.engine`).
-
-Static strategies never consult the optimizer, and with no statistics
-propagated yet every method returns its explicit fallback
-(``None`` / ``fallback=True``), reproducing the historical
-``selectivity_rank`` behaviour bit for bit.
+Static strategies and engine batches never consult the optimizer,
+and with no statistics propagated yet every method returns its
+explicit fallback (``None`` / ``fallback=True``), reproducing the
+historical ``selectivity_rank`` behaviour bit for bit.
 """
 
 from __future__ import annotations
@@ -31,21 +27,19 @@ from repro.stats.estimator import CardinalityEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.mediation.peer import GridVinePeer
-    from repro.reformulation.planner import Reformulation
 
 
 @dataclass
 class PlanDecision:
-    """One query's optimizer verdict, recorded on its outcome.
+    """One ``strategy="auto"`` query's optimizer verdict, recorded on
+    its outcome.
 
-    ``strategy`` is what actually executed (for ``auto`` queries the
-    per-query pick); ``estimated_rows`` / ``estimated_messages`` are
-    the model's predictions, to be compared against the outcome's
-    measured ``result_count`` / ``messages``.
+    ``strategy`` is the per-query pick that executed;
+    ``estimated_rows`` / ``estimated_messages`` are the model's
+    predictions, to be compared against the outcome's measured
+    ``result_count`` / ``messages``.
     """
 
-    #: what the caller asked for (``"auto"`` / ``"engine"``)
-    requested: str
     #: the strategy the optimizer resolved to
     strategy: str
     #: per-query join-mode override (``None`` = peer default)
@@ -205,13 +199,6 @@ class QueryOptimizer:
         expected = self.expected_yield(query, confidence)
         return expected is None or expected > self.min_expected_yield
 
-    def reformulation_yield(self, reformulation: "Reformulation"
-                            ) -> float | None:
-        """Expected yield of a planned reformulation (path-weakest
-        confidence × estimated target cardinality)."""
-        return self.expected_yield(reformulation.query,
-                                   reformulation.min_confidence)
-
     # ------------------------------------------------------------------
     # Strategy choice (strategy="auto")
     # ------------------------------------------------------------------
@@ -271,7 +258,7 @@ class QueryOptimizer:
 
         if not self.has_statistics(query):
             return PlanDecision(
-                requested="auto", strategy="iterative", fallback=True,
+                strategy="iterative", fallback=True,
                 reason="no statistics propagated yet; static iterative",
             )
         estimator = self.estimator
@@ -285,7 +272,7 @@ class QueryOptimizer:
         join = self.join_plan(query)
         join_mode = join[1] if join is not None else None
         decision = PlanDecision(
-            requested="auto", strategy="local",
+            strategy="local",
             join_mode=join_mode,
             known_peers=estimator.known_peers(),
             pattern_order=tuple(str(p) for p in order),

@@ -42,7 +42,6 @@ def build_overlay(
     key_sample: Sequence[Key] | None = None,
     replication: int = 1,
     refs_per_level: int = 2,
-    key_bits: int = 128,
     latency: LatencyModel | None = None,
     seed: int = 0,
 ) -> tuple[SingleLoopEngine, dict[str, Any], random.Random]:
@@ -61,7 +60,7 @@ def build_overlay(
     engine = SingleLoopEngine(latency=latency, seed=seed)
     assignment = assign_paths(
         num_peers, key_sample=key_sample, replication=replication,
-        key_bits=key_bits, rng=random.Random(f"{seed}/paths"))
+        rng=random.Random(f"{seed}/paths"))
     peers: dict[str, Any] = {}
     for node_id, path in sorted(assignment.items()):
         peer = peers[node_id] = make_peer(
@@ -107,7 +106,6 @@ class PGridOverlay:
         key_sample: Sequence[Key] | None = None,
         replication: int = 1,
         refs_per_level: int = 2,
-        key_bits: int = 128,
         latency: LatencyModel | None = None,
         seed: int = 0,
         timeout: float = 15.0,
@@ -125,8 +123,7 @@ class PGridOverlay:
                 node_id, path, rng=rng, timeout=timeout,
                 max_retries=max_retries),
             key_sample=key_sample, replication=replication,
-            refs_per_level=refs_per_level, key_bits=key_bits,
-            latency=latency, seed=seed,
+            refs_per_level=refs_per_level, latency=latency, seed=seed,
         ))
 
     # ------------------------------------------------------------------

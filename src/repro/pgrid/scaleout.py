@@ -146,11 +146,16 @@ class ScaleoutSpec:
                     f"got {getattr(self, name)!r}")
         for name, least in (("num_peers", 1), ("num_shards", 1),
                             ("num_keys", 1), ("num_waves", 0),
-                            ("ops_per_wave", 0)):
+                            ("ops_per_wave", 0), ("batch_queries", 0),
+                            ("query_max_hops", 0)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be >= {least}, "
                     f"got {getattr(self, name)!r}")
+        if self.query_limit is not None and self.query_limit < 1:
+            raise ValueError(
+                "ScaleoutSpec.query_limit must be None or >= 1, "
+                f"got {self.query_limit!r}")
 
 
 @dataclass

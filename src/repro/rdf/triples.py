@@ -79,7 +79,7 @@ class Triple:
     def __reduce__(self):
         # Constructor round-trip: unpickling and copying re-intern
         # (triples cross sharded worker pipes inside overlay messages).
-        return (Triple, (self.subject, self.predicate, self.object))
+        return (Triple, self.as_tuple())
 
     def at(self, position: Position) -> GroundTerm:
         """The term at ``position``."""
@@ -93,8 +93,15 @@ class Triple:
         """``(subject, predicate, object)`` as a plain tuple."""
         return (self.subject, self.predicate, self.object)
 
+    def sort_key(self) -> tuple:
+        """``(rank, value)`` of subject, predicate and object, flat:
+        the terms' order as one tuple, so a sort keyed on it compares
+        in C."""
+        s, p, o = self.subject, self.predicate, self.object
+        return (s._order, s.value, p._order, p.value, o._order, o.value)
+
     def __lt__(self, other: "Triple") -> bool:
-        return self.as_tuple() < other.as_tuple()
+        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
         return f"Triple({self.subject!r}, {self.predicate!r}, {self.object!r})"

@@ -115,37 +115,3 @@ def plan_reformulations(
         planned += frontier
     return planned
 
-
-def prune_reformulations(
-    plan: list[Reformulation],
-    expected_yield,
-    min_expected_yield: float = 0.0,
-) -> tuple[list[Reformulation], int]:
-    """Drop reformulations whose expected yield is too low.
-
-    ``expected_yield`` maps a :class:`Reformulation` to the optimizer's
-    ``confidence × estimated target cardinality`` (see
-    :meth:`repro.optimizer.core.QueryOptimizer.reformulation_yield`),
-    or ``None`` when the statistics cannot estimate it.  The original
-    query (``hops == 0``) and unestimable reformulations are always
-    kept — pruning on ignorance would silently lose results.  Returns
-    ``(kept, pruned_count)`` with plan order preserved.
-
-    >>> from repro.rdf.parser import parse_search_for
-    >>> q = parse_search_for("SearchFor(x? : (x?, A#p, v))")
-    >>> plan = plan_reformulations(q, MappingGraph())
-    >>> prune_reformulations(plan, lambda r: 0.0)[0] == plan
-    True
-    """
-    kept: list[Reformulation] = []
-    pruned = 0
-    for reformulation in plan:
-        if reformulation.hops == 0:
-            kept.append(reformulation)
-            continue
-        expected = expected_yield(reformulation)
-        if expected is None or expected > min_expected_yield:
-            kept.append(reformulation)
-        else:
-            pruned += 1
-    return kept, pruned

@@ -220,14 +220,14 @@ class SelfOrganizationController:
             plans_invalidated=plans_invalidated,
         )
 
-    def run(self, max_rounds: int = 10,
-            stop_when_connected: bool = True) -> list[RoundReport]:
-        """Run rounds until connected (ci >= 0) or the budget runs out."""
+    def run(self, max_rounds: int = 10) -> list[RoundReport]:
+        """Run rounds until connected (ci >= 0) with nothing created
+        or deprecated, or until the budget runs out."""
         reports: list[RoundReport] = []
         for _ in range(max_rounds):
             report = self.step()
             reports.append(report)
-            if (stop_when_connected and report.ci_after >= 0.0
+            if (report.ci_after >= 0.0
                     and not report.created and not report.deprecated):
                 break
         return reports

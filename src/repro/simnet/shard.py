@@ -492,7 +492,6 @@ class SingleLoopEngine(_Engine):
     """
 
     num_shards = 1
-    mode = "inline"
 
     def __init__(self, latency: LatencyModel | None = None,
                  seed: int = 0) -> None:

@@ -180,7 +180,7 @@ class TripleStore:
 
     def all_triples(self) -> list[Triple]:
         """All triples, sorted for deterministic output."""
-        return sorted(self._copies)
+        return sorted(self._copies, key=Triple.sort_key)
 
     def by_position(self, position: Position, term: GroundTerm) -> set[Triple]:
         """Index probe: triples whose ``position`` equals ``term``."""
@@ -218,10 +218,10 @@ class TripleStore:
             if best is None or len(bucket) < len(best):
                 best, best_pos, best_term = bucket, pos, term
         if best is None:
-            return sorted(self._copies)
+            return sorted(self._copies, key=Triple.sort_key)
         unsorted_ = self._unsorted[best_pos]
         if best_term in unsorted_:
-            best.sort()
+            best.sort(key=Triple.sort_key)
             unsorted_.discard(best_term)
         return best
 

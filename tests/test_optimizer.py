@@ -19,10 +19,6 @@ from repro.mediation.peer import GridVinePeer
 from repro.pgrid.maintenance import MaintenanceProcess
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.rdf.terms import URI, Variable
-from repro.reformulation.planner import (
-    Reformulation,
-    prune_reformulations,
-)
 from repro.schema.model import Schema
 from repro.stats.synopsis import MappingEdge, PeerSynopsis, PredicateDigest
 from repro.util.keys import Key
@@ -191,50 +187,18 @@ class TestStrategyChoice:
 
 
 class TestPrunePlans:
-    def _plan(self):
-        translated = ConjunctiveQuery(
-            [TriplePattern(X, URI("Ghost#wide"), Variable("w"))], [X])
-        from repro.mapping.model import (
-            MappingKind,
-            PredicateCorrespondence,
-            SchemaMapping,
-        )
-        mapping = SchemaMapping(
-            "m1", "A", "Ghost",
-            [PredicateCorrespondence(URI("A#wide"), URI("Ghost#wide"),
-                                     kind=MappingKind.EQUIVALENCE)],
-            confidence=0.9,
-        )
-        original_query = ConjunctiveQuery([WIDE], [X])
-        return [Reformulation(original_query, ()),
-                Reformulation(translated, (mapping,))]
-
-    def test_zero_yield_reformulations_pruned(self):
-        plan = self._plan()
-        kept, pruned = prune_reformulations(
-            plan, lambda r: 0.0 if r.hops else None)
-        assert kept == [plan[0]]
-        assert pruned == 1
-
-    def test_unknown_yield_kept(self):
-        plan = self._plan()
-        kept, pruned = prune_reformulations(plan, lambda r: None)
-        assert kept == plan
-        assert pruned == 0
-
-    def test_original_never_pruned(self):
-        plan = self._plan()
-        kept, _pruned = prune_reformulations(plan, lambda r: 0.0)
-        assert plan[0] in kept
-
     def test_optimizer_yield_uses_confidence_and_cardinality(self):
         peer = _peer()
         peer.synopses.register(_digest("n1", {"A#wide": 10,
                                               "Ghost#wide": 0}))
-        plan = self._plan()
-        yields = [peer.optimizer.reformulation_yield(r) for r in plan]
-        assert yields[0] == pytest.approx(10.0)  # 1.0 conf x 10 rows
-        assert yields[1] == 0.0                  # empty target schema
+        ghost = ConjunctiveQuery(
+            [TriplePattern(X, URI("Ghost#wide"), Variable("w"))], [X])
+        optimizer = peer.optimizer
+        wide = ConjunctiveQuery([WIDE], [X])
+        assert optimizer.expected_yield(wide) == pytest.approx(10.0)
+        assert optimizer.expected_yield(wide, 0.5) == pytest.approx(5.0)
+        assert optimizer.expected_yield(ghost, 0.9) == 0.0  # empty target
+        assert not optimizer.keep_reformulation(ghost, 0.9)
 
 
 def _deployment(seed=11):
@@ -297,22 +261,3 @@ class TestAutoStrategyEndToEnd:
         outcome = net.search_for(unmapped, strategy="auto", max_hops=8,
                                  origin=origin)
         assert outcome.decision.strategy == "local"
-
-    def test_optimizing_engine_prunes_dead_reformulations(self):
-        net, dataset = _deployment()
-        origin = net.peer_ids()[0]
-        workload = QueryWorkloadGenerator(dataset, seed=3)
-        mapped = workload.concept_query(dataset.schemas[0].name,
-                                        "organism", "a")
-        baseline = net.create_engine(domain=dataset.domain, max_hops=8)
-        optimized = net.create_engine(domain=dataset.domain, max_hops=8,
-                                      optimize=True)
-        reference = baseline.search_for(mapped, origin=origin)
-        outcome = optimized.search_for(mapped, origin=origin)
-        assert outcome.results == reference.results
-        assert optimized.stats.reformulations_pruned >= 1
-        assert outcome.decision is not None
-        assert outcome.decision.reformulations_pruned >= 1
-        # Pruning saves scans; messages need not follow, since a split
-        # read's cost is not monotone in its key set.
-        assert outcome.fetches_issued < reference.fetches_issued

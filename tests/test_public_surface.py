@@ -69,6 +69,11 @@ option to leave the original query out.
 A reformulation's answer is one operator.  Its join, projection and
 dedup are one ``Answer``, on every plan shape; the three operators it
 replaced stay gone.
+
+An engine batch runs the plan its cache holds.  Neither the engine
+nor the path a batch takes into the deployment accepts an optimizer,
+so the live pruning of ``strategy="auto"`` is the one pruning rule and
+no second one rewrites cached plans.
 """
 
 import ast
@@ -535,6 +540,30 @@ def test_one_reformulation_step():
     assert not offenders, (
         "a reformulation step written outside reformulation/:\n  "
         + "\n  ".join(offenders))
+
+
+def test_an_engine_batch_runs_its_cached_plan():
+    import inspect
+
+    from repro.engine.core import QueryEngine
+    from repro.engine.executor import execute_batch
+    from repro.mediation.network import GridVineNetwork
+    from repro.mediation.peer import GridVinePeer
+    from repro.reformulation import planner
+
+    knobs = [(QueryEngine.__init__, "optimize"),
+             (GridVineNetwork.create_engine, "optimize"),
+             (execute_batch, "optimizer"),
+             (GridVinePeer.execute_planned_batch, "optimizer"),
+             (GridVineNetwork.run_batch, "optimizer")]
+    offenders = [f"{function.__qualname__} takes {name}"
+                 for function, name in knobs
+                 if name in inspect.signature(function).parameters]
+    if hasattr(planner, "prune_reformulations"):
+        offenders.append("reformulation.planner has prune_reformulations")
+    assert not offenders, (
+        "an engine batch can still run a plan other than its cached "
+        "one:\n  " + "\n  ".join(offenders))
 
 
 def test_a_batch_wave_is_one_split_read(monkeypatch):

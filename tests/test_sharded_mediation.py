@@ -243,6 +243,9 @@ class TestLiveProcessStats:
     ("num_keys", 0, ">= 1"),
     ("num_waves", -1, ">= 0"),
     ("ops_per_wave", -1, ">= 0"),
+    ("batch_queries", -1, ">= 0"),
+    ("query_max_hops", -1, ">= 0"),
+    ("query_limit", 0, "None or >= 1"),
 ])
 def test_spec_validation_names_field_and_accepted_values(field, value,
                                                          accepted):

@@ -9,6 +9,11 @@ drop a distinct one, and the surviving list must be duplicate-free.
 The reference semantics is the brute-force evaluation over every
 stored triple.
 
+Buckets sort with one key per triple (``Triple.sort_key``).  Over
+triples whose URIs and literals share values, that key must order
+exactly as the tuple of terms compares, and ``match`` rows must come
+back in that order, before and after later writes.
+
 A peer applies each key group of a write with one ``add(*group)``;
 applied as groups, a script of groups and removes must leave the store
 exactly as the same triples added one at a time.
@@ -26,7 +31,7 @@ from strategies import (
 from repro.mediation.peer import GridVinePeer
 from repro.rdf.patterns import TriplePattern
 from repro.rdf.terms import Variable
-from repro.rdf.triples import ALL_POSITIONS
+from repro.rdf.triples import ALL_POSITIONS, Triple
 from repro.storage.triplestore import TripleStore
 from repro.util.keys import Key
 
@@ -116,6 +121,47 @@ def probe_patterns(store):
                   TriplePattern(x, triple.predicate, z),
                   TriplePattern(x, y, triple.object)]
     return found
+
+
+def rows_in_term_order(store, pattern):
+    """Reference: ``pattern``'s rows over the stored triples sorted by
+    their tuple of terms, first occurrence of each."""
+    rows = []
+    for triple in sorted(store.all_triples(), key=Triple.as_tuple):
+        bindings = pattern.matches(triple)
+        if bindings is not None:
+            row = tuple(bindings[name] for name in pattern.schema)
+            if row not in rows:
+                rows.append(row)
+    return rows
+
+
+class TestSortKeyProperty:
+    @STANDARD_SETTINGS
+    @given(triple_sets())
+    def test_key_orders_as_the_terms_compare(self, triple_list):
+        distinct = list(dict.fromkeys(triple_list))
+        expected = sorted(distinct, key=Triple.as_tuple)
+        assert sorted(distinct, key=Triple.sort_key) == expected
+        assert sorted(distinct) == expected
+
+    @STANDARD_SETTINGS
+    @given(triple_sets(), triple_sets(), patterns())
+    def test_match_rows_keep_the_term_order(self, first, later, pattern):
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        # The generated pattern, the no-constant fallback, and one
+        # bucket probe per stored predicate.
+        probes = [pattern, TriplePattern(x, y, z)] + [
+            TriplePattern(x, predicate, z) for predicate in
+            dict.fromkeys(triple.predicate for triple in first + later)]
+        store = TripleStore()
+        store.add(*first)
+        for probe in probes:
+            assert store.match(probe) == rows_in_term_order(store, probe)
+        # Later writes append to built buckets, which sort again.
+        store.add(*later)
+        for probe in probes:
+            assert store.match(probe) == rows_in_term_order(store, probe)
 
 
 class TestGroupApplyProperty:
