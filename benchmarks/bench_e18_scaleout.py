@@ -2,7 +2,7 @@
 
 The same deployment (trie assignment, sampled routing tables,
 preloaded replica groups, query waves, churn trace) runs unchanged on
-the single-loop ``InProcessTransport`` and on the windowed
+the single-loop ``SingleLoopEngine`` and on the windowed
 ``ShardedTransport``.  What this bench pins is **cross-engine
 agreement**, not speed: every engine completes the workload, and the
 recorded counts (successes, hops, messages, drops, virtual time) are

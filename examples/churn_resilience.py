@@ -20,7 +20,6 @@ import random
 from repro import GridVineNetwork, Literal, Schema, Triple, URI
 from repro.obs.registry import MaintenanceCounters
 from repro.pgrid.maintenance import MaintenanceProcess
-from repro.simnet.churn import ChurnProcess
 
 
 def deploy(num_peers, seed):

@@ -127,8 +127,9 @@ def _deploy_organized(args):
     return runner.network, runner.dataset
 
 
-def _warm_statistics(net, seconds: float, interval: float = 20.0) -> None:
-    """Run maintenance for a while so synopsis gossip converges.
+def _warm_statistics(net, seconds: float) -> None:
+    """Run maintenance (a round every 20 s) for a while so synopsis
+    gossip converges.
 
     Synopses piggyback on the probes and sync pushes the maintenance
     process sends anyway, so warming costs exactly the maintenance
@@ -138,6 +139,7 @@ def _warm_statistics(net, seconds: float, interval: float = 20.0) -> None:
 
     from repro.pgrid.maintenance import MaintenanceProcess
 
+    interval = 20.0
     maintenance = MaintenanceProcess(net.peers, interval=interval,
                                      rng=_random.Random(9))
     maintenance.start()

@@ -129,6 +129,10 @@ class BioDataset:
         )
 
 
+#: the mapping domain of every generated schema
+DOMAIN = "protein-sequences"
+
+
 class BioDatasetGenerator:
     """Generates :class:`BioDataset` corpora.
 
@@ -146,6 +150,9 @@ class BioDatasetGenerator:
         of the core concepts (accession, organism).
     seed:
         Master seed; everything derives from it.
+
+    Every generated schema belongs to the one mapping domain
+    :data:`DOMAIN`.
     """
 
     def __init__(
@@ -154,7 +161,6 @@ class BioDatasetGenerator:
         num_entities: int = 300,
         entities_per_schema: int = 40,
         concepts_per_schema: tuple[int, int] = (4, 8),
-        domain: str = "protein-sequences",
         seed: int = 0,
     ) -> None:
         if num_schemas < 1:
@@ -165,7 +171,7 @@ class BioDatasetGenerator:
         self.num_entities = num_entities
         self.entities_per_schema = entities_per_schema
         self.concepts_per_schema = concepts_per_schema
-        self.domain = domain
+        self.domain = DOMAIN
         self.seed = seed
 
     # -- naming ---------------------------------------------------------

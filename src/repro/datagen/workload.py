@@ -14,21 +14,22 @@ import random
 
 from repro.datagen.generator import BioDataset
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
-from repro.rdf.terms import Literal, URI, Variable
+from repro.rdf.terms import Literal, Variable
+
+
+#: share of drawn queries that are ``%substring%`` object searches
+LIKE_FRACTION = 0.3
+#: share of drawn queries that are subject lookups (the rest are exact
+#: object constraints)
+SUBJECT_FRACTION = 0.15
 
 
 class QueryWorkloadGenerator:
     """Draws random satisfiable triple-pattern queries from a corpus."""
 
-    def __init__(self, dataset: BioDataset, seed: int = 0,
-                 like_fraction: float = 0.3,
-                 subject_fraction: float = 0.15) -> None:
-        if not 0 <= like_fraction + subject_fraction <= 1:
-            raise ValueError("query-type fractions must sum to <= 1")
+    def __init__(self, dataset: BioDataset, seed: int = 0) -> None:
         self.dataset = dataset
         self.rng = random.Random(seed)
-        self.like_fraction = like_fraction
-        self.subject_fraction = subject_fraction
 
     def _random_triple(self):
         schema_name = self.rng.choice(
@@ -42,11 +43,11 @@ class QueryWorkloadGenerator:
         triple = self._random_triple()
         x = Variable("x")
         roll = self.rng.random()
-        if roll < self.subject_fraction:
+        if roll < SUBJECT_FRACTION:
             # Subject lookup: what is the value of this attribute for
             # this specific entry?
             pattern = TriplePattern(triple.subject, triple.predicate, x)
-        elif roll < self.subject_fraction + self.like_fraction:
+        elif roll < SUBJECT_FRACTION + LIKE_FRACTION:
             # Substring constraint on the object (the %Aspergillus%
             # shape): carve a needle out of the stored value.
             value = triple.object.value

@@ -5,14 +5,13 @@ graph)`` depends on nothing else — so its result can be cached under
 the query's structural signature (:mod:`repro.engine.signature`) for
 as long as the consulted part of the mapping graph stays put.  Each
 entry therefore records, next to the canonical plan, the set of
-schemas the plan touched and a :class:`~repro.engine.versioning.
-MappingVersionClock` snapshot of their versions.
+schemas the plan touched.
 
-Invalidation is *eager*: the cache subscribes to the clock, and the
-moment a mapping event bumps a schema's version every entry depending
-on that schema is dropped.  A lazy snapshot check on lookup backs this
-up, so a cache wired to a clock that was bumped before subscription
-still never serves a stale plan.
+Invalidation is *eager* and the only rule: the cache subscribes to its
+:class:`~repro.engine.versioning.MappingVersionClock` when it is
+built, before it can store anything, and the moment a mapping event
+bumps a schema's version every entry depending on that schema is
+dropped.  An entry in the cache is therefore current by construction.
 
 The dependency set of a plan is the union of the schemas referenced by
 any of its reformulations (including the original query).  A new
@@ -58,15 +57,14 @@ class PlanCacheStats(CounterGroup):
 
 
 class _Entry:
-    """One cached plan: canonical reformulations + version snapshot."""
+    """One cached plan: canonical reformulations + their schemas."""
 
-    __slots__ = ("reformulations", "depends_on", "snapshot", "renamed")
+    __slots__ = ("reformulations", "depends_on", "renamed")
 
     def __init__(self, reformulations: list[Reformulation],
-                 depends_on: set[str], snapshot: dict[str, int]) -> None:
+                 depends_on: set[str]) -> None:
         self.reformulations = reformulations
         self.depends_on = depends_on
-        self.snapshot = snapshot
         #: the plan as last served: ``(inverse renaming's items, plan in
         #: the asker's variables)`` — repeat lookups of one query skip
         #: the renaming and share its (already prepared) patterns
@@ -83,7 +81,6 @@ class PlanCache:
 
     def __init__(self, clock: MappingVersionClock,
                  capacity: int = 256) -> None:
-        self.clock = clock
         self.capacity = capacity
         self.stats = PlanCacheStats()
         self._entries: "OrderedDict[_Key, _Entry]" = OrderedDict()
@@ -110,19 +107,14 @@ class PlanCache:
                max_hops: int) -> list[Reformulation] | None:
         """The cached plan for ``query``, re-expressed in its variables.
 
-        Returns ``None`` (and counts a miss) when no current entry
-        exists.  Alpha-variants of a cached query hit the same entry;
-        lookups under the same variable names get a fresh list of the
-        same (immutable) :class:`Reformulation` objects.
+        Returns ``None`` (and counts a miss) when no entry exists.
+        Alpha-variants of a cached query hit the same entry; lookups
+        under the same variable names get a fresh list of the same
+        (immutable) :class:`Reformulation` objects.
         """
         canonical, inverse = canonicalize_query(query)
         key = (canonical, max_hops)
         entry = self._entries.get(key)
-        if entry is not None and not self.clock.is_current(entry.snapshot):
-            # Lazy backstop: the clock moved while we were not looking
-            # (e.g. events fired before this cache subscribed).
-            self._drop(key)
-            entry = None
         if entry is None:
             self.stats.misses += 1
             return None
@@ -153,9 +145,7 @@ class PlanCache:
         key = (canonical, max_hops)
         if key in self._entries:
             self._drop(key)
-        self._entries[key] = _Entry(
-            canonical_plan, depends_on, self.clock.snapshot(depends_on)
-        )
+        self._entries[key] = _Entry(canonical_plan, depends_on)
         for schema in depends_on:
             self._by_schema.setdefault(schema, set()).add(key)
         self.stats.stores += 1

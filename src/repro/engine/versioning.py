@@ -5,9 +5,9 @@ cached plan stays valid exactly as long as the part of the mapping
 graph it consulted does not change.  The :class:`MappingVersionClock`
 tracks that change at *schema* granularity: every mapping event
 (insert, remove, deprecate) bumps the version of the mapping's source
-and target schemas.  A cached plan carries a snapshot of the versions
-of every schema it depends on; the plan is stale as soon as any of
-those versions has moved on.
+and target schemas, and tells every listener which schema moved.  A
+plan cache subscribes when it is built, before it holds anything, and
+drops the plans depending on a schema the moment that schema moves.
 
 Schema granularity is the sweet spot between a single global counter
 (every mapping event would flush the whole cache, even for mappings in
@@ -18,7 +18,7 @@ be invalidated — only its endpoint schemas are known in advance).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.mapping.model import SchemaMapping
 
@@ -54,15 +54,6 @@ class MappingVersionClock:
     def version(self, schema: str) -> int:
         """Current version of one schema (0 until its first event)."""
         return self._versions.get(schema, 0)
-
-    def snapshot(self, schemas: Iterable[str]) -> dict[str, int]:
-        """Versions of the given schemas, frozen for a cache entry."""
-        return {schema: self.version(schema) for schema in schemas}
-
-    def is_current(self, snapshot: dict[str, int]) -> bool:
-        """Whether every schema still has its snapshot-time version."""
-        return all(self.version(schema) == version
-                   for schema, version in snapshot.items())
 
     def bump(self, mapping: SchemaMapping) -> None:
         """Record one mapping event: both endpoint schemas move on."""

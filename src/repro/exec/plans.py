@@ -43,7 +43,7 @@ from repro.exec.operators import (
 )
 from repro.exec.stream import Operator, PipelineContext
 from repro.rdf.patterns import ConjunctiveQuery
-from repro.simnet.events import CancelToken, Future
+from repro.simnet.events import Future
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.mediation.peer import GridVinePeer
@@ -118,16 +118,16 @@ def attach_execution_subplan(ctx: PipelineContext,
                      else query.patterns)
 
 
-def execute_query_rows(peer: "GridVinePeer", query: ConjunctiveQuery,
-                       cancel: CancelToken | None = None) -> Future:
-    """Resolve one query's rows from ``peer`` (no reformulation).
+def execute_query_rows(peer: "GridVinePeer",
+                       query: ConjunctiveQuery) -> Future:
+    """Resolve one query's rows from ``peer`` (no reformulation),
+    honouring the peer's ``join_mode``.
 
-    Resolves to the set of projected result tuples — the data-layer
-    primitive used both by the local strategy's building blocks and by
-    schema peers executing received reformulations on the recursive
-    path.
+    Resolves to the set of projected result tuples — what a schema
+    peer executing a received reformulation on the recursive path
+    sends back.
     """
-    ctx = PipelineContext(peer, cancel=cancel)
+    ctx = PipelineContext(peer)
     collect = Collect(ctx)
     ctx.register(collect)
     attach_execution_subplan(ctx, query, collect)

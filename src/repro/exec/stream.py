@@ -240,10 +240,9 @@ class PipelineContext:
     and a finished one is freed by reference counting.
     """
 
-    def __init__(self, peer: "GridVinePeer",
-                 cancel: CancelToken | None = None) -> None:
+    def __init__(self, peer: "GridVinePeer") -> None:
         self.peer = peer
-        self.cancel = cancel if cancel is not None else CancelToken()
+        self.cancel = CancelToken()
         #: counters of the registered operators, in registration order
         self.stats: list[OperatorStats] = []
         #: ``id`` of every entry of :attr:`stats` (which keeps them

@@ -37,7 +37,6 @@ from repro.faultlab.explorer import (
     Trial,
     default_spec,
     generate_plan,
-    replay,
 )
 from repro.faultlab.injector import FaultInjector
 from repro.faultlab.invariants import (
@@ -77,6 +76,5 @@ __all__ = [
     "Violation",
     "default_spec",
     "generate_plan",
-    "replay",
     "run_invariants",
 ]

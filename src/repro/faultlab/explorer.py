@@ -58,13 +58,14 @@ from repro.stats.gossip import StatsAntiEntropy
 INTENSITIES = ("light", "heavy", "extreme")
 
 
-def default_spec(seed: int = 0) -> ScenarioSpec:
-    """The small deployment generated trials run against."""
+def default_spec() -> ScenarioSpec:
+    """The small deployment generated trials run against (each trial
+    sets its own seed)."""
     return ScenarioSpec(
         num_peers=20,
         replication=2,
         refs_per_level=2,
-        seed=seed,
+        seed=0,
         num_schemas=3,
         num_entities=24,
         churn=False,  # the fault plan owns the outage schedule
@@ -239,23 +240,18 @@ class ScenarioExplorer:
     intensity:
         Schedule-generation profile (``light`` / ``heavy`` /
         ``extreme``).
-    invariants:
-        Names from :data:`repro.faultlab.invariants.INVARIANTS` to
-        check (default: all).
     min_recall / min_live_recall:
         Floors for the post-heal and under-faults recall invariants.
     """
 
     def __init__(self, spec: ScenarioSpec | None = None,
                  intensity: str = "light",
-                 invariants: list[str] | None = None,
                  min_recall: float = 0.9,
                  min_live_recall: float = 0.4) -> None:
         if intensity not in INTENSITIES:
             raise ValueError(f"unknown intensity {intensity!r}")
         self.spec = spec if spec is not None else default_spec()
         self.intensity = intensity
-        self.invariants = invariants
         self.min_recall = min_recall
         self.min_live_recall = min_live_recall
 
@@ -266,7 +262,7 @@ class ScenarioExplorer:
     def plan_for_seed(self, seed: int) -> FaultPlan:
         """The fault schedule trial ``seed`` will run (pure function)."""
         node_ids = [f"peer-{i}" for i in range(self.spec.num_peers)]
-        # ScenarioRunner's default origin is the first sorted peer id.
+        # ScenarioRunner's origin is the first sorted peer id.
         origin = sorted(node_ids)[0]
         return generate_plan(seed, node_ids, spec_horizon(self.spec),
                              intensity=self.intensity,
@@ -316,7 +312,7 @@ class ScenarioExplorer:
             max_hops=spec.max_hops,
         )
         return Trial(seed=seed, plan=plan, report=report,
-                     invariants=run_invariants(ctx, self.invariants))
+                     invariants=run_invariants(ctx))
 
     def _stabilize(self, runner: ScenarioRunner) -> None:
         """Drive the healed network to the eventually-consistent state
@@ -419,17 +415,6 @@ class ScenarioExplorer:
         )
 
 
-def replay(seed: int, spec: ScenarioSpec | None = None,
-           intensity: str = "light",
-           min_recall: float = 0.9,
-           min_live_recall: float = 0.4) -> Trial:
-    """Re-run one explored scenario from its printed seed alone."""
-    explorer = ScenarioExplorer(spec=spec, intensity=intensity,
-                                min_recall=min_recall,
-                                min_live_recall=min_live_recall)
-    return explorer.run_trial(seed)
-
-
 # FaultInjector is re-exported here for callers scripting their own
 # trials next to the explorer.
 __all__ = [
@@ -440,6 +425,5 @@ __all__ = [
     "Trial",
     "default_spec",
     "generate_plan",
-    "replay",
     "spec_horizon",
 ]

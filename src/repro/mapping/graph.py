@@ -89,21 +89,19 @@ class MappingGraph:
             key=lambda m: m.mapping_id,
         )
 
-    def outgoing(self, schema: str,
-                 include_deprecated: bool = False) -> list[SchemaMapping]:
+    def outgoing(self, schema: str) -> list[SchemaMapping]:
         """Active mappings whose source is ``schema``."""
         return sorted(
             (self._by_id[mid] for mid in self._out.get(schema, ())
-             if include_deprecated or self._by_id[mid].active),
+             if self._by_id[mid].active),
             key=lambda m: m.mapping_id,
         )
 
-    def incoming(self, schema: str,
-                 include_deprecated: bool = False) -> list[SchemaMapping]:
+    def incoming(self, schema: str) -> list[SchemaMapping]:
         """Active mappings whose target is ``schema``."""
         return sorted(
             (self._by_id[mid] for mid in self._in.get(schema, ())
-             if include_deprecated or self._by_id[mid].active),
+             if self._by_id[mid].active),
             key=lambda m: m.mapping_id,
         )
 
@@ -215,9 +213,9 @@ class MappingGraph:
         return composed
 
     @staticmethod
-    def compose_path(path: list[SchemaMapping],
-                     mapping_id: str = "composed") -> SchemaMapping | None:
-        """Compose an *acyclic* mapping path into one end-to-end mapping.
+    def compose_path(path: list[SchemaMapping]) -> SchemaMapping | None:
+        """Compose an *acyclic* mapping path into one end-to-end mapping
+        (id ``"composed"``).
 
         Returns ``None`` when no predicate survives the whole chain.
         Raises :class:`ValueError` for cyclic paths (a mapping's
@@ -228,7 +226,7 @@ class MappingGraph:
         if not composed:
             return None
         return SchemaMapping(
-            mapping_id,
+            "composed",
             path[0].source_schema,
             path[-1].target_schema,
             composed,

@@ -1,7 +1,7 @@
 """Mediation-to-overlay key derivation.
 
-Centralizes every ``Hash(...)`` of the paper so the mediation layer and
-the tests agree on key widths:
+Centralizes every ``Hash(...)`` of the paper; every key is one
+order-preserving hash of the value, 128 bits wide:
 
 * ``triple_keys(t)`` — the three keys a triple is indexed under
   (``Hash(t_subject), Hash(t_predicate), Hash(t_object)``, §2.2);
@@ -21,22 +21,21 @@ from collections.abc import Iterable
 
 from repro.rdf.terms import GroundTerm
 from repro.rdf.triples import ALL_POSITIONS, Triple
-from repro.util.hashing import DEFAULT_KEY_BITS, order_preserving_hash
+from repro.util.hashing import order_preserving_hash
 from repro.util.keys import Key
 
 
-def term_key(term: GroundTerm, bits: int = DEFAULT_KEY_BITS) -> Key:
+def term_key(term: GroundTerm) -> Key:
     """Overlay key of a ground term's value."""
-    return order_preserving_hash(term.value, bits)
+    return order_preserving_hash(term.value)
 
 
-def triple_keys(triple: Triple, bits: int = DEFAULT_KEY_BITS) -> list[Key]:
+def triple_keys(triple: Triple) -> list[Key]:
     """The three keys of a triple, in (subject, predicate, object) order."""
-    return [term_key(triple.at(pos), bits) for pos in ALL_POSITIONS]
+    return [term_key(triple.at(pos)) for pos in ALL_POSITIONS]
 
 
-def group_by_key(triples: Iterable[Triple],
-                 bits: int = DEFAULT_KEY_BITS) -> dict[Key, tuple[Triple, ...]]:
+def group_by_key(triples: Iterable[Triple]) -> dict[Key, tuple[Triple, ...]]:
     """Every triple under each of its keys (``triple_keys`` order),
     keys in first-occurrence order: what one upload writes, as one
     split write.  Each distinct term is hashed once per call; a triple
@@ -47,7 +46,7 @@ def group_by_key(triples: Iterable[Triple],
         for term in (triple.subject, triple.predicate, triple.object):
             key = keys.get(term)
             if key is None:
-                key = keys[term] = term_key(term, bits)
+                key = keys[term] = term_key(term)
             group = groups.get(key)
             if group is None:
                 groups[key] = [triple]
@@ -56,11 +55,11 @@ def group_by_key(triples: Iterable[Triple],
     return {key: tuple(group) for key, group in groups.items()}
 
 
-def schema_key(schema_name: str, bits: int = DEFAULT_KEY_BITS) -> Key:
+def schema_key(schema_name: str) -> Key:
     """``Hash(Schema Name)`` — where the definition and mappings live."""
-    return order_preserving_hash(schema_name, bits)
+    return order_preserving_hash(schema_name)
 
 
-def domain_key(domain: str, bits: int = DEFAULT_KEY_BITS) -> Key:
+def domain_key(domain: str) -> Key:
     """``Hash(Domain)`` — where connectivity records aggregate."""
-    return order_preserving_hash(domain, bits)
+    return order_preserving_hash(domain)

@@ -27,11 +27,7 @@ from typing import Any
 from repro.connectivity.indicator import indicator_from_degrees
 from repro.exec.plans import check_limit, check_max_hops
 from repro.mapping.graph import MappingGraph
-from repro.mapping.model import (
-    MappingKind,
-    PredicateCorrespondence,
-    SchemaMapping,
-)
+from repro.mapping.model import PredicateCorrespondence, SchemaMapping
 from repro.mediation.keys import schema_key
 from repro.mediation.peer import GridVinePeer
 from repro.mediation.records import ConnectivityRecord, mappings_in
@@ -122,7 +118,6 @@ class GridVineNetwork(PGridOverlay):
         seed: int = 0,
         timeout: float = 15.0,
         max_retries: int = 2,
-        query_timeout: float = 120.0,
         failover: bool = True,
     ) -> "GridVineNetwork":
         """Build a deployment; parameters mirror
@@ -133,8 +128,7 @@ class GridVineNetwork(PGridOverlay):
             num_peers,
             lambda node_id, path, peer_rng: GridVinePeer(
                 node_id, path, rng=peer_rng, timeout=timeout,
-                max_retries=max_retries, query_timeout=query_timeout,
-                failover=failover),
+                max_retries=max_retries, failover=failover),
             key_sample=key_sample, replication=replication,
             refs_per_level=refs_per_level, latency=latency, seed=seed,
         )
@@ -223,32 +217,28 @@ class GridVineNetwork(PGridOverlay):
         """Insert a schema mapping."""
         self.call("insert_mapping", mapping, bidirectional, origin=origin)
 
-    def remove_mapping(self, mapping: SchemaMapping,
-                       origin: str | None = None) -> None:
-        """Remove a schema mapping entirely."""
-        self.call("remove_mapping", mapping, origin=origin)
+    def remove_mapping(self, mapping: SchemaMapping) -> None:
+        """Remove a schema mapping entirely (from a random peer)."""
+        self.call("remove_mapping", mapping)
 
-    def deprecate_mapping(self, mapping: SchemaMapping,
-                          origin: str | None = None) -> None:
-        """Flag a mapping as deprecated."""
-        self.call("deprecate_mapping", mapping, origin=origin)
+    def deprecate_mapping(self, mapping: SchemaMapping) -> None:
+        """Flag a mapping as deprecated (from a random peer)."""
+        self.call("deprecate_mapping", mapping)
 
     def create_mapping(
         self,
         source: Schema,
         target: Schema,
         attribute_pairs: Iterable[tuple[str, str]],
-        kind: MappingKind = MappingKind.EQUIVALENCE,
-        provenance: str = "user",
         confidence: float = 1.0,
         origin: str | None = None,
     ) -> SchemaMapping:
-        """Convenience: build a mapping from attribute-name pairs and
-        insert it (directed, source -> target)."""
+        """Convenience: build a user-defined equivalence mapping from
+        attribute-name pairs and insert it (directed, source ->
+        target)."""
         creator = self._origin(origin)
         correspondences = [
-            PredicateCorrespondence(source.predicate(a), target.predicate(b),
-                                    kind=kind)
+            PredicateCorrespondence(source.predicate(a), target.predicate(b))
             for a, b in attribute_pairs
         ]
         mapping = SchemaMapping(
@@ -256,7 +246,6 @@ class GridVineNetwork(PGridOverlay):
             source.name,
             target.name,
             correspondences,
-            provenance=provenance,
             confidence=confidence,
         )
         self.insert_mapping(mapping, origin=creator.node_id)
@@ -338,10 +327,9 @@ class GridVineNetwork(PGridOverlay):
         records, _ = self.call("fetch_connectivity", domain, origin=origin)
         return sorted(records, key=lambda r: r.schema_name)
 
-    def connectivity_indicator(self, domain: str = "default",
-                               origin: str | None = None) -> float:
+    def connectivity_indicator(self, domain: str = "default") -> float:
         """The indicator ``ci`` computed from published degree records."""
-        records = self.connectivity_records(domain, origin)
+        records = self.connectivity_records(domain)
         return indicator_from_degrees([r.degree_pair for r in records])
 
     def schema_spaces(self, schema_names: Iterable[str],
@@ -355,11 +343,10 @@ class GridVineNetwork(PGridOverlay):
         return {name: spaces[key] for name, key in keys.items()}
 
     def mapping_graph(self, domain: str = "default",
-                      include_deprecated: bool = False,
-                      origin: str | None = None) -> MappingGraph:
+                      include_deprecated: bool = False) -> MappingGraph:
         """The domain's mapping graph, read through the overlay.
 
-        Two reads from one origin (a harness-rng draw by default): the
+        Two reads from one origin (a harness-rng draw): the
         domain's connectivity records name its schemas, and one
         :meth:`schema_spaces` read returns every schema's mapping
         records.  This reads the whole graph, which is what the
@@ -367,7 +354,7 @@ class GridVineNetwork(PGridOverlay):
         and a query engine's mirror build use it, as do ground-truth
         checks in tests and experiments.
         """
-        origin = self._origin(origin).node_id
+        origin = self.random_peer().node_id
         records = self.connectivity_records(domain, origin)
         return graph_of_spaces(
             self.schema_spaces([r.schema_name for r in records], origin),

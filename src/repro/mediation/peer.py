@@ -96,6 +96,10 @@ _REFO_SEEN_TTL = 600.0
 class GridVinePeer(PGridPeer):
     """A peer participating in all three GridVine layers."""
 
+    #: virtual seconds a recursive query waits for its reformulation
+    #: reports before it resolves with what arrived
+    query_timeout = 120.0
+
     def __init__(
         self,
         node_id: str,
@@ -103,12 +107,10 @@ class GridVinePeer(PGridPeer):
         rng: "random.Random | int | float | str | None" = None,
         timeout: float = 15.0,
         max_retries: int = 2,
-        query_timeout: float = 120.0,
         failover: bool = True,
     ) -> None:
         super().__init__(node_id, path, rng=rng, timeout=timeout,
                          max_retries=max_retries, failover=failover)
-        self.query_timeout = query_timeout
         #: conjunctive-join execution mode: ``"parallel"`` resolves all
         #: patterns independently and joins at the origin (the paper's
         #: "iteratively resolving each triple pattern ... and
@@ -398,17 +400,6 @@ class GridVinePeer(PGridPeer):
                ).add_done_callback(_on_ranges)
         return out
 
-    def _execute_query(self, query: ConjunctiveQuery,
-                       cancel: CancelToken | None = None) -> Future:
-        """Resolve a query's patterns and project the distinguished
-        variables; resolves to a set of result tuples.
-
-        Runs a reformulation-free operator pipeline honouring
-        :attr:`join_mode` — the data-layer primitive behind the local
-        strategy and the recursive strategy's handler-side execution.
-        """
-        return execute_query_rows(self, query, cancel=cancel)
-
     # -- recursive strategy ---------------------------------------------
 
     def recursive_query(self, query: ConjunctiveQuery, max_hops: int,
@@ -481,7 +472,7 @@ class GridVinePeer(PGridPeer):
                 "rows": f.result(),
             })
 
-        self._execute_query(query).add_done_callback(_on_rows)
+        execute_query_rows(self, query).add_done_callback(_on_rows)
         return {"spawned": spawned, "executes": True}
 
     # ------------------------------------------------------------------

@@ -24,18 +24,16 @@ def load_jsonl(path: str) -> list[dict]:
     return records
 
 
-def spans_of(records: Iterable[dict],
-             trace_id: str | None = None) -> list[dict]:
-    """The span records (optionally of one trace), in file order."""
-    return [r for r in records if r["type"] == "span"
-            and (trace_id is None or r["trace"] == trace_id)]
+def spans_of(records: Iterable[dict], trace_id: str) -> list[dict]:
+    """The span records of one trace, in file order."""
+    return [r for r in records
+            if r["type"] == "span" and r["trace"] == trace_id]
 
 
-def events_of(records: Iterable[dict],
-              trace_id: str | None = None) -> list[dict]:
-    """The event records (optionally of one trace), in file order."""
-    return [r for r in records if r["type"] == "event"
-            and (trace_id is None or r["trace"] == trace_id)]
+def events_of(records: Iterable[dict], trace_id: str) -> list[dict]:
+    """The event records of one trace, in file order."""
+    return [r for r in records
+            if r["type"] == "event" and r["trace"] == trace_id]
 
 
 def _span_end(span: dict) -> float:
@@ -114,8 +112,11 @@ def critical_path(records: list[dict], trace_id: str) -> list[dict]:
     return path
 
 
-def waterfall(records: list[dict], trace_id: str,
-              width: int = 48) -> list[str]:
+#: characters of a waterfall line's timeline bar
+WATERFALL_WIDTH = 48
+
+
+def waterfall(records: list[dict], trace_id: str) -> list[str]:
     """Hop-by-hop timeline of one trace as fixed-width text lines.
 
     Children render depth-indented under their parents in start-time
@@ -126,6 +127,7 @@ def waterfall(records: list[dict], trace_id: str,
     if not spans:
         return [f"trace {trace_id!r}: no spans"]
     events = events_of(records, trace_id)
+    width = WATERFALL_WIDTH
     children: dict[str | None, list[dict]] = {}
     ids = {s["span"] for s in spans}
     for span in spans:

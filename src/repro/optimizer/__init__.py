@@ -23,6 +23,5 @@ execution is bit-identical to the static paths.
 """
 
 from repro.optimizer.core import PlanDecision, QueryOptimizer
-from repro.optimizer.cost import CostModel
 
-__all__ = ["CostModel", "PlanDecision", "QueryOptimizer"]
+__all__ = ["PlanDecision", "QueryOptimizer"]

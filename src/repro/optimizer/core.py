@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.optimizer.cost import CostModel
+from repro.optimizer import cost
 from repro.rdf.patterns import ConjunctiveQuery, TriplePattern
 from repro.stats.estimator import CardinalityEstimator
 
@@ -65,13 +65,8 @@ class PlanDecision:
 class QueryOptimizer:
     """Cost-based decisions over one peer's statistics registry."""
 
-    def __init__(self, peer: "GridVinePeer",
-                 cost_model: CostModel | None = None) -> None:
+    def __init__(self, peer: "GridVinePeer") -> None:
         self.peer = peer
-        self.cost = cost_model if cost_model is not None else CostModel()
-        #: reformulations with ``confidence * estimated_rows`` at or
-        #: below this are pruned (0.0 = only provably-empty fan-out)
-        self.min_expected_yield = 0.0
         self._estimator = CardinalityEstimator(peer.synopses)
 
     # ------------------------------------------------------------------
@@ -146,12 +141,12 @@ class QueryOptimizer:
         if len(query.patterns) < 2:
             return order, "parallel"
         estimator = self.estimator
-        route = self.cost.route_messages(len(self.peer.path))
+        route = cost.route_messages(len(self.peer.path))
         cards = [estimator.pattern_cardinality(p) for p in order]
         known = [c for c in cards if c is not None]
         default = max(known) if known else 1.0
         cards = [c if c is not None else default for c in cards]
-        parallel_cost = self.cost.combine(
+        parallel_cost = cost.combine(
             messages=len(order) * route,
             round_trips=1.0,
             rows_shipped=sum(cards),
@@ -167,13 +162,13 @@ class QueryOptimizer:
             share = cardinality / max(1.0, running)
             bound_rows += min(cardinality, variants * max(1.0, share))
             running = max(1.0, min(running, cardinality))
-        bound_cost = self.cost.combine(
+        bound_cost = cost.combine(
             messages=bound_messages,
             round_trips=float(len(order)),
             rows_shipped=bound_rows,
         )
         mode = ("bound"
-                if bound_cost < self.cost.switch_margin * parallel_cost
+                if bound_cost < cost.SWITCH_MARGIN * parallel_cost
                 else "parallel")
         return order, mode
 
@@ -194,10 +189,11 @@ class QueryOptimizer:
         return confidence * rows
 
     def keep_reformulation(self, query: ConjunctiveQuery,
-                           confidence: float = 1.0) -> bool:
-        """Prune predicate for live reformulation fan-out."""
+                           confidence: float) -> bool:
+        """Prune predicate for live reformulation fan-out: a
+        reformulation is dropped when its expected yield is zero."""
         expected = self.expected_yield(query, confidence)
-        return expected is None or expected > self.min_expected_yield
+        return expected is None or expected > 0.0
 
     # ------------------------------------------------------------------
     # Strategy choice (strategy="auto")
@@ -262,7 +258,7 @@ class QueryOptimizer:
                 reason="no statistics propagated yet; static iterative",
             )
         estimator = self.estimator
-        route = self.cost.route_messages(len(self.peer.path))
+        route = cost.route_messages(len(self.peer.path))
         n_patterns = len(query.patterns)
         schemas = query_schemas(query)
         edges, useful, reached = self._mapping_reach(schemas, max_hops)
@@ -312,10 +308,10 @@ class QueryOptimizer:
         # Recursive: one handler per explored edge plus the root.
         # Pruning is impossible (intermediate peers decide blindly),
         # so dead edges cost like live ones — but each handler enjoys
-        # key locality (see CostModel) and replies directly.
+        # key locality (see optimizer.cost) and replies directly.
         recursive_messages = (
             (1 + edges)
-            * self.cost.recursive_handler_messages(n_patterns, depth)
+            * cost.recursive_handler_messages(n_patterns, depth)
         )
         decision.candidate_costs = {
             "local": local_messages,

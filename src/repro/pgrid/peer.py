@@ -372,16 +372,13 @@ class PGridPeer(Node):
     # Public operations (origin side)
     # ------------------------------------------------------------------
 
-    def retrieve(self, key: Key, cancel: Any = None) -> Future:
+    def retrieve(self, key: Key) -> Future:
         """Start a ``Retrieve(key)``; resolves to an :class:`OpResult`.
 
         A one-key :meth:`read_many`: the route's hops and one report.
-        ``cancel`` is an optional
-        :class:`~repro.simnet.events.CancelToken`: when it fires the
-        operation stops retrying and resolves as failed immediately.
         """
         future: Future = Future()
-        self.read_many("retrieve", {key: None}, future.set_result, cancel)
+        self.read_many("retrieve", {key: None}, future.set_result)
         return future
 
     def retrieve_many(self, keys: list, cancel: Any = None) -> Future:
@@ -687,8 +684,7 @@ class PGridPeer(Node):
     # Range queries (subtree multicast, a.k.a. the P-Grid "shower")
     # ------------------------------------------------------------------
 
-    def range_query(self, prefix: Key, timeout: float | None = None,
-                    cancel: Any = None) -> Future:
+    def range_query(self, prefix: Key, cancel: Any = None) -> Future:
         """Retrieve every value whose key extends ``prefix``.
 
         A short prefix can span many leaves, so this is a *multicast*:
@@ -698,7 +694,8 @@ class PGridPeer(Node):
         reference (the classic P-Grid shower — each subtree handled
         exactly once, no duplicate work).  A :class:`FanoutTask` whose
         reports carry the leaves' values decides when every subtree
-        has answered; its timeout guards against losses under churn.
+        has answered; its timeout (three op timeouts) guards against
+        losses under churn.
         Resolves to an :class:`OpResult` whose ``values`` is the
         aggregated list.
         """
@@ -720,8 +717,7 @@ class PGridPeer(Node):
             ))
 
         task = FanoutTask(self, _resolve)
-        task.start("range", prefix, {},
-                   timeout if timeout is not None else self.timeout * 3)
+        task.start("range", prefix, {}, self.timeout * 3)
         if cancel is not None:
             # Cooperative cancellation resolves the multicast with
             # whatever subtrees have answered so far.

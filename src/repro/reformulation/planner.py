@@ -32,9 +32,7 @@ class Reformulation:
     """One reformulated query plus its provenance.
 
     ``path`` is the mapping chain from the original query's schema; an
-    empty path denotes the original query itself.  ``min_confidence``
-    is the weakest mapping confidence along the path — a crude but
-    useful quality proxy for ranking results.
+    empty path denotes the original query itself.
     """
 
     query: ConjunctiveQuery
@@ -44,13 +42,6 @@ class Reformulation:
     def hops(self) -> int:
         """Number of mappings traversed."""
         return len(self.path)
-
-    @property
-    def min_confidence(self) -> float:
-        """Weakest link confidence (1.0 for the original query)."""
-        if not self.path:
-            return 1.0
-        return min(m.confidence for m in self.path)
 
     @property
     def target_schemas(self) -> set[str]:

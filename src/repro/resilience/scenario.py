@@ -302,9 +302,6 @@ class ScenarioRunner:
     spec:
         The scenario script (deployment fields are ignored when the
         network is supplied ready-made).
-    origin:
-        Node id issuing every query; protected from churn.  Defaults
-        to the first peer id.
     domain:
         Mapping domain, needed for the ``"engine"`` strategy's mirror
         backfill.
@@ -312,14 +309,15 @@ class ScenarioRunner:
 
     def __init__(self, network: "GridVineNetwork", panel: Panel,
                  spec: ScenarioSpec | None = None,
-                 origin: str | None = None,
                  domain: str = "default") -> None:
         if not panel:
             raise ValueError("scenario needs a non-empty query panel")
         self.network = network
         self.panel = panel
         self.spec = spec if spec is not None else ScenarioSpec()
-        self.origin = origin if origin is not None else network.peer_ids()[0]
+        #: the node issuing every query, protected from churn: the
+        #: first peer id
+        self.origin = network.peer_ids()[0]
         self.domain = domain
         self.dataset: BioDataset | None = None
         #: the engine the last ``strategy == "engine"`` run executed

@@ -20,8 +20,8 @@ class Schema:
     >>> s = Schema("EMBL", ["Organism", "SeqLength"], domain="bio")
     >>> s.predicate("Organism")
     URI('EMBL#Organism')
-    >>> s.owns_predicate(URI("EMBL#Organism"))
-    True
+    >>> s.predicates()
+    [URI('EMBL#Organism'), URI('EMBL#SeqLength')]
     """
 
     __slots__ = ("name", "attributes", "domain")
@@ -59,11 +59,6 @@ class Schema:
     def predicates(self) -> list[URI]:
         """All predicate URIs, in sorted attribute order."""
         return [URI(f"{self.name}#{a}") for a in self.attributes]
-
-    def owns_predicate(self, predicate: URI) -> bool:
-        """Whether ``predicate`` belongs to this schema."""
-        return (predicate.namespace == self.name
-                and predicate.local_name in self.attributes)
 
     def _key(self) -> tuple:
         return (self.name, self.attributes, self.domain)

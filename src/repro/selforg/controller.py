@@ -76,15 +76,13 @@ class SelfOrganizationController:
         network: GridVineNetwork,
         domain: str = "default",
         policy: CreationPolicy | None = None,
-        deprecation: DeprecationConfig | None = None,
         reference_attribute_hint: str | None = None,
         engine=None,
     ) -> None:
         self.network = network
         self.domain = domain
         self.policy = policy if policy is not None else CreationPolicy()
-        self.deprecation = (deprecation if deprecation is not None
-                            else DeprecationConfig())
+        self.deprecation = DeprecationConfig()
         #: substring selecting "reference" attributes (e.g. "Acc");
         #: None means every object value counts as a reference
         self.reference_attribute_hint = reference_attribute_hint

@@ -64,7 +64,7 @@ class ConstantLatency:
 class UniformLatency:
     """Delay drawn uniformly from ``[low, high]`` per message."""
 
-    def __init__(self, low: float = 0.02, high: float = 0.2) -> None:
+    def __init__(self, low: float, high: float) -> None:
         if not 0 <= low <= high:
             raise ValueError("need 0 <= low <= high")
         self.low = low

@@ -118,8 +118,7 @@ class Node:
             raise SimulationError(f"node {self.node_id} is not attached")
         return self.network.loop
 
-    def send(self, dst: str, kind: str, payload: dict | None = None,
-             hops: int = 0) -> None:
+    def send(self, dst: str, kind: str, payload: dict | None = None) -> None:
         """Send a message through the attached transport."""
         if self.network is None:
             raise SimulationError(f"node {self.node_id} is not attached")
@@ -128,7 +127,6 @@ class Node:
             src=self.node_id,
             dst=dst,
             payload=payload or {},
-            hops=hops,
         ))
 
     # -- delivery ------------------------------------------------------
@@ -162,13 +160,11 @@ class Node:
 
 
 class SimNetwork(Transport):
-    """The simulated Internet layer (single shared event loop).
+    """The simulated Internet layer (single shared event loop, its
+    own :attr:`loop`).
 
     Parameters
     ----------
-    loop:
-        Event loop carrying deliveries (a fresh one is created when
-        omitted).
     latency:
         Per-message delay model; defaults to a 50 ms constant.
     rng:
@@ -178,12 +174,11 @@ class SimNetwork(Transport):
 
     def __init__(
         self,
-        loop: EventLoop | None = None,
         latency: LatencyModel | None = None,
         rng: random.Random | None = None,
     ) -> None:
         super().__init__()
-        self.loop = loop if loop is not None else EventLoop()
+        self.loop = EventLoop()
         self.latency = latency if latency is not None else ConstantLatency()
         self.rng = rng if rng is not None else random.Random(0)
         #: bound once: every scheduled delivery (here, in a fault

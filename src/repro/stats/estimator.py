@@ -81,16 +81,16 @@ class PredicateEstimate:
 class CardinalityEstimator:
     """Pattern/query cardinality estimates from known peer digests.
 
-    ``extra`` digests (typically the estimating peer's own fresh
-    synopsis) are folded in without mutating the shared registry.
+    ``extra`` digests (the estimating peer's own fresh synopsis, set
+    by the optimizer) are folded in without mutating the shared
+    registry.
     The aggregate is cached and rebuilt only when the registry
     changed.
     """
 
-    def __init__(self, registry: SynopsisRegistry,
-                 extra: list[PeerSynopsis] | None = None) -> None:
+    def __init__(self, registry: SynopsisRegistry) -> None:
         self.registry = registry
-        self.extra = extra or []
+        self.extra: list[PeerSynopsis] = []
         self._cache_key: tuple | None = None
         self._predicates: dict[str, PredicateEstimate] = {}
         #: (source, target) -> max confidence over active known edges

@@ -30,6 +30,8 @@ PIGGYBACK_BUDGET = 8
 
 #: digests returned per anti-entropy pull
 PULL_BUDGET = 24
+#: peers asked per periodic pull round
+PULL_FANOUT = 2
 
 
 class StatsAntiEntropy:
@@ -43,21 +45,18 @@ class StatsAntiEntropy:
         Node id that issues the pulls (typically the query origin).
     interval:
         Mean virtual seconds between pull rounds.
-    fanout:
-        Peers asked per round.
     rng:
         Randomness for target choice and jitter.
     """
 
     def __init__(self, peers: dict, origin: str,
-                 interval: float = 30.0, fanout: int = 2,
+                 interval: float = 30.0,
                  rng: random.Random | None = None) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.peers = peers
         self.origin = origin
         self.interval = interval
-        self.fanout = fanout
         self.rng = rng if rng is not None else random.Random(0)
         self._running = False
         #: pull messages sent (for reporting)
@@ -80,7 +79,7 @@ class StatsAntiEntropy:
     def sweep(self) -> int:
         """One full anti-entropy round: pull from *every* online peer.
 
-        The periodic ticks sample ``fanout`` random peers, which is
+        The periodic ticks sample :data:`PULL_FANOUT` random peers, which is
         cheap but converges slowly after a partition heals — digests
         authored on the far side may sit behind many hops of
         round-robin gossip.  A sweep asks everyone directly; since
@@ -106,7 +105,7 @@ class StatsAntiEntropy:
             candidates = self._online_targets(peer)
             self.rng.shuffle(candidates)
             self._pull_round(peer, "antientropy:pull",
-                             candidates[:self.fanout])
+                             candidates[:PULL_FANOUT])
         peer.loop.schedule(self.rng.uniform(0.5, 1.5) * self.interval,
                            self._tick)
 

@@ -25,12 +25,12 @@ import hashlib
 
 from repro.util.keys import Key, MemoCache
 
-#: Default number of bits in a data key.  Each printable-ASCII
-#: character consumes ~6.6 bits of an order-preserving key, so two
-#: strings sharing an n-character prefix collide in their first
-#: ~6.6*n key bits; 128 bits resolve ~19 characters, enough to
-#: distinguish accession-style identifiers ("SwissProt:P10001") that
-#: share long namespace prefixes.
+#: Width of every key.  Each printable-ASCII character consumes ~6.6
+#: bits of an order-preserving key, so two strings sharing an
+#: n-character prefix collide in their first ~6.6*n key bits; 128 bits
+#: resolve ~19 characters, enough to distinguish accession-style
+#: identifiers ("SwissProt:P10001") that share long namespace prefixes.
+#: Strings sharing their first 19 characters or more hash to one key.
 DEFAULT_KEY_BITS = 128
 
 #: Alphabet used for the positional interpretation of characters.  Any
@@ -39,15 +39,17 @@ DEFAULT_KEY_BITS = 128
 _ALPHABET_LO = 0x20  # space
 _ALPHABET_HI = 0x7E  # tilde
 _ALPHABET_SIZE = _ALPHABET_HI - _ALPHABET_LO + 1
+#: characters read from a value: more than a key's bits can resolve
+_HASHED_CHARS = DEFAULT_KEY_BITS // 4 + 16
 
-#: memo for :func:`order_preserving_hash` — (value, bits) -> Key.
+#: memo for :func:`order_preserving_hash` — value -> Key.
 #: Triple indexing hashes every subject/predicate/object string three
 #: ways and queries re-hash the same vocabulary terms constantly; at
 #: 10k-peer scale this is one of the hottest pure functions in the
 #: system (named in ROADMAP's hot-path list).
 HASH_CACHE = MemoCache(maxsize=1 << 16)
 
-#: memo for :func:`prefix_interval` — (prefix, bits) -> (low, high)
+#: memo for :func:`prefix_interval` — prefix -> (low, high)
 PREFIX_INTERVAL_CACHE = MemoCache(maxsize=1 << 14)
 
 
@@ -57,12 +59,14 @@ def clear_hash_caches() -> None:
     PREFIX_INTERVAL_CACHE.clear()
 
 
-def order_preserving_hash(value: str, bits: int = DEFAULT_KEY_BITS) -> Key:
-    """Hash a string to a ``bits``-wide key, preserving string order.
+def order_preserving_hash(value: str) -> Key:
+    """Hash a string to a :data:`DEFAULT_KEY_BITS`-wide key, preserving
+    string order.
 
     The string is read as a base-``|alphabet|`` fraction in ``[0, 1)``
-    (the standard order-preserving embedding) and the leading ``bits``
-    binary digits of that fraction form the key.  Consequently::
+    (the standard order-preserving embedding) and the leading
+    :data:`DEFAULT_KEY_BITS` binary digits of that fraction form the
+    key.  Consequently::
 
         a <= b  (str order, over the printable-ASCII alphabet)
             implies
@@ -79,33 +83,29 @@ def order_preserving_hash(value: str, bits: int = DEFAULT_KEY_BITS) -> Key:
     >>> (a <= b) == ("EMBL#Organism" <= "EMP#SystematicName")
     True
     """
-    if bits <= 0:
-        raise ValueError("bits must be positive")
-    cache_key = (value, bits)
-    cached = HASH_CACHE.get(cache_key)
+    cached = HASH_CACHE.get(value)
     if cached is not None:
         return cached
     # Interpret the string as a fraction in [0, 1) with one "digit"
     # per character.  Work in exact integer arithmetic to avoid float
     # rounding breaking monotonicity for long common prefixes: compute
     # floor(fraction * 2**bits) digit by digit.
+    bits = DEFAULT_KEY_BITS
     numerator = 0
     denominator = 1
-    for ch in value[: (bits // 4) + 16]:  # more chars than bits can resolve
+    for ch in value[:_HASHED_CHARS]:
         code = min(max(ord(ch), _ALPHABET_LO), _ALPHABET_HI) - _ALPHABET_LO
         numerator = numerator * _ALPHABET_SIZE + code
         denominator *= _ALPHABET_SIZE
         if denominator >= (1 << (bits + 8)):
             break
-    scaled = (numerator << bits) // denominator if denominator else 0
-    if scaled >= (1 << bits):  # defensive; cannot happen for code < size
-        scaled = (1 << bits) - 1
+    scaled = (numerator << bits) // denominator
     result = Key.from_int(scaled, bits)
-    HASH_CACHE.put(cache_key, result)
+    HASH_CACHE.put(value, result)
     return result
 
 
-def prefix_interval(value_prefix: str, bits: int = DEFAULT_KEY_BITS) -> tuple[Key, Key]:
+def prefix_interval(value_prefix: str) -> tuple[Key, Key]:
     """The key interval holding every string starting with the prefix.
 
     Because the hash is order-preserving, all strings with a common
@@ -126,14 +126,13 @@ def prefix_interval(value_prefix: str, bits: int = DEFAULT_KEY_BITS) -> tuple[Ke
     >>> low <= order_preserving_hash("Aspergillus") <= high
     True
     """
-    cache_key = (value_prefix, bits)
-    cached = PREFIX_INTERVAL_CACHE.get(cache_key)
+    cached = PREFIX_INTERVAL_CACHE.get(value_prefix)
     if cached is not None:
         return cached
-    low = order_preserving_hash(value_prefix, bits)
-    padded = value_prefix + chr(_ALPHABET_HI) * ((bits // 4) + 16)
-    high = order_preserving_hash(padded, bits)
-    PREFIX_INTERVAL_CACHE.put(cache_key, (low, high))
+    low = order_preserving_hash(value_prefix)
+    padded = value_prefix + chr(_ALPHABET_HI) * _HASHED_CHARS
+    high = order_preserving_hash(padded)
+    PREFIX_INTERVAL_CACHE.put(value_prefix, (low, high))
     return low, high
 
 

@@ -153,16 +153,6 @@ class Key:
         """Integer value of the key (empty key is 0)."""
         return int(self._bits, 2) if self._bits else 0
 
-    def as_fraction(self) -> float:
-        """Map the key to ``[0, 1)`` (the canonical trie embedding).
-
-        >>> Key("1").as_fraction()
-        0.5
-        """
-        if not self._bits:
-            return 0.0
-        return self.to_int() / (1 << len(self._bits))
-
     # -- structure ----------------------------------------------------
 
     def prefix(self, length: int) -> "Key":

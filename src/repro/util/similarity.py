@@ -69,14 +69,14 @@ def normalized_levenshtein(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
-def _ngrams(text: str, n: int) -> list[str]:
-    """Character n-grams of ``text`` with boundary padding."""
-    padded = ("#" * (n - 1)) + text + ("#" * (n - 1))
-    return [padded[i:i + n] for i in range(len(padded) - n + 1)]
+def _bigrams(text: str) -> list[str]:
+    """Character bigrams of ``text`` with boundary padding."""
+    padded = "#" + text + "#"
+    return [padded[i:i + 2] for i in range(len(padded) - 1)]
 
 
-def ngram_similarity(a: str, b: str, n: int = 2) -> float:
-    """Dice coefficient over character n-grams (default bigrams).
+def ngram_similarity(a: str, b: str) -> float:
+    """Dice coefficient over character bigrams.
 
     Robust to small rearrangements (``SeqLength`` vs ``LengthSeq``)
     where plain edit distance over-penalizes.
@@ -85,17 +85,19 @@ def ngram_similarity(a: str, b: str, n: int = 2) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    grams_a = _ngrams(a.lower(), n)
-    grams_b = _ngrams(b.lower(), n)
-    if not grams_a or not grams_b:
-        return 0.0
+    grams_a = _bigrams(a.lower())
+    grams_b = _bigrams(b.lower())
     counts_a = Counter(grams_a)
     counts_b = Counter(grams_b)
     overlap = sum((counts_a & counts_b).values())
     return 2.0 * overlap / (len(grams_a) + len(grams_b))
 
 
-def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
+#: Winkler's bonus per shared leading character (of at most four)
+WINKLER_PREFIX_SCALE = 0.1
+
+
+def jaro_winkler(a: str, b: str) -> float:
     """Jaro–Winkler similarity, favouring shared prefixes.
 
     Attribute names in related bioinformatic schemas tend to share
@@ -144,7 +146,7 @@ def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
         if ca != cb or prefix_len == 4:
             break
         prefix_len += 1
-    return jaro + prefix_len * prefix_scale * (1.0 - jaro)
+    return jaro + prefix_len * WINKLER_PREFIX_SCALE * (1.0 - jaro)
 
 
 # ---------------------------------------------------------------------------

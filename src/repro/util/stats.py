@@ -87,18 +87,6 @@ def mean(samples: Iterable[float]) -> float:
     return sum(values) / len(values)
 
 
-def histogram(samples: Iterable[int]) -> dict[int, int]:
-    """Counts of each distinct integer value.
-
-    >>> histogram([1, 1, 2]) == {1: 2, 2: 1}
-    True
-    """
-    counts: dict[int, int] = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def joint_distribution(
     pairs: Iterable[tuple[int, int]],
 ) -> dict[tuple[int, int], float]:

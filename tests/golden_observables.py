@@ -1,7 +1,8 @@
 """Golden observable capture for the transport-refactor regression pins.
 
-The actor/transport refactor (PR 7) promises that ``InProcessTransport``
-reproduces the pre-refactor event-loop behavior *bit-identically*.  The
+The actor/transport refactor promised that the single-loop engine
+(today ``SingleLoopEngine`` over one ``SimNetwork``) reproduces the
+pre-refactor event-loop behavior *bit-identically*.  The
 observables pinned here were captured on the commit immediately before
 the refactor and stored in ``tests/golden/transport_golden.json``; the
 companion test (``test_transport_golden.py``) re-runs the same small

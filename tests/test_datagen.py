@@ -68,8 +68,9 @@ class TestGenerator:
 
     def test_triples_use_schema_predicates(self, bio_dataset):
         for schema in bio_dataset.schemas:
+            predicates = set(schema.predicates())
             for triple in bio_dataset.triples_by_schema[schema.name]:
-                assert schema.owns_predicate(triple.predicate)
+                assert triple.predicate in predicates
 
     def test_triple_count_matches_coverage(self, bio_dataset):
         for schema in bio_dataset.schemas:
@@ -185,8 +186,3 @@ class TestWorkload:
             pytest.skip("every schema has 'host' in this draw")
         with pytest.raises(ValueError):
             workload.concept_query(missing, "host", "x")
-
-    def test_fraction_validation(self, bio_dataset):
-        with pytest.raises(ValueError):
-            QueryWorkloadGenerator(bio_dataset, like_fraction=0.9,
-                                   subject_fraction=0.9)

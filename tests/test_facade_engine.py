@@ -97,7 +97,8 @@ def write_read_script(net):
     return (
         [(r.schema_name, r.degree_pair) for r in records],
         [(m.mapping_id, m.deprecated)
-         for m in graph.outgoing("EMP", include_deprecated=True)],
+         for m in graph.mappings(include_deprecated=True)
+         if m.source_schema == "EMP"],
         sorted(m.mapping_id for m in graph.mappings()),
         (report.ci_before, report.ci_after, report.created,
          report.deprecated, report.posteriors),
@@ -135,7 +136,9 @@ class TestNothingRetained:
         assert_nothing_retained(net)
 
     def test_after_a_query_level_timeout(self):
-        net = deploy(timeout=4.0, max_retries=1, query_timeout=30.0)
+        net = deploy(timeout=4.0, max_retries=1)
+        for peer in net.peers.values():
+            peer.query_timeout = 30.0
         origin, _ = remote_origins(net)
         for node_id in net.peer_ids():
             if node_id != origin:

@@ -15,7 +15,6 @@ from repro.faultlab import (
     MessageDrop,
     ScenarioExplorer,
     generate_plan,
-    replay,
 )
 from repro.faultlab.explorer import default_spec, spec_horizon
 from repro.faultlab.plan import CrashRestart
@@ -63,7 +62,7 @@ class TestSeedReplay:
         deployment, schedule and verdict bit-for-bit."""
         explorer = ScenarioExplorer(intensity="heavy")
         a = explorer.run_trial(5)
-        b = replay(5, intensity="heavy")
+        b = ScenarioExplorer(intensity="heavy").run_trial(5)
         assert a.plan == b.plan
         assert asdict(a.report) == asdict(b.report)
         assert [str(v) for v in a.invariants.violations] == \
@@ -235,7 +234,8 @@ class TestRecursiveStrategyUnderFaults:
         assert (round(report.recall, 6), report.queries_complete,
                 report.query_messages, report.total_messages
                 ) == self.PINNED[intensity, seed]
-        again = replay(seed, spec=spec, intensity=intensity)
+        again = ScenarioExplorer(spec=spec,
+                                 intensity=intensity).run_trial(seed)
         assert asdict(again.report) == asdict(report)
 
 

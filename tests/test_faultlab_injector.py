@@ -22,9 +22,9 @@ from repro.faultlab import (
 )
 from repro.faultlab.plan import FOREVER, clause_seed
 from repro.simnet.churn import ChurnProcess
-from repro.simnet.events import EventLoop, SimulationError
+from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency
-from repro.simnet.network import Message, Node, SimNetwork
+from repro.simnet.network import Node, SimNetwork
 
 
 class Recorder(Node):
@@ -39,7 +39,7 @@ class Recorder(Node):
 
 
 def toy_network(num_nodes=3, latency=0.05):
-    net = SimNetwork(loop=EventLoop(), latency=ConstantLatency(latency),
+    net = SimNetwork(latency=ConstantLatency(latency),
                      rng=random.Random(1))
     nodes = [Recorder(f"n{i}") for i in range(num_nodes)]
     for node in nodes:

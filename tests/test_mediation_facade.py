@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.mapping.model import MappingKind
+from repro.mapping.model import (
+    MappingKind,
+    PredicateCorrespondence,
+    SchemaMapping,
+)
 from repro.mediation.network import GridVineNetwork
 from repro.rdf.parser import ParseError
 from repro.rdf.terms import Literal, URI
@@ -62,9 +66,12 @@ class TestCreateMapping:
 
     def test_create_subsumption_mapping(self, fig2_network):
         net, embl, emp = fig2_network
-        mapping = net.create_mapping(
-            embl, emp, [("Organism", "SystematicName")],
-            kind=MappingKind.SUBSUMPTION)
+        net.insert_mapping(SchemaMapping(
+            "m:sub", embl.name, emp.name,
+            [PredicateCorrespondence(embl.predicate("Organism"),
+                                     emp.predicate("SystematicName"),
+                                     kind=MappingKind.SUBSUMPTION)]))
+        mapping = net.mapping_graph("bio").get("m:sub")
         assert mapping.correspondences[0].kind is MappingKind.SUBSUMPTION
         # pure-subsumption mappings cannot be reversed
         with pytest.raises(ValueError):
@@ -77,11 +84,14 @@ class TestCreateMapping:
 
     def test_auto_provenance_and_confidence(self, fig2_network):
         net, embl, emp = fig2_network
-        mapping = net.create_mapping(
-            embl, emp, [("SeqLength", "Length")],
-            provenance="auto", confidence=0.6)
-        assert not mapping.is_user_defined
-        assert mapping.confidence == 0.6
+        net.insert_mapping(SchemaMapping(
+            "m:auto", embl.name, emp.name,
+            [PredicateCorrespondence(embl.predicate("SeqLength"),
+                                     emp.predicate("Length"))],
+            provenance="auto", confidence=0.6))
+        stored = net.mapping_graph("bio").get("m:auto")
+        assert not stored.is_user_defined
+        assert stored.confidence == 0.6
 
 
 class TestSubsumptionSemantics:
@@ -99,8 +109,11 @@ class TestSubsumptionSemantics:
         ])
         # Narrow#fungus is subsumed by Broad#organism: a query on the
         # broad predicate may soundly be rewritten to the narrow one.
-        net.create_mapping(broad, narrow, [("organism", "fungus")],
-                           kind=MappingKind.SUBSUMPTION)
+        net.insert_mapping(SchemaMapping(
+            "m:broad->narrow", broad.name, narrow.name,
+            [PredicateCorrespondence(broad.predicate("organism"),
+                                     narrow.predicate("fungus"),
+                                     kind=MappingKind.SUBSUMPTION)]))
         net.settle()
         broad_query = net.search_for(
             "SearchFor(x? : (x?, Broad#organism, %Aspergillus%))",

@@ -16,10 +16,11 @@ from repro.schema.model import Schema
 # "Zulu" so that *their* key spaces separate at the first trie level,
 # letting the tests kill one schema's world while the other survives.
 def deploy(num_peers=24, seed=61, **kwargs):
-    kwargs.setdefault("query_timeout", 30.0)
     kwargs.setdefault("timeout", 4.0)
     kwargs.setdefault("max_retries", 1)
     net = GridVineNetwork.build(num_peers=num_peers, seed=seed, **kwargs)
+    for peer in net.peers.values():
+        peer.query_timeout = 30.0
     alpha = Schema("Alpha", ["organism"], domain="f")
     zulu = Schema("Zulu", ["species"], domain="f")
     net.insert_schema(alpha)

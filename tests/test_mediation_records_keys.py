@@ -21,8 +21,22 @@ from repro.mediation.records import (
 )
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.util.hashing import DEFAULT_KEY_BITS, order_preserving_hash
+from repro.util.hashing import order_preserving_hash
 from strategies import STANDARD_SETTINGS, corpora
+
+
+#: a value prefix long enough that every value extending it by one
+#: character hashes to the same 128-bit key
+SHARED_19 = "x" * 19
+
+
+def colliding_triples():
+    """Triples every term of which is ``SHARED_19`` plus one letter:
+    all of them hash to one key."""
+    term = st.sampled_from("ab").map(lambda last: SHARED_19 + last)
+    return st.lists(st.builds(
+        Triple, term.map(URI), term.map(URI),
+        st.one_of(term.map(URI), term.map(Literal))), max_size=4)
 
 
 def sample_mapping():
@@ -84,21 +98,27 @@ class TestKeys:
     def test_domain_key(self):
         assert domain_key("bio") == order_preserving_hash("bio")
 
-    @given(triples=corpora(), bits=st.sampled_from([2, 6, DEFAULT_KEY_BITS]))
+    def test_values_sharing_nineteen_characters_share_a_key(self):
+        """128 bits resolve ~19 characters of a value: two values
+        equal in their first 19 characters collide, 18 do not."""
+        assert (order_preserving_hash(SHARED_19 + "a")
+                == order_preserving_hash(SHARED_19 + "b"))
+        assert (order_preserving_hash(SHARED_19[1:] + "a")
+                != order_preserving_hash(SHARED_19[1:] + "b"))
+
+    @given(triples=st.tuples(corpora(), colliding_triples()).flatmap(
+        lambda drawn: st.permutations(drawn[0] + drawn[1])))
     @STANDARD_SETTINGS
-    def test_group_by_key_equals_per_triple_keys(self, triples, bits):
+    def test_group_by_key_equals_per_triple_keys(self, triples):
         """Hashing each distinct term once changes nothing: the same
         keys in the same order, each with the same triples in the same
-        order.  Narrow keys make distinct terms collide, so a triple
-        lands twice (or three times) under one key."""
+        order.  The planted triples' terms collide, so such a triple
+        lands three times under one key."""
         reference = {}
         for triple in triples:
-            for key in triple_keys(triple, bits):
+            for key in triple_keys(triple):
                 reference.setdefault(key, []).append(triple)
-        grouped = group_by_key(triples, bits)
+        grouped = group_by_key(triples)
         assert list(grouped) == list(reference)
         assert [list(group) for group in grouped.values()] == list(
             reference.values())
-
-    def test_key_width_parameter(self):
-        assert len(schema_key("EMBL", bits=16)) == 16

@@ -156,7 +156,7 @@ class TestAnalysis:
         assert len(lines) == 3 and "msg:reply" in lines[-1]
 
     def test_waterfall_renders_nested_bars(self):
-        lines = waterfall(build_sample_records(), "q:0", width=20)
+        lines = waterfall(build_sample_records(), "q:0")
         assert lines[0].startswith("trace q:0")
         assert any("msg:route" in line for line in lines)
         annotated = [line for line in lines if "drop:offline" in line]

@@ -212,7 +212,7 @@ class TestFaultRetryTrace:
         traces = trace_ids(records)
         assert len(traces) == 1
         assert_trace_well_formed(records, traces[0])
-        attempts = [s for s in spans_of(records)
+        attempts = [s for s in spans_of(records, traces[0])
                     if s["kind"] == "attempt"]
         assert [s["name"] for s in attempts] == [
             "attempt:1", "attempt:2"]
@@ -220,11 +220,11 @@ class TestFaultRetryTrace:
         assert failed["status"] == "timeout"
         assert retried["status"] == "ok"
         assert failed["parent"] == retried["parent"]  # siblings
-        event_names = {e["name"] for e in events_of(records)}
+        event_names = {e["name"] for e in events_of(records, traces[0])}
         assert "drop:offline" in event_names
         assert "failover" in event_names
         # The retry's hops made it through.
-        hops = [s["name"] for s in spans_of(records)
+        hops = [s["name"] for s in spans_of(records, traces[0])
                 if s["kind"] == "message"]
         assert hops == ["msg:route", "msg:reply"]
 

@@ -154,7 +154,7 @@ class TestRangeQuery:
                          if overlay.network.is_online(n))
         origin = overlay.peer(origin_id)
         result = overlay.loop.run_until_complete(
-            origin.range_query(Key(""), timeout=30.0))
+            origin.range_query(Key("")))
         assert not result.success  # incomplete coverage admitted
 
 

@@ -1,16 +1,29 @@
 """Structural rules over ``src/repro``, checked on the source text.
 
 Every name defined is used by something.  A function, method or class
-whose name occurs exactly once across the package, the benchmarks,
-perfbench and the examples — its own definition — has no caller there:
-it is surface that still has to be read, kept importable and
-documented for the sake of its own tests.  The tests are not counted as
-a user; the few definitions the suite needs that nothing else calls
-are named, each with its reason, in ``KEPT_FOR_TESTS``.  The rule is a
-word count, so it cannot tell two same-named definitions apart (one
-live ``snapshot`` hides a dead one); it is a floor, not a proof.
-Package ``__init__.py`` files are left out of the count: a re-export is
-not a use.
+whose name occurs exactly once in the code of the package, the
+benchmarks, perfbench and the examples — its own definition — has no
+caller there: it is surface that still has to be read, kept importable
+and documented for the sake of its own tests.  Code means identifier
+tokens and the words of string literals (handler kinds, ``call("m",
+...)`` and perfbench's span targets dispatch by name); a docstring or
+a comment that names a definition is not a use.  The tests are not
+counted as a user; the few definitions the suite needs that nothing
+else calls are named, each with its reason, in ``KEPT_FOR_TESTS``.
+The rule is a word count, so it cannot tell two same-named definitions
+apart (one live ``snapshot`` hides a dead one); it is a floor, not a
+proof.  Package ``__init__.py`` files are left out of the count: a
+re-export is not a use.
+
+Every option is set by something.  A defaulted parameter of a
+module-level function or of a method that no call in that code passes,
+by keyword or by position, has one value in use: it is a constant
+spelled as a parameter.  Calls dispatched by name (``call("m", ...)``,
+``submit(node, "m", ...)``) pass their trailing arguments positionally;
+a constructor is called through its class name, ``cls(...)`` and
+``super().__init__(...)``.  The parameters kept anyway are named, each
+with its reason, in ``KEPT_DEFAULTS``.  Calls are matched by the
+callee's name, so this too is a floor, not a proof.
 
 A statistic is declared once.  Every stat bag subclasses
 ``obs.registry.CounterGroup``, which is where ``snapshot`` / ``reset``
@@ -77,7 +90,9 @@ no second one rewrites cached plans.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -93,10 +108,54 @@ KEPT_FOR_TESTS = {
                     "determinism goldens and the membership tests",
     "all_triples": "ground truth: a store's sorted contents, what the "
                    "sync-merge, datagen and model-based store tests compare",
+    "to_bindings": "ground truth: a batch as binding dicts, what the "
+                   "operator properties compare with a naive join",
     "clear_hash_caches": "isolation: memo-cache tests start from cold caches",
     "remove_triple": "paper primitive: the deleting Update of §2.2",
     "set_exception": "error handling: a Future resolves to a failure",
+    "UniformLatency": "jittered delivery: the batch strategies reorder "
+                      "messages with it",
+    "normalized_levenshtein": "§4 lexical measure outside the matcher's "
+                              "combination, pinned by its own tests",
+    "overlap_coefficient": "§4 set measure outside the matcher's "
+                           "combination, pinned by its own tests",
+    "dice_coefficient": "§4 set measure outside the matcher's "
+                        "combination, pinned by its own tests",
 }
+#: token types whose text is a string literal's (3.12 splits f-strings)
+_STRING_TOKENS = {tokenize.STRING,
+                  getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def _docstring_spans(tree):
+    """Where each bare string statement (a docstring, or a comment
+    written as one) starts and ends."""
+    return [((node.lineno, node.col_offset),
+             (node.end_lineno, node.end_col_offset))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)]
+
+
+def _code_words(text):
+    """The identifiers ``text`` uses as code: its name tokens and the
+    words of its string literals, docstrings and comments left out."""
+    docstrings = _docstring_spans(ast.parse(text))
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME:
+            yield token.string
+        elif (token.type in _STRING_TOKENS
+              and not any(start <= token.start < end
+                          for start, end in docstrings)):
+            yield from re.findall(r"\w+", token.string)
+
+
+def _user_files():
+    for top in USERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not (top == "src" and path.name == "__init__.py"):
+                yield path
 
 
 def _defined_names():
@@ -111,11 +170,8 @@ def _defined_names():
 
 def test_no_definition_without_a_reference():
     words: Counter = Counter()
-    for top in USERS:
-        for path in (ROOT / top).rglob("*.py"):
-            if top == "src" and path.name == "__init__.py":
-                continue
-            words.update(re.findall(r"\w+", path.read_text()))
+    for path in _user_files():
+        words.update(_code_words(path.read_text()))
     unreferenced = sorted(f"{name} ({where})"
                           for name, where in _defined_names()
                           if words[name] <= 1 and name not in KEPT_FOR_TESTS)
@@ -126,11 +182,162 @@ def test_no_definition_without_a_reference():
     assert not stale, f"no longer test-only (or gone): {stale}"
 
 
+def test_a_docstring_mention_is_not_a_use():
+    text = ('"""Calls ``ghost`` (module docstring)."""\n'
+            "def f():\n"
+            '    """``ghost`` again."""  # and ghost in a comment\n'
+            "    return call('handler_kind', ghost_arg)\n")
+    words = Counter(_code_words(text))
+    assert words["ghost"] == 0
+    assert words["handler_kind"] == words["ghost_arg"] == words["f"] == 1
+
+
+#: defaulted parameters no code passes, kept on purpose:
+#: ``(function, parameter): reason``
+KEPT_DEFAULTS = {
+    ("EventLoop.run_until_complete", "max_events"):
+        "safety: a runaway-loop guard",
+    ("SingleLoopEngine.run_until_quiescent", "max_events"):
+        "safety: a runaway-loop guard",
+    ("ShardedTransport.run_until_quiescent", "max_windows"):
+        "safety: a runaway-loop guard",
+    ("assign_paths", "key_bits"):
+        "test strategies draw narrow key spaces to build unbalanced tries",
+    ("build_by_exchanges", "meetings"):
+        "test strategies draw short exchange runs the default cannot",
+    ("build_by_exchanges", "max_depth"):
+        "the construction tests bound trie depth below the default",
+    ("SelfOrganizationController.__init__", "reference_attribute_hint"):
+        "test strategies select reference attributes by name",
+    ("GridVineNetwork.insert_schema", "origin"):
+        "tests place a schema from a chosen peer",
+    ("GridVineNetwork.insert_triples", "origin"):
+        "tests upload from a chosen peer",
+    ("PGridOverlay.update_sync", "action"):
+        "paper primitive: the deleting Update of §2.2",
+    ("MappingGraph.__init__", "mappings"):
+        "test fixtures build a graph in one expression",
+    ("MappingGraph.find_paths", "max_hops"):
+        "a perfbench span target; its bound is what its tests check",
+    ("MappingGraph.reachable_schemas", "max_hops"):
+        "a perfbench span target; its bound is what its tests check",
+    ("run_invariants", "names"):
+        "tests check one invariant family at a time on a bare overlay",
+}
+#: calls that name the method they run: ``name -> index of the name``
+NAME_DISPATCH = {"call": 0, "submit": 1}
+
+
+def _functions(tree):
+    """``(qualified name, callee name, definition, is a method)`` of the
+    module-level functions and the methods a call can name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    continue
+                if fn.name in ("__init__", "__new__"):
+                    yield f"{node.name}.{fn.name}", node.name, fn, True
+                elif not fn.name.startswith("__"):
+                    yield f"{node.name}.{fn.name}", fn.name, fn, True
+
+
+def _defaulted_parameters():
+    """``(qualified name, callee name, parameter, position, where)`` of
+    every defaulted parameter of a function or method under
+    ``src/repro``; ``position`` skips ``self`` / ``cls`` and is
+    ``None`` for a keyword-only parameter."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for qualified, callee, fn, is_method in _functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if is_method and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            where = f"{path.relative_to(ROOT)}:{fn.lineno}"
+            for index, arg in enumerate(positional[first:], first):
+                yield qualified, callee, arg.arg, index, where
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualified, callee, arg.arg, None, where
+
+
+def _call_sites():
+    """``callee name -> [(positional count, keywords, *args, **kwargs)]``
+    of every call in the code."""
+    sites: dict = {}
+
+    def add(name, args, keywords):
+        sites.setdefault(name, []).append((
+            len(args), {k.arg for k in keywords if k.arg},
+            any(isinstance(a, ast.Starred) for a in args),
+            any(k.arg is None for k in keywords)))
+
+    for path in _user_files():
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update((node, cls) for node in ast.walk(cls))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            cls = owner.get(node)
+            if name == "cls" and cls is not None:
+                name = cls.name
+            elif (name == "__init__" and cls is not None
+                  and isinstance(func.value, ast.Call)
+                  and isinstance(func.value.func, ast.Name)
+                  and func.value.func.id == "super"):
+                for base in cls.bases:
+                    if isinstance(base, ast.Name):
+                        add(base.id, node.args, node.keywords)
+                    elif isinstance(base, ast.Attribute):
+                        add(base.attr, node.args, node.keywords)
+                continue
+            if name is None:
+                continue
+            add(name, node.args, node.keywords)
+            at = NAME_DISPATCH.get(name)
+            if (at is not None and len(node.args) > at
+                    and isinstance(node.args[at], ast.Constant)
+                    and isinstance(node.args[at].value, str)):
+                add(node.args[at].value, node.args[at + 1:], ())
+    return sites
+
+
+def test_no_option_without_a_second_value():
+    sites = _call_sites()
+    unset, kept = [], set()
+    for qualified, callee, param, index, where in _defaulted_parameters():
+        if any(param in keywords or double_star
+               or (index is not None and (count > index or star))
+               for count, keywords, star, double_star
+               in sites.get(callee, ())):
+            continue
+        if (qualified, param) in KEPT_DEFAULTS:
+            kept.add((qualified, param))
+        else:
+            unset.append(f"{qualified}({param}=) ({where})")
+    assert not unset, (
+        "an option no code under src, benchmarks, perfbench or examples "
+        "sets:\n  " + "\n  ".join(unset))
+    stale = sorted(set(KEPT_DEFAULTS) - kept)
+    assert not stale, f"set by code now (or gone): {stale}"
+
+
 #: where ``snapshot`` / ``reset`` may be written out in full: the stat
 #: idiom itself and the tracer (a span buffer, not a counter bag)
 STAT_IDIOM_OWNERS = {"obs/registry.py", "obs/tracer.py"}
-#: a version read, not a stat bag (and pinned by perfbench)
-NOT_A_STAT_BAG = {("engine/versioning.py", "MappingVersionClock", "snapshot")}
 #: the hand merges, the relay hook and the registry's native series
 RETIRED_STATS = ("_SUMMED", "_SUMMED_BY_KEY", "_add_counts", "register_into",
                  "_failover_totals", "set_gauge", "counter_value")
@@ -167,8 +374,6 @@ def test_statistics_are_declared_once():
             for method in cls.body:
                 if (isinstance(method, ast.FunctionDef)
                         and method.name in ("snapshot", "reset")
-                        and (module, cls.name, method.name)
-                        not in NOT_A_STAT_BAG
                         and not any(isinstance(n, ast.Name)
                                     and n.id == "super"
                                     for n in ast.walk(method))):

@@ -24,7 +24,6 @@ class TestPlanner:
         assert len(plans) == 1
         assert plans[0].query == QUERY
         assert plans[0].hops == 0
-        assert plans[0].min_confidence == 1.0
 
     def test_single_hop(self):
         graph = MappingGraph([edge("m1", "A", "B", [("org", "name")])])
@@ -68,18 +67,6 @@ class TestPlanner:
         plans = plan_reformulations(QUERY, graph)
         queries = [p.query for p in plans]
         assert len(queries) == len(set(queries)) == 4
-
-    def test_min_confidence_is_weakest_link(self):
-        weak = SchemaMapping(
-            "m2", "B", "C",
-            [PredicateCorrespondence(URI("B#name"), URI("C#species"))],
-            provenance="auto", confidence=0.6,
-        )
-        graph = MappingGraph([
-            edge("m1", "A", "B", [("org", "name")]), weak,
-        ])
-        plans = plan_reformulations(QUERY, graph)
-        assert plans[2].min_confidence == 0.6
 
     def test_deprecated_mapping_not_planned(self):
         graph = MappingGraph([

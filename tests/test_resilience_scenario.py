@@ -79,7 +79,6 @@ class TestScenarioRunner:
         runner = ScenarioRunner.from_spec(quiet)
         first = runner.run()
         second = ScenarioRunner(runner.network, runner.panel, quiet,
-                                origin=runner.origin,
                                 domain=runner.dataset.domain).run()
         # Cumulative accounting would report >= 2x on the second run
         # (first run's traffic plus its own); per-run deltas stay in

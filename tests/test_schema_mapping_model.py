@@ -41,12 +41,6 @@ class TestSchema:
         with pytest.raises(KeyError):
             s.predicate("Nope")
 
-    def test_owns_predicate(self):
-        s = Schema("EMBL", ["Organism"])
-        assert s.owns_predicate(URI("EMBL#Organism"))
-        assert not s.owns_predicate(URI("EMP#Organism"))
-        assert not s.owns_predicate(URI("EMBL#Other"))
-
     def test_predicates_list(self):
         s = Schema("S", ["b", "a"])
         assert s.predicates() == [URI("S#a"), URI("S#b")]

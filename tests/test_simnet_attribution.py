@@ -20,7 +20,7 @@ from repro.pgrid.maintenance import MaintenanceProcess
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.schema.model import Schema
-from repro.simnet.network import Message, Node, SimNetwork
+from repro.simnet.network import Node, SimNetwork
 
 
 class Echo(Node):

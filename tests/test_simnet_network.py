@@ -11,7 +11,7 @@ from repro.simnet.latency import (
     LogNormalWANLatency,
     UniformLatency,
 )
-from repro.simnet.network import Message, Node, SimNetwork
+from repro.simnet.network import Node, SimNetwork
 
 
 class Recorder(Node):

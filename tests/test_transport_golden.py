@@ -1,4 +1,5 @@
-"""Pin `InProcessTransport` to pre-refactor observables, bit-identically.
+"""Pin the single-loop engine (``SingleLoopEngine`` over one
+``SimNetwork``) to pre-refactor observables, bit-identically.
 
 The golden file was captured on the commit immediately before the
 actor/transport refactor (see ``golden_observables.py``).  These tests
@@ -40,6 +41,9 @@ def _check(golden, section, collect):
 
 
 class TestInProcessTransportGolden:
+    """The single-loop ``SingleLoopEngine`` (named for the transport
+    class it replaced) against the golden file."""
+
     def test_end_to_end_bit_identical(self, golden):
         _check(golden, "end_to_end", _end_to_end)
 

@@ -8,7 +8,6 @@ from repro.util.guid import mint_guid
 from repro.util.keys import Key
 from repro.util.stats import (
     empirical_cdf_at,
-    histogram,
     joint_distribution,
     mean,
     percentile,
@@ -80,9 +79,6 @@ class TestStats:
     def test_mean_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-    def test_histogram(self):
-        assert histogram([1, 1, 2]) == {1: 2, 2: 1}
 
     def test_joint_distribution_sums_to_one(self):
         dist = joint_distribution([(0, 1), (0, 1), (1, 0), (2, 2)])

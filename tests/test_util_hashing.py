@@ -19,15 +19,10 @@ printable = st.text(
 class TestOrderPreservingHash:
     def test_width(self):
         assert len(order_preserving_hash("abc")) == DEFAULT_KEY_BITS
-        assert len(order_preserving_hash("abc", bits=16)) == 16
 
     def test_deterministic(self):
         assert (order_preserving_hash("EMBL#Organism")
                 == order_preserving_hash("EMBL#Organism"))
-
-    def test_rejects_non_positive_bits(self):
-        with pytest.raises(ValueError):
-            order_preserving_hash("x", bits=0)
 
     def test_known_order(self):
         # The paper's two predicates: string order must be preserved.
@@ -59,7 +54,7 @@ class TestOrderPreservingHash:
 
     @given(printable)
     def test_width_property(self, s):
-        assert len(order_preserving_hash(s, bits=24)) == 24
+        assert len(order_preserving_hash(s)) == DEFAULT_KEY_BITS
 
 
 class TestUniformHash:

@@ -14,7 +14,6 @@ class TestKeyBasics:
         k = Key("")
         assert len(k) == 0
         assert k.to_int() == 0
-        assert k.as_fraction() == 0.0
         assert str(k) == "<root>"
 
     def test_rejects_non_binary(self):
@@ -69,11 +68,6 @@ class TestKeyBasics:
     def test_ordering_is_lexicographic(self):
         assert Key("0") < Key("00") < Key("01") < Key("1")
 
-    def test_as_fraction(self):
-        assert Key("1").as_fraction() == 0.5
-        assert Key("01").as_fraction() == 0.25
-        assert Key("11").as_fraction() == 0.75
-
     def test_hashable_and_eq(self):
         assert len({Key("01"), Key("01"), Key("10")}) == 2
 
@@ -120,10 +114,6 @@ class TestKeyProperties:
         k = Key(s)
         for i in range(len(s) + 1):
             assert k.prefix(i).is_prefix_of(k)
-
-    @given(bits)
-    def test_fraction_in_unit_interval(self, s):
-        assert 0.0 <= Key(s).as_fraction() < 1.0
 
     @given(st.text(alphabet="01", min_size=1, max_size=32),
            st.data())
