@@ -1,8 +1,9 @@
 """Deterministic fault injection on a :class:`SimNetwork`.
 
 :class:`FaultInjector` executes a :class:`~repro.faultlab.plan.
-FaultPlan` against a live network by occupying the two hook points the
-transport exposes:
+FaultPlan` against a live network by installing itself as the
+network's ``fault_injector``, the two hook points its send/deliver gate
+calls:
 
 * :meth:`on_send` — consulted for every message *before* a latency is
   sampled; partitions and drop clauses answer with a drop reason and
@@ -43,8 +44,7 @@ from repro.faultlab.plan import (
 )
 from repro.obs.registry import CounterGroup
 from repro.simnet.events import SimulationError
-from repro.simnet.network import Message
-from repro.simnet.transport import Transport
+from repro.simnet.network import Message, SimNetwork
 
 #: virtual seconds a released held message trails the overtaking one
 _REORDER_EPSILON = 1e-3
@@ -60,13 +60,12 @@ class FaultCounters(CounterGroup):
 
 
 class FaultInjector:
-    """Applies one :class:`FaultPlan` to one :class:`Transport`.
+    """Applies one :class:`FaultPlan` to one :class:`SimNetwork`.
 
-    Fault injection lives at the transport layer: the transport calls
+    Fault injection lives at the network layer: the gate calls
     :meth:`on_send` for a pre-latency drop verdict and hands delivery
     scheduling to :meth:`dispatch`, so the same fault plans apply to
-    any transport implementation (the in-process network or a shard's
-    local transport).
+    the single loop's network and to each shard's.
 
     Use as a context manager (``with FaultInjector(net, plan):``) or
     call :meth:`install` / :meth:`uninstall` explicitly.  Counters in
@@ -74,7 +73,7 @@ class FaultInjector:
     ``transport.metrics.faults_by_kind``) record what actually fired.
     """
 
-    def __init__(self, transport: Transport, plan: FaultPlan) -> None:
+    def __init__(self, transport: SimNetwork, plan: FaultPlan) -> None:
         self.transport = transport
         self.plan = plan
         self.counters = FaultCounters()
@@ -121,10 +120,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def install(self) -> "FaultInjector":
-        """Attach to the transport and schedule crash/restart events."""
+        """Attach to the network and schedule crash/restart events."""
         if self.transport.fault_injector is not None:
             raise SimulationError("another fault injector is installed")
-        self.transport.install_fault_injector(self)
+        self.transport.fault_injector = self
         self._installed = True
         self._epoch = self.transport.loop.now
         for clause in self.plan.faults:
@@ -147,7 +146,7 @@ class FaultInjector:
         if not self._installed:
             return
         self._installed = False
-        self.transport.uninstall_fault_injector(self)
+        self.transport.fault_injector = None
         for link in sorted(self._held):
             for message, delay, flush_handle in self._held[link]:
                 flush_handle.cancel()
@@ -195,7 +194,7 @@ class FaultInjector:
         return set(self._down)
 
     # ------------------------------------------------------------------
-    # Transport hooks (called by SimNetwork.send)
+    # Gate hooks (called by SimNetwork.send)
     # ------------------------------------------------------------------
 
     def on_send(self, message: Message) -> str | None:
@@ -337,8 +336,8 @@ class FaultInjector:
 class InstalledPlan:
     """One :class:`FaultPlan` live on one deployment, however sharded.
 
-    Aggregates the per-transport :class:`FaultInjector` instances a
-    plan installation produced (one for a single-loop transport, one
+    Aggregates the per-network :class:`FaultInjector` instances a
+    plan installation produced (one for a single-loop network, one
     per shard for a :class:`~repro.simnet.shard.ShardedTransport`) so
     scenario harnesses can stay transport-agnostic: uninstall heals
     everything everywhere, and :attr:`injected` reports the
@@ -377,8 +376,8 @@ def install_plan(transport: Any, plan: FaultPlan) -> InstalledPlan:
     """Install ``plan`` on any transport and return the installation.
 
     A :class:`~repro.simnet.shard.ShardedTransport` installs one
-    injector per shard (its ``install_fault_plan``); any single-loop
-    :class:`Transport` gets one injector directly.  Either way the
+    injector per shard (its ``install_fault_plan``); a single-loop
+    :class:`SimNetwork` gets one injector directly.  Either way the
     caller holds an :class:`InstalledPlan` with uniform uninstall and
     accounting.
     """

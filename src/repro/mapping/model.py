@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 from repro.rdf.terms import URI
 
@@ -39,6 +40,7 @@ class MappingKind(enum.Enum):
         return self.value
 
 
+@dataclass(frozen=True, slots=True)
 class PredicateCorrespondence:
     """One mapped predicate pair inside a schema mapping.
 
@@ -48,28 +50,16 @@ class PredicateCorrespondence:
     <MappingKind.EQUIVALENCE: 'equivalence'>
     """
 
-    __slots__ = ("source", "target", "kind", "score")
+    source: URI
+    target: URI
+    kind: MappingKind = MappingKind.EQUIVALENCE
+    score: float = 1.0
 
-    def __init__(self, source: URI, target: URI,
-                 kind: MappingKind = MappingKind.EQUIVALENCE,
-                 score: float = 1.0) -> None:
-        if not isinstance(source, URI) or not isinstance(target, URI):
+    def __post_init__(self) -> None:
+        if not isinstance(self.source, URI) or not isinstance(self.target, URI):
             raise TypeError("correspondence endpoints must be URIs")
-        if not 0.0 <= score <= 1.0:
+        if not 0.0 <= self.score <= 1.0:
             raise ValueError("score must be in [0, 1]")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "score", score)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("PredicateCorrespondence is immutable")
-
-    def __reduce__(self):
-        # Constructor round-trip: immutability blocks slot-state
-        # unpickling, and mappings cross sharded worker pipes.
-        return (PredicateCorrespondence,
-                (self.source, self.target, self.kind, self.score))
 
     def reversed(self) -> "PredicateCorrespondence":
         """The opposite-direction correspondence.
@@ -83,22 +73,8 @@ class PredicateCorrespondence:
             self.target, self.source, self.kind, self.score
         )
 
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.kind, self.score)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PredicateCorrespondence):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(("PredicateCorrespondence", self._key()))
-
-    def __repr__(self) -> str:
-        return (f"PredicateCorrespondence({self.source!r}, {self.target!r}, "
-                f"{self.kind}, score={self.score})")
-
-
+@dataclass(frozen=True, slots=True)
 class SchemaMapping:
     """A directed mapping between two schemas.
 
@@ -111,7 +87,7 @@ class SchemaMapping:
         live in the source schema and its target predicate in the
         target schema.
     correspondences:
-        The mapped predicate pairs.
+        The mapped predicate pairs (any iterable; stored as a tuple).
     provenance:
         ``"user"`` for manually defined mappings (axiomatically correct
         in the Bayesian analysis) or ``"auto"`` for mappings created by
@@ -124,27 +100,24 @@ class SchemaMapping:
         analysis (1.0 for user mappings).
     """
 
-    __slots__ = ("mapping_id", "source_schema", "target_schema",
-                 "correspondences", "provenance", "deprecated", "confidence")
+    mapping_id: str
+    source_schema: str
+    target_schema: str
+    correspondences: Iterable[PredicateCorrespondence]
+    provenance: str = "user"
+    deprecated: bool = False
+    confidence: float = 1.0
 
-    def __init__(
-        self,
-        mapping_id: str,
-        source_schema: str,
-        target_schema: str,
-        correspondences: Iterable[PredicateCorrespondence],
-        provenance: str = "user",
-        deprecated: bool = False,
-        confidence: float = 1.0,
-    ) -> None:
-        corr = tuple(correspondences)
+    def __post_init__(self) -> None:
+        corr = tuple(self.correspondences)
         if not corr:
             raise ValueError("a mapping needs at least one correspondence")
+        source_schema, target_schema = self.source_schema, self.target_schema
         if source_schema == target_schema:
             raise ValueError("mapping endpoints must be distinct schemas")
-        if provenance not in ("user", "auto"):
-            raise ValueError(f"unknown provenance {provenance!r}")
-        if not 0.0 <= confidence <= 1.0:
+        if self.provenance not in ("user", "auto"):
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
         for c in corr:
             if c.source.namespace != source_schema:
@@ -155,22 +128,7 @@ class SchemaMapping:
                 raise ValueError(
                     f"{c.target} does not belong to target schema {target_schema}"
                 )
-        object.__setattr__(self, "mapping_id", mapping_id)
-        object.__setattr__(self, "source_schema", source_schema)
-        object.__setattr__(self, "target_schema", target_schema)
         object.__setattr__(self, "correspondences", corr)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "deprecated", deprecated)
-        object.__setattr__(self, "confidence", confidence)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("SchemaMapping is immutable")
-
-    def __reduce__(self):
-        return (SchemaMapping,
-                (self.mapping_id, self.source_schema, self.target_schema,
-                 self.correspondences, self.provenance, self.deprecated,
-                 self.confidence))
 
     # -- lookups --------------------------------------------------------
 
@@ -215,30 +173,4 @@ class SchemaMapping:
 
     def with_deprecated(self, deprecated: bool) -> "SchemaMapping":
         """A copy with the deprecation flag set/cleared."""
-        return SchemaMapping(
-            self.mapping_id, self.source_schema, self.target_schema,
-            self.correspondences, provenance=self.provenance,
-            deprecated=deprecated, confidence=self.confidence,
-        )
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _key(self) -> tuple:
-        return (self.mapping_id, self.source_schema, self.target_schema,
-                self.correspondences, self.provenance, self.deprecated,
-                self.confidence)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchemaMapping):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(("SchemaMapping", self._key()))
-
-    def __repr__(self) -> str:
-        flag = ", deprecated" if self.deprecated else ""
-        return (f"SchemaMapping({self.mapping_id!r}, "
-                f"{self.source_schema!r} -> {self.target_schema!r}, "
-                f"{len(self.correspondences)} correspondence(s), "
-                f"{self.provenance}{flag})")
+        return replace(self, deprecated=deprecated)

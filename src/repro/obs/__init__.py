@@ -4,8 +4,8 @@ Two independent facilities, both strictly pay-for-what-you-use:
 
 :mod:`repro.obs.tracer` / :mod:`repro.obs.context`
     Sim-time span recording with deterministic ids.  The trace context
-    is one half of the transport's causal scope (``Message.scope``,
-    ``simnet/transport.py``), so it propagates with the attribution
+    is one half of the network's causal scope (``Message.scope``,
+    ``simnet/network.py``), so it propagates with the attribution
     tag, by the one mechanism.  With no tracer installed no scope holds
     a context and every transport hot path reduces to one attribute
     load and a ``None`` check — the transport golden tests stay

@@ -1,18 +1,17 @@
 """Sim-time span recorder with causal context propagation.
 
-One :class:`Tracer` serves one transport (per-shard in sharded runs —
+One :class:`Tracer` serves one network (per-shard in sharded runs —
 records merge at collection, see ``simnet/shard.py``).  Its state is a
 **bounded record buffer** of span and event dicts; records past
 ``capacity`` are counted in :attr:`dropped`, never silently lost.
 
 The *active* ``(trace_id, span_id)`` context — the parent of every span
 begun and every message sent until it is left — is the trace half of
-the transport's causal scope (see ``simnet/transport.py``): an
-installed tracer reads and pushes the transport's one scope stack, so
-:meth:`Tracer.activate` keeps the attribution tag in force,
-``Transport.operation`` keeps the trace context, and the gate's re-open
-of a delivered envelope's scope threads both through asynchronous hops
-without any per-call bookkeeping.  A tracer that was never installed
+the network's causal scope (see ``simnet/network.py``): an installed
+tracer reads and pushes the network's one scope stack, so
+:meth:`Tracer.activate` keeps the attribution tag in force, and the
+gate's re-open of a delivered envelope's scope threads both through
+asynchronous hops without any per-call bookkeeping.  A tracer that was never installed
 activates on a private list of the same shape.
 
 Record shapes (plain dicts, picklable, one JSON object per line on
@@ -61,8 +60,8 @@ class Tracer:
         self.records: list[dict] = []
         #: records discarded because the buffer was full
         self.dropped = 0
-        #: causal scope stack ``(op_tag, trace_ctx)`` — the transport's
-        #: own list once installed (``Transport.install_tracer``)
+        #: causal scope stack ``(op_tag, trace_ctx)`` — the network's
+        #: own list once installed (``SimNetwork.install_tracer``)
         self._scopes: list[tuple] = []
         #: per-peer span sequence counters (see ``derive_span_id``)
         self._seq: dict[str, int] = {}

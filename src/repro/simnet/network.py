@@ -1,32 +1,69 @@
 """Simulated message-passing network connecting logical nodes.
 
 :class:`SimNetwork` is the only channel through which peers may talk to
-each other; sending a message samples a latency from the configured
-model and schedules delivery on the event loop.  Offline destinations
-silently drop messages (senders are expected to use timeouts or replica
-retries, exactly as over a real WAN).
+each other: peers are addressable actors that send ``(dst, kind,
+payload)`` envelopes through it and receive deliveries via the handler
+registry on :class:`Node` — each message kind maps to one registered
+handler, so peers never touch other peer objects or the event loop of
+another peer directly.  Sending a message samples a latency from the
+configured model and schedules delivery on the event loop.  Offline
+destinations silently drop messages (senders are expected to use
+timeouts or replica retries, exactly as over a real WAN).
 
-:class:`SimNetwork` is the single-event-loop implementation of the
-:class:`~repro.simnet.transport.Transport` boundary, and its
-:meth:`~SimNetwork.send` / ``_deliver`` pair is *the* send/deliver gate
-of the whole system: a shard's transport
-(:class:`~repro.simnet.shard.ShardTransport`) subclasses it and runs
-every local send and every delivery through this code.  Peers receive
-deliveries through the handler registry on :class:`Node`: each message
-kind maps to one registered handler, which is what makes peers
-addressable actors rather than objects calling into each other.
+One gate, two clocks
+    :meth:`SimNetwork.send` / ``SimNetwork._deliver`` is *the*
+    send/deliver gate of the whole system (stamping, send-time offline
+    drop, injector veto, latency, metrics, tracer hop, handler
+    dispatch).  What varies is the clock it schedules on: a plain
+    :class:`SimNetwork` carries every delivery on one event loop, and
+    a shard's network (:class:`~repro.simnet.shard.ShardTransport`)
+    subclasses it with an outbox, one per shard of the P-Grid key
+    space, each with a private loop — only the branch for a
+    destination another shard owns is its own code.  Above the gate,
+    :class:`~repro.simnet.shard.SingleLoopEngine` and
+    :class:`~repro.simnet.shard.ShardedTransport` expose one driver
+    surface (``submit / run_until / run_until_quiescent / ...``), all
+    a workload driver or query facade needs.
+
+Fault injection is a network-layer concern: the gate asks an installed
+:class:`~repro.faultlab.injector.FaultInjector` for a send-time drop
+verdict (``on_send``, *after* the offline check on every path) and
+hands it delivery scheduling (``dispatch``).  One
+:class:`~repro.faultlab.plan.FaultPlan` installs as a single injector
+on the single loop or as per-shard injectors on the sharded engine, and
+rng-free clauses (partitions) account identically on both.
+
+One causal scope
+    How an operation's identity follows its causal chain is decided
+    here and nowhere else.  A *scope* is a plain picklable pair
+    ``(op_tag | None, trace_ctx | None)``: the tag the metrics count
+    messages under (``op:<ref>``) and the ``(trace_id, span_id)`` an
+    installed tracer parents spans under.  The network keeps one stack
+    of them; the gate stamps the innermost one on every envelope
+    (``Message.scope``) and re-opens it around the delivery handler, so
+    both halves follow forwards, replies and replica pushes, across
+    shards too.  Code that continues an operation *outside* a delivery
+    (timeout retries, give-up/cancel resolution, fan-out completion)
+    captures :meth:`SimNetwork.scope` at issue time and re-enters it
+    with :meth:`SimNetwork.resume`.  Either engine therefore reports the
+    same attributed count and the same trace for an operation, with
+    exactly one ``msg:`` span per attributed message.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from heapq import heappush
 from types import MethodType
-from typing import Any, Callable
+from typing import Any, Callable, ContextManager
 
 from repro.simnet.events import EventHandle, EventLoop, SimulationError
 from repro.simnet.latency import ConstantLatency, LatencyModel
-from repro.simnet.transport import Transport
+from repro.simnet.metrics import NetworkMetrics
+
+#: what :meth:`SimNetwork.resume` hands back for "no scope" (reusable)
+_NO_SCOPE = nullcontext()
 
 
 class Message:
@@ -59,8 +96,8 @@ class Message:
         self.sent_at = sent_at
         self.carried = carried
         #: causal scope ``(op_tag | None, trace_ctx | None)`` of the
-        #: logical operation this message belongs to (see
-        #: ``simnet/transport.py``) — a plain picklable pair so sharded
+        #: logical operation this message belongs to (see the module
+        #: docstring) — a plain picklable pair so sharded
         #: transports ship it across process boundaries unchanged.
         #: The gate stamps the sender's active scope at send time and
         #: re-opens it around the delivery handler, so every message
@@ -88,38 +125,38 @@ class Message:
 
 
 class Node:
-    """Base class for anything attached to a :class:`Transport`.
+    """Base class for anything attached to a :class:`SimNetwork`.
 
     A node is an *actor*: it reaches the rest of the system only
     through :meth:`send` envelopes, and receives deliveries through
     handlers registered per message kind with :meth:`register_handler`.
     Subclasses either register handlers (the normal protocol style) or
     override :meth:`on_message` wholesale.  The node gets a back-ref to
-    the transport when attached, which keeps construction order
+    the network when attached, which keeps construction order
     flexible.
     """
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
-        self.network: Transport | None = None
+        self.network: SimNetwork | None = None
         self.online = True
         #: message kind -> ``handler(node, message)`` (see
         #: :meth:`register_handler`)
         self._handlers: dict[str, Callable[["Node", Message], None]] = {}
         #: True when this node uses the stock :meth:`on_message`
-        #: dispatch, letting the transport jump straight to the handler
+        #: dispatch, letting the gate jump straight to the handler
         #: registry on delivery (one less frame per message)
         self._fast_dispatch = type(self).on_message is Node.on_message
 
     @property
     def loop(self) -> EventLoop:
-        """The event loop of the attached transport."""
+        """The event loop of the attached network."""
         if self.network is None:
             raise SimulationError(f"node {self.node_id} is not attached")
         return self.network.loop
 
     def send(self, dst: str, kind: str, payload: dict | None = None) -> None:
-        """Send a message through the attached transport."""
+        """Send a message through the attached network."""
         if self.network is None:
             raise SimulationError(f"node {self.node_id} is not attached")
         self.network.send(Message(
@@ -159,9 +196,32 @@ class Node:
         raise ValueError(f"unknown message kind {message.kind!r}")
 
 
-class SimNetwork(Transport):
+class _Entered:
+    """``with`` block holding one scope on a network's stack (a class,
+    not a generator: one is entered per issued operation)."""
+
+    __slots__ = ("_scopes", "_scope")
+
+    def __init__(self, scopes: list, scope: tuple) -> None:
+        self._scopes = scopes
+        self._scope = scope
+
+    def __enter__(self) -> None:
+        self._scopes.append(self._scope)
+
+    def __exit__(self, *exc: Any) -> None:
+        self._scopes.pop()
+
+
+class SimNetwork:
     """The simulated Internet layer (single shared event loop, its
     own :attr:`loop`).
+
+    Besides the gate it keeps the node registry (:meth:`attach` /
+    :meth:`detach` / :meth:`node` / :meth:`is_online` /
+    :meth:`set_online`), the causal scope stack (:meth:`scope` /
+    :meth:`resume`), :attr:`metrics` accounting and the fault-injector
+    and tracer hook points.
 
     Parameters
     ----------
@@ -172,12 +232,35 @@ class SimNetwork(Transport):
         reproducibility).
     """
 
+    #: active fault injector, if any (see
+    #: :class:`repro.faultlab.injector.FaultInjector`, which sets and
+    #: clears it).  ``None`` keeps :meth:`send` on the exact historical
+    #: code path — with no injector installed every simulation stays
+    #: bit-identical.
+    fault_injector: Any | None
+
+    #: active span recorder, if any (see :class:`repro.obs.tracer.
+    #: Tracer`).  Same contract as the fault injector: with ``None``
+    #: no scope ever carries a trace context and no send or delivery
+    #: calls into the tracer, so a tracing-disabled run is
+    #: bit-identical to the pre-tracing simulator.
+    tracer: Any | None
+
     def __init__(
         self,
         latency: LatencyModel | None = None,
         rng: random.Random | None = None,
     ) -> None:
-        super().__init__()
+        self.metrics = NetworkMetrics()
+        self._nodes: dict[str, Node] = {}
+        #: stack of active causal scopes ``(op_tag, trace_ctx)``, either
+        #: half possibly ``None``; an installed tracer pushes its
+        #: activations on this same list
+        self._scopes: list[tuple] = []
+        self.fault_injector = None
+        self.tracer = None
+        #: read on every message hop and every timer: a plain
+        #: attribute, not a property
         self.loop = EventLoop()
         self.latency = latency if latency is not None else ConstantLatency()
         self.rng = rng if rng is not None else random.Random(0)
@@ -186,7 +269,92 @@ class SimNetwork(Transport):
         #: instead of binding its own per message
         self._deliver = self._deliver
 
-    # -- transport -----------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Current virtual time of this network's clock."""
+        return self.loop.now
+
+    # -- the causal scope ----------------------------------------------
+
+    def scope(self) -> tuple | None:
+        """The innermost active scope — what a message sent now would
+        be stamped with — or ``None`` outside any.  Keep it to
+        :meth:`resume` an operation from a timer or a callback."""
+        scopes = self._scopes
+        return scopes[-1] if scopes else None
+
+    def resume(self, scope: tuple | None) -> ContextManager[None]:
+        """Enter ``scope`` — one captured with :meth:`scope`, or a
+        fresh ``(op_tag, None)`` — so messages sent inside bill and
+        parent under it.  ``None`` (nothing was active then) enters
+        nothing."""
+        if scope is None:
+            return _NO_SCOPE
+        return _Entered(self._scopes, scope)
+
+    # -- membership ----------------------------------------------------
+
+    def attach(self, node: Node) -> None:
+        """Register a node under its ``node_id``."""
+        if node.node_id in self._nodes:
+            raise SimulationError(f"duplicate node id {node.node_id!r}")
+        node.network = self
+        self._nodes[node.node_id] = node
+
+    def detach(self, node_id: str) -> None:
+        """Remove a node permanently (e.g. simulated departure)."""
+        node = self._nodes.pop(node_id, None)
+        if node is not None:
+            node.network = None
+
+    def node(self, node_id: str) -> Node:
+        """Look up an attached node by id."""
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise SimulationError(f"unknown node {node_id!r}") from None
+
+    def __contains__(self, node_id: str) -> bool:
+        return node_id in self._nodes
+
+    def node_ids(self) -> list[str]:
+        """Ids of all attached nodes (online or not)."""
+        return list(self._nodes)
+
+    def is_online(self, node_id: str) -> bool:
+        """Whether the node exists and is currently online.
+
+        A shard's network answers from *local knowledge*: exactly for
+        peers it owns and from a barrier-refreshed liveness map for
+        remote peers (stale by at most one synchronization window).
+        """
+        node = self._nodes.get(node_id)
+        return node is not None and node.online
+
+    def set_online(self, node_id: str, online: bool) -> None:
+        """Toggle a node's availability (simulated crash / recovery)."""
+        self.node(node_id).online = online
+
+    # -- tracing hook point --------------------------------------------
+
+    def install_tracer(self, tracer: Any) -> Any:
+        """Route subsequent sends/deliveries through ``tracer``.
+
+        The tracer keeps no stack of its own from here on: its
+        activations push on this network's scope stack, which is how
+        a trace context reaches the envelopes the gate stamps.  For
+        every stamped envelope whose scope carries a context the gate
+        records a hop span once it passes the drop checks
+        (``message_sent``) or a drop event (``message_dropped``).
+        Returns ``tracer`` for chaining.
+        """
+        if self.tracer is not None and self.tracer is not tracer:
+            raise SimulationError("a tracer is already installed")
+        self.tracer = tracer
+        tracer._scopes = self._scopes
+        return tracer
+
+    # -- the gate ------------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Sample a latency and schedule delivery of ``message``.

@@ -9,13 +9,9 @@ from repro.util.keys import Key, common_prefix_length
 from repro.util.hashing import order_preserving_hash, uniform_hash
 from repro.util.guid import mint_guid
 from repro.util.similarity import (
-    dice_coefficient,
     jaccard_similarity,
     jaro_winkler,
-    levenshtein,
     ngram_similarity,
-    normalized_levenshtein,
-    overlap_coefficient,
 )
 
 __all__ = [
@@ -24,11 +20,7 @@ __all__ = [
     "order_preserving_hash",
     "uniform_hash",
     "mint_guid",
-    "levenshtein",
-    "normalized_levenshtein",
     "ngram_similarity",
-    "dice_coefficient",
     "jaro_winkler",
     "jaccard_similarity",
-    "overlap_coefficient",
 ]

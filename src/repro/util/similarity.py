@@ -6,13 +6,11 @@ predicates defined in both schemas".  This module supplies both
 families:
 
 *Lexicographic* (on attribute names):
-    :func:`levenshtein`, :func:`normalized_levenshtein`,
     :func:`ngram_similarity`, :func:`jaro_winkler`.
 
-*Set distances* (on the sets of instance values observed under each
+*Set distance* (on the sets of instance values observed under each
 attribute):
-    :func:`jaccard_similarity`, :func:`overlap_coefficient`,
-    :func:`dice_coefficient`.
+    :func:`jaccard_similarity`.
 
 All similarity functions return a value in ``[0, 1]`` where 1 means
 identical.
@@ -27,47 +25,6 @@ from collections.abc import Collection, Set
 # ---------------------------------------------------------------------------
 # Lexicographic measures
 # ---------------------------------------------------------------------------
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (insertions, deletions, substitutions).
-
-    Classic two-row dynamic program, O(len(a) * len(b)).
-
-    >>> levenshtein("organism", "organisms")
-    1
-    """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) > len(b):
-        a, b = b, a
-    previous = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        current = [j]
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(
-                previous[i] + 1,        # deletion
-                current[i - 1] + 1,     # insertion
-                previous[i - 1] + cost  # substitution
-            ))
-        previous = current
-    return previous[-1]
-
-
-def normalized_levenshtein(a: str, b: str) -> float:
-    """Levenshtein similarity scaled to ``[0, 1]`` (1 = equal strings).
-
-    >>> normalized_levenshtein("abc", "abc")
-    1.0
-    """
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
-
 
 def _bigrams(text: str) -> list[str]:
     """Character bigrams of ``text`` with boundary padding."""
@@ -150,7 +107,7 @@ def jaro_winkler(a: str, b: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Set distances
+# Set distance
 # ---------------------------------------------------------------------------
 
 def jaccard_similarity(a: Collection, b: Collection) -> float:
@@ -165,27 +122,3 @@ def jaccard_similarity(a: Collection, b: Collection) -> float:
         return 1.0
     union = len(set_a | set_b)
     return len(set_a & set_b) / union
-
-
-def overlap_coefficient(a: Collection, b: Collection) -> float:
-    """|A ∩ B| / min(|A|, |B|) — high when one set nests in the other.
-
-    This is the measure of choice for detecting *subsumption*
-    candidates: if the value set of attribute X contains the value set
-    of attribute Y, the overlap coefficient is 1 while Jaccard may be
-    small.
-    """
-    set_a = a if isinstance(a, Set) else set(a)
-    set_b = b if isinstance(b, Set) else set(b)
-    if not set_a or not set_b:
-        return 1.0 if (not set_a and not set_b) else 0.0
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
-
-
-def dice_coefficient(a: Collection, b: Collection) -> float:
-    """2|A ∩ B| / (|A| + |B|)."""
-    set_a = a if isinstance(a, Set) else set(a)
-    set_b = b if isinstance(b, Set) else set(b)
-    if not set_a and not set_b:
-        return 1.0
-    return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))

@@ -52,6 +52,12 @@ from strategies.uploads import (
     key_group_scripts,
     upload_cases,
 )
+from strategies.values import (
+    connectivity_records,
+    schema_mappings,
+    schemas,
+    value_objects,
+)
 
 __all__ = [
     "DETERMINISM_SETTINGS",
@@ -68,6 +74,7 @@ __all__ = [
     "SharingCase",
     "TrieCase",
     "UploadCase",
+    "connectivity_records",
     "corpora",
     "deploy_read_case",
     "deploy_upload_case",
@@ -86,6 +93,8 @@ __all__ = [
     "request_trees",
     "required_events",
     "run_sharing_case",
+    "schema_mappings",
+    "schemas",
     "sharing_cases",
     "split_write_schedules",
     "stat_bags",
@@ -93,4 +102,5 @@ __all__ = [
     "triple_sets",
     "triples",
     "upload_cases",
+    "value_objects",
 ]

@@ -21,9 +21,16 @@ by keyword or by position, has one value in use: it is a constant
 spelled as a parameter.  Calls dispatched by name (``call("m", ...)``,
 ``submit(node, "m", ...)``) pass their trailing arguments positionally;
 a constructor is called through its class name, ``cls(...)`` and
-``super().__init__(...)``.  The parameters kept anyway are named, each
-with its reason, in ``KEPT_DEFAULTS``.  Calls are matched by the
-callee's name, so this too is a floor, not a proof.
+``super().__init__(...)``, and a value class's fields are the
+parameters of the constructor its dataclass writes.  The parameters
+kept anyway are named, each with its reason, in ``KEPT_DEFAULTS``.
+Calls are matched by the callee's name, so this too is a floor, not a
+proof.
+
+A value object is a frozen dataclass.  Immutability, equality, hashing
+and pickling are what ``@dataclass(frozen=True, slots=True)`` writes;
+no class writes ``__reduce__`` or a ``__setattr__`` that raises by hand,
+except the four in ``HAND_WRITTEN_VALUES``, each with its reason.
 
 A statistic is declared once.  Every stat bag subclasses
 ``obs.registry.CounterGroup``, which is where ``snapshot`` / ``reset``
@@ -33,10 +40,10 @@ series that idiom replaced stay gone, and the facade reports network
 metrics without asking which engine it runs on.
 
 One module pair knows how causal scope propagates.  The scope stack
-(``Transport._scopes``) is touched by the transport, its gate, the
+(``SimNetwork._scopes``) is touched by the network and its gate, the
 cross-shard branch of the gate and the tracer that pushes on it;
-everything else goes through ``Transport.operation`` / ``scope`` /
-``resume`` and ``Tracer.activate`` / ``current``.
+everything else goes through ``SimNetwork.scope`` / ``resume`` and
+``Tracer.activate`` / ``current``.
 
 One class knows when a multi-peer operation is over.  The fan-out
 ledger (``FanoutTask``), its table and the sub-request sender live on
@@ -115,12 +122,6 @@ KEPT_FOR_TESTS = {
     "set_exception": "error handling: a Future resolves to a failure",
     "UniformLatency": "jittered delivery: the batch strategies reorder "
                       "messages with it",
-    "normalized_levenshtein": "§4 lexical measure outside the matcher's "
-                              "combination, pinned by its own tests",
-    "overlap_coefficient": "§4 set measure outside the matcher's "
-                           "combination, pinned by its own tests",
-    "dice_coefficient": "§4 set measure outside the matcher's "
-                        "combination, pinned by its own tests",
 }
 #: token types whose text is a string literal's (3.12 splits f-strings)
 _STRING_TOKENS = {tokenize.STRING,
@@ -245,13 +246,41 @@ def _functions(tree):
                     yield f"{node.name}.{fn.name}", fn.name, fn, True
 
 
+def _is_value_class(cls):
+    """Whether ``cls`` is declared ``@dataclass(frozen=True,
+    slots=True)``: a value object, whose generated ``__init__`` takes
+    its fields in order."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               and {(k.arg, getattr(k.value, "value", None))
+                    for k in d.keywords} >= {("frozen", True),
+                                             ("slots", True)}
+               for d in cls.decorator_list)
+
+
+def _value_class_fields(tree, where):
+    """``(qualified name, callee name, parameter, position, where)`` of
+    the defaulted fields of the value classes in ``tree``, read as the
+    parameters of the ``__init__`` the dataclass writes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and _is_value_class(cls):
+            fields = [node for node in cls.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)]
+            for index, node in enumerate(fields):
+                if node.value is not None:
+                    yield (f"{cls.name}.__init__", cls.name, node.target.id,
+                           index, f"{where}:{node.lineno}")
+
+
 def _defaulted_parameters():
     """``(qualified name, callee name, parameter, position, where)`` of
     every defaulted parameter of a function or method under
-    ``src/repro``; ``position`` skips ``self`` / ``cls`` and is
-    ``None`` for a keyword-only parameter."""
+    ``src/repro``, a value class's fields included; ``position`` skips
+    ``self`` / ``cls`` and is ``None`` for a keyword-only parameter."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
+        yield from _value_class_fields(tree, path.relative_to(ROOT))
         for qualified, callee, fn, is_method in _functions(tree):
             args = fn.args
             positional = args.posonlyargs + args.args
@@ -335,6 +364,73 @@ def test_no_option_without_a_second_value():
     assert not stale, f"set by code now (or gone): {stale}"
 
 
+def test_a_value_class_field_is_an_option():
+    options = {(qualified, param, index)
+               for qualified, _, param, index, _ in _defaulted_parameters()}
+    assert {("Schema.__init__", "domain", 2),
+            ("PredicateCorrespondence.__init__", "kind", 2),
+            ("PredicateCorrespondence.__init__", "score", 3),
+            ("SchemaMapping.__init__", "provenance", 4),
+            ("SchemaMapping.__init__", "deprecated", 5),
+            ("SchemaMapping.__init__", "confidence", 6)} <= options
+
+
+#: the classes that may still write ``__reduce__`` or a raising
+#: ``__setattr__`` by hand, each with its reason
+HAND_WRITTEN_VALUES = {
+    "_BaseTerm": "interned: unpickling and copying must re-intern "
+                 "through the constructor",
+    "Triple": "interned: unpickling and copying must re-intern "
+              "through the constructor",
+    "TriplePattern": "its hash, route and prepared scan are lazy caches "
+                     "a pickle must not ship",
+    "ConjunctiveQuery": "its hash is a lazy cache a pickle must not ship",
+}
+
+
+def _hand_written_value_methods(tree):
+    """``(class, method)`` for each ``__reduce__`` / ``__reduce_ex__``
+    and each ``__setattr__`` that raises, per class of ``tree``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name in ("__reduce__", "__reduce_ex__")
+                        or fn.name == "__setattr__" and any(
+                            isinstance(node, ast.Raise)
+                            for node in ast.walk(fn))):
+                    yield cls.name, fn.name
+
+
+def test_a_value_object_is_a_frozen_dataclass():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for cls, method in _hand_written_value_methods(
+                ast.parse(path.read_text())):
+            found.setdefault(cls, set()).add(
+                f"{path.relative_to(SRC).as_posix()}: {cls}.{method}")
+    offenders = sorted(where for cls, wheres in found.items()
+                       if cls not in HAND_WRITTEN_VALUES for where in wheres)
+    assert not offenders, (
+        "immutability or pickling written by hand (use "
+        "@dataclass(frozen=True, slots=True)):\n  " + "\n  ".join(offenders))
+    stale = sorted(set(HAND_WRITTEN_VALUES) - set(found))
+    assert not stale, f"no longer hand-written (or gone): {stale}"
+
+
+def test_the_hand_written_rule_sees_a_raising_setattr():
+    text = ("class Kit:\n"
+            "    def __setattr__(self, name, value):\n"
+            "        raise AttributeError(name)\n"
+            "    def __reduce__(self):\n"
+            "        return (Kit, ())\n"
+            "class Open:\n"
+            "    def __setattr__(self, name, value):\n"
+            "        object.__setattr__(self, name, value)\n")
+    assert set(_hand_written_value_methods(ast.parse(text))) == {
+        ("Kit", "__setattr__"), ("Kit", "__reduce__")}
+
+
 #: where ``snapshot`` / ``reset`` may be written out in full: the stat
 #: idiom itself and the tracer (a span buffer, not a counter bag)
 STAT_IDIOM_OWNERS = {"obs/registry.py", "obs/tracer.py"}
@@ -393,8 +489,8 @@ def test_statistics_are_declared_once():
 
 
 #: the only modules that may touch the causal scope stack
-SCOPE_STACK_OWNERS = {"simnet/transport.py", "simnet/network.py",
-                      "simnet/shard.py", "obs/tracer.py"}
+SCOPE_STACK_OWNERS = {"simnet/network.py", "simnet/shard.py",
+                      "obs/tracer.py"}
 #: the two stacks and the second delivery path it replaced
 RETIRED = ("_op_stack", "_deliver_traced", "tracer._stack", "trace_stack")
 
@@ -409,7 +505,7 @@ def test_scope_stack_has_four_owners_and_no_twin():
         if "_scopes" in text and module not in SCOPE_STACK_OWNERS:
             offenders.append(f"{module}: _scopes")
     assert not offenders, (
-        "causal scope handled outside the transport:\n  "
+        "causal scope handled outside the network:\n  "
         + "\n  ".join(offenders))
 
 

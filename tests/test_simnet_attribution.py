@@ -41,7 +41,7 @@ class TestOperationScopes:
     def test_scope_tags_sends_and_replies(self):
         net = self._net()
         net.metrics.begin_operation("op")
-        with net.operation("op"):
+        with net.resume(("op", None)):
             net.node("a").send("b", "ping")
         net.loop.run_until_idle()
         # ping + the pong sent while handling the tagged delivery
@@ -49,7 +49,7 @@ class TestOperationScopes:
 
     def test_untracked_tags_are_not_counted(self):
         net = self._net()
-        with net.operation("never-registered"):
+        with net.resume(("never-registered", None)):
             net.node("a").send("b", "ping")
         net.loop.run_until_idle()
         assert net.metrics.operations == {}
@@ -65,8 +65,8 @@ class TestOperationScopes:
         net = self._net()
         net.metrics.begin_operation("outer")
         net.metrics.begin_operation("inner")
-        with net.operation("outer"):
-            with net.operation("inner"):
+        with net.resume(("outer", None)):
+            with net.resume(("inner", None)):
                 net.node("a").send("b", "ping")
         net.loop.run_until_idle()
         assert net.metrics.end_operation("inner") == 2
@@ -76,9 +76,9 @@ class TestOperationScopes:
         net = self._net()
         net.metrics.begin_operation("one")
         net.metrics.begin_operation("two")
-        with net.operation("one"):
+        with net.resume(("one", None)):
             net.node("a").send("b", "ping")
-        with net.operation("two"):
+        with net.resume(("two", None)):
             net.node("b").send("a", "ping")
             net.node("b").send("a", "ping")
         net.loop.run_until_idle()
@@ -106,16 +106,10 @@ class TestOperationScopes:
         assert [(r["name"], r["parent"]) for r in replies] == \
             [("msg:pong", ping["span"])] * pongs
 
-    @pytest.mark.parametrize("trace_outside", [True, False])
-    def test_each_half_inherits_the_other(self, trace_outside):
-        """``operation()`` inside a trace keeps the context;
-        ``activate()`` inside an operation keeps the tag."""
+    def test_activate_inside_an_operation_keeps_the_tag(self):
         net, tracer, ctx = self._traced_net()
-        outer, inner = tracer.activate(ctx), net.operation("op")
-        if not trace_outside:
-            outer, inner = net.operation("op"), tracer.activate(ctx)
-        with outer:
-            with inner:
+        with net.resume(("op", None)):
+            with tracer.activate(ctx):
                 assert net.scope() == ("op", ctx)
                 assert tracer.current() == ctx
                 net.node("a").send("b", "ping")
@@ -134,7 +128,7 @@ class TestOperationScopes:
         """A continuation outside any delivery (a retry timer) bills
         and parents exactly like the scope it was captured in."""
         net, tracer, ctx = self._traced_net()
-        with tracer.activate(ctx), net.operation("op"):
+        with net.resume(("op", ctx)):
             captured = net.scope()
 
         def retry():

@@ -40,9 +40,8 @@ def _check(golden, section, collect):
     assert observed == golden[section]
 
 
-class TestInProcessTransportGolden:
-    """The single-loop ``SingleLoopEngine`` (named for the transport
-    class it replaced) against the golden file."""
+class TestSingleLoopEngineGolden:
+    """The single-loop ``SingleLoopEngine`` against the golden file."""
 
     def test_end_to_end_bit_identical(self, golden):
         _check(golden, "end_to_end", _end_to_end)

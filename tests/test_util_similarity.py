@@ -5,13 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.similarity import (
-    dice_coefficient,
     jaccard_similarity,
     jaro_winkler,
-    levenshtein,
     ngram_similarity,
-    normalized_levenshtein,
-    overlap_coefficient,
 )
 
 words = st.text(
@@ -19,52 +15,6 @@ words = st.text(
     max_size=20,
 )
 value_sets = st.sets(st.integers(0, 50), max_size=20)
-
-
-class TestLevenshtein:
-    def test_identity(self):
-        assert levenshtein("organism", "organism") == 0
-
-    def test_single_insertion(self):
-        assert levenshtein("organism", "organisms") == 1
-
-    def test_substitution(self):
-        assert levenshtein("cat", "bat") == 1
-
-    def test_empty_sides(self):
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "") == 3
-
-    def test_classic_example(self):
-        assert levenshtein("kitten", "sitting") == 3
-
-    @given(words, words)
-    def test_symmetric(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
-
-    @given(words, words)
-    def test_bounded(self, a, b):
-        d = levenshtein(a, b)
-        assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
-
-    @given(words, words, words)
-    def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
-
-
-class TestNormalizedLevenshtein:
-    def test_identity_is_one(self):
-        assert normalized_levenshtein("abc", "abc") == 1.0
-
-    def test_empty_pair_is_one(self):
-        assert normalized_levenshtein("", "") == 1.0
-
-    def test_disjoint_is_zero(self):
-        assert normalized_levenshtein("abc", "xyz") == 0.0
-
-    @given(words, words)
-    def test_in_unit_interval(self, a, b):
-        assert 0.0 <= normalized_levenshtein(a, b) <= 1.0
 
 
 class TestNgramSimilarity:
@@ -78,9 +28,9 @@ class TestNgramSimilarity:
         assert ngram_similarity("ORGANISM", "organism") == 1.0
 
     def test_reordering_scores_above_edit_distance(self):
-        # n-grams are robust to token reordering
-        assert (ngram_similarity("SeqLength", "LengthSeq")
-                > normalized_levenshtein("SeqLength", "LengthSeq"))
+        # n-grams are robust to token reordering: the two names are six
+        # edits apart out of nine characters
+        assert ngram_similarity("SeqLength", "LengthSeq") > 1 - 6 / 9
 
     @given(words, words)
     def test_in_unit_interval(self, a, b):
@@ -132,42 +82,17 @@ class TestSetMeasures:
     def test_jaccard_one_empty(self):
         assert jaccard_similarity(set(), {1}) == 0.0
 
-    def test_overlap_detects_containment(self):
-        assert overlap_coefficient({1, 2}, {1, 2, 3, 4}) == 1.0
-        assert jaccard_similarity({1, 2}, {1, 2, 3, 4}) == 0.5
-
-    def test_overlap_empty(self):
-        assert overlap_coefficient(set(), set()) == 1.0
-        assert overlap_coefficient(set(), {1}) == 0.0
-
-    def test_dice_known(self):
-        assert dice_coefficient({1, 2}, {2, 3}) == pytest.approx(0.5)
-
     def test_accepts_lists(self):
         assert jaccard_similarity([1, 2, 2], [2]) == 0.5
 
     @given(value_sets, value_sets)
     def test_all_in_unit_interval(self, a, b):
-        for fn in (jaccard_similarity, overlap_coefficient,
-                   dice_coefficient):
-            assert 0.0 <= fn(a, b) <= 1.0
+        assert 0.0 <= jaccard_similarity(a, b) <= 1.0
 
     @given(value_sets, value_sets)
     def test_all_symmetric(self, a, b):
-        for fn in (jaccard_similarity, overlap_coefficient,
-                   dice_coefficient):
-            assert fn(a, b) == pytest.approx(fn(b, a))
+        assert jaccard_similarity(a, b) == jaccard_similarity(b, a)
 
     @given(value_sets)
     def test_identity_is_one(self, a):
-        for fn in (jaccard_similarity, overlap_coefficient,
-                   dice_coefficient):
-            assert fn(a, a) == 1.0
-
-    @given(value_sets, value_sets)
-    def test_jaccard_le_dice_le_overlap(self, a, b):
-        # Standard ordering of the three coefficients.
-        assert (jaccard_similarity(a, b)
-                <= dice_coefficient(a, b) + 1e-12)
-        assert (dice_coefficient(a, b)
-                <= overlap_coefficient(a, b) + 1e-12)
+        assert jaccard_similarity(a, a) == 1.0
