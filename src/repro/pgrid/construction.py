@@ -20,18 +20,22 @@ Two ways to assign paths are provided.
 
 Every assignment gets its tables from one builder,
 :func:`sample_routing_tables` (§2.1: a level-``i`` reference is any
-peer of the complementary subtree, drawn uniformly);
-:func:`populate_routing_tables` writes them into live peers as lists,
-and :func:`replica_groups` wires ``sigma(p)``.  Every deployment seeds
-its streams by purpose: paths from ``Random(f"{seed}/paths")``, tables
-from ``Random(f"{seed}/tables")`` and each peer from
-``_stream_seed(seed, "peer", node_id)``.
+peer of the complementary subtree, drawn uniformly).  It lists each
+trie node's population once and draws with :func:`_sample`, which
+mirrors ``Random.sample`` draw for draw, so the tables are pinned by
+the seed alone.  :func:`populate_routing_tables` writes them into live
+peers as lists, and :func:`replica_groups` wires ``sigma(p)``.  Every
+deployment seeds its streams by purpose: paths from
+``Random(f"{seed}/paths")``, tables from ``Random(f"{seed}/tables")``
+and each peer from ``_stream_seed(seed, "peer", node_id)``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import Any
 
@@ -139,6 +143,43 @@ def _stream_seed(*parts: object) -> int:
     return zlib.crc32("/".join(map(str, parts)).encode())
 
 
+def _sample(rng: random.Random, population: Sequence[Any],
+            k: int) -> list[Any]:
+    """``rng.sample(population, k)``, drawn the way CPython draws it.
+
+    ``Random.sample`` spends most of a small draw on its argument
+    checks; the build makes one draw per (peer, level), so this is the
+    same algorithm without them.  It consumes the stream exactly as
+    ``Random.sample`` does (a pool for populations no larger than the
+    small-set size, rejection from a set above it, no draw when ``k``
+    is 0), so the tables stay those ``Random.sample`` would give;
+    ``tests/strategies/test_reference_draw.py`` pins the equality.
+    ``0 <= k <= len(population)`` is the caller's to keep.
+    """
+    n = len(population)
+    randbelow = rng._randbelow
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        picks = []
+        for i in range(k):
+            j = randbelow(n - i)
+            picks.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return picks
+    selected: set[int] = set()
+    picks = []
+    for _ in range(k):
+        j = randbelow(n)
+        while j in selected:
+            j = randbelow(n)
+        selected.add(j)
+        picks.append(population[j])
+    return picks
+
+
 def sample_routing_tables(
     assignment: dict[str, Key],
     refs_per_level: int = 2,
@@ -156,72 +197,69 @@ def sample_routing_tables(
     without replacement and sorted; replicas are the other peers on
     ``pi(p)``, sorted.
 
-    The draw never lists the eligible peers.  Leaf paths are sorted, so
-    the leaves under a complement prefix form one contiguous run (found
-    by bisection), and a prefix-sum over per-leaf member counts turns
-    "the k-th eligible peer" into one more bisection.  A leaf that is a
-    proper prefix of the complement (only in a trie that is not yet
-    prefix-free, such as a partly converged :func:`build_by_exchanges`)
-    is a run of its own.  That keeps the build near-linear: at level 0
-    the eligible set is half the network.
+    Each eligible population is listed once per trie node, not once
+    per (peer, level).  The members sit in one list ordered by leaf,
+    so the peers under a complement prefix are one slice of it (its
+    leaves are a contiguous run of the sorted leaf paths).  The leaves
+    that are proper prefixes of the complement (only in a trie that is
+    not yet prefix-free, such as a partly converged
+    :func:`build_by_exchanges`) follow the slice.  Both depend on the
+    complement string alone, so one population per complement serves
+    every leaf under its trie node, and the peers of a leaf share one
+    list of per-level populations: the k-th eligible peer is one
+    index.  The draw is :func:`_sample`, which mirrors
+    ``Random.sample``: for a given rng the tables are the ones
+    ``rng.sample`` would give, and
+    ``tests/test_routing_table_digests.py`` pins three builds.
 
     The tables are *tuples*: the scale-out deployment shares one build,
     read-only, between every engine run over it, and tuples of strings
     are invisible to the cyclic collector where 140k lists (at 10k
     peers) are re-traversed by every full collection.
     """
-    import bisect
-
+    if refs_per_level < 1:
+        raise ValueError(
+            f"refs_per_level must be >= 1, got {refs_per_level!r}")
     rng = rng if rng is not None else random.Random(0)
     members: dict[str, list[str]] = {}
     for node_id, path in assignment.items():
         members.setdefault(path.bits, []).append(node_id)
     leaf_bits = sorted(members)
-    starts = [0] * (len(leaf_bits) + 1)
-    for i, bits in enumerate(leaf_bits):
-        starts[i + 1] = starts[i] + len(members[bits])
-    # Per leaf, the leaves that are proper prefixes of it: a prefix
-    # sorts right before its extensions, so one stack walk finds them.
-    above: dict[str, tuple[int, ...]] = {}
-    stack: list[int] = []
-    for i, bits in enumerate(leaf_bits):
-        while stack and not bits.startswith(leaf_bits[stack[-1]]):
-            stack.pop()
-        above[bits] = tuple(stack)
-        stack.append(i)
-
-    def _population(bits: str,
-                    level: int) -> tuple[list[tuple[int, int]], int]:
-        """(leaf-index runs, total members) covering the level-``level``
-        complement of path ``bits``."""
-        complement = bits[:level] + ("1" if bits[level] == "0" else "0")
-        lo = bisect.bisect_left(leaf_bits, complement)
-        hi = bisect.bisect_right(leaf_bits, complement + "1" * 200)
-        runs = [(lo, hi)]
-        runs += [(i, i + 1) for i in above[bits]
-                 if len(leaf_bits[i]) <= level]
-        return runs, sum(starts[end] - starts[first] for first, end in runs)
-
-    def _member_at(runs: list[tuple[int, int]], offset: int) -> str:
-        for first, end in runs:
-            position = starts[first] + offset
-            if position < starts[end]:
-                leaf = bisect.bisect_right(starts, position) - 1
-                return members[leaf_bits[leaf]][position - starts[leaf]]
-            offset -= starts[end] - starts[first]
-        raise IndexError(offset)
+    ordered = [node_id for bits in leaf_bits for node_id in members[bits]]
+    starts = [0]
+    for bits in leaf_bits:
+        starts.append(starts[-1] + len(members[bits]))
+    populations: dict[str, list[str]] = {}
+    levels_of: dict[str, list[tuple[list[str], int]]] = {}
+    for bits in leaf_bits:
+        above: list[str] = []
+        levels = levels_of[bits] = []
+        for level in range(len(bits)):
+            prefix = bits[:level]
+            if prefix in members:
+                above += members[prefix]
+            complement = prefix + ("1" if bits[level] == "0" else "0")
+            population = populations.get(complement)
+            if population is None:
+                # "2" sorts after both bits: every extension of the
+                # complement lies in [complement, complement + "2").
+                lo = bisect_left(leaf_bits, complement)
+                hi = bisect_left(leaf_bits, complement + "2", lo)
+                population = ordered[starts[lo]:starts[hi]] + above
+                populations[complement] = population
+            levels.append(
+                (population, min(refs_per_level, len(population))))
 
     tables = {}
     for node_id, path in assignment.items():
         bits = path.bits
-        replicas = sorted(m for m in members[bits] if m != node_id)
-        routing_table: list[tuple[str, ...]] = []
-        for level in range(len(bits)):
-            runs, total = _population(bits, level)
-            offsets = rng.sample(range(total), min(refs_per_level, total))
-            routing_table.append(
-                tuple(sorted(_member_at(runs, off) for off in offsets)))
-        tables[node_id] = (tuple(replicas), tuple(routing_table))
+        replicas = tuple(sorted(m for m in members[bits] if m != node_id))
+        routing_table = []
+        for population, k in levels_of[bits]:
+            picks = _sample(rng, population, k)
+            picks.sort()
+            routing_table.append(tuple(picks))
+        tables[node_id] = (replicas, tuple(routing_table))
     return tables
 
 

@@ -144,7 +144,8 @@ class ScaleoutSpec:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be one of {accepted}, "
                     f"got {getattr(self, name)!r}")
-        for name, least in (("num_peers", 1), ("num_shards", 1),
+        for name, least in (("num_peers", 1), ("replication", 1),
+                            ("refs_per_level", 1), ("num_shards", 1),
                             ("num_keys", 1), ("num_waves", 0),
                             ("ops_per_wave", 0), ("batch_queries", 0),
                             ("query_max_hops", 0)):

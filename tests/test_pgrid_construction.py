@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mediation.network import GridVineNetwork
 from repro.pgrid.construction import (
     assign_paths,
     build_by_exchanges,
     populate_routing_tables,
     replica_groups,
+    sample_routing_tables,
 )
+from repro.pgrid.overlay import PGridOverlay
 from repro.pgrid.peer import PGridPeer
 from repro.util.hashing import order_preserving_hash
 from repro.util.keys import Key, common_prefix_length
@@ -154,6 +157,31 @@ class TestRoutingTables:
                 other = peers[ref].path
                 assert (common_prefix_length(other, key) > level
                         or other.is_prefix_of(key))
+
+
+def _eight_peers():
+    return assign_paths(8, replication=2, rng=random.Random(1))
+
+
+#: every way to get routing tables; each must refuse to build them empty
+TABLE_BUILDERS = {
+    "sample_routing_tables": lambda refs: sample_routing_tables(
+        _eight_peers(), refs),
+    "populate_routing_tables": lambda refs: populate_routing_tables(
+        {nid: PGridPeer(nid, path) for nid, path in _eight_peers().items()},
+        refs),
+    "PGridOverlay.build": lambda refs: PGridOverlay.build(
+        8, refs_per_level=refs),
+    "GridVineNetwork.build": lambda refs: GridVineNetwork.build(
+        8, refs_per_level=refs),
+}
+
+
+@pytest.mark.parametrize("refs", [0, -1])
+@pytest.mark.parametrize("builder", sorted(TABLE_BUILDERS))
+def test_refs_per_level_below_one_is_refused(builder, refs):
+    with pytest.raises(ValueError, match="refs_per_level must be >= 1"):
+        TABLE_BUILDERS[builder](refs)
 
 
 class TestExchangeConstruction:

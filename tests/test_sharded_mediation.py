@@ -239,6 +239,8 @@ class TestLiveProcessStats:
     ("workload", "raw", "'retrieve', 'mediation'"),
     ("strategy", "psychic", "'local', 'iterative', 'recursive', 'auto'"),
     ("num_peers", 0, ">= 1"),
+    ("replication", 0, ">= 1"),
+    ("refs_per_level", 0, ">= 1"),
     ("num_shards", 0, ">= 1"),
     ("num_keys", 0, ">= 1"),
     ("num_waves", -1, ">= 0"),
