@@ -116,11 +116,14 @@ class ScenarioSpec:
 
         if self.strategy not in SCENARIO_STRATEGIES:
             reject("strategy", f"one of {SCENARIO_STRATEGIES}")
-        for name in ("num_peers", "replication", "refs_per_level",
-                     "num_schemas", "num_entities", "selforg_rounds",
-                     "num_queries", "max_hops", "warmup"):
-            if getattr(self, name) < 0:
-                reject(name, ">= 0")
+        # every schema covers max(5, entities // 5) of the entities
+        for name, least in (("num_peers", 1), ("replication", 1),
+                            ("refs_per_level", 1), ("num_schemas", 1),
+                            ("num_entities", 5), ("selforg_rounds", 0),
+                            ("num_queries", 0), ("max_hops", 0),
+                            ("warmup", 0)):
+            if getattr(self, name) < least:
+                reject(name, f">= {least}")
         for name in ("mean_uptime", "mean_downtime", "maintenance_interval",
                      "query_interval", "stats_pull_interval"):
             if getattr(self, name) <= 0:

@@ -54,17 +54,6 @@ class NetworkMetrics(CounterGroup):
         """Stop tracking ``op_tag`` and return its message count."""
         return self.operations.pop(op_tag, 0)
 
-    def record_send(self, kind: str, latency: float,
-                    values_count: int = 0,
-                    op_tag: str | None = None) -> None:
-        """Account for one delivered message."""
-        self.messages_sent += 1
-        self.total_latency += latency
-        self.values_shipped += values_count
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
-        if op_tag is not None and op_tag in self.operations:
-            self.operations[op_tag] += 1
-
     def record_drop(self, kind: str, reason: str = "offline") -> None:
         """Account for one message dropped before delivery.
 

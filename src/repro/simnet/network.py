@@ -11,15 +11,20 @@ destinations silently drop messages (senders are expected to use
 timeouts or replica retries, exactly as over a real WAN).
 
 One gate, two clocks
-    :meth:`SimNetwork.send` / ``SimNetwork._deliver`` is *the*
+    :meth:`SimNetwork.send` / ``SimNetwork._deliver`` is *the* only
     send/deliver gate of the whole system (stamping, send-time offline
     drop, injector veto, latency, metrics, tracer hop, handler
     dispatch).  What varies is the clock it schedules on: a plain
     :class:`SimNetwork` carries every delivery on one event loop, and
-    a shard's network (:class:`~repro.simnet.shard.ShardTransport`)
-    subclasses it with an outbox, one per shard of the P-Grid key
-    space, each with a private loop — only the branch for a
-    destination another shard owns is its own code.  Above the gate,
+    a shard's network (:class:`~repro.simnet.shard.ShardTransport`,
+    one per shard of the P-Grid key space, each with a private loop)
+    subclasses it with state only.  The gate judges a destination
+    attached here by its ``online`` flag and any other id by
+    ``_remote_online`` (offline on a plain network; another shard's peer
+    as of the last barrier on a shard's), and a message that passes
+    for a destination with no local node goes to the shard's outbox
+    instead of the loop.  :meth:`SimNetwork.is_online` is the same
+    rule.  Above the gate,
     :class:`~repro.simnet.shard.SingleLoopEngine` and
     :class:`~repro.simnet.shard.ShardedTransport` expose one driver
     surface (``submit / run_until / run_until_quiescent / ...``), all
@@ -28,7 +33,8 @@ One gate, two clocks
 Fault injection is a network-layer concern: the gate asks an installed
 :class:`~repro.faultlab.injector.FaultInjector` for a send-time drop
 verdict (``on_send``, *after* the offline check on every path) and
-hands it delivery scheduling (``dispatch``).  One
+hands it the scheduling of a local delivery (``dispatch``; a message
+for another shard's peer goes to the outbox as drawn).  One
 :class:`~repro.faultlab.plan.FaultPlan` installs as a single injector
 on the single loop or as per-shard injectors on the sharded engine, and
 rng-free clauses (partitions) account identically on both.
@@ -322,14 +328,19 @@ class SimNetwork:
         return list(self._nodes)
 
     def is_online(self, node_id: str) -> bool:
-        """Whether the node exists and is currently online.
-
-        A shard's network answers from *local knowledge*: exactly for
-        peers it owns and from a barrier-refreshed liveness map for
-        remote peers (stale by at most one synchronization window).
-        """
+        """Whether a send to ``node_id`` now would pass the gate's
+        offline check: an attached node by its own flag, any other id
+        by :meth:`_remote_online`."""
         node = self._nodes.get(node_id)
-        return node is not None and node.online
+        if node is not None:
+            return node.online
+        return self._remote_online(node_id)
+
+    def _remote_online(self, node_id: str) -> bool:
+        """Liveness of an id not attached here.  A plain network
+        knows no other peers; a shard's transport answers for peers
+        another shard owns."""
+        return False
 
     def set_online(self, node_id: str, online: bool) -> None:
         """Toggle a node's availability (simulated crash / recovery)."""
@@ -357,7 +368,8 @@ class SimNetwork:
     # -- the gate ------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """Sample a latency and schedule delivery of ``message``.
+        """Sample a latency and schedule delivery of ``message`` (on
+        this loop, or through a shard's outbox for another shard's peer).
 
         Messages to unknown or offline destinations are dropped; the
         drop is recorded so protocols under test can be audited for
@@ -380,10 +392,12 @@ class SimNetwork:
             tracer = None
         dst_node = self._nodes.get(message.dst)
         if dst_node is None or not dst_node.online:
-            self.metrics.record_drop(message.kind, reason="offline")
-            if tracer is not None:
-                tracer.message_dropped(message, loop._now, "offline")
-            return
+            # An id not attached here may be another shard's live peer.
+            if dst_node is not None or not self._remote_online(message.dst):
+                self.metrics.record_drop(message.kind, reason="offline")
+                if tracer is not None:
+                    tracer.message_dropped(message, loop._now, "offline")
+                return
         injector = self.fault_injector
         if injector is not None:
             drop_reason = injector.on_send(message)
@@ -400,7 +414,7 @@ class SimNetwork:
             delay = latency.delay
         else:
             delay = latency.sample(message.src, message.dst, self.rng)
-        # Inlined ``self.metrics.record_send(...)``: one method call per
+        # Counted in place, not through a metrics method: one call per
         # message is measurable at deployment-build volume.
         kind = message.kind
         metrics = self.metrics
@@ -419,7 +433,12 @@ class SimNetwork:
                 # layer counts, so per-trace message coverage matches
                 # the ``operations`` counter by construction.
                 tracer.message_sent(message, loop._now, delay)
-        if injector is not None:
+        if dst_node is None:
+            # Another shard's peer (only a shard's transport gets here):
+            # parked for the next barrier, which schedules its delivery.
+            self._outbox.append((loop._now + delay, next(self._out_seq),
+                                 message))
+        elif injector is not None:
             # The injector owns scheduling for faulted links: it may
             # add jitter, clone duplicates or hold the message back to
             # reorder it behind later traffic.  Unmatched messages are

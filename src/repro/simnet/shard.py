@@ -2,8 +2,8 @@
 
 One gate, one driver, two clocks.  Every message on either engine
 passes the single send/deliver gate in ``simnet/network.py``
-(:class:`ShardTransport` *is* a :class:`SimNetwork`; its only code of
-its own is the branch for a destination another shard owns), and both
+(:class:`ShardTransport` *is* a :class:`SimNetwork` with an outbox and
+a liveness map, and has no send code of its own), and both
 engines expose one driver surface (:class:`_Engine`) whose kickoff,
 attribution, trace roots and reports come from the same :class:`Shard`
 code.  What differs is the clock: :class:`SingleLoopEngine` runs one
@@ -40,7 +40,9 @@ Liveness under churn
     refreshed at the start of the window containing the toggle —
     send-time online checks against remote peers may be stale by up to
     one window, mirroring how a real WAN's failure detectors lag the
-    failures themselves.
+    failures themselves.  A peer's own liveness probe
+    (:meth:`~repro.simnet.network.SimNetwork.is_online`) reads the same
+    two sources by the gate's own rule.
 
 Worker modes
     ``mode="inline"`` runs every shard in this process (deterministic,
@@ -121,18 +123,20 @@ class _EveryTag(dict):
 class ShardTransport(SimNetwork):
     """The transport one shard's peers are attached to.
 
-    A :class:`SimNetwork` with an outbox.  A send to a peer this shard
-    owns, and every delivery (local or arriving from another shard at a
-    barrier), runs the inherited gate unchanged.  The only code of its
-    own is the branch of :meth:`send` for a peer *another* shard owns:
-    the liveness it checks is the barrier-refreshed map, and the
-    envelope is parked in the outbox for the next barrier exchange
-    instead of the local loop.
-    It asks the same questions in the same order as the gate (offline
-    drop, then injector veto) and accounts through the same
-    :class:`~repro.simnet.metrics.NetworkMetrics` calls, so merged
-    per-shard counters equal the single loop's.
+    A :class:`SimNetwork` with an outbox: state, not a second gate.
+    Every send and every delivery (local, or arriving from another
+    shard at a barrier) runs the inherited gate, which parks a message
+    for a peer *another* shard owns in :attr:`_outbox` for the next
+    barrier exchange, so merged per-shard counters equal the single
+    loop's.  :meth:`_remote_online` tells the gate such a peer's
+    liveness from the barrier-refreshed map; any other id not attached
+    here (unknown, or owned here but detached) is offline.
     """
+
+    #: perfbench's span target ``repro.simnet.shard:ShardTransport.send``
+    #: looks the method up in this class's own dict (ROADMAP 0(f)); the
+    #: alias is the gate itself, so it adds no frame to a send
+    send = SimNetwork.send
 
     def __init__(
         self,
@@ -147,50 +151,14 @@ class ShardTransport(SimNetwork):
         self._owner_of = owner_of
         #: barrier-refreshed knowledge of remote peers' liveness
         self._liveness: dict[str, bool] = {}
+        #: ``(deliver_time, seq, message)`` per cross-shard send
         self._outbox: list[tuple[float, int, Message]] = []
         self._out_seq = itertools.count()
 
-    def is_online(self, node_id: str) -> bool:
-        node = self._nodes.get(node_id)
-        if node is not None:
-            return node.online  # authoritative for owned peers
-        if node_id in self._owner_of:
-            return self._liveness.get(node_id, True)  # window-stale
-        return False
-
-    def send(self, message: Message) -> None:
-        dst = message.dst
-        if self._owner_of.get(dst, self.shard_id) == self.shard_id:
-            # Ours — or nobody's, which the gate drops as offline.
-            SimNetwork.send(self, message)
-            return
-        now = self.loop._now
-        message.sent_at = now
-        scope = message.scope
-        if scope is None and self._scopes:
-            scope = message.scope = self._scopes[-1]
-        tracer = self.tracer
-        if tracer is not None and (scope is None or scope[1] is None):
-            tracer = None  # untraced envelope: no hop span, no event
-        if not self._liveness.get(dst, True):
-            reason = "offline"  # as of the last barrier
-        elif self.fault_injector is not None:
-            reason = self.fault_injector.on_send(message)
-        else:
-            reason = None
-        if reason is not None:
-            self.metrics.record_drop(message.kind, reason=reason)
-            if tracer is not None:
-                tracer.message_dropped(message, now, reason)
-            return
-        delay = self.latency.sample(message.src, dst, self.rng)
-        # Counted and traced once, at the sender, with the final delay:
-        # the receiving shard only schedules the delivery.
-        self.metrics.record_send(message.kind, delay, message.carried,
-                                 message.op_tag)
-        if tracer is not None:
-            tracer.message_sent(message, now, delay)
-        self._outbox.append((now + delay, next(self._out_seq), message))
+    def _remote_online(self, node_id: str) -> bool:
+        # Another shard's peer, as of the last barrier (window-stale).
+        return (self._owner_of.get(node_id, self.shard_id) != self.shard_id
+                and self._liveness.get(node_id, True))
 
 
 def summarize_op_result(result: Any) -> tuple:

@@ -40,10 +40,16 @@ series that idiom replaced stay gone, and the facade reports network
 metrics without asking which engine it runs on.
 
 One module pair knows how causal scope propagates.  The scope stack
-(``SimNetwork._scopes``) is touched by the network and its gate, the
-cross-shard branch of the gate and the tracer that pushes on it;
+(``SimNetwork._scopes``) is touched by the network and its gate, a
+shard's submission kickoff and the tracer that pushes on it;
 everything else goes through ``SimNetwork.scope`` / ``resume`` and
 ``Tracer.activate`` / ``current``.
+
+One gate sends a message.  ``SimNetwork.send`` is the only code that
+counts a send or a drop: outside the network and its metrics no module
+records a drop, writes the sent counters or defines a ``send`` of its
+own.  A shard's transport keeps the gate itself under its own name, for
+the span target that looks it up there.
 
 One class knows when a multi-peer operation is over.  The fan-out
 ledger (``FanoutTask``), its table and the sub-request sender live on
@@ -507,6 +513,61 @@ def test_scope_stack_has_four_owners_and_no_twin():
     assert not offenders, (
         "causal scope handled outside the network:\n  "
         + "\n  ".join(offenders))
+
+
+#: the network and the counters its gate fills
+SEND_GATE_OWNERS = {"simnet/network.py", "simnet/metrics.py"}
+SEND_COUNTERS = {"messages_sent", "messages_by_kind"}
+
+
+def _send_gate_code(tree):
+    """What in ``tree`` only the gate may do: record a drop, write a
+    sent counter, or define a ``send``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record_drop"):
+            yield "calls record_drop"
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and node.attr in SEND_COUNTERS):
+            yield f"writes {node.attr}"
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr in SEND_COUNTERS):
+            yield f"writes {node.value.attr}[...]"
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name == "send"):
+            yield "defines send"
+
+
+def test_one_send_gate():
+    from repro.simnet.network import SimNetwork
+    from repro.simnet.shard import ShardTransport
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module not in SEND_GATE_OWNERS:
+            offenders += [f"{module}: {what}" for what in
+                          _send_gate_code(ast.parse(path.read_text()))]
+    assert not offenders, (
+        "a second send gate:\n  " + "\n  ".join(offenders))
+    # the alias perfbench's span target resolves is the gate itself
+    assert vars(ShardTransport)["send"] is SimNetwork.send
+
+
+def test_the_send_gate_rule_sees_a_second_gate():
+    tree = ast.parse(
+        "class T:\n"
+        "    def send(self, message):\n"
+        "        self.metrics.messages_sent += 1\n"
+        "        self.metrics.messages_by_kind[message.kind] = 1\n"
+        "        self.metrics.record_drop(message.kind)\n")
+    assert sorted(_send_gate_code(tree)) == [
+        "calls record_drop", "defines send", "writes messages_by_kind[...]",
+        "writes messages_sent"]
 
 
 #: the only modules that may mint fan-out ids or reach the task table

@@ -281,10 +281,16 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field, value, accepted", [
         ("strategy", "itertive", "one of"),
-        ("num_peers", -1, ">= 0"),
-        ("replication", -2, ">= 0"),
-        ("num_schemas", -1, ">= 0"),
-        ("num_entities", -5, ">= 0"),
+        ("num_peers", -1, ">= 1"),
+        ("num_peers", 0, ">= 1"),
+        ("replication", -2, ">= 1"),
+        ("replication", 0, ">= 1"),
+        ("refs_per_level", 0, ">= 1"),
+        ("num_schemas", -1, ">= 1"),
+        ("num_schemas", 0, ">= 1"),
+        ("num_entities", -5, ">= 5"),
+        ("num_entities", 3, ">= 5"),
+        ("num_entities", 4, ">= 5"),
         ("num_queries", -3, ">= 0"),
         ("selforg_rounds", -1, ">= 0"),
         ("max_hops", -1, ">= 0"),
@@ -307,7 +313,10 @@ class TestSpecValidation:
     def test_every_strategy_and_the_edge_values_are_accepted(self):
         for strategy in ("local", "iterative", "recursive", "engine", "auto"):
             assert ScenarioSpec(strategy=strategy).strategy == strategy
-        ScenarioSpec(num_queries=0, warmup=0.0, selforg_rounds=0, limit=1)
+        ScenarioSpec(num_queries=0, warmup=0.0, selforg_rounds=0, limit=1,
+                     max_hops=0)
+        ScenarioSpec(num_peers=1, replication=1, refs_per_level=1,
+                     num_schemas=1, num_entities=5)
         ScenarioSpec(limit=None)
 
     def test_cli_exits_2_with_the_message(self, capsys):

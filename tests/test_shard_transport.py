@@ -27,6 +27,7 @@ from repro.pgrid.scaleout import (
 from repro.simnet.churn import exponential_schedule
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency, LogNormalWANLatency
+from repro.simnet.network import Message, Node
 from repro.simnet.shard import ShardedTransport, partition_paths
 from repro.util.keys import Key
 
@@ -148,6 +149,62 @@ class TestTransportGuards:
         with pytest.raises(SimulationError):
             transport.set_online_at(3.0, "peer-0", False)
         transport.stop()
+
+
+# ----------------------------------------------------------------------
+# One liveness rule: a shard's is_online is the gate's offline check
+# ----------------------------------------------------------------------
+
+class TestOneLivenessRule:
+    """``is_online(dst)`` on a shard's transport is true exactly when a
+    send to ``dst`` passes the gate — delivered on the shard's own loop
+    or parked in the outbox for another shard — for every kind of
+    destination, so a peer's liveness probe and its sends never
+    disagree."""
+
+    #: destination -> (is_online, where a send to it goes)
+    KINDS = {
+        "owned-online": (True, "loop"),
+        "owned-offline": (False, "dropped"),
+        "owned-detached": (False, "dropped"),
+        "remote-live": (True, "outbox"),
+        "remote-down": (False, "dropped"),  # as of the last barrier
+        "unknown": (False, "dropped"),
+    }
+
+    def test_is_online_exactly_when_the_gate_passes_the_send(self):
+        engine = ShardedTransport(2, latency=ConstantLatency(0.05))
+        received = []
+        for name, shard_id in (("sender", 0), ("owned-online", 0),
+                               ("owned-offline", 0), ("owned-detached", 0),
+                               ("remote-live", 1), ("remote-down", 1)):
+            node = Node(name)
+            node.register_handler("ping", received.append)
+            engine.add_peer(node, shard_id)
+        engine.set_online_at(0.01, "remote-down", False)
+        engine.run_until(0.2)  # the owner fires the toggle at 0.01 ...
+        engine.run_until(0.3)  # ... and the next barrier publishes it
+        transport = engine.shards[0].transport
+        transport.set_online("owned-offline", False)
+        transport.detach("owned-detached")
+        metrics, loop = transport.metrics, transport.loop
+        for dst, expected in self.KINDS.items():
+            online = transport.is_online(dst)
+            sent, dropped = metrics.messages_sent, metrics.messages_dropped
+            queued, parked = loop.live_events, len(transport._outbox)
+            transport.send(Message("ping", "sender", dst))
+            if metrics.messages_dropped > dropped:
+                went = "dropped"
+            elif len(transport._outbox) > parked:
+                went = "outbox"
+            else:
+                went = "loop" if loop.live_events > queued else None
+            assert (online, went) == expected, dst
+            assert metrics.messages_sent - sent == (went != "dropped"), dst
+        engine.run_until_quiescent()
+        assert sorted(m.dst for m in received) == ["owned-online",
+                                                   "remote-live"]
+        engine.stop()
 
 
 # ----------------------------------------------------------------------
