@@ -36,7 +36,7 @@ def overlay_from_assignment(assignment, seed):
     network = SimNetwork(rng=random.Random(seed))
     peers = {}
     for node_id, path in sorted(assignment.items()):
-        peer = PGridPeer(node_id, path, rng=random.Random(seed))
+        peer = PGridPeer(node_id, path, rng=seed)
         network.attach(peer)
         peers[node_id] = peer
     populate_routing_tables(peers, rng=random.Random(seed))

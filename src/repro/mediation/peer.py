@@ -60,7 +60,6 @@ holders' replica group continues its host's count.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import Any
 
@@ -104,7 +103,7 @@ class GridVinePeer(PGridPeer):
         self,
         node_id: str,
         path: Key,
-        rng: "random.Random | int | float | str | None" = None,
+        rng: "int | float | str | None" = None,
         timeout: float = 15.0,
         max_retries: int = 2,
         failover: bool = True,

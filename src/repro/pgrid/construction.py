@@ -134,7 +134,7 @@ def replica_groups(assignment: dict[str, Key]) -> dict[Key, list[str]]:
 
 def _stream_seed(*parts: object) -> int:
     """The seed of a private rng stream keyed by plain values (a peer
-    creates its stream on its first draw).
+    buffers the first words of its stream at its first draw).
 
     Seeding with a small int takes a fast path in CPython (string
     seeds are hashed through SHA-512); at 10k peers the difference is

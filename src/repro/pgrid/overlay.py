@@ -49,9 +49,9 @@ def build_overlay(
     peers with routing tables.
 
     ``make_peer(node_id, path, rng)`` builds each peer; ``rng`` is the
-    *seed* of the peer's stream, which the peer creates on its first
-    draw.  Every stream is keyed by ``seed`` and its purpose, as the
-    scale-out deployment keys them: paths from
+    *seed* of the peer's stream, whose first words the peer buffers
+    at its first draw.  Every stream is keyed by ``seed`` and its
+    purpose, as the scale-out deployment keys them: paths from
     ``Random(f"{seed}/paths")``, each peer from ``_stream_seed(seed,
     "peer", node_id)``, tables from ``Random(f"{seed}/tables")`` and
     latency from the engine's own ``{seed}/latency`` stream.  The

@@ -61,6 +61,13 @@ _NO_AVOID: frozenset = frozenset()
 #: store digests are sums of item hashes modulo 2**64
 _DIGEST_MASK = (1 << 64) - 1
 
+#: 32-bit words of a peer's stream buffered at its first draw (a
+#: drawing peer of a 10k-peer route run uses about 11 on average)
+_WORDS = 32
+
+#: the one generator that fills every peer's buffer, re-seeded per fill
+_SCRATCH = random.Random()
+
 
 @dataclass(slots=True)
 class OpResult:
@@ -92,9 +99,11 @@ class PGridPeer(Node):
     path:
         The binary prefix ``pi(p)`` this peer is responsible for.
     rng:
-        Randomness for reference selection (ties on equal-level refs):
-        a ``random.Random``, or the seed of one — the stream is then
-        created on the peer's first draw (same seed, same draws).
+        The seed of the peer's randomness stream for reference
+        selection (ties on equal-level refs): an int, float, str or
+        ``None`` (seed 0).  The draws are those of
+        ``random.Random(rng)``; the stream is buffered on the peer's
+        first draw (see :meth:`_pick_reference`, its only reader).
     timeout:
         Seconds an origin waits for a reply before retrying.
     max_retries:
@@ -122,17 +131,19 @@ class PGridPeer(Node):
         self,
         node_id: str,
         path: Key,
-        rng: "random.Random | int | float | str | None" = None,
+        rng: "int | float | str | None" = None,
         timeout: float = 15.0,
         max_retries: int = 2,
         failover: bool = True,
     ) -> None:
         super().__init__(node_id)
         self.path = path
-        if isinstance(rng, random.Random):
-            self.rng = rng
-        else:
-            self._rng_seed = rng if rng is not None else 0
+        self._rng_seed = rng if rng is not None else 0
+        #: the stream's unused buffered words, least significant first,
+        #: and how many are left (-1: not filled yet; see
+        #: :meth:`_pick_reference`)
+        self._words = 0
+        self._words_left = -1
         self.timeout = timeout
         self.max_retries = max_retries
         self.failover = failover
@@ -189,8 +200,15 @@ class PGridPeer(Node):
 
     @cached_property
     def rng(self) -> random.Random:
-        """This peer's private randomness stream."""
-        return random.Random(self._rng_seed)
+        """This peer's stream past its buffered words.
+
+        Only a peer that draws all of its first :data:`_WORDS` words
+        pays for a generator of its own (2.5 KiB of Mersenne-Twister
+        state): ``random.Random(seed)`` advanced past them.
+        """
+        rng = random.Random(self._rng_seed)
+        rng.getrandbits(32 * _WORDS)
+        return rng
 
     @cached_property
     def _failover(self) -> FailoverCounters:
@@ -657,10 +675,30 @@ class PGridPeer(Node):
             fresh = [r for r in pool if r not in avoid]
             if fresh:
                 pool = fresh
-        # Inlined ``rng.choice(pool)`` (pool is never empty here):
-        # identical rng consumption, one frame less per routed hop.
-        rng = self.rng
-        return pool[rng._randbelow(len(pool))]
+        # ``random.Random(seed).choice(pool)`` (pool is never empty
+        # here), drawn word by word as ``Random._randbelow`` draws: the
+        # top ``k`` bits of the next 32-bit word, rejected while out of
+        # range, so a pool of one still consumes its words.  The first
+        # :data:`_WORDS` words come from a buffer filled at the first
+        # draw; only past them does the peer need a generator.
+        n = len(pool)
+        k = n.bit_length()
+        while True:
+            left = self._words_left
+            if left > 0:
+                words = self._words
+                r = (words & 0xFFFFFFFF) >> (32 - k)
+                self._words = words >> 32
+                self._words_left = left - 1
+            elif left:
+                _SCRATCH.seed(self._rng_seed)
+                self._words = _SCRATCH.getrandbits(32 * _WORDS)
+                self._words_left = _WORDS
+                continue
+            else:
+                r = self.rng.getrandbits(k)
+            if r < n:
+                return pool[r]
 
     def _execute_op(self, op: str, key: Key, value: Any) -> Any:
         """Answer one operation from local state.

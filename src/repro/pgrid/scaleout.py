@@ -105,9 +105,9 @@ class ScaleoutSpec:
     #: SearchFor / engine-batch query waves).  For *bit-identical*
     #: cross-engine mediation outcomes use ``refs_per_level=1`` and
     #: ``replication=1``: :meth:`PGridPeer._pick_reference` is the only
-    #: rng draw on the query path, and pools of size one make routing
+    #: draw from a peer's stream, and pools of size one make routing
     #: independent of the engines' differing same-window delivery
-    #: orders.
+    #: orders (a pool of one still consumes its words).
     workload: str = "retrieve"
     #: mediation corpus shape (BioDatasetGenerator knobs)
     num_schemas: int = 6
@@ -148,11 +148,14 @@ class ScaleoutSpec:
                             ("refs_per_level", 1), ("num_shards", 1),
                             ("num_keys", 1), ("num_waves", 0),
                             ("ops_per_wave", 0), ("batch_queries", 0),
-                            ("query_max_hops", 0)):
+                            ("query_max_hops", 0), ("max_retries", 0)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be >= {least}, "
                     f"got {getattr(self, name)!r}")
+        if not self.timeout > 0:
+            raise ValueError(
+                f"ScaleoutSpec.timeout must be > 0, got {self.timeout!r}")
         if self.query_limit is not None and self.query_limit < 1:
             raise ValueError(
                 "ScaleoutSpec.query_limit must be None or >= 1, "
@@ -373,7 +376,8 @@ def _build_mediation(spec: ScaleoutSpec,
 
 def _make_peer(spec: ScaleoutSpec, deployment: Deployment,
                node_id: str) -> PGridPeer:
-    """One peer with its private rng stream and prebuilt tables."""
+    """One peer with the seed of its private stream and prebuilt
+    tables."""
     peer_class = GridVinePeer if spec.workload == "mediation" else PGridPeer
     peer = peer_class(
         node_id, deployment.assignment[node_id],

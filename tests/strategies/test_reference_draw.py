@@ -1,5 +1,6 @@
-"""Property test: the routing-table draw is ``Random.sample``'s draw.
+"""Property tests: the overlay's draws are ``random.Random``'s draws.
 
+*The routing-table draw is ``Random.sample``'s draw.*
 :func:`repro.pgrid.construction._sample` draws every level's references
 without going through ``Random.sample``.  For a drawn seed, population
 size ``n`` (on both sides of the small-set size 21, where
@@ -8,6 +9,14 @@ to ``min(n, 8)`` (across the ``k > 5`` set-size rule), it must return
 the same picks as ``random.Random(seed).sample(range(n), k)`` and leave
 the rng in the same state.  An interpreter whose ``Random.sample``
 draws differently fails here before any routing table changes.
+
+*A peer's reference draw is ``Random.choice``'s draw.*
+:meth:`repro.pgrid.peer.PGridPeer._pick_reference` draws from the
+buffered first words of its seed's stream, then from a generator of
+its own.  For every kind of seed a peer is given and pools of one to
+nine references, its picks must equal ``Random(seed)._randbelow``'s
+step for step, across the end of the buffer, and leave the stream at
+the same position (the next eight whole words agree).
 """
 
 import random
@@ -16,6 +25,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.pgrid.construction import _sample
+from repro.pgrid.peer import _WORDS, PGridPeer
+from repro.util.keys import Key
 
 from strategies import DETERMINISM_SETTINGS
 
@@ -38,3 +49,34 @@ def test_the_draw_is_random_sample(case):
     rng = random.Random(seed)
     assert _sample(rng, list(range(n)), k) == expected
     assert rng.getstate() == expected_rng.getstate()
+
+
+#: a pool whose draws are whole 32-bit words (``k`` is 32; the one
+#: out-of-range word is rejected by the peer and the reference alike)
+WORD_POOL = range(2**32 - 1)
+
+seeds = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64 + 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.text(max_size=12),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.none())
+
+
+@DETERMINISM_SETTINGS
+@given(seed=seeds,
+       pool=st.integers(min_value=1, max_value=9),
+       run=st.integers(min_value=_WORDS - 7, max_value=4 * _WORDS))
+def test_a_peer_draws_its_seeds_stream(seed, pool, run):
+    refs = [f"r{i}" for i in range(pool)]
+    peer = PGridPeer("n0", Key("00"), rng=seed)
+    peer.routing_table = [refs, WORD_POOL]
+    reference = random.Random(0 if seed is None else seed)
+    for _ in range(run):
+        assert peer._pick_reference(0) == refs[reference._randbelow(pool)]
+    words = [peer._pick_reference(1) for _ in range(8)]
+    assert words == [reference._randbelow(len(WORD_POOL))
+                     for _ in range(8)]
+    # at least _WORDS + 1 words drawn: the peer left its buffer
+    assert "rng" in vars(peer)

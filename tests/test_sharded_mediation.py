@@ -248,6 +248,9 @@ class TestLiveProcessStats:
     ("batch_queries", -1, ">= 0"),
     ("query_max_hops", -1, ">= 0"),
     ("query_limit", 0, "None or >= 1"),
+    ("timeout", 0.0, "> 0"),
+    ("timeout", -1.0, "> 0"),
+    ("max_retries", -1, ">= 0"),
 ])
 def test_spec_validation_names_field_and_accepted_values(field, value,
                                                          accepted):
