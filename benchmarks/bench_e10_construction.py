@@ -21,6 +21,7 @@ from conftest import report, run_once
 from record import record
 
 from repro.pgrid.construction import (
+    _stream_seed,
     assign_paths,
     build_by_exchanges,
     populate_routing_tables,
@@ -36,7 +37,8 @@ def overlay_from_assignment(assignment, seed):
     network = SimNetwork(rng=random.Random(seed))
     peers = {}
     for node_id, path in sorted(assignment.items()):
-        peer = PGridPeer(node_id, path, rng=seed)
+        peer = PGridPeer(node_id, path,
+                         rng=_stream_seed(seed, "peer", node_id))
         network.attach(peer)
         peers[node_id] = peer
     populate_routing_tables(peers, rng=random.Random(seed))

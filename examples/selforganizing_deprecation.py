@@ -20,7 +20,8 @@ import random
 
 from repro import GridVineNetwork
 from repro.datagen import BioDatasetGenerator, QueryWorkloadGenerator
-from repro.selforg import DeprecationConfig, assess_mapping_quality
+from repro.selforg import assess_mapping_quality
+from repro.selforg.deprecation import THRESHOLD
 
 
 def main() -> None:
@@ -53,12 +54,10 @@ def main() -> None:
     for mapping in graph.mappings():
         print(f"  {mapping.mapping_id:<24} [{mapping.provenance}]")
 
-    config = DeprecationConfig()
-    posteriors = assess_mapping_quality(graph, config)
-    print("\nposterior correctness (threshold "
-          f"{config.threshold}):")
+    posteriors = assess_mapping_quality(graph)
+    print(f"\nposterior correctness (threshold {THRESHOLD}):")
     for mapping_id, posterior in sorted(posteriors.items()):
-        verdict = "DEPRECATE" if posterior < config.threshold else "keep"
+        verdict = "DEPRECATE" if posterior < THRESHOLD else "keep"
         print(f"  {mapping_id:<24} {posterior:.3f}  -> {verdict}")
 
     # Apply the deprecations through the overlay and show the effect
@@ -68,7 +67,7 @@ def main() -> None:
     before = net.search_for(query, strategy="iterative", max_hops=4)
     for mapping in graph.mappings():
         if (not mapping.is_user_defined
-                and posteriors[mapping.mapping_id] < config.threshold):
+                and posteriors[mapping.mapping_id] < THRESHOLD):
             net.deprecate_mapping(mapping)
     net.settle()
     after = net.search_for(query, strategy="iterative", max_hops=4)

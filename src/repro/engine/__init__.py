@@ -14,17 +14,16 @@ identical bindings — so this package reuses both:
     one cache entry (and one pattern lookup).
 
 :mod:`repro.engine.versioning`
-    :class:`~repro.engine.versioning.MappingVersionClock` — per-schema
-    version counters bumped by the mapping-event hooks
+    :class:`~repro.engine.versioning.MappingVersionClock` — tells its
+    listeners which schemas move on each of the mapping-event hooks
     :class:`~repro.mediation.peer.GridVinePeer` fires on mapping
     insert / remove / deprecate (including mutations driven by the
     self-organization loop of :mod:`repro.selforg`).
 
 :mod:`repro.engine.cache`
     :class:`~repro.engine.cache.PlanCache` — an LRU cache of
-    reformulation plans, each entry pinned to a version snapshot of
-    the schemas it depends on and eagerly invalidated when any of
-    them changes.
+    reformulation plans, each entry recording the schemas it depends
+    on and eagerly invalidated when any of them changes.
 
 :mod:`repro.engine.executor`
     Batched multi-query execution: all patterns across a batch are

@@ -10,8 +10,7 @@ schemas the plan touched.
 Invalidation is *eager* and the only rule: the cache subscribes to its
 :class:`~repro.engine.versioning.MappingVersionClock` when it is
 built, before it can store anything, and the moment a mapping event
-bumps a schema's version every entry depending on that schema is
-dropped.  An entry in the cache is therefore current by construction.
+moves a schema every entry depending on that schema is dropped.  An entry in the cache is therefore current by construction.
 
 The dependency set of a plan is the union of the schemas referenced by
 any of its reformulations (including the original query).  A new

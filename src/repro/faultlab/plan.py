@@ -8,7 +8,7 @@ each one small enough to print, diff and delete:
 
 * :class:`MessageDrop` / :class:`MessageDuplicate` /
   :class:`MessageDelay` / :class:`MessageReorder` — per-message link
-  faults matched by message kind, endpoints and a time window, fired
+  faults matched by message kind and a time window, fired
   with a clause-local seeded probability;
 * :class:`Partition` — a symmetric or asymmetric cut between two node
   groups with a *scheduled heal* (messages crossing the cut inside
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.simnet.network import Message
 
@@ -52,8 +52,8 @@ def _require(ok: bool, clause: object, field: str, accepted: str) -> None:
 class LinkFault:
     """Base matcher for per-message faults.
 
-    ``kinds`` / ``src`` / ``dst`` restrict the matched messages
-    (``None`` matches everything); ``start``/``until`` bound the
+    ``kinds`` restricts the matched messages by kind (``None``
+    matches every kind); ``start``/``until`` bound the
     active window in virtual seconds *relative to injector install*
     (i.e. to the start of the faulted run, however much virtual time
     deployment building consumed); ``probability`` is the
@@ -62,8 +62,6 @@ class LinkFault:
     """
 
     kinds: tuple[str, ...] | None = None
-    src: tuple[str, ...] | None = None
-    dst: tuple[str, ...] | None = None
     start: float = 0.0
     until: float = FOREVER
     probability: float = 1.0
@@ -78,27 +76,16 @@ class LinkFault:
         """Whether ``message`` sent at ``now`` falls under this clause."""
         if not (self.start <= now < self.until):
             return False
-        if self.kinds is not None and message.kind not in self.kinds:
-            return False
-        if self.src is not None and message.src not in self.src:
-            return False
-        if self.dst is not None and message.dst not in self.dst:
-            return False
-        return True
+        return self.kinds is None or message.kind in self.kinds
 
     def _window(self) -> str:
         until = "forever" if self.until == FOREVER else f"{self.until:g}s"
         return f"[{self.start:g}s..{until})"
 
     def _scope(self) -> str:
-        parts = []
-        if self.kinds is not None:
-            parts.append("kind " + "|".join(self.kinds))
-        if self.src is not None:
-            parts.append("src " + "|".join(self.src))
-        if self.dst is not None:
-            parts.append("dst " + "|".join(self.dst))
-        return ", ".join(parts) if parts else "all messages"
+        if self.kinds is None:
+            return "all messages"
+        return "kind " + "|".join(self.kinds)
 
 
 @dataclass(frozen=True)
@@ -259,8 +246,22 @@ def clause_seed(plan_seed: int, clause, ordinal: int = 0) -> int:
     instead of firing in lockstep); it is 0 for the first occurrence,
     keeping unique-clause plans byte-stable.
     """
-    identity = repr(clause) if ordinal == 0 else f"{ordinal}:{clause!r}"
+    identity = _identity(clause)
+    if ordinal:
+        identity = f"{ordinal}:{identity}"
     return plan_seed ^ zlib.crc32(identity.encode("utf-8"))
+
+
+def _identity(clause) -> str:
+    """``repr(clause)``, except that a link fault still spells the
+    endpoint filters it no longer has (``src=None, dst=None`` after
+    ``kinds``, as its repr read while it had them), so every clause
+    keeps the seed, and with it the decisions, it always had."""
+    if not isinstance(clause, LinkFault):
+        return repr(clause)
+    parts = [f"{f.name}={getattr(clause, f.name)!r}" for f in fields(clause)]
+    parts[1:1] = ["src=None", "dst=None"]
+    return f"{type(clause).__qualname__}({', '.join(parts)})"
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,6 @@ class MappingGraph:
         self._in.get(mapping.target_schema, set()).discard(mapping_id)
         return mapping
 
-    def deprecate(self, mapping_id: str) -> None:
-        """Flip a mapping's deprecation flag on, keeping it in the graph."""
-        mapping = self._by_id.get(mapping_id)
-        if mapping is not None:
-            self._by_id[mapping_id] = mapping.with_deprecated(True)
-
     # -- lookups --------------------------------------------------------
 
     def get(self, mapping_id: str) -> SchemaMapping | None:

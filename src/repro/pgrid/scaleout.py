@@ -42,7 +42,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.exec.plans import STRATEGIES
 from repro.faultlab.injector import install_plan
 from repro.mediation.keys import schema_key, triple_keys
 from repro.mediation.network import GridVineNetwork
@@ -61,7 +60,6 @@ from repro.pgrid.construction import (
 )
 from repro.pgrid.peer import PGridPeer
 from repro.simnet.churn import exponential_schedule
-from repro.simnet.latency import ConstantLatency
 from repro.simnet.shard import (
     ShardedTransport,
     SingleLoopEngine,
@@ -70,9 +68,22 @@ from repro.simnet.shard import (
 from repro.util.keys import Key
 
 
-@dataclass
+#: the peers' retry budget (one retry, not :class:`PGridPeer`'s two)
+MAX_RETRIES = 1
+#: reformulation depth of each wave's ``SearchFor`` operations (the
+#: iterative strategy, no result cap) and of its engine batch
+QUERY_MAX_HOPS = 4
+
+
+@dataclass(frozen=True)
 class ScaleoutSpec:
-    """One scale-out experiment: deployment + workload + engine knobs."""
+    """One scale-out experiment: deployment + workload + engine knobs.
+
+    Messages take the engines' default constant delay
+    (:class:`~repro.simnet.latency.ConstantLatency`), which is also the
+    sharded engine's lookahead window; peers keep their default timeout
+    and failover and retry :data:`MAX_RETRIES` times.
+    """
 
     num_peers: int = 10_000
     replication: int = 4
@@ -82,8 +93,6 @@ class ScaleoutSpec:
     num_shards: int = 4
     #: sharded worker mode: ``"inline"`` or ``"process"``
     mode: str = "inline"
-    #: constant one-way delay — also the conservative lookahead window
-    latency_delay: float = 0.05
     #: distinct stored needles (each replicated to its full group)
     num_keys: int = 1000
     #: retrieve operations per wave / number of waves
@@ -96,10 +105,6 @@ class ScaleoutSpec:
     mean_uptime: float = 90.0
     mean_downtime: float = 30.0
     wave_interval: float = 20.0
-    #: peer protocol knobs
-    timeout: float = 15.0
-    max_retries: int = 1
-    failover: bool = True
     #: workload kind: ``"retrieve"`` (raw P-Grid lookups) or
     #: ``"mediation"`` (GridVine peers with schemas, mappings and
     #: SearchFor / engine-batch query waves).  For *bit-identical*
@@ -113,11 +118,6 @@ class ScaleoutSpec:
     num_schemas: int = 6
     num_entities: int = 120
     entities_per_schema: int = 30
-    #: mediation query knobs: strategy / reformulation depth / result
-    #: cap for the per-wave ``SearchFor`` operations
-    strategy: str = "iterative"
-    query_max_hops: int = 4
-    query_limit: int | None = None
     #: per wave, how many extra queries run as ONE engine batch
     #: through ``GridVineNetwork.run_batch`` (0 = no batches)
     batch_queries: int = 0
@@ -138,8 +138,7 @@ class ScaleoutSpec:
 
     def __post_init__(self) -> None:
         for name, accepted in (("mode", ("inline", "process")),
-                               ("workload", ("retrieve", "mediation")),
-                               ("strategy", STRATEGIES)):
+                               ("workload", ("retrieve", "mediation"))):
             if getattr(self, name) not in accepted:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be one of {accepted}, "
@@ -147,19 +146,11 @@ class ScaleoutSpec:
         for name, least in (("num_peers", 1), ("replication", 1),
                             ("refs_per_level", 1), ("num_shards", 1),
                             ("num_keys", 1), ("num_waves", 0),
-                            ("ops_per_wave", 0), ("batch_queries", 0),
-                            ("query_max_hops", 0), ("max_retries", 0)):
+                            ("ops_per_wave", 0), ("batch_queries", 0)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"ScaleoutSpec.{name} must be >= {least}, "
                     f"got {getattr(self, name)!r}")
-        if not self.timeout > 0:
-            raise ValueError(
-                f"ScaleoutSpec.timeout must be > 0, got {self.timeout!r}")
-        if self.query_limit is not None and self.query_limit < 1:
-            raise ValueError(
-                "ScaleoutSpec.query_limit must be None or >= 1, "
-                f"got {self.query_limit!r}")
 
 
 @dataclass
@@ -335,7 +326,7 @@ def _build_mediation(spec: ScaleoutSpec,
 
     The dataset's schemas are chained with bidirectional ground-truth
     mappings (schema i <-> schema i+1), so iterative reformulation can
-    walk the chain in both directions up to ``query_max_hops``.
+    walk the chain in both directions up to :data:`QUERY_MAX_HOPS`.
     """
     from repro.datagen.generator import BioDatasetGenerator
     from repro.datagen.workload import QueryWorkloadGenerator
@@ -382,8 +373,7 @@ def _make_peer(spec: ScaleoutSpec, deployment: Deployment,
     peer = peer_class(
         node_id, deployment.assignment[node_id],
         rng=_stream_seed(spec.seed, "peer", node_id),
-        timeout=spec.timeout, max_retries=spec.max_retries,
-        failover=spec.failover)
+        max_retries=MAX_RETRIES)
     peer.replicas, peer.routing_table = deployment.tables[node_id]
     return peer
 
@@ -479,17 +469,15 @@ def summarize_batch_result(result) -> tuple:
 def run_inprocess(spec: ScaleoutSpec,
                   deployment: Deployment | None = None) -> ScaleoutReport:
     """Run the deployment on the single event loop."""
-    engine = SingleLoopEngine(latency=ConstantLatency(spec.latency_delay),
-                              seed=spec.seed)
+    engine = SingleLoopEngine(seed=spec.seed)
     return _drive(spec, deployment, engine, "inprocess")
 
 
 def run_sharded(spec: ScaleoutSpec,
                 deployment: Deployment | None = None) -> ScaleoutReport:
     """Run the identical deployment on the windowed sharded transport."""
-    engine = ShardedTransport(
-        spec.num_shards, latency=ConstantLatency(spec.latency_delay),
-        seed=spec.seed, mode=spec.mode)
+    engine = ShardedTransport(spec.num_shards, seed=spec.seed,
+                              mode=spec.mode)
     return _drive(spec, deployment, engine, f"sharded/{spec.mode}")
 
 
@@ -519,7 +507,7 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
     else:
         _preload_mediation(deployment, peers)
         waves, method = med.query_waves, "search_for"
-        extra = (spec.strategy, spec.query_max_hops, spec.query_limit)
+        extra = ("iterative", QUERY_MAX_HOPS)
         summarize = summarize_query_outcome
     owner = partition_paths(deployment.assignment, engine.num_shards)
     for node_id, peer in peers.items():
@@ -534,7 +522,7 @@ def _drive(spec: ScaleoutSpec, deployment: Deployment | None,
     if med is not None and spec.batch_queries > 0:
         batch_engine = GridVineNetwork(
             engine, peers, mappings=med.mappings,
-        ).create_engine(max_hops=spec.query_max_hops)
+        ).create_engine(max_hops=QUERY_MAX_HOPS)
 
     report = ScaleoutReport(engine=label, num_peers=spec.num_peers,
                             num_shards=engine.num_shards)

@@ -49,8 +49,12 @@ SCENARIO_STRATEGIES = STRATEGIES + ("engine",)
 #: panel item: (query, set of expected ``Schema:Accession`` subjects)
 Panel = list[tuple[ConjunctiveQuery, set[str]]]
 
+#: organism needles the recall panel queries from the first schema's
+#: vocabulary
+NEEDLES = ("Aspergillus", "Saccharomyces", "Escherichia")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """One scripted scenario, fully determined by its fields."""
 
@@ -64,9 +68,6 @@ class ScenarioSpec:
     # -- corpus --------------------------------------------------------
     num_schemas: int = 6
     num_entities: int = 60
-    #: organism needles queried from the first schema's vocabulary
-    needles: tuple[str, ...] = ("Aspergillus", "Saccharomyces",
-                                "Escherichia")
     #: self-organization rounds run while the overlay is still healthy
     #: (0 = rely on the pre-inserted ground-truth mapping chain)
     selforg_rounds: int = 0
@@ -83,16 +84,11 @@ class ScenarioSpec:
     #: virtual seconds between consecutive queries
     query_interval: float = 30.0
     #: ``"local"`` / ``"iterative"`` / ``"recursive"`` / ``"engine"``
-    #: / ``"auto"`` (cost-based per-query choice from synopses)
+    #: / ``"auto"`` (cost-based per-query choice from synopses; the
+    #: origin then also runs periodic synopsis anti-entropy pulls,
+    #: since piggybacked gossip alone converges slowly under churn)
     strategy: str = "iterative"
     max_hops: int = 8
-    #: whether the origin runs periodic synopsis anti-entropy pulls
-    #: (piggybacked gossip alone converges slowly under churn);
-    #: ``None`` = enabled exactly when the strategy needs statistics
-    #: (``"auto"``)
-    stats_pull: bool | None = None
-    #: virtual seconds between anti-entropy pull rounds
-    stats_pull_interval: float = 30.0
     #: per-query distinct-result cap pushed into the streaming
     #: pipeline (``None`` = unlimited); a satisfied limit
     #: cooperatively cancels the query's remaining fan-out even while
@@ -125,7 +121,7 @@ class ScenarioSpec:
             if getattr(self, name) < least:
                 reject(name, f">= {least}")
         for name in ("mean_uptime", "mean_downtime", "maintenance_interval",
-                     "query_interval", "stats_pull_interval"):
+                     "query_interval"):
             if getattr(self, name) <= 0:
                 reject(name, "> 0")
         if self.limit is not None and self.limit < 1:
@@ -372,7 +368,7 @@ class ScenarioRunner:
                 network.insert_mapping(dataset.ground_truth_mapping(a, b),
                                        bidirectional=True)
         network.settle()
-        runner = cls(network, ground_truth_panel(dataset, spec.needles),
+        runner = cls(network, ground_truth_panel(dataset, NEEDLES),
                      spec, domain=dataset.domain)
         runner.dataset = dataset
         return runner
@@ -451,17 +447,12 @@ class ScenarioRunner:
             )
             churn.start()
         anti_entropy = None
-        pull = (spec.stats_pull if spec.stats_pull is not None
-                else spec.strategy == "auto")
-        if pull:
+        if spec.strategy == "auto":
             # Piggybacked gossip alone converges slowly while peers
             # blink in and out; the origin pulls digests directly so
             # its optimizer keeps estimating through the churn.
             anti_entropy = StatsAntiEntropy(
-                net.peers, self.origin,
-                interval=spec.stats_pull_interval,
-                rng=random.Random(spec.seed + 303),
-            )
+                net.peers, self.origin, rng=random.Random(spec.seed + 303))
             anti_entropy.start()
         injector = None
         if has_faults:

@@ -31,7 +31,6 @@ from repro.selforg.matcher import MatcherConfig, match_attributes
 from repro.selforg.candidates import rank_candidate_pairs
 from repro.selforg.creator import CreationPolicy, propose_mappings
 from repro.selforg.deprecation import (
-    DeprecationConfig,
     assess_mapping_quality,
     cycle_is_consistent,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "rank_candidate_pairs",
     "CreationPolicy",
     "propose_mappings",
-    "DeprecationConfig",
     "assess_mapping_quality",
     "cycle_is_consistent",
     "SelfOrganizationController",

@@ -40,7 +40,6 @@ from repro.rdf.triples import Triple
 from repro.schema.model import Schema
 from repro.selforg.creator import CreationPolicy, propose_mappings
 from repro.selforg.deprecation import (
-    DeprecationConfig,
     assess_mapping_quality,
     mappings_to_deprecate,
 )
@@ -82,7 +81,6 @@ class SelfOrganizationController:
         self.network = network
         self.domain = domain
         self.policy = policy if policy is not None else CreationPolicy()
-        self.deprecation = DeprecationConfig()
         #: substring selecting "reference" attributes (e.g. "Acc");
         #: None means every object value counts as a reference
         self.reference_attribute_hint = reference_attribute_hint
@@ -193,10 +191,9 @@ class SelfOrganizationController:
             self.network.settle()
         # Quality assessment over the (possibly grown) active graph.
         graph = self.network.mapping_graph(self.domain)
-        posteriors = assess_mapping_quality(graph, self.deprecation)
+        posteriors = assess_mapping_quality(graph)
         deprecated: list[str] = []
-        for mapping in mappings_to_deprecate(graph, self.deprecation,
-                                             posteriors):
+        for mapping in mappings_to_deprecate(graph, posteriors):
             self.network.deprecate_mapping(mapping)
             deprecated.append(mapping.mapping_id)
         if deprecated:

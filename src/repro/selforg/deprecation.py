@@ -18,11 +18,11 @@ itself.  Each cycle is an observation:
 
 Generative model, following the ICDE'06 formulation: each mapping
 ``m`` has a latent correctness ``theta_m ∈ {0, 1}`` with prior
-``P(theta_m = 1) = prior`` (pinned to 1 for user mappings).  A cycle
-whose mappings are all correct is consistent with probability
-``1 - epsilon`` (epsilon absorbs sampling noise in the consistency
+``P(theta_m = 1) =`` :data:`PRIOR` (pinned to 1 for user mappings).  A
+cycle whose mappings are all correct is consistent with probability
+``1 -`` :data:`EPSILON` (it absorbs sampling noise in the consistency
 check); a cycle containing at least one incorrect mapping is
-*accidentally* consistent only with small probability ``delta``
+*accidentally* consistent only with small probability :data:`DELTA`
 (two errors compensating exactly).
 
 Exact inference is exponential in the number of mappings, so we use
@@ -39,42 +39,26 @@ toward 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.mapping.graph import MappingGraph
 from repro.mapping.model import SchemaMapping
 
-
-@dataclass(frozen=True)
-class DeprecationConfig:
-    """Parameters of the Bayesian cycle analysis."""
-
-    #: prior correctness of an automatic mapping
-    prior: float = 0.7
-    #: P(cycle observed inconsistent | all mappings correct)
-    epsilon: float = 0.05
-    #: P(cycle observed consistent | >= 1 mapping incorrect)
-    delta: float = 0.05
-    #: posterior below which a mapping is deprecated
-    threshold: float = 0.35
-    #: longest cycles enumerated
-    max_cycle_length: int = 4
-    #: mean-field iterations
-    iterations: int = 20
-    #: damping factor for belief updates (0 = no damping)
-    damping: float = 0.3
-
-    def __post_init__(self) -> None:
-        # The prior enters the analysis as log(prior / (1 - prior)).
-        if not 0 < self.prior < 1:
-            raise ValueError("prior must be in (0, 1)")
-        for name in ("epsilon", "delta", "threshold", "damping"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if self.max_cycle_length < 2:
-            raise ValueError("max_cycle_length must be at least 2")
+#: prior correctness of an automatic mapping: the confidence the
+#: creation step gives every mapping it creates, and where the
+#: analysis starts its belief in one
+PRIOR = 0.7
+#: P(cycle observed inconsistent | all mappings correct)
+EPSILON = 0.05
+#: P(cycle observed consistent | >= 1 mapping incorrect)
+DELTA = 0.05
+#: posterior below which a mapping is deprecated
+THRESHOLD = 0.35
+#: longest cycles enumerated
+MAX_CYCLE_LENGTH = 4
+#: mean-field iterations
+ITERATIONS = 20
+#: damping factor for belief updates (0 = no damping)
+DAMPING = 0.3
 
 
 def cycle_is_consistent(cycle: list[SchemaMapping]) -> bool | None:
@@ -91,7 +75,6 @@ def cycle_is_consistent(cycle: list[SchemaMapping]) -> bool | None:
 
 
 def _cycle_likelihood(consistent: bool, others_correct: float,
-                      config: DeprecationConfig,
                       this_correct: bool) -> float:
     """P(cycle outcome | this mapping's correctness, others' belief)."""
     if this_correct:
@@ -99,16 +82,13 @@ def _cycle_likelihood(consistent: bool, others_correct: float,
     else:
         p_all_correct = 0.0
     if consistent:
-        return (p_all_correct * (1.0 - config.epsilon)
-                + (1.0 - p_all_correct) * config.delta)
-    return (p_all_correct * config.epsilon
-            + (1.0 - p_all_correct) * (1.0 - config.delta))
+        return (p_all_correct * (1.0 - EPSILON)
+                + (1.0 - p_all_correct) * DELTA)
+    return (p_all_correct * EPSILON
+            + (1.0 - p_all_correct) * (1.0 - DELTA))
 
 
-def assess_mapping_quality(
-    graph: MappingGraph,
-    config: DeprecationConfig | None = None,
-) -> dict[str, float]:
+def assess_mapping_quality(graph: MappingGraph) -> dict[str, float]:
     """Posterior correctness probability for every active mapping.
 
     User-defined mappings are pinned at 1.0; automatic mappings start
@@ -117,17 +97,16 @@ def assess_mapping_quality(
     exactly the paper's behaviour where deprecation only kicks in once
     alternative mapping paths exist to compare against.
     """
-    config = config if config is not None else DeprecationConfig()
     mappings = graph.mappings(include_deprecated=False)
     beliefs: dict[str, float] = {}
     for mapping in mappings:
         if mapping.is_user_defined:
             beliefs[mapping.mapping_id] = 1.0
         else:
-            beliefs[mapping.mapping_id] = config.prior
+            beliefs[mapping.mapping_id] = PRIOR
     # Collect informative cycle observations once.
     observations: list[tuple[list[str], bool]] = []
-    for cycle in graph.find_cycles(max_length=config.max_cycle_length):
+    for cycle in graph.find_cycles(max_length=MAX_CYCLE_LENGTH):
         verdict = cycle_is_consistent(cycle)
         if verdict is None:
             continue
@@ -141,46 +120,44 @@ def assess_mapping_quality(
             by_mapping.setdefault(mapping_id, []).append(index)
 
     user_ids = {m.mapping_id for m in mappings if m.is_user_defined}
-    for _round in range(config.iterations):
+    for _round in range(ITERATIONS):
         updated: dict[str, float] = {}
         for mapping in mappings:
             mid = mapping.mapping_id
             if mid in user_ids:
                 updated[mid] = 1.0
                 continue
-            log_odds = math.log(config.prior / (1.0 - config.prior))
+            log_odds = math.log(PRIOR / (1.0 - PRIOR))
             for index in by_mapping.get(mid, ()):
                 ids, verdict = observations[index]
                 others = 1.0
                 for other_id in ids:
                     if other_id != mid:
                         others *= beliefs[other_id]
-                p_if_correct = _cycle_likelihood(verdict, others, config, True)
-                p_if_wrong = _cycle_likelihood(verdict, others, config, False)
+                p_if_correct = _cycle_likelihood(verdict, others, True)
+                p_if_wrong = _cycle_likelihood(verdict, others, False)
                 # Guard against log(0) when likelihoods saturate.
                 p_if_correct = min(max(p_if_correct, 1e-9), 1.0 - 1e-9)
                 p_if_wrong = min(max(p_if_wrong, 1e-9), 1.0 - 1e-9)
                 log_odds += math.log(p_if_correct / p_if_wrong)
             posterior = 1.0 / (1.0 + math.exp(-log_odds))
-            updated[mid] = (config.damping * beliefs[mid]
-                            + (1.0 - config.damping) * posterior)
+            updated[mid] = (DAMPING * beliefs[mid]
+                            + (1.0 - DAMPING) * posterior)
         beliefs = updated
     return beliefs
 
 
 def mappings_to_deprecate(
     graph: MappingGraph,
-    config: DeprecationConfig | None = None,
     beliefs: dict[str, float] | None = None,
 ) -> list[SchemaMapping]:
-    """The active automatic mappings whose posterior falls below the
-    deprecation threshold, sorted by id (``beliefs``: the posteriors,
-    when the caller already ran :func:`assess_mapping_quality`)."""
-    config = config if config is not None else DeprecationConfig()
+    """The active automatic mappings whose posterior falls below
+    :data:`THRESHOLD`, sorted by id (``beliefs``: the posteriors, when
+    the caller already ran :func:`assess_mapping_quality`)."""
     if beliefs is None:
-        beliefs = assess_mapping_quality(graph, config)
+        beliefs = assess_mapping_quality(graph)
     return [
         mapping for mapping in graph.mappings()  # sorted by id
         if not mapping.is_user_defined
-        and beliefs[mapping.mapping_id] < config.threshold
+        and beliefs[mapping.mapping_id] < THRESHOLD
     ]

@@ -39,6 +39,13 @@ from repro.util.similarity import (
 #: value sets keyed by attribute name
 ValueSets = dict[str, set[str]]
 
+#: how much one-directional containment must exceed the other
+#: direction's to call a pair a subsumption
+SUBSUMPTION_MARGIN = 0.4
+#: the fewest observed values on each side for the extensional
+#: measure to count
+MIN_VALUES_FOR_EXTENSION = 2
+
 #: memo for :func:`lexical_similarity` — ordered name pair -> score.
 #: A round scores every attribute pair of its top candidate schema
 #: pairs, and the same names meet again in later pairs and rounds;
@@ -52,15 +59,11 @@ class MatcherConfig:
 
     ``lexical_weight + extensional_weight`` should be 1; ``threshold``
     is the minimum combined score for a correspondence.
-    ``subsumption_margin`` is how much one-directional containment must
-    exceed the other direction's to call the pair a subsumption.
     """
 
     lexical_weight: float = 0.5
     extensional_weight: float = 0.5
     threshold: float = 0.55
-    subsumption_margin: float = 0.4
-    min_values_for_extension: int = 2
     #: a lexical score this high is accepted on its own (near-identical
     #: attribute names, e.g. "Organism" vs "OrganismName")
     strong_lexical: float = 0.85
@@ -119,8 +122,8 @@ def score_pair(
     """
     lexical = lexical_similarity(attr_a, attr_b)
     enough_values = (
-        len(values_a) >= config.min_values_for_extension
-        and len(values_b) >= config.min_values_for_extension
+        len(values_a) >= MIN_VALUES_FOR_EXTENSION
+        and len(values_b) >= MIN_VALUES_FOR_EXTENSION
     )
     if not enough_values:
         return lexical
@@ -171,7 +174,6 @@ def match_attributes(
         kind = _classify_kind(
             source_values.get(attr_a, set()),
             target_values.get(attr_b, set()),
-            config,
         )
         correspondences.append(PredicateCorrespondence(
             source.predicate(attr_a),
@@ -182,19 +184,18 @@ def match_attributes(
     return correspondences
 
 
-def _classify_kind(values_a: set[str], values_b: set[str],
-                   config: MatcherConfig) -> MappingKind:
+def _classify_kind(values_a: set[str], values_b: set[str]) -> MappingKind:
     """Equivalence unless containment is strongly one-directional.
 
     If the target's values sit inside the source's but not vice versa
     (``b ⊆ a``), the target predicate is *subsumed* by the source —
     rewriting source-queries to it is sound but partial.
     """
-    if (len(values_a) < config.min_values_for_extension
-            or len(values_b) < config.min_values_for_extension):
+    if (len(values_a) < MIN_VALUES_FOR_EXTENSION
+            or len(values_b) < MIN_VALUES_FOR_EXTENSION):
         return MappingKind.EQUIVALENCE
     b_in_a = _containment(values_b, values_a)
     a_in_b = _containment(values_a, values_b)
-    if b_in_a - a_in_b >= config.subsumption_margin:
+    if b_in_a - a_in_b >= SUBSUMPTION_MARGIN:
         return MappingKind.SUBSUMPTION
     return MappingKind.EQUIVALENCE

@@ -32,6 +32,8 @@ PIGGYBACK_BUDGET = 8
 PULL_BUDGET = 24
 #: peers asked per periodic pull round
 PULL_FANOUT = 2
+#: mean virtual seconds between periodic pull rounds
+PULL_INTERVAL = 30.0
 
 
 class StatsAntiEntropy:
@@ -43,20 +45,14 @@ class StatsAntiEntropy:
         All peers of the deployment (targets are drawn from here).
     origin:
         Node id that issues the pulls (typically the query origin).
-    interval:
-        Mean virtual seconds between pull rounds.
     rng:
         Randomness for target choice and jitter.
     """
 
     def __init__(self, peers: dict, origin: str,
-                 interval: float = 30.0,
                  rng: random.Random | None = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.peers = peers
         self.origin = origin
-        self.interval = interval
         self.rng = rng if rng is not None else random.Random(0)
         self._running = False
         #: pull messages sent (for reporting)
@@ -70,7 +66,7 @@ class StatsAntiEntropy:
         if peer is None or peer.network is None:
             return
         self._running = True
-        peer.loop.schedule(self.rng.uniform(0, self.interval), self._tick)
+        peer.loop.schedule(self.rng.uniform(0, PULL_INTERVAL), self._tick)
 
     def stop(self) -> None:
         """Stop scheduling new rounds (in-flight replies still merge)."""
@@ -106,7 +102,7 @@ class StatsAntiEntropy:
             self.rng.shuffle(candidates)
             self._pull_round(peer, "antientropy:pull",
                              candidates[:PULL_FANOUT])
-        peer.loop.schedule(self.rng.uniform(0.5, 1.5) * self.interval,
+        peer.loop.schedule(self.rng.uniform(0.5, 1.5) * PULL_INTERVAL,
                            self._tick)
 
     def _online_targets(self, peer) -> list[str]:

@@ -58,11 +58,10 @@ class TestSignature:
 class TestVersionClock:
     def test_bump_touches_both_endpoints_only(self):
         clock = MappingVersionClock()
+        moved = []
+        clock.add_listener(moved.append)
         clock.bump(edge("m1", "A", "B", [("org", "name")]))
-        assert clock.version("A") == 1
-        assert clock.version("B") == 1
-        assert clock.version("C") == 0
-        assert clock.events == 1
+        assert moved == ["A", "B"]
 
 
 class TestPlanCache:

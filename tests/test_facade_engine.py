@@ -15,6 +15,7 @@ from repro.mapping.model import PredicateCorrespondence, SchemaMapping
 from repro.mediation.network import GridVineNetwork
 from repro.obs.analysis import trace_ids
 from repro.pgrid.scaleout import (
+    QUERY_MAX_HOPS,
     ScaleoutSpec,
     _make_peer,
     _preload_mediation,
@@ -250,18 +251,18 @@ def test_both_engines_answer_identically():
     def observe(engine):
         with engine:
             net = facade_over(engine, deployment)
-            outcome = net.search_for(query, max_hops=SPEC.query_max_hops,
+            outcome = net.search_for(query, max_hops=QUERY_MAX_HOPS,
                                      origin=origin)
             net.settle()
             result = net.create_engine(
-                max_hops=SPEC.query_max_hops,
+                max_hops=QUERY_MAX_HOPS,
             ).execute_batch(list(batch), origin=batch_origin)
             net.settle()
             return (_result_rows(outcome), outcome.messages,
                     [_result_rows(o) for o in result.outcomes],
                     result.messages, net.trace_records())
 
-    latency = ConstantLatency(SPEC.latency_delay)
+    latency = ConstantLatency()
     single = observe(SingleLoopEngine(latency=latency, seed=SPEC.seed))
     sharded = observe(ShardedTransport(2, latency=latency, seed=SPEC.seed))
     rows, messages, batch_rows, batch_messages, records = single
@@ -302,7 +303,7 @@ def test_writes_reads_and_a_controller_round_are_equal_on_both_engines(
             return (log, observed, stores, net.connectivity_indicator("d"),
                     net.metrics_snapshot()["messages_sent"])
 
-    latency = ConstantLatency(SPEC.latency_delay)
+    latency = ConstantLatency()
     log, observed, *rest = observe(
         SingleLoopEngine(latency=latency, seed=SPEC.seed))
     report = observed[-1]
@@ -343,7 +344,7 @@ def test_observability_calls_work_on_both_engines():
         with engine:
             net = facade_over(engine, deployment, traced=False)
             tracer = net.install_tracer(seed=0)
-            net.search_for(query, max_hops=SPEC.query_max_hops,
+            net.search_for(query, max_hops=QUERY_MAX_HOPS,
                            origin=origin)
             net.settle()
             views = net.registry.snapshot()["views"]
@@ -353,7 +354,7 @@ def test_observability_calls_work_on_both_engines():
                     == net.metrics_snapshot()["messages_by_kind"])
             return net, tracer, views
 
-    latency = ConstantLatency(SPEC.latency_delay)
+    latency = ConstantLatency()
     net, tracer, single = observe(
         SingleLoopEngine(latency=latency, seed=SPEC.seed))
     assert tracer is net.network.tracer

@@ -56,12 +56,6 @@ class TestAdjacency:
         assert g.degree("A") == (0, 0)
         assert len(g.mappings(include_deprecated=True)) == 1
 
-    def test_deprecate_in_place(self):
-        g = MappingGraph([edge("m1", "A", "B")])
-        g.deprecate("m1")
-        assert g.get("m1").deprecated
-        assert g.mappings() == []
-
     def test_add_schema_node_without_mappings(self):
         g = MappingGraph()
         g.add_schema("Lonely")

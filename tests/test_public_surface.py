@@ -1,16 +1,20 @@
 """Structural rules over ``src/repro``, checked on the source text.
 
 Every name defined is used by something.  A function, method or class
-whose name occurs exactly once in the code of the package, the
-benchmarks, perfbench and the examples — its own definition — has no
-caller there: it is surface that still has to be read, kept importable
-and documented for the sake of its own tests.  Code means identifier
-tokens and the words of string literals (handler kinds, ``call("m",
-...)`` and perfbench's span targets dispatch by name); a docstring or
-a comment that names a definition is not a use.  The tests are not
+under ``src/repro`` that nothing in the code of the package, the
+benchmarks, perfbench and the examples refers to has no caller there:
+it is surface that still has to be read, kept importable and documented
+for the sake of its own tests.  The code is read through its syntax
+tree, and a reference is a name or an attribute (inside f-strings
+too), the method a dispatching call names as a string (``call("m",
+...)``, ``submit(node, "m", ...)``), the attribute ``getattr`` /
+``hasattr`` names, the ``module:Class.attr`` path of a perfbench span
+target, or a counter a ``CounterGroup`` declares in ``_fields`` /
+``_derived`` / ``_keyed``.  Any other string literal, a docstring, a
+comment and a definition's own name are not uses.  The tests are not
 counted as a user; the few definitions the suite needs that nothing
 else calls are named, each with its reason, in ``KEPT_FOR_TESTS``.
-The rule is a word count, so it cannot tell two same-named definitions
+The rule counts names, so it cannot tell two same-named definitions
 apart (one live ``snapshot`` hides a dead one); it is a floor, not a
 proof.  Package ``__init__.py`` files are left out of the count: a
 re-export is not a use.
@@ -21,11 +25,17 @@ by keyword or by position, has one value in use: it is a constant
 spelled as a parameter.  Calls dispatched by name (``call("m", ...)``,
 ``submit(node, "m", ...)``) pass their trailing arguments positionally;
 a constructor is called through its class name, ``cls(...)`` and
-``super().__init__(...)``, and a value class's fields are the
-parameters of the constructor its dataclass writes.  The parameters
-kept anyway are named, each with its reason, in ``KEPT_DEFAULTS``.
-Calls are matched by the callee's name, so this too is a floor, not a
-proof.
+``super().__init__(...)``.  A field of a frozen dataclass, slotted or
+not, is a parameter of the constructor its dataclass writes: a call of
+its class or of any subclass passes it, and so does a
+``dataclasses.replace`` call by keyword, whatever it replaces in.  A
+``**`` inside a class body passes the keys of the ``dict(...)`` /
+``{...}`` class attributes of that class, its bases and its subclasses
+in the same module (perfbench's workload sizes), and any other ``**``
+passes everything.  A mutable dataclass is a run record, not an
+option.  The parameters kept anyway are named, each with its reason,
+in ``KEPT_DEFAULTS``.  Calls are matched by the callee's name, so this
+too is a floor, not a proof.
 
 A value object is a frozen dataclass.  Immutability, equality, hashing
 and pickling are what ``@dataclass(frozen=True, slots=True)`` writes;
@@ -103,9 +113,7 @@ no second one rewrites cached plans.
 """
 
 import ast
-import io
 import re
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -128,64 +136,102 @@ KEPT_FOR_TESTS = {
     "set_exception": "error handling: a Future resolves to a failure",
     "UniformLatency": "jittered delivery: the batch strategies reorder "
                       "messages with it",
+    "leave": "membership: the graceful-departure primitive the "
+             "membership tests exercise",
 }
-#: token types whose text is a string literal's (3.12 splits f-strings)
-_STRING_TOKENS = {tokenize.STRING,
-                  getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+#: calls that name the method they run: ``name -> index of the name``
+NAME_DISPATCH = {"call": 0, "submit": 1}
+#: calls that name the attribute they read: ``name -> index of the name``
+NAME_ARGUMENTS = {**NAME_DISPATCH, "getattr": 1, "hasattr": 1}
+#: a ``CounterGroup``'s counters, declared by name
+COUNTER_DECLARATIONS = {"_fields", "_derived", "_keyed"}
+#: a perfbench span target: ``module:Class.attr``
+SPAN_TARGET = re.compile(r"repro(?:\.\w+)+:([\w.]+)")
 
 
-def _docstring_spans(tree):
-    """Where each bare string statement (a docstring, or a comment
-    written as one) starts and ends."""
-    return [((node.lineno, node.col_offset),
-             (node.end_lineno, node.end_col_offset))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)]
+def _name_of(func):
+    """The name a call's callee goes by: a name or an attribute."""
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
 
 
-def _code_words(text):
-    """The identifiers ``text`` uses as code: its name tokens and the
-    words of its string literals, docstrings and comments left out."""
-    docstrings = _docstring_spans(ast.parse(text))
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.type == tokenize.NAME:
-            yield token.string
-        elif (token.type in _STRING_TOKENS
-              and not any(start <= token.start < end
-                          for start, end in docstrings)):
-            yield from re.findall(r"\w+", token.string)
+def _string(node):
+    return (node.value if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) else None)
 
 
-def _user_files():
+def _code_references(tree):
+    """The names ``tree`` refers to as code: its names and attributes
+    (f-string expressions included), the name a dispatching call or
+    ``getattr`` / ``hasattr`` passes as a string, the attribute path of
+    a span target and the counters a ``CounterGroup`` declares.  Any
+    other string literal, a docstring, a comment and a definition's own
+    name are not references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Call):
+            at = NAME_ARGUMENTS.get(_name_of(node.func))
+            if at is not None and len(node.args) > at:
+                name = _string(node.args[at])
+                if name is not None:
+                    yield name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if node.value is not None and any(
+                    isinstance(t, ast.Name) and t.id in COUNTER_DECLARATIONS
+                    for t in targets):
+                yield from (name for n in ast.walk(node.value)
+                            if (name := _string(n)) is not None)
+        if (span := SPAN_TARGET.fullmatch(_string(node) or "")) is not None:
+            yield from span.group(1).split(".")
+
+
+def _user_trees():
     for top in USERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if not (top == "src" and path.name == "__init__.py"):
-                yield path
+                yield ast.parse(path.read_text()), path.relative_to(ROOT)
 
 
-def _defined_names():
+def _src_trees():
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if not (node.name.startswith("__")
-                        and node.name.endswith("__")):
-                    yield node.name, f"{path.relative_to(ROOT)}:{node.lineno}"
+        yield ast.parse(path.read_text()), path.relative_to(ROOT)
+
+
+def _defined_names(tree, where):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if not (node.name.startswith("__")
+                    and node.name.endswith("__")):
+                yield node.name, f"{where}:{node.lineno}"
+
+
+def _unreferenced(definitions, users):
+    """``name (where)`` of each definition in ``definitions`` that
+    nothing in ``users`` refers to, and the ``KEPT_FOR_TESTS`` entries
+    something does."""
+    references = Counter(name for tree, _ in users
+                         for name in _code_references(tree))
+    unreferenced = sorted(f"{name} ({where})"
+                          for tree, module in definitions
+                          for name, where in _defined_names(tree, module)
+                          if not references[name]
+                          and name not in KEPT_FOR_TESTS)
+    return unreferenced, sorted(name for name in KEPT_FOR_TESTS
+                                if references[name])
 
 
 def test_no_definition_without_a_reference():
-    words: Counter = Counter()
-    for path in _user_files():
-        words.update(_code_words(path.read_text()))
-    unreferenced = sorted(f"{name} ({where})"
-                          for name, where in _defined_names()
-                          if words[name] <= 1 and name not in KEPT_FOR_TESTS)
+    unreferenced, stale = _unreferenced(list(_src_trees()),
+                                        list(_user_trees()))
     assert not unreferenced, (
         "defined under src/repro, used by nothing but tests:\n  "
         + "\n  ".join(unreferenced))
-    stale = sorted(name for name in KEPT_FOR_TESTS if words[name] != 1)
     assert not stale, f"no longer test-only (or gone): {stale}"
 
 
@@ -194,9 +240,24 @@ def test_a_docstring_mention_is_not_a_use():
             "def f():\n"
             '    """``ghost`` again."""  # and ghost in a comment\n'
             "    return call('handler_kind', ghost_arg)\n")
-    words = Counter(_code_words(text))
-    assert words["ghost"] == 0
-    assert words["handler_kind"] == words["ghost_arg"] == words["f"] == 1
+    references = Counter(_code_references(ast.parse(text)))
+    assert references["ghost"] == 0
+    assert references["handler_kind"] == references["ghost_arg"] == 1
+    # a definition's own name is not a reference to it
+    assert references["f"] == 0
+
+
+def test_a_string_named_like_a_definition_is_not_a_use():
+    tree = ast.parse(
+        "class Fault:\n"
+        "    def drop(self):\n"
+        "        return 'drop'\n"
+        "    def describe(self):\n"
+        "        return f'{self.action}: drop'\n"
+        "    def action(self):\n"
+        "        return getattr(self, 'describe')()\n")
+    unreferenced, _ = _unreferenced([(tree, "t.py")], [(tree, "t.py")])
+    assert unreferenced == ["Fault (t.py:1)", "drop (t.py:2)"]
 
 
 #: defaulted parameters no code passes, kept on purpose:
@@ -230,9 +291,25 @@ KEPT_DEFAULTS = {
         "a perfbench span target; its bound is what its tests check",
     ("run_invariants", "names"):
         "tests check one invariant family at a time on a bare overlay",
+    ("ScaleoutSpec.__init__", "mean_uptime"):
+        "test_shard_transport's small_spec shrinks the churn trace to fit "
+        "the test budget",
+    ("ScaleoutSpec.__init__", "mean_downtime"):
+        "test_shard_transport's small_spec shrinks the churn trace to fit "
+        "the test budget",
+    ("ScaleoutSpec.__init__", "wave_interval"):
+        "test_shard_transport's small_spec shrinks the churn trace to fit "
+        "the test budget",
+    ("rank_candidate_pairs", "min_shared"):
+        "test strategies draw a minimum of 0-3 against a brute-force ranking",
+    ("ConstantLatency.__init__", "delay"):
+        "the gate and injector tests time deliveries at 0.1-1.0 s",
+    ("ShardedTransport.__init__", "latency"):
+        "test_shard_transport runs shards under the LogNormalWANLatency "
+        "lookahead",
 }
-#: calls that name the method they run: ``name -> index of the name``
-NAME_DISPATCH = {"call": 0, "submit": 1}
+#: the callee name a ``dataclasses.replace`` call is recorded under
+REPLACE = "dataclasses.replace"
 
 
 def _functions(tree):
@@ -252,41 +329,62 @@ def _functions(tree):
                     yield f"{node.name}.{fn.name}", fn.name, fn, True
 
 
-def _is_value_class(cls):
-    """Whether ``cls`` is declared ``@dataclass(frozen=True,
-    slots=True)``: a value object, whose generated ``__init__`` takes
-    its fields in order."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass"
-               and {(k.arg, getattr(k.value, "value", None))
-                    for k in d.keywords} >= {("frozen", True),
-                                             ("slots", True)}
+def _is_frozen_dataclass(cls):
+    """Whether ``cls`` is declared ``@dataclass(frozen=True, ...)``: an
+    option object, whose generated ``__init__`` takes its fields in
+    order.  A mutable dataclass is a run record, not an option."""
+    return any(isinstance(d, ast.Call) and _name_of(d.func) == "dataclass"
+               and any(k.arg == "frozen"
+                       and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
                for d in cls.decorator_list)
 
 
-def _value_class_fields(tree, where):
-    """``(qualified name, callee name, parameter, position, where)`` of
-    the defaulted fields of the value classes in ``tree``, read as the
-    parameters of the ``__init__`` the dataclass writes."""
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and _is_value_class(cls):
-            fields = [node for node in cls.body
-                      if isinstance(node, ast.AnnAssign)
-                      and isinstance(node.target, ast.Name)]
-            for index, node in enumerate(fields):
-                if node.value is not None:
-                    yield (f"{cls.name}.__init__", cls.name, node.target.id,
-                           index, f"{where}:{node.lineno}")
+def _frozen_dataclass_fields(sources):
+    """``(qualified name, callee names, parameter, position, where)`` of
+    the defaulted fields of the frozen dataclasses in ``sources``, read
+    as the parameters of the ``__init__`` the dataclass writes: a call
+    of the class or of any subclass passes a field, and so does a
+    ``dataclasses.replace`` call by keyword (its receiver's type is not
+    known)."""
+    classes = {}
+    for tree, where in sources:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_frozen_dataclass(cls):
+                classes[cls.name] = (
+                    [_name_of(base) for base in cls.bases],
+                    [node for node in cls.body
+                     if isinstance(node, ast.AnnAssign)
+                     and isinstance(node.target, ast.Name)], where)
+
+    def fields(name):
+        bases, own, _ = classes[name]
+        return ([field for base in bases if base in classes
+                 for field in fields(base)]
+                + [node.target.id for node in own])
+
+    def subclasses(name):
+        direct = {sub for sub, (bases, _, _) in classes.items()
+                  if name in bases}
+        return direct.union(*map(subclasses, direct))
+
+    for name, (_, own, where) in classes.items():
+        callees = frozenset({name, REPLACE} | subclasses(name))
+        order = fields(name)
+        for node in own:
+            if node.value is not None:
+                yield (f"{name}.__init__", callees, node.target.id,
+                       order.index(node.target.id), f"{where}:{node.lineno}")
 
 
-def _defaulted_parameters():
-    """``(qualified name, callee name, parameter, position, where)`` of
-    every defaulted parameter of a function or method under
-    ``src/repro``, a value class's fields included; ``position`` skips
-    ``self`` / ``cls`` and is ``None`` for a keyword-only parameter."""
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        yield from _value_class_fields(tree, path.relative_to(ROOT))
+def _defaulted_parameters(sources):
+    """``(qualified name, callee names, parameter, position, where)`` of
+    every defaulted parameter of a function or method in ``sources``,
+    a frozen dataclass's fields included; ``position`` skips ``self`` /
+    ``cls`` and is ``None`` for a keyword-only parameter."""
+    sources = list(sources)
+    yield from _frozen_dataclass_fields(sources)
+    for tree, module in sources:
         for qualified, callee, fn, is_method in _functions(tree):
             args = fn.args
             positional = args.posonlyargs + args.args
@@ -295,27 +393,82 @@ def _defaulted_parameters():
                     for d in fn.decorator_list):
                 positional = positional[1:]
             first = len(positional) - len(args.defaults)
-            where = f"{path.relative_to(ROOT)}:{fn.lineno}"
+            where = f"{module}:{fn.lineno}"
             for index, arg in enumerate(positional[first:], first):
-                yield qualified, callee, arg.arg, index, where
+                yield qualified, frozenset({callee}), arg.arg, index, where
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield qualified, callee, arg.arg, None, where
+                    yield qualified, frozenset({callee}), arg.arg, None, where
 
 
-def _call_sites():
+def _dict_keys(node):
+    """The keys a ``dict(k=...)`` or ``{"k": ...}`` expression holds,
+    or ``None`` for any other expression."""
+    if isinstance(node, ast.Dict):
+        return {key for key in map(_string, filter(None, node.keys))
+                if key is not None}
+    if isinstance(node, ast.Call) and _name_of(node.func) == "dict":
+        return {keyword.arg for keyword in node.keywords if keyword.arg}
+    return None
+
+
+def _class_dict_keys(tree):
+    """``class -> keys`` of the dict class attributes of each class of
+    ``tree``, its bases and its subclasses in ``tree``; ``None`` where
+    that family has no dict attribute."""
+    own, bases = {}, {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            bases[cls.name] = {_name_of(base) for base in cls.bases}
+            own[cls.name] = [keys for node in cls.body
+                             if isinstance(node, (ast.Assign, ast.AnnAssign))
+                             and node.value is not None
+                             and (keys := _dict_keys(node.value)) is not None]
+
+    def related(name, step):
+        found, todo = set(), [name]
+        while todo:
+            for other in step(todo.pop()):
+                if other in own and other not in found:
+                    found.add(other)
+                    todo.append(other)
+        return found
+
+    def subclasses(name):
+        return [sub for sub, up in bases.items() if name in up]
+
+    family_keys = {}
+    for name in own:
+        family = ({name} | related(name, bases.get)
+                  | related(name, subclasses))
+        dicts = [keys for member in family for keys in own[member]]
+        family_keys[name] = set().union(*dicts) if dicts else None
+    return family_keys
+
+
+def _call_sites(users):
     """``callee name -> [(positional count, keywords, *args, **kwargs)]``
-    of every call in the code."""
+    of every call in ``users``; a ``**`` inside a class body passes the
+    keys of its class's dict attributes when it has any, and everything
+    when it has none."""
     sites: dict = {}
 
-    def add(name, args, keywords):
+    def add(name, args, keywords, class_keys=None):
+        double_star = any(k.arg is None for k in keywords)
+        passed = {k.arg for k in keywords if k.arg}
+        if double_star and class_keys is not None:
+            passed |= class_keys
+            double_star = False
         sites.setdefault(name, []).append((
-            len(args), {k.arg for k in keywords if k.arg},
-            any(isinstance(a, ast.Starred) for a in args),
-            any(k.arg is None for k in keywords)))
+            len(args), passed,
+            any(isinstance(a, ast.Starred) for a in args), double_star))
 
-    for path in _user_files():
-        tree = ast.parse(path.read_text())
+    for tree, _ in users:
+        class_dicts = _class_dict_keys(tree)
+        replace = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "dataclasses"
+                   for alias in node.names if alias.name == "replace"}
         owner = {}
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
@@ -324,9 +477,15 @@ def _call_sites():
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
+            name = _name_of(func)
             cls = owner.get(node)
+            keys = class_dicts[cls.name] if cls is not None else None
+            if (isinstance(func, ast.Name) and name in replace
+                    or isinstance(func, ast.Attribute) and name == "replace"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "dataclasses"):
+                add(REPLACE, (), node.keywords, keys)
+                continue
             if name == "cls" and cls is not None:
                 name = cls.name
             elif (name == "__init__" and cls is not None
@@ -334,28 +493,29 @@ def _call_sites():
                   and isinstance(func.value.func, ast.Name)
                   and func.value.func.id == "super"):
                 for base in cls.bases:
-                    if isinstance(base, ast.Name):
-                        add(base.id, node.args, node.keywords)
-                    elif isinstance(base, ast.Attribute):
-                        add(base.attr, node.args, node.keywords)
+                    add(_name_of(base), node.args, node.keywords, keys)
                 continue
             if name is None:
                 continue
-            add(name, node.args, node.keywords)
+            add(name, node.args, node.keywords, keys)
             at = NAME_DISPATCH.get(name)
-            if (at is not None and len(node.args) > at
-                    and isinstance(node.args[at], ast.Constant)
-                    and isinstance(node.args[at].value, str)):
-                add(node.args[at].value, node.args[at + 1:], ())
+            if at is not None and len(node.args) > at:
+                dispatched = _string(node.args[at])
+                if dispatched is not None:
+                    add(dispatched, node.args[at + 1:], ())
     return sites
 
 
-def test_no_option_without_a_second_value():
-    sites = _call_sites()
+def _unset_options(sources, users):
+    """The defaulted parameters in ``sources`` no call in ``users``
+    passes, and the ``KEPT_DEFAULTS`` entries among them."""
+    sites = _call_sites(users)
     unset, kept = [], set()
-    for qualified, callee, param, index, where in _defaulted_parameters():
+    for qualified, callees, param, index, where in _defaulted_parameters(
+            sources):
         if any(param in keywords or double_star
                or (index is not None and (count > index or star))
+               for callee in callees
                for count, keywords, star, double_star
                in sites.get(callee, ())):
             continue
@@ -363,6 +523,11 @@ def test_no_option_without_a_second_value():
             kept.add((qualified, param))
         else:
             unset.append(f"{qualified}({param}=) ({where})")
+    return unset, kept
+
+
+def test_no_option_without_a_second_value():
+    unset, kept = _unset_options(_src_trees(), list(_user_trees()))
     assert not unset, (
         "an option no code under src, benchmarks, perfbench or examples "
         "sets:\n  " + "\n  ".join(unset))
@@ -370,9 +535,25 @@ def test_no_option_without_a_second_value():
     assert not stale, f"set by code now (or gone): {stale}"
 
 
+def test_the_option_rule_reads_a_class_dict():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    size: int = 1\n"
+        "    knob: float = 0.5\n"
+        "class Workload:\n"
+        "    full = dict(size=10)\n"
+        "    def setup(self):\n"
+        "        return Spec(**self.full)\n")
+    unset, _ = _unset_options([(tree, "t.py")], [(tree, "t.py")])
+    assert unset == ["Spec.__init__(knob=) (t.py:5)"]
+
+
 def test_a_value_class_field_is_an_option():
     options = {(qualified, param, index)
-               for qualified, _, param, index, _ in _defaulted_parameters()}
+               for qualified, _, param, index, _
+               in _defaulted_parameters(_src_trees())}
     assert {("Schema.__init__", "domain", 2),
             ("PredicateCorrespondence.__init__", "kind", 2),
             ("PredicateCorrespondence.__init__", "score", 3),

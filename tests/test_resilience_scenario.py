@@ -298,7 +298,6 @@ class TestSpecValidation:
         ("query_interval", -1.0, "> 0"),
         ("query_interval", 0.0, "> 0"),
         ("maintenance_interval", 0.0, "> 0"),
-        ("stats_pull_interval", -30.0, "> 0"),
         ("mean_uptime", 0.0, "> 0"),
         ("mean_downtime", -45.0, "> 0"),
         ("limit", 0, "None or >= 1"),

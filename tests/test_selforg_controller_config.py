@@ -6,6 +6,7 @@ from repro.mapping.graph import MappingGraph
 from repro.mediation.network import GridVineNetwork
 from repro.selforg.controller import SelfOrganizationController
 from repro.selforg.creator import CreationPolicy, propose_mappings
+from repro.selforg.deprecation import PRIOR
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +62,13 @@ class TestCreationPolicyValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("mappings_per_round", 0), ("mappings_per_round", -1),
-        ("min_correspondences", 0), ("min_correspondences", -1),
-        ("initial_confidence", -0.1), ("initial_confidence", 2.0),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             CreationPolicy(**{field: value})
 
     def test_accepts_the_edges(self):
-        CreationPolicy(mappings_per_round=1, min_correspondences=1,
-                       initial_confidence=0.0)
-        CreationPolicy(initial_confidence=1.0)
+        CreationPolicy(mappings_per_round=1)
 
 
 class TestProposeMappingsEdges:
@@ -90,26 +87,6 @@ class TestProposeMappingsEdges:
             value_sets={a: {}, b: {}},
             references={a: {"shared"}, b: {"shared"}},
             graph=MappingGraph(),
-        )
-        assert proposals == []
-
-    def test_min_correspondences_filters_weak_pairs(self, bio_dataset):
-        ds = bio_dataset
-        a, b = ds.schemas[0].name, ds.schemas[1].name
-
-        def values(name):
-            sets: dict = {attr: set() for attr in ds.schema(name).attributes}
-            for t in ds.triples_by_schema[name]:
-                sets[t.predicate.local_name].add(t.object.value)
-            return sets
-
-        strict = CreationPolicy(min_correspondences=99)
-        proposals = propose_mappings(
-            schemas={a: ds.schema(a), b: ds.schema(b)},
-            value_sets={a: values(a), b: values(b)},
-            references={a: {"r"}, b: {"r"}},
-            graph=MappingGraph(),
-            policy=strict,
         )
         assert proposals == []
 
@@ -133,6 +110,8 @@ class TestProposeMappingsEdges:
         assert proposals
         assert all(m.mapping_id.startswith("auto:r7:") for m in proposals)
         assert all(m.provenance == "auto" for m in proposals)
+        # a created mapping starts at the analysis' prior belief
+        assert all(m.confidence == PRIOR for m in proposals)
 
     def test_round_budget_respected(self, bio_dataset):
         ds = bio_dataset

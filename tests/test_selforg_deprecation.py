@@ -8,7 +8,8 @@ from repro.mapping.graph import MappingGraph
 from repro.mapping.model import PredicateCorrespondence, SchemaMapping
 from repro.rdf.terms import URI
 from repro.selforg.deprecation import (
-    DeprecationConfig,
+    PRIOR,
+    THRESHOLD,
     assess_mapping_quality,
     cycle_is_consistent,
     mappings_to_deprecate,
@@ -21,7 +22,7 @@ def edge(mapping_id, src, dst, pairs, provenance="auto"):
         [PredicateCorrespondence(URI(f"{src}#{a}"), URI(f"{dst}#{b}"))
          for a, b in pairs],
         provenance=provenance,
-        confidence=0.7 if provenance == "auto" else 1.0,
+        confidence=PRIOR if provenance == "auto" else 1.0,
     )
 
 
@@ -61,21 +62,17 @@ class TestAssessment:
         assert beliefs["u2"] == 1.0
 
     def test_consistent_cycle_raises_auto_confidence(self):
-        config = DeprecationConfig()
-        beliefs = assess_mapping_quality(self.triangle(), config)
-        assert beliefs["a1"] > config.prior
+        beliefs = assess_mapping_quality(self.triangle())
+        assert beliefs["a1"] > PRIOR
 
     def test_inconsistent_cycle_lowers_auto_confidence(self):
-        config = DeprecationConfig()
-        beliefs = assess_mapping_quality(self.triangle(bad_last=True),
-                                         config)
-        assert beliefs["a1"] < config.threshold
+        beliefs = assess_mapping_quality(self.triangle(bad_last=True))
+        assert beliefs["a1"] < THRESHOLD
 
     def test_no_cycles_keeps_prior(self):
         graph = MappingGraph([edge("a1", "A", "B", [("x", "y")])])
-        config = DeprecationConfig()
-        beliefs = assess_mapping_quality(graph, config)
-        assert beliefs["a1"] == pytest.approx(config.prior, abs=1e-6)
+        beliefs = assess_mapping_quality(graph)
+        assert beliefs["a1"] == pytest.approx(PRIOR, abs=1e-6)
 
     def test_blame_lands_on_auto_not_user(self):
         # Inconsistent cycle of two user mappings and one auto: only
@@ -94,7 +91,7 @@ class TestAssessment:
 
     def test_deprecated_mappings_not_assessed(self):
         graph = self.triangle(bad_last=True)
-        graph.deprecate("a1")
+        graph.add(graph.get("a1").with_deprecated(True))
         beliefs = assess_mapping_quality(graph)
         assert "a1" not in beliefs
 
@@ -115,51 +112,6 @@ class TestDeprecationSelection:
         graph.add(edge("u2", "B", "A", [("w", "w")], provenance="user"))
         # Even an inconsistent all-user cycle deprecates nothing.
         assert mappings_to_deprecate(graph) == []
-
-    def test_threshold_sweep_monotone(self):
-        graph = MappingGraph()
-        graph.add(edge("u1", "A", "B", [("x", "x")], provenance="user"))
-        graph.add(edge("a1", "B", "A", [("x", "other")]))
-        lax = DeprecationConfig(threshold=0.05)
-        strict = DeprecationConfig(threshold=0.95)
-        assert (len(mappings_to_deprecate(graph, lax))
-                <= len(mappings_to_deprecate(graph, strict)))
-
-
-class TestConfigValidation:
-    """A config the analysis cannot run on is refused at construction,
-    not once a cycle is observed inside a round."""
-
-    @pytest.mark.parametrize("field, value", [
-        ("prior", 0.0), ("prior", 1.0), ("prior", -0.1), ("prior", 1.5),
-        ("epsilon", -0.01), ("epsilon", 1.01),
-        ("delta", -0.01), ("delta", 1.01),
-        ("threshold", -0.01), ("threshold", 1.01),
-        ("damping", -0.01), ("damping", 1.01),
-        ("iterations", -1),
-        ("max_cycle_length", 1), ("max_cycle_length", 0),
-    ])
-    def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            DeprecationConfig(**{field: value})
-
-    def test_edge_values_assess_a_cycle(self):
-        # Three mappings on one inconsistent cycle: the shape on which
-        # a prior of 0 or 1 used to fail inside the analysis.
-        graph = MappingGraph([
-            edge("a1", "A", "B", [("x", "x")]),
-            edge("a2", "B", "C", [("x", "x")]),
-            edge("a3", "C", "A", [("x", "w")]),
-        ])
-        for config in (
-            DeprecationConfig(prior=1e-6, epsilon=0.0, delta=1.0,
-                              threshold=0.0, damping=1.0),
-            DeprecationConfig(prior=1 - 1e-6, epsilon=1.0, delta=0.0,
-                              threshold=1.0, damping=0.0,
-                              iterations=0, max_cycle_length=2),
-        ):
-            beliefs = assess_mapping_quality(graph, config)
-            assert all(0.0 <= b <= 1.0 for b in beliefs.values())
 
 
 class TestEndToEndWithDataset(object):
