@@ -37,8 +37,31 @@ class ProteinEntity:
         raise KeyError(concept)
 
 
+#: the organism weights' total, which every organism draw scales by
+_ORGANISM_WEIGHT = sum(w for _o, w in ORGANISM_POOL)
+
+
+def _below(bits, n: int) -> int:
+    """``Random._randbelow(n)`` of the generator whose ``getrandbits``
+    is ``bits``: the top ``n.bit_length()`` bits of the next word,
+    redrawn while ``>= n``.
+
+    Every entity draw but ``random()`` and ``sample`` goes through it
+    (``randrange(n)`` is ``_below(bits, n)``, ``randint(a, b)`` is
+    ``a + _below(bits, b - a + 1)``, ``choice(seq)`` is
+    ``seq[_below(bits, len(seq))]``) and consumes the stream word for
+    word as ``Random`` does, without its argument checks;
+    ``tests/strategies/test_reference_draw.py`` pins the equality.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _weighted_organism(rng: random.Random) -> str:
-    roll = rng.random() * sum(w for _o, w in ORGANISM_POOL)
+    roll = rng.random() * _ORGANISM_WEIGHT
     acc = 0.0
     for organism, weight in ORGANISM_POOL:
         acc += weight
@@ -47,27 +70,25 @@ def _weighted_organism(rng: random.Random) -> str:
     return ORGANISM_POOL[-1][0]
 
 
-def _make_sequence(rng: random.Random, length: int) -> str:
-    return "".join(rng.choice(_AMINO_ACIDS) for _ in range(length))
-
-
 def generate_entity(index: int, rng: random.Random) -> ProteinEntity:
     """One entity with plausible, internally consistent values."""
+    bits = rng.getrandbits
     accession = f"P{10000 + index:05d}"
     organism = _weighted_organism(rng)
     genus = organism.split()[0]
-    length = rng.randint(80, 1200)
-    protein = rng.choice(PROTEIN_NAME_POOL)
-    gene = (protein.split()[0][:3] + chr(ord("A") + rng.randrange(4))).lower()
+    length = 80 + _below(bits, 1121)
+    protein = PROTEIN_NAME_POOL[_below(bits, len(PROTEIN_NAME_POOL))]
+    gene = (protein.split()[0][:3] + chr(ord("A") + _below(bits, 4))).lower()
     keywords = "; ".join(sorted(rng.sample(
-        KEYWORD_POOL, k=rng.randint(1, 3)
+        KEYWORD_POOL, k=1 + _below(bits, 3)
     )))
     values = {
         "accession": accession,
         "organism": organism,
         # Sequences are long; store a short prefix as the stored value
         # (enough for identity, cheap on memory at 17k-triple scale).
-        "sequence": _make_sequence(rng, 24),
+        "sequence": "".join([_AMINO_ACIDS[_below(bits, len(_AMINO_ACIDS))]
+                             for _ in range(24)]),
         "seq_length": str(length),
         "description": f"{protein} ({organism})",
         "gene_name": gene,
@@ -75,16 +96,16 @@ def generate_entity(index: int, rng: random.Random) -> ProteinEntity:
         "taxonomy": TAXONOMY_BY_GENUS.get(genus, "Unclassified"),
         "keywords": keywords,
         "created_date": (
-            f"{rng.randint(1988, 2006)}-{rng.randint(1, 12):02d}-"
-            f"{rng.randint(1, 28):02d}"
+            f"{1988 + _below(bits, 19)}-{1 + _below(bits, 12):02d}-"
+            f"{1 + _below(bits, 28):02d}"
         ),
-        "molecule_type": rng.choice(MOLECULE_TYPES),
-        "database_ref": f"PDB:{rng.randint(1000, 9999)}",
+        "molecule_type": MOLECULE_TYPES[_below(bits, len(MOLECULE_TYPES))],
+        "database_ref": f"PDB:{1000 + _below(bits, 9000)}",
         "function": f"Catalyzes {protein.lower()} activity",
-        "ec_number": f"{rng.randint(1, 6)}.{rng.randint(1, 20)}."
-                     f"{rng.randint(1, 30)}.{rng.randint(1, 99)}",
+        "ec_number": f"{1 + _below(bits, 6)}.{1 + _below(bits, 20)}."
+                     f"{1 + _below(bits, 30)}.{1 + _below(bits, 99)}",
         "host": _weighted_organism(rng),
-        "strain": f"{genus[:2].upper()}-{rng.randint(1, 500)}",
+        "strain": f"{genus[:2].upper()}-{1 + _below(bits, 500)}",
     }
     return ProteinEntity(
         accession=accession,

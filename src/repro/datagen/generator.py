@@ -238,14 +238,16 @@ class BioDatasetGenerator:
 
     def _record_triples(self, schema: Schema, concept_map: dict[str, str],
                         covered: list[ProteinEntity]) -> list[Triple]:
+        """One triple per covered entity and schema attribute, in
+        attribute order: each attribute's predicate and concept are
+        resolved once per schema, each entity's values once."""
+        columns = [(schema.predicate(attribute), concept_map[attribute])
+                   for attribute in schema.attributes]
         triples: list[Triple] = []
+        append = triples.append
         for entity in covered:
             subject = URI(f"{schema.name}:{entity.accession}")
-            for attribute in schema.attributes:
-                concept = concept_map[attribute]
-                triples.append(Triple(
-                    subject,
-                    schema.predicate(attribute),
-                    Literal(entity.value(concept)),
-                ))
+            values = dict(entity.values)
+            for predicate, concept in columns:
+                append(Triple(subject, predicate, Literal(values[concept])))
         return triples

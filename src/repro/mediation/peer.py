@@ -61,6 +61,7 @@ holders' replica group continues its host's count.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Any
 
 from repro.exec.plans import execute_query_rows, run_query_plan
@@ -502,46 +503,48 @@ class GridVinePeer(PGridPeer):
     # Record dispatch (storage side)
     # ------------------------------------------------------------------
 
-    def local_insert(self, key: Key, *values: Any) -> None:
-        """Store ``values`` under ``key`` and index them: a group of
-        triples goes to the bucket and the database in one call each;
-        any other group is dispatched value by value, in order."""
-        if all(type(value) is Triple for value in values):
-            super().local_insert(key, *values)
-            self.db.add(*values)
+    def _write_local(self, action: str, groups: dict) -> None:
+        """Store and index a write: an insert of triples only extends
+        its buckets and adds them all in one :meth:`TripleStore.add`; an
+        insert holding any other value is dispatched value by value."""
+        if action != "insert" or all(map(isinstance, chain.from_iterable(
+                groups.values()), repeat(Triple))):
+            super()._write_local(action, groups)
+            if action == "insert":
+                self.db.add(*chain.from_iterable(groups.values()))
             return
-        for value in values:
-            if isinstance(value, ConnectivityRecord):
-                # Highest version per schema: the domain key space holds
-                # one record per schema, and an older record arriving
-                # after a newer one (records race through the overlay)
-                # is dropped.
-                bucket = self.store.setdefault(key.bits, [])
-                held = next((index for index, stored in enumerate(bucket)
-                             if isinstance(stored, ConnectivityRecord)
-                             and stored.schema_name == value.schema_name),
-                            None)
-                if held is not None:
-                    if bucket[held].version >= value.version:
-                        continue
-                    del bucket[held]
+        self._sync_snapshot = None
+        for bits, values in groups.items():
+            for value in values:
+                bucket = self.store.setdefault(bits, [])
+                if isinstance(value, ConnectivityRecord):
+                    # Highest version per schema: the domain key space
+                    # holds one record per schema, and an older record
+                    # arriving after a newer one (records race through
+                    # the overlay) is dropped.
+                    held = next((index for index, stored in enumerate(bucket)
+                                 if isinstance(stored, ConnectivityRecord)
+                                 and stored.schema_name == value.schema_name),
+                                None)
+                    if held is not None:
+                        if bucket[held].version >= value.version:
+                            continue
+                        del bucket[held]
                 bucket.append(value)
-                self._sync_snapshot = None
-                continue
-            super().local_insert(key, value)
-            if isinstance(value, Triple):
-                self.db.add(value)
-            elif isinstance(value, Schema):
-                self.local_schemas[value.name] = value
-                self._republish_connectivity(value.name)
-            elif isinstance(value, MappingRecord):
-                self.local_mappings[value.mapping.mapping_id] = value.mapping
-                self._mapping_stats_version += 1
-                self._republish_connectivity(value.mapping.source_schema)
-            elif isinstance(value, IncomingMappingRecord):
-                self.incoming_mappings[value.mapping.mapping_id] = (
-                    value.mapping)
-                self._republish_connectivity(value.mapping.target_schema)
+                if isinstance(value, Triple):
+                    self.db.add(value)
+                elif isinstance(value, Schema):
+                    self.local_schemas[value.name] = value
+                    self._republish_connectivity(value.name)
+                elif isinstance(value, MappingRecord):
+                    self.local_mappings[value.mapping.mapping_id] = (
+                        value.mapping)
+                    self._mapping_stats_version += 1
+                    self._republish_connectivity(value.mapping.source_schema)
+                elif isinstance(value, IncomingMappingRecord):
+                    self.incoming_mappings[value.mapping.mapping_id] = (
+                        value.mapping)
+                    self._republish_connectivity(value.mapping.target_schema)
 
     def local_remove(self, key: Key, value: Any) -> int:
         removed = super().local_remove(key, value)

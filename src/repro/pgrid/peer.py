@@ -284,11 +284,9 @@ class PGridPeer(Node):
         return self.path.is_prefix_of(key)
 
     def local_insert(self, key: Key, *values: Any) -> None:
-        """Append ``values`` under ``key`` in the local store, in order:
-        a write's whole key group at once, or one value."""
-        if values:
-            self.store.setdefault(key._bits, []).extend(values)
-            self._sync_snapshot = None
+        """Store ``values`` under ``key``, in order: the one-key case of
+        :meth:`_write_local`."""
+        self._write_local("insert", {key._bits: values})
 
     def local_remove(self, key: Key, value: Any) -> int:
         """Remove all copies of ``value`` under ``key``; return count."""
@@ -305,14 +303,12 @@ class PGridPeer(Node):
     def clone_store(self, host: "PGridPeer") -> None:
         """Copy ``host``'s store verbatim, joining its replica group.
 
-        Through :meth:`local_insert`, so subclasses like the mediation
+        One :meth:`_write_local`, so subclasses like the mediation
         peer update their registries; not :meth:`local_merge`, since
         duplicate values in a bucket are legitimate state and must
         survive the clone.
         """
-        for bits, values in host.store.items():
-            for value in values:
-                self.local_insert(Key(bits), value)
+        self._write_local("insert", host.store)
 
     def local_retrieve(self, key: Key) -> list[Any]:
         """All values stored under exactly ``key``."""
@@ -838,16 +834,22 @@ class PGridPeer(Node):
         leaving at one level travel on together.  Keys keep their
         first-occurrence order throughout, so the split depends on no
         set or hash order.  A lone key was routed to itself, so it
-        belongs here.
+        belongs here.  A key's level depends only on its first
+        ``len(path)`` bits, so it is worked out once per distinct head.
         """
         if len(groups) == 1:
             return groups, {}
         path = self.path._bits
+        width = len(path)
+        levels: dict[str, int] = {}
         applied: dict[str, Any] = {}
         onward: dict[int, dict[str, Any]] = {}
         for bits, arg in groups.items():
-            level = common_prefix_length(path, bits)
-            if level == len(path) or level == len(bits):
+            head = bits[:width]
+            level = levels.get(head)
+            if level is None:
+                level = levels[head] = common_prefix_length(path, head)
+            if level == len(head):
                 applied[bits] = arg
             else:
                 onward.setdefault(level, {})[bits] = arg
@@ -991,13 +993,14 @@ class PGridPeer(Node):
         return 0
 
     def _write_local(self, action: str, groups: dict) -> None:
-        """Apply a write here: every key's values tuple of ``groups``
-        (``{key bits: values}``), in order, by ``action`` — an insert
-        hands each key's tuple to one :meth:`local_insert`."""
+        """Apply a write here — a split op's, a replica's or
+        :meth:`local_insert`'s: every key's values of ``groups`` (``{key
+        bits: values}``), in order, by ``action``."""
         if action == "insert":
-            insert = self.local_insert
             for bits, values in groups.items():
-                insert(Key.of(bits), *values)
+                if values:
+                    self.store.setdefault(bits, []).extend(values)
+            self._sync_snapshot = None
             return
         remove = self.local_remove
         for bits, values in groups.items():

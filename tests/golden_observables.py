@@ -34,6 +34,15 @@ def _round_floats(obj, places: int = 9):
     return obj
 
 
+def _observed(report) -> dict:
+    """A scenario report's observables: every field but ``spec``, the
+    configuration the run was given (a pin of behaviour, not of which
+    settings a spec carries)."""
+    observed = asdict(report)
+    del observed["spec"]
+    return observed
+
+
 def _corpus_net(seed: int, num_peers: int = 24):
     from repro.datagen import BioDatasetGenerator
     from repro.mediation.network import GridVineNetwork
@@ -88,7 +97,8 @@ def _e14_churn_recall() -> dict:
             num_queries=4, warmup=30.0, query_interval=20.0,
             mean_uptime=90.0, mean_downtime=30.0,
         )
-        out[f"failover_{failover}"] = asdict(ScenarioRunner.from_spec(spec).run())
+        out[f"failover_{failover}"] = _observed(
+            ScenarioRunner.from_spec(spec).run())
     return out
 
 
@@ -159,7 +169,7 @@ def _faulted_replay() -> dict:
         query_interval=20.0, mean_uptime=90.0, mean_downtime=30.0,
         faults=plan,
     )
-    return asdict(ScenarioRunner.from_spec(spec).run())
+    return _observed(ScenarioRunner.from_spec(spec).run())
 
 
 def _end_to_end() -> dict:

@@ -50,6 +50,7 @@ from strategies.uploads import (
     corpora,
     deploy_upload_case,
     key_group_scripts,
+    mixed_writes,
     upload_cases,
 )
 from strategies.values import (
@@ -85,6 +86,7 @@ __all__ = [
     "key_group_scripts",
     "mapping_forests",
     "mapping_graphs",
+    "mixed_writes",
     "patterns",
     "peer_synopses",
     "ranking_cases",

@@ -10,9 +10,20 @@ copies.  When routes and replies are lost for a while, every key still
 succeeds — a key no report confirmed is re-sent on its own — and every
 peer holds the oracle's pairs, some of them more than once: delivery is
 at least once.  Checked on the single loop and on two inline shards.
+
+A peer applies a write in one call: a write of triples enters the
+database in one ``TripleStore.add``, and a write holding records is
+dispatched value by value in key order.  For drawn writes mixing
+triples and records, that apply ends
+in exactly the state of the per-key apply kept here as the reference
+(one database add per key of triples, any other key value by value):
+the same buckets in order, database copies in order, version, digest,
+registries, published connectivity and messages sent, each message
+sent while the database held the same version.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -21,9 +32,23 @@ from hypothesis import strategies as st
 from repro.faultlab import FaultPlan, MessageDrop
 from repro.faultlab.injector import install_plan
 from repro.mediation.keys import triple_keys
+from repro.mediation.records import (
+    ConnectivityRecord,
+    IncomingMappingRecord,
+    MappingRecord,
+)
+from repro.rdf.triples import Triple
+from repro.schema.model import Schema
 from repro.simnet.shard import ShardedTransport, SingleLoopEngine
+from repro.util.keys import Key
 
-from strategies import SLOW_SETTINGS, deploy_upload_case, upload_cases
+from strategies import (
+    SLOW_SETTINGS,
+    STANDARD_SETTINGS,
+    deploy_upload_case,
+    mixed_writes,
+    upload_cases,
+)
 
 ENGINES = {
     "single-loop": lambda seed: SingleLoopEngine(seed=seed),
@@ -103,3 +128,110 @@ def test_lossy_uploads_are_repaired_to_the_oracle(engine, case, loss):
             for (_bits, triple), count in copies.items():
                 held[triple] += count
             assert peer.db._copies == held
+
+
+# -- one peer's apply ----------------------------------------------------
+
+def reference_write(peer, action: str, groups: dict) -> None:
+    """The per-key apply: one database add per key of triples, any
+    other key's values dispatched one by one."""
+    if action == "remove":
+        for bits, values in groups.items():
+            key = Key.of(bits)
+            for value in values:
+                peer.local_remove(key, value)
+        return
+    for bits, values in groups.items():
+        if all(type(value) is Triple for value in values):
+            if values:
+                peer.store.setdefault(bits, []).extend(values)
+                peer._sync_snapshot = None
+            peer.db.add(*values)
+            continue
+        for value in values:
+            if isinstance(value, ConnectivityRecord):
+                bucket = peer.store.setdefault(bits, [])
+                held = next((index for index, stored in enumerate(bucket)
+                             if isinstance(stored, ConnectivityRecord)
+                             and stored.schema_name == value.schema_name),
+                            None)
+                if held is not None:
+                    if bucket[held].version >= value.version:
+                        continue
+                    del bucket[held]
+                bucket.append(value)
+                peer._sync_snapshot = None
+                continue
+            peer.store.setdefault(bits, []).append(value)
+            peer._sync_snapshot = None
+            if isinstance(value, Triple):
+                peer.db.add(value)
+            elif isinstance(value, Schema):
+                peer.local_schemas[value.name] = value
+                peer._republish_connectivity(value.name)
+            elif isinstance(value, MappingRecord):
+                peer.local_mappings[value.mapping.mapping_id] = value.mapping
+                peer._mapping_stats_version += 1
+                peer._republish_connectivity(value.mapping.source_schema)
+            elif isinstance(value, IncomingMappingRecord):
+                peer.incoming_mappings[value.mapping.mapping_id] = (
+                    value.mapping)
+                peer._republish_connectivity(value.mapping.target_schema)
+
+
+def record_sends(peer) -> list:
+    """Every message sent from now on, with the database version
+    ``peer`` held when it left."""
+    sent: list = []
+    network = peer.network
+    send = network.send
+
+    def recording(message) -> None:
+        sent.append((message.kind, message.src, message.dst,
+                     message.payload, message.hops, message.carried,
+                     peer.db.version))
+        send(message)
+
+    network.send = recording
+    return sent
+
+
+def peer_state(peer) -> tuple:
+    """Everything a write may change at ``peer``, order included."""
+    return (
+        [(bits, list(values)) for bits, values in peer.store.items()],
+        list(peer.db._copies.items()),
+        peer.db.version,
+        peer.synopsis_digest(),
+        list(peer.local_schemas.items()),
+        list(peer.local_mappings.items()),
+        list(peer.incoming_mappings.items()),
+        list(peer._published_connectivity.items()),
+    )
+
+
+@STANDARD_SETTINGS
+@given(num_peers=st.integers(min_value=2, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**16),
+       origin=st.integers(min_value=0, max_value=5),
+       writes=mixed_writes())
+def test_a_write_applies_as_the_per_key_reference(num_peers, seed, origin,
+                                                  writes):
+    case = SimpleNamespace(num_peers=num_peers, replication=2,
+                           refs_per_level=2, seed=seed)
+    with SingleLoopEngine(seed=seed) as applied, \
+            SingleLoopEngine(seed=seed) as referenced:
+        peer = deploy_upload_case(case, applied).peers[
+            f"peer-{origin % num_peers}"]
+        reference = deploy_upload_case(case, referenced).peers[peer.node_id]
+        # Nested applies (a republish routed back to the peer) take
+        # the reference path too.
+        reference._write_local = (
+            lambda action, groups: reference_write(reference, action,
+                                                   groups))
+        sent, expected = record_sends(peer), record_sends(reference)
+        for action, groups in writes:
+            peer._write_local(action, groups)
+            reference._write_local(action, groups)
+            assert peer_state(peer) == peer_state(reference)
+            assert sent == expected

@@ -17,6 +17,15 @@ its own.  For every kind of seed a peer is given and pools of one to
 nine references, its picks must equal ``Random(seed)._randbelow``'s
 step for step, across the end of the buffer, and leave the stream at
 the same position (the next eight whole words agree).
+
+*An entity draw is ``Random``'s draw.*
+:func:`repro.datagen.entities._below` draws every generated entity's
+``randint``, ``randrange`` and ``choice`` (the sequence letters too)
+from the generator's ``getrandbits``.  For a drawn seed and bounds on
+both sides of a power of two, ``a + _below(bits, b - a + 1)``,
+``_below(bits, n)`` and ``seq[_below(bits, len(seq))]`` must equal
+``randint(a, b)``, ``randrange(n)`` and ``choice(seq)`` of
+``random.Random(seed)`` value for value, and leave the same state.
 """
 
 import random
@@ -24,6 +33,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datagen.entities import _below
 from repro.pgrid.construction import _sample
 from repro.pgrid.peer import _WORDS, PGridPeer
 from repro.util.keys import Key
@@ -80,3 +90,30 @@ def test_a_peer_draws_its_seeds_stream(seed, pool, run):
                      for _ in range(8)]
     # at least _WORDS + 1 words drawn: the peer left its buffer
     assert "rng" in vars(peer)
+
+
+#: bounds of one entity draw: small pools, exact powers of two and
+#: their neighbours (where an off-by-one moves the bit count), and
+#: wide ranges
+widths = st.one_of(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([2**k + d for k in range(1, 33) for d in (-1, 0, 1)]),
+    st.integers(min_value=1, max_value=2**40))
+
+
+@DETERMINISM_SETTINGS
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       low=st.integers(min_value=-5, max_value=2000),
+       width=widths,
+       run=st.integers(min_value=1, max_value=24))
+def test_an_entity_draw_is_randoms_draw(seed, low, width, run):
+    high = low + width - 1
+    seq = range(low, high + 1)
+    reference = random.Random(seed)
+    rng = random.Random(seed)
+    bits = rng.getrandbits
+    for _ in range(run):
+        assert low + _below(bits, width) == reference.randint(low, high)
+        assert _below(bits, width) == reference.randrange(width)
+        assert seq[_below(bits, len(seq))] == reference.choice(seq)
+    assert rng.getstate() == reference.getstate()

@@ -10,6 +10,8 @@ replication and routing redundancy, then removes a few of the uploaded
 triples.  :func:`deploy_upload_case` attaches a case's overlay to an
 engine.  :func:`key_group_scripts` is the same repeats at one peer:
 the key groups a write applies there, with removes between them.
+:func:`mixed_writes` is whole writes at one peer, their key groups
+mixing such triples with schemas and the three mediation records.
 """
 
 import random
@@ -17,12 +19,21 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
+from repro.mapping.model import SchemaMapping
 from repro.mediation.network import GridVineNetwork
 from repro.mediation.peer import GridVinePeer
+from repro.mediation.records import (
+    ConnectivityRecord,
+    IncomingMappingRecord,
+    MappingRecord,
+)
 from repro.pgrid.construction import assign_paths, populate_routing_tables
 from repro.rdf.terms import URI, Literal
 from repro.rdf.triples import Triple
+from repro.schema.model import Schema
 from repro.simnet.shard import partition_paths
+
+from strategies.values import correspondences
 
 _SUBJECTS = ["s1", "s2", "s3", "o1"]
 _PREDICATES = ["p1", "p2"]
@@ -97,6 +108,58 @@ def key_group_scripts(draw, max_steps: int = 8):
                   st.lists(members, max_size=6).map(tuple)),
         st.tuples(st.just("remove"), members))
     return tuple(draw(st.lists(steps, max_size=max_steps)))
+
+
+#: schema names the drawn records share, so a mapping's endpoint is
+#: often a schema stored at the same peer
+_SCHEMA_NAMES = ["A", "B", "C"]
+
+#: keys a drawn write lands under (a peer applies whatever it is sent)
+_KEY_BITS = ["0", "01", "011", "1", "10"]
+
+
+@st.composite
+def mediation_records(draw):
+    """A non-triple value a mediation peer stores: a schema, a mapping
+    at its source or its target, or a connectivity record, all over
+    :data:`_SCHEMA_NAMES` (so versions and degrees race)."""
+    names = st.sampled_from(_SCHEMA_NAMES)
+    kind = draw(st.sampled_from(["schema", "out", "in", "connectivity"]))
+    if kind == "schema":
+        return Schema(draw(names), draw(st.lists(
+            st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3)),
+            domain=draw(st.sampled_from(["d1", "d2"])))
+    if kind == "connectivity":
+        degree = st.integers(min_value=0, max_value=3)
+        return ConnectivityRecord(
+            draw(names), draw(degree), draw(degree),
+            (draw(degree), draw(st.sampled_from(["n0", "n1"]))))
+    source, target = draw(st.lists(names, min_size=2, max_size=2,
+                                   unique=True))
+    mapping = SchemaMapping(
+        draw(st.sampled_from(["m1", "m2", "m3"])), source, target,
+        [draw(correspondences(source, target))],
+        deprecated=draw(st.booleans()))
+    return (MappingRecord if kind == "out" else IncomingMappingRecord)(
+        mapping)
+
+
+@st.composite
+def mixed_writes(draw, max_writes: int = 4):
+    """Writes one peer applies in turn, each ``(action, {key bits:
+    values})``: mostly inserts, whose key groups mix corpus triples
+    (repeats included) with :func:`mediation_records`, and some
+    removes drawn from the same values."""
+    corpus = draw(corpora(max_size=8))
+    records = mediation_records()
+    values = st.one_of(st.sampled_from(corpus), records) if corpus \
+        else records
+    groups = st.dictionaries(
+        st.sampled_from(_KEY_BITS),
+        st.lists(values, max_size=5).map(tuple), min_size=1, max_size=4)
+    actions = st.sampled_from(["insert", "insert", "insert", "remove"])
+    return tuple(draw(st.lists(st.tuples(actions, groups), min_size=1,
+                               max_size=max_writes)))
 
 
 def deploy_upload_case(case, engine) -> GridVineNetwork:
