@@ -8,15 +8,27 @@ Reproduction: sweep network sizes 2^4 .. 2^10, measure mean and p95
 hop counts of retrieves from random origins to random keys, for (a)
 balanced tries and (b) unbalanced tries shaped by a skewed key sample.
 The series shows hops growing like log2(n) in both cases.
+
+Scale-out leg (``E6-scaleout``): the same claim three more decades
+out, on balanced tries built by the scale-out builder with ``route``'s
+shape (``replication=4``, ``refs_per_level=2``, 10 000 retrieves of
+1 000 stored keys): 2^10 .. 2^14 peers, up to 2^17 at
+``REPRO_BENCH_SCALE=full``.  P-Grid predicts mean hops of about
+``0.5 * log2(n / r)`` (a greedy hop fixes the next differing bit with
+probability one half); the ratio is recorded and held in a band.
+Build and run walls and peak RSS are printed, never recorded.
 """
 
 import math
 import random
+import resource
+import time
 
 from conftest import report, run_once
 from record import record
 
 from repro.pgrid.overlay import PGridOverlay
+from repro.pgrid.scaleout import ScaleoutSpec, build_deployment, run_inprocess
 from repro.util.hashing import order_preserving_hash, uniform_hash
 from repro.util.stats import mean, percentile
 
@@ -135,3 +147,54 @@ def test_e6_unbalanced_trie_correctness(benchmark, scale):
          "failures": failures, "hops": hops}])
     assert failures == 0
     assert max(depths) - min(depths) >= 2  # genuinely unbalanced
+
+
+def test_e6_scaleout_hops_track_log_n(benchmark, scale):
+    exponents = range(10, 18 if scale == "full" else 15)
+    replication = 4
+
+    def run():
+        rows = []
+        for exponent in exponents:
+            n = 2 ** exponent
+            spec = ScaleoutSpec(num_peers=n, replication=replication,
+                                refs_per_level=2, seed=11, num_keys=1000,
+                                ops_per_wave=2000, num_waves=5)
+            started = time.perf_counter()
+            deployment = build_deployment(spec)
+            built = time.perf_counter()
+            result = run_inprocess(spec, deployment)
+            ran = time.perf_counter()
+            del deployment
+            hops = [outcome[1] for outcome in result.outcomes.values()
+                    if outcome[0]]
+            report("E6", f"scale-out {n:>7} peers: build "
+                         f"{built - started:.2f} s, run {ran - built:.2f} s, "
+                         f"peak RSS {peak_rss_mib():.0f} MiB")
+            rows.append((n, result.ops_issued, result.successes,
+                         mean(hops), percentile(hops, 95)))
+        return rows
+
+    rows = run_once(benchmark, run)
+    report("E6", f"{'peers':>7} {'log2(n/r)':>10} {'mean':>6} {'p95':>5} "
+                 f"{'mean/log2(n/r)':>15}")
+    runs = []
+    for n, ops, successes, hops_mean, hops_p95 in rows:
+        depth = math.log2(n / replication)
+        ratio = hops_mean / depth
+        report("E6", f"{n:>7} {depth:>10.2f} {hops_mean:>6.2f} "
+                     f"{hops_p95:>5.1f} {ratio:>15.3f}")
+        runs.append({"peers": n, "ops": ops, "successes": successes,
+                     "mean_hops": round(hops_mean, 4),
+                     "p95_hops": round(hops_p95, 4),
+                     "hops_per_log2": round(ratio, 4)})
+    record("E6-scaleout", scale=scale, runs=runs)
+
+    for run in runs:
+        assert run["successes"] == run["ops"]
+        assert 0.4 <= run["hops_per_log2"] <= 0.6, run
+
+
+def peak_rss_mib() -> float:
+    """This process's peak resident set so far (Linux: KiB units)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

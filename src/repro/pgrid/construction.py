@@ -20,11 +20,13 @@ Two ways to assign paths are provided.
 
 Every assignment gets its tables from one builder,
 :func:`sample_routing_tables` (§2.1: a level-``i`` reference is any
-peer of the complementary subtree, drawn uniformly).  It lists each
-trie node's population once and draws with :func:`_sample`, which
-mirrors ``Random.sample`` draw for draw, so the tables are pinned by
-the seed alone.  :func:`populate_routing_tables` writes them into live
-peers as lists, and :func:`replica_groups` wires ``sigma(p)``.  Every
+peer of the complementary subtree, drawn uniformly).  A level's
+population is an index range of one leaf-ordered list of the peers,
+and :func:`_draw` picks from it with the rng's words read in bulk
+(:func:`_word_stream`), exactly as ``Random.sample`` would, so the
+tables are pinned by the seed alone.  :func:`populate_routing_tables`
+writes them into live peers as lists, and :func:`replica_groups` wires
+``sigma(p)``.  Every
 deployment seeds its streams by purpose: paths from
 ``Random(f"{seed}/paths")``, tables from ``Random(f"{seed}/tables")``
 and each peer from ``_stream_seed(seed, "peer", node_id)``.
@@ -34,9 +36,12 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import zlib
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
+from operator import length_hint
 from typing import Any
 
 from repro.util.keys import Key, common_prefix_length
@@ -143,41 +148,111 @@ def _stream_seed(*parts: object) -> int:
     return zlib.crc32("/".join(map(str, parts)).encode())
 
 
-def _sample(rng: random.Random, population: Sequence[Any],
-            k: int) -> list[Any]:
-    """``rng.sample(population, k)``, drawn the way CPython draws it.
+#: words :func:`_word_stream` takes from its rng per ``getrandbits``
+_CHUNK = 1024
 
-    ``Random.sample`` spends most of a small draw on its argument
-    checks; the build makes one draw per (peer, level), so this is the
-    same algorithm without them.  It consumes the stream exactly as
-    ``Random.sample`` does (a pool for populations no larger than the
-    small-set size, rejection from a set above it, no draw when ``k``
-    is 0), so the tables stay those ``Random.sample`` would give;
-    ``tests/strategies/test_reference_draw.py`` pins the equality.
-    ``0 <= k <= len(population)`` is the caller's to keep.
+
+def _word_stream(rng: random.Random) -> tuple[Callable[[], int],
+                                              Callable[[], None]]:
+    """``(next_word, close)``: ``rng``'s stream as 32-bit words.
+
+    ``next_word()`` returns the words ``rng.getrandbits(32)`` would,
+    in order, fetched :data:`_CHUNK` at a time with one
+    ``getrandbits(32 * _CHUNK)`` (word ``i`` is bits ``32 i`` to
+    ``32 i + 31`` of it).  ``close()`` leaves ``rng`` just past the
+    last word returned: it restores the state saved before the chunk
+    in use and redraws the words used from it, so no more than one
+    chunk is ever held or redrawn, however long the stream.
     """
-    n = len(population)
-    randbelow = rng._randbelow
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(population)
-        picks = []
-        for i in range(k):
-            j = randbelow(n - i)
-            picks.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return picks
-    selected: set[int] = set()
-    picks = []
-    for _ in range(k):
-        j = randbelow(n)
-        while j in selected:
-            j = randbelow(n)
-        selected.add(j)
-        picks.append(population[j])
-    return picks
+    last: list[Any] = []
+
+    def chunks():
+        while True:
+            state = rng.getstate()
+            words = iter(struct.unpack(
+                f"<{_CHUNK}I",
+                rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little")))
+            last[:] = (state, words)
+            yield words
+
+    def close() -> None:
+        if last:
+            state, words = last
+            rng.setstate(state)
+            rng.getrandbits(32 * (_CHUNK - length_hint(words)))
+
+    return chain.from_iterable(chunks()).__next__, close
+
+
+def _draw(next_word: Callable[[], int], seq: Sequence[Any],
+          spans: Iterable[tuple[int, int, int]]) -> tuple[tuple[Any, ...], ...]:
+    """A peer's level references: for each ``(lo, n, k)`` of ``spans``
+    in turn, ``tuple(sorted(rng.sample(seq[lo:lo + n], k)))``, drawn
+    from the words ``next_word`` returns as ``Random.sample`` draws.
+
+    ``Random._randbelow(m)`` is the top ``m.bit_length()`` bits of the
+    next word, redrawn while ``>= m``; ``Random.sample`` draws from a
+    pool (swapping the last unpicked member into the vacancy) when
+    ``n`` is at most the small-set size, and otherwise redraws an index
+    it already picked.  No draw when ``k`` is 0.  One or two picks, the
+    build's usual case, are read straight off the range with no pool,
+    set or sort; ``tests/strategies/test_reference_draw.py`` pins the
+    equality for every ``k``.  ``0 <= k <= n`` is the caller's to keep.
+    """
+    drawn = []
+    for lo, n, k in spans:
+        if not k:
+            drawn.append(())
+            continue
+        shift = 32 - n.bit_length()
+        j = next_word() >> shift
+        while j >= n:
+            j = next_word() >> shift
+        first = seq[lo + j]
+        if k == 1:
+            drawn.append((first,))
+            continue
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if k == 2:
+            if n <= setsize:
+                m = n - 1
+                shift = 32 - m.bit_length()
+                i = next_word() >> shift
+                while i >= m:
+                    i = next_word() >> shift
+                second = seq[lo + (m if i == j else i)]
+            else:
+                i = next_word() >> shift
+                while i >= n or i == j:
+                    i = next_word() >> shift
+                second = seq[lo + i]
+            drawn.append((first, second) if first < second
+                         else (second, first))
+            continue
+        picks = [first]
+        if n <= setsize:
+            pool = list(seq[lo:lo + n])
+            pool[j] = pool[n - 1]
+            for m in range(n - 1, n - k, -1):
+                shift = 32 - m.bit_length()
+                i = next_word() >> shift
+                while i >= m:
+                    i = next_word() >> shift
+                picks.append(pool[i])
+                pool[i] = pool[m - 1]
+        else:
+            selected = {j}
+            for _ in range(k - 1):
+                i = next_word() >> shift
+                while i >= n or i in selected:
+                    i = next_word() >> shift
+                selected.add(i)
+                picks.append(seq[lo + i])
+        picks.sort()
+        drawn.append(tuple(picks))
+    return tuple(drawn)
 
 
 def sample_routing_tables(
@@ -197,20 +272,24 @@ def sample_routing_tables(
     without replacement and sorted; replicas are the other peers on
     ``pi(p)``, sorted.
 
-    Each eligible population is listed once per trie node, not once
-    per (peer, level).  The members sit in one list ordered by leaf,
-    so the peers under a complement prefix are one slice of it (its
-    leaves are a contiguous run of the sorted leaf paths).  The leaves
-    that are proper prefixes of the complement (only in a trie that is
+    Every peer sits in one list, ``ordered``, grouped by leaf in
+    sorted leaf order, each leaf's peers in assignment order.  The
+    peers extending a complement prefix are then one index range
+    ``[lo, lo + n)`` of it (its leaves are a contiguous run of the
+    sorted leaf paths), and that range, with ``k = min(refs_per_level,
+    n)``, is the level's whole population: a tuple of three ints,
+    memoized per complement and shared by every leaf under it.  Only
+    where leaves are proper prefixes of the complement (a trie that is
     not yet prefix-free, such as a partly converged
-    :func:`build_by_exchanges`) follow the slice.  Both depend on the
-    complement string alone, so one population per complement serves
-    every leaf under its trie node, and the peers of a leaf share one
-    list of per-level populations: the k-th eligible peer is one
-    index.  The draw is :func:`_sample`, which mirrors
-    ``Random.sample``: for a given rng the tables are the ones
-    ``rng.sample`` would give, and
-    ``tests/test_routing_table_digests.py`` pins three builds.
+    :func:`build_by_exchanges`) is the population copied: the run,
+    then those leaves' peers in depth order, appended to ``ordered``
+    as a range of its own.  That order, run then leaves above, is the
+    population ``Random.sample`` is mirrored on.
+
+    The draw is :func:`_draw` over :func:`_word_stream`'s words, so for
+    a given rng the tables are the ones ``rng.sample`` would give, and
+    the rng ends where those draws would leave it;
+    ``tests/test_routing_table_digests.py`` pins six builds.
 
     The tables are *tuples*: the scale-out deployment shares one build,
     read-only, between every engine run over it, and tuples of strings
@@ -229,37 +308,46 @@ def sample_routing_tables(
     starts = [0]
     for bits in leaf_bits:
         starts.append(starts[-1] + len(members[bits]))
-    populations: dict[str, list[str]] = {}
-    levels_of: dict[str, list[tuple[list[str], int]]] = {}
+    spans: dict[str, tuple[int, int, int]] = {}
+    levels_of: dict[str, tuple[tuple[int, int, int], ...]] = {}
     for bits in leaf_bits:
         above: list[str] = []
-        levels = levels_of[bits] = []
+        levels = []
         for level in range(len(bits)):
             prefix = bits[:level]
             if prefix in members:
                 above += members[prefix]
             complement = prefix + ("1" if bits[level] == "0" else "0")
-            population = populations.get(complement)
-            if population is None:
+            span = spans.get(complement)
+            if span is None:
                 # "2" sorts after both bits: every extension of the
                 # complement lies in [complement, complement + "2").
                 lo = bisect_left(leaf_bits, complement)
                 hi = bisect_left(leaf_bits, complement + "2", lo)
-                population = ordered[starts[lo]:starts[hi]] + above
-                populations[complement] = population
-            levels.append(
-                (population, min(refs_per_level, len(population))))
+                lo, hi = starts[lo], starts[hi]
+                if above:
+                    run = ordered[lo:hi]
+                    lo = len(ordered)
+                    ordered += run
+                    ordered += above
+                    hi = len(ordered)
+                n = hi - lo
+                span = spans[complement] = (lo, n, min(refs_per_level, n))
+            levels.append(span)
+        levels_of[bits] = tuple(levels)
 
+    # Replicas are listed sorted; the populations above keep each
+    # leaf's assignment order, so sort only once they are built.
+    for group in members.values():
+        group.sort()
+    next_word, close = _word_stream(rng)
     tables = {}
     for node_id, path in assignment.items():
         bits = path.bits
-        replicas = tuple(sorted(m for m in members[bits] if m != node_id))
-        routing_table = []
-        for population, k in levels_of[bits]:
-            picks = _sample(rng, population, k)
-            picks.sort()
-            routing_table.append(tuple(picks))
-        tables[node_id] = (replicas, tuple(routing_table))
+        replicas = tuple([m for m in members[bits] if m != node_id])
+        tables[node_id] = (
+            replicas, _draw(next_word, ordered, levels_of[bits]))
+    close()
     return tables
 
 

@@ -1,12 +1,17 @@
 """Property tests: the overlay's draws are ``random.Random``'s draws.
 
 *The routing-table draw is ``Random.sample``'s draw.*
-:func:`repro.pgrid.construction._sample` draws every level's references
-without going through ``Random.sample``.  For a drawn seed, population
-size ``n`` (on both sides of the small-set size 21, where
-``Random.sample`` switches from a pool to a rejection set) and ``k`` up
-to ``min(n, 8)`` (across the ``k > 5`` set-size rule), it must return
-the same picks as ``random.Random(seed).sample(range(n), k)`` and leave
+:func:`repro.pgrid.construction._draw` draws every level's references
+from the words of :func:`~repro.pgrid.construction._word_stream`,
+without going through ``Random.sample``.  For a drawn seed, a drawn
+number of words skipped first (up to two chunks and more, so draws
+straddle a chunk's end), and a run of draws, each an index range
+``[lo, lo + n)`` with ``n`` on both sides of the small-set size 21
+(where ``Random.sample`` switches from a pool to a rejection set) and
+``k`` up to ``min(n, 8)`` or ``min(n, 30)`` (every path: no pick, one,
+two, and the general loop, across the ``k > 5`` set-size rule), it
+must return, draw by draw, ``sample(range(lo, lo + n), k)`` of
+``random.Random(seed)``, sorted, and once the stream is closed leave
 the rng in the same state.  An interpreter whose ``Random.sample``
 draws differently fails here before any routing table changes.
 
@@ -34,7 +39,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datagen.entities import _below
-from repro.pgrid.construction import _sample
+from repro.pgrid.construction import _CHUNK, _draw, _word_stream
 from repro.pgrid.peer import _WORDS, PGridPeer
 from repro.util.keys import Key
 
@@ -43,22 +48,33 @@ from strategies import DETERMINISM_SETTINGS
 
 @st.composite
 def draws(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**32))
+    """One draw: ``(lo, n, k)``."""
+    lo = draw(st.integers(min_value=0, max_value=50))
     n = draw(st.one_of(st.integers(min_value=0, max_value=40),
                        st.integers(min_value=0, max_value=3000)))
-    k = draw(st.integers(min_value=0, max_value=min(n, 8)))
-    return seed, n, k
+    k = draw(st.integers(min_value=0,
+                         max_value=min(n, draw(st.sampled_from((8, 30))))))
+    return lo, n, k
 
 
 @DETERMINISM_SETTINGS
-@given(draws())
-def test_the_draw_is_random_sample(case):
-    seed, n, k = case
-    expected_rng = random.Random(seed)
-    expected = expected_rng.sample(range(n), k)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       skip=st.one_of(st.integers(min_value=0, max_value=8),
+                      st.integers(min_value=_CHUNK - 8,
+                                  max_value=2 * _CHUNK + 8)),
+       run=st.lists(draws(), min_size=1, max_size=6))
+def test_the_draw_is_random_sample(seed, skip, run):
+    reference = random.Random(seed)
     rng = random.Random(seed)
-    assert _sample(rng, list(range(n)), k) == expected
-    assert rng.getstate() == expected_rng.getstate()
+    next_word, close = _word_stream(rng)
+    assert [next_word() for _ in range(skip)] == [
+        reference.getrandbits(32) for _ in range(skip)]
+    seq = range(max(lo + n for lo, n, _k in run))
+    assert _draw(next_word, seq, run) == tuple(
+        tuple(sorted(reference.sample(range(lo, lo + n), k)))
+        for lo, n, k in run)
+    close()
+    assert rng.getstate() == reference.getstate()
 
 
 #: a pool whose draws are whole 32-bit words (``k`` is 32; the one

@@ -35,10 +35,13 @@ class TrieCase:
 
 
 @st.composite
-def trie_cases(draw, max_peers: int = 24):
-    """A :class:`TrieCase` from one of :data:`SOURCES`."""
+def trie_cases(draw, max_peers: int = 24, source: str | None = None,
+               refs_per_level: int | None = None):
+    """A :class:`TrieCase` from one of :data:`SOURCES` (or from
+    ``source``, at ``refs_per_level`` when given)."""
     num_peers = draw(st.integers(min_value=1, max_value=max_peers))
-    source = draw(st.sampled_from(SOURCES))
+    if source is None:
+        source = draw(st.sampled_from(SOURCES))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     if source == "exchanges":
         assignment = build_by_exchanges(num_peers, rng=rng)
@@ -61,6 +64,7 @@ def trie_cases(draw, max_peers: int = 24):
     return TrieCase(
         source=source,
         assignment=assignment,
-        refs_per_level=draw(st.integers(min_value=1, max_value=4)),
+        refs_per_level=refs_per_level or draw(
+            st.integers(min_value=1, max_value=4)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
     )
