@@ -130,6 +130,24 @@ class Message:
                 f"op_tag={self.op_tag!r})")
 
 
+class _OwnTable(dict):
+    """A node's private handler table: changed in place, never shared
+    (a shared table is a plain ``dict``; see
+    :meth:`Node.register_handler`)."""
+
+    __slots__ = ()
+
+
+#: the handler table every node starts on
+_EMPTY_TABLE: dict[str, Callable[["Node", Message], None]] = {}
+
+#: ``function -> (table, kind, successor)``: the shared table a node on
+#: ``table`` moves to when it registers its method ``function`` for
+#: ``kind`` (see :meth:`Node.register_handler`).  Entries are never
+#: dropped: there is at most one per function, a class's methods.
+_SUCCESSORS: dict[Callable, tuple[dict, str, dict]] = {}
+
+
 class Node:
     """Base class for anything attached to a :class:`SimNetwork`.
 
@@ -137,18 +155,23 @@ class Node:
     through :meth:`send` envelopes, and receives deliveries through
     handlers registered per message kind with :meth:`register_handler`.
     Subclasses either register handlers (the normal protocol style) or
-    override :meth:`on_message` wholesale.  The node gets a back-ref to
-    the network when attached, which keeps construction order
-    flexible.
+    override :meth:`on_message` wholesale.  Nodes that register the
+    same methods in the same order share one handler table (every
+    peer of a class does), so the registry costs a node one reference.
+    The node gets a back-ref to the network when attached, which keeps
+    construction order flexible.
     """
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
         self.network: SimNetwork | None = None
         self.online = True
-        #: message kind -> ``handler(node, message)`` (see
+        #: message kind -> ``handler(node, message)``: a table shared
+        #: with every node that registered the same handlers in the
+        #: same order, until a registration makes it private (see
         #: :meth:`register_handler`)
-        self._handlers: dict[str, Callable[["Node", Message], None]] = {}
+        self._handlers: dict[str, Callable[["Node", Message], None]] = \
+            _EMPTY_TABLE
         #: True when this node uses the stock :meth:`on_message`
         #: dispatch, letting the gate jump straight to the handler
         #: registry on delivery (one less frame per message)
@@ -181,13 +204,40 @@ class Node:
 
         The registry is called as ``handler(node, message)``, so a
         method bound to this node is stored as its plain function and
-        no bound-method object outlives registration (ten a peer, for
-        the cyclic collector to re-traverse, at deployment scale).
+        no bound-method object outlives registration.  Tables are
+        copy-on-write: a node starts on the one shared empty table,
+        and registering a method of itself moves it to the shared
+        successor that adds ``kind: function`` — so every peer of a
+        deployment points at one table instead of owning ten entries.
+        A function's successor is memoised once, with the table and
+        kind it was first registered with, and following it is one
+        lookup; registered from any other shared table or for another
+        kind, the function makes the node's table private, which
+        bounds the shared tables by the distinct functions.  Any other
+        handler (a function, or a method of another object) is
+        wrapped and makes the table private too; a private table is
+        changed in place from then on and never shared.
         """
+        table = self._handlers
         if isinstance(handler, MethodType) and handler.__self__ is self:
-            self._handlers[kind] = handler.__func__
+            function = handler.__func__
+            step = _SUCCESSORS.get(function)
+            if step is not None and step[0] is table and step[1] == kind:
+                self._handlers = step[2]
+                return
+            if table.get(kind) is function:
+                return
+            if step is None and type(table) is dict:
+                successor = {**table, kind: function}
+                _SUCCESSORS[function] = (table, kind, successor)
+                self._handlers = successor
+                return
         else:
-            self._handlers[kind] = lambda _node, message: handler(message)
+            def function(_node: Node, message: Message) -> None:
+                handler(message)
+        if type(table) is dict:
+            table = self._handlers = _OwnTable(table)
+        table[kind] = function
 
     def on_message(self, message: Message) -> None:
         """Dispatch a delivered message to its registered handler."""

@@ -189,6 +189,10 @@ class Shard:
         self.transport = transport
         #: op ref -> completion summary, handed over at each barrier
         self._completions: dict[int, Any] = {}
+        #: op ref -> future of an op still pending: filled by the single
+        #: loop, whose :meth:`SingleLoopEngine.result` waits on one, and
+        #: emptied here on completion (a sharded shard keeps none)
+        self._futures: dict[int, Any] = {}
 
     def window(
         self,
@@ -272,6 +276,7 @@ class Shard:
 
     def _record_completion(self, ref: int, summarize: Callable,
                            root: Any, future: Any) -> None:
+        self._futures.pop(ref, None)
         result = future.result()
         if root is not None:
             transport = self.transport
@@ -455,8 +460,11 @@ class SingleLoopEngine(_Engine):
     quiescence is ``run_until_idle``.  Kickoff, attribution, trace
     roots and the report come from the same :class:`Shard` code the
     sharded engine runs, so the two differ by the window barrier and
-    nothing else.  The engine builds its own network, whose latency
-    draws come from ``Random(f"{seed}/latency")``.
+    nothing else.  An op's future is held only while it is pending and
+    its attribution tag only if it is attributed, so once the loop is
+    quiet the engine holds exactly the summaries in :attr:`completed`,
+    as the sharded engine does.  The engine builds its own network,
+    whose latency draws come from ``Random(f"{seed}/latency")``.
     """
 
     num_shards = 1
@@ -469,9 +477,13 @@ class SingleLoopEngine(_Engine):
                               rng=random.Random(f"{seed}/latency"))
         self._shard = Shard(0, self.net)
         self._refs = itertools.count()
-        #: op ref -> (the operation's future, its attribution tag),
-        #: until :meth:`result` waits on it
-        self._futures: dict[int, Any] = {}
+        #: op ref -> the operation's future, while it is pending (the
+        #: shard's table: the completion path drops the entry, so a
+        #: finished op leaves only its summary in :attr:`completed`)
+        self._futures = self._shard._futures
+        #: op ref -> attribution tag, for attributed ops until
+        #: :meth:`result` collects them
+        self._tags: dict[int, str] = {}
 
     @property
     def now(self) -> float:
@@ -498,15 +510,18 @@ class SingleLoopEngine(_Engine):
         """Call ``peer.<method>(*args)`` now; see
         :meth:`ShardedTransport.submit` for the contract."""
         ref = next(self._refs)
-        tag = f"op:{ref}" if attribute else None
+        tag = None
         if attribute:
+            tag = self._tags[ref] = f"op:{ref}"
             self.net.metrics.begin_operation(tag)
         try:
-            self._futures[ref] = self._shard._issue(
-                ref, node_id, method, args, summarize, tag), tag
+            future = self._shard._issue(ref, node_id, method, args,
+                                        summarize, tag)
         except BaseException:
-            self.net.metrics.end_operation(tag)
+            self.net.metrics.end_operation(self._tags.pop(ref, None))
             raise
+        if not future.done:
+            self._futures[ref] = future
         return ref
 
     def result(self, ref: int) -> tuple[Any, int]:
@@ -514,20 +529,23 @@ class SingleLoopEngine(_Engine):
         summary and attributed message count, and forget the op.
 
         Waits on the op's own future, not for quiescence: a deployment
-        with maintenance or churn timers never goes idle.  A handler
-        exception propagates unchanged, with the op forgotten all the
-        same.
+        with maintenance or churn timers never goes idle.  An op that
+        has completed already answers at once, firing no event.  A
+        handler exception propagates unchanged, with the op forgotten
+        all the same.
         """
-        future, tag = self._futures.pop(ref)
+        future = self._futures.pop(ref, None)
         try:
-            self.net.loop.run_until_complete(future)
+            if future is not None:
+                self.net.loop.run_until_complete(future)
         except BaseException:
             # The op may still complete later (its retry timers are
             # queued); nobody will collect that summary.
             future.add_done_callback(lambda _f: self.completed.pop(ref, None))
             raise
         finally:
-            messages = self.net.metrics.end_operation(tag)
+            messages = self.net.metrics.end_operation(
+                self._tags.pop(ref, None))
         return self.completed.pop(ref), messages
 
     def run_until(self, t_end: float) -> None:

@@ -5,12 +5,13 @@ freed by reference counting*: with the collector switched off, a
 ``search_for``, an engine batch — limit hit or not, late replies
 included — an upload or a self-organization round leaves no
 unreachable object behind for ``gc.collect()`` to find.  *A peer owns
-eagerly only what every peer needs*: its tables, its store and its
-handler registry; the failover counters, the synopsis registry and
-the maintenance ledgers appear on first use, which is pinned as a
-per-peer budget of GC-tracked objects rather than as a list of
-attribute names, and the rng stream is a buffer of words, pinned as
-a budget of bytes per first draw.  *A write holds only what it
+eagerly only what every peer needs*: its tables and its store, while
+its handler registry is one table shared by every peer of its class;
+the failover counters, the synopsis registry and the maintenance
+ledgers appear on first use, which is pinned as per-peer budgets of
+GC-tracked objects and of bytes rather than as a list of attribute
+names, and the rng stream is a buffer of words, pinned as a budget of
+bytes per first draw.  *A write holds only what it
 routes*: budgets of tracked objects per in-flight overlay update and
 per stored triple copy; and so does a one-key read.
 """
@@ -190,14 +191,18 @@ def test_resolved_pipeline_still_counts_late_batches(small_network):
 
 
 class TestPeerBudget:
-    """GC-tracked objects a peer costs before it does anything.
+    """GC-tracked objects and bytes a peer costs before it does
+    anything.
 
     The path is two bits deep, so the routing table is three lists and
-    the replica list a fourth; the peer and its handler registry make
-    six.  The bound leaves room for interpreters that materialise the
-    instance ``__dict__`` (3.10) — and none for a bound method per
-    handler (ten to eleven more), an eager ``random.Random``, counter
-    group or synopsis registry.
+    the replica list a fourth; the peer makes five.  The handler
+    registry is a table every peer of the class shares, so it costs a
+    peer nothing.  The bound leaves room for interpreters that
+    materialise the instance ``__dict__`` (3.10) — and none for a
+    private handler dict, a bound method per handler (ten to eleven
+    more), an eager ``random.Random``, counter group or synopsis
+    registry.  In bytes (tracemalloc), a private handler dict would be
+    272 B more per ``PGridPeer`` and 464 B more per ``GridVinePeer``.
     """
 
     PEERS = 1000
@@ -213,13 +218,28 @@ class TestPeerBudget:
     def test_pgrid_peer(self):
         assert self.per_peer(
             lambda node_id, path, seed: PGridPeer(node_id, path, rng=seed)
-        ) <= 9
+        ) <= 8
 
     def test_gridvine_peer(self):
         assert self.per_peer(
             lambda node_id, path, seed: GridVinePeer(node_id, path,
                                                     rng=seed)
-        ) <= 22
+        ) <= 21
+
+    @pytest.mark.parametrize("peer_class, bound", [
+        (PGridPeer, 900), (GridVinePeer, 3000)])
+    def test_bytes_per_constructed_peer(self, peer_class, bound):
+        path = Key("01")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            peers = [peer_class(f"n{i}", path, rng=i)
+                     for i in range(self.PEERS)]
+            gained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(peers) == self.PEERS
+        assert gained / self.PEERS <= bound
 
     def test_first_draw_bytes(self):
         """A peer's first reference draw buffers words of its stream,
